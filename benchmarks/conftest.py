@@ -2,7 +2,9 @@
 
 The evaluation campaign (all solvers on all benchmark sets) is executed once
 per session; the per-table/figure benchmarks render their artefacts from it.
-Artefacts are written to ``benchmarks/results/``.
+Artefacts go to a per-session temporary directory, so a test run leaves the
+tree clean; ``pytest benchmarks --update-results`` regenerates the committed
+copies in ``benchmarks/results/`` instead.
 """
 
 import os
@@ -22,7 +24,16 @@ TIMEOUT = 25.0
 
 
 @pytest.fixture(scope="session")
-def campaign():
+def results_dir(request, tmp_path_factory) -> str:
+    """Where this session writes its artefacts (see the module docstring)."""
+    if request.config.getoption("--update-results"):
+        os.makedirs(RESULTS_DIR, exist_ok=True)
+        return RESULTS_DIR
+    return str(tmp_path_factory.mktemp("results"))
+
+
+@pytest.fixture(scope="session")
+def campaign(results_dir):
     """Run the full (scaled-down) evaluation campaign once per session."""
     from repro.benchgen import position_hard, run_campaign, symbolic_execution
     from repro.benchgen.suite import solver_factories
@@ -37,15 +48,12 @@ def campaign():
         ),
     }
     result = run_campaign(sets, solver_factories(timeout=TIMEOUT), timeout=TIMEOUT)
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, "records.csv"), "w") as handle:
-        handle.write(result.to_csv())
+    write_artifact(results_dir, "records.csv", result.to_csv())
     return result
 
 
-def write_artifact(name: str, content: str) -> str:
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, name)
+def write_artifact(directory: str, name: str, content: str) -> str:
+    path = os.path.join(directory, name)
     with open(path, "w") as handle:
         handle.write(content)
     return path

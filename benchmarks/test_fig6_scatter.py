@@ -17,7 +17,7 @@ def _summarise(points, timeout):
     return wins, losses, ties, only_ours, only_theirs
 
 
-def test_fig6_scatter_data(campaign, benchmark):
+def test_fig6_scatter_data(campaign, results_dir, benchmark):
     def build():
         blocks = {}
         for baseline in ("eager-reduction", "enumerative"):
@@ -35,9 +35,9 @@ def test_fig6_scatter_data(campaign, benchmark):
             f"vs {baseline}: faster on {wins}, slower on {losses}, tied {ties}; "
             f"solved-only-by-us {only_ours}, solved-only-by-them {only_theirs}"
         )
-    write_artifact("fig6_scatter.csv", "\n".join(lines) + "\n")
+    write_artifact(results_dir, "fig6_scatter.csv", "\n".join(lines) + "\n")
     summary = "\n".join(summary_lines)
-    write_artifact("fig6_summary.txt", summary + "\n")
+    write_artifact(results_dir, "fig6_summary.txt", summary + "\n")
     print("\n" + summary)
 
     # Shape check: against each baseline there are instances only we solve.

@@ -9,15 +9,15 @@ baseline at the full budget.
 from conftest import write_artifact
 
 
-def test_fig7_cactus_data(campaign, benchmark):
+def test_fig7_cactus_data(campaign, results_dir, benchmark):
     series = benchmark(campaign.cactus_series)
     rendering = campaign.format_cactus()
     lines = ["solver,index,time"]
     for solver, times in series.items():
         for index, value in enumerate(times):
             lines.append(f"{solver},{index + 1},{value:.4f}")
-    write_artifact("fig7_cactus.csv", "\n".join(lines) + "\n")
-    write_artifact("fig7_cactus.txt", rendering + "\n")
+    write_artifact(results_dir, "fig7_cactus.csv", "\n".join(lines) + "\n")
+    write_artifact(results_dir, "fig7_cactus.txt", rendering + "\n")
     print("\n" + rendering)
 
     solved = {solver: len(times) for solver, times in series.items()}

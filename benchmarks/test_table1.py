@@ -11,9 +11,9 @@ and has the fewest OOR/unknown results overall.
 from conftest import write_artifact
 
 
-def test_table1_aggregates(campaign, benchmark):
+def test_table1_aggregates(campaign, results_dir, benchmark):
     table = benchmark(campaign.format_table)
-    path = write_artifact("table1.txt", table + "\n")
+    path = write_artifact(results_dir, "table1.txt", table + "\n")
     print("\n" + table)
     print(f"[table written to {path}]")
 

@@ -15,6 +15,13 @@ def pytest_addoption(parser):
         default=False,
         help="run the perf benchmark harness in its quick (CI smoke) mode",
     )
+    parser.addoption(
+        "--update-results",
+        action="store_true",
+        default=False,
+        help="regenerate the committed benchmarks/results/ artefacts "
+        "(by default a run writes them to a temporary directory)",
+    )
 
 
 def pytest_configure(config):

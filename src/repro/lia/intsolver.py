@@ -492,7 +492,6 @@ def check_integer_feasibility(
     constraints: Sequence[Constraint],
     integer_vars: Optional[Set[str]] = None,
     max_nodes: int = 4000,
-    deadline: Optional[float] = None,
     cut_rounds: int = 10,
     max_cuts: int = 200,
     omega: bool = True,
@@ -510,11 +509,8 @@ def check_integer_feasibility(
     goes through ``budget`` (one checkpoint per branch-and-bound node,
     raising :class:`repro.budget.BudgetExceeded` — deliberately distinct
     from ``ResourceLimit``, which callers treat as a recoverable
-    per-assignment event); ``deadline`` is the legacy spelling and is
-    folded into a local budget when no shared one is given.
+    per-assignment event).
     """
-    if budget is None and deadline is not None:
-        budget = Budget(deadline=deadline)
     original_constraints = list(constraints)
     reduced, eliminated_defs, conflict_tags = _eliminate_equalities_over_z(original_constraints)
     if reduced is None:

@@ -36,9 +36,13 @@ flip search of earlier revisions):
   pick the unassigned variable occurring most often in currently
   unsatisfied clauses (decisions aim at clauses that still need work, so
   model search is propagation-dense), re-using the variable the last
-  chronological backtrack displaced without a rescan; conflict-heavy
-  solves switch to the highest exponentially-decaying activity (bumped for
-  every variable resolved in a conflict).  Both regimes re-use the
+  chronological backtrack displaced.  The counts are kept on deltas: a
+  true-literal count per clause and a per-variable occurrence count in
+  unsatisfied clauses, updated as literals are assigned and unassigned
+  and as clauses are added or dropped, so a decision scans the variables
+  instead of the clause DB.  Conflict-heavy solves switch to the highest
+  exponentially-decaying activity (bumped for every variable resolved in
+  a conflict) and stop keeping the counts.  Both regimes re-use the
   polarity a variable last held (initially positive, which drives model
   search); the theory layer forces theory atoms negative via
   :attr:`negative_atom_phase` on integer-sensitive refutation workloads,
@@ -92,12 +96,13 @@ _ACTIVITY_RESCALE = 1e100
 #: clause-activity decay (slower than the variable decay, as in MiniSat)
 _CLAUSE_DECAY = 0.999
 _CLAUSE_RESCALE = 1e20
-#: conflicts per solve after which decisions switch from the DLIS scan to
-#: pure VSIDS activity ordering: model search on satisfiable encodings is
+#: conflicts per solve after which decisions switch from DLIS to pure VSIDS
+#: activity ordering: model search on satisfiable encodings is
 #: propagation-dense and conflict-sparse (DLIS aims decisions at still-
 #: unsatisfied clauses, so most variables arrive by propagation), while a
-#: conflict-heavy refutation makes the activity signal strong and the
-#: O(clause-database) DLIS scan per decision the bottleneck
+#: conflict-heavy refutation makes the activity signal strong, and keeping
+#: the DLIS counts in step with a fast-churning trail would cost more than
+#: it steers
 _DLIS_CONFLICT_LIMIT = 500
 #: backjumps farther than this many levels backtrack chronologically
 #: instead (the learned clause still asserts its UIP one level down)
@@ -181,14 +186,12 @@ class DpllSolver:
         clauses: Sequence[Clause] = (),
         theory_atoms: Optional[Set[int]] = None,
         theory_callback: Optional[TheoryCallback] = None,
-        deadline: Optional[float] = None,
         max_conflicts: int = 200000,
     ) -> None:
         self.num_vars = 0
         #: the caller may keep mutating this set between solves (new atoms)
         self.theory_atoms = theory_atoms if theory_atoms is not None else set()
         self.theory_callback = theory_callback
-        self.deadline = deadline
         self.max_conflicts = max_conflicts
         #: decision phase for theory atoms: ``False`` (the default) decides
         #: atoms positively, which drives model search on satisfiable
@@ -271,6 +274,18 @@ class DpllSolver:
         #: the search order and the scan budget)
         self._redecide: int = 0
 
+        # DLIS counts, kept on deltas while the solve is conflict-sparse
+        # (rebuilt by :meth:`_dlis_reset`, dropped at the switch to VSIDS).
+        self._dlis_live = False
+        #: literal -> indices of the clauses containing it (a dropped
+        #: clause stays listed: its emptied slot is inert)
+        self._occurs: Dict[int, List[int]] = {}
+        #: clause index -> number of its literals currently true
+        self._true_count: List[int] = []
+        #: variable -> its literal occurrences in clauses with no true
+        #: literal (for an unassigned variable, exactly the DLIS count)
+        self._unsat_occ: List[int] = [0]
+
         # Activity / decision order.
         self._activity: List[float] = [0.0]
         self._var_inc = 1.0
@@ -293,6 +308,7 @@ class DpllSolver:
             self._reason_of.append(None)
             self._phase.append(True)
             self._activity.append(0.0)
+            self._unsat_occ.append(0)
             heappush(self._order, (0.0, self.num_vars))
 
     def add_clause(self, clause: Sequence[int]) -> bool:
@@ -327,6 +343,7 @@ class DpllSolver:
         self.clauses.append(literals)
         self._watches.setdefault(literals[0], []).append(index)
         self._watches.setdefault(literals[1], []).append(index)
+        self._dlis_attach(index)
         return True
 
     def remove_unit(self, literal: int) -> None:
@@ -363,6 +380,10 @@ class DpllSolver:
             watch_list = self._watches.get(literal)
             if watch_list and index in watch_list:
                 watch_list.remove(index)
+        if self._dlis_live and not self._true_count[index]:
+            unsat = self._unsat_occ
+            for literal in lits:
+                unsat[abs(literal)] -= 1
         self.clauses[index] = []
         self._learnt_act.pop(index, None)
         self._learnt_lbd.pop(index, None)
@@ -403,6 +424,16 @@ class DpllSolver:
         self.trail.append(literal)
         if literal > 0 and var in self.theory_atoms:
             self._true_atoms.add(var)
+        if self._dlis_live:
+            true_count = self._true_count
+            unsat = self._unsat_occ
+            clauses = self.clauses
+            for index in self._occurs.get(literal, ()):
+                count = true_count[index]
+                true_count[index] = count + 1
+                if not count:
+                    for q in clauses[index]:
+                        unsat[abs(q)] -= 1
         if not self._trail_lim:
             # Root-level assignment: remember what its derivation used, so
             # final-conflict analysis can see through level-0 literals.
@@ -430,6 +461,11 @@ class DpllSolver:
         mark = self._trail_lim[level]
         order = self._order
         activity = self._activity
+        live = self._dlis_live
+        occurs = self._occurs
+        true_count = self._true_count
+        unsat = self._unsat_occ
+        clauses = self.clauses
         for position in range(len(self.trail) - 1, mark - 1, -1):
             literal = self.trail[position]
             var = abs(literal)
@@ -438,6 +474,13 @@ class DpllSolver:
             self._reason_of[var] = None
             self._true_atoms.discard(var)
             heappush(order, (-activity[var], var))
+            if live:
+                for index in occurs.get(literal, ()):
+                    count = true_count[index] - 1
+                    true_count[index] = count
+                    if not count:
+                        for q in clauses[index]:
+                            unsat[abs(q)] += 1
         del self.trail[mark:]
         del self._trail_lim[level:]
         self._prop_head = len(self.trail)
@@ -519,16 +562,57 @@ class DpllSolver:
             return -branch_var
         return branch_var if self._phase[branch_var] else -branch_var
 
+    def _dlis_reset(self) -> None:
+        """Recount the DLIS occurrences over the clause DB (empty trail).
+
+        Called by :meth:`_restart`.  In the conflict-heavy regime the counts
+        are not kept at all; the next solve starts sparse and recounts.
+        """
+        self._dlis_live = self._sparse()
+        self._occurs = {}
+        self._true_count = []
+        self._unsat_occ = [0] * (self.num_vars + 1)
+        if not self._dlis_live:
+            return
+        occurs = self._occurs
+        unsat = self._unsat_occ
+        for index, lits in enumerate(self.clauses):
+            for literal in lits:
+                occurs.setdefault(literal, []).append(index)
+                unsat[abs(literal)] += 1
+        self._true_count = [0] * len(self.clauses)
+
+    def _dlis_attach(self, index: int) -> None:
+        """Count a clause just appended to the DB under the current trail."""
+        if not self._dlis_live:
+            return
+        lits = self.clauses[index]
+        value_of = self._value_of
+        true = 0
+        for literal in lits:
+            self._occurs.setdefault(literal, []).append(index)
+            if value_of[abs(literal)] == (literal > 0):
+                true += 1
+        self._true_count.append(true)
+        if not true:
+            unsat = self._unsat_occ
+            for literal in lits:
+                unsat[abs(literal)] += 1
+
     def _decide_var(self) -> Optional[int]:
         """DLIS while conflicts are sparse, VSIDS once the signal is strong.
 
-        The DLIS pass counts unassigned variables of currently-unsatisfied
-        clauses (decisions then aim at clauses that still need work, and
-        most other variables arrive through propagation — the fast regime
-        for model search, where non-chronological backjumps would otherwise
-        force thousands of re-decisions).  Past
+        DLIS picks the unassigned variable with the most literal
+        occurrences in currently-unsatisfied clauses (decisions then aim at
+        clauses that still need work, and most other variables arrive
+        through propagation — the fast regime for model search, where
+        non-chronological backjumps would otherwise force thousands of
+        re-decisions); ties go to the higher activity, then the lower
+        variable.  The counts are kept on deltas by :meth:`_assign`,
+        :meth:`_backjump` and the clause add/drop paths, so a decision
+        scans the variables, not the clause DB.  Past
         :data:`_DLIS_CONFLICT_LIMIT` conflicts in the current solve the
-        activity heap takes over.
+        activity heap takes over and the counts are dropped.
         """
         value_of = self._value_of
         if self._redecide:
@@ -537,23 +621,23 @@ class DpllSolver:
             if value_of[var] is None:
                 return var
         if self._sparse():
-            counts: Dict[int, int] = {}
-            for lits in self.clauses:
-                satisfied = False
-                for literal in lits:
-                    value = value_of[abs(literal)]
-                    if value is not None and value == (literal > 0):
-                        satisfied = True
-                        break
-                if satisfied:
+            counts = self._unsat_occ
+            activity = self._activity
+            best_var = 0
+            best_count = 0
+            best_activity = 0.0
+            for var in range(1, self.num_vars + 1):
+                count = counts[var]
+                if count < best_count or not count or value_of[var] is not None:
                     continue
-                for literal in lits:
-                    var = abs(literal)
-                    if value_of[var] is None:
-                        counts[var] = counts.get(var, 0) + 1
-            if counts:
-                activity = self._activity
-                return max(counts, key=lambda v: (counts[v], activity[v], -v))
+                if count > best_count or activity[var] > best_activity:
+                    best_var, best_count, best_activity = var, count, activity[var]
+            if best_var:
+                return best_var
+        elif self._dlis_live:
+            self._dlis_live = False
+            self._occurs = {}
+            self._true_count = []
         order = self._order
         while order:
             _, var = heappop(order)
@@ -744,6 +828,7 @@ class DpllSolver:
             self.clauses.append(list(learned))
             self._watches.setdefault(learned[0], []).append(index)
             self._watches.setdefault(learned[1], []).append(index)
+            self._dlis_attach(index)
             self._learnt_act[index] = self._cla_inc
             self._learnt_lbd[index] = lbd
         if participants is _WIDE or participants:
@@ -835,6 +920,7 @@ class DpllSolver:
                 self.clauses.append(list(literals))
                 self._watches.setdefault(literals[0], []).append(index)
                 self._watches.setdefault(literals[1], []).append(index)
+                self._dlis_attach(index)
             self.stats.learned_clauses += 1
         else:
             self.stats.duplicate_clauses += 1
@@ -1014,10 +1100,10 @@ class DpllSolver:
         self._prop_head = 0
         self._true_atoms = set()
         self._root_participants = {}
+        self._dlis_reset()
 
     def solve(
         self,
-        deadline: Optional[float] = None,
         max_conflicts: Optional[int] = None,
         assumptions: Sequence[int] = (),
         budget: Optional[Budget] = None,
@@ -1032,12 +1118,8 @@ class DpllSolver:
         on its own).  Raises :class:`ResourceLimit` when the conflict
         budget is exhausted; wall-clock bounding goes through ``budget``
         (one checkpoint per search iteration, raising
-        :class:`repro.budget.BudgetExceeded`), with ``deadline`` kept as a
-        legacy spelling that is folded into a local budget.
+        :class:`repro.budget.BudgetExceeded`).
         """
-        deadline = self.deadline if deadline is None else deadline
-        if budget is None and deadline is not None:
-            budget = Budget(deadline=deadline)
         conflict_budget = self.max_conflicts if max_conflicts is None else max_conflicts
         assumptions = tuple(assumptions)
         for literal in assumptions:

@@ -14,7 +14,8 @@ the reduced formula.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..budget import checkpoint
 from .terms import And, BoolConst, Eq, Formula, LinExpr, conj, substitute
@@ -53,47 +54,68 @@ def eliminate_equalities(
     if not isinstance(formula, And):
         return formula, eliminated
 
-    conjuncts = list(formula.args)
-    changed = True
-    while changed:
-        changed = False
-        for index, conjunct in enumerate(conjuncts):
-            # Each accepted substitution rewrites every other conjunct, so a
-            # full elimination pass is quadratic on adversarial chains — on a
-            # tight budget this is where a check must be interruptible.
+    # Conjuncts keep their slot for the whole pass (``None`` = dropped), so
+    # the eliminating equality is always the lowest-position ``Eq`` that
+    # isolates — the one a rescan from the front would find.  Only the
+    # conjuncts that mention the eliminated variable are rewritten, and
+    # only rewritten ones re-enter the candidate heap: one that failed to
+    # isolate fails again until its expression changes.
+    conjuncts: List[Optional[Formula]] = list(formula.args)
+    candidates = [position for position, c in enumerate(conjuncts) if isinstance(c, Eq)]
+    queued = set(candidates)
+    #: variable -> slots whose conjunct may mention it (a superset: a slot
+    #: stays listed after its variable cancels out or the slot is dropped)
+    occurrences: Optional[Dict[str, Set[int]]] = None
+    while candidates:
+        index = heappop(candidates)
+        queued.discard(index)
+        checkpoint("lia.presolve")
+        conjunct = conjuncts[index]
+        if not isinstance(conjunct, Eq):
+            continue
+        isolated = _isolate(conjunct.expr, protected)
+        if isolated is None:
+            continue
+        name, definition = isolated
+        mapping = {name: definition}
+        conjuncts[index] = None
+        if occurrences is None:
+            # The first elimination rewrites every conjunct once, which also
+            # folds constant atoms and nested connectives; from then on a
+            # conjunct that does not mention a variable is a fixpoint of
+            # substituting it.
+            occurrences = {}
+            targets: Iterable[int] = range(len(conjuncts))
+        else:
+            targets = sorted(occurrences.pop(name, ()))
+        for position in targets:
+            other = conjuncts[position]
+            if other is None:
+                continue
             checkpoint("lia.presolve")
-            if not isinstance(conjunct, Eq):
+            replaced = substitute(other, mapping)
+            if isinstance(replaced, BoolConst) and replaced.value:
+                conjuncts[position] = None
                 continue
-            isolated = _isolate(conjunct.expr, protected)
-            if isolated is None:
-                continue
-            name, definition = isolated
-            mapping = {name: definition}
-            new_conjuncts = []
-            for position, other in enumerate(conjuncts):
-                if position == index:
-                    continue
-                checkpoint("lia.presolve")
-                replaced = substitute(other, mapping)
-                if isinstance(replaced, BoolConst) and replaced.value:
-                    continue
-                new_conjuncts.append(replaced)
-            eliminated.append((name, definition))
-            conjuncts = new_conjuncts
-            changed = True
-            break
+            conjuncts[position] = replaced
+            for other_name in replaced.variables():
+                occurrences.setdefault(other_name, set()).add(position)
+            if isinstance(replaced, Eq) and position not in queued:
+                queued.add(position)
+                heappush(candidates, position)
+        eliminated.append((name, definition))
 
-    reduced = conj(conjuncts)
+    reduced = conj([c for c in conjuncts if c is not None])
     return reduced, eliminated
 
 
 def complete_model(model: Dict[str, int], eliminated: List[Tuple[str, LinExpr]]) -> Dict[str, int]:
     """Extend a model of the reduced formula with the eliminated variables.
 
-    Definitions are evaluated in reverse elimination order (later definitions
-    may mention variables eliminated earlier... they cannot, but reverse order
-    is the safe direction because each definition only mentions variables
-    still present when it was created).
+    Definitions are evaluated in reverse elimination order: a definition
+    only mentions variables still present when it was created, so every
+    variable it reads is either in ``model`` or defined by a later
+    elimination, which the reverse walk has already evaluated.
     """
     completed = dict(model)
     for name, definition in reversed(eliminated):

@@ -189,7 +189,6 @@ class _Context:
             num_vars=0,
             clauses=(),
             theory_atoms=self.theory_atoms,
-            theory_callback=self._theory_callback,
             max_conflicts=config.max_conflicts,
         )
         self.theory = Simplex()
@@ -696,21 +695,17 @@ class _Context:
 
     def check(
         self,
-        deadline: Optional[float] = None,
         assumptions: Sequence[Tuple[object, Formula]] = (),
         budget: Optional[Budget] = None,
     ) -> LiaResult:
         # A caller-passed budget is *shared*: exceeding it must propagate as
         # BudgetExceeded so the owner (e.g. the string pipeline) sees one
-        # consistent verdict.  An owned budget (built here from the legacy
-        # ``deadline`` or ``config.timeout``) keeps the historical contract:
-        # running out of time is an UNKNOWN result, not an exception.
+        # consistent verdict.  An owned budget (built here from
+        # ``config.timeout``) keeps the historical contract: running out of
+        # time is an UNKNOWN result, not an exception.
         owned = budget is None
         if owned:
-            if deadline is not None:
-                budget = Budget(deadline=deadline)
-            else:
-                budget = Budget(self.config.timeout)
+            budget = Budget(self.config.timeout)
         before = self._stats_snapshot()
 
         def result(
@@ -739,6 +734,11 @@ class _Context:
         # exhaustion anywhere in the body to an UNKNOWN result.
         self._budget = budget
         self._conflict_participants = set()
+        # The callback is bound for the check only: kept on the SAT engine,
+        # the bound method would make the context and the engine a reference
+        # cycle, and a finished one-shot context (clauses, simplex,
+        # constraints) would wait for the cyclic collector.
+        self.sat.theory_callback = self._theory_callback
         try:
             with budget.activate():
                 return self._check_budgeted(budget, assumptions, result)
@@ -748,6 +748,7 @@ class _Context:
             return result(LiaStatus.UNKNOWN, reason=str(limit.reason))
         finally:
             self._budget = None
+            self.sat.theory_callback = None
 
     def _check_budgeted(self, budget: Budget, assumptions, result) -> LiaResult:
         self._flush()
@@ -851,17 +852,14 @@ class LiaSolver:
     def check(
         self,
         formula: Optional[Formula] = None,
-        deadline: Optional[float] = None,
         assumptions: Sequence[Tuple[object, Formula]] = (),
         budget: Optional[Budget] = None,
     ) -> LiaResult:
         """Decide satisfiability of the assertion stack (plus ``formula``).
 
-        ``deadline`` (an absolute :func:`time.monotonic` value) takes
-        precedence over ``config.timeout``; a caller-passed ``budget``
-        supersedes both, and exceeding it raises
-        :class:`repro.budget.BudgetExceeded` instead of answering
-        ``UNKNOWN`` (the budget's owner reports the verdict).
+        A caller-passed ``budget`` supersedes ``config.timeout``, and
+        exceeding it raises :class:`repro.budget.BudgetExceeded` instead of
+        answering ``UNKNOWN`` (the budget's owner reports the verdict).
         ``assumptions`` is a sequence of ``(label, formula)`` pairs that
         hold for *this check only*: on an ``UNSAT`` answer,
         :attr:`LiaResult.core_labels` names exactly the assumptions the
@@ -872,15 +870,15 @@ class LiaSolver:
             if self._ctx is None and not assumptions:
                 context = _Context(self.config)
                 context.add_assertion(formula)
-                return context.check(deadline, budget=budget)
+                return context.check(budget=budget)
             context = self._context()
             context.push()
             context.add_assertion(formula)
             try:
-                return context.check(deadline, assumptions=assumptions, budget=budget)
+                return context.check(assumptions=assumptions, budget=budget)
             finally:
                 context.pop()
-        return self._context().check(deadline, assumptions=assumptions, budget=budget)
+        return self._context().check(assumptions=assumptions, budget=budget)
 
 
 def is_satisfiable(formula: Formula, config: Optional[LiaConfig] = None) -> bool:

@@ -15,6 +15,10 @@ small instances:
   the clauses plus assumption units, the failed-assumption set is a subset
   of the assumptions, and re-solving under only the failed assumptions is
   still unsatisfiable (the core really is a core).
+
+A fourth family pins the decision heuristic: the DLIS counts the engine
+keeps on deltas must pick, at every conflict-sparse decision, the variable
+a full rescan of the clause DB picks.
 """
 
 import itertools
@@ -363,3 +367,139 @@ def test_stats_expose_cdcl_counters():
     for key in ("backjump_levels", "deleted_clauses", "minimized_literals",
                 "conflicts", "learned_clauses", "restarts"):
         assert key in result.stats
+
+
+# ----------------------------------------------------------------------
+# DLIS counts kept on deltas pick what a full rescan picks
+# ----------------------------------------------------------------------
+def _rescan_counts(solver):
+    """Per variable, its literal occurrences in clauses with no true literal."""
+    value_of = solver._value_of
+    counts = [0] * (solver.num_vars + 1)
+    for lits in solver.clauses:
+        if any(value_of[abs(q)] == (q > 0) for q in lits):
+            continue
+        for q in lits:
+            counts[abs(q)] += 1
+    return counts
+
+
+def _rescan_choice(solver):
+    """The DLIS decision as a scan over the whole clause DB computes it."""
+    counts = _rescan_counts(solver)
+    free = [
+        v for v in range(1, solver.num_vars + 1)
+        if counts[v] and solver._value_of[v] is None
+    ]
+    if not free:
+        return None
+    return max(free, key=lambda v: (counts[v], solver._activity[v], -v))
+
+
+class _CheckedDlis(DpllSolver):
+    """Checks every sparse DLIS decision against a full rescan."""
+
+    checked = 0
+
+    def _decide_var(self):
+        expected = None
+        redecide = self._redecide
+        if self._sparse() and not (redecide and self._value_of[redecide] is None):
+            assert self._dlis_live
+            assert self._unsat_occ == _rescan_counts(self)
+            expected = _rescan_choice(self)
+        chosen = super()._decide_var()
+        if expected is not None:
+            assert chosen == expected
+            type(self).checked += 1
+        return chosen
+
+
+def _pair_theory(rng, holder, atoms):
+    """A toy theory: some pairs (and, at final checks, triples) of atoms clash."""
+    pairs = [tuple(rng.sample(atoms, 2)) for _ in range(len(atoms))]
+    triples = [tuple(rng.sample(atoms, 3)) for _ in range(len(atoms) // 2)]
+    calls = [0]
+
+    def callback(true_atoms, final):
+        calls[0] += 1
+        if calls[0] == 7:
+            holder[0].request_restart = True
+        for group in pairs + (triples if final else []):
+            if all(atom in true_atoms for atom in group):
+                return tuple(-atom for atom in group)
+        return None
+
+    return callback
+
+
+@pytest.mark.parametrize("sparse_limit", [500, 1])
+def test_dlis_counts_pick_the_rescan_choice(monkeypatch, sparse_limit):
+    # A small sparse limit makes solves cross into the VSIDS regime (where
+    # the counts are dropped) and re-enter DLIS at the next solve.
+    import repro.lia.sat as sat_module
+
+    monkeypatch.setattr(sat_module, "_DLIS_CONFLICT_LIMIT", sparse_limit)
+    monkeypatch.setattr(_CheckedDlis, "checked", 0)
+    rng = random.Random(5)
+    for _ in range(40):
+        num_vars = rng.randint(8, 24)
+        clauses = []
+        for _ in range(rng.randint(2 * num_vars, 9 * num_vars // 2)):
+            width = rng.choice((2, 3, 3, 4))
+            chosen = rng.sample(range(1, num_vars + 1), width)
+            clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+        atoms = rng.sample(range(1, num_vars + 1), num_vars // 2)
+        holder = [None]
+        solver = _CheckedDlis(
+            num_vars=num_vars,
+            clauses=clauses,
+            theory_atoms=set(atoms),
+            theory_callback=_pair_theory(rng, holder, atoms),
+        )
+        holder[0] = solver
+        solver._max_learnts = 3  # force learned-clause DB reduction
+        for _ in range(6):
+            solver.solve(assumptions=tuple(rng.sample(range(-num_vars, 0), 1)))
+            roll = rng.random()
+            live = [lits for lits in solver.clauses if lits]
+            if roll < 0.3 and live:
+                solver.retract_clause_key(tuple(sorted(rng.choice(live))))
+            elif roll < 0.6:
+                unit = rng.choice((1, -1)) * rng.randint(1, num_vars)
+                solver.add_clause((unit,))
+                solver.solve()
+                solver.remove_unit(unit)
+            else:
+                solver.add_clause(tuple(rng.sample(range(1, num_vars + 1), 3)))
+    assert _CheckedDlis.checked > 300
+
+
+def test_dlis_counts_through_push_pop(monkeypatch):
+    # The LIA assertion stack drives the engine through its real theory
+    # hook: pop retracts units and strengthened theory clauses.
+    import repro.lia.solver as solver_module
+
+    monkeypatch.setattr(solver_module, "DpllSolver", _CheckedDlis)
+    monkeypatch.setattr(_CheckedDlis, "checked", 0)
+    rng = random.Random(9)
+    names = ["x", "y", "z"]
+    for _ in range(12):
+        solver = LiaSolver()
+        solver.add_assertion(conj([ge(var(n), 0) for n in names] + [le(var(n), 6) for n in names]))
+        for _ in range(8):
+            if rng.random() < 0.3:
+                solver.push()
+            elif rng.random() < 0.3:
+                try:
+                    solver.pop()
+                except IndexError:
+                    pass
+            a, b = rng.sample(names, 2)
+            solver.add_assertion(
+                ne(var(a) + var(b), rng.randint(0, 8))
+                | le(var(a), rng.randint(0, 6))
+            )
+            solver.add_assertion(ne(var(a), rng.randint(0, 6)))
+            assert solver.check().status in (LiaStatus.SAT, LiaStatus.UNSAT)
+    assert _CheckedDlis.checked > 50

@@ -173,3 +173,43 @@ def test_solver_agrees_with_grid_oracle(rows):
     assert result.is_sat == oracle
     if result.is_sat:
         assert check_model(formula, result.model)
+
+
+def test_finished_check_frees_its_lia_context(monkeypatch):
+    # A one-shot check's LIA context (clauses, simplex, constraints) must be
+    # freed by reference counting when the check returns, not left for the
+    # cyclic collector: the SAT engine holds the theory callback only while
+    # the context is checking.
+    import gc
+    import weakref
+
+    from repro import Contains, LengthConstraint, PositionSolver, RegexMembership, Status
+    from repro import str_len, term
+    from repro.lia import solver as solver_module
+    from repro.strings.ast import Problem
+
+    contexts = []
+    original_init = solver_module._Context.__init__
+
+    def recording_init(self, config):
+        original_init(self, config)
+        contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(solver_module._Context, "__init__", recording_init)
+    problem = Problem(alphabet=("a", "b", "c"))
+    for name in ("x0", "x1", "x2"):
+        problem.add(RegexMembership(name, "a*"))
+    problem.add(Contains(term("x1"), term("x0"), positive=False))
+    problem.add(Contains(term("x2"), term("x1"), positive=False))
+    problem.add(LengthConstraint(ge(str_len("x0"), 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        result = PositionSolver().check(problem)
+        assert result.status is Status.SAT
+        assert contexts, "the check never reached the LIA layer"
+        assert all(ref() is None for ref in contexts)
+        assert LiaSolver().check(conj([ge(var("x"), 1), le(var("x"), 3)])).is_sat
+        assert all(ref() is None for ref in contexts)
+    finally:
+        gc.enable()
