@@ -1,8 +1,9 @@
 """Language enumeration utilities.
 
 These functions back the brute-force oracle solver and the test suite:
-bounded enumeration of a regular language, shortest accepted word, counting
-words per length, and random sampling of accepted words.
+bounded enumeration of a regular language, shortest accepted word, the
+length bound of a language, counting words per length, and random sampling
+of accepted words.
 
 All entry points accept either automaton form (:class:`Nfa` or
 :class:`DenseNfa`).  The breadth-first walks run on dense bitset subsets —
@@ -73,6 +74,27 @@ def words_up_to(nfa, max_length: int) -> Iterator[str]:
         layer = next_layer
         if not layer:
             return
+
+
+def has_word_longer_than(nfa, length: int) -> bool:
+    """Decide whether some accepted word is longer than ``length``.
+
+    Always true of an infinite language and never of an empty one: the
+    language is finite and fully enumerated by ``words_up_to(nfa, length)``
+    exactly when this is false.
+    """
+    dense = as_dense(nfa)
+    useful = dense.coreachable_mask()
+    mask = dense.closure_of(dense.initial) & useful
+    symbol_range = range(len(dense.symbols))
+    for _ in range(length + 1):
+        targets = 0
+        for k in symbol_range:
+            targets |= dense.step(mask, k)
+        mask = dense.closure_of(targets) & useful
+        if not mask:
+            return False
+    return True
 
 
 def count_words_of_length(nfa, length: int) -> int:

@@ -135,21 +135,3 @@ def intern_restore(payload: List[Dict[str, Any]]) -> int:
         restored += 1
     intern_mark_warm()
     return restored
-
-
-def to_dot(nfa: Nfa, name: str = "nfa") -> str:
-    """Render ``nfa`` in Graphviz DOT format (for inspection/debugging)."""
-    lines: List[str] = [f"digraph {name} {{", "  rankdir=LR;"]
-    for state in sorted(nfa.states):
-        shape = "doublecircle" if state in nfa.final else "circle"
-        lines.append(f'  q{state} [shape={shape}, label="{state}"];')
-    for index, state in enumerate(sorted(nfa.initial)):
-        lines.append(f"  __start{index} [shape=point];")
-        lines.append(f"  __start{index} -> q{state};")
-    for src, symbol, dst in sorted(
-        nfa.iter_transitions(), key=lambda t: (t[0], t[1] or "", t[2])
-    ):
-        label = symbol if symbol is not None else "ε"
-        lines.append(f'  q{src} -> q{dst} [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -21,19 +21,6 @@ Instance = Tuple[str, Problem, Optional[str]]
 _FLAT_LANGUAGES = ["a*", "b*", "(ab)*", "(ba)*", "(abc)*", "(ab)*a", "c*"]
 
 
-def _word_of(language: str) -> str:
-    """A canonical pumping word of one of the flat languages above."""
-    return {
-        "a*": "a",
-        "b*": "b",
-        "c*": "c",
-        "(ab)*": "ab",
-        "(ba)*": "ba",
-        "(abc)*": "abc",
-        "(ab)*a": "aba",
-    }[language]
-
-
 def commuting_disequalities(count: int, seed: int = 11) -> Iterator[Instance]:
     """Disequalities between permuted concatenations, e.g. ``x·y ≠ y·x``.
 

@@ -11,25 +11,12 @@ which the tests exploit (comparing against a tiny DPLL for 3-SAT).
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..strings.ast import Contains, Problem, RegexMembership, WordEquation, lit, term
 
 #: A clause is a triple of signed variable indices (1-based, negative = negated).
 Clause = Tuple[int, int, int]
-
-
-def random_3sat(num_vars: int, num_clauses: int, seed: int = 0) -> List[Clause]:
-    """Generate a random 3-SAT instance."""
-    rng = random.Random(seed)
-    clauses: List[Clause] = []
-    for _ in range(num_clauses):
-        chosen = rng.sample(range(1, num_vars + 1), k=min(3, num_vars))
-        while len(chosen) < 3:
-            chosen.append(rng.randint(1, num_vars))
-        clauses.append(tuple(rng.choice([v, -v]) for v in chosen))  # type: ignore[return-value]
-    return clauses
 
 
 def sat_brute_force(num_vars: int, clauses: Sequence[Clause]) -> Optional[Dict[int, bool]]:

@@ -93,18 +93,6 @@ class UnknownReason:
             bits.append(f"[{self.detail}]")
         return " ".join([head] + bits)
 
-    @property
-    def is_timeout(self) -> bool:
-        return self.kind in (UnknownKind.TIMEOUT, UnknownKind.STEP_LIMIT)
-
-
-def as_reason(reason, default_kind: UnknownKind = UnknownKind.INCOMPLETE,
-              stage: str = "") -> UnknownReason:
-    """Coerce a legacy free-text reason into an :class:`UnknownReason`."""
-    if isinstance(reason, UnknownReason):
-        return reason
-    return UnknownReason(default_kind, stage=stage, detail=str(reason))
-
 
 class BudgetExceeded(Exception):
     """Raised by :meth:`Budget.checkpoint` when a limit is hit.
@@ -122,8 +110,7 @@ class BudgetExceeded(Exception):
 class Budget:
     """Wall-clock deadline plus cooperative step counters for one check.
 
-    The first positional argument is a relative ``timeout`` in seconds so
-    that ``Budget(timeout)`` is a drop-in for the historical ``Stopwatch``;
+    The first positional argument is a relative ``timeout`` in seconds;
     an absolute ``deadline`` (a :func:`time.monotonic` value) may be given
     instead, e.g. when a caller subdivides its own budget.  ``max_steps``
     caps the total checkpoint steps — a deterministic, machine-independent
@@ -172,7 +159,7 @@ class Budget:
             self._deadline = min(explicit, derived)
 
     # ------------------------------------------------------------------
-    # Stopwatch-compatible surface
+    # Deadline
     # ------------------------------------------------------------------
     @property
     def deadline(self) -> Optional[float]:
@@ -277,11 +264,6 @@ class Budget:
 
 #: the ambient budget deep engine loops consult (None = unbudgeted)
 _ACTIVE: ContextVar[Optional[Budget]] = ContextVar("repro_budget", default=None)
-
-
-def current_budget() -> Optional[Budget]:
-    """The budget activated by the innermost enclosing check, if any."""
-    return _ACTIVE.get()
 
 
 def checkpoint(stage: str, cost: int = 1) -> None:

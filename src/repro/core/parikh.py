@@ -22,7 +22,7 @@ the same automaton can coexist in one LIA formula (needed for the two runs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..budget import checkpoint
 from ..lia import Formula, LinExpr, conj, disj, eq, ge, iff, implies, le, var
@@ -73,10 +73,6 @@ class ParikhEncoding:
         if name is None:
             return LinExpr.constant(0)
         return LinExpr.var(name)
-
-    def tag_sum(self, tags: Sequence[Tag]) -> LinExpr:
-        """Sum of the counters of several tags."""
-        return LinExpr.sum_of(self.tag_count(tag) for tag in tags)
 
 
 def encode(automaton: TagAutomaton, prefix: str = "") -> ParikhEncoding:

@@ -74,14 +74,6 @@ def system_copy_tag(level: int, variable: str, predicate: int, side: str) -> Tag
     return Tag("CD", (level, variable, predicate, side))
 
 
-def is_symbol(tag: Tag) -> bool:
-    return tag.kind == "S"
-
-
-def is_length(tag: Tag) -> bool:
-    return tag.kind == "L"
-
-
 def symbol_of(tags) -> str:
     """Extract the symbol read by a transition from its tag set (or ``None``)."""
     for tag in tags:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .terms import LinExpr
 
@@ -598,13 +598,3 @@ def check_constraints(constraints: Sequence[Constraint]) -> SimplexResult:
     for constraint in constraints:
         simplex.add_constraint(constraint)
     return simplex.check()
-
-
-def rational_model_to_int(model: Mapping[str, Fraction]) -> Optional[Dict[str, int]]:
-    """Return the model as integers when every value is integral, else ``None``."""
-    result: Dict[str, int] = {}
-    for name, value in model.items():
-        if value.denominator != 1:
-            return None
-        result[name] = int(value)
-    return result

@@ -102,10 +102,10 @@ class LiaResult:
     #: variables of atoms that participated in theory conflicts during the
     #: check (mapped back through the presolve elimination chain).  For an
     #: ``UNSAT`` verdict this over-approximates the variables a refutation
-    #: touched; string-solver callers use it to narrow unsat cores before
-    #: deletion testing.  Empty when no theory conflict was recorded (e.g. a
-    #: purely boolean refutation), in which case callers must fall back to
-    #: the full assertion set.
+    #: touched; string-solver callers use it to narrow unsat cores.  Empty
+    #: when no theory conflict was recorded (e.g. a purely boolean
+    #: refutation), in which case callers must fall back to the full
+    #: assertion set.
     conflict_vars: FrozenSet[str] = frozenset()
     #: labels of the ``check(assumptions=…)`` entries that final-conflict
     #: analysis blamed for an ``UNSAT`` verdict.  Unlike ``conflict_vars``
@@ -128,36 +128,29 @@ class LiaResult:
 class LiaConfig:
     """Tunable limits of the LIA solver."""
 
-    #: check the rational relaxation at every decision level (early pruning)
-    partial_theory_checks: bool = True
     #: budget of branch-and-bound nodes per integer feasibility check
     branch_and_bound_nodes: int = 4000
-    #: rounds of Gomory mixed-integer cuts per branch-and-bound node; cuts
+    #: cutting planes in the integer core: Gomory mixed-integer cuts per
+    #: branch-and-bound node plus the Omega-test elimination pre-pass.  Cuts
     #: are what refute pure-inequality divisibility conflicts (e.g. the
-    #: ``(abc)*`` commuting disequalities) that branch-and-bound diverges on
-    gomory_cut_rounds: int = 10
-    #: total Gomory cuts per integer feasibility check (0 disables cuts)
-    max_gomory_cuts: int = 200
-    #: run the Omega-test elimination pre-pass on small reduced systems
-    #: (sound refutations from projected divisibility conflicts, and integer
-    #: models by back-substitution when every elimination step is exact)
-    omega_elimination: bool = True
+    #: ``(abc)*`` commuting disequalities) that branch-and-bound diverges
+    #: on; ``False`` is the pre-cuts behaviour (ablation / differential
+    #: testing)
+    cuts: bool = True
     #: budget of boolean conflicts
     max_conflicts: int = 100000
     #: optional wall-clock limit in seconds
     timeout: Optional[float] = None
-    #: eliminate defining equalities before the search (major speed-up on
-    #: Parikh formulae; the model of the original formula is reconstructed)
-    presolve: bool = True
-    #: size of the cache of known-feasible atom sets used to skip redundant
-    #: rational relaxation checks
-    feasible_cache_size: int = 32
-    #: run the (expensive) partial rational check only every N-th opportunity;
-    #: completeness is unaffected because complete assignments are always
-    #: checked with the full integer procedure.  1 = check at every decision
-    #: level (strong pruning, the default); larger values trade pruning for
-    #: fewer simplex calls.
-    partial_check_period: int = 1
+
+
+#: ``check_integer_feasibility`` cut budgets: Gomory rounds per node, total
+#: cuts per call and the Omega pre-pass — for the final integer check, for
+#: the cheaper core-minimisation tests, and with ``LiaConfig.cuts`` off
+_CUTS = {"cut_rounds": 10, "max_cuts": 200, "omega": True}
+_CORE_CUTS = {"cut_rounds": 10, "max_cuts": 64, "omega": True}
+_NO_CUTS = {"cut_rounds": 0, "max_cuts": 0, "omega": False}
+#: known-feasible atom sets kept to skip redundant rational checks
+_FEASIBLE_CACHE = 32
 
 
 @dataclass
@@ -192,6 +185,8 @@ class _Context:
             max_conflicts=config.max_conflicts,
         )
         self.theory = Simplex()
+        self._cuts = _CUTS if config.cuts else _NO_CUTS
+        self._core_cuts = _CORE_CUTS if config.cuts else _NO_CUTS
         #: atom boolean variable -> (simplex variable, relation, bound)
         self._atom_handle: Dict[int, Tuple[str, str, object]] = {}
         #: atom boolean variable -> reusable Constraint (for integer checks)
@@ -206,7 +201,6 @@ class _Context:
         self._var_set: Set[str] = set()
 
         self._feasible_sets: List[frozenset] = []
-        self._partial_calls = 0
         self._gave_up = False
         #: integer-sensitive instance detected (a complete assignment was
         #: rationally feasible yet integer-infeasible): partial checks then
@@ -280,7 +274,7 @@ class _Context:
                     self._var_list.append(name)
         combined = conj([self._apply_subst(formula) for formula in self.pending])
 
-        if self.config.presolve and not isinstance(combined, BoolConst):
+        if not isinstance(combined, BoolConst):
             # The elimination loop checkpoints against the ambient budget and
             # may abort; keep the flush transactional by clearing the pending
             # queue only once the fallible presolve work is behind us.
@@ -336,17 +330,12 @@ class _Context:
         if self._budget is not None:
             self._budget.checkpoint("lia.theory")
         if not final:
-            if not self.config.partial_theory_checks or not true_atoms:
+            if not true_atoms:
                 return None
             # Rational feasibility is monotone: a subset of a feasible set
             # of atoms is feasible, so cached supersets let us skip checks.
             if any(true_atoms <= cached for cached in self._feasible_sets):
                 self._cache_hits += 1
-                return None
-            self._partial_calls += 1
-            if self.config.partial_check_period > 1 and (
-                self._partial_calls % self.config.partial_check_period
-            ):
                 return None
             self.theory.push()
             try:
@@ -374,7 +363,7 @@ class _Context:
                         conflict_vars = self._strengthen_core(conflict_vars)
                         return tuple(-var for var in sorted(conflict_vars))
                 self._feasible_sets.append(frozenset(true_atoms))
-                if len(self._feasible_sets) > self.config.feasible_cache_size:
+                if len(self._feasible_sets) > _FEASIBLE_CACHE:
                     self._feasible_sets.pop(0)
                 return None
             conflict_vars = {tag for tag in result.conflict if isinstance(tag, int)}
@@ -393,9 +382,7 @@ class _Context:
                 integer_vars=None,
                 max_nodes=self.config.branch_and_bound_nodes,
                 budget=self._budget,
-                cut_rounds=self.config.gomory_cut_rounds,
-                max_cuts=self.config.max_gomory_cuts,
-                omega=self.config.omega_elimination,
+                **self._cuts,
             )
         except ResourceLimit:
             # Branch-and-bound could not decide this boolean assignment.
@@ -512,9 +499,7 @@ class _Context:
                     constraints,
                     max_nodes=60,
                     budget=self._budget,
-                    cut_rounds=self.config.gomory_cut_rounds,
-                    max_cuts=min(64, self.config.max_gomory_cuts),
-                    omega=self.config.omega_elimination,
+                    **self._core_cuts,
                 )
             except ResourceLimit:
                 continue
@@ -573,9 +558,7 @@ class _Context:
                     rest,
                     max_nodes=50,
                     budget=self._budget,
-                    cut_rounds=self.config.gomory_cut_rounds,
-                    max_cuts=min(64, self.config.max_gomory_cuts),
-                    omega=self.config.omega_elimination,
+                    **self._core_cuts,
                 )
             except ResourceLimit:
                 return None  # budget exhausted: conservatively keep the atom

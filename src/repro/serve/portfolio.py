@@ -14,11 +14,12 @@ configurations that win on *different* instance shapes, takes the first
   declines and its fallback order loses time, and doubles as a standing
   cross-check of the shortcut (a disagreement between the two is an
   engine bug, which the server detects and refuses to answer).
-* ``frugal`` — ``lia_cuts=False, incremental_lia=False``: the seed-style
-  from-scratch LIA without cutting planes.  Cheapest setup cost; wins on
-  small easily-sat instances where cut derivation is pure overhead, and
-  diverges (hits its budget) on the cut-hungry unsat families — which is
-  exactly why it only ever *races*, never answers alone.
+* ``frugal`` — ``lia=LiaConfig(cuts=False)``, ``incremental_lia=False``:
+  the seed-style from-scratch LIA without cutting planes.  Cheapest setup
+  cost; wins on small easily-sat instances where cut derivation is pure
+  overhead, and diverges (hits its budget) on the cut-hungry unsat
+  families — which is exactly why it only ever *races*, never answers
+  alone.
 
 "First sound verdict wins" is sound because every individual verdict
 already is: ``sat`` models are re-verified against the original atoms and
@@ -31,13 +32,16 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
+from ..lia import LiaConfig
 from ..solver import SolverConfig
 
 #: name → factory; every factory accepts the per-job budget knobs
 STRATEGIES: Dict[str, Callable[..., SolverConfig]] = {
     "witness": lambda **kw: SolverConfig(**kw),
     "encoding": lambda **kw: SolverConfig(distinct_shortcut=False, **kw),
-    "frugal": lambda **kw: SolverConfig(lia_cuts=False, incremental_lia=False, **kw),
+    "frugal": lambda **kw: SolverConfig(
+        lia=LiaConfig(cuts=False), incremental_lia=False, **kw
+    ),
 }
 
 #: the default race: the two complementary full-strength paths.  ``frugal``

@@ -76,15 +76,6 @@ def initializer(flags, warm_payload: Sequence[Dict[str, Any]]) -> None:
     _WARM_SEEDED = intern_restore(list(warm_payload))
 
 
-def warm_seeded() -> int:
-    """Automata seeded into this process's intern table at startup."""
-    return _WARM_SEEDED
-
-
-class _Cancelled(Exception):
-    """Internal marker: the run observed its cancellation flag."""
-
-
 def _build_hook(spec: JobSpec, state: Dict[str, bool]):
     """The budget hook of one run: fault triggers + cancellation polling."""
     injector = None

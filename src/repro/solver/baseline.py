@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import List, Optional, Tuple
 
-from ..budget import checkpoint
+from ..budget import Budget, checkpoint
 from ..lia import ne as lia_ne
 from ..lia import gt as lia_gt
 from ..strings.ast import (
@@ -40,7 +40,7 @@ from ..strings.ast import (
     term,
 )
 from .config import SolverConfig
-from .result import SolveResult, Status, Stopwatch
+from .result import SolveResult, Status
 from .solver import PositionSolver
 
 
@@ -148,7 +148,7 @@ class EagerReductionSolver:
     # ------------------------------------------------------------------
     def check(self, problem: Problem) -> SolveResult:
         """Decide satisfiability by eager reduction + the equation pipeline."""
-        watch = Stopwatch(self.config.timeout)
+        watch = Budget(self.config.timeout)
         base_atoms = []
         alternative_sets: List[List[List]] = []
         for atom in problem.atoms:

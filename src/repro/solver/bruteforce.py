@@ -1,9 +1,11 @@
 """Bounded brute-force oracle.
 
-Unlike :class:`repro.solver.enumerative.EnumerativeSolver` (which is one of
-the benchmark baselines), this oracle is a *testing* device: it answers SAT
-or UNSAT only when the answer is certain within the given bound (finite
-languages, bounded integers) and is used to cross-check the other solvers.
+The one enumeration core of the repository: the tests and the fuzzer use it
+to cross-check the other solvers, and
+:class:`repro.solver.enumerative.EnumerativeSolver` (one of the benchmark
+baselines) is a thin wrapper over it.  It answers SAT or UNSAT only when the
+answer is certain within the given bound (languages fully enumerated,
+bounded integers).
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from ..automata.enumeration import is_finite, words_up_to
+from ..automata.enumeration import has_word_longer_than, words_up_to
 from ..automata.nfa import Nfa
+from ..budget import Budget
 from ..strings.ast import EXTENDED_ATOMS, Problem
 from ..strings.normal_form import normalize
 from ..strings.semantics import eval_problem
-from .result import SolveResult, Status, StringModel, Stopwatch
+from .result import SolveResult, Status, StringModel
 
 
 def brute_force_check(
@@ -28,10 +31,11 @@ def brute_force_check(
     """Exhaustively search for a model within the given bounds.
 
     Returns SAT with a model, UNSAT when the search space provably covers
-    every candidate (all languages finite within the bound and no integer
-    variables beyond the supplied range matter), and UNKNOWN otherwise.
+    every candidate (no language has a word longer than ``max_length`` —
+    an empty language included — and there are no integer variables), and
+    UNKNOWN otherwise.
     """
-    watch = Stopwatch(timeout)
+    watch = Budget(timeout)
     # The normal form only exists for the conjunctive core; the extended
     # atoms (substr/indexof/replace) contribute no membership constraints
     # and are checked purely by evaluation below.
@@ -54,7 +58,7 @@ def brute_force_check(
             # alphabet is a candidate (never an exhaustive enumeration).
             nfa = Nfa.universal(alphabet)
         candidate_words[name] = list(words_up_to(nfa, max_length))
-        if not is_finite(nfa):
+        if has_word_longer_than(nfa, max_length):
             exhaustive = False
 
     low, high = integer_bounds

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..lia import LiaConfig
@@ -34,19 +34,9 @@ class SolverConfig:
     #: ``LiaSolver.check`` per round (the seed behaviour, kept for perf
     #: comparisons and differential testing)
     incremental_lia: bool = True
-    #: configuration of the underlying LIA solver
+    #: configuration of the underlying LIA solver (``lia.cuts`` switches the
+    #: cutting planes of the integer core)
     lia: LiaConfig = field(default_factory=LiaConfig)
-    #: cutting planes in the LIA integer core (Gomory cut rounds plus the
-    #: Omega-test pre-pass); ``False`` zeroes the cut budgets in ``lia`` at
-    #: construction time — the pre-cuts behaviour, kept for ablation and
-    #: differential testing.  Budgets are tuned via
-    #: ``lia.gomory_cut_rounds`` / ``lia.max_gomory_cuts`` /
-    #: ``lia.omega_elimination``; toggling this field after construction has
-    #: no effect.
-    lia_cuts: bool = True
-    #: verify every SAT model against the original problem (cheap, keeps the
-    #: solver sound even in the presence of encoder bugs)
-    verify_models: bool = True
     #: answer pairwise-distinct groups (conjunctions of single-variable
     #: disequalities) by greedily picking distinct short words from the
     #: variables' automata — verified against the original problem by the
@@ -55,17 +45,6 @@ class SolverConfig:
     #: greedy model fails verification) fall through to the encoding.
     #: ``False`` always takes the encoding (ablation / differential testing)
     distinct_shortcut: bool = True
-    #: hand per-atom integer conjuncts to the LIA layer as labelled
-    #: assumption literals: an UNSAT verdict then names the exact integer
-    #: atoms of the core via final-conflict analysis (no deletion-test
-    #: re-solving).  ``False`` asserts them like any other part (the
-    #: pre-assumption behaviour, kept for differential testing)
-    assumption_cores: bool = True
-    #: cross-check (and shrink) `Session.unsat_core` candidates by deletion
-    #: testing — one pipeline re-solve per candidate atom.  Off by default:
-    #: the assumption-literal provenance already yields verified cores; the
-    #: deletion verifier remains available as an independent oracle
-    core_deletion_check: bool = False
     #: cap on the case product of the extended-function reduction
     #: (``str.substr`` expands into 1 case, ``str.indexof`` into 4,
     #: ``str.replace`` into 3 — see :mod:`repro.strings.reductions`);
@@ -76,20 +55,3 @@ class SolverConfig:
     #: Levi alignment, which needs more room than the chain-free
     #: ``max_branches`` default
     reduction_max_branches: int = 512
-    #: capacity of the session pipeline's component-encoding memo (entries
-    #: are tag-automaton encodings keyed by predicate set and automata)
-    session_encoding_cache: int = 256
-    #: number of pinned per-branch incremental LIA solvers a session keeps
-    #: warm (least-recently-used branches beyond this are rebuilt on demand)
-    session_branch_solvers: int = 16
-
-    def __post_init__(self) -> None:
-        if not self.lia_cuts:
-            # Zero the budgets on a copy: a caller-provided LiaConfig may be
-            # shared with other SolverConfigs that do want cutting planes.
-            self.lia = replace(
-                self.lia,
-                gomory_cut_rounds=0,
-                max_gomory_cuts=0,
-                omega_elimination=False,
-            )

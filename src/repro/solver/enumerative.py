@@ -5,86 +5,28 @@ eager/value-based solvers: satisfiable instances with small models are found
 quickly by enumerating candidate words from the regular constraints and
 evaluating the constraint directly, but unsatisfiable instances over infinite
 languages can never be refuted (the solver answers ``UNKNOWN``), and hard
-combinatorial instances (the position-hard set) time out.
+combinatorial instances (the position-hard set) time out.  The enumeration
+itself is :func:`repro.solver.bruteforce.brute_force_check`.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, Iterable, List, Optional
+from typing import Optional
 
-from ..automata.enumeration import is_finite, words_up_to
 from ..strings.ast import Problem
-from ..strings.normal_form import normalize
-from ..strings.semantics import eval_problem
+from .bruteforce import brute_force_check
 from .config import SolverConfig
-from .result import SolveResult, Status, Stopwatch, StringModel
+from .result import SolveResult
 
 
 class EnumerativeSolver:
-    """Bounded enumeration of candidate models."""
+    """Bounded enumeration of candidate models (words up to length 6,
+    integers in ``[-1, 8]``)."""
 
-    def __init__(self, config: Optional[SolverConfig] = None, max_length: int = 6,
-                 max_index: int = 8) -> None:
+    def __init__(self, config: Optional[SolverConfig] = None) -> None:
         self.config = config or SolverConfig()
-        self.max_length = max_length
-        self.max_index = max_index
 
     def check(self, problem: Problem) -> SolveResult:
-        watch = Stopwatch(self.config.timeout)
-        normal_form = normalize(problem)
-
-        variables = list(problem.string_variables())
-        automata = {name: normal_form.automata[name] for name in variables if name in normal_form.automata}
-        for name in variables:
-            automata.setdefault(name, None)
-
-        integer_variables = list(problem.integer_variables())
-        candidates: Dict[str, List[str]] = {}
-        exhaustive = True
-        for name, nfa in automata.items():
-            if nfa is None:
-                from ..automata.nfa import Nfa
-
-                nfa = Nfa.universal(problem.alphabet)
-                exhaustive = False
-            words = list(words_up_to(nfa, self.max_length))
-            if not is_finite(nfa):
-                exhaustive = False
-            candidates[name] = words
-            if not words:
-                return SolveResult(Status.UNSAT, elapsed=watch.elapsed())
-        if integer_variables:
-            exhaustive = False
-
-        integer_domain = list(range(-1, self.max_index + 1))
-        names = sorted(candidates)
-        checked = 0
-        for choice in product(*(candidates[name] for name in names)):
-            if watch.expired():
-                return SolveResult(Status.TIMEOUT, elapsed=watch.elapsed(), reason="timeout")
-            strings = dict(zip(names, choice))
-            if integer_variables:
-                for values in product(integer_domain, repeat=len(integer_variables)):
-                    integers = dict(zip(integer_variables, values))
-                    checked += 1
-                    if eval_problem(problem, strings, integers):
-                        return SolveResult(
-                            Status.SAT,
-                            model=StringModel(strings=strings, integers=integers),
-                            elapsed=watch.elapsed(),
-                        )
-            else:
-                checked += 1
-                if eval_problem(problem, strings, {}):
-                    return SolveResult(
-                        Status.SAT, model=StringModel(strings=strings), elapsed=watch.elapsed()
-                    )
-
-        if exhaustive:
-            return SolveResult(Status.UNSAT, elapsed=watch.elapsed())
-        return SolveResult(
-            Status.UNKNOWN,
-            elapsed=watch.elapsed(),
-            reason=f"no model among {checked} bounded candidates (languages are infinite)",
+        return brute_force_check(
+            problem, max_length=6, integer_bounds=(-1, 8), timeout=self.config.timeout
         )

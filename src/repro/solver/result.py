@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, FrozenSet, Iterator, Optional, Union
 
-from ..budget import Budget, UnknownReason
+from ..budget import UnknownReason
 
 
 class Status(Enum):
@@ -118,9 +118,3 @@ class SolveResult:
     @property
     def solved(self) -> bool:
         return self.status in (Status.SAT, Status.UNSAT)
-
-
-#: Backward-compatible alias: the old elapsed/deadline helper grew into the
-#: repo-wide :class:`repro.budget.Budget`; ``Stopwatch(timeout)`` still
-#: works and now additionally supports cooperative checkpoints.
-Stopwatch = Budget

@@ -31,8 +31,7 @@ unsatisfiable on its own (one re-check, falling back to the full assertion
 set when the over-approximation turns out incomplete) and reports it in
 assertion order — every reported core is a set of assertions that was
 *checked* to be jointly unsatisfiable, and bystander assertions never
-appear in it.  The historical deletion-test minimiser is kept behind
-``SolverConfig.core_deletion_check`` as an independent cross-check.
+appear in it.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ from .solver import IncrementalPipeline
 
 #: assumptions accepted by :meth:`Session.check`: bare atoms or named pairs
 Assumption = Union[Atom, Tuple[str, Atom]]
-
-#: deletion tests are skipped above this candidate-core size (the
-#: provenance-seeded candidate set is still verified and returned)
-_MINIMIZE_LIMIT = 24
 
 
 class Session:
@@ -207,7 +202,7 @@ class Session:
     # ------------------------------------------------------------------
     # Unsat cores
     # ------------------------------------------------------------------
-    def unsat_core(self, minimize: bool = True) -> Tuple[str, ...]:
+    def unsat_core(self) -> Tuple[str, ...]:
         """Names of assertions that are jointly unsatisfiable.
 
         Requires the last :meth:`check` to have answered ``unsat``.  The
@@ -216,12 +211,7 @@ class Session:
         final-conflict analysis; string atoms through the conflict-variable
         mapping — and verified by one re-check when it is a proper subset.
         Core atoms are reported **in assertion order** (deterministic across
-        runs).  The historical deletion-test minimiser (one re-solve per
-        candidate atom) only runs when
-        :attr:`~repro.solver.config.SolverConfig.core_deletion_check` is
-        set; it remains available as an independent cross-check of the
-        assumption-literal cores.  The result is cached until the next
-        ``check``.
+        runs).  The result is cached until the next ``check``.
         """
         if self._last is None or self._last.status is not Status.UNSAT:
             raise RuntimeError("unsat_core requires the last check to be unsat")
@@ -251,22 +241,6 @@ class Session:
                 if verdict.status is Status.UNSAT:
                     kept = candidate
                     break
-
-        if (
-            self.config.core_deletion_check
-            and minimize
-            and len(kept) <= _MINIMIZE_LIMIT
-        ):
-            position = 0
-            while position < len(kept) and len(kept) > 1:
-                trial = kept[:position] + kept[position + 1 :]
-                verdict = self._pipeline.check(
-                    self._problem_for([entries[i] for i in trial])
-                )
-                if verdict.status is Status.UNSAT:
-                    kept = trial
-                else:
-                    position += 1
 
         self._last_core = tuple(entries[i][0] for i in kept)
         return self._last_core

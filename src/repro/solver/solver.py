@@ -61,7 +61,7 @@ On ``UNSAT`` the pipeline reports *refutation participants*: the
 mapped through the asserted parts back to normal-form variables and then —
 via :meth:`NormalForm.atoms_touching` provenance — to input-atom indices
 (surfaced as ``SolveResult.core_atoms``).  :meth:`repro.Session.unsat_core`
-uses this as the candidate set for deletion-based core minimisation.
+verifies this candidate set by one re-check and reports it.
 
 :class:`PositionSolver` keeps the historical one-shot interface as a thin
 wrapper over a throwaway :class:`repro.Session`.
@@ -117,6 +117,12 @@ _GROUP_UNSAT = object()
 _GROUP_WORD_CAP = 16
 #: node budget of the exact group search
 _GROUP_SEARCH_NODES = 50000
+#: capacity of the component-encoding memo (tag-automaton encodings keyed
+#: by predicate set and automata)
+_ENCODING_CACHE = 256
+#: pinned per-branch incremental LIA solvers kept warm (least-recently-used
+#: branches beyond this are rebuilt on demand)
+_BRANCH_SOLVERS = 16
 
 
 class _Lru(OrderedDict):
@@ -228,8 +234,8 @@ class IncrementalPipeline:
         self.normalization_cache = normalization_cache or NormalizationCache()
         self._normal_forms: _Lru = _Lru(64)
         self._decompositions: _Lru = _Lru(32)
-        self._components: _Lru = _Lru(self.config.session_encoding_cache)
-        self._branch_solvers: _Lru = _Lru(self.config.session_branch_solvers)
+        self._components: _Lru = _Lru(_ENCODING_CACHE)
+        self._branch_solvers: _Lru = _Lru(_BRANCH_SOLVERS)
         #: integer conjunct -> may it travel as an assumption literal?
         #: (defining equalities must stay asserted so the LIA presolve can
         #: eliminate them — losing that elimination costs 3× on the
@@ -386,9 +392,7 @@ class IncrementalPipeline:
                     },
                     integers=dict(result.model.integers),
                 )
-                if self.config.verify_models and not eval_problem(
-                    problem, model.strings, model.integers
-                ):
+                if not eval_problem(problem, model.strings, model.integers):
                     # The case model must satisfy the original extended
                     # atoms by construction; a failure here means the
                     # reduction (not the encoder) is wrong — stay sound.
@@ -1205,11 +1209,10 @@ class IncrementalPipeline:
         # docstring): integer conjuncts carry their source-atom index,
         # length links their variable, encodings their component cache
         # identity — the keys drive both the incremental assertion stack
-        # and the conflict-participant mapping.  With ``assumption_cores``
-        # the integer conjuncts travel as labelled assumptions instead:
-        # final-conflict analysis then reports the exact integer atoms of a
-        # refutation (``LiaResult.core_labels``) for free.
-        assume_ints = self.config.assumption_cores
+        # and the conflict-participant mapping.  Assumption-safe integer
+        # conjuncts travel as labelled assumptions instead: final-conflict
+        # analysis then reports the exact integer atoms of a refutation
+        # (``LiaResult.core_labels``) for free.
         parts: List[Tuple[PartKey, LiaFormula]] = []
         #: integer conjuncts that stay asserted — exactly the ones whose
         #: core membership must still come from the conflict-variable
@@ -1217,7 +1220,7 @@ class IncrementalPipeline:
         int_parts: List[Tuple[LiaFormula, int]] = []
         assumed: List[Tuple[int, LiaFormula]] = []
         for formula, atom_index in normal_form.integer_parts:
-            if assume_ints and self._assumption_safe(formula):
+            if self._assumption_safe(formula):
                 assumed.append((atom_index, formula))
             else:
                 parts.append((("int", formula), formula))
@@ -1281,10 +1284,9 @@ class IncrementalPipeline:
                         approximations,
                         branch,
                     )
-                    if assume_ints:
-                        atoms_ = atoms_ | {
-                            label for label in result.core_labels if isinstance(label, int)
-                        }
+                    atoms_ = atoms_ | {
+                        label for label in result.core_labels if isinstance(label, int)
+                    }
                     return _BranchOutcome(Status.UNSAT, lia_queries=queries, exact=exact, stats=stats,
                                           participant_vars=vars_, participant_atoms=atoms_)
                 if result.status is LiaStatus.UNKNOWN:
@@ -1351,7 +1353,7 @@ class IncrementalPipeline:
                     continue
 
                 model = self._build_model(problem, normal_form, branch, strings, result.model)
-                if self.config.verify_models and not eval_problem(problem, model.strings, model.integers):
+                if not eval_problem(problem, model.strings, model.integers):
                     return _BranchOutcome(
                         Status.UNKNOWN,
                         reason=UnknownReason(

@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..benchgen.pipelines import PipelineScenario, scenario_from_seed
 from ..budget import Budget, BudgetExceeded, UnknownKind, UnknownReason
+from ..serve.portfolio import STRATEGIES
 from ..smtlib.printer import problem_to_smtlib
 from ..solver.bruteforce import brute_force_check
 from ..solver.config import SolverConfig
@@ -79,14 +80,10 @@ def _model_ok(problem: Problem, model) -> bool:
 
 
 def default_configs(timeout: Optional[float] = None) -> Dict[str, SolverConfig]:
-    """The 3 ablations the fuzzer races — mirroring the server portfolio
+    """The ablations the fuzzer races: the server portfolio's strategies
     (``witness`` / ``encoding`` / ``frugal``), so a disagreement here is a
     disagreement the portfolio could serve to a client."""
-    return {
-        "witness": SolverConfig(timeout=timeout),
-        "encoding": SolverConfig(timeout=timeout, distinct_shortcut=False),
-        "frugal": SolverConfig(timeout=timeout, lia_cuts=False, incremental_lia=False),
-    }
+    return {name: factory(timeout=timeout) for name, factory in STRATEGIES.items()}
 
 
 @dataclass

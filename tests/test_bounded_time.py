@@ -161,16 +161,13 @@ def test_injected_clock_times_out_without_waiting():
     assert caught.value.reason.stage == "synthetic"
 
 
-def test_budget_is_stopwatch_compatible():
-    # the baseline solvers still construct Stopwatch(timeout) — the alias
-    # must keep the old surface
-    from repro.solver.result import Stopwatch
-
-    watch = Stopwatch(30.0)
+def test_budget_timeout_surface():
+    # the baseline solvers and the brute-force oracle time themselves with
+    # a plain Budget(timeout)
+    watch = Budget(30.0)
     assert watch.deadline is not None
     assert not watch.expired()
     assert watch.elapsed() >= 0.0
-    assert Stopwatch is Budget
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ def test_default_configs_mirror_the_portfolio():
     assert set(configs) == {"witness", "encoding", "frugal"}
     assert configs["witness"].distinct_shortcut
     assert not configs["encoding"].distinct_shortcut
-    assert not configs["frugal"].lia_cuts
+    assert not configs["frugal"].lia.cuts
     assert not configs["frugal"].incremental_lia
 
 

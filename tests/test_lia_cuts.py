@@ -251,19 +251,25 @@ def test_cut_conflict_core_names_only_contributing_assertions():
     assert all(isinstance(tag, str) and tag.startswith("core-") for tag in outcome.conflict)
 
 
-def test_solver_config_lia_cuts_ablation_switch():
-    from repro.lia import LiaConfig
-    from repro.solver import SolverConfig
+def test_frugal_strategy_runs_without_cuts():
+    from repro.lia import LiaConfig, LiaSolver, LiaStatus, conj
+    from repro.lia.terms import Eq, Le
+    from repro.serve.portfolio import config_for
 
-    shared = LiaConfig()
-    ablated = SolverConfig(lia=shared, lia_cuts=False)
-    assert ablated.lia.gomory_cut_rounds == 0
-    assert ablated.lia.max_gomory_cuts == 0
-    assert not ablated.lia.omega_elimination
-    # The zeroing happens on a copy: a shared LiaConfig (and configs built
-    # from it later) keeps its cutting planes.
-    assert shared.gomory_cut_rounds > 0
-    assert SolverConfig(lia=shared).lia.gomory_cut_rounds > 0
+    witness = config_for("witness").lia
+    frugal = config_for("frugal").lia
+    assert witness.cuts and not frugal.cuts
+    # The switch reaches the integer core: the mod-3 core that cuts refute
+    # exhausts branch-and-bound without them.
+    formula = conj(
+        [(Le if relation == "<=" else Eq)(expr(coeffs, const))
+         for coeffs, const, relation in _COMM_MOD3_CORE]
+    )
+    verdicts = {
+        cuts: LiaSolver(LiaConfig(cuts=cuts, branch_and_bound_nodes=200)).check(formula).status
+        for cuts in (witness.cuts, frugal.cuts)
+    }
+    assert verdicts == {True: LiaStatus.UNSAT, False: LiaStatus.UNKNOWN}
 
 
 def test_integer_feasibility_matches_bruteforce_on_random_systems():

@@ -85,7 +85,7 @@ def test_strategies_are_distinct_configs():
     }
     # The portfolio only makes sense if the racers explore different paths.
     assert configs["witness"].distinct_shortcut != configs["encoding"].distinct_shortcut
-    assert configs["witness"].lia_cuts != configs["frugal"].lia_cuts
+    assert configs["witness"].lia.cuts != configs["frugal"].lia.cuts
 
 
 def test_dedup_key_semantics():

@@ -193,6 +193,25 @@ def test_enumerative_finds_easy_models_but_cannot_refute():
     assert result.status in (Status.UNKNOWN, Status.TIMEOUT)
 
 
+def test_enumerative_does_not_refute_a_language_beyond_its_bound():
+    # sat, but the only word is longer than the enumeration bound of 6
+    problem = Problem(alphabet=tuple("ab"))
+    problem.add(RegexMembership("x", "aaaaaaa"))
+    assert EnumerativeSolver(SolverConfig(timeout=5)).check(problem).status is Status.UNKNOWN
+
+
+def test_brute_force_unsat_needs_every_word_within_the_bound():
+    problem = Problem(alphabet=tuple("ab"))
+    problem.add(RegexMembership("x", "aaaaa"))
+    assert brute_force_check(problem, max_length=4).status is Status.UNKNOWN
+    assert brute_force_check(problem, max_length=5).status is Status.SAT
+    # an empty language is fully enumerated by any bound
+    empty = Problem(alphabet=tuple("ab"))
+    empty.add(RegexMembership("x", "a"))
+    empty.add(RegexMembership("x", "b"))
+    assert brute_force_check(empty, max_length=0).status is Status.UNSAT
+
+
 def test_brute_force_oracle_agrees_on_finite_instance():
     problem = Problem(alphabet=tuple("ab"))
     problem.add(RegexMembership("x", "a|b"))
