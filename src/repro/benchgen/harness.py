@@ -27,7 +27,8 @@ SolverFactory = Callable[[], object]
 
 
 #: solver counters reported in the per-instance CSV (when the solver
-#: exposes them through ``SolveResult.stats``)
+#: exposes them through ``SolveResult.stats``; ``cache_hits`` counts the
+#: CNF encoder's structural cache hits only)
 STAT_COLUMNS = (
     "decisions",
     "propagations",

@@ -642,9 +642,21 @@ def check_integer_feasibility(
     return result
 
 
-def check_rational_feasibility(constraints: Sequence[Constraint]) -> SimplexResult:
-    """Check the rational relaxation only (used for fast pruning in DPLL(T))."""
-    simplex = Simplex()
-    for constraint in constraints:
-        simplex.add_constraint(constraint)
-    return simplex.check()
+def check_rational_feasibility(
+    constraints: Sequence[Constraint], simplex: Optional[Simplex] = None
+) -> SimplexResult:
+    """Check the rational relaxation only (used for fast pruning in DPLL(T)).
+
+    ``simplex`` is an optional scratch tableau: the check runs inside a
+    push/pop scope on it, so a caller testing many subsets of one
+    constraint pool prepares each row once and keeps the basis warm.
+    """
+    if simplex is None:
+        simplex = Simplex()
+    simplex.push()
+    try:
+        for constraint in constraints:
+            simplex.add_constraint(constraint)
+        return simplex.check()
+    finally:
+        simplex.pop()

@@ -74,7 +74,10 @@ flip search of earlier revisions):
 The theory callback receives the set of atom variables currently assigned
 *true* and returns either ``None`` (consistent as far as it can tell) or a
 conflict clause (a tuple of literals, all currently false) that is added to
-the clause database and then resolved by the regular 1UIP analysis.
+the clause database and then resolved by the regular 1UIP analysis.  A
+theory layer that keeps its state in step with the trail reads
+:attr:`DpllSolver.theory_mark`: the lowest trail length since it last
+synced, so only the trail from there on is new to it.
 """
 
 from __future__ import annotations
@@ -219,6 +222,10 @@ class DpllSolver:
         #: conflict clause it is about to return (read and cleared by the
         #: conflict handler; defaults to the clause's own atoms)
         self.pending_conflict_participants: Optional[FrozenSet[int]] = None
+        #: the lowest trail length since the theory layer last synced with
+        #: the trail: :meth:`_backjump` and :meth:`_restart` lower it, the
+        #: theory layer raises it to ``len(trail)`` after each sync
+        self.theory_mark = 0
 
         self.clauses: List[List[int]] = []
         #: literal -> indices of clauses currently watching it
@@ -484,6 +491,8 @@ class DpllSolver:
         del self.trail[mark:]
         del self._trail_lim[level:]
         self._prop_head = len(self.trail)
+        if mark < self.theory_mark:
+            self.theory_mark = mark
 
     def root_literals(self) -> Tuple[int, ...]:
         """The literals currently forced at decision level 0.
@@ -1098,6 +1107,7 @@ class DpllSolver:
         self.trail = []
         self._trail_lim = []
         self._prop_head = 0
+        self.theory_mark = 0
         self._true_atoms = set()
         self._root_participants = {}
         self._dlis_reset()

@@ -15,7 +15,11 @@ feasible) basis survive — asserting and retracting bounds never rebuilds the
 tableau, and a re-``check`` after small bound changes starts from the warm
 basis.  :meth:`Simplex.prepare` registers a constraint's linear form (row
 creation only) and returns a bound handle that can be asserted cheaply with
-:meth:`Simplex.assert_bound` on every theory check.
+:meth:`Simplex.assert_bound` on every theory check.  :meth:`Simplex.check`
+works on deltas too: it keeps the variables whose bound tightened and the
+basic variables whose value moved since the last check, and scans only
+those for violations, so a check after one new bound costs little more
+than that bound's repair.
 
 All arithmetic is exact.  Numbers are kept as plain :class:`int` for as long
 as every division is exact and are promoted to :class:`fractions.Fraction`
@@ -141,6 +145,14 @@ class Simplex:
         #: slack variable -> its defining linear form over original variables
         #: (needed to translate Gomory cuts back into constraint space)
         self._slack_def: Dict[str, Tuple] = {}
+        #: id(constraint) -> (constraint, handle) of every prepared
+        #: constraint (the constraint is kept so that its id stays unique)
+        self._handles: Dict[int, Tuple[Constraint, Tuple[str, str, Fraction]]] = {}
+        #: check candidates: variables whose bound tightened, and basic
+        #: variables whose value moved, since the last check settled them —
+        #: every bound violation is among them (see :meth:`check`)
+        self._tightened: Set[str] = set()
+        self._moved: Set[str] = set()
         # Backtracking: scope markers into the bound-restoration trail.
         self._scopes: List[int] = []
         self._undo: List[Tuple[str, str, Optional[Fraction], object]] = []
@@ -175,6 +187,11 @@ class Simplex:
                 self._upper[name] = value
                 self._upper_tag[name] = tag
 
+    def pop_all(self) -> None:
+        """Pop every open scope (back to the unscoped bounds)."""
+        while self._scopes:
+            self.pop()
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -198,8 +215,17 @@ class Simplex:
         that can be asserted later — and repeatedly — with
         :meth:`assert_bound`.  This is the row-registration half of the
         DPLL(T) simplex discipline: the theory solver registers every atom
-        once and then only toggles bounds per SAT-search state.
+        once and then only toggles bounds per SAT-search state.  Handles are
+        remembered per constraint object, so preparing it again is a lookup.
         """
+        known = self._handles.get(id(constraint))
+        if known is not None and known[0] is constraint:
+            return known[1]
+        handle = self._register(constraint)
+        self._handles[id(constraint)] = (constraint, handle)
+        return handle
+
+    def _register(self, constraint: Constraint) -> Tuple[str, str, Fraction]:
         expr = constraint.expr
         linear = LinExpr(expr.coeffs, 0)
         bound = _norm(-expr.const)
@@ -266,6 +292,7 @@ class Simplex:
                     self._undo.append((name, "upper", current, self._upper_tag.get(name)))
                 self._upper[name] = value
                 self._upper_tag[name] = tag
+                self._tightened.add(name)
         if relation in (">=", "=="):
             current = self._lower[name]
             if current is None or value > current:
@@ -273,6 +300,7 @@ class Simplex:
                     self._undo.append((name, "lower", current, self._lower_tag.get(name)))
                 self._lower[name] = value
                 self._lower_tag[name] = tag
+                self._tightened.add(name)
 
     # ------------------------------------------------------------------
     # Solving
@@ -290,8 +318,10 @@ class Simplex:
         if delta == 0:
             return
         self._assignment[name] = value
-        for basic in self._cols.get(name, ()):
+        column = self._cols.get(name, ())
+        for basic in column:
             self._assignment[basic] += self._rows[basic][name] * delta
+        self._moved.update(column)
 
     def _pivot(self, basic: str, nonbasic: str) -> None:
         self.pivots += 1
@@ -339,9 +369,12 @@ class Simplex:
         theta = _div(target - self._assignment[basic], coeff)
         self._assignment[basic] = target
         self._assignment[nonbasic] += theta
-        for other in self._cols.get(nonbasic, ()):
+        column = self._cols.get(nonbasic, ())
+        for other in column:
             if other != basic:
                 self._assignment[other] += self._rows[other][nonbasic] * theta
+        self._moved.update(column)
+        self._moved.add(nonbasic)
         self._pivot(basic, nonbasic)
 
     def _maybe_reset_basis(self) -> None:
@@ -369,15 +402,26 @@ class Simplex:
             self._basic.add(slack)
         self._nnz = sum(len(row) for row in self._rows.values())
         self._nnz_fresh = self._nnz
+        # Every assignment moved to zero: every variable is a candidate (the
+        # repair step hands the basic ones on to Bland's scan).
+        self._tightened = set(self._order)
 
     def _check_fixed_bounds(self) -> Optional[SimplexResult]:
-        """Detect immediately contradictory bounds ``lower > upper``."""
-        for name in self._order:
+        """Detect immediately contradictory bounds ``lower > upper``.
+
+        Only a tightened bound can cross its partner, so the scan covers the
+        tightened variables; the first in variable order is reported.
+        """
+        worst: Optional[str] = None
+        for name in self._tightened:
             low, up = self._lower[name], self._upper[name]
             if low is not None and up is not None and low > up:
-                conflict = {self._lower_tag.get(name), self._upper_tag.get(name)}
-                return SimplexResult(False, conflict={tag for tag in conflict if tag is not None})
-        return None
+                if worst is None or self._order[name] < self._order[worst]:
+                    worst = name
+        if worst is None:
+            return None
+        conflict = {self._lower_tag.get(worst), self._upper_tag.get(worst)}
+        return SimplexResult(False, conflict={tag for tag in conflict if tag is not None})
 
     def check(self, max_pivots: int = 100000, want_model: bool = True) -> SimplexResult:
         """Decide feasibility over the rationals.
@@ -387,15 +431,26 @@ class Simplex:
         superset of a minimal core).  ``want_model=False`` skips building
         the model dictionary — callers that only need the verdict (the
         DPLL(T) partial checks) save a full pass over the variables.
+
+        The check works on deltas.  A violation needs a tightened bound or a
+        moved basic value, so the fixed-bound test, the non-basic repair and
+        Bland's choice scan only the two candidate sets (``_tightened``,
+        ``_moved``).  They are supersets of the violations, so the minimum
+        index over them is the global one and the pivots are those of a full
+        scan.  An entry leaves its set only once its work is done, so a check
+        interrupted halfway loses no violation.
         """
         self._maybe_reset_basis()
         contradiction = self._check_fixed_bounds()
         if contradiction is not None:
             return contradiction
 
-        # Repair non-basic variables that violate their own bounds.
-        for name in self._order:
+        # Repair non-basic variables that violate their own bounds; a basic
+        # one with a new bound becomes a Bland candidate.
+        moved = self._moved
+        for name in self._tightened:
             if name in self._basic:
+                moved.add(name)
                 continue
             low, up = self._lower[name], self._upper[name]
             value = self._assignment[name]
@@ -403,21 +458,29 @@ class Simplex:
                 self._update_nonbasic(name, low)
             elif up is not None and value > up:
                 self._update_nonbasic(name, up)
+        self._tightened.clear()
 
         def var_index(name: str) -> int:
             return self._order[name]
 
         for _ in range(max_pivots):
             # Bland's rule: repair the violating basic variable of smallest
-            # index (a single min-scan; sorting every round dominated checks).
+            # index (a single min-scan over the candidates; the settled ones
+            # leave the set).
             violating: Optional[str] = None
             violating_index = -1
-            for name in self._basic:
-                if self._violates_lower(name) or self._violates_upper(name):
+            settled: List[str] = []
+            for name in moved:
+                if name in self._basic and (
+                    self._violates_lower(name) or self._violates_upper(name)
+                ):
                     index = self._order[name]
                     if violating is None or index < violating_index:
                         violating = name
                         violating_index = index
+                else:
+                    settled.append(name)
+            moved.difference_update(settled)
             if violating is None:
                 if not want_model:
                     return SimplexResult(True)

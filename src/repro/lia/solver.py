@@ -17,9 +17,10 @@ calls on the same assertion stack):
   variable activities and *learned theory clauses* are retained; a new
   check restarts the search, it does not restart the learning),
 * the theory state: one persistent :class:`repro.lia.simplex.Simplex` whose
-  rows are registered once per atom and whose bounds are asserted and
-  retracted per theory check (the Dutertre–de Moura DPLL(T) discipline),
-  plus the cache of known-feasible atom sets,
+  rows are registered once per atom and whose bounds follow the SAT trail
+  (the Dutertre–de Moura DPLL(T) discipline): a partial check asserts only
+  the atoms the trail gained since the last one, in a scope that a backjump
+  pops again (see ``_Context._sync_theory``),
 * the presolve substitution: defining equalities are eliminated when first
   asserted and the substitution chain is applied to every later assertion,
   so lemmas mentioning eliminated variables are rewritten instead of
@@ -149,8 +150,6 @@ class LiaConfig:
 _CUTS = {"cut_rounds": 10, "max_cuts": 200, "omega": True}
 _CORE_CUTS = {"cut_rounds": 10, "max_cuts": 64, "omega": True}
 _NO_CUTS = {"cut_rounds": 0, "max_cuts": 0, "omega": False}
-#: known-feasible atom sets kept to skip redundant rational checks
-_FEASIBLE_CACHE = 32
 
 
 @dataclass
@@ -185,6 +184,12 @@ class _Context:
             max_conflicts=config.max_conflicts,
         )
         self.theory = Simplex()
+        #: trail start of each open theory scope, bottom first; together the
+        #: scopes hold the true atoms of ``sat.trail[:_synced_end]``
+        self._theory_scopes: List[int] = []
+        self._synced_end = 0
+        #: trail prefix whose true atoms passed the parity pass (``_int_prune``)
+        self._parity_end = 0
         self._cuts = _CUTS if config.cuts else _NO_CUTS
         self._core_cuts = _CORE_CUTS if config.cuts else _NO_CUTS
         #: atom boolean variable -> (simplex variable, relation, bound)
@@ -200,7 +205,6 @@ class _Context:
         self._var_list: List[str] = []
         self._var_set: Set[str] = set()
 
-        self._feasible_sets: List[frozenset] = []
         self._gave_up = False
         #: integer-sensitive instance detected (a complete assignment was
         #: rationally feasible yet integer-infeasible): partial checks then
@@ -213,7 +217,6 @@ class _Context:
         self._budget: Optional[Budget] = None
         self._last_model: Dict[str, int] = {}
         self._int_pivots = 0
-        self._cache_hits = 0
         #: boolean atom variables that appeared in theory conflict cores of
         #: the current ``check`` (reset per check, surfaced as
         #: ``LiaResult.conflict_vars``)
@@ -326,27 +329,68 @@ class _Context:
     # ------------------------------------------------------------------
     # Theory hook
     # ------------------------------------------------------------------
+    def _sync_theory(self) -> None:
+        """Bring the theory's bounds in step with the SAT trail.
+
+        The literals the trail gained since the last sync are asserted in one
+        new simplex scope that records its trail start.  A backjump or
+        restart lowers ``sat.theory_mark``: the scopes that start at or
+        above it are popped, and a scope that straddles it is re-opened on
+        its surviving prefix.  The bounds then equal those of the true atoms
+        asserted in trail order (on equal bounds the first-asserted tag
+        stays), at a cost proportional to the change.
+        """
+        sat, theory, scopes = self.sat, self.theory, self._theory_scopes
+        trail = sat.trail
+        start = self._synced_end
+        if sat.theory_mark < start:
+            start = sat.theory_mark
+            self._parity_end = min(self._parity_end, start)
+            end = self._synced_end
+            while scopes and scopes[-1] >= start:
+                end = scopes.pop()
+                theory.pop()
+            if scopes and end > start:
+                start = scopes.pop()
+                theory.pop()
+        if start < len(trail):
+            theory.push()
+            scopes.append(start)
+            atoms, handles = self.theory_atoms, self._atom_handle
+            for position in range(start, len(trail)):
+                literal = trail[position]
+                if literal > 0 and literal in atoms:
+                    name, relation, value = handles[literal]
+                    theory.assert_bound(name, relation, value, literal)
+        self._synced_end = sat.theory_mark = len(trail)
+
+    def _reset_theory(self) -> None:
+        """Retract every trail bound (a new search starts from the root)."""
+        self.theory.pop_all()
+        self._theory_scopes.clear()
+        self._synced_end = self._parity_end = 0
+
+    def _parity_pass_due(self) -> bool:
+        """Has the trail gained a true atom since its prefix last passed the
+        parity pass?  After a backjump alone the atoms are a subset of ones
+        that passed, so the pass is skipped; a skip only forgoes pruning,
+        since the final integer check decides."""
+        trail, atoms = self.sat.trail, self.theory_atoms
+        return any(
+            trail[position] > 0 and trail[position] in atoms
+            for position in range(self._parity_end, len(trail))
+        )
+
     def _theory_callback(self, true_atoms: Set[int], final: bool):
         if self._budget is not None:
             self._budget.checkpoint("lia.theory")
         if not final:
             if not true_atoms:
                 return None
-            # Rational feasibility is monotone: a subset of a feasible set
-            # of atoms is feasible, so cached supersets let us skip checks.
-            if any(true_atoms <= cached for cached in self._feasible_sets):
-                self._cache_hits += 1
-                return None
-            self.theory.push()
-            try:
-                for var in true_atoms:
-                    name, relation, value = self._atom_handle[var]
-                    self.theory.assert_bound(name, relation, value, var)
-                result = self.theory.check(want_model=False)
-            finally:
-                self.theory.pop()
+            self._sync_theory()
+            result = self.theory.check(want_model=False)
             if result.feasible:
-                if self._int_prune:
+                if self._int_prune and self._parity_pass_due():
                     reduced, _defs, tags = _eliminate_equalities_over_z(
                         [self._atom_constraint[var] for var in sorted(true_atoms)]
                     )
@@ -362,9 +406,7 @@ class _Context:
                         self.sat.pending_conflict_participants = frozenset(conflict_vars)
                         conflict_vars = self._strengthen_core(conflict_vars)
                         return tuple(-var for var in sorted(conflict_vars))
-                self._feasible_sets.append(frozenset(true_atoms))
-                if len(self._feasible_sets) > _FEASIBLE_CACHE:
-                    self._feasible_sets.pop(0)
+                    self._parity_end = len(self.sat.trail)
                 return None
             conflict_vars = {tag for tag in result.conflict if isinstance(tag, int)}
             if not conflict_vars:
@@ -398,12 +440,10 @@ class _Context:
             return None
         if not self._int_prune:
             # The complete assignment passed every rational check yet is
-            # integer-infeasible: enable parity pruning at partial level,
-            # drop the (rational-only) feasibility cache and flip the SAT
-            # decision phase so future complete assignments assert as few
-            # atoms as possible.
+            # integer-infeasible: enable parity pruning at partial level and
+            # flip the SAT decision phase so future complete assignments
+            # assert as few atoms as possible.
             self._int_prune = True
-            self._feasible_sets.clear()
             self.sat.negative_atom_phase = True
             # Restarting (with all learned clauses kept) lets the new phase
             # take effect from the root instead of only below the current
@@ -451,7 +491,7 @@ class _Context:
             self.levels[-1].strengthened.append(key)
         return strengthened
 
-    def _restrict_to_component(self, core: Set[int]) -> Set[int]:
+    def _restrict_to_component(self, core: Set[int], scratch: Simplex) -> Set[int]:
         """Restrict a conflict core to one variable-connected component.
 
         A conjunction of constraint systems over disjoint variables is
@@ -489,7 +529,7 @@ class _Context:
         for key in sorted(components):
             member_atoms = components[key]
             constraints = [self._atom_constraint[a] for a in member_atoms]
-            outcome = check_rational_feasibility(constraints)
+            outcome = check_rational_feasibility(constraints, scratch)
             if not outcome.feasible:
                 return set(member_atoms)
             if len(member_atoms) > 48:
@@ -515,20 +555,23 @@ class _Context:
         (whose tableau rows are arbitrary accumulated linear combinations)
         are sound but rarely minimal.  The core is first restricted to one
         variable-connected component; each remaining candidate atom is then
-        dropped when the rest is still rationally infeasible on a fresh,
-        small simplex; integer-only cores pass through unchanged (every
-        rational test is feasible, so nothing is dropped).  The result is
-        always a subset of ``core`` and still jointly infeasible, so the
-        learned clause stays sound.
+        dropped when the rest is still rationally infeasible; integer-only
+        cores pass through unchanged (every rational test is feasible, so
+        nothing is dropped).  The rational tests of one conflict share a
+        scratch simplex: each runs in its own scope, so the rows are
+        prepared once and the basis stays warm.  The result is always a
+        subset of ``core`` and still jointly infeasible, so the learned
+        clause stays sound.
         """
         if len(core) <= 2:
             return core
-        core = self._restrict_to_component(core)
+        scratch = Simplex()
+        core = self._restrict_to_component(core, scratch)
         if len(core) <= 2 or len(core) > 64:
             return core
         atoms = sorted(core)
         refutation = check_rational_feasibility(
-            [self._atom_constraint[var] for var in atoms]
+            [self._atom_constraint[var] for var in atoms], scratch
         )
         if not refutation.feasible:
             # Rationally refutable: the refutation's own conflict narrows the
@@ -540,7 +583,7 @@ class _Context:
                 atoms = sorted(narrowed)
 
             def rational_test(rest):
-                outcome = check_rational_feasibility(rest)
+                outcome = check_rational_feasibility(rest, scratch)
                 return None if outcome.feasible else outcome.conflict
 
             return self._deletion_filter(atoms, rational_test, budget=12)
@@ -608,7 +651,7 @@ class _Context:
             "deleted_clauses": sat.deleted_clauses,
             "minimized_literals": sat.minimized_literals,
             "pivots": self.theory.pivots + self._int_pivots,
-            "cache_hits": self._cache_hits + self.cnf.cache_hits,
+            "cache_hits": self.cnf.cache_hits,
             "duplicate_clauses": sat.duplicate_clauses + self.cnf.duplicate_clauses,
         }
 
@@ -722,6 +765,9 @@ class _Context:
         # cycle, and a finished one-shot context (clauses, simplex,
         # constraints) would wait for the cyclic collector.
         self.sat.theory_callback = self._theory_callback
+        # A check cut short (budget, interrupt) may have stopped mid-sync;
+        # the search restarts from the root anyway.
+        self._reset_theory()
         try:
             with budget.activate():
                 return self._check_budgeted(budget, assumptions, result)

@@ -91,7 +91,8 @@ class SolveResult:
     #: number of LIA queries issued
     lia_queries: int = 0
     #: aggregated SAT/simplex counters (decisions, propagations, conflicts,
-    #: theory_checks, learned_clauses, restarts, pivots, cache_hits, ...)
+    #: theory_checks, learned_clauses, restarts, pivots, cache_hits, ...);
+    #: ``cache_hits`` counts the CNF encoder's structural cache hits only
     stats: Dict[str, int] = field(default_factory=dict)
     #: for UNSAT: indices (into the checked problem's atom list) of the
     #: atoms the refutation participants map back to — an over-approximated

@@ -33,6 +33,7 @@ from repro import (
 )
 from repro.lia import ge, le
 from repro.testing import FaultInjector, FaultSpec, InjectedFault, seeded_faults
+from test_lia_incremental import _SyncAudit
 
 
 def _config():
@@ -266,3 +267,190 @@ def test_repeat_caps_firings_and_reset_rearms():
     assert spec.fired == 0
     injector("lia.sat", 1)
     assert spec.fired == 1
+
+
+# ----------------------------------------------------------------------
+# An interrupted LIA check leaves the trail-synced theory reusable
+# ----------------------------------------------------------------------
+def _lia_stack():
+    """A small LIA stack: a sat base and an unsat pushed lemma, each with
+    over 30 partial checks."""
+    from repro.lia import conj, disj, eq, var
+
+    x, y, z = var("x"), var("y"), var("z")
+    base = conj(
+        [ge(x, 0), le(x, 9), ge(y, 0), le(y, 9), ge(z, 0), le(z, 9)]
+        + [disj([eq(x + y, k), eq(y - z, k - 3), ge(x - z, k)]) for k in range(1, 8)]
+    )
+    # Two root atoms: a sync cut off between them leaves one lemma bound.
+    lemma = conj(
+        [disj([le(x + y + z, 4), ge(x + 2 * y, 20)]), le(2 * x - y, 1), ge(x + y + z, 0)]
+    )
+    return base, lemma
+
+
+def _lia_verdicts():
+    from repro.lia import LiaSolver, LiaStatus, conj
+
+    base, lemma = _lia_stack()
+    pushed, popped = LiaSolver().check(conj([base, lemma])), LiaSolver().check(base)
+    assert (pushed.status, popped.status) == (LiaStatus.UNSAT, LiaStatus.SAT)
+    return pushed.status, popped.status
+
+
+def _interrupting_check(real_check, at):
+    """``Simplex.check`` raising ``KeyboardInterrupt`` inside its ``at``-th
+    call: at its first repair or pivot, or else once its work is done."""
+    calls = [0]
+
+    def check(self, *args, **kwargs):
+        calls[0] += 1
+        if calls[0] != at:
+            return real_check(self, *args, **kwargs)
+
+        def interrupted(*_args):
+            raise KeyboardInterrupt("injected inside Simplex.check")
+
+        self._update_nonbasic = self._pivot_and_update = interrupted
+        try:
+            real_check(self, *args, **kwargs)
+        finally:
+            del self._update_nonbasic, self._pivot_and_update
+        raise KeyboardInterrupt("injected at the end of Simplex.check")
+
+    return check
+
+
+def _faulted_lia_rechecks(run_faulted):
+    """Fault one check of a pushed ``LiaSolver`` stack, then re-check the
+    same solver after popping and after pushing the lemma again."""
+    from repro.lia import LiaSolver
+
+    base, lemma = _lia_stack()
+    pushed, popped = _lia_verdicts()
+    solver = LiaSolver()
+    solver.add_assertion(base)
+    solver.push()
+    solver.add_assertion(lemma)
+    run_faulted(solver)
+    # From here on every partial check must see exactly the bounds of the
+    # current true atoms (the trail-sync invariant).
+    audit = _SyncAudit(solver._ctx)
+    solver.pop()
+    assert solver.check().status is popped
+    solver.push()
+    solver.add_assertion(lemma)
+    assert solver.check().status is pushed
+    assert audit.partial_checks > 0
+
+
+@pytest.mark.parametrize("at", [1, 2, 5, 12, 30])
+def test_budget_fault_at_theory_checkpoint_leaves_lia_solver_reusable(at):
+    from repro.budget import BudgetExceeded
+
+    spec = FaultSpec("lia.theory", at=at, action="exhaust")
+
+    def run_faulted(solver):
+        with pytest.raises(BudgetExceeded):
+            solver.check(budget=Budget(30.0, hook=FaultInjector([spec])))
+
+    _faulted_lia_rechecks(run_faulted)
+    assert spec.fired == 1
+
+
+@pytest.mark.parametrize("at", [1, 2, 5, 12, 30])
+def test_interrupt_inside_simplex_check_leaves_lia_solver_reusable(at, monkeypatch):
+    from repro.lia.simplex import Simplex
+
+    def run_faulted(solver):
+        monkeypatch.setattr(Simplex, "check", _interrupting_check(Simplex.check, at))
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                solver.check()
+        finally:
+            monkeypatch.undo()
+
+    _faulted_lia_rechecks(run_faulted)
+
+
+@pytest.mark.parametrize("at", [1, 5, 8, 40])
+def test_interrupt_mid_bound_sync_leaves_lia_solver_reusable(at, monkeypatch):
+    # Cut off while the theory asserts the trail's new atoms: the half-filled
+    # scope must not outlive the interrupted check (at 8, the first sync
+    # stops between the lemma's two root atoms).
+    from repro.lia.simplex import Simplex
+
+    real = Simplex.assert_bound
+    calls = [0]
+
+    def assert_bound(self, *args):
+        calls[0] += 1
+        if calls[0] == at:
+            raise KeyboardInterrupt("injected inside Simplex.assert_bound")
+        return real(self, *args)
+
+    def run_faulted(solver):
+        monkeypatch.setattr(Simplex, "assert_bound", assert_bound)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                solver.check()
+        finally:
+            monkeypatch.undo()
+
+    _faulted_lia_rechecks(run_faulted)
+
+
+@pytest.mark.parametrize("case", range(len(_GROUND_TRUTH)))
+@pytest.mark.parametrize("at", [1, 3])
+def test_budget_fault_at_theory_checkpoint_leaves_session_reusable(case, at):
+    atoms, expected = _GROUND_TRUTH[case]
+    session = Session(config=_config(), alphabet=("a", "b"))
+    for atom in atoms:
+        session.add(atom)
+    injector = FaultInjector([FaultSpec("lia.theory", at=at, action="exhaust")])
+    faulted = session.check(budget=Budget(30.0, hook=injector))
+    if injector.specs[0].fired:
+        assert faulted.status is Status.TIMEOUT
+    assert session.check().status is expected is _fresh_verdict(atoms)
+
+
+@pytest.mark.parametrize("case", range(len(_GROUND_TRUTH)))
+@pytest.mark.parametrize("at", [1, 3])
+def test_interrupt_inside_simplex_check_leaves_session_reusable(case, at, monkeypatch):
+    from repro.lia.simplex import Simplex
+
+    atoms, expected = _GROUND_TRUTH[case]
+    session = Session(config=_config(), alphabet=("a", "b"))
+    for atom in atoms:
+        session.add(atom)
+    monkeypatch.setattr(Simplex, "check", _interrupting_check(Simplex.check, at))
+    try:
+        session.check()
+    except KeyboardInterrupt:
+        pass
+    monkeypatch.undo()
+    assert session.check().status is expected is _fresh_verdict(atoms)
+
+
+def test_theory_faults_reach_the_lia_layer():
+    # The fault coordinates above are live: the stack makes more partial
+    # checks than the largest ``at``, and the session cases reach them.
+    from repro.lia import LiaSolver
+
+    base, lemma = _lia_stack()
+    solver = LiaSolver()
+    solver.add_assertion(base)
+    solver.add_assertion(lemma)
+    injector = FaultInjector()
+    injector.trace_enabled = True
+    solver.check(budget=Budget(30.0, hook=injector))
+    assert sum(stage == "lia.theory" for stage, _ in injector.trace) > 30
+    fired = 0
+    for atoms, _ in _GROUND_TRUTH:
+        session = Session(config=_config(), alphabet=("a", "b"))
+        for atom in atoms:
+            session.add(atom)
+        injector = FaultInjector([FaultSpec("lia.theory", at=3, action="exhaust")])
+        session.check(budget=Budget(30.0, hook=injector))
+        fired += injector.specs[0].fired
+    assert fired > 0

@@ -7,6 +7,8 @@ gives on the conjunction of the assertions active at that moment.
 
 from fractions import Fraction
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
 from repro.lia import (
@@ -273,3 +275,200 @@ def test_check_reports_per_check_stats():
     assert second.status is LiaStatus.UNSAT
     # stats are per-check deltas, not cumulative totals
     assert second.stats["restarts"] == 1
+
+
+# ----------------------------------------------------------------------
+# Theory bounds follow the SAT trail
+# ----------------------------------------------------------------------
+class _SyncAudit:
+    """Checks the trail-synced theory state at every partial check.
+
+    Wraps a context's theory callback.  After each partial check, the
+    persistent simplex must hold exactly the bound values of a fresh
+    ``Simplex`` asserted with the current true atoms, its verdict must be
+    that of ``check_rational_feasibility`` over them, and every conflict
+    returned must be infeasible on a fresh simplex (rationally, or over the
+    integers for the parity pruning of integer-sensitive instances).
+    """
+
+    def __init__(self, context):
+        self.context = context
+        self.partial_checks = 0
+        self.conflicts = 0
+        self.int_prune_checks = 0
+        #: partial checks that reached the parity pass (rationally feasible)
+        self.parity_candidates = 0
+        self.last = None
+        callback, theory_check = context._theory_callback, context.theory.check
+
+        def recording_check(*args, **kwargs):
+            self.last = theory_check(*args, **kwargs)
+            return self.last
+
+        def audited(true_atoms, final):
+            self.last = None
+            atoms = set(true_atoms)
+            clause = callback(true_atoms, final)
+            if not final and atoms:
+                self._audit(atoms, clause)
+            return clause
+
+        context.theory.check = recording_check
+        context._theory_callback = audited
+
+    def _audit(self, atoms, clause):
+        from repro.lia.intsolver import (
+            ResourceLimit,
+            check_integer_feasibility,
+            check_rational_feasibility,
+        )
+
+        context, theory = self.context, self.context.theory
+        self.partial_checks += 1
+        self.int_prune_checks += context._int_prune
+        fresh = Simplex()
+        fresh_name = {}
+        for atom in sorted(atoms):
+            constraint = context._atom_constraint[atom]
+            fresh.add_constraint(constraint)
+            fresh_name[context._atom_handle[atom][0]] = fresh.prepare(constraint)[0]
+        for name in theory._order:
+            got = (theory._lower[name], theory._upper[name])
+            if name in fresh_name:
+                other = fresh_name[name]
+                assert got == (fresh._lower[other], fresh._upper[other]), name
+            else:
+                assert got == (None, None), name
+        constraints = [context._atom_constraint[atom] for atom in sorted(atoms)]
+        assert self.last.feasible == check_rational_feasibility(constraints).feasible
+        self.parity_candidates += context._int_prune and self.last.feasible
+        if clause is None:
+            return
+        self.conflicts += 1
+        core = context.sat.pending_conflict_participants or {-lit for lit in clause}
+        core_constraints = [context._atom_constraint[atom] for atom in sorted(core)]
+        if not self.last.feasible:
+            assert not check_rational_feasibility(core_constraints).feasible
+            return
+        try:
+            outcome = check_integer_feasibility(core_constraints, max_nodes=200)
+        except ResourceLimit:
+            return
+        assert not outcome.feasible
+
+
+def _random_formula(rng, names, clauses):
+    def atom():
+        chosen = rng.sample(names, rng.randint(1, 3))
+        lhs = sum((rng.choice([-3, -2, -1, 1, 2, 3]) * var(name) for name in chosen), LinExpr({}, 0))
+        return rng.choice([le, ge, eq, ne])(lhs, rng.randint(-6, 6))
+
+    bounds = [ge(var(name), -5) for name in names] + [le(var(name), 5) for name in names]
+    return conj(bounds + [disj([atom() for _ in range(rng.randint(1, 3))]) for _ in range(clauses)])
+
+
+def _audited(solver):
+    return _SyncAudit(solver._context())
+
+
+def test_trail_sync_matches_fresh_theory_one_shot():
+    import random
+
+    audits = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        formula = _random_formula(rng, ["x", "y", "z", "w"], clauses=8)
+        solver = LiaSolver()
+        solver.add_assertion(formula)
+        audits.append(_audited(solver))
+        assert solver.check().status == LiaSolver().check(formula).status
+    assert sum(audit.partial_checks for audit in audits) > 0
+    assert sum(audit.conflicts for audit in audits) > 0
+
+
+def test_trail_sync_matches_fresh_theory_push_pop():
+    import random
+
+    audits = []
+    for seed in range(8):
+        rng = random.Random(100 + seed)
+        names = ["x", "y", "z"]
+        solver = LiaSolver()
+        audits.append(_audited(solver))
+        stack = [[]]
+        for _ in range(10):
+            step = rng.choice(["push", "pop", "assert", "assert"])
+            if step == "push":
+                solver.push()
+                stack.append([])
+            elif step == "pop" and len(stack) > 1:
+                solver.pop()
+                stack.pop()
+            else:
+                formula = _random_formula(rng, names, clauses=3)
+                solver.add_assertion(formula)
+                stack[-1].append(formula)
+            result = solver.check()
+            active = conj([formula for frame in stack for formula in frame])
+            assert result.status == LiaSolver().check(active).status
+    assert sum(audit.partial_checks for audit in audits) > 0
+    assert sum(audit.conflicts for audit in audits) > 0
+
+
+def test_trail_sync_matches_fresh_theory_under_assumptions():
+    import random
+
+    audits = []
+    for seed in range(8):
+        rng = random.Random(200 + seed)
+        names = ["x", "y", "z"]
+        base = _random_formula(rng, names, clauses=4)
+        solver = LiaSolver()
+        solver.add_assertion(base)
+        audits.append(_audited(solver))
+        for round_ in range(4):
+            assumptions = [
+                (f"a{round_}.{k}", _random_formula(rng, names, clauses=1)) for k in range(3)
+            ]
+            result = solver.check(assumptions=assumptions)
+            reference = LiaSolver().check(conj([base] + [f for _, f in assumptions]))
+            assert result.status == reference.status
+    assert sum(audit.partial_checks for audit in audits) > 0
+    assert sum(audit.conflicts for audit in audits) > 0
+
+
+def test_trail_sync_on_integer_sensitive_core(monkeypatch):
+    # The mod-3 core is rationally feasible and integer infeasible: the
+    # first complete assignment turns on the partial parity pruning, whose
+    # conflicts are integer (not rational) refutations.
+    from test_lia_cuts import _COMM_MOD3_CORE
+    from repro.lia import solver as solver_module
+    from repro.lia.terms import Eq, Le
+
+    passes = []
+    parity_pass = solver_module._eliminate_equalities_over_z
+    monkeypatch.setattr(
+        solver_module,
+        "_eliminate_equalities_over_z",
+        lambda constraints: passes.append(len(constraints)) or parity_pass(constraints),
+    )
+
+    atoms = [
+        (Le if relation == "<=" else Eq)(LinExpr(coeffs, const))
+        for coeffs, const, relation in _COMM_MOD3_CORE
+    ]
+    # Each choice keeps the core intact; the disjunctions only give the
+    # search decisions to make after the pruning switches on.
+    choices = [disj([atom, ge(var(f"c{k}"), 1)]) for k, atom in enumerate(atoms)]
+    choices += [disj([le(var(f"c{k}"), 0), ge(var(f"c{k}"), 3)]) for k in range(len(atoms))]
+    solver = LiaSolver(LiaConfig(branch_and_bound_nodes=200))
+    solver.add_assertion(conj(choices))
+    audit = _audited(solver)
+    solver.push()
+    solver.add_assertion(conj(atoms))
+    assert solver.check().status is LiaStatus.UNSAT
+    solver.pop()
+    assert solver.check().status is LiaStatus.SAT
+    assert audit.int_prune_checks > 0
+    # A backjump adds no atom: the parity pass reruns only on new ones.
+    assert 0 < len(passes) < audit.parity_candidates

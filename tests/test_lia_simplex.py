@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lia import LinExpr
 from repro.lia.intsolver import ResourceLimit, check_integer_feasibility
-from repro.lia.simplex import Constraint, Simplex, check_constraints
+from repro.lia.simplex import Constraint, Simplex, SimplexResult, check_constraints
 
 
 def expr(coeffs, const=0):
@@ -211,3 +211,193 @@ def test_simplex_agrees_with_small_grid_search(rows):
                 assert value >= 0
             else:
                 assert value == 0
+
+
+# ----------------------------------------------------------------------
+# The delta check against the full scan it replaced
+# ----------------------------------------------------------------------
+class _FullScanSimplex(Simplex):
+    """``Simplex`` with the full-scan ``check`` (the reference).
+
+    Every check scans all variables for fixed-bound conflicts and non-basic
+    repairs, and all basic variables on each Bland round; the candidate
+    sets the real ``check`` keeps are ignored.
+    """
+
+    def check(self, max_pivots=100000, want_model=True):
+        self._maybe_reset_basis()
+        for name in self._order:
+            low, up = self._lower[name], self._upper[name]
+            if low is not None and up is not None and low > up:
+                conflict = {self._lower_tag.get(name), self._upper_tag.get(name)}
+                return SimplexResult(False, conflict={t for t in conflict if t is not None})
+        for name in self._order:
+            if name in self._basic:
+                continue
+            low, up = self._lower[name], self._upper[name]
+            value = self._assignment[name]
+            if low is not None and value < low:
+                self._update_nonbasic(name, low)
+            elif up is not None and value > up:
+                self._update_nonbasic(name, up)
+        for _ in range(max_pivots):
+            violating = None
+            for name in self._basic:
+                if self._violates_lower(name) or self._violates_upper(name):
+                    if violating is None or self._order[name] < self._order[violating]:
+                        violating = name
+            if violating is None:
+                if not want_model:
+                    return SimplexResult(True)
+                return SimplexResult(True, model={n: self._assignment[n] for n in self._order})
+            row = self._rows[violating]
+            lower = self._violates_lower(violating)
+            target = self._lower[violating] if lower else self._upper[violating]
+            sign = 1 if lower else -1
+            candidates = [
+                name
+                for name, coeff in row.items()
+                if (sign * coeff > 0 and (self._upper[name] is None or self._assignment[name] < self._upper[name]))
+                or (sign * coeff < 0 and (self._lower[name] is None or self._assignment[name] > self._lower[name]))
+            ]
+            if not candidates:
+                return SimplexResult(False, conflict=self._conflict_for(violating, lower=lower))
+            self._pivot_and_update(violating, min(candidates, key=self._order.__getitem__), target)
+        raise RuntimeError("simplex exceeded the pivot limit")
+
+
+class _Recorded:
+    """Logs every pivot (leaving, entering, target) and every basis reset;
+    raises ``KeyboardInterrupt`` at an armed pivot, before it happens."""
+
+    def __init__(self, simplex):
+        self.simplex = simplex
+        self.pivots = []
+        self.resets = 0
+        self.interrupt_at = None
+        pivot, reset = simplex._pivot_and_update, simplex._maybe_reset_basis
+
+        def pivot_and_update(basic, nonbasic, target):
+            if self.interrupt_at is not None and len(self.pivots) == self.interrupt_at:
+                self.interrupt_at = None
+                raise KeyboardInterrupt("armed pivot")
+            self.pivots.append((basic, nonbasic, target))
+            pivot(basic, nonbasic, target)
+
+        def maybe_reset_basis():
+            if simplex._nnz > max(2000, 4 * simplex._nnz_fresh):
+                self.resets += 1
+            reset()
+
+        simplex._pivot_and_update = pivot_and_update
+        simplex._maybe_reset_basis = maybe_reset_basis
+
+
+def _random_pool(rng, num_vars, size, max_terms):
+    names = [f"v{i}" for i in range(num_vars)]
+    pool = []
+    for index in range(size):
+        chosen = rng.sample(names, rng.randint(1, max_terms))
+        coeffs = {name: rng.choice([-3, -2, -1, 1, 2, 3]) for name in chosen}
+        relation = rng.choice(["<=", ">=", "=="]) if len(chosen) > 1 else rng.choice(["<=", ">="])
+        pool.append(Constraint(expr(coeffs, rng.randint(-6, 6)), relation, tag=index))
+    return pool
+
+
+def _replay_against_full_scan(seed, num_vars, size, max_terms, steps, interrupts=False):
+    """Apply one seeded op sequence to both simplexes and compare every check.
+
+    Returns the number of basis resets the sequence triggered."""
+    import random
+
+    rng = random.Random(seed)
+    pool = _random_pool(rng, num_vars, size, max_terms)
+    delta, full = _Recorded(Simplex()), _Recorded(_FullScanSimplex())
+    handles = []
+    depth = 0
+    for _ in range(steps):
+        op = rng.choices(
+            ["add", "prepare", "assert", "push", "pop", "check"], weights=[4, 1, 3, 2, 2, 3]
+        )[0]
+        if op == "add":
+            constraint = rng.choice(pool)
+            for side in (delta, full):
+                side.simplex.add_constraint(constraint)
+        elif op == "prepare":
+            constraint = rng.choice(pool)
+            handle = delta.simplex.prepare(constraint)
+            assert full.simplex.prepare(constraint) == handle
+            handles.append((handle, constraint.tag))
+        elif op == "assert" and handles:
+            (name, relation, value), tag = rng.choice(handles)
+            for side in (delta, full):
+                side.simplex.assert_bound(name, relation, value, tag)
+        elif op == "push":
+            depth += 1
+            for side in (delta, full):
+                side.simplex.push()
+        elif op == "pop" and depth:
+            depth -= 1
+            for side in (delta, full):
+                side.simplex.pop()
+        elif op == "check":
+            want_model = rng.random() < 0.5
+            if interrupts and rng.random() < 0.7:
+                at = len(delta.pivots) + rng.randint(0, 1)
+                delta.interrupt_at = full.interrupt_at = at
+            outcomes = []
+            for side in (delta, full):
+                try:
+                    outcomes.append(side.simplex.check(want_model=want_model))
+                except KeyboardInterrupt:
+                    outcomes.append("interrupted")
+                side.interrupt_at = None
+            got, expected = outcomes
+            assert delta.pivots == full.pivots
+            assert delta.simplex.pivots == full.simplex.pivots
+            if expected == "interrupted":
+                assert got == "interrupted"
+                continue
+            assert got.feasible == expected.feasible
+            assert got.conflict == expected.conflict
+            assert got.model == expected.model
+    assert delta.resets == full.resets
+    return delta.resets
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_delta_check_matches_full_scan(seed):
+    _replay_against_full_scan(seed, num_vars=6, size=14, max_terms=3, steps=120)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_delta_check_matches_full_scan_across_interrupts(seed):
+    # A check interrupted before some pivot resumes on the next check with
+    # every violation still known: the pivots stay the full scan's.
+    _replay_against_full_scan(seed, num_vars=8, size=20, max_terms=4, steps=150, interrupts=True)
+
+
+def test_delta_check_matches_full_scan_across_basis_resets():
+    # Dense rows over many variables fill the tableau in until the basis
+    # resets; the reset makes every variable a candidate again.
+    resets = _replay_against_full_scan(2, num_vars=40, size=100, max_terms=15, steps=300)
+    assert resets > 0
+
+
+def test_fixed_bound_contradiction_survives_into_next_check():
+    simplex, full = Simplex(), _FullScanSimplex()
+    for side in (simplex, full):
+        side.add_constraint(Constraint(expr({"x": 1, "y": 1}, -4), "<=", tag="sum"))
+        assert side.check().feasible
+        side.push()
+        side.add_constraint(Constraint(expr({"y": 1}, -5), ">=", tag="y-lo"))
+        side.add_constraint(Constraint(expr({"y": 1}, -3), "<=", tag="y-hi"))
+    # The contradiction is reported again by a check that sees no new
+    # bound, then gone once its scope is popped.
+    for _ in range(2):
+        got, expected = simplex.check(), full.check()
+        assert not got.feasible and got.conflict == expected.conflict == {"y-lo", "y-hi"}
+    simplex.pop()
+    full.pop()
+    got, expected = simplex.check(), full.check()
+    assert got.feasible and expected.feasible and got.model == expected.model
