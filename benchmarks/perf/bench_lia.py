@@ -4,9 +4,10 @@ Four workloads are timed:
 
 * **mbqi** — ¬contains chains (one instantiation lemma per predicate, so a
   ``k``-chain drives ``k+1`` LIA queries through the solve–refine loop).
-  Each instance is run twice: on the incremental assertion stack (the
-  default) and in from-scratch mode (``SolverConfig.incremental_lia=False``,
-  one fresh ``LiaSolver.check`` per round — the seed's behaviour).
+  Each instance is run on the incremental assertion stack (the default)
+  and in from-scratch mode (``SolverConfig.incremental_lia=False``, one
+  fresh ``LiaSolver.check`` per round — the seed's behaviour); each time is
+  the median of ``GATED_RUNS`` runs.
 * **cuts** — commuting-disequality instances whose ``unsat`` verdicts need
   the Gomory/Omega cutting planes of the integer core (sound
   branch-and-bound alone diverges).  Any verdict disagreeing with the
@@ -26,7 +27,10 @@ Four workloads are timed:
   number of the session API.
 * **e2e** — the scaled-down end-to-end benchmark suite
   (:func:`repro.benchgen.suite.benchmark_sets`, scale 1) under the position
-  solver with a 20 s per-instance timeout.
+  solver with a 20 s per-instance timeout.  The quick subset
+  (``QUICK_E2E_SETS``) records the median of ``GATED_RUNS`` runs per
+  instance, in full and quick mode alike, so the committed reference and
+  the quick sample it gates are measured the same way.
 * **pipelines** — the string-pipeline workload
   (:mod:`repro.benchgen.pipelines`): symbolic pipe programs compiled to
   deep substr/replace/concat chains, each carrying an exact ground truth
@@ -63,6 +67,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from typing import Dict, Optional
@@ -84,6 +89,9 @@ MBQI_TIMEOUT = 120.0
 MBQI_CHAINS = (4, 6, 8)
 #: benchmark sets of the quick e2e smoke (a subset that runs in ~a minute)
 QUICK_E2E_SETS = ("thefuck-like",)
+#: timed runs behind each time the quick gate compares (the median is kept:
+#: one run per instance let a single slow run fail the gate)
+GATED_RUNS = 3
 #: commuting-disequality instances of the cuts workload (quick mode runs
 #: only the first); both expect ``unsat`` via the cutting-plane core
 CUTS_INSTANCES = ("position-hard-comm-0", "position-hard-comm-3")
@@ -145,14 +153,23 @@ def _solve(problem, timeout: float, incremental: bool):
     return result, elapsed
 
 
+def _solve_median(problem, timeout: float, incremental: bool, runs: int = GATED_RUNS):
+    """:func:`_solve` ``runs`` times: the last result and the median time."""
+    times = []
+    for _ in range(runs):
+        result, elapsed = _solve(problem, timeout, incremental)
+        times.append(elapsed)
+    return result, statistics.median(times)
+
+
 def run_mbqi(baseline: Dict, quick: bool) -> Dict:
     chains = MBQI_CHAINS[:1] if quick else MBQI_CHAINS
     instances = {}
     for k in chains:
         name = f"nc-chain-{k}"
         problem = _chain_problem(k)
-        incremental, inc_seconds = _solve(problem, MBQI_TIMEOUT, incremental=True)
-        scratch, scr_seconds = _solve(problem, MBQI_TIMEOUT, incremental=False)
+        incremental, inc_seconds = _solve_median(problem, MBQI_TIMEOUT, incremental=True)
+        scratch, scr_seconds = _solve_median(problem, MBQI_TIMEOUT, incremental=False)
         seed = baseline["mbqi"].get(name, {})
         entry = {
             "status": incremental.status.value,
@@ -393,9 +410,10 @@ def run_e2e(baseline: Dict, quick: bool) -> Dict:
     total = 0.0
     seed_total = 0.0
     for set_name, items in sets.items():
+        runs = GATED_RUNS if set_name in QUICK_E2E_SETS else 1
         for instance_name, problem, expected in items:
             key = f"{set_name}/{instance_name}"
-            result, elapsed = _solve(problem, E2E_TIMEOUT, incremental=True)
+            result, elapsed = _solve_median(problem, E2E_TIMEOUT, incremental=True, runs=runs)
             status = result.status.value
             model_verified = False
             if result.is_sat and result.model is not None:

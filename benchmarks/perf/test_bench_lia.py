@@ -2,7 +2,8 @@
 
 Selected with ``pytest -m bench`` (optionally ``--quick``); in a regular
 test run the module skips itself so the tier-1 suite stays fast.  In quick
-mode the measured times are gated against the committed ``BENCH_lia.json``:
+mode the measured times (each the median of ``GATED_RUNS`` runs, as in the
+committed record) are gated against the committed ``BENCH_lia.json``:
 the job fails when the quick workload regresses by more than 25 % — and,
 independently of timing, whenever any workload (the automata core, the
 commuting-disequality cuts instances, the distinct family or the e2e

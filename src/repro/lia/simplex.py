@@ -21,13 +21,17 @@ basic variables whose value moved since the last check, and scans only
 those for violations, so a check after one new bound costs little more
 than that bound's repair.
 
-All arithmetic is exact.  Numbers are kept as plain :class:`int` for as long
-as every division is exact and are promoted to :class:`fractions.Fraction`
-only on the first non-integral division (see :func:`_div`): most LIA
-tableaus stay integral through long pivot sequences, and native ``int``
-arithmetic is several times faster than ``Fraction`` — which profiling shows
-dominating pivot time otherwise.  ``int`` and ``Fraction`` mix freely in
-comparisons and arithmetic, so rows, bounds and assignments may hold either.
+All arithmetic is exact.  The tableau is fraction-free: each row holds
+:class:`int` numerators over one positive :class:`int` row denominator
+(``_den``), kept primitive, so pivoting and row substitution never touch
+:class:`fractions.Fraction` (an ``int`` multiply-add is tens of times
+cheaper).  A positive denominator leaves every coefficient's sign as it is,
+so Bland's choices and the pivot sequence are those of a rational tableau.
+Bounds and assignments are kept as plain ``int`` for as long as every
+division is exact and are promoted to ``Fraction`` only on the first
+non-integral one (see :func:`_div`); the assignment updates divide by the
+row denominator there.  ``int`` and ``Fraction`` mix freely in comparisons
+and arithmetic, so bounds and assignments may hold either.
 
 :meth:`Simplex.gomory_cuts` derives Gomory mixed-integer cutting planes from
 the fractional basic rows of a feasible tableau (the "branch-and-cut"
@@ -42,10 +46,6 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .terms import LinExpr
-
-#: exact numbers in the tableau: ``int`` on the fast path, ``Fraction``
-#: after promotion
-Num = object
 
 
 def _norm(value):
@@ -70,6 +70,18 @@ def _div(a, b):
             return quotient
         return Fraction(a, b)
     return _norm(Fraction(a) / Fraction(b))
+
+
+def _integer_row(coeffs) -> Tuple[Dict[str, int], int]:
+    """Rational ``(name, coefficient)`` pairs as ``int`` numerators over their
+    least common denominator (primitive: no prime divides all of them)."""
+    den = 1
+    for _name, coeff in coeffs:
+        if not isinstance(coeff, int):
+            den = den * coeff.denominator // gcd(den, coeff.denominator)
+    if den == 1:
+        return dict(coeffs), 1
+    return {name: int(coeff * den) for name, coeff in coeffs}, den
 
 
 def _frac(value) -> Fraction:
@@ -132,8 +144,11 @@ class Simplex:
         self._lower_tag: Dict[str, object] = {}
         self._upper_tag: Dict[str, object] = {}
         self._assignment: Dict[str, Fraction] = {}
-        # Tableau: basic variable -> {nonbasic variable -> coefficient}.
-        self._rows: Dict[str, Dict[str, Fraction]] = {}
+        # Tableau: basic variable -> {nonbasic variable -> numerator}; the
+        # coefficient is the numerator over the row's denominator.
+        self._rows: Dict[str, Dict[str, int]] = {}
+        #: basic variable -> positive row denominator (the row is primitive)
+        self._den: Dict[str, int] = {}
         self._basic: Set[str] = set()
         #: column index: non-basic variable -> basic rows whose row mentions
         #: it (keeps pivoting and assignment updates proportional to the
@@ -250,26 +265,41 @@ class Simplex:
             self._slack_cache[key] = slack
             self._slack_def[slack] = key
             self._ensure_var(slack)
-            row = dict(key)
-            # Express the slack in terms of current *non-basic* variables.
-            resolved: Dict[str, Num] = {}
+            row, den = _integer_row(key)
+            # Express the slack in terms of current *non-basic* variables,
+            # over the common denominator den·L of the basic rows it uses.
+            rows, dens = self._rows, self._den
+            scale = 1
+            for name in row:
+                if name in self._basic:
+                    scale = scale * dens[name] // gcd(scale, dens[name])
+            resolved: Dict[str, int] = {}
             for name, coeff in row.items():
                 if name in self._basic:
-                    for inner_name, inner_coeff in self._rows[name].items():
-                        resolved[inner_name] = resolved.get(inner_name, 0) + coeff * inner_coeff
+                    factor = coeff * (scale // dens[name])
+                    for inner_name, inner_coeff in rows[name].items():
+                        resolved[inner_name] = resolved.get(inner_name, 0) + factor * inner_coeff
                 else:
-                    resolved[name] = resolved.get(name, 0) + coeff
+                    resolved[name] = resolved.get(name, 0) + coeff * scale
             resolved = {name: coeff for name, coeff in resolved.items() if coeff != 0}
-            self._rows[slack] = resolved
+            den *= scale
+            common = gcd(den, *resolved.values())
+            if common != 1:
+                resolved = {name: coeff // common for name, coeff in resolved.items()}
+                den //= common
+            rows[slack], dens[slack] = resolved, den
             for name in resolved:
                 self._cols.setdefault(name, set()).add(slack)
             self._basic.add(slack)
             self._nnz += len(resolved)
             self._nnz_fresh += len(key)
-            self._assignment[slack] = sum(
-                coeff * self._assignment[name]
-                for name, coeff in resolved.items()
-                if self._assignment[name]
+            self._assignment[slack] = _div(
+                sum(
+                    coeff * self._assignment[name]
+                    for name, coeff in resolved.items()
+                    if self._assignment[name]
+                ),
+                den,
             )
         return slack, constraint.relation, bound
 
@@ -317,62 +347,80 @@ class Simplex:
         delta = value - self._assignment[name]
         if delta == 0:
             return
-        self._assignment[name] = value
+        assignment, rows, dens = self._assignment, self._rows, self._den
+        assignment[name] = value
         column = self._cols.get(name, ())
         for basic in column:
-            self._assignment[basic] += self._rows[basic][name] * delta
+            den = dens[basic]
+            if den == 1:
+                assignment[basic] += rows[basic][name] * delta
+            else:
+                assignment[basic] += _div(rows[basic][name] * delta, den)
         self._moved.update(column)
 
     def _pivot(self, basic: str, nonbasic: str) -> None:
         self.pivots += 1
-        row = self._rows.pop(basic)
+        rows, dens, cols = self._rows, self._den, self._cols
+        row = rows.pop(basic)
+        den = dens.pop(basic)
         self._nnz -= len(row)
         for name in row:
-            self._cols[name].discard(basic)
+            cols[name].discard(basic)
         self._basic.discard(basic)
         coeff = row[nonbasic]
-        # nonbasic = (basic - sum_{k != nonbasic} a_k x_k) / coeff
-        new_row: Dict[str, Num] = {basic: _div(1, coeff)}
+        # coeff·nonbasic = den·basic − Σ_{k ≠ nonbasic} a_k x_k; the new row is
+        # primitive because the old one (den included) was.
+        sign = 1 if coeff > 0 else -1
+        new_row: Dict[str, int] = {basic: sign * den}
         for name, a in row.items():
-            if name != nonbasic and a:
-                new_row[name] = _div(-a, coeff)
-        self._rows[nonbasic] = new_row
+            if name != nonbasic:
+                new_row[name] = -sign * a
+        new_den = sign * coeff
+        rows[nonbasic], dens[nonbasic] = new_row, new_den
         self._nnz += len(new_row)
         for name in new_row:
-            self._cols.setdefault(name, set()).add(nonbasic)
+            cols.setdefault(name, set()).add(nonbasic)
         self._basic.add(nonbasic)
-        # Substitute into the remaining rows that mention ``nonbasic``.
-        for other in list(self._cols.get(nonbasic, ())):
-            if other == nonbasic:
-                continue
-            other_row = self._rows[other]
-            a = other_row.pop(nonbasic, None)
-            self._cols[nonbasic].discard(other)
-            if not a:
-                continue
-            self._nnz -= 1
+        # Substitute into the remaining rows that mention ``nonbasic``: each
+        # is rewritten as a fresh primitive row stored with its denominator.
+        for other in list(cols.get(nonbasic, ())):
+            other_row = rows[other]
+            a = other_row[nonbasic]
+            updated = {name: b * new_den for name, b in other_row.items() if name != nonbasic}
+            other_den = dens[other] * new_den
             for name, b in new_row.items():
-                updated = other_row.get(name, 0) + a * b
-                if updated:
-                    if name not in other_row:
-                        self._cols.setdefault(name, set()).add(other)
-                        self._nnz += 1
-                    other_row[name] = updated
+                value = updated.get(name, 0) + a * b
+                if value:
+                    updated[name] = value
                 else:
-                    if name in other_row:
-                        del other_row[name]
-                        self._cols[name].discard(other)
-                        self._nnz -= 1
+                    del updated[name]
+            if other_den != 1:
+                common = gcd(other_den, *updated.values())
+                if common != 1:
+                    updated = {name: b // common for name, b in updated.items()}
+                    other_den //= common
+            rows[other], dens[other] = updated, other_den
+            for name in updated:
+                if name not in other_row:
+                    cols.setdefault(name, set()).add(other)
+            for name in other_row:
+                if name not in updated:
+                    cols[name].discard(other)
+            self._nnz += len(updated) - len(other_row)
 
     def _pivot_and_update(self, basic: str, nonbasic: str, target: Fraction) -> None:
-        coeff = self._rows[basic][nonbasic]
-        theta = _div(target - self._assignment[basic], coeff)
-        self._assignment[basic] = target
-        self._assignment[nonbasic] += theta
+        assignment, rows, dens = self._assignment, self._rows, self._den
+        theta = _div((target - assignment[basic]) * dens[basic], rows[basic][nonbasic])
+        assignment[basic] = target
+        assignment[nonbasic] += theta
         column = self._cols.get(nonbasic, ())
         for other in column:
             if other != basic:
-                self._assignment[other] += self._rows[other][nonbasic] * theta
+                den = dens[other]
+                if den == 1:
+                    assignment[other] += rows[other][nonbasic] * theta
+                else:
+                    assignment[other] += _div(rows[other][nonbasic] * theta, den)
         self._moved.update(column)
         self._moved.add(nonbasic)
         self._pivot(basic, nonbasic)
@@ -390,13 +438,14 @@ class Simplex:
         if self._nnz <= max(2000, 4 * self._nnz_fresh):
             return
         self._rows = {}
+        self._den = {}
         self._cols = {}
         self._basic = set()
         for name in self._assignment:
             self._assignment[name] = 0
         for key, slack in self._slack_cache.items():
-            row = dict(key)
-            self._rows[slack] = row
+            row, den = _integer_row(key)
+            self._rows[slack], self._den[slack] = row, den
             for name in row:
                 self._cols.setdefault(name, set()).add(slack)
             self._basic.add(slack)
@@ -427,10 +476,12 @@ class Simplex:
         """Decide feasibility over the rationals.
 
         Returns a :class:`SimplexResult`; when infeasible, ``conflict``
-        contains the tags of constraints participating in the conflict (a
-        superset of a minimal core).  ``want_model=False`` skips building
-        the model dictionary — callers that only need the verdict (the
-        DPLL(T) partial checks) save a full pass over the variables.
+        contains the tags of the constraints in the conflict: a crossed
+        bound pair, or a row explanation (see :meth:`_conflict_for`); both
+        are irreducible when every bound is tagged.  ``want_model=False``
+        skips building the model dictionary — callers that only need the
+        verdict (the DPLL(T) partial checks) save a full pass over the
+        variables.
 
         The check works on deltas.  A violation needs a tightened bound or a
         moved basic value, so the fixed-bound test, the non-basic repair and
@@ -515,7 +566,13 @@ class Simplex:
         raise RuntimeError("simplex exceeded the pivot limit")
 
     def _conflict_for(self, basic: str, lower: bool) -> Set[object]:
-        """Collect constraint tags explaining why ``basic`` cannot be repaired."""
+        """Collect constraint tags explaining why ``basic`` cannot be repaired.
+
+        The explanation is ``basic``'s violated bound plus the blocking bound
+        of each non-basic in its row.  Without any one of them the rest is
+        feasible: the non-basic variables are independent coordinates, so
+        the freed one could move to repair the row.
+        """
         tags: Set[object] = set()
         own_tag = self._lower_tag.get(basic) if lower else self._upper_tag.get(basic)
         if own_tag is not None:
@@ -585,7 +642,9 @@ class Simplex:
             terms: List[Tuple[str, Fraction, bool, Fraction]] = []
             tags: Set[object] = set()
             usable = True
-            for name, a in self._rows[basic].items():
+            den = self._den[basic]
+            for name, num in self._rows[basic].items():
+                a = _div(num, den)
                 value = self._assignment[name]
                 is_int = self._is_integer_var(name, integer_vars)
                 if not _frac(a) and is_int and not _frac(value):

@@ -408,10 +408,11 @@ class _Context:
                         return tuple(-var for var in sorted(conflict_vars))
                     self._parity_end = len(self.sat.trail)
                 return None
+            # A simplex conflict is irreducible already (see _minimize_core);
+            # only the fallback to every true atom needs shrinking.
             conflict_vars = {tag for tag in result.conflict if isinstance(tag, int)}
             if not conflict_vars:
-                conflict_vars = set(true_atoms)
-            conflict_vars = self._minimize_core(conflict_vars)
+                conflict_vars = self._minimize_core(set(true_atoms))
             self._conflict_participants |= conflict_vars
             self.sat.pending_conflict_participants = frozenset(conflict_vars)
             conflict_vars = self._strengthen_core(conflict_vars)
@@ -551,9 +552,13 @@ class _Context:
         """Greedily shrink a conflict core by deletion testing.
 
         A learned theory clause is exponentially more useful the fewer
-        literals it has, and the cores reported by the warm-started simplex
-        (whose tableau rows are arbitrary accumulated linear combinations)
-        are sound but rarely minimal.  The core is first restricted to one
+        literals it has.  Simplex conflicts need no shrinking: a row
+        explanation (the violated basic variable's bound plus the blocking
+        bound of each non-basic in its row) is irreducible, since without
+        any one of those bounds its non-basic could move to repair the row,
+        and a crossed-bound conflict is a pair.  The integer cores (the
+        parity pass, the final integer check) and the every-true-atom
+        fallback are not, and come here.  The core is first restricted to one
         variable-connected component; each remaining candidate atom is then
         dropped when the rest is still rationally infeasible; integer-only
         cores pass through unchanged (every rational test is feasible, so

@@ -626,13 +626,8 @@ class SolverServer:
 async def run_server(server: SolverServer, ready_line: bool = True) -> int:
     """Start ``server``, print the ready line, block until shutdown."""
     await server.start()
-    if ready_line:
-        print(
-            f"repro.serve listening on {server.host}:{server.port} "
-            f"(workers={server.workers}, portfolio={','.join(server.portfolio)}, "
-            f"warm={len(server.warm_payload)})",
-            flush=True,
-        )
+    # The handlers go in before the ready line: a SIGTERM sent as soon as
+    # the line is read must drain and reap like a later one.
     loop = asyncio.get_event_loop()
     try:
         import signal
@@ -641,5 +636,12 @@ async def run_server(server: SolverServer, ready_line: bool = True) -> int:
         loop.add_signal_handler(signal.SIGTERM, server.request_shutdown)
     except (NotImplementedError, RuntimeError):  # pragma: no cover - non-POSIX
         pass
+    if ready_line:
+        print(
+            f"repro.serve listening on {server.host}:{server.port} "
+            f"(workers={server.workers}, portfolio={','.join(server.portfolio)}, "
+            f"warm={len(server.warm_payload)})",
+            flush=True,
+        )
     await server.wait_closed()
     return 0

@@ -53,12 +53,67 @@ def solve_lia(formula, timeout: float = 30.0):
     return result
 
 
+def _proc_stat(pid: int) -> Optional[Tuple[str, int, int]]:
+    """``(state, parent pid, start time)`` of ``pid`` from ``/proc``, or
+    ``None`` once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    # The command name is parenthesised and may hold spaces: split after it.
+    fields = stat[stat.rindex(")") + 2 :].split()
+    return fields[0], int(fields[1]), int(fields[19])
+
+
+def process_descendants(pid: int) -> List[Tuple[int, int]]:
+    """``(pid, start time)`` of every live descendant of ``pid``, read from
+    ``/proc`` (empty where there is no ``/proc``)."""
+    import os
+
+    if not os.path.isdir("/proc"):
+        return []
+    children: Dict[int, List[Tuple[int, int]]] = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[0] != "Z":
+                children.setdefault(stat[1], []).append((int(entry), stat[2]))
+    found: List[Tuple[int, int]] = []
+    stack = [pid]
+    while stack:
+        for child in children.get(stack.pop(), ()):
+            found.append(child)
+            stack.append(child[0])
+    return found
+
+
+def surviving(processes: List[Tuple[int, int]], timeout: float = 10.0) -> List[int]:
+    """The pids of ``processes`` still running after up to ``timeout``
+    seconds (a zombie, or a pid reused by a newer process, counts as
+    gone)."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = []
+        for pid, started in processes:
+            stat = _proc_stat(pid)
+            if stat is not None and stat[0] != "Z" and stat[2] == started:
+                alive.append(pid)
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.05)
+
+
 class ServeServerProc:
     """A ``python -m repro.serve`` subprocess for server tests.
 
     Boots on an ephemeral port, parses the ready line, and exposes
     ``host``/``port`` plus :meth:`stop` (graceful shutdown via the
-    protocol, asserting a clean exit 0 with every worker reaped).
+    protocol, asserting a clean exit 0 with every worker reaped) and
+    :meth:`kill` (teardown by signal).  Both check that every process the
+    server had spawned — workers, resource trackers — is gone afterwards.
     """
 
     def __init__(self, *extra_args: str, timeout: float = 60.0):
@@ -98,6 +153,7 @@ class ServeServerProc:
     def stop(self, expect_clean: bool = True) -> int:
         from repro.serve import ServeError
 
+        children = process_descendants(self.proc.pid)
         try:
             with self.client(timeout=30.0) as client:
                 client.shutdown()
@@ -106,13 +162,38 @@ class ServeServerProc:
         try:
             code = self.proc.wait(timeout=30)
         except Exception:
-            self.proc.kill()
+            self.kill()
             raise
         if expect_clean:
             assert code == 0, (code, self.proc.stderr.read())
+        self._assert_reaped(children)
         return code
 
     def kill(self) -> None:
-        if self.proc.poll() is None:
+        """SIGTERM the server, whose handler drains the jobs and joins the
+        worker fleet; SIGKILL it only if that times out."""
+        import subprocess
+
+        if self.proc.poll() is not None:
+            return
+        children = process_descendants(self.proc.pid)
+        self.proc.terminate()
+        try:
+            self.proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait(timeout=10)
+        self._assert_reaped(children)
+
+    @staticmethod
+    def _assert_reaped(children: List[Tuple[int, int]]) -> None:
+        import os
+        import signal
+
+        leaked = surviving(children)
+        for pid in leaked:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass
+        assert not leaked, f"server children outlived it: {leaked}"

@@ -373,23 +373,30 @@ def test_interrupt_inside_simplex_check_leaves_lia_solver_reusable(at, monkeypat
     _faulted_lia_rechecks(run_faulted)
 
 
-@pytest.mark.parametrize("at", [1, 5, 8, 40])
+@pytest.mark.parametrize("at", [1, 5, 8, 39])
 def test_interrupt_mid_bound_sync_leaves_lia_solver_reusable(at, monkeypatch):
     # Cut off while the theory asserts the trail's new atoms: the half-filled
     # scope must not outlive the interrupted check (at 8, the first sync
-    # stops between the lemma's two root atoms).
+    # stops between the lemma's two root atoms).  Only the solver's own
+    # theory simplex counts; the first check makes 39 bound assertions on
+    # it, so 39 cuts off its last one.
     from repro.lia.simplex import Simplex
 
     real = Simplex.assert_bound
     calls = [0]
-
-    def assert_bound(self, *args):
-        calls[0] += 1
-        if calls[0] == at:
-            raise KeyboardInterrupt("injected inside Simplex.assert_bound")
-        return real(self, *args)
+    fired = []
 
     def run_faulted(solver):
+        theory = solver._ctx.theory
+
+        def assert_bound(self, *args):
+            if self is theory:
+                calls[0] += 1
+                if calls[0] == at:
+                    fired.append(at)
+                    raise KeyboardInterrupt("injected inside Simplex.assert_bound")
+            return real(self, *args)
+
         monkeypatch.setattr(Simplex, "assert_bound", assert_bound)
         try:
             with pytest.raises(KeyboardInterrupt):
@@ -398,6 +405,7 @@ def test_interrupt_mid_bound_sync_leaves_lia_solver_reusable(at, monkeypatch):
             monkeypatch.undo()
 
     _faulted_lia_rechecks(run_faulted)
+    assert fired == [at]
 
 
 @pytest.mark.parametrize("case", range(len(_GROUND_TRUTH)))

@@ -288,7 +288,8 @@ class _SyncAudit:
     ``Simplex`` asserted with the current true atoms, its verdict must be
     that of ``check_rational_feasibility`` over them, and every conflict
     returned must be infeasible on a fresh simplex (rationally, or over the
-    integers for the parity pruning of integer-sensitive instances).
+    integers for the parity pruning of integer-sensitive instances).  A
+    rational conflict must moreover be the simplex's own, and irreducible.
     """
 
     def __init__(self, context):
@@ -348,7 +349,13 @@ class _SyncAudit:
         core = context.sat.pending_conflict_participants or {-lit for lit in clause}
         core_constraints = [context._atom_constraint[atom] for atom in sorted(core)]
         if not self.last.feasible:
+            # The simplex conflict goes into the clause as it comes, and is
+            # irreducible: infeasible, yet feasible without any one atom.
+            assert set(core) == self.last.conflict
             assert not check_rational_feasibility(core_constraints).feasible
+            for dropped in core:
+                rest = [context._atom_constraint[atom] for atom in sorted(core) if atom != dropped]
+                assert check_rational_feasibility(rest).feasible, (sorted(core), dropped)
             return
         try:
             outcome = check_integer_feasibility(core_constraints, max_nodes=200)

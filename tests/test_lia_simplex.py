@@ -401,3 +401,300 @@ def test_fixed_bound_contradiction_survives_into_next_check():
     full.pop()
     got, expected = simplex.check(), full.check()
     assert got.feasible and expected.feasible and got.model == expected.model
+
+
+# ----------------------------------------------------------------------
+# Simplex conflicts are irreducible
+# ----------------------------------------------------------------------
+def _assert_irreducible(conflict, constraint_of):
+    """The tagged constraints of ``conflict`` are infeasible on a fresh
+    simplex, and feasible with any one of them left out."""
+    tags = sorted(conflict)
+    assert tags, "an infeasible check must name its constraints"
+    assert not check_constraints([constraint_of[tag] for tag in tags]).feasible
+    for dropped in tags:
+        rest = [constraint_of[tag] for tag in tags if tag != dropped]
+        assert check_constraints(rest).feasible, (tags, dropped)
+
+
+def _irreducibility_replay(seed):
+    """Checks every conflict of one seeded op sequence; returns the sizes
+    of the conflicts seen."""
+    import random
+
+    rng = random.Random(seed)
+    pool = _random_pool(rng, num_vars=6, size=16, max_terms=4)
+    constraint_of = {constraint.tag: constraint for constraint in pool}
+    simplex = Simplex()
+    handles = []
+    depth = 0
+    sizes = []
+    for _ in range(150):
+        op = rng.choices(["prepare", "assert", "push", "pop", "check"], weights=[2, 5, 2, 2, 3])[0]
+        if op == "prepare":
+            constraint = rng.choice(pool)
+            handles.append((simplex.prepare(constraint), constraint.tag))
+        elif op == "assert" and handles:
+            (name, relation, value), tag = rng.choice(handles)
+            simplex.assert_bound(name, relation, value, tag)
+        elif op == "push":
+            depth += 1
+            simplex.push()
+        elif op == "pop" and depth:
+            depth -= 1
+            simplex.pop()
+        elif op == "check":
+            result = simplex.check(want_model=False)
+            if not result.feasible:
+                _assert_irreducible(result.conflict, constraint_of)
+                sizes.append(len(result.conflict))
+    return sizes
+
+
+@pytest.mark.parametrize("seeds", [range(0, 20), range(20, 40)])
+def test_simplex_conflicts_are_irreducible(seeds):
+    sizes = [size for seed in seeds for size in _irreducibility_replay(seed)]
+    # Row explanations (more than a crossed pair) are among them.
+    assert max(sizes) > 2
+
+
+# ----------------------------------------------------------------------
+# The integer tableau against the rational rows it replaced
+# ----------------------------------------------------------------------
+class _RationalRowSimplex(Simplex):
+    """``Simplex`` with rational tableau rows (the reference).
+
+    Rows hold the coefficients themselves (``int`` or ``Fraction``) and
+    every row denominator is 1, so the shared assignment updates divide by
+    nothing and pivoting runs on ``Fraction`` arithmetic.
+    """
+
+    def _register(self, constraint):
+        from repro.lia.simplex import _div, _norm
+
+        expr = constraint.expr
+        bound = _norm(-expr.const)
+        for name in expr.coeffs:
+            self._ensure_var(name)
+        if len(expr.coeffs) == 1:
+            ((name, coeff),) = expr.coeffs.items()
+            coeff = _norm(coeff)
+            relation = constraint.relation
+            if coeff < 0 and relation in ("<=", ">="):
+                relation = ">=" if relation == "<=" else "<="
+            return name, relation, _div(bound, coeff)
+        key = tuple(sorted((name, _norm(coeff)) for name, coeff in expr.coeffs.items()))
+        slack = self._slack_cache.get(key)
+        if slack is None:
+            slack = self._fresh_slack()
+            self._slack_cache[key] = slack
+            self._slack_def[slack] = key
+            self._ensure_var(slack)
+            resolved = {}
+            for name, coeff in key:
+                if name in self._basic:
+                    for inner_name, inner_coeff in self._rows[name].items():
+                        resolved[inner_name] = resolved.get(inner_name, 0) + coeff * inner_coeff
+                else:
+                    resolved[name] = resolved.get(name, 0) + coeff
+            resolved = {name: coeff for name, coeff in resolved.items() if coeff != 0}
+            self._rows[slack], self._den[slack] = resolved, 1
+            for name in resolved:
+                self._cols.setdefault(name, set()).add(slack)
+            self._basic.add(slack)
+            self._nnz += len(resolved)
+            self._nnz_fresh += len(key)
+            self._assignment[slack] = sum(
+                coeff * self._assignment[name] for name, coeff in resolved.items()
+            )
+        return slack, constraint.relation, bound
+
+    def _pivot(self, basic, nonbasic):
+        from repro.lia.simplex import _div
+
+        self.pivots += 1
+        row = self._rows.pop(basic)
+        del self._den[basic]
+        self._nnz -= len(row)
+        for name in row:
+            self._cols[name].discard(basic)
+        self._basic.discard(basic)
+        coeff = row[nonbasic]
+        new_row = {basic: _div(1, coeff)}
+        for name, a in row.items():
+            if name != nonbasic:
+                new_row[name] = _div(-a, coeff)
+        self._rows[nonbasic], self._den[nonbasic] = new_row, 1
+        self._nnz += len(new_row)
+        for name in new_row:
+            self._cols.setdefault(name, set()).add(nonbasic)
+        self._basic.add(nonbasic)
+        for other in list(self._cols.get(nonbasic, ())):
+            other_row = self._rows[other]
+            a = other_row.pop(nonbasic)
+            self._cols[nonbasic].discard(other)
+            self._nnz -= 1
+            for name, b in new_row.items():
+                updated = other_row.get(name, 0) + a * b
+                if updated:
+                    if name not in other_row:
+                        self._cols.setdefault(name, set()).add(other)
+                        self._nnz += 1
+                    other_row[name] = updated
+                elif name in other_row:
+                    del other_row[name]
+                    self._cols[name].discard(other)
+                    self._nnz -= 1
+
+    def _maybe_reset_basis(self):
+        if self._nnz <= max(2000, 4 * self._nnz_fresh):
+            return
+        self._rows, self._den, self._cols, self._basic = {}, {}, {}, set()
+        for name in self._assignment:
+            self._assignment[name] = 0
+        for key, slack in self._slack_cache.items():
+            self._rows[slack], self._den[slack] = dict(key), 1
+            for name, _coeff in key:
+                self._cols.setdefault(name, set()).add(slack)
+            self._basic.add(slack)
+        self._nnz = self._nnz_fresh = sum(len(row) for row in self._rows.values())
+        self._tightened = set(self._order)
+
+
+class _PivotLog:
+    """Logs the ``(basic, nonbasic)`` pair of every pivot and each reset."""
+
+    def __init__(self, simplex):
+        self.simplex = simplex
+        self.pivots = []
+        self.resets = 0
+        pivot, reset = simplex._pivot, simplex._maybe_reset_basis
+
+        def logged_pivot(basic, nonbasic):
+            self.pivots.append((basic, nonbasic))
+            pivot(basic, nonbasic)
+
+        def logged_reset():
+            self.resets += simplex._nnz > max(2000, 4 * simplex._nnz_fresh)
+            reset()
+
+        simplex._pivot, simplex._maybe_reset_basis = logged_pivot, logged_reset
+
+
+def _assert_same_tableau(got, reference):
+    from math import gcd
+
+    assert got._basic == reference._basic
+    assert got._rows.keys() == reference._rows.keys()
+    for basic, row in got._rows.items():
+        den = got._den[basic]
+        assert den > 0 and gcd(den, *row.values()) == 1, (basic, row, den)
+        assert all(isinstance(num, int) for num in row.values())
+        assert {name: Fraction(num, den) for name, num in row.items()} == reference._rows[basic]
+    assert {n: c for n, c in got._cols.items() if c} == {
+        n: c for n, c in reference._cols.items() if c
+    }
+    assert got._nnz == reference._nnz
+    assert got._assignment == reference._assignment
+
+
+def _cut_keys(cuts):
+    return [(cut.expr, cut.relation, cut.tag) for cut in cuts]
+
+
+class _ReferencePair:
+    """One op sequence applied to the integer tableau and the reference."""
+
+    def __init__(self):
+        self.got, self.reference = _PivotLog(Simplex()), _PivotLog(_RationalRowSimplex())
+        self.cuts = 0
+
+    def apply(self, method, *args):
+        outcomes = [getattr(side.simplex, method)(*args) for side in (self.got, self.reference)]
+        return outcomes[0]
+
+    def check(self, want_model=True, cuts=False):
+        got = self.got.simplex.check(want_model=want_model)
+        expected = self.reference.simplex.check(want_model=want_model)
+        assert self.got.pivots == self.reference.pivots
+        assert got.feasible == expected.feasible
+        assert got.conflict == expected.conflict
+        assert got.model == expected.model
+        _assert_same_tableau(self.got.simplex, self.reference.simplex)
+        if cuts and got.feasible:
+            got_cuts = self.got.simplex.gomory_cuts()
+            assert _cut_keys(got_cuts) == _cut_keys(self.reference.simplex.gomory_cuts())
+            self.cuts += len(got_cuts)
+        return got
+
+
+def _replay_against_rational_rows(seed, num_vars, size, max_terms, steps):
+    import random
+
+    rng = random.Random(seed)
+    pool = _random_pool(rng, num_vars, size, max_terms)
+    # Fractional coefficients give rows a denominator from the start.
+    for constraint in pool[::3]:
+        name = next(iter(constraint.expr.coeffs))
+        coeffs = dict(constraint.expr.coeffs, **{name: Fraction(rng.choice([-3, -1, 1, 5]), 2)})
+        constraint.expr = expr(coeffs, Fraction(rng.randint(-6, 6), 3))
+    pair = _ReferencePair()
+    handles = []
+    depth = 0
+    for _ in range(steps):
+        op = rng.choices(
+            ["add", "prepare", "assert", "push", "pop", "check"], weights=[4, 1, 3, 2, 2, 3]
+        )[0]
+        if op == "add":
+            pair.apply("add_constraint", rng.choice(pool))
+        elif op == "prepare":
+            constraint = rng.choice(pool)
+            handle = pair.apply("prepare", constraint)
+            assert pair.reference.simplex.prepare(constraint) == handle
+            handles.append((handle, constraint.tag))
+        elif op == "assert" and handles:
+            (name, relation, value), tag = rng.choice(handles)
+            pair.apply("assert_bound", name, relation, value, tag)
+        elif op == "push":
+            depth += 1
+            pair.apply("push")
+        elif op == "pop" and depth:
+            depth -= 1
+            pair.apply("pop")
+        elif op == "check":
+            pair.check(want_model=rng.random() < 0.5, cuts=True)
+    return pair
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_integer_tableau_matches_rational_rows(seed):
+    pair = _replay_against_rational_rows(seed, num_vars=6, size=14, max_terms=3, steps=120)
+    assert pair.got.pivots
+
+
+def test_integer_tableau_matches_rational_rows_across_gomory_cuts():
+    cuts = sum(
+        _replay_against_rational_rows(seed, num_vars=5, size=12, max_terms=3, steps=100).cuts
+        for seed in range(100, 110)
+    )
+    assert cuts > 0
+
+
+def test_integer_tableau_matches_rational_rows_across_basis_resets():
+    pair = _replay_against_rational_rows(2, num_vars=40, size=100, max_terms=15, steps=300)
+    assert pair.got.resets == pair.reference.resets > 0
+
+
+def test_integer_tableau_matches_rational_rows_on_surviving_crossed_bounds():
+    pair = _ReferencePair()
+    pair.apply("add_constraint", Constraint(expr({"x": 2, "y": 3}, -7), "<=", tag="sum"))
+    pair.apply("add_constraint", Constraint(expr({"x": 1, "y": -2}, -1), ">=", tag="diff"))
+    assert pair.check(cuts=True).feasible
+    pair.apply("push")
+    pair.apply("add_constraint", Constraint(expr({"y": 3}, -5), ">=", tag="y-lo"))
+    pair.apply("add_constraint", Constraint(expr({"y": 2}, -1), "<=", tag="y-hi"))
+    for _ in range(2):
+        assert pair.check().conflict == {"y-lo", "y-hi"}
+    pair.apply("pop")
+    assert pair.check(cuts=True).feasible
+    assert pair.got.pivots

@@ -20,7 +20,7 @@ import time
 
 import pytest
 
-from helpers import ServeServerProc
+from helpers import ServeServerProc, process_descendants, surviving
 from repro.serve import ServeClient, ServeError, parse_host_port, strategy_names
 from repro.serve.portfolio import STRATEGIES, config_for, pick_winner
 from repro.serve.protocol import (
@@ -327,3 +327,17 @@ def test_clean_shutdown_reaps_workers():
         assert client.solve(SAT_SCRIPT)["verdicts"] == ["sat"]
     code = proc.stop()
     assert code == 0
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads children from /proc")
+def test_signal_teardown_reaps_workers_and_trackers():
+    # SIGTERM drains and joins the fleet: no worker or resource tracker
+    # is left behind, reparented to init.
+    proc = ServeServerProc("--workers", "2")
+    with proc.client() as client:
+        assert client.solve(SAT_SCRIPT)["verdicts"] == ["sat"]
+    children = process_descendants(proc.proc.pid)
+    assert len(children) >= 2, children
+    proc.kill()
+    assert proc.proc.returncode == 0
+    assert surviving(children, timeout=0) == []
