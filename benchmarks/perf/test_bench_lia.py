@@ -78,6 +78,9 @@ def test_bench_lia(bench_selected, tmp_path_factory):
         assert entry["status"] == entry["expected"] == "unsat", (
             f"{name} must be refuted by the cutting-plane core: {entry}"
         )
+        # Refuted by cuts, not by a lucky search around branch-and-bound
+        # give-ups (the failure mode without the cycle-support literals).
+        assert entry["stats"]["bb_give_ups"] == 0, (name, entry)
     distinct = report["distinct"]
     assert distinct["wrong_verdicts"] == 0, distinct["instances"]
     # The headline of the distinct fix: no instance may time out — the

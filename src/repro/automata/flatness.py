@@ -13,8 +13,9 @@ does a model of the Parikh formula determine the accepted word uniquely.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Hashable, List, Mapping, Sequence, Set
 
+from ..budget import checkpoint
 from .dense import as_nfa
 from .nfa import Nfa, State
 
@@ -26,13 +27,22 @@ def strongly_connected_components(nfa) -> List[Set[State]]:
     for src, _, dst in nfa.iter_transitions():
         graph.setdefault(src, []).append(dst)
         graph.setdefault(dst, [])
+    return graph_sccs(graph)
 
+
+def graph_sccs(graph: Mapping[Hashable, Sequence[Hashable]]) -> List[Set]:
+    """The SCCs of a successor map, by iterative Tarjan (no recursion).
+
+    Every node of the graph must be a key of ``graph``.  Components come
+    out in reverse topological order (a component before any component
+    that reaches it); each step of the search is one budget step.
+    """
     index_counter = 0
-    indices: Dict[State, int] = {}
-    lowlinks: Dict[State, int] = {}
-    on_stack: Set[State] = set()
-    stack: List[State] = []
-    components: List[Set[State]] = []
+    indices: Dict[Hashable, int] = {}
+    lowlinks: Dict[Hashable, int] = {}
+    on_stack: Set[Hashable] = set()
+    stack: List[Hashable] = []
+    components: List[Set] = []
 
     for root in graph:
         if root in indices:
@@ -43,6 +53,7 @@ def strongly_connected_components(nfa) -> List[Set[State]]:
         stack.append(root)
         on_stack.add(root)
         while work:
+            checkpoint("automata.scc")
             node, successors = work[-1]
             advanced = False
             for succ in successors:
@@ -63,7 +74,7 @@ def strongly_connected_components(nfa) -> List[Set[State]]:
                 parent = work[-1][0]
                 lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
             if lowlinks[node] == indices[node]:
-                component: Set[State] = set()
+                component: Set = set()
                 while True:
                     member = stack.pop()
                     on_stack.discard(member)

@@ -143,14 +143,19 @@ class NotContainsEncoder:
         return conj([_symbols_differ(enc, self.variables, self.alphabet), disj(options)])
 
     # ------------------------------------------------------------------
-    def instantiation_lemma(self, offset_value: int, master_counts: Mapping[Tuple, LinExpr], length_of) -> Formula:
+    def instantiation_lemma(
+        self, offset_value: int, master_counts: Mapping[Tuple, LinExpr], length_of
+    ) -> Tuple[Formula, parikh.ParikhEncoding]:
         """The MBQI lemma for a concrete offset κ₀ (an instance of the ∀ body).
 
         The lemma introduces a fresh copy ``#2'`` of the Parikh variables of
         ``A^II``, links it to the master encoding through ``EqualWords`` (same
         words, possibly a different run) and requires a mismatch at offset
         κ₀ — unless κ₀ exceeds the length difference (the alignment does not
-        exist for the candidate words).
+        exist for the candidate words).  Returns the lemma and the copy's
+        encoding, which carries no connectivity constraints: the caller
+        must cut its models (:func:`parikh.connectivity_cuts`) like those
+        of any other encoding.
         """
         prefix = self._fresh_prefix()
         inner = parikh.encode(self.automaton, prefix=prefix)
@@ -162,16 +167,18 @@ class NotContainsEncoder:
         ]
         mismatch = self._mismatch_for_offset(inner, LinExpr.constant(offset_value))
         overflow = gt(LinExpr.constant(offset_value), self.length_difference(length_of))
-        return conj([inner.formula, conj(links), disj([mismatch, overflow])])
+        return conj([inner.formula, conj(links), disj([mismatch, overflow])]), inner
 
     def quantified_formula(self, master_counts: Mapping[Tuple, LinExpr], length_of) -> Formula:
         """The full φ^NC (eq. 32) with an explicit ∀κ ∃#2 prefix.
 
         This formula is provided for reference and for the bounded-expansion
         tests; the production path uses MBQI instead of solving it directly.
+        The inner copy carries the SCC entry constraints, which are exact on
+        the flat languages this procedure requires.
         """
         kappa = var(OFFSET_VARIABLE)
-        inner = parikh.encode(self.automaton, prefix=f"nc{self.index}.q.")
+        inner = parikh.encode(self.automaton, prefix=f"nc{self.index}.q.", connectivity=True)
         inner_counts = base_transition_counts(inner, self.info)
         links = [
             eq(inner_counts[key], master_counts[key])

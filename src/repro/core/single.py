@@ -312,7 +312,7 @@ def _prepare(
     automata: Dict[str, Nfa], variables: Sequence[str], prefix: str
 ) -> Tuple[TagAutomaton, ConcatInfo, parikh.ParikhEncoding]:
     automaton, info = build_mismatch_automaton(automata, variables)
-    enc = parikh.encode(automaton, prefix=prefix)
+    enc = parikh.encode(automaton, prefix=prefix, connectivity=True)
     return automaton, info, enc
 
 

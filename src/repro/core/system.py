@@ -504,7 +504,7 @@ def encode_system(
 
     num_predicates = len(mismatch_predicates)
     automaton, info = build_system_automaton(automata, variables, num_predicates)
-    enc = parikh.encode(automaton, prefix=prefix)
+    enc = parikh.encode(automaton, prefix=prefix, connectivity=True)
 
     alphabet = sorted({symbol for name in variables for symbol in automata[name].alphabet})
     ctx = _SystemContext(enc, info, alphabet, num_predicates, prefix)

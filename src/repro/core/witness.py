@@ -4,7 +4,10 @@ The equisatisfiability theorems of the paper are constructive: from a model
 of the generated LIA formula one can read off an accepting run of the tag
 automaton (the Parikh image determines a run up to reordering that does not
 affect lengths, mismatch positions or sampled symbols), and the run encodes
-an assignment of every string variable to a word of its language.
+an assignment of every string variable to a word of its language.  The
+model must be *connected* first: the Parikh formula enforces connectivity
+lazily, so the solver cuts models with unreachable cycles
+(:func:`repro.core.parikh.connectivity_cuts`) before reconstructing.
 
 This module performs that reconstruction.  It is used for two purposes:
 
@@ -44,7 +47,8 @@ def extract_assignment(enc: ParikhEncoding, model, variables: Optional[List[str]
 
     ``variables`` lists the string variables that must appear in the result;
     variables whose automaton contributed no transition to the run (i.e. were
-    assigned the empty word) are filled in with ``""``.
+    assigned the empty word) are filled in with ``""``.  Returns ``None``
+    when the model encodes no run (see :func:`run_from_model`).
     """
     run = run_from_model(enc, model)
     if run is None:

@@ -238,7 +238,7 @@ def _implied_equalities(constraints: Sequence[Constraint]) -> Tuple[Optional[Lis
                 if current is None or bound > current[0]:
                     lower[name] = (bound, constraint.tag)
 
-    for name in set(lower) & set(upper):
+    for name in sorted(set(lower) & set(upper)):
         low, low_tags = lower[name]
         high, high_tags = upper[name]
         if low > high:

@@ -53,8 +53,6 @@ from ..budget import Budget, BudgetExceeded
 from .cnf import CnfBuilder
 from .intsolver import (
     ResourceLimit,
-    _eliminate_equalities_over_z,
-    _flatten_tags,
     check_integer_feasibility,
     check_rational_feasibility,
 )
@@ -188,8 +186,6 @@ class _Context:
         #: scopes hold the true atoms of ``sat.trail[:_synced_end]``
         self._theory_scopes: List[int] = []
         self._synced_end = 0
-        #: trail prefix whose true atoms passed the parity pass (``_int_prune``)
-        self._parity_end = 0
         self._cuts = _CUTS if config.cuts else _NO_CUTS
         self._core_cuts = _CORE_CUTS if config.cuts else _NO_CUTS
         #: atom boolean variable -> (simplex variable, relation, bound)
@@ -206,12 +202,9 @@ class _Context:
         self._var_set: Set[str] = set()
 
         self._gave_up = False
-        #: integer-sensitive instance detected (a complete assignment was
-        #: rationally feasible yet integer-infeasible): partial checks then
-        #: additionally run the equality-elimination parity pass, which is
-        #: what refutes gcd/divisibility conflicts long before the search
-        #: completes an assignment
-        self._int_prune = False
+        #: branch-and-bound give-ups (``ResourceLimit`` on a complete
+        #: assignment) over the context's lifetime
+        self._give_ups = 0
         #: active resource budget for the current ``check`` (shared with the
         #: SAT search and the integer core; ``None`` outside a check)
         self._budget: Optional[Budget] = None
@@ -345,7 +338,6 @@ class _Context:
         start = self._synced_end
         if sat.theory_mark < start:
             start = sat.theory_mark
-            self._parity_end = min(self._parity_end, start)
             end = self._synced_end
             while scopes and scopes[-1] >= start:
                 end = scopes.pop()
@@ -368,18 +360,7 @@ class _Context:
         """Retract every trail bound (a new search starts from the root)."""
         self.theory.pop_all()
         self._theory_scopes.clear()
-        self._synced_end = self._parity_end = 0
-
-    def _parity_pass_due(self) -> bool:
-        """Has the trail gained a true atom since its prefix last passed the
-        parity pass?  After a backjump alone the atoms are a subset of ones
-        that passed, so the pass is skipped; a skip only forgoes pruning,
-        since the final integer check decides."""
-        trail, atoms = self.sat.trail, self.theory_atoms
-        return any(
-            trail[position] > 0 and trail[position] in atoms
-            for position in range(self._parity_end, len(trail))
-        )
+        self._synced_end = 0
 
     def _theory_callback(self, true_atoms: Set[int], final: bool):
         if self._budget is not None:
@@ -390,23 +371,6 @@ class _Context:
             self._sync_theory()
             result = self.theory.check(want_model=False)
             if result.feasible:
-                if self._int_prune and self._parity_pass_due():
-                    reduced, _defs, tags = _eliminate_equalities_over_z(
-                        [self._atom_constraint[var] for var in sorted(true_atoms)]
-                    )
-                    if reduced is None:
-                        conflict_vars = {
-                            tag for tag in _flatten_tags(tags) if isinstance(tag, int)
-                        } or set(true_atoms)
-                        conflict_vars = self._minimize_core(conflict_vars)
-                        # Record before strengthening: root-forced atoms are
-                        # dropped from the learned clause but still belong to
-                        # the refutation.
-                        self._conflict_participants |= conflict_vars
-                        self.sat.pending_conflict_participants = frozenset(conflict_vars)
-                        conflict_vars = self._strengthen_core(conflict_vars)
-                        return tuple(-var for var in sorted(conflict_vars))
-                    self._parity_end = len(self.sat.trail)
                 return None
             # A simplex conflict is irreducible already (see _minimize_core);
             # only the fallback to every true atom needs shrinking.
@@ -432,6 +396,7 @@ class _Context:
             # Block it and remember that an UNSAT verdict is no longer
             # trustworthy (results become UNKNOWN from here on).
             self._gave_up = True
+            self._give_ups += 1
             if not true_atoms:
                 return tuple()
             return tuple(-var for var in sorted(true_atoms))
@@ -439,12 +404,10 @@ class _Context:
         if outcome.feasible:
             self._last_model = outcome.model or {}
             return None
-        if not self._int_prune:
+        if not self.sat.negative_atom_phase:
             # The complete assignment passed every rational check yet is
-            # integer-infeasible: enable parity pruning at partial level and
-            # flip the SAT decision phase so future complete assignments
-            # assert as few atoms as possible.
-            self._int_prune = True
+            # integer-infeasible: flip the SAT decision phase so future
+            # complete assignments assert as few atoms as possible.
             self.sat.negative_atom_phase = True
             # Restarting (with all learned clauses kept) lets the new phase
             # take effect from the root instead of only below the current
@@ -556,10 +519,10 @@ class _Context:
         explanation (the violated basic variable's bound plus the blocking
         bound of each non-basic in its row) is irreducible, since without
         any one of those bounds its non-basic could move to repair the row,
-        and a crossed-bound conflict is a pair.  The integer cores (the
-        parity pass, the final integer check) and the every-true-atom
-        fallback are not, and come here.  The core is first restricted to one
-        variable-connected component; each remaining candidate atom is then
+        and a crossed-bound conflict is a pair.  The final integer check's
+        cores and the every-true-atom fallback are not, and come here.  The
+        core is first restricted to one variable-connected component; each
+        remaining candidate atom is then
         dropped when the rest is still rationally infeasible; integer-only
         cores pass through unchanged (every rational test is feasible, so
         nothing is dropped).  The rational tests of one conflict share a
@@ -656,6 +619,7 @@ class _Context:
             "deleted_clauses": sat.deleted_clauses,
             "minimized_literals": sat.minimized_literals,
             "pivots": self.theory.pivots + self._int_pivots,
+            "bb_give_ups": self._give_ups,
             "cache_hits": self.cnf.cache_hits,
             "duplicate_clauses": sat.duplicate_clauses + self.cnf.duplicate_clauses,
         }

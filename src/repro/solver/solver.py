@@ -19,7 +19,9 @@ Pipeline for an input problem (a conjunction of string atoms):
    construction ``A^II`` (§5.2) when the component has one predicate, the
    system construction ``A^III`` (§5.3/§6.5) otherwise.  ¬contains
    predicates over flat languages are handled by model-based quantifier
-   instantiation (§6.4).
+   instantiation (§6.4).  Parikh connectivity is enforced on demand: each
+   sat LIA model is cut until every encoding's run is connected
+   (:func:`repro.core.parikh.connectivity_cuts`).
 4. **LIA solving** (:mod:`repro.lia`) and **model reconstruction**
    (:mod:`repro.core.witness`): every SAT verdict comes with a concrete
    string model which is verified against the original problem.
@@ -78,6 +80,7 @@ from ..automata.dense import stats_snapshot as dense_stats_snapshot
 from ..automata.enumeration import is_finite, shortest_word, words_up_to
 from ..automata.nfa import Nfa
 from ..core.notcontains import NotContainsEncoder, base_transition_counts, find_failing_offset
+from ..core.parikh import ParikhEncoding, connectivity_cuts
 from ..core.predicates import (
     Disequality,
     NotContains,
@@ -183,6 +186,9 @@ class _BranchSolver:
     solver: LiaSolver
     #: per pushed level: the part keys asserted at that level
     levels: List[List[PartKey]] = field(default_factory=list)
+    #: per pushed level: the Parikh encodings of the MBQI inner copies its
+    #: lemmas assert (their models need connectivity cuts too)
+    copies: List[List[ParikhEncoding]] = field(default_factory=list)
 
 
 @dataclass
@@ -834,7 +840,7 @@ class IncrementalPipeline:
     # ------------------------------------------------------------------
     # Branch LIA solver management
     # ------------------------------------------------------------------
-    def _branch_solver(self, fingerprint: Tuple, parts: List[Tuple[PartKey, LiaFormula]]) -> LiaSolver:
+    def _branch_solver(self, fingerprint: Tuple, parts: List[Tuple[PartKey, LiaFormula]]) -> _BranchSolver:
         """Pin (or reuse) the incremental LIA solver of one branch.
 
         Pops the deepest suffix of levels holding a part that is no longer
@@ -873,9 +879,11 @@ class IncrementalPipeline:
                 self.counters["branch_solver_rebuilds"] += 1
                 state.solver = LiaSolver(self.config.lia)
                 state.levels = []
+                state.copies = []
         while len(state.levels) > keep:
             state.solver.pop()
             state.levels.pop()
+            state.copies.pop()
 
         asserted: Set[PartKey] = set()
         for level_keys in state.levels:
@@ -892,7 +900,8 @@ class IncrementalPipeline:
             for _key, formula in delta:
                 state.solver.add_assertion(formula)
             state.levels.append([key for key, _ in delta])
-        return state.solver
+            state.copies.append([])
+        return state
 
     # ------------------------------------------------------------------
     def _assumption_safe(self, formula: LiaFormula) -> bool:
@@ -1246,32 +1255,59 @@ class IncrementalPipeline:
         # parts live on the branch's pinned assertion stack and every round
         # only encodes its new lemma (atom maps, Tseitin clauses, learned
         # theory clauses and the simplex tableau survive across rounds *and*
-        # across checks).
+        # across checks).  Within a round, every sat model is first cut until
+        # each Parikh encoding's run is connected (see repro.core.parikh);
+        # those connectivity checks do not count as instantiation rounds.
         lemmas: List[LiaFormula] = []
+        #: inner copies of this check's MBQI lemmas (the pinned stack keeps
+        #: its own, per level, across checks)
+        copies: List[ParikhEncoding] = []
         queries = 0
-        stats: Dict[str, int] = {}
+        stats: Dict[str, int] = {"connectivity_lemmas": 0}
 
         def merge_stats(delta: Dict[str, int]) -> None:
             for key, value in delta.items():
                 stats[key] = stats.get(key, 0) + value
 
         incremental = self.config.incremental_lia
-        try:
+        state: Optional[_BranchSolver] = None
+
+        def add_lemma(lemma: LiaFormula) -> None:
+            lemmas.append(lemma)
             if incremental:
-                solver = self._branch_solver(fingerprint, parts)
-            for _round in range(self.config.max_instantiation_rounds):
-                watch.check_now("mbqi.round")
+                state.solver.add_assertion(lemma)
+
+        def check_connected():
+            nonlocal queries
+            while True:
                 queries += 1
                 if incremental:
-                    result = solver.check(assumptions=assumed, budget=watch)
+                    result = state.solver.check(assumptions=assumed, budget=watch)
                 else:
-                    solver = LiaSolver(self.config.lia)
-                    result = solver.check(
+                    result = LiaSolver(self.config.lia).check(
                         conj([formula for _, formula in parts] + lemmas),
                         assumptions=assumed,
                         budget=watch,
                     )
                 merge_stats(result.stats)
+                if result.status is not LiaStatus.SAT:
+                    return result
+                encodings = [component.encoding.parikh for component in components]
+                encodings += [enc for level in state.copies for enc in level] if incremental else copies
+                cuts = [cut for enc in encodings for cut in connectivity_cuts(enc, result.model)]
+                if not cuts:
+                    return result
+                watch.check_now("parikh.connect")
+                stats["connectivity_lemmas"] += len(cuts)
+                for cut in cuts:
+                    add_lemma(cut)
+
+        try:
+            if incremental:
+                state = self._branch_solver(fingerprint, parts)
+            for _round in range(self.config.max_instantiation_rounds):
+                watch.check_now("mbqi.round")
+                result = check_connected()
                 if result.status is LiaStatus.UNSAT:
                     # Assumed integer atoms come exactly from the failed-
                     # assumption labels; asserted ones (and everything else)
@@ -1339,12 +1375,11 @@ class IncrementalPipeline:
                             component.master_counts = base_transition_counts(
                                 component.encoding.parikh, component.encoding.info
                             )
-                        lemma = encoder.instantiation_lemma(
+                        lemma, inner = encoder.instantiation_lemma(
                             offset, component.master_counts, component.encoding.length_of
                         )
-                        lemmas.append(lemma)
-                        if incremental:
-                            solver.add_assertion(lemma)
+                        add_lemma(lemma)
+                        (state.copies[-1] if incremental else copies).append(inner)
                         refinement_added = True
                         break
                     if refinement_added:

@@ -140,6 +140,7 @@ _FAULT_SITES = (
     "reduce.cases",
     "solve.branch",
     "mbqi.round",
+    "parikh.connect",
     "lia.*",
 )
 

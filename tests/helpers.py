@@ -6,6 +6,7 @@ from itertools import product
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.automata import Nfa, words_up_to
+from repro.core.parikh import connectivity_cuts, run_from_model
 from repro.core.predicates import evaluate_all
 from repro.lia import LiaConfig, LiaSolver, LiaStatus
 
@@ -46,11 +47,30 @@ def brute_force_predicates(
     return None
 
 
-def solve_lia(formula, timeout: float = 30.0):
-    """Solve a LIA formula with a generous timeout; fail the test on UNKNOWN."""
-    result = LiaSolver(LiaConfig(timeout=timeout)).check(formula)
-    assert result.status is not LiaStatus.UNKNOWN, f"LIA solver gave up: {result.reason}"
-    return result
+def solve_parikh(formula, encodings, timeout: float = 30.0, lemmas: Optional[list] = None):
+    """Solve a formula over Parikh encodings the way the string solver does.
+
+    Every sat model is cut (``connectivity_cuts``) until each encoding in
+    ``encodings`` encodes a connected run, so a sat answer always carries
+    real runs; fails the test on UNKNOWN.  The cuts are appended to
+    ``lemmas`` when given.
+    """
+    solver = LiaSolver(LiaConfig(timeout=timeout))
+    solver.add_assertion(formula)
+    while True:
+        result = solver.check()
+        assert result.status is not LiaStatus.UNKNOWN, f"LIA solver gave up: {result.reason}"
+        if not result.is_sat:
+            return result
+        cuts = [cut for enc in encodings for cut in connectivity_cuts(enc, result.model)]
+        if not cuts:
+            for enc in encodings:
+                assert run_from_model(enc, result.model) is not None
+            return result
+        for cut in cuts:
+            solver.add_assertion(cut)
+        if lemmas is not None:
+            lemmas.extend(cuts)
 
 
 def _proc_stat(pid: int) -> Optional[Tuple[str, int, int]]:

@@ -5,7 +5,11 @@ from repro.core.notcontains import NotContainsEncoder, base_transition_counts, f
 from repro.core.predicates import NotContains
 from repro.core.single import encode_single
 from repro.core.predicates import Disequality
+from repro.core.witness import extract_assignment
+from repro.lia import conj
 from repro.lia.terms import ForAll
+
+from helpers import solve_parikh
 
 
 def test_find_failing_offset():
@@ -54,10 +58,27 @@ def test_instantiation_lemma_mentions_master_counts():
     encoder = NotContainsEncoder(predicate, automata)
     master = encode_single(Disequality(("x",), ("y",)), automata, prefix="m.")
     master_counts = base_transition_counts(master.parikh, master.info)
-    lemma = encoder.instantiation_lemma(0, master_counts, master.length_of)
+    lemma, inner = encoder.instantiation_lemma(0, master_counts, master.length_of)
     names = set(lemma.variables())
     assert any(name.startswith("m.") for name in names)  # linked to the master encoding
     assert any(name.startswith("nc0.") for name in names)  # fresh inner copy
+    assert inner.prefix == "nc0.0." and set(inner.transition_vars) <= names
+
+
+def test_instantiation_lemma_solves_with_connected_runs():
+    """Offset 0 of ``a`` inside ``(ab)*`` fails unless the haystack is too short."""
+    automata = {
+        "x": compile_regex("a", alphabet="ab"),
+        "y": compile_regex("(ab)*", alphabet="ab"),
+    }
+    encoder = NotContainsEncoder(NotContains(("x",), ("y",)), automata)
+    master = encode_single(Disequality(("x",), ("y",)), automata, prefix="m.")
+    master_counts = base_transition_counts(master.parikh, master.info)
+    lemma, inner = encoder.instantiation_lemma(0, master_counts, master.length_of)
+    result = solve_parikh(conj([master.formula, lemma]), [master.parikh, inner])
+    assert result.is_sat
+    strings = extract_assignment(master.parikh, result.model, ["x", "y"])
+    assert strings == {"x": "a", "y": ""}
 
 
 def test_quantified_formula_shape():

@@ -14,14 +14,14 @@ from repro.core.single import encode_single
 from repro.core.witness import extract_assignment
 from repro.lia import LinExpr, conj, eq
 
-from helpers import brute_force_predicates, solve_lia
+from helpers import brute_force_predicates, solve_parikh
 
 
 def check_single(predicate, automata, extra=None, integer_ranges=None, max_length=4):
     """Encode, solve, and cross-check a single predicate against brute force."""
     encoding = encode_single(predicate, automata)
     formula = encoding.formula if extra is None else conj([encoding.formula] + extra)
-    result = solve_lia(formula, timeout=60.0)
+    result = solve_parikh(formula, [encoding.parikh], timeout=60.0)
     oracle = brute_force_predicates([predicate], automata, max_length=max_length,
                                     integer_ranges=integer_ranges)
     if result.is_sat:
@@ -241,7 +241,7 @@ def test_random_disequality_agrees_with_bruteforce(rx, ry):
     automata = {"x": compile_regex(rx, alphabet="ab"), "y": compile_regex(ry, alphabet="ab")}
     predicate = Disequality(("x",), ("y",))
     encoding = encode_single(predicate, automata)
-    result = solve_lia(encoding.formula, timeout=60.0)
+    result = solve_parikh(encoding.formula, [encoding.parikh], timeout=60.0)
     oracle = brute_force_predicates([predicate], automata, max_length=4)
     if oracle is not None:
         assert result.is_sat

@@ -68,10 +68,10 @@ def test_encode_system_formula_polynomial_size():
 def test_encode_system_with_zero_mismatch_predicates_lengths_only():
     automata = {"x": compile_regex("(ab)*", alphabet="ab")}
     encoding = encode_system([LengthEquality("n", ("x",))], automata)
-    from helpers import solve_lia
+    from helpers import solve_parikh
     from repro.lia import ge
 
-    result = solve_lia(conj([encoding.formula, ge(var("n"), 4)]))
+    result = solve_parikh(conj([encoding.formula, ge(var("n"), 4)]), [encoding.parikh])
     assert result.is_sat
     assert result.model["n"] % 2 == 0
 
@@ -85,12 +85,12 @@ def test_encode_system_exposes_lengths():
 @pytest.mark.skip(reason="A^III end-to-end solving needs several minutes on the pure-Python LIA backend; run manually")
 def test_system_end_to_end_shared_variable():
     """A tiny shared-variable system solved through the A^III encoding."""
-    from helpers import solve_lia
+    from helpers import solve_parikh
 
     automata = small_automata()
     predicates = [Disequality(("x",), ("y",)), Disequality(("x",), ("z",))]
     encoding = encode_system(predicates, automata)
-    result = solve_lia(encoding.formula, timeout=600.0)
+    result = solve_parikh(encoding.formula, [encoding.parikh], timeout=600.0)
     assert result.is_sat
 
 
@@ -106,6 +106,6 @@ def test_single_and_system_agree_on_one_predicate_formula_semantics():
     assert isinstance(single.formula, And)
     assert isinstance(system.formula, And)
     # x and y are forced to "a": the single construction refutes the predicate.
-    from helpers import solve_lia
+    from helpers import solve_parikh
 
-    assert solve_lia(single.formula).is_unsat
+    assert solve_parikh(single.formula, [single.parikh]).is_unsat

@@ -7,7 +7,7 @@ from repro.core.tags import Tag, length_tag, position_tag, symbol_tag, symbol_of
 from repro.core.witness import assignment_from_run
 from repro.lia import eq, conj, ge, var
 
-from helpers import solve_lia
+from helpers import solve_parikh
 
 
 def test_tag_basics():
@@ -57,7 +57,7 @@ def test_parikh_formula_counts_lengths():
             eq(enc.tag_count(length_tag("y")), 3),
         ]
     )
-    result = solve_lia(formula)
+    result = solve_parikh(formula, [enc])
     assert result.is_sat
     run = parikh.run_from_model(enc, result.model)
     assert run is not None
@@ -72,7 +72,7 @@ def test_parikh_formula_rejects_impossible_lengths():
     enc = parikh.encode(combined)
     # (ab)* has no word of odd length.
     formula = conj([enc.formula, eq(enc.tag_count(length_tag("x")), 3)])
-    result = solve_lia(formula)
+    result = solve_parikh(formula, [enc])
     assert result.is_unsat
 
 
@@ -81,7 +81,7 @@ def test_parikh_formula_empty_word_run():
     combined, _ = concat_for_variables(automata, ["x"])
     enc = parikh.encode(combined)
     formula = conj([enc.formula, eq(enc.tag_count(length_tag("x")), 0)])
-    result = solve_lia(formula)
+    result = solve_parikh(formula, [enc])
     assert result.is_sat
     run = parikh.run_from_model(enc, result.model)
     assert run == []  # empty run: x is the empty word
@@ -99,7 +99,7 @@ def test_parikh_formula_symbol_counts():
             eq(enc.tag_count(symbol_tag("b")), 1),
         ]
     )
-    result = solve_lia(formula)
+    result = solve_parikh(formula, [enc])
     assert result.is_sat
     run = parikh.run_from_model(enc, result.model)
     word = assignment_from_run(run)["x"]

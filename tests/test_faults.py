@@ -19,6 +19,7 @@ import pytest
 
 from repro import (
     Budget,
+    Contains,
     LengthConstraint,
     RegexMembership,
     Session,
@@ -462,3 +463,34 @@ def test_theory_faults_reach_the_lia_layer():
         session.check(budget=Budget(30.0, hook=injector))
         fired += injector.specs[0].fired
     assert fired > 0
+
+
+def _nc_chain_atoms():
+    """x2 ∌ x1 ∌ x0 over ``a*`` with |x0| ≥ 2: MBQI lemmas whose inner
+    Parikh copies need connectivity cuts (sat: x0 = aa, x1 = x2 = a)."""
+    atoms = [RegexMembership(name, "a*", positive=True) for name in ("x0", "x1", "x2")]
+    atoms += [
+        Contains(term("x1"), term("x0"), positive=False),
+        Contains(term("x2"), term("x1"), positive=False),
+        LengthConstraint(ge(str_len("x0"), 2)),
+    ]
+    return atoms
+
+
+@pytest.mark.parametrize("action", ["raise", "exhaust", "interrupt"])
+def test_fault_in_connectivity_round_leaves_session_reusable(action):
+    atoms = _nc_chain_atoms()
+    session = Session(config=_config(), alphabet=("a", "b"))
+    for atom in atoms:
+        session.add(atom)
+    injector = FaultInjector([FaultSpec("parikh.connect", at=1, action=action)])
+    try:
+        faulted = session.check(budget=Budget(30.0, hook=injector))
+    except KeyboardInterrupt:
+        faulted = None
+    assert injector.specs[0].fired == 1
+    if faulted is not None:
+        assert faulted.status in (Status.UNKNOWN, Status.TIMEOUT)
+    result = session.check()
+    assert result.status is Status.SAT is _fresh_verdict(atoms)
+    assert result.stats["connectivity_lemmas"] > 0

@@ -287,18 +287,17 @@ class _SyncAudit:
     persistent simplex must hold exactly the bound values of a fresh
     ``Simplex`` asserted with the current true atoms, its verdict must be
     that of ``check_rational_feasibility`` over them, and every conflict
-    returned must be infeasible on a fresh simplex (rationally, or over the
-    integers for the parity pruning of integer-sensitive instances).  A
-    rational conflict must moreover be the simplex's own, and irreducible.
+    returned must be the simplex's own, rationally infeasible on a fresh
+    simplex, and irreducible (partial checks are rational only).
     """
 
     def __init__(self, context):
         self.context = context
         self.partial_checks = 0
         self.conflicts = 0
-        self.int_prune_checks = 0
-        #: partial checks that reached the parity pass (rationally feasible)
-        self.parity_candidates = 0
+        #: partial checks after an integer-infeasible complete assignment
+        #: flipped the decision phase
+        self.negative_phase_checks = 0
         self.last = None
         callback, theory_check = context._theory_callback, context.theory.check
 
@@ -318,15 +317,11 @@ class _SyncAudit:
         context._theory_callback = audited
 
     def _audit(self, atoms, clause):
-        from repro.lia.intsolver import (
-            ResourceLimit,
-            check_integer_feasibility,
-            check_rational_feasibility,
-        )
+        from repro.lia.intsolver import check_rational_feasibility
 
         context, theory = self.context, self.context.theory
         self.partial_checks += 1
-        self.int_prune_checks += context._int_prune
+        self.negative_phase_checks += context.sat.negative_atom_phase
         fresh = Simplex()
         fresh_name = {}
         for atom in sorted(atoms):
@@ -342,26 +337,19 @@ class _SyncAudit:
                 assert got == (None, None), name
         constraints = [context._atom_constraint[atom] for atom in sorted(atoms)]
         assert self.last.feasible == check_rational_feasibility(constraints).feasible
-        self.parity_candidates += context._int_prune and self.last.feasible
         if clause is None:
             return
         self.conflicts += 1
         core = context.sat.pending_conflict_participants or {-lit for lit in clause}
         core_constraints = [context._atom_constraint[atom] for atom in sorted(core)]
-        if not self.last.feasible:
-            # The simplex conflict goes into the clause as it comes, and is
-            # irreducible: infeasible, yet feasible without any one atom.
-            assert set(core) == self.last.conflict
-            assert not check_rational_feasibility(core_constraints).feasible
-            for dropped in core:
-                rest = [context._atom_constraint[atom] for atom in sorted(core) if atom != dropped]
-                assert check_rational_feasibility(rest).feasible, (sorted(core), dropped)
-            return
-        try:
-            outcome = check_integer_feasibility(core_constraints, max_nodes=200)
-        except ResourceLimit:
-            return
-        assert not outcome.feasible
+        # The simplex conflict goes into the clause as it comes, and is
+        # irreducible: infeasible, yet feasible without any one atom.
+        assert not self.last.feasible
+        assert set(core) == self.last.conflict
+        assert not check_rational_feasibility(core_constraints).feasible
+        for dropped in core:
+            rest = [context._atom_constraint[atom] for atom in sorted(core) if atom != dropped]
+            assert check_rational_feasibility(rest).feasible, (sorted(core), dropped)
 
 
 def _random_formula(rng, names, clauses):
@@ -444,28 +432,20 @@ def test_trail_sync_matches_fresh_theory_under_assumptions():
     assert sum(audit.conflicts for audit in audits) > 0
 
 
-def test_trail_sync_on_integer_sensitive_core(monkeypatch):
+def test_trail_sync_on_integer_sensitive_core():
     # The mod-3 core is rationally feasible and integer infeasible: the
-    # first complete assignment turns on the partial parity pruning, whose
-    # conflicts are integer (not rational) refutations.
+    # first complete assignment fails the final integer check and flips the
+    # decision phase (with a restart); the trail-synced partial checks must
+    # stay exact through both.
     from test_lia_cuts import _COMM_MOD3_CORE
-    from repro.lia import solver as solver_module
     from repro.lia.terms import Eq, Le
-
-    passes = []
-    parity_pass = solver_module._eliminate_equalities_over_z
-    monkeypatch.setattr(
-        solver_module,
-        "_eliminate_equalities_over_z",
-        lambda constraints: passes.append(len(constraints)) or parity_pass(constraints),
-    )
 
     atoms = [
         (Le if relation == "<=" else Eq)(LinExpr(coeffs, const))
         for coeffs, const, relation in _COMM_MOD3_CORE
     ]
     # Each choice keeps the core intact; the disjunctions only give the
-    # search decisions to make after the pruning switches on.
+    # search decisions to make after the phase flips.
     choices = [disj([atom, ge(var(f"c{k}"), 1)]) for k, atom in enumerate(atoms)]
     choices += [disj([le(var(f"c{k}"), 0), ge(var(f"c{k}"), 3)]) for k in range(len(atoms))]
     solver = LiaSolver(LiaConfig(branch_and_bound_nodes=200))
@@ -476,6 +456,4 @@ def test_trail_sync_on_integer_sensitive_core(monkeypatch):
     assert solver.check().status is LiaStatus.UNSAT
     solver.pop()
     assert solver.check().status is LiaStatus.SAT
-    assert audit.int_prune_checks > 0
-    # A backjump adds no atom: the parity pass reruns only on new ones.
-    assert 0 < len(passes) < audit.parity_candidates
+    assert audit.negative_phase_checks > 0

@@ -9,6 +9,9 @@
 * ``position-hard-rep-1`` is the soundness case of the substitution-
   provenance fix: the seed answered ``unsat`` although the instance is
   satisfiable.  It must stay SAT with a verifying model.
+
+All three must get there without a branch-and-bound give-up
+(``bb_give_ups`` in the result stats).
 """
 
 import pytest
@@ -33,6 +36,10 @@ def test_commuting_disequalities_are_refuted(name):
         f"{name} must be refuted by the cutting-plane integer core, "
         f"got {result.status} ({result.reason})"
     )
+    # No branch-and-bound give-up on the way: without the Parikh cycle-
+    # support literals the final integer checks dive into mod-3 polyhedra
+    # until ResourceLimit.
+    assert result.stats["bb_give_ups"] == 0
 
 
 def test_repetition_disequality_rep1_stays_sound():
@@ -40,6 +47,7 @@ def test_repetition_disequality_rep1_stays_sound():
     result = PositionSolver(SolverConfig(timeout=25.0)).check(problem)
     assert result.status is Status.SAT
     assert eval_problem(problem, result.model.strings, result.model.integers)
+    assert result.stats["bb_give_ups"] == 0
 
 
 def test_satisfiable_commuting_disequalities_still_sat():
