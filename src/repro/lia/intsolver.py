@@ -5,9 +5,12 @@ is then enforced by a genuine **branch-and-cut** search, mirroring Z3's
 "Simplex extended with a branch-and-cut strategy" mentioned in §8 of the
 paper.  The pipeline per :func:`check_integer_feasibility` call:
 
-1. **Presolve** (:func:`_eliminate_equalities_over_z`): integer-preserving
-   equality elimination, bound propagation and gcd tightening.  Divisibility
-   conflicts surfaced here are refuted without touching the simplex.
+1. **Presolve** (:func:`_reduce_over_z`): equality elimination over ℤ by
+   the presolve's own loop (:func:`repro.lia.simplify.eliminate`: gcd
+   normalisation, unit pivots, provenance tags), gcd tightening of the
+   inequalities and equalities implied by bound pairs, to a fixpoint.
+   Divisibility conflicts surfaced here are refuted without touching the
+   simplex.
 2. **Omega pre-pass** (:func:`_omega_check`): when the reduced system is
    small, a Pugh-style Omega-test elimination runs first — Fourier–Motzkin
    projection with gcd tightening of every derived inequality (the
@@ -39,19 +42,20 @@ Every derived fact carries provenance: cut tags are frozenset unions of the
 tags of the bounds used in their derivation, Omega projections union the
 tags of the combined rows, and substitution descendants union their source
 equality's tags — so a conflict core reported from any layer names exactly
-the original caller constraints that produced it (see ``_eliminate_pass``
-for why anything less is unsound).
+the original caller constraints that produced it (see
+:func:`repro.lia.simplify.eliminate` for why anything less is unsound).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..budget import Budget, checkpoint
 from .simplex import Constraint, Simplex, SimplexResult
+from .simplify import _gcd, complete_model, eliminate
+from .terms import Eq, Formula, Le, LinExpr
 
 
 class ResourceLimit(Exception):
@@ -69,11 +73,11 @@ class IntResult:
     pivots: int = 0
 
 
-def _gcd(values) -> int:
-    result = 0
-    for value in values:
-        result = gcd(result, abs(int(value)))
-    return result
+def _tagset(tag) -> frozenset:
+    """A constraint's tag as a frozenset of original caller tags."""
+    if isinstance(tag, frozenset):
+        return tag
+    return frozenset() if tag is None else frozenset((tag,))
 
 
 def _flatten_tags(tags) -> Set[object]:
@@ -87,130 +91,16 @@ def _flatten_tags(tags) -> Set[object]:
     return out
 
 
-def _eliminate_pass(
-    constraints: Sequence[Constraint],
-) -> Tuple[Optional[List[Constraint]], List[Tuple[str, "LinExpr"]], Set[object]]:
-    """One pass of integer-preserving elimination of equality constraints.
-
-    Repeatedly takes an equality ``Σ c_i x_i + c = 0``:
-
-    * if ``gcd(c_i)`` does not divide ``c`` the system has no integer
-      solution (returns ``None`` plus the conflicting tags) — this is what
-      catches parity-style conflicts that pure branch-and-bound diverges on,
-    * if some coefficient is ±1 the variable is solved for and substituted
-      (recorded so models can be completed afterwards),
-    * otherwise the (gcd-normalised) equality is kept for the simplex.
-
-    Constraint tags here are *frozensets* of original caller tags: whenever a
-    definition derived from equality ``E`` is substituted into a constraint
-    ``C``, the tags of ``E`` are merged into ``C`` so that any later conflict
-    on (a descendant of) ``C`` reports every constraint that produced it —
-    reporting only ``C``'s own tag would yield an unsound conflict core (and,
-    one level up, an over-strong learned theory clause).
-
-    Returns ``(remaining constraints, eliminated definitions, conflict tags)``.
-    """
-    from .terms import LinExpr
-
-    remaining: List[Constraint] = []
-    equalities: List[Constraint] = []
-    for constraint in constraints:
-        (equalities if constraint.relation == "==" else remaining).append(constraint)
-
-    eliminated: List[Tuple[str, LinExpr]] = []
-    kept_equalities: List[Constraint] = []
-    while equalities:
-        # Substitution can grow the remaining expressions, so the
-        # elimination chain itself must stay under the ambient budget
-        # (the PR-6 presolve stall was exactly this shape).
-        checkpoint("lia.eliminate")
-        constraint = equalities.pop()
-        expr = constraint.expr
-        if not expr.coeffs:
-            if expr.const != 0:
-                return None, eliminated, constraint.tag
-            continue
-        g = _gcd(expr.coeffs.values())
-        if g > 1:
-            if expr.const % g != 0:
-                return None, eliminated, constraint.tag
-            expr = LinExpr({k: v // g for k, v in expr.coeffs.items()}, expr.const // g)
-        pivot = None
-        for name, coeff in expr.coeffs.items():
-            if coeff in (1, -1):
-                pivot = (name, coeff)
-                break
-        if pivot is None:
-            kept_equalities.append(Constraint(expr, "==", constraint.tag))
-            continue
-        name, coeff = pivot
-        rest = LinExpr({k: v for k, v in expr.coeffs.items() if k != name}, expr.const)
-        definition = rest * (-1) if coeff == 1 else rest
-        eliminated.append((name, definition))
-        mapping = {name: definition}
-        source_tags = constraint.tag
-
-        def substitute_all(items: List[Constraint]) -> List[Constraint]:
-            updated = []
-            for item in items:
-                if name not in item.expr.coeffs:
-                    updated.append(item)
-                    continue
-                new_expr = item.expr.substitute(mapping)
-                updated.append(Constraint(new_expr, item.relation, item.tag | source_tags))
-            return updated
-
-        equalities = substitute_all(equalities)
-        remaining = substitute_all(remaining)
-        kept_equalities = substitute_all(kept_equalities)
-        eliminated = [
-            (v, d.substitute(mapping) if name in d.coeffs else d) for v, d in eliminated[:-1]
-        ] + [eliminated[-1]]
-
-    # Re-check divisibility of the equalities that survived (substitutions may
-    # have turned them into parity conflicts), decide constant atoms, and
-    # *tighten* inequalities by gcd rounding: over the integers
-    # ``Σ c_i x_i ≤ b`` is equivalent to ``Σ (c_i/g) x_i ≤ ⌊b/g⌋``.  This
-    # rounding is what lets the rational simplex refute parity conflicts such
-    # as ``2x − 2y ≤ −1 ∧ 2y − 2x ≤ 0`` that branch-and-bound diverges on.
-    final: List[Constraint] = []
-    for constraint in remaining + kept_equalities:
-        expr = constraint.expr
-        if not expr.coeffs:
-            holds = expr.const <= 0 if constraint.relation == "<=" else (
-                expr.const >= 0 if constraint.relation == ">=" else expr.const == 0
-            )
-            if not holds:
-                return None, eliminated, constraint.tag
-            continue
-        if constraint.relation == "==":
-            g = _gcd(expr.coeffs.values())
-            if g > 1 and expr.const % g != 0:
-                return None, eliminated, constraint.tag
-            final.append(constraint)
-            continue
-        # Normalise to "expr <= 0" form and gcd-tighten.
-        if constraint.relation == ">=":
-            expr = expr * -1
-        coeffs, const = _tighten(expr.coeffs, expr.const)
-        if coeffs is not expr.coeffs:
-            expr = LinExpr(coeffs, const)
-        final.append(Constraint(expr, "<=", constraint.tag))
-    return final, eliminated, set()
-
-
 def _implied_equalities(constraints: Sequence[Constraint]) -> Tuple[Optional[List[Constraint]], Set[object]]:
     """Derive equalities implied by pairs of inequalities.
 
     Two sources are recognised: a variable whose lower and upper bounds
     coincide, and a pair ``e ≤ 0`` / ``−e ≤ 0``.  Such hidden equalities are
-    what makes divisibility conflicts visible to :func:`_eliminate_pass`
-    (e.g. a γ-variable forced to 1 by two inequalities, turning
+    what makes divisibility conflicts visible to the elimination (e.g. a
+    γ-variable forced to 1 by two inequalities, turning
     ``3x − 3y + 2γ = 0`` into a mod-3 conflict).  Returns ``None`` when the
     bounds themselves are contradictory.
     """
-    from .terms import LinExpr
-
     lower: Dict[str, Tuple[int, frozenset]] = {}
     upper: Dict[str, Tuple[int, frozenset]] = {}
     seen_forms: Dict[Tuple, Constraint] = {}
@@ -260,47 +150,64 @@ def _implied_equalities(constraints: Sequence[Constraint]) -> Tuple[Optional[Lis
     return implied, set()
 
 
-def _eliminate_equalities_over_z(
+def _reduce_over_z(
     constraints: Sequence[Constraint],
-) -> Tuple[Optional[List[Constraint]], List[Tuple[str, "LinExpr"]], Set[object]]:
-    """Fixpoint of equality elimination, bound propagation and gcd tightening.
+) -> Tuple[Optional[List[Constraint]], List[Tuple[str, LinExpr]], frozenset]:
+    """Fixpoint of equality elimination, gcd tightening and implied equalities.
 
-    Tags are normalised to frozensets of original caller tags on entry so
-    that substitution provenance can be tracked (see :func:`_eliminate_pass`);
-    the reduced constraints keep frozenset tags and callers flatten conflict
-    sets with :func:`_flatten_tags`.
+    Each round runs :func:`repro.lia.simplify.eliminate` with provenance
+    tags (frozensets of original caller tags; callers flatten conflict sets
+    with :func:`_flatten_tags`), decides constant rows and *tightens*
+    inequalities by gcd rounding: over the integers ``Σ c_i x_i ≤ b`` is
+    equivalent to ``Σ (c_i/g) x_i ≤ ⌊b/g⌋``.  This rounding is what lets
+    the rational simplex refute parity conflicts such as
+    ``2x − 2y ≤ −1 ∧ 2y − 2x ≤ 0`` that branch-and-bound diverges on.  The
+    equalities :func:`_implied_equalities` finds feed the next round.
+
+    Returns ``(reduced constraints or None, eliminated definitions,
+    conflict tags)``; the reduced system lists inequalities (as ``<=``)
+    before the equalities that kept no unit coefficient.
     """
-    current = [
-        Constraint(
-            c.expr,
-            c.relation,
-            c.tag
-            if isinstance(c.tag, frozenset)
-            else (frozenset() if c.tag is None else frozenset([c.tag])),
-        )
-        for c in constraints
-    ]
-    eliminated_all: List[Tuple[str, "LinExpr"]] = []
+    current = list(constraints)
+    eliminated_all: List[Tuple[str, LinExpr]] = []
     for _round in range(6):
-        reduced, eliminated, conflict = _eliminate_pass(current)
+        rows: List[Optional[Formula]] = [
+            Eq(c.expr) if c.relation == "==" else Le(c.expr if c.relation == "<=" else c.expr * -1)
+            for c in current
+        ]
+        tags = [_tagset(c.tag) for c in current]
+        eliminated, conflict = eliminate(rows, tags)
         eliminated_all.extend(eliminated)
-        if reduced is None:
+        if conflict is not None:
             return None, eliminated_all, conflict
+        reduced: List[Constraint] = []
+        equalities: List[Constraint] = []
+        for row, tag in zip(rows, tags):
+            if row is None:
+                continue
+            expr = row.expr
+            if not expr.coeffs:
+                holds = expr.const == 0 if isinstance(row, Eq) else expr.const <= 0
+                if not holds:
+                    return None, eliminated_all, tag
+                continue
+            if isinstance(row, Eq):
+                equalities.append(Constraint(expr, "==", tag))
+                continue
+            coeffs, const = _tighten(expr.coeffs, expr.const)
+            if coeffs is not expr.coeffs:
+                expr = LinExpr(coeffs, const)
+            reduced.append(Constraint(expr, "<=", tag))
+        reduced += equalities
         implied, bound_conflict = _implied_equalities(reduced)
         if implied is None:
             return None, eliminated_all, bound_conflict
-        new_equalities = [c for c in implied if not _already_present(reduced, c)]
+        present = {c.expr for c in equalities}
+        new_equalities = [c for c in implied if c.expr not in present]
         if not new_equalities:
-            return reduced, eliminated_all, set()
+            break
         current = reduced + new_equalities
-    return reduced, eliminated_all, set()
-
-
-def _already_present(constraints: Sequence[Constraint], candidate: Constraint) -> bool:
-    for constraint in constraints:
-        if constraint.relation == candidate.relation and constraint.expr == candidate.expr:
-            return True
-    return False
+    return reduced, eliminated_all, frozenset()
 
 
 def _tighten(coeffs: Dict[str, int], const: int) -> Tuple[Dict[str, int], int]:
@@ -364,9 +271,7 @@ def _omega_check(
             return None, None
         coeffs = {name: int(coeff) for name, coeff in expr.coeffs.items()}
         const = int(expr.const)
-        tags = constraint.tag if isinstance(constraint.tag, frozenset) else (
-            frozenset() if constraint.tag is None else frozenset([constraint.tag])
-        )
+        tags = _tagset(constraint.tag)
         sides = {"<=": (1,), ">=": (-1,), "==": (1, -1)}[constraint.relation]
         for sign in sides:
             conflict = add_row(
@@ -511,23 +416,13 @@ def check_integer_feasibility(
     from ``ResourceLimit``, which callers treat as a recoverable
     per-assignment event).
     """
-    original_constraints = list(constraints)
-    reduced, eliminated_defs, conflict_tags = _eliminate_equalities_over_z(original_constraints)
+    reduced, eliminated, conflict_tags = _reduce_over_z(constraints)
     if reduced is None:
         tags = _flatten_tags(conflict_tags)
         if not tags:
-            tags = {c.tag for c in original_constraints if c.tag is not None}
+            tags = {c.tag for c in constraints if c.tag is not None}
         return IntResult(False, conflict=tags)
     constraints = reduced
-
-    def finish_model(model: Dict[str, int]) -> Dict[str, int]:
-        completed = dict(model)
-        for name, definition in reversed(eliminated_defs):
-            value = definition.const
-            for other, coeff in definition.coeffs.items():
-                value += coeff * completed.get(other, 0)
-            completed[name] = int(value)
-        return completed
 
     if omega and integer_vars is None:
         verdict, payload = _omega_check(constraints)
@@ -539,7 +434,7 @@ def check_integer_feasibility(
             # branch-and-cut otherwise keeps the solver sound either way).
             model = dict(payload)
             if all(_satisfied(constraint, model) for constraint in constraints):
-                return IntResult(True, model=finish_model(model))
+                return IntResult(True, model=complete_model(model, eliminated))
 
     nodes_used = 0
     cuts_used = 0
@@ -605,12 +500,10 @@ def check_integer_feasibility(
                 if name.startswith("__s") or name in model:
                     continue
                 model[name] = int(value) if value.denominator == 1 else int(value.__floor__())
-            return IntResult(True, model=finish_model(model))
+            return IntResult(True, model=complete_model(model, eliminated))
 
         value = relaxation.model[branch_var]
         floor_value = value.__floor__()
-        from .terms import LinExpr
-
         below = Constraint(LinExpr({branch_var: 1}, -floor_value), "<=", tag=None)
         above = Constraint(LinExpr({branch_var: 1}, -(floor_value + 1)), ">=", tag=None)
 

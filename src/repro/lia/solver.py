@@ -37,7 +37,11 @@ fresh context per call, so existing callers keep their exact semantics.
 Pipeline per assertion: :func:`repro.lia.simplify.eliminate_equalities`
 (presolve) → :func:`repro.lia.nnf.to_nnf` → :class:`CnfBuilder` →
 :class:`DpllSolver` with the rational-simplex / branch-and-bound theory hook
-(:mod:`repro.lia.intsolver`).  All variables are interpreted over the
+(:mod:`repro.lia.intsolver`).  The presolve and the final integer check
+eliminate equalities with one loop, :func:`repro.lia.simplify.eliminate`.
+Theory conflict cores go into learned clauses as they come: partial-check
+cores are irreducible simplex explanations, and a final-check core is a
+(possibly non-minimal) refutation.  All variables are interpreted over the
 integers.  Results are reported as :class:`LiaStatus` (``SAT`` / ``UNSAT`` /
 ``UNKNOWN``); the model accompanying a ``SAT`` verdict assigns an integer to
 every free variable of the asserted formulae.
@@ -54,6 +58,8 @@ from .cnf import CnfBuilder
 from .intsolver import (
     ResourceLimit,
     check_integer_feasibility,
+    # Unused here since conflict cores are no longer minimised; kept as the
+    # target of the ``lia.core_min`` probe of ``perfbench/layers.py``.
     check_rational_feasibility,
 )
 from .nnf import to_nnf
@@ -143,10 +149,9 @@ class LiaConfig:
 
 
 #: ``check_integer_feasibility`` cut budgets: Gomory rounds per node, total
-#: cuts per call and the Omega pre-pass — for the final integer check, for
-#: the cheaper core-minimisation tests, and with ``LiaConfig.cuts`` off
+#: cuts per call and the Omega pre-pass — for the final integer check, and
+#: with ``LiaConfig.cuts`` off
 _CUTS = {"cut_rounds": 10, "max_cuts": 200, "omega": True}
-_CORE_CUTS = {"cut_rounds": 10, "max_cuts": 64, "omega": True}
 _NO_CUTS = {"cut_rounds": 0, "max_cuts": 0, "omega": False}
 
 
@@ -187,7 +192,6 @@ class _Context:
         self._theory_scopes: List[int] = []
         self._synced_end = 0
         self._cuts = _CUTS if config.cuts else _NO_CUTS
-        self._core_cuts = _CORE_CUTS if config.cuts else _NO_CUTS
         #: atom boolean variable -> (simplex variable, relation, bound)
         self._atom_handle: Dict[int, Tuple[str, str, object]] = {}
         #: atom boolean variable -> reusable Constraint (for integer checks)
@@ -257,51 +261,52 @@ class _Context:
         return formula
 
     def _flush(self) -> None:
-        """Encode the pending assertions of the current level."""
+        """Encode the pending assertions of the current level.
+
+        The presolve checkpoints against the ambient budget and the encoding
+        may be interrupted, so nothing of the level changes until both are
+        behind us: an aborted flush leaves the level as if it never ran.
+        The clauses and atoms the encoder made by then are only definitions
+        of unasserted literals.
+        """
         if not self.pending:
             return
         level = self.levels[-1]
-        batch_vars: Set[str] = set()
+        batch_vars: Dict[str, None] = {}
         for formula in self.pending:
-            for name in formula.variables():
-                batch_vars.add(name)
-                if name not in self._var_set:
-                    self._var_set.add(name)
-                    self._var_list.append(name)
+            batch_vars.update(dict.fromkeys(formula.variables()))
         combined = conj([self._apply_subst(formula) for formula in self.pending])
-
+        eliminated: List[Tuple[str, LinExpr]] = []
         if not isinstance(combined, BoolConst):
-            # The elimination loop checkpoints against the ambient budget and
-            # may abort; keep the flush transactional by clearing the pending
-            # queue only once the fallible presolve work is behind us.
             combined, eliminated = eliminate_equalities(
                 combined, protected=self._encoded_vars
             )
-            self.eliminated.extend(eliminated)
+        nnf, unsupported, root = combined, "", None
+        if not isinstance(combined, BoolConst):
+            try:
+                nnf = to_nnf(combined)
+            except TypeError as error:
+                unsupported = f"unsupported formula: {error}"
+        if not unsupported and not isinstance(nnf, BoolConst):
+            root = self.cnf.add_formula(nnf)
+            self._sync_sat()
+
         self.pending.clear()
-
-        if isinstance(combined, BoolConst):
-            if not combined.value:
-                level.false = True
-                level.false_vars = level.false_vars | batch_vars
-            return
-
-        try:
-            nnf = to_nnf(combined)
-        except TypeError as error:
-            level.unsupported = f"unsupported formula: {error}"
-            return
-        if isinstance(nnf, BoolConst):
+        self.eliminated.extend(eliminated)
+        for name in batch_vars:
+            if name not in self._var_set:
+                self._var_set.add(name)
+                self._var_list.append(name)
+        if unsupported:
+            level.unsupported = unsupported
+        elif isinstance(nnf, BoolConst):
             if not nnf.value:
                 level.false = True
-                level.false_vars = level.false_vars | batch_vars
-            return
-
-        self._encoded_vars.update(combined.variables())
-        root = self.cnf.add_formula(nnf)
-        self._sync_sat()
-        if root is not None and self.sat.add_clause((root,)):
-            level.units.append(root)
+                level.false_vars = level.false_vars | frozenset(batch_vars)
+        else:
+            self._encoded_vars.update(combined.variables())
+            if root is not None and self.sat.add_clause((root,)):
+                level.units.append(root)
 
     def _sync_sat(self) -> None:
         """Hand new clauses and atoms over to the SAT engine and the theory."""
@@ -372,11 +377,11 @@ class _Context:
             result = self.theory.check(want_model=False)
             if result.feasible:
                 return None
-            # A simplex conflict is irreducible already (see _minimize_core);
-            # only the fallback to every true atom needs shrinking.
+            # A simplex conflict is irreducible: a row explanation becomes
+            # feasible without any one of its bounds.
             conflict_vars = {tag for tag in result.conflict if isinstance(tag, int)}
             if not conflict_vars:
-                conflict_vars = self._minimize_core(set(true_atoms))
+                conflict_vars = set(true_atoms)
             self._conflict_participants |= conflict_vars
             self.sat.pending_conflict_participants = frozenset(conflict_vars)
             conflict_vars = self._strengthen_core(conflict_vars)
@@ -420,7 +425,8 @@ class _Context:
             # No true atoms at all yet the theory failed — cannot happen,
             # but guard against an empty (always-false) clause.
             return tuple()
-        conflict_vars = self._minimize_core(conflict_vars)
+        # The core goes into the learned clause as it comes: a superset of a
+        # refutation still refutes.
         self._conflict_participants |= conflict_vars
         self.sat.pending_conflict_participants = frozenset(conflict_vars)
         conflict_vars = self._strengthen_core(conflict_vars)
@@ -454,154 +460,6 @@ class _Context:
             key = tuple(sorted(-var for var in strengthened))
             self.levels[-1].strengthened.append(key)
         return strengthened
-
-    def _restrict_to_component(self, core: Set[int], scratch: Simplex) -> Set[int]:
-        """Restrict a conflict core to one variable-connected component.
-
-        A conjunction of constraint systems over disjoint variables is
-        infeasible iff one of the systems is, so a core spanning several
-        components carries pure noise (this happens when the elimination
-        pre-pass unions tags across the whole assignment, or when a core is
-        too large for deletion minimisation).  Each component is tested for
-        infeasibility on its own — rationally first, then with a tightly
-        budgeted branch-and-cut — and the first refuted one replaces the
-        core.  When no component can be refuted within the budget the full
-        core is kept (conservative, still sound).
-        """
-        atoms = sorted(core)
-        component_of: Dict[str, int] = {}
-        components: Dict[int, List[int]] = {}
-        for atom in atoms:
-            names = list(self._atom_constraint[atom].expr.coeffs)
-            targets = sorted({component_of[n] for n in names if n in component_of})
-            if not targets:
-                component = atom
-                components[component] = []
-            else:
-                component = targets[0]
-                for other in targets[1:]:
-                    for moved in components.pop(other):
-                        components[component].append(moved)
-                    for name, where in list(component_of.items()):
-                        if where == other:
-                            component_of[name] = component
-            components[component].append(atom)
-            for name in names:
-                component_of[name] = component
-        if len(components) <= 1:
-            return core
-        for key in sorted(components):
-            member_atoms = components[key]
-            constraints = [self._atom_constraint[a] for a in member_atoms]
-            outcome = check_rational_feasibility(constraints, scratch)
-            if not outcome.feasible:
-                return set(member_atoms)
-            if len(member_atoms) > 48:
-                continue
-            try:
-                integral = check_integer_feasibility(
-                    constraints,
-                    max_nodes=60,
-                    budget=self._budget,
-                    **self._core_cuts,
-                )
-            except ResourceLimit:
-                continue
-            if not integral.feasible:
-                return set(member_atoms)
-        return core
-
-    def _minimize_core(self, core: Set[int]) -> Set[int]:
-        """Greedily shrink a conflict core by deletion testing.
-
-        A learned theory clause is exponentially more useful the fewer
-        literals it has.  Simplex conflicts need no shrinking: a row
-        explanation (the violated basic variable's bound plus the blocking
-        bound of each non-basic in its row) is irreducible, since without
-        any one of those bounds its non-basic could move to repair the row,
-        and a crossed-bound conflict is a pair.  The final integer check's
-        cores and the every-true-atom fallback are not, and come here.  The
-        core is first restricted to one variable-connected component; each
-        remaining candidate atom is then
-        dropped when the rest is still rationally infeasible; integer-only
-        cores pass through unchanged (every rational test is feasible, so
-        nothing is dropped).  The rational tests of one conflict share a
-        scratch simplex: each runs in its own scope, so the rows are
-        prepared once and the basis stays warm.  The result is always a
-        subset of ``core`` and still jointly infeasible, so the learned
-        clause stays sound.
-        """
-        if len(core) <= 2:
-            return core
-        scratch = Simplex()
-        core = self._restrict_to_component(core, scratch)
-        if len(core) <= 2 or len(core) > 64:
-            return core
-        atoms = sorted(core)
-        refutation = check_rational_feasibility(
-            [self._atom_constraint[var] for var in atoms], scratch
-        )
-        if not refutation.feasible:
-            # Rationally refutable: the refutation's own conflict narrows the
-            # core for free; greedy deletion tests then polish, re-using each
-            # failed test's conflict to jump over several atoms at once.  The
-            # test budget keeps minimisation from dominating easy instances.
-            narrowed = {tag for tag in refutation.conflict if isinstance(tag, int)}
-            if narrowed and len(narrowed) < len(atoms):
-                atoms = sorted(narrowed)
-
-            def rational_test(rest):
-                outcome = check_rational_feasibility(rest, scratch)
-                return None if outcome.feasible else outcome.conflict
-
-            return self._deletion_filter(atoms, rational_test, budget=12)
-        # Integer-only conflict (divisibility/parity): deletion-test with a
-        # tightly budgeted branch-and-cut check — Gomory cuts refute these
-        # cores in a handful of pivots where plain branch-and-bound
-        # deletion tests diverge.  A subset the budget cannot refute keeps
-        # its atom (conservative), so the result stays a sound core.
-        if len(atoms) > 24:
-            return set(atoms)
-
-        def integer_test(rest):
-            try:
-                outcome = check_integer_feasibility(
-                    rest,
-                    max_nodes=50,
-                    budget=self._budget,
-                    **self._core_cuts,
-                )
-            except ResourceLimit:
-                return None  # budget exhausted: conservatively keep the atom
-            return None if outcome.feasible else (outcome.conflict or set())
-
-        return self._deletion_filter(atoms, integer_test, budget=16)
-
-    def _deletion_filter(self, atoms: List[int], test, budget: int) -> Set[int]:
-        """Greedy deletion testing shared by both core-minimisation modes.
-
-        ``test`` receives the constraints of a candidate subset and returns
-        ``None`` when it cannot refute them (the dropped atom is kept) or a
-        conflict tag set, which — when strictly smaller — re-narrows the
-        whole core at once.
-        """
-        position = 0
-        # repro: allow(checkpoint-coverage): iterations are capped by the shrink budget parameter, and every test() call is a fully checkpointed theory check
-        while position < len(atoms) and budget > 0 and len(atoms) > 2:
-            var = atoms[position]
-            rest = [self._atom_constraint[other] for other in atoms if other != var]
-            budget -= 1
-            conflict = test(rest)
-            if conflict is None:
-                position += 1
-                continue
-            shrunk = {tag for tag in conflict if isinstance(tag, int)}
-            if shrunk and len(shrunk) < len(atoms) - 1:
-                atoms = sorted(shrunk)
-                position = 0
-            else:
-                atoms.remove(var)
-        return set(atoms)
 
     # ------------------------------------------------------------------
     # Checking

@@ -173,16 +173,19 @@ def test_checkpoint_scope_is_engine_packages_only():
 
 def test_reintroducing_unchecked_intsolver_loop_trips_analyzer():
     # The acceptance regression: strip the real elimination loop's
-    # checkpoint and the analyzer must fail on the modified module.
-    path = os.path.join(REPO, "src/repro/lia/intsolver.py")
+    # checkpoints and the analyzer must fail on the modified module.  The
+    # integer check's elimination is the presolve's loop in simplify.py,
+    # which checkpoints the caller's site ("lia.presolve" / "lia.eliminate").
+    path = os.path.join(REPO, "src/repro/lia/simplify.py")
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
-    assert 'checkpoint("lia.eliminate")' in source
-    stripped = source.replace('checkpoint("lia.eliminate")\n', "pass\n")
-    clean = run_rules(source, relpath="src/repro/lia/intsolver.py",
+    assert 'site: str = "lia.eliminate"' in source
+    assert source.count("checkpoint(site)\n") == 2
+    stripped = source.replace("checkpoint(site)\n", "pass\n")
+    clean = run_rules(source, relpath="src/repro/lia/simplify.py",
                       rules=["checkpoint-coverage"])
     assert not violations(clean, "checkpoint-coverage")
-    broken = run_rules(stripped, relpath="src/repro/lia/intsolver.py",
+    broken = run_rules(stripped, relpath="src/repro/lia/simplify.py",
                        rules=["checkpoint-coverage"])
     assert violations(broken, "checkpoint-coverage")
 

@@ -409,6 +409,51 @@ def test_interrupt_mid_bound_sync_leaves_lia_solver_reusable(at, monkeypatch):
     assert fired == [at]
 
 
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_interrupt_inside_cnf_encoding_keeps_the_pushed_assertions(at, monkeypatch):
+    # Cut off while the pushed lemma is encoded — at entry (0) or at the
+    # ``at``-th clause it emits: the flush must leave the level as if it
+    # never ran, so a re-check at the same level still sees the lemma.
+    from repro.lia import LiaSolver
+    from repro.lia.cnf import CnfBuilder
+
+    base, lemma = _lia_stack()
+    pushed, popped = _lia_verdicts()
+    solver = LiaSolver()
+    solver.add_assertion(base)
+    assert solver.check().status is popped
+    solver.push()
+    solver.add_assertion(lemma)
+
+    real_add, real_emit = CnfBuilder.add_formula, CnfBuilder._emit
+    emitted = [0]
+
+    def emit(self, clause):
+        emitted[0] += 1
+        if emitted[0] == at:
+            raise KeyboardInterrupt("injected inside CnfBuilder.add_formula")
+        return real_emit(self, clause)
+
+    def add_formula(self, formula):
+        if at == 0:
+            raise KeyboardInterrupt("injected inside CnfBuilder.add_formula")
+        monkeypatch.setattr(CnfBuilder, "_emit", emit)
+        return real_add(self, formula)
+
+    monkeypatch.setattr(CnfBuilder, "add_formula", add_formula)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            solver.check()
+    finally:
+        monkeypatch.undo()
+    assert solver.check().status is pushed
+    solver.pop()
+    assert solver.check().status is popped
+    solver.push()
+    solver.add_assertion(lemma)
+    assert solver.check().status is pushed
+
+
 @pytest.mark.parametrize("case", range(len(_GROUND_TRUTH)))
 @pytest.mark.parametrize("at", [1, 3])
 def test_budget_fault_at_theory_checkpoint_leaves_session_reusable(case, at):

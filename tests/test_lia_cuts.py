@@ -43,8 +43,13 @@ def _integer_points(variables, radius):
         yield dict(zip(variables, values))
 
 
-def _random_system(rng, num_vars=3, num_constraints=5, radius=3):
-    """A random bounded system: box bounds plus random inequalities."""
+def _random_system(rng, num_vars=3, num_constraints=5, radius=3, eq_share=None):
+    """A random bounded system: box bounds plus random inequalities.
+
+    ``eq_share`` (default: one row in three) is the share of ``==`` rows;
+    when given, each equality is also scaled by 1, 2 or 3, so both unit
+    pivots and gcd tests occur.
+    """
     variables = [f"x{i}" for i in range(num_vars)]
     constraints = []
     for index, name in enumerate(variables):
@@ -55,7 +60,14 @@ def _random_system(rng, num_vars=3, num_constraints=5, radius=3):
         coeffs = {name: coeff for name, coeff in coeffs.items() if coeff}
         if not coeffs:
             continue
-        relation = rng.choice(["<=", ">=", "=="])
+        if eq_share is None:
+            relation = rng.choice(["<=", ">=", "=="])
+        elif rng.random() < eq_share:
+            relation = "=="
+            scale = rng.choice((1, 2, 3))
+            coeffs = {name: coeff * scale for name, coeff in coeffs.items()}
+        else:
+            relation = rng.choice(["<=", ">="])
         constraints.append(
             Constraint(expr(coeffs, rng.randint(-4, 4)), relation, tag=f"c{index}")
         )
@@ -273,20 +285,28 @@ def test_frugal_strategy_runs_without_cuts():
 
 
 def test_integer_feasibility_matches_bruteforce_on_random_systems():
+    # Most rows are equalities, so the elimination's provenance tags carry
+    # many of the conflict cores; every core must itself be infeasible.
     rng = random.Random(99)
     radius = 2
+    unsat = 0
     for _ in range(40):
         variables, constraints = _random_system(
-            rng, num_vars=3, num_constraints=4, radius=radius
+            rng, num_vars=3, num_constraints=4, radius=radius, eq_share=0.6
         )
         try:
             outcome = check_integer_feasibility(constraints, max_nodes=2000)
         except ResourceLimit:
             continue
-        has_solution = any(
-            all(_holds(c, point) for c in constraints)
-            for point in _integer_points(variables, radius)
-        )
+        points = list(_integer_points(variables, radius))
+        has_solution = any(all(_holds(c, point) for c in constraints) for point in points)
         assert outcome.feasible == has_solution
         if outcome.feasible:
             assert all(_holds(c, outcome.model) for c in constraints)
+            continue
+        unsat += 1
+        core = [c for c in constraints if c.tag in outcome.conflict]
+        assert not any(all(_holds(c, point) for c in core) for point in points), (
+            f"core {sorted(outcome.conflict)} is satisfiable"
+        )
+    assert unsat >= 10

@@ -5,9 +5,13 @@ the eliminated variable and re-queues only rewritten equalities.  It must
 make exactly the choices of the straightforward algorithm kept below as the
 reference — rescan from the first conjunct after every elimination and
 rewrite every conjunct — down to each ``LinExpr``'s coefficient order, which
-``_isolate`` and the later encoding stages read.
+``_isolate`` and the later encoding stages read.  Both divide each equality
+by its coefficients' gcd before isolating (one the gcd test refutes is kept
+as it is, for the theory to refute), and both stop with ``false`` at a
+rewrite that folds to ``false``.
 """
 
+import math
 import random
 
 from repro.lia.simplify import _isolate, complete_model, eliminate_equalities
@@ -25,6 +29,17 @@ from repro.lia.terms import (
 )
 
 
+def _normalised(expr):
+    """``expr = 0`` divided by its coefficients' gcd; ``None`` when the gcd
+    does not divide the constant (no integer solution)."""
+    divisor = math.gcd(*expr.coeffs.values())
+    if divisor <= 1:
+        return expr
+    if expr.const % divisor:
+        return None
+    return LinExpr({name: c // divisor for name, c in expr.coeffs.items()}, expr.const // divisor)
+
+
 def _reference_eliminate(formula, protected=None):
     """The quadratic restart-from-zero elimination loop."""
     protected = set(protected or ())
@@ -38,20 +53,27 @@ def _reference_eliminate(formula, protected=None):
         for index, conjunct in enumerate(conjuncts):
             if not isinstance(conjunct, Eq):
                 continue
-            isolated = _isolate(conjunct.expr, protected)
+            expr = _normalised(conjunct.expr)
+            if expr is None:
+                continue
+            if expr is not conjunct.expr:
+                conjuncts[index] = Eq(expr)
+            isolated = _isolate(expr, protected)
             if isolated is None:
                 continue
             name, definition = isolated
             mapping = {name: definition}
+            eliminated.append((name, definition))
             new_conjuncts = []
             for position, other in enumerate(conjuncts):
                 if position == index:
                     continue
                 replaced = substitute(other, mapping)
-                if isinstance(replaced, BoolConst) and replaced.value:
+                if isinstance(replaced, BoolConst):
+                    if not replaced.value:
+                        return replaced, eliminated
                     continue
                 new_conjuncts.append(replaced)
-            eliminated.append((name, definition))
             conjuncts = new_conjuncts
             changed = True
             break
@@ -163,3 +185,22 @@ def test_constant_atoms_fold_at_the_first_elimination():
     )
     reduced, _defs = _assert_same(formula)
     assert reduced == BoolConst(False)
+
+
+def test_equalities_are_divided_by_their_gcd():
+    # 2x + 4y - 6 = 0 is x + 2y - 3 = 0 over Z, so x is eliminated;
+    # 2z + 4y - 1 = 0 has no integer solution and stays for the theory.
+    formula = And(
+        (
+            Eq(LinExpr({"x": 2, "y": 4}, -6)),
+            Eq(LinExpr({"z": 2, "y": 4}, -1)),
+            Le(LinExpr({"x": 1}, -5)),
+        )
+    )
+    reduced, defs = _assert_same(formula)
+    assert [(name, _shape(d)) for name, d in defs] == [
+        ("x", _shape(LinExpr({"y": -2}, 3)))
+    ]
+    assert _shape(reduced) == _shape(
+        And((Eq(LinExpr({"z": 2, "y": 4}, -1)), Le(LinExpr({"y": -2}, -2))))
+    )
