@@ -9,7 +9,7 @@ Four workloads are timed:
   fresh ``LiaSolver.check`` per round — the seed's behaviour); each time is
   the median of ``GATED_RUNS`` runs.
 * **cuts** — commuting-disequality instances whose ``unsat`` verdicts need
-  the Gomory/Omega cutting planes of the integer core (sound
+  the Gomory cutting planes of the integer core (sound
   branch-and-bound alone diverges).  Any verdict disagreeing with the
   ground truth counts as a wrong verdict and fails the gate — in quick CI
   mode too.

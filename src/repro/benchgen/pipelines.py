@@ -540,8 +540,8 @@ _FILTERS_AB = ("(a|b)*", "a(a|b)*", "(a|b)*b", "(ab|b)*")
 _FILTERS_SEP = ("(a|b|/)*", "(a|b)*", "(a|b|/)*/(a|b|/)*")
 
 #: cap on the replace atoms of one *suite* problem — 2 replace atoms expand
-#: into at most 3^2 = 9 reduction cases, well inside the default
-#: ``max_reduction_cases`` budget, so curated instances stay decidable
+#: into at most 3^2 = 9 reduction cases, well inside the solver's
+#: 64-case reduction cap, so curated instances stay decidable
 _SUITE_REPLACE_CAP = 2
 #: the fuzzer tolerates structured unknowns, so it may go deeper
 _FUZZ_REPLACE_CAP = 4
@@ -647,7 +647,7 @@ def _scenario(rng: random.Random, index: int, include_gaps: bool) -> PipelineSce
         if not include_gaps:
             # Curated instances invert a *short* output: long literal
             # outputs fed back through replace chains multiply the Levi
-            # noodles past the default ``max_noodles`` budget (a decidable
+            # noodles past the solver's per-split noodle budget (a decidable
             # but budget-starved shape the fuzzer is welcome to keep).
             short = [out for out in outputs if len(out) <= pipeline.max_input_length]
             outputs = short or outputs

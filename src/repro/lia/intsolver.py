@@ -11,38 +11,26 @@ paper.  The pipeline per :func:`check_integer_feasibility` call:
    inequalities and equalities implied by bound pairs, to a fixpoint.
    Divisibility conflicts surfaced here are refuted without touching the
    simplex.
-2. **Omega pre-pass** (:func:`_omega_check`): when the reduced system is
-   small, a Pugh-style Omega-test elimination runs first — Fourier–Motzkin
-   projection with gcd tightening of every derived inequality (the
-   divisibility reasoning), tracking whether each elimination step is
-   *exact* (some coefficient of every combined pair is ±1, the case where
-   the dark shadow coincides with the real shadow).  A contradiction in the
-   projected system is a sound refutation because real-shadow projections
-   are implied constraints; a fully exact elimination additionally yields an
-   integer model by back-substitution.  Inexact systems fall through.
-3. **Branch-and-cut**: branch-and-bound on fractional variables, where each
-   node first spends ``cut_rounds`` rounds of Gomory mixed-integer cuts
-   (:meth:`repro.lia.simplex.Simplex.gomory_cuts`) derived from fractional
-   basic rows of the feasible tableau.  Cuts are what refute pure-inequality
-   mod-k conflicts — e.g. the ``(abc)*`` commuting-disequality instances —
-   that plain branch-and-bound diverges on.  Cuts added at the root are
-   globally valid; cuts derived below a branch live in that branch's scope
-   and are retracted on backtracking (their derivation may use branch
-   bounds).
+2. **Branch-and-cut**: branch-and-bound on fractional variables, where each
+   node first spends up to ``_CUT_ROUNDS`` rounds of Gomory mixed-integer
+   cuts (:meth:`repro.lia.simplex.Simplex.gomory_cuts`) derived from
+   fractional basic rows of the feasible tableau.  Cuts are what refute
+   pure-inequality mod-k conflicts — e.g. the ``(abc)*``
+   commuting-disequality instances — that plain branch-and-bound diverges
+   on.  Cuts added at the root are globally valid; cuts derived below a
+   branch live in that branch's scope and are retracted on backtracking
+   (their derivation may use branch bounds).
 
-Budgets (surfaced as :class:`repro.lia.solver.LiaConfig` knobs):
-``max_nodes`` bounds branch-and-bound nodes, ``cut_rounds`` bounds Gomory
-rounds per node, ``max_cuts`` bounds total cuts per check, and ``omega``
-gates the Omega pre-pass (which additionally caps its own variable count and
-derived-constraint count).  The search raises :class:`ResourceLimit` when a
-budget is exhausted — callers then report ``UNKNOWN`` rather than an unsound
-verdict.
+Budgets: ``max_nodes`` (:class:`repro.lia.solver.LiaConfig`'s
+``branch_and_bound_nodes``) bounds branch-and-bound nodes, and
+``_MAX_CUTS`` bounds the total cuts per check.  The search raises
+:class:`ResourceLimit` when a budget is exhausted — callers then report
+``UNKNOWN`` rather than an unsound verdict.
 
 Every derived fact carries provenance: cut tags are frozenset unions of the
-tags of the bounds used in their derivation, Omega projections union the
-tags of the combined rows, and substitution descendants union their source
-equality's tags — so a conflict core reported from any layer names exactly
-the original caller constraints that produced it (see
+tags of the bounds used in their derivation, and substitution descendants
+union their source equality's tags — so a conflict core reported from any
+layer names exactly the original caller constraints that produced it (see
 :func:`repro.lia.simplify.eliminate` for why anything less is unsound).
 """
 
@@ -52,10 +40,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..budget import Budget, checkpoint
+from ..budget import Budget
 from .simplex import Constraint, Simplex, SimplexResult
 from .simplify import _gcd, complete_model, eliminate
 from .terms import Eq, Formula, Le, LinExpr
+
+
+#: Gomory cut rounds per branch-and-bound node, and cuts per check
+_CUT_ROUNDS = 10
+_MAX_CUTS = 200
 
 
 class ResourceLimit(Exception):
@@ -213,9 +206,9 @@ def _reduce_over_z(
 def _tighten(coeffs: Dict[str, int], const: int) -> Tuple[Dict[str, int], int]:
     """gcd-tighten ``Σ c_i x_i + const ≤ 0`` over the integers.
 
-    Dividing by ``g = gcd(c_i)`` and flooring the bound is the divisibility
-    reasoning of the Omega test: ``Σ c_i x_i ≤ b`` iff ``Σ (c_i/g) x_i ≤
-    ⌊b/g⌋`` for integer solutions.
+    Dividing by ``g = gcd(c_i)`` and flooring the bound is divisibility
+    reasoning: ``Σ c_i x_i ≤ b`` iff ``Σ (c_i/g) x_i ≤ ⌊b/g⌋`` for integer
+    solutions.
     """
     g = _gcd(coeffs.values())
     if g <= 1:
@@ -224,152 +217,12 @@ def _tighten(coeffs: Dict[str, int], const: int) -> Tuple[Dict[str, int], int]:
     return {name: coeff // g for name, coeff in coeffs.items()}, -bound
 
 
-#: one inequality of the Omega system: ``Σ coeffs·x + const ≤ 0`` plus the
-#: frozenset of original-constraint tags it descends from
-_OmegaRow = Tuple[Dict[str, int], int, frozenset]
-
-
-def _omega_check(
-    constraints: Sequence[Constraint],
-    max_vars: int = 24,
-    max_rows: int = 600,
-) -> Tuple[Optional[str], object]:
-    """Omega-test elimination (Pugh 1991) over an all-integer system.
-
-    Projects variables away one at a time by Fourier–Motzkin combination,
-    gcd-tightening every derived row.  Soundness of the two verdicts:
-
-    * ``("unsat", tags)`` — every derived row is implied over ℤ (real-shadow
-      projections plus divisibility tightening), so a contradictory constant
-      row refutes the input; ``tags`` unions the provenance of the rows that
-      produced it.
-    * ``("sat", model)`` — only reported when **every** eliminated pair was
-      exact (some coefficient ±1, where dark and real shadow coincide) so
-      the projection is equivalence-preserving, and the model produced by
-      back-substitution satisfies the input (the caller re-verifies).
-
-    ``(None, None)`` means inconclusive: budgets exceeded or an inexact
-    elimination was required.  All input coefficients must be integral and
-    all variables integer-constrained; callers gate on that.
-    """
-    rows: List[_OmegaRow] = []
-
-    def add_row(coeffs: Dict[str, int], const: int, tags: frozenset) -> Optional[frozenset]:
-        coeffs = {name: coeff for name, coeff in coeffs.items() if coeff}
-        if not coeffs:
-            return tags if const > 0 else None
-        coeffs, const = _tighten(coeffs, const)
-        rows.append((coeffs, const, tags))
-        return None
-
-    for constraint in constraints:
-        expr = constraint.expr
-        if any(
-            not isinstance(c, int) and Fraction(c).denominator != 1
-            for c in list(expr.coeffs.values()) + [expr.const]
-        ):
-            return None, None
-        coeffs = {name: int(coeff) for name, coeff in expr.coeffs.items()}
-        const = int(expr.const)
-        tags = _tagset(constraint.tag)
-        sides = {"<=": (1,), ">=": (-1,), "==": (1, -1)}[constraint.relation]
-        for sign in sides:
-            conflict = add_row(
-                {name: sign * coeff for name, coeff in coeffs.items()}, sign * const, tags
-            )
-            if conflict is not None:
-                return "unsat", conflict
-
-    variables = {name for coeffs, _c, _t in rows for name in coeffs}
-    if len(variables) > max_vars:
-        return None, None
-
-    #: elimination stack for back-substitution: (var, lowers, uppers) where
-    #: lowers hold (a, rest_coeffs, rest_const) meaning ``a·var ≥ −rest``
-    stack: List[Tuple[str, List, List]] = []
-    all_exact = True
-
-    while rows:
-        # Each elimination can square the row count; charge per round.
-        checkpoint("lia.omega", 1 + len(rows))
-        variables = {name for coeffs, _c, _t in rows for name in coeffs}
-        if not variables:
-            break
-        # Pugh's heuristic: eliminate the variable producing the fewest
-        # combined rows first.
-        def cost(name: str) -> int:
-            lowers = sum(1 for coeffs, _c, _t in rows if coeffs.get(name, 0) < 0)
-            uppers = sum(1 for coeffs, _c, _t in rows if coeffs.get(name, 0) > 0)
-            return lowers * uppers
-
-        var = min(sorted(variables), key=cost)
-        lowers = []  # -a·x + rest ≤ 0, a > 0  (x ≥ rest/a)
-        uppers = []  # a·x + rest ≤ 0, a > 0   (x ≤ -rest/a)
-        untouched = []
-        for coeffs, const, tags in rows:
-            coeff = coeffs.get(var, 0)
-            rest = {name: c for name, c in coeffs.items() if name != var}
-            if coeff > 0:
-                uppers.append((coeff, rest, const, tags))
-            elif coeff < 0:
-                lowers.append((-coeff, rest, const, tags))
-            else:
-                untouched.append((coeffs, const, tags))
-        if len(untouched) + len(lowers) * len(uppers) > max_rows:
-            return None, None
-        rows = untouched
-        for low_coeff, low_rest, low_const, low_tags in lowers:
-            for up_coeff, up_rest, up_const, up_tags in uppers:
-                if low_coeff != 1 and up_coeff != 1:
-                    # Inexact pair: the real shadow stays sound for
-                    # refutation but SAT would need dark-shadow splinters.
-                    all_exact = False
-                combined = {
-                    name: low_coeff * up_rest.get(name, 0) + up_coeff * low_rest.get(name, 0)
-                    for name in set(low_rest) | set(up_rest)
-                }
-                conflict = add_row(
-                    combined,
-                    low_coeff * up_const + up_coeff * low_const,
-                    low_tags | up_tags,
-                )
-                if conflict is not None:
-                    return "unsat", conflict
-        stack.append((var, [(a, r, c) for a, r, c, _t in lowers],
-                      [(a, r, c) for a, r, c, _t in uppers]))
-
-    if not all_exact:
-        return None, None
-
-    # Every elimination was exact and no contradiction surfaced: the input
-    # has an integer solution; rebuild one by back-substitution.
-    model: Dict[str, int] = {}
-    for coeffs, _c, _t in rows:
-        for name in coeffs:
-            model.setdefault(name, 0)
-    for var, lowers, uppers in reversed(stack):
-        def rest_value(rest: Dict[str, int], const: int) -> int:
-            return const + sum(coeff * model.get(name, 0) for name, coeff in rest.items())
-
-        if lowers:
-            # -a·x + rest ≤ 0  ⇒  x ≥ rest/a  ⇒  x = max ceil(rest/a)
-            value = max(-((-rest_value(rest, const)) // a) for a, rest, const in lowers)
-        elif uppers:
-            value = min((-rest_value(rest, const)) // a for a, rest, const in uppers)
-        else:
-            value = 0
-        model[var] = value
-    return "sat", model
-
-
-def _fractional_variable(model: Dict[str, Fraction], integer_vars: Optional[Set[str]]) -> Optional[str]:
+def _fractional_variable(model: Dict[str, Fraction]) -> Optional[str]:
     """Return a variable that must be integral but currently is not."""
     best_name = None
     best_distance = None
     for name, value in model.items():
         if name.startswith("__s"):
-            continue
-        if integer_vars is not None and name not in integer_vars:
             continue
         if value.denominator == 1:
             continue
@@ -381,40 +234,24 @@ def _fractional_variable(model: Dict[str, Fraction], integer_vars: Optional[Set[
     return best_name
 
 
-def _satisfied(constraint: Constraint, model: Dict[str, int]) -> bool:
-    """Evaluate a constraint under a (partial, default-0) integer model."""
-    value = constraint.expr.const + sum(
-        coeff * model.get(name, 0) for name, coeff in constraint.expr.coeffs.items()
-    )
-    if constraint.relation == "<=":
-        return value <= 0
-    if constraint.relation == ">=":
-        return value >= 0
-    return value == 0
-
-
 def check_integer_feasibility(
     constraints: Sequence[Constraint],
-    integer_vars: Optional[Set[str]] = None,
     max_nodes: int = 4000,
-    cut_rounds: int = 10,
-    max_cuts: int = 200,
-    omega: bool = True,
+    cuts: bool = True,
     budget: Optional[Budget] = None,
 ) -> IntResult:
     """Decide whether ``constraints`` have an integer solution.
 
-    ``integer_vars`` restricts which variables must take integral values
-    (``None`` means all of them).  ``cut_rounds`` bounds the Gomory cut
-    rounds spent per branch-and-bound node, ``max_cuts`` the total cuts per
-    call (0 disables cutting planes), and ``omega`` gates the Omega-test
-    pre-pass on the reduced system (see the module docstring).  The function
-    either returns a definitive :class:`IntResult` or raises
-    :class:`ResourceLimit` on the node/depth budgets.  Wall-clock bounding
-    goes through ``budget`` (one checkpoint per branch-and-bound node,
-    raising :class:`repro.budget.BudgetExceeded` — deliberately distinct
-    from ``ResourceLimit``, which callers treat as a recoverable
-    per-assignment event).
+    ``cuts`` switches the Gomory cutting planes of the branch-and-cut
+    search (at most ``_CUT_ROUNDS`` rounds per node and ``_MAX_CUTS`` cuts
+    per call; see the module docstring).  The function either returns a
+    definitive :class:`IntResult` or raises :class:`ResourceLimit` on the
+    node/depth budgets.  Wall-clock bounding goes through ``budget`` (one
+    checkpoint per branch-and-bound node and cut round, plus the simplex's
+    per-pivot checkpoints against the ambient budget), raising
+    :class:`repro.budget.BudgetExceeded` — deliberately distinct from
+    ``ResourceLimit``, which callers treat as a recoverable per-assignment
+    event.
     """
     reduced, eliminated, conflict_tags = _reduce_over_z(constraints)
     if reduced is None:
@@ -423,18 +260,6 @@ def check_integer_feasibility(
             tags = {c.tag for c in constraints if c.tag is not None}
         return IntResult(False, conflict=tags)
     constraints = reduced
-
-    if omega and integer_vars is None:
-        verdict, payload = _omega_check(constraints)
-        if verdict == "unsat":
-            return IntResult(False, conflict=_flatten_tags(payload))
-        if verdict == "sat":
-            # Belt and braces: trust the reconstructed model only after it
-            # re-verifies against the reduced system (falling through to
-            # branch-and-cut otherwise keeps the solver sound either way).
-            model = dict(payload)
-            if all(_satisfied(constraint, model) for constraint in constraints):
-                return IntResult(True, model=complete_model(model, eliminated))
 
     nodes_used = 0
     cuts_used = 0
@@ -467,23 +292,24 @@ def check_integer_feasibility(
         # search; cuts below a branch live in the branch's scope and are
         # retracted with it (their derivation may use branch bounds).
         rounds = 0
-        branch_var = _fractional_variable(relaxation.model, integer_vars)
+        branch_var = _fractional_variable(relaxation.model)
         while (
-            branch_var is not None and rounds < cut_rounds and cuts_used < max_cuts
+            cuts
+            and branch_var is not None
+            and rounds < _CUT_ROUNDS
+            and cuts_used < _MAX_CUTS
         ):
-            cuts = simplex.gomory_cuts(
-                integer_vars, max_cuts=min(8, max_cuts - cuts_used)
-            )
-            if not cuts:
+            round_cuts = simplex.gomory_cuts(max_cuts=min(8, _MAX_CUTS - cuts_used))
+            if not round_cuts:
                 break
             rounds += 1
-            cuts_used += len(cuts)
-            for cut in cuts:
+            cuts_used += len(round_cuts)
+            for cut in round_cuts:
                 simplex.add_constraint(cut)
             relaxation = simplex.check()
             if not relaxation.feasible:
                 return IntResult(False, conflict=relaxation.conflict)
-            branch_var = _fractional_variable(relaxation.model, integer_vars)
+            branch_var = _fractional_variable(relaxation.model)
             if budget is not None:
                 budget.checkpoint("lia.intsolver")
 
@@ -491,15 +317,8 @@ def check_integer_feasibility(
             model = {
                 name: int(value)
                 for name, value in relaxation.model.items()
-                if not name.startswith("__s") and value.denominator == 1
+                if not name.startswith("__s")
             }
-            # Round any remaining rational-valued, non-integer-constrained
-            # variables down; they are unconstrained in sign of rounding
-            # because they are not required to be integral.
-            for name, value in relaxation.model.items():
-                if name.startswith("__s") or name in model:
-                    continue
-                model[name] = int(value) if value.denominator == 1 else int(value.__floor__())
             return IntResult(True, model=complete_model(model, eliminated))
 
         value = relaxation.model[branch_var]

@@ -92,6 +92,9 @@ from .intsolver import ResourceLimit
 Clause = Tuple[int, ...]
 TheoryCallback = Callable[[Set[int], bool], Optional[Clause]]
 
+#: conflicts per :meth:`DpllSolver.solve` call before it gives up with
+#: :class:`ResourceLimit`
+_MAX_CONFLICTS = 100000
 #: multiplicative activity decay applied after every conflict
 _ACTIVITY_DECAY = 0.95
 #: rescale threshold guarding against float overflow
@@ -189,13 +192,11 @@ class DpllSolver:
         clauses: Sequence[Clause] = (),
         theory_atoms: Optional[Set[int]] = None,
         theory_callback: Optional[TheoryCallback] = None,
-        max_conflicts: int = 200000,
     ) -> None:
         self.num_vars = 0
         #: the caller may keep mutating this set between solves (new atoms)
         self.theory_atoms = theory_atoms if theory_atoms is not None else set()
         self.theory_callback = theory_callback
-        self.max_conflicts = max_conflicts
         #: decision phase for theory atoms: ``False`` (the default) decides
         #: atoms positively, which drives model search on satisfiable
         #: encodings; the theory layer switches this to ``True`` on
@@ -1113,10 +1114,7 @@ class DpllSolver:
         self._dlis_reset()
 
     def solve(
-        self,
-        max_conflicts: Optional[int] = None,
-        assumptions: Sequence[int] = (),
-        budget: Optional[Budget] = None,
+        self, assumptions: Sequence[int] = (), budget: Optional[Budget] = None
     ) -> Tuple[str, Optional[Dict[int, bool]]]:
         """Run the search; returns ``("sat", model)`` or ``("unsat", None)``.
 
@@ -1125,12 +1123,11 @@ class DpllSolver:
         ``assumptions`` are literals decided before any free decision; when
         they make the problem unsatisfiable, :attr:`failed_assumptions`
         holds the blamed subset (empty when the clause set is unsatisfiable
-        on its own).  Raises :class:`ResourceLimit` when the conflict
-        budget is exhausted; wall-clock bounding goes through ``budget``
+        on its own).  Raises :class:`ResourceLimit` after ``_MAX_CONFLICTS``
+        conflicts; wall-clock bounding goes through ``budget``
         (one checkpoint per search iteration, raising
         :class:`repro.budget.BudgetExceeded`).
         """
-        conflict_budget = self.max_conflicts if max_conflicts is None else max_conflicts
         assumptions = tuple(assumptions)
         for literal in assumptions:
             self.ensure_vars(abs(literal))
@@ -1151,7 +1148,7 @@ class DpllSolver:
         heavy_since_conflicts = False
 
         def over_budget() -> bool:
-            return self.stats.conflicts - conflicts_at_start > conflict_budget
+            return self.stats.conflicts - conflicts_at_start > _MAX_CONFLICTS
 
         while True:
             if budget is not None:

@@ -45,6 +45,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..budget import checkpoint
 from .terms import LinExpr
 
 
@@ -539,7 +540,8 @@ class Simplex:
                 return SimplexResult(True, model=model)
 
             row = self._rows[violating]
-            if self._violates_lower(violating):
+            lower = self._violates_lower(violating)
+            if lower:
                 target = self._lower[violating]
                 candidates = [
                     name
@@ -547,10 +549,6 @@ class Simplex:
                     if (coeff > 0 and (self._upper[name] is None or self._assignment[name] < self._upper[name]))
                     or (coeff < 0 and (self._lower[name] is None or self._assignment[name] > self._lower[name]))
                 ]
-                if not candidates:
-                    return SimplexResult(False, conflict=self._conflict_for(violating, lower=True))
-                pivot_var = min(candidates, key=var_index)
-                self._pivot_and_update(violating, pivot_var, target)
             else:
                 target = self._upper[violating]
                 candidates = [
@@ -559,10 +557,14 @@ class Simplex:
                     if (coeff < 0 and (self._upper[name] is None or self._assignment[name] < self._upper[name]))
                     or (coeff > 0 and (self._lower[name] is None or self._assignment[name] > self._lower[name]))
                 ]
-                if not candidates:
-                    return SimplexResult(False, conflict=self._conflict_for(violating, lower=False))
-                pivot_var = min(candidates, key=var_index)
-                self._pivot_and_update(violating, pivot_var, target)
+            if not candidates:
+                return SimplexResult(False, conflict=self._conflict_for(violating, lower=lower))
+            pivot_var = min(candidates, key=var_index)
+            # One step for the pivot plus one per other row it rewrites (the
+            # pivot column holds ``violating`` and those rows): a pivot on a
+            # dense tableau can cost milliseconds.
+            checkpoint("lia.simplex", len(self._cols[pivot_var]))
+            self._pivot_and_update(violating, pivot_var, target)
         raise RuntimeError("simplex exceeded the pivot limit")
 
     def _conflict_for(self, basic: str, lower: bool) -> Set[object]:
@@ -589,21 +591,14 @@ class Simplex:
     # ------------------------------------------------------------------
     # Cutting planes
     # ------------------------------------------------------------------
-    def _is_integer_var(self, name: str, integer_vars: Optional[Set[str]]) -> bool:
-        """Is ``name`` forced integral?  Slacks inherit from their definition."""
+    def _is_integer_var(self, name: str) -> bool:
+        """Is ``name`` forced integral?  Every original variable is; a slack
+        is when its definition has integral coefficients."""
         definition = self._slack_def.get(name)
-        if definition is not None:
-            return all(
-                not _frac(coeff) and self._is_integer_var(var, integer_vars)
-                for var, coeff in definition
-            )
-        return integer_vars is None or name in integer_vars
+        return definition is None or not any(_frac(coeff) for _var, coeff in definition)
 
     def gomory_cuts(
-        self,
-        integer_vars: Optional[Set[str]] = None,
-        max_cuts: int = 8,
-        max_coefficient: int = 10**12,
+        self, max_cuts: int = 8, max_coefficient: int = 10**12
     ) -> List[Constraint]:
         """Derive Gomory mixed-integer cuts from fractional basic rows.
 
@@ -634,7 +629,7 @@ class Simplex:
         for basic in sorted(self._basic, key=self._order.__getitem__):
             if len(cuts) >= max_cuts:
                 break
-            if not self._is_integer_var(basic, integer_vars):
+            if not self._is_integer_var(basic):
                 continue
             f0 = _frac(self._assignment[basic])
             if not f0:
@@ -646,7 +641,7 @@ class Simplex:
             for name, num in self._rows[basic].items():
                 a = _div(num, den)
                 value = self._assignment[name]
-                is_int = self._is_integer_var(name, integer_vars)
+                is_int = self._is_integer_var(name)
                 if not _frac(a) and is_int and not _frac(value):
                     # integral coefficient × integral integer variable:
                     # contributes an integer regardless of bounds — drop.

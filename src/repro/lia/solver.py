@@ -135,24 +135,14 @@ class LiaConfig:
 
     #: budget of branch-and-bound nodes per integer feasibility check
     branch_and_bound_nodes: int = 4000
-    #: cutting planes in the integer core: Gomory mixed-integer cuts per
-    #: branch-and-bound node plus the Omega-test elimination pre-pass.  Cuts
-    #: are what refute pure-inequality divisibility conflicts (e.g. the
+    #: Gomory cutting planes in the integer core's branch-and-cut search.
+    #: Cuts are what refute pure-inequality divisibility conflicts (e.g. the
     #: ``(abc)*`` commuting disequalities) that branch-and-bound diverges
     #: on; ``False`` is the pre-cuts behaviour (ablation / differential
     #: testing)
     cuts: bool = True
-    #: budget of boolean conflicts
-    max_conflicts: int = 100000
     #: optional wall-clock limit in seconds
     timeout: Optional[float] = None
-
-
-#: ``check_integer_feasibility`` cut budgets: Gomory rounds per node, total
-#: cuts per call and the Omega pre-pass — for the final integer check, and
-#: with ``LiaConfig.cuts`` off
-_CUTS = {"cut_rounds": 10, "max_cuts": 200, "omega": True}
-_NO_CUTS = {"cut_rounds": 0, "max_cuts": 0, "omega": False}
 
 
 @dataclass
@@ -180,18 +170,12 @@ class _Context:
         self.config = config
         self.cnf = CnfBuilder()
         self.theory_atoms: Set[int] = set()
-        self.sat = DpllSolver(
-            num_vars=0,
-            clauses=(),
-            theory_atoms=self.theory_atoms,
-            max_conflicts=config.max_conflicts,
-        )
+        self.sat = DpllSolver(num_vars=0, clauses=(), theory_atoms=self.theory_atoms)
         self.theory = Simplex()
         #: trail start of each open theory scope, bottom first; together the
         #: scopes hold the true atoms of ``sat.trail[:_synced_end]``
         self._theory_scopes: List[int] = []
         self._synced_end = 0
-        self._cuts = _CUTS if config.cuts else _NO_CUTS
         #: atom boolean variable -> (simplex variable, relation, bound)
         self._atom_handle: Dict[int, Tuple[str, str, object]] = {}
         #: atom boolean variable -> reusable Constraint (for integer checks)
@@ -391,10 +375,9 @@ class _Context:
         try:
             outcome = check_integer_feasibility(
                 constraints,
-                integer_vars=None,
                 max_nodes=self.config.branch_and_bound_nodes,
+                cuts=self.config.cuts,
                 budget=self._budget,
-                **self._cuts,
             )
         except ResourceLimit:
             # Branch-and-bound could not decide this boolean assignment.
@@ -628,9 +611,7 @@ class _Context:
 
         try:
             verdict, _boolean_model = self.sat.solve(
-                budget=budget,
-                max_conflicts=self.config.max_conflicts,
-                assumptions=assumption_lits,
+                budget=budget, assumptions=assumption_lits
             )
         except ResourceLimit as error:
             return result(LiaStatus.UNKNOWN, reason=str(error))

@@ -166,8 +166,6 @@ class EagerReductionSolver:
         # Cartesian product of alternatives, explored depth-first.
         inner_config = SolverConfig(
             timeout=None,  # the outer stopwatch governs the budget
-            max_branches=self.config.max_branches,
-            max_noodles=self.config.max_noodles,
             lia=self.config.lia,
         )
         solver = PositionSolver(inner_config)

@@ -23,12 +23,6 @@ class SolverConfig:
     #: noodles, SAT iterations, ...) independently of the clock — a
     #: deterministic, machine-independent bound.  ``None`` = unlimited
     max_steps: Optional[int] = None
-    #: maximum number of monadic-decomposition branches explored
-    max_branches: int = 128
-    #: maximum number of noodles per equation split
-    max_noodles: int = 256
-    #: MBQI rounds for ¬contains (lemma instantiations per check)
-    max_instantiation_rounds: int = 40
     #: solve the MBQI refinement loop on one incremental LIA assertion stack
     #: (push/add/check per lemma); ``False`` falls back to a from-scratch
     #: ``LiaSolver.check`` per round (the seed behaviour, kept for perf
@@ -45,13 +39,3 @@ class SolverConfig:
     #: greedy model fails verification) fall through to the encoding.
     #: ``False`` always takes the encoding (ablation / differential testing)
     distinct_shortcut: bool = True
-    #: cap on the case product of the extended-function reduction
-    #: (``str.substr`` expands into 1 case, ``str.indexof`` into 4,
-    #: ``str.replace`` into 3 — see :mod:`repro.strings.reductions`);
-    #: a problem whose product exceeds the cap answers ``unknown``
-    max_reduction_cases: int = 64
-    #: decomposition branch budget for reduced (extended-function) case
-    #: problems: several structural splits of one haystack overlap through
-    #: Levi alignment, which needs more room than the chain-free
-    #: ``max_branches`` default
-    reduction_max_branches: int = 512

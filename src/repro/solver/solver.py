@@ -126,6 +126,21 @@ _ENCODING_CACHE = 256
 #: pinned per-branch incremental LIA solvers kept warm (least-recently-used
 #: branches beyond this are rebuilt on demand)
 _BRANCH_SOLVERS = 16
+#: monadic-decomposition branches explored per equation system
+_MAX_BRANCHES = 128
+#: decomposition branch budget for reduced (extended-function) case
+#: problems: several structural splits of one haystack overlap through Levi
+#: alignment, which needs more room than ``_MAX_BRANCHES``
+_REDUCTION_MAX_BRANCHES = 512
+#: noodles per equation split
+_MAX_NOODLES = 256
+#: MBQI rounds for ¬contains (lemma instantiations per check)
+_MAX_INSTANTIATION_ROUNDS = 40
+#: cap on the case product of the extended-function reduction
+#: (``str.substr`` expands into 1 case, ``str.indexof`` into 4,
+#: ``str.replace`` into 3 — see :mod:`repro.strings.reductions`); a problem
+#: whose product exceeds the cap answers ``unknown``
+_MAX_REDUCTION_CASES = 64
 
 
 class _Lru(OrderedDict):
@@ -357,9 +372,7 @@ class IncrementalPipeline:
         """Case-expand the extended atoms, decide each case, merge verdicts."""
         try:
             with watch.stage("reduce"):
-                cases = reduce_problem(
-                    problem, max_cases=self.config.max_reduction_cases
-                )
+                cases = reduce_problem(problem, max_cases=_MAX_REDUCTION_CASES)
         except ReductionError as error:
             return SolveResult(
                 Status.UNKNOWN,
@@ -383,7 +396,7 @@ class IncrementalPipeline:
         for case in cases:
             watch.check_now("reduce.case")
             result = self._check_core(
-                case.problem, watch, branch_budget=self.config.reduction_max_branches
+                case.problem, watch, branch_budget=_REDUCTION_MAX_BRANCHES
             )
             branches += result.branches_explored
             lia_queries += result.lia_queries
@@ -568,7 +581,7 @@ class IncrementalPipeline:
         self, normal_form: NormalForm, branch_budget: Optional[int] = None
     ) -> Tuple[List[Branch], Tuple, bool]:
         """Run (or reuse) the equation elimination for this normal form."""
-        max_branches = branch_budget or self.config.max_branches
+        max_branches = branch_budget or _MAX_BRANCHES
         if not normal_form.equations:
             branch = Branch(dict(normal_form.automata))
             return [branch], ("noeq", normal_form.alphabet), True
@@ -585,7 +598,6 @@ class IncrementalPipeline:
             tuple(normal_form.equations),
             tuple(eq_automata.items()),
             max_branches,
-            self.config.max_noodles,
         )
         decomposition: Optional[DecompositionResult] = self._decompositions.lookup(key)
         if decomposition is None:
@@ -594,7 +606,7 @@ class IncrementalPipeline:
                 normal_form.equations,
                 eq_automata,
                 max_branches=max_branches,
-                max_noodles=self.config.max_noodles,
+                max_noodles=_MAX_NOODLES,
                 alphabet=normal_form.alphabet,
                 max_levi_splits=2 * max_branches,
             )
@@ -1305,7 +1317,7 @@ class IncrementalPipeline:
         try:
             if incremental:
                 state = self._branch_solver(fingerprint, parts)
-            for _round in range(self.config.max_instantiation_rounds):
+            for _round in range(_MAX_INSTANTIATION_ROUNDS):
                 watch.check_now("mbqi.round")
                 result = check_connected()
                 if result.status is LiaStatus.UNSAT:

@@ -121,6 +121,24 @@ def test_adversarial_instances_return_within_twice_the_budget(name, build):
         assert str(reason).startswith(reason.kind.value + "@")
 
 
+def test_dense_simplex_pivots_return_within_twice_the_budget():
+    # Three pairwise-distinct variables through the ``encoding`` strategy
+    # (no distinct shortcut): the ``A^III`` tableaux are dense enough that
+    # one pivot costs milliseconds, so the pivot loop must checkpoint.
+    from repro.serve.portfolio import config_for
+
+    t = 1.0
+    problem = Problem(alphabet=("a", "b"), name="distinct-3")
+    for a, b in (("x", "y"), ("x", "z"), ("y", "z")):
+        problem.add(WordEquation(term(a), term(b), positive=False))
+    solver = PositionSolver(config_for("encoding", timeout=t))
+    started = time.monotonic()
+    result = solver.check(problem)
+    elapsed = time.monotonic() - started
+    assert _within(elapsed, t), f"distinct-3: {elapsed:.2f}s blows the 2·{t}s bound"
+    assert result.status in (Status.SAT, Status.TIMEOUT), result.status
+
+
 def test_timeout_result_reports_stage_stats():
     solver = PositionSolver(SolverConfig(timeout=0.05))
     problem = Problem(atoms=_blowup_automata_atoms(), alphabet=("a", "b"))

@@ -259,7 +259,7 @@ def test_repeat_caps_firings_and_reset_rearms():
     spec = FaultSpec("lia.*", at=1, action="delay", delay=0.0, repeat=2)
     injector = FaultInjector([spec])
     injector("lia.sat", 1)
-    injector("lia.omega", 1)
+    injector("lia.simplex", 1)
     assert spec.fired == 2
     # exhausted: a third matching coordinate is ignored
     injector("lia.eliminate", 1)
@@ -345,11 +345,36 @@ def _faulted_lia_rechecks(run_faulted):
     assert audit.partial_checks > 0
 
 
-@pytest.mark.parametrize("at", [1, 2, 5, 12, 30])
-def test_budget_fault_at_theory_checkpoint_leaves_lia_solver_reusable(at):
+def _checkpoint_counts(site):
+    """The ``site`` counts an unfaulted check of the pushed stack reports,
+    in order (a count grows by the cost each checkpoint charges)."""
+    from repro.lia import LiaSolver
+
+    base, lemma = _lia_stack()
+    solver = LiaSolver()
+    solver.add_assertion(base)
+    solver.push()
+    solver.add_assertion(lemma)
+    injector = FaultInjector()
+    injector.trace_enabled = True
+    solver.check(budget=Budget(30.0, hook=injector))
+    return [count for stage, count in injector.trace if stage == site]
+
+
+#: (site, n): exhaust the budget at the n-th checkpoint of the site — a
+#: partial or final theory check, or a simplex pivot (of the theory's
+#: tableau or of the integer check's)
+_THEORY_FAULTS = [pytest.param("lia.theory", n, id=str(n)) for n in (1, 2, 5, 12, 30)] + [
+    pytest.param("lia.simplex", n, id=f"lia.simplex-{n}") for n in (1, 2, 5, 9)
+]
+
+
+@pytest.mark.parametrize("site,n", _THEORY_FAULTS)
+def test_budget_fault_at_theory_checkpoint_leaves_lia_solver_reusable(site, n):
     from repro.budget import BudgetExceeded
 
-    spec = FaultSpec("lia.theory", at=at, action="exhaust")
+    # A pivot charges one step per row it rewrites, so its counts skip.
+    spec = FaultSpec(site, at=_checkpoint_counts(site)[n - 1], action="exhaust")
 
     def run_faulted(solver):
         with pytest.raises(BudgetExceeded):

@@ -1,12 +1,14 @@
-"""Tests for the cutting-plane layer: Gomory cuts and the Omega pre-pass.
+"""Tests for the cutting-plane layer and the final integer check.
 
 Two properties are load-bearing for soundness and are checked here against
 brute-force integer enumeration:
 
-* **validity** — a cut (or an Omega projection verdict) never excludes an
-  integer point that satisfies the source constraints, and
-* **provenance** — conflict cores built from cuts name only the original
-  constraints that actually contributed to the refutation.
+* **validity** — a Gomory cut never excludes an integer point that
+  satisfies the source constraints, and :func:`check_integer_feasibility`
+  agrees with enumeration on random bounded systems, and
+* **provenance** — conflict cores built from cuts, eliminations and gcd
+  tightening name only the original constraints that actually contributed
+  to the refutation.
 """
 
 import itertools
@@ -15,11 +17,7 @@ import random
 import pytest
 
 from repro.lia import LinExpr
-from repro.lia.intsolver import (
-    ResourceLimit,
-    _omega_check,
-    check_integer_feasibility,
-)
+from repro.lia.intsolver import ResourceLimit, check_integer_feasibility
 from repro.lia.simplex import Constraint, Simplex
 
 
@@ -157,47 +155,18 @@ def test_gomory_cuts_ignore_unrelated_constraints():
         assert "unrelated" not in cut.tag
 
 
-# ----------------------------------------------------------------------
-# Omega pre-pass
-# ----------------------------------------------------------------------
-def test_omega_check_agrees_with_bruteforce():
-    rng = random.Random(42)
-    radius = 3
-    unsat_seen = sat_seen = 0
-    for _ in range(120):
-        variables, constraints = _random_system(rng, radius=radius)
-        verdict, payload = _omega_check(constraints)
-        if verdict is None:
-            continue
-        has_solution = any(
-            all(_holds(c, point) for c in constraints)
-            for point in _integer_points(variables, radius)
-        )
-        if verdict == "unsat":
-            unsat_seen += 1
-            assert not has_solution, "omega refuted a satisfiable system"
-            assert payload, "an omega refutation must carry provenance tags"
-        else:
-            sat_seen += 1
-            # The intsolver re-verifies omega models before trusting them;
-            # the back-substitution should nevertheless be correct.
-            assert all(_holds(c, payload) for c in constraints)
-    assert unsat_seen >= 3 and sat_seen >= 3, (unsat_seen, sat_seen)
-
-
-def test_omega_refutation_tags_name_contributors_only():
+def test_divisibility_refutation_tags_name_contributors_only():
     # 2x >= 1 and 2x <= 1: gcd tightening turns the pair into x >= 1 and
     # x <= 0 — a pure-inequality divisibility conflict with no equalities
-    # for the upstream elimination pass to work with.
+    # for the elimination to work with.
     constraints = [
         Constraint(expr({"x": 2}, -1), ">=", tag="lo"),
         Constraint(expr({"x": 2}, -1), "<=", tag="hi"),
         Constraint(expr({"z": 1}, -7), "<=", tag="unrelated"),
     ]
-    verdict, tags = _omega_check(constraints)
-    assert verdict == "unsat"
-    flat = set().union(*[t if isinstance(t, frozenset) else {t} for t in [tags]])
-    assert flat == {"lo", "hi"}
+    outcome = check_integer_feasibility(constraints)
+    assert not outcome.feasible
+    assert outcome.conflict == {"lo", "hi"}
 
 
 # ----------------------------------------------------------------------
@@ -244,12 +213,10 @@ def test_commuting_mod3_core_is_refuted_by_cuts():
 
 
 def test_commuting_mod3_core_diverges_without_cuts():
-    # The same system exhausts its budget when cutting planes and the Omega
-    # pass are disabled — the regression this PR exists to fix.
+    # The same system exhausts its budget when cutting planes are disabled
+    # — the regression the cuts exist to fix.
     with pytest.raises(ResourceLimit):
-        check_integer_feasibility(
-            _comm_core_constraints(), max_nodes=200, cut_rounds=0, omega=False
-        )
+        check_integer_feasibility(_comm_core_constraints(), max_nodes=200, cuts=False)
 
 
 def test_cut_conflict_core_names_only_contributing_assertions():
@@ -284,29 +251,43 @@ def test_frugal_strategy_runs_without_cuts():
     assert verdicts == {True: LiaStatus.UNSAT, False: LiaStatus.UNKNOWN}
 
 
-def test_integer_feasibility_matches_bruteforce_on_random_systems():
-    # Most rows are equalities, so the elimination's provenance tags carry
-    # many of the conflict cores; every core must itself be infeasible.
+def _bruteforce_input_sets():
+    """``(radius, systems)`` pairs for the brute-force comparison.
+
+    The first set is mostly equalities, so the elimination's provenance
+    tags carry many of the conflict cores; the second is the default draw
+    (one row in three an equality) over a wider box, where branch-and-cut
+    decides more of the systems.
+    """
     rng = random.Random(99)
-    radius = 2
-    unsat = 0
-    for _ in range(40):
-        variables, constraints = _random_system(
-            rng, num_vars=3, num_constraints=4, radius=radius, eq_share=0.6
-        )
-        try:
-            outcome = check_integer_feasibility(constraints, max_nodes=2000)
-        except ResourceLimit:
-            continue
-        points = list(_integer_points(variables, radius))
-        has_solution = any(all(_holds(c, point) for c in constraints) for point in points)
-        assert outcome.feasible == has_solution
-        if outcome.feasible:
-            assert all(_holds(c, outcome.model) for c in constraints)
-            continue
-        unsat += 1
-        core = [c for c in constraints if c.tag in outcome.conflict]
-        assert not any(all(_holds(c, point) for c in core) for point in points), (
-            f"core {sorted(outcome.conflict)} is satisfiable"
-        )
-    assert unsat >= 10
+    yield 2, [
+        _random_system(rng, num_vars=3, num_constraints=4, radius=2, eq_share=0.6)
+        for _ in range(40)
+    ]
+    rng = random.Random(42)
+    yield 3, [_random_system(rng, radius=3) for _ in range(120)]
+
+
+def test_integer_feasibility_matches_bruteforce_on_random_systems():
+    # Every sat model must satisfy the input, and every unsat core must
+    # itself be infeasible.
+    for radius, systems in _bruteforce_input_sets():
+        sat = unsat = 0
+        for variables, constraints in systems:
+            try:
+                outcome = check_integer_feasibility(constraints, max_nodes=2000)
+            except ResourceLimit:
+                continue
+            points = list(_integer_points(variables, radius))
+            has_solution = any(all(_holds(c, point) for c in constraints) for point in points)
+            assert outcome.feasible == has_solution
+            if outcome.feasible:
+                sat += 1
+                assert all(_holds(c, outcome.model) for c in constraints)
+                continue
+            unsat += 1
+            core = [c for c in constraints if c.tag in outcome.conflict]
+            assert not any(all(_holds(c, point) for c in core) for point in points), (
+                f"core {sorted(outcome.conflict)} is satisfiable"
+            )
+        assert unsat >= 10 and sat >= 3, (radius, sat, unsat)

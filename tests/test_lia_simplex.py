@@ -127,11 +127,11 @@ def test_divisibility_conflicts_need_no_branching():
 
 
 def test_node_limit_raises():
-    # The Omega pre-pass decides this trivial system outright, so it is
-    # disabled here to expose the branch-and-bound node budget.
+    # The elimination over Z leaves this system to branch-and-cut, whose
+    # node budget trips before the first relaxation.
     constraints = [Constraint(expr({"x": 1, "y": 1}, -1), ">=")]
     with pytest.raises(ResourceLimit):
-        check_integer_feasibility(constraints, max_nodes=0, omega=False)
+        check_integer_feasibility(constraints, max_nodes=0, cuts=False)
 
 
 def test_gcd_tightening_of_inequalities():
