@@ -4,10 +4,7 @@ Four workloads are timed:
 
 * **mbqi** — ¬contains chains (one instantiation lemma per predicate, so a
   ``k``-chain drives ``k+1`` LIA queries through the solve–refine loop).
-  Each instance is run on the incremental assertion stack (the default)
-  and in from-scratch mode (``SolverConfig.incremental_lia=False``, one
-  fresh ``LiaSolver.check`` per round — the seed's behaviour); each time is
-  the median of ``GATED_RUNS`` runs.
+  Each time is the median of ``GATED_RUNS`` runs.
 * **cuts** — commuting-disequality instances whose ``unsat`` verdicts need
   the Gomory cutting planes of the integer core (sound
   branch-and-bound alone diverges).  Any verdict disagreeing with the
@@ -143,21 +140,20 @@ def _chain_problem(k: int):
     return problem
 
 
-def _solve(problem, timeout: float, incremental: bool):
+def _solve(problem, timeout: float):
     from repro.solver import PositionSolver, SolverConfig
 
-    config = SolverConfig(timeout=timeout, incremental_lia=incremental)
     start = time.monotonic()
-    result = PositionSolver(config).check(problem)
+    result = PositionSolver(SolverConfig(timeout=timeout)).check(problem)
     elapsed = time.monotonic() - start
     return result, elapsed
 
 
-def _solve_median(problem, timeout: float, incremental: bool, runs: int = GATED_RUNS):
+def _solve_median(problem, timeout: float, runs: int = GATED_RUNS):
     """:func:`_solve` ``runs`` times: the last result and the median time."""
     times = []
     for _ in range(runs):
-        result, elapsed = _solve(problem, timeout, incremental)
+        result, elapsed = _solve(problem, timeout)
         times.append(elapsed)
     return result, statistics.median(times)
 
@@ -168,27 +164,22 @@ def run_mbqi(baseline: Dict, quick: bool) -> Dict:
     for k in chains:
         name = f"nc-chain-{k}"
         problem = _chain_problem(k)
-        incremental, inc_seconds = _solve_median(problem, MBQI_TIMEOUT, incremental=True)
-        scratch, scr_seconds = _solve_median(problem, MBQI_TIMEOUT, incremental=False)
+        result, seconds = _solve_median(problem, MBQI_TIMEOUT)
         seed = baseline["mbqi"].get(name, {})
         entry = {
-            "status": incremental.status.value,
-            "lia_queries": incremental.lia_queries,
-            "incremental_seconds": round(inc_seconds, 3),
-            "scratch_seconds": round(scr_seconds, 3),
-            "scratch_status": scratch.status.value,
-            "speedup_incremental_vs_scratch": round(scr_seconds / inc_seconds, 2),
-            "stats": incremental.stats,
+            "status": result.status.value,
+            "lia_queries": result.lia_queries,
+            "incremental_seconds": round(seconds, 3),
+            "stats": result.stats,
         }
         if seed:
             entry["seed_seconds"] = seed["seconds"]
-            entry["speedup_vs_seed"] = round(seed["seconds"] / inc_seconds, 2)
-            entry["verdict_matches_seed"] = incremental.status.value == seed["status"]
+            entry["speedup_vs_seed"] = round(seed["seconds"] / seconds, 2)
+            entry["verdict_matches_seed"] = result.status.value == seed["status"]
         instances[name] = entry
         print(
-            f"[mbqi] {name}: {entry['status']} in {inc_seconds:.2f}s "
-            f"(scratch {scr_seconds:.2f}s, seed {seed.get('seconds', '—')}s, "
-            f"{entry['lia_queries']} queries)"
+            f"[mbqi] {name}: {entry['status']} in {seconds:.2f}s "
+            f"(seed {seed.get('seconds', '—')}s, {entry['lia_queries']} queries)"
         )
     return {"timeout": MBQI_TIMEOUT, "instances": instances}
 
@@ -279,7 +270,7 @@ def run_cuts(quick: bool) -> Dict:
     for name, problem, expected in commuting_disequalities(4):
         if name not in wanted:
             continue
-        result, elapsed = _solve(problem, CUTS_TIMEOUT, incremental=True)
+        result, elapsed = _solve(problem, CUTS_TIMEOUT)
         status = result.status.value
         if expected is not None and result.solved and status != expected:
             wrong_verdicts += 1
@@ -364,7 +355,7 @@ def run_distinct(quick: bool) -> Dict:
     for name, problem, expected in _distinct_problems():
         if quick and name not in DISTINCT_QUICK:
             continue
-        result, elapsed = _solve(problem, DISTINCT_TIMEOUT, incremental=True)
+        result, elapsed = _solve(problem, DISTINCT_TIMEOUT)
         status = result.status.value
         model_verified = None
         if result.is_sat and result.model is not None:
@@ -413,7 +404,7 @@ def run_e2e(baseline: Dict, quick: bool) -> Dict:
         runs = GATED_RUNS if set_name in QUICK_E2E_SETS else 1
         for instance_name, problem, expected in items:
             key = f"{set_name}/{instance_name}"
-            result, elapsed = _solve_median(problem, E2E_TIMEOUT, incremental=True, runs=runs)
+            result, elapsed = _solve_median(problem, E2E_TIMEOUT, runs=runs)
             status = result.status.value
             model_verified = False
             if result.is_sat and result.model is not None:
@@ -476,7 +467,7 @@ def run_pipelines(quick: bool) -> Dict:
     models_unverified = 0
     total = 0.0
     for name, problem, expected in items:
-        result, elapsed = _solve(problem, PIPELINES_TIMEOUT, incremental=True)
+        result, elapsed = _solve(problem, PIPELINES_TIMEOUT)
         status = result.status.value
         model_verified = None
         if result.is_sat:

@@ -14,7 +14,7 @@ from repro.automata import compile_regex
 from repro.core.predicates import Disequality
 from repro.core.single import encode_single
 from repro.core.system import encode_system
-from repro.lia import LiaConfig, LiaSolver, formula_size
+from repro.lia import LiaSolver, formula_size
 
 
 def _automata():
@@ -32,7 +32,7 @@ def test_single_construction_solving(benchmark):
 
     def solve():
         encoding = encode_single(PREDICATE, automata)
-        return LiaSolver(LiaConfig(timeout=60)).check(encoding.formula).status.value
+        return LiaSolver(timeout=60).check(encoding.formula).status.value
 
     result = benchmark(solve)
     assert result == "sat"
@@ -83,6 +83,6 @@ def test_parikh_lia_pipeline(benchmark):
     encoding = encode_single(Disequality(("x",), ("y",)), automata)
 
     def solve():
-        return LiaSolver(LiaConfig(timeout=60)).check(encoding.formula).status.value
+        return LiaSolver(timeout=60).check(encoding.formula).status.value
 
     assert benchmark(solve) == "sat"

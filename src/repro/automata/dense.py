@@ -733,10 +733,6 @@ def intern_nfa(automaton) -> Nfa:
     return _GLOBAL_INTERN.intern(automaton)
 
 
-def intern_table_size() -> int:
-    return len(_GLOBAL_INTERN)
-
-
 def intern_table_entries() -> List[Nfa]:
     """The canonical automata of the process-wide table (insertion order).
 

@@ -77,18 +77,6 @@ class TableRow:
     time_finished: float
     time_all: float
 
-    def as_tuple(self) -> Tuple:
-        return (
-            self.solver,
-            self.benchmark,
-            self.instances,
-            self.oor,
-            self.unknown,
-            self.wrong,
-            round(self.time_finished, 2),
-            round(self.time_all, 2),
-        )
-
 
 @dataclass
 class Campaign:

@@ -398,9 +398,6 @@ class Pipeline:
             stage.compile(comp)
         return comp.current
 
-    def replace_weight(self) -> int:
-        return sum(_replace_weight(stage) for stage in self.stages)
-
 
 # ----------------------------------------------------------------------
 # Scenarios (pipeline + query + ground truth)

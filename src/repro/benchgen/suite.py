@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..lia import LiaConfig
 from ..solver import EagerReductionSolver, EnumerativeSolver, PositionSolver, SolverConfig
 from . import pipelines, position_hard, symbolic_execution
 from .harness import Instance
@@ -42,7 +41,7 @@ def solver_factories(timeout: float = 10.0) -> Dict[str, object]:
     """
 
     def config() -> SolverConfig:
-        return SolverConfig(timeout=timeout, lia=LiaConfig())
+        return SolverConfig(timeout=timeout)
 
     return {
         "repro-pos": lambda: PositionSolver(config()),

@@ -49,9 +49,6 @@ class Disequality:
     def holds(self, strings: Mapping[str, str], integers: Mapping[str, int] = None) -> bool:
         return _concat(self.lhs, strings) != _concat(self.rhs, strings)
 
-    def needs_mismatch(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class NotPrefixOf:
@@ -66,9 +63,6 @@ class NotPrefixOf:
     def holds(self, strings: Mapping[str, str], integers: Mapping[str, int] = None) -> bool:
         return not _concat(self.rhs, strings).startswith(_concat(self.lhs, strings))
 
-    def needs_mismatch(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class NotSuffixOf:
@@ -82,9 +76,6 @@ class NotSuffixOf:
 
     def holds(self, strings: Mapping[str, str], integers: Mapping[str, int] = None) -> bool:
         return not _concat(self.rhs, strings).endswith(_concat(self.lhs, strings))
-
-    def needs_mismatch(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -124,9 +115,6 @@ class StrAt:
         equal = strings[self.target] == expected
         return (not equal) if self.negated else equal
 
-    def needs_mismatch(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class NotContains:
@@ -140,9 +128,6 @@ class NotContains:
 
     def holds(self, strings: Mapping[str, str], integers: Mapping[str, int] = None) -> bool:
         return _concat(self.needle, strings) not in _concat(self.haystack, strings)
-
-    def needs_mismatch(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -161,9 +146,6 @@ class LengthEquality:
     def holds(self, strings: Mapping[str, str], integers: Mapping[str, int] = None) -> bool:
         integers = integers or {}
         return integers.get(self.int_var, 0) == len(_concat(self.parts, strings))
-
-    def needs_mismatch(self) -> bool:
-        return False
 
 
 #: Union type of all position predicates.

@@ -21,11 +21,11 @@ paper.  The pipeline per :func:`check_integer_feasibility` call:
    branch live in that branch's scope and are retracted on backtracking
    (their derivation may use branch bounds).
 
-Budgets: ``max_nodes`` (:class:`repro.lia.solver.LiaConfig`'s
-``branch_and_bound_nodes``) bounds branch-and-bound nodes, and
-``_MAX_CUTS`` bounds the total cuts per check.  The search raises
-:class:`ResourceLimit` when a budget is exhausted — callers then report
-``UNKNOWN`` rather than an unsound verdict.
+Budgets: ``max_nodes`` (default 4000; the LIA solver's theory hook keeps
+the default) bounds branch-and-bound nodes, and ``_CUT_ROUNDS`` /
+``_MAX_CUTS`` bound the cuts per node and per check.  The search raises
+:class:`ResourceLimit` when a node or depth budget is exhausted — callers
+then report ``UNKNOWN`` rather than an unsound verdict.
 
 Every derived fact carries provenance: cut tags are frozenset unions of the
 tags of the bounds used in their derivation, and substitution descendants
@@ -237,16 +237,15 @@ def _fractional_variable(model: Dict[str, Fraction]) -> Optional[str]:
 def check_integer_feasibility(
     constraints: Sequence[Constraint],
     max_nodes: int = 4000,
-    cuts: bool = True,
     budget: Optional[Budget] = None,
 ) -> IntResult:
     """Decide whether ``constraints`` have an integer solution.
 
-    ``cuts`` switches the Gomory cutting planes of the branch-and-cut
-    search (at most ``_CUT_ROUNDS`` rounds per node and ``_MAX_CUTS`` cuts
-    per call; see the module docstring).  The function either returns a
-    definitive :class:`IntResult` or raises :class:`ResourceLimit` on the
-    node/depth budgets.  Wall-clock bounding goes through ``budget`` (one
+    The branch-and-cut search spends at most ``_CUT_ROUNDS`` Gomory cut
+    rounds per node and ``_MAX_CUTS`` cuts per call (see the module
+    docstring).  The function either returns a definitive
+    :class:`IntResult` or raises :class:`ResourceLimit` on the node/depth
+    budgets.  Wall-clock bounding goes through ``budget`` (one
     checkpoint per branch-and-bound node and cut round, plus the simplex's
     per-pivot checkpoints against the ambient budget), raising
     :class:`repro.budget.BudgetExceeded` — deliberately distinct from
@@ -293,12 +292,7 @@ def check_integer_feasibility(
         # retracted with it (their derivation may use branch bounds).
         rounds = 0
         branch_var = _fractional_variable(relaxation.model)
-        while (
-            cuts
-            and branch_var is not None
-            and rounds < _CUT_ROUNDS
-            and cuts_used < _MAX_CUTS
-        ):
+        while branch_var is not None and rounds < _CUT_ROUNDS and cuts_used < _MAX_CUTS:
             round_cuts = simplex.gomory_cuts(max_cuts=min(8, _MAX_CUTS - cuts_used))
             if not round_cuts:
                 break

@@ -89,9 +89,6 @@ class LiaModel:
     def get(self, name: str, default: int = 0) -> int:
         return self.values.get(name, default)
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.values)
-
 
 @dataclass
 class LiaResult:
@@ -130,22 +127,6 @@ class LiaResult:
 
 
 @dataclass
-class LiaConfig:
-    """Tunable limits of the LIA solver."""
-
-    #: budget of branch-and-bound nodes per integer feasibility check
-    branch_and_bound_nodes: int = 4000
-    #: Gomory cutting planes in the integer core's branch-and-cut search.
-    #: Cuts are what refute pure-inequality divisibility conflicts (e.g. the
-    #: ``(abc)*`` commuting disequalities) that branch-and-bound diverges
-    #: on; ``False`` is the pre-cuts behaviour (ablation / differential
-    #: testing)
-    cuts: bool = True
-    #: optional wall-clock limit in seconds
-    timeout: Optional[float] = None
-
-
-@dataclass
 class _Level:
     """One assertion-stack frame of the incremental context."""
 
@@ -166,8 +147,7 @@ class _Level:
 class _Context:
     """The persistent state behind one assertion stack."""
 
-    def __init__(self, config: LiaConfig) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.cnf = CnfBuilder()
         self.theory_atoms: Set[int] = set()
         self.sat = DpllSolver(num_vars=0, clauses=(), theory_atoms=self.theory_atoms)
@@ -373,12 +353,7 @@ class _Context:
 
         constraints = [self._atom_constraint[var] for var in sorted(true_atoms)]
         try:
-            outcome = check_integer_feasibility(
-                constraints,
-                max_nodes=self.config.branch_and_bound_nodes,
-                cuts=self.config.cuts,
-                budget=self._budget,
-            )
+            outcome = check_integer_feasibility(constraints, budget=self._budget)
         except ResourceLimit:
             # Branch-and-bound could not decide this boolean assignment.
             # Block it and remember that an UNSAT verdict is no longer
@@ -533,15 +508,16 @@ class _Context:
         self,
         assumptions: Sequence[Tuple[object, Formula]] = (),
         budget: Optional[Budget] = None,
+        timeout: Optional[float] = None,
     ) -> LiaResult:
         # A caller-passed budget is *shared*: exceeding it must propagate as
         # BudgetExceeded so the owner (e.g. the string pipeline) sees one
-        # consistent verdict.  An owned budget (built here from
-        # ``config.timeout``) keeps the historical contract: running out of
-        # time is an UNKNOWN result, not an exception.
+        # consistent verdict.  An owned budget (built here from ``timeout``)
+        # keeps the historical contract: running out of time is an UNKNOWN
+        # result, not an exception.
         owned = budget is None
         if owned:
-            budget = Budget(self.config.timeout)
+            budget = Budget(timeout)
         before = self._stats_snapshot()
 
         def result(
@@ -659,14 +635,15 @@ class LiaSolver:
     inside an implicit ``push``/``pop``.
     """
 
-    def __init__(self, config: Optional[LiaConfig] = None) -> None:
-        self.config = config or LiaConfig()
+    def __init__(self, timeout: Optional[float] = None) -> None:
+        #: wall-clock limit in seconds of each check without a caller budget
+        self.timeout = timeout
         self._ctx: Optional[_Context] = None
 
     # ------------------------------------------------------------------
     def _context(self) -> _Context:
         if self._ctx is None:
-            self._ctx = _Context(self.config)
+            self._ctx = _Context()
         return self._ctx
 
     def push(self) -> None:
@@ -694,9 +671,9 @@ class LiaSolver:
     ) -> LiaResult:
         """Decide satisfiability of the assertion stack (plus ``formula``).
 
-        A caller-passed ``budget`` supersedes ``config.timeout``, and
-        exceeding it raises :class:`repro.budget.BudgetExceeded` instead of
-        answering ``UNKNOWN`` (the budget's owner reports the verdict).
+        A caller-passed ``budget`` supersedes ``timeout``, and exceeding it
+        raises :class:`repro.budget.BudgetExceeded` instead of answering
+        ``UNKNOWN`` (the budget's owner reports the verdict).
         ``assumptions`` is a sequence of ``(label, formula)`` pairs that
         hold for *this check only*: on an ``UNSAT`` answer,
         :attr:`LiaResult.core_labels` names exactly the assumptions the
@@ -705,26 +682,26 @@ class LiaSolver:
         """
         if formula is not None:
             if self._ctx is None and not assumptions:
-                context = _Context(self.config)
+                context = _Context()
                 context.add_assertion(formula)
-                return context.check(budget=budget)
+                return context.check(budget=budget, timeout=self.timeout)
             context = self._context()
             context.push()
             context.add_assertion(formula)
             try:
-                return context.check(assumptions=assumptions, budget=budget)
+                return context.check(assumptions, budget, self.timeout)
             finally:
                 context.pop()
-        return self._context().check(assumptions=assumptions, budget=budget)
+        return self._context().check(assumptions, budget, self.timeout)
 
 
-def is_satisfiable(formula: Formula, config: Optional[LiaConfig] = None) -> bool:
+def is_satisfiable(formula: Formula, timeout: Optional[float] = None) -> bool:
     """Convenience helper: ``True`` iff ``formula`` is satisfiable.
 
     Raises :class:`RuntimeError` when the solver cannot decide the formula
     within its budget (so callers never mistake ``UNKNOWN`` for a verdict).
     """
-    result = LiaSolver(config).check(formula)
+    result = LiaSolver(timeout).check(formula)
     if result.status is LiaStatus.UNKNOWN:
         raise RuntimeError(f"LIA solver returned unknown: {result.reason}")
     return result.is_sat

@@ -1,25 +1,19 @@
 """Portfolio strategies: complementary solver configurations raced per job.
 
-The ingredients are the ablation switches :class:`repro.SolverConfig`
-already exposes — the server races the pipeline against itself under
+The ingredient is the one switch :class:`repro.SolverConfig` exposes
+besides its budgets — the server races the pipeline against itself under
 configurations that win on *different* instance shapes, takes the first
 **sound** verdict and cancels the rest:
 
 * ``witness`` — the default pipeline: witness/enumeration shortcuts on
   (the n-ary ``distinct`` easy path answers in microseconds where the
-  encoding searches), incremental LIA, cutting planes.  Fastest on the
-  sat-heavy symbolic-execution shapes.
+  encoding searches).  Fastest on the sat-heavy symbolic-execution
+  shapes.
 * ``encoding`` — ``distinct_shortcut=False``: always the tag-automaton
   ``A^III`` encoding.  Covers instances where the greedy witness path
   declines and its fallback order loses time, and doubles as a standing
   cross-check of the shortcut (a disagreement between the two is an
   engine bug, which the server detects and refuses to answer).
-* ``frugal`` — ``lia=LiaConfig(cuts=False)``, ``incremental_lia=False``:
-  the seed-style from-scratch LIA without cutting planes.  Cheapest setup
-  cost; wins on small easily-sat instances where cut derivation is pure
-  overhead, and diverges (hits its budget) on the cut-hungry unsat
-  families — which is exactly why it only ever *races*, never answers
-  alone.
 
 "First sound verdict wins" is sound because every individual verdict
 already is: ``sat`` models are re-verified against the original atoms and
@@ -32,21 +26,15 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from ..lia import LiaConfig
 from ..solver import SolverConfig
 
 #: name → factory; every factory accepts the per-job budget knobs
 STRATEGIES: Dict[str, Callable[..., SolverConfig]] = {
     "witness": lambda **kw: SolverConfig(**kw),
     "encoding": lambda **kw: SolverConfig(distinct_shortcut=False, **kw),
-    "frugal": lambda **kw: SolverConfig(
-        lia=LiaConfig(cuts=False), incremental_lia=False, **kw
-    ),
 }
 
-#: the default race: the two complementary full-strength paths.  ``frugal``
-#: joins via ``--portfolio witness,encoding,frugal`` when workers outnumber
-#: the job stream.
+#: the default race: both strategies
 DEFAULT_PORTFOLIO: Tuple[str, ...] = ("witness", "encoding")
 
 
@@ -54,14 +42,19 @@ def strategy_names(requested) -> Tuple[str, ...]:
     """Normalise a request's ``portfolio`` field into strategy names.
 
     ``True``/``None`` → the default portfolio, ``False`` → just
-    ``witness``, a list → those names (validated).  Unknown names raise
-    ``ValueError`` (the server answers an error response).
+    ``witness``, a list → those names (validated).  Anything else, and
+    unknown names, raise ``ValueError`` (the server answers an error
+    response).
     """
     if requested is None or requested is True:
         return DEFAULT_PORTFOLIO
     if requested is False:
         return ("witness",)
-    names = tuple(str(name) for name in requested)
+    if not isinstance(requested, (list, tuple)) or not all(
+        isinstance(name, str) for name in requested
+    ):
+        raise ValueError("portfolio must be a bool, null or a list of strategy names")
+    names = tuple(requested)
     if not names:
         return DEFAULT_PORTFOLIO
     for name in names:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import asyncio
 import glob as globlib
 import itertools
+import math
 import multiprocessing
 import os
 import time
@@ -365,9 +366,14 @@ class SolverServer:
             return {"ok": False, "error": "solve needs a non-empty 'script' string"}
         timeout = request.get("timeout", self.default_timeout)
         if timeout is not None:
-            timeout = float(timeout)
-            if timeout <= 0:
-                return {"ok": False, "error": "timeout must be positive"}
+            # ``json.loads`` accepts ``NaN`` and ``Infinity``, and ``NaN``
+            # slips through any ``<=`` test.
+            try:
+                timeout = float(timeout)
+            except (TypeError, ValueError):
+                timeout = math.nan
+            if not math.isfinite(timeout) or timeout <= 0:
+                return {"ok": False, "error": "timeout must be a finite positive number"}
         try:
             strategies = strategy_names(request.get("portfolio"))
         except ValueError as error:

@@ -164,11 +164,8 @@ class EagerReductionSolver:
                 base_atoms.append(atom)
 
         # Cartesian product of alternatives, explored depth-first.
-        inner_config = SolverConfig(
-            timeout=None,  # the outer stopwatch governs the budget
-            lia=self.config.lia,
-        )
-        solver = PositionSolver(inner_config)
+        # The outer stopwatch governs the budget.
+        solver = PositionSolver(SolverConfig(timeout=None))
 
         saw_unknown = False
         explored = 0

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-from ..lia import LiaConfig
 
 
 @dataclass
@@ -13,7 +11,9 @@ class SolverConfig:
     """Tunable limits of :class:`repro.solver.solver.PositionSolver`.
 
     The defaults are sized for the scaled-down benchmark suite; the paper's
-    experiments used a 120 s timeout per instance.
+    experiments used a 120 s timeout per instance.  The search itself has
+    one configuration: the LIA layer is always the incremental
+    branch-and-cut solver, and its internal limits are module constants.
     """
 
     #: wall-clock budget per ``check`` call (seconds); ``None`` = unlimited
@@ -23,19 +23,12 @@ class SolverConfig:
     #: noodles, SAT iterations, ...) independently of the clock — a
     #: deterministic, machine-independent bound.  ``None`` = unlimited
     max_steps: Optional[int] = None
-    #: solve the MBQI refinement loop on one incremental LIA assertion stack
-    #: (push/add/check per lemma); ``False`` falls back to a from-scratch
-    #: ``LiaSolver.check`` per round (the seed behaviour, kept for perf
-    #: comparisons and differential testing)
-    incremental_lia: bool = True
-    #: configuration of the underlying LIA solver (``lia.cuts`` switches the
-    #: cutting planes of the integer core)
-    lia: LiaConfig = field(default_factory=LiaConfig)
     #: answer pairwise-distinct groups (conjunctions of single-variable
     #: disequalities) by greedily picking distinct short words from the
     #: variables' automata — verified against the original problem by the
     #: semantics oracle — instead of encoding the n-predicate ``A^III``
     #: system; groups whose automata lack enough short words (or whose
     #: greedy model fails verification) fall through to the encoding.
-    #: ``False`` always takes the encoding (ablation / differential testing)
+    #: ``False`` always takes the encoding (the ``encoding`` strategy of
+    #: ``repro.serve``, which cross-checks the shortcut)
     distinct_shortcut: bool = True

@@ -93,7 +93,7 @@ from ..core.single import SingleEncoding, encode_single
 from ..core.system import SystemEncoding, encode_system
 from ..core.witness import extract_assignment
 from ..eqsolver import Branch, DecompositionResult, decompose
-from ..lia import LiaSolver, LiaStatus, conj, eq, gt, var
+from ..lia import LiaSolver, LiaStatus, eq, gt, var
 from ..lia import And as LiaAnd
 from ..lia import Eq as LiaEq
 from ..lia import Formula as LiaFormula
@@ -864,7 +864,7 @@ class IncrementalPipeline:
         state: Optional[_BranchSolver] = self._branch_solvers.lookup(fingerprint)
         if state is None:
             self.counters["branch_solver_creates"] += 1
-            state = _BranchSolver(solver=LiaSolver(self.config.lia))
+            state = _BranchSolver(solver=LiaSolver())
             self._branch_solvers.store(fingerprint, state)
         else:
             self.counters["branch_solver_reuses"] += 1
@@ -889,7 +889,7 @@ class IncrementalPipeline:
             )
             if dropped_encoding:
                 self.counters["branch_solver_rebuilds"] += 1
-                state.solver = LiaSolver(self.config.lia)
+                state.solver = LiaSolver()
                 state.levels = []
                 state.copies = []
         while len(state.levels) > keep:
@@ -1263,17 +1263,13 @@ class IncrementalPipeline:
                     approximations.append((formula, set(predicate.string_variables())))
 
         # The MBQI refinement loop re-checks the same large conjunction with
-        # one small lemma added per round.  With ``incremental_lia`` the base
-        # parts live on the branch's pinned assertion stack and every round
-        # only encodes its new lemma (atom maps, Tseitin clauses, learned
-        # theory clauses and the simplex tableau survive across rounds *and*
-        # across checks).  Within a round, every sat model is first cut until
-        # each Parikh encoding's run is connected (see repro.core.parikh);
-        # those connectivity checks do not count as instantiation rounds.
-        lemmas: List[LiaFormula] = []
-        #: inner copies of this check's MBQI lemmas (the pinned stack keeps
-        #: its own, per level, across checks)
-        copies: List[ParikhEncoding] = []
+        # one small lemma added per round.  The base parts live on the
+        # branch's pinned assertion stack and every round only encodes its
+        # new lemma (atom maps, Tseitin clauses, learned theory clauses and
+        # the simplex tableau survive across rounds *and* across checks).
+        # Within a round, every sat model is first cut until each Parikh
+        # encoding's run is connected (see repro.core.parikh); those
+        # connectivity checks do not count as instantiation rounds.
         queries = 0
         stats: Dict[str, int] = {"connectivity_lemmas": 0}
 
@@ -1281,42 +1277,26 @@ class IncrementalPipeline:
             for key, value in delta.items():
                 stats[key] = stats.get(key, 0) + value
 
-        incremental = self.config.incremental_lia
-        state: Optional[_BranchSolver] = None
-
-        def add_lemma(lemma: LiaFormula) -> None:
-            lemmas.append(lemma)
-            if incremental:
-                state.solver.add_assertion(lemma)
-
         def check_connected():
             nonlocal queries
             while True:
                 queries += 1
-                if incremental:
-                    result = state.solver.check(assumptions=assumed, budget=watch)
-                else:
-                    result = LiaSolver(self.config.lia).check(
-                        conj([formula for _, formula in parts] + lemmas),
-                        assumptions=assumed,
-                        budget=watch,
-                    )
+                result = state.solver.check(assumptions=assumed, budget=watch)
                 merge_stats(result.stats)
                 if result.status is not LiaStatus.SAT:
                     return result
                 encodings = [component.encoding.parikh for component in components]
-                encodings += [enc for level in state.copies for enc in level] if incremental else copies
+                encodings += [enc for level in state.copies for enc in level]
                 cuts = [cut for enc in encodings for cut in connectivity_cuts(enc, result.model)]
                 if not cuts:
                     return result
                 watch.check_now("parikh.connect")
                 stats["connectivity_lemmas"] += len(cuts)
                 for cut in cuts:
-                    add_lemma(cut)
+                    state.solver.add_assertion(cut)
 
         try:
-            if incremental:
-                state = self._branch_solver(fingerprint, parts)
+            state = self._branch_solver(fingerprint, parts)
             for _round in range(_MAX_INSTANTIATION_ROUNDS):
                 watch.check_now("mbqi.round")
                 result = check_connected()
@@ -1390,8 +1370,8 @@ class IncrementalPipeline:
                         lemma, inner = encoder.instantiation_lemma(
                             offset, component.master_counts, component.encoding.length_of
                         )
-                        add_lemma(lemma)
-                        (state.copies[-1] if incremental else copies).append(inner)
+                        state.solver.add_assertion(lemma)
+                        state.copies[-1].append(inner)
                         refinement_added = True
                         break
                     if refinement_added:
@@ -1415,8 +1395,7 @@ class IncrementalPipeline:
             # (a replay push, an MBQI lemma assert, an in-flight CDCL
             # search).  Its level bookkeeping can no longer be trusted, so
             # drop the pin — the next check rebuilds it from the parts.
-            if incremental:
-                self._branch_solvers.pop(fingerprint, None)
+            self._branch_solvers.pop(fingerprint, None)
             raise
 
         return _BranchOutcome(

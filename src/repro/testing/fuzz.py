@@ -81,7 +81,7 @@ def _model_ok(problem: Problem, model) -> bool:
 
 def default_configs(timeout: Optional[float] = None) -> Dict[str, SolverConfig]:
     """The ablations the fuzzer races: the server portfolio's strategies
-    (``witness`` / ``encoding`` / ``frugal``), so a disagreement here is a
+    (``witness`` / ``encoding``), so a disagreement here is a
     disagreement the portfolio could serve to a client."""
     return {name: factory(timeout=timeout) for name, factory in STRATEGIES.items()}
 

@@ -8,7 +8,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.automata import Nfa, words_up_to
 from repro.core.parikh import connectivity_cuts, run_from_model
 from repro.core.predicates import evaluate_all
-from repro.lia import LiaConfig, LiaSolver, LiaStatus
+from repro.lia import LiaSolver, LiaStatus
 
 
 def enumerate_assignments(automata: Dict[str, Nfa], max_length: int) -> Iterable[Dict[str, str]]:
@@ -55,7 +55,7 @@ def solve_parikh(formula, encodings, timeout: float = 30.0, lemmas: Optional[lis
     real runs; fails the test on UNKNOWN.  The cuts are appended to
     ``lemmas`` when given.
     """
-    solver = LiaSolver(LiaConfig(timeout=timeout))
+    solver = LiaSolver(timeout=timeout)
     solver.add_assertion(formula)
     while True:
         result = solver.check()

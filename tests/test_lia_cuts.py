@@ -14,8 +14,6 @@ brute-force integer enumeration:
 import itertools
 import random
 
-import pytest
-
 from repro.lia import LinExpr
 from repro.lia.intsolver import ResourceLimit, check_integer_feasibility
 from repro.lia.simplex import Constraint, Simplex
@@ -212,13 +210,6 @@ def test_commuting_mod3_core_is_refuted_by_cuts():
     assert not outcome.feasible
 
 
-def test_commuting_mod3_core_diverges_without_cuts():
-    # The same system exhausts its budget when cutting planes are disabled
-    # — the regression the cuts exist to fix.
-    with pytest.raises(ResourceLimit):
-        check_integer_feasibility(_comm_core_constraints(), max_nodes=200, cuts=False)
-
-
 def test_cut_conflict_core_names_only_contributing_assertions():
     extra = [
         Constraint(expr({"w0": 1}, -9), "<=", tag="bystander-0"),
@@ -228,27 +219,6 @@ def test_cut_conflict_core_names_only_contributing_assertions():
     assert not outcome.feasible
     assert outcome.conflict
     assert all(isinstance(tag, str) and tag.startswith("core-") for tag in outcome.conflict)
-
-
-def test_frugal_strategy_runs_without_cuts():
-    from repro.lia import LiaConfig, LiaSolver, LiaStatus, conj
-    from repro.lia.terms import Eq, Le
-    from repro.serve.portfolio import config_for
-
-    witness = config_for("witness").lia
-    frugal = config_for("frugal").lia
-    assert witness.cuts and not frugal.cuts
-    # The switch reaches the integer core: the mod-3 core that cuts refute
-    # exhausts branch-and-bound without them.
-    formula = conj(
-        [(Le if relation == "<=" else Eq)(expr(coeffs, const))
-         for coeffs, const, relation in _COMM_MOD3_CORE]
-    )
-    verdicts = {
-        cuts: LiaSolver(LiaConfig(cuts=cuts, branch_and_bound_nodes=200)).check(formula).status
-        for cuts in (witness.cuts, frugal.cuts)
-    }
-    assert verdicts == {True: LiaStatus.UNSAT, False: LiaStatus.UNKNOWN}
 
 
 def _bruteforce_input_sets():

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.lia import (
-    LiaConfig,
     LiaSolver,
     LiaStatus,
     check_model,
@@ -265,7 +264,7 @@ def test_cnf_duplicate_clauses_are_dropped():
 # ----------------------------------------------------------------------
 def test_check_reports_per_check_stats():
     x = var("x")
-    solver = LiaSolver(LiaConfig())
+    solver = LiaSolver()
     solver.add_assertion(conj([disj([eq(x, 1), eq(x, 5)]), ge(x, 2)]))
     first = solver.check()
     assert first.status is LiaStatus.SAT
@@ -448,7 +447,7 @@ def test_trail_sync_on_integer_sensitive_core():
     # search decisions to make after the phase flips.
     choices = [disj([atom, ge(var(f"c{k}"), 1)]) for k, atom in enumerate(atoms)]
     choices += [disj([le(var(f"c{k}"), 0), ge(var(f"c{k}"), 3)]) for k in range(len(atoms))]
-    solver = LiaSolver(LiaConfig(branch_and_bound_nodes=200))
+    solver = LiaSolver()
     solver.add_assertion(conj(choices))
     audit = _audited(solver)
     solver.push()

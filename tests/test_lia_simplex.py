@@ -131,7 +131,7 @@ def test_node_limit_raises():
     # node budget trips before the first relaxation.
     constraints = [Constraint(expr({"x": 1, "y": 1}, -1), ">=")]
     with pytest.raises(ResourceLimit):
-        check_integer_feasibility(constraints, max_nodes=0, cuts=False)
+        check_integer_feasibility(constraints, max_nodes=0)
 
 
 def test_gcd_tightening_of_inequalities():

@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.lia import (
-    LiaConfig,
     LiaSolver,
     LiaStatus,
     check_model,
@@ -128,8 +127,7 @@ def test_cnf_counts_atoms_once():
 def test_timeout_returns_unknown_or_finishes(tmp_path):
     x = var("x")
     clauses = [disj([eq(x, i), ne(x, i)]) for i in range(5)]
-    config = LiaConfig(timeout=10.0)
-    result = LiaSolver(config).check(conj(clauses))
+    result = LiaSolver(timeout=10.0).check(conj(clauses))
     assert result.status in (LiaStatus.SAT, LiaStatus.UNKNOWN)
 
 
@@ -191,8 +189,8 @@ def test_finished_check_frees_its_lia_context(monkeypatch):
     contexts = []
     original_init = solver_module._Context.__init__
 
-    def recording_init(self, config):
-        original_init(self, config)
+    def recording_init(self):
+        original_init(self)
         contexts.append(weakref.ref(self))
 
     monkeypatch.setattr(solver_module._Context, "__init__", recording_init)

@@ -72,9 +72,15 @@ def test_parse_host_port():
 
 def test_strategy_names_validation():
     assert strategy_names(None) == ("witness", "encoding")
-    assert strategy_names(["frugal"]) == ("frugal",)
+    assert strategy_names(["encoding"]) == ("encoding",)
     with pytest.raises(ValueError):
         strategy_names(["nope"])
+    with pytest.raises(ValueError, match="unknown strategy 'frugal'"):
+        strategy_names(["frugal"])
+    with pytest.raises(ValueError):
+        strategy_names(3)
+    with pytest.raises(ValueError):
+        strategy_names("witness")
     with pytest.raises(ValueError):
         strategy_names(["witness", "witness"])
 
@@ -85,7 +91,6 @@ def test_strategies_are_distinct_configs():
     }
     # The portfolio only makes sense if the racers explore different paths.
     assert configs["witness"].distinct_shortcut != configs["encoding"].distinct_shortcut
-    assert configs["witness"].lia.cuts != configs["frugal"].lia.cuts
 
 
 def test_dedup_key_semantics():
@@ -105,7 +110,7 @@ def test_dedup_key_semantics():
 def test_pick_winner_ranking():
     undecided = synthetic_outcome("witness", 1, "timeout@solve")
     decided = JobOutcome(strategy="encoding", verdicts=["sat"], output=["sat"])
-    errored = JobOutcome(strategy="frugal", error="boom")
+    errored = JobOutcome(strategy="encoding", error="boom")
     assert pick_winner([undecided, decided, errored]) is decided
     assert pick_winner([errored, undecided]) is undecided
     assert pick_winner([]) is None
@@ -162,6 +167,21 @@ def test_bad_requests_are_answered(server):
         assert client.solve(SAT_SCRIPT, timeout=-1)["ok"] is False
         bad = client.request({"op": "solve", "script": SAT_SCRIPT, "portfolio": ["zzz"]})
         assert bad["ok"] is False and "zzz" in bad["error"]
+        bad = client.request({"op": "solve", "script": SAT_SCRIPT, "portfolio": ["frugal"]})
+        assert bad["ok"] is False and "unknown strategy 'frugal'" in bad["error"]
+        before = client.request({"op": "stats"})["stats"]
+        # A timeout must be finite and positive: NaN passes a ``<= 0`` test,
+        # and ``asyncio.wait(timeout=nan)`` returns at once.
+        for timeout in ("nan", float("nan"), float("inf"), "soon"):
+            bad = client.request({"op": "solve", "script": SAT_SCRIPT, "timeout": timeout})
+            assert bad["ok"] is False and "timeout" in bad["error"], timeout
+        # A portfolio is a bool, null or a list of names.
+        for portfolio in (3, "witness", [1]):
+            bad = client.request({"op": "solve", "script": SAT_SCRIPT, "portfolio": portfolio})
+            assert bad["ok"] is False and "portfolio" in bad["error"], portfolio
+        after = client.request({"op": "stats"})["stats"]
+        for counter in ("errors", "portfolio_abandoned", "jobs_total"):
+            assert after[counter] == before[counter], counter
         # Malformed JSON still yields a structured error response.
         server_sock = socket.create_connection((server.host, server.port), timeout=30)
         server_sock.sendall(b'{"op": "solve", "script": \n')
@@ -260,10 +280,10 @@ def test_portfolio_cancels_losers(server):
 
 def test_single_strategy_portfolio_override(server):
     with server.client() as client:
-        response = client.solve(SAT_SCRIPT, name="solo", portfolio=["frugal"])
+        response = client.solve(SAT_SCRIPT, name="solo", portfolio=["encoding"])
         assert response["ok"] and response["verdicts"] == ["sat"]
-        assert response["strategy"] == "frugal"
-        assert response["portfolio"]["strategies"] == ["frugal"]
+        assert response["strategy"] == "encoding"
+        assert response["portfolio"]["strategies"] == ["encoding"]
 
 
 def test_smtlib_cli_server_mode_matches_local(server):
