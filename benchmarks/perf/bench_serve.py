@@ -5,28 +5,27 @@ automata caches seeded from the corpus):
 
 * **identity** — every corpus script is solved in-process (the
   ``python -m repro.smtlib`` path, same timeout) and through the server at
-  concurrency :data:`IDENTITY_CONCURRENCY` (low enough that a one-core box
-  racing two strategies per job keeps the slowest corpus file inside the
-  shared timeout).  Gates: **0 wrong verdicts** (a decided server verdict
-  may not contradict a decided in-process verdict, nor the corpus's
-  ``(set-info :status …)`` ground truth), **0 dropped answers** (one
-  answer per ``check-sat``, every request responded to) and **every
-  unknown structured** (a ``; unknown: <reason>`` line per undecided
-  check).  Decidedness itself may differ — the portfolio sometimes
-  decides where one config gives up, and scheduling noise can cost a
-  borderline instance — so those are *reported* (``server_only_decided``
-  / ``local_only_decided``), not failed.
+  concurrency :data:`IDENTITY_CONCURRENCY` (low enough that a small box
+  keeps the slowest corpus file inside the shared timeout).  Gates:
+  **0 wrong verdicts** (a decided server verdict may not contradict a
+  decided in-process verdict, nor the corpus's ``(set-info :status …)``
+  ground truth), **0 dropped answers** (one answer per ``check-sat``,
+  every request responded to) and **every unknown structured** (a
+  ``; unknown: <reason>`` line per undecided check).  Decidedness itself
+  may differ — scheduling noise can cost a borderline instance — so those
+  are *reported* (``server_only_decided`` / ``local_only_decided``), not
+  failed.
 
 * **load** — a traffic replay of the corpus's fast slice (in-process time
   under :data:`FAST_SLICE_SECONDS`) at several client concurrency levels,
   measuring per-request wall latency from the client side.  Reported per
-  level: p50/p99/mean latency and throughput.  On a small box the workers
-  timeshare one core and the portfolio doubles the work per job, so
-  throughput plateaus early and p99 grows with concurrency — the point of
-  the bench is to put numbers on exactly that.
+  level: p50/p99/mean latency and throughput.  Each job occupies one
+  worker, so throughput plateaus once every worker is busy and p99 grows
+  with concurrency — the point of the bench is to put numbers on exactly
+  that.
 
 The report lands in ``BENCH_serve.json`` next to this file (``--output``
-to redirect), including the server's own counters (dedup, cancellations,
+to redirect), including the server's own counters (dedup, abandoned jobs,
 restarts) and the shutdown exit code — the run fails unless the server
 exits 0 with every worker reaped.
 

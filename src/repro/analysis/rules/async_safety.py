@@ -1,7 +1,7 @@
 """Rule ``async-safety``: no blocking calls inside ``async def`` bodies.
 
 ``repro.serve`` runs one asyncio event loop in the parent process; every
-coroutine that blocks stalls *all* connections, the portfolio timers and
+coroutine that blocks stalls *all* connections, the job deadlines and
 the hung-fleet watchdog at once.  The codebase's idiom for unavoidable
 blocking work is ``await asyncio.to_thread(...)`` (warm payload builds,
 executor shutdown) — this rule catches the direct calls that bypass it:

@@ -1,12 +1,12 @@
-"""``repro.serve`` — the async portfolio solver server.
+"""``repro.serve`` — the async solver server.
 
 The one-request-one-session architecture of :class:`repro.Session` scales
 to concurrent traffic here: an asyncio front door accepts SMT-LIB jobs
-over a JSON-lines TCP protocol (or as raw scripts), dispatches them to a
-process worker fleet with warm per-worker automata caches, races
-complementary solver configurations per job (first *sound* verdict wins,
-losers cancelled across the process boundary through the budget hook) and
-dedups structurally identical in-flight jobs.
+over a JSON-lines TCP protocol (or as raw scripts), runs each job under
+one :class:`repro.SolverConfig` on one worker of a process fleet with warm
+per-worker automata caches, answers every job by its deadline (a hung
+worker is abandoned and cancelled across the process boundary through the
+budget hook) and dedups structurally identical in-flight jobs.
 
 Entry points:
 
@@ -17,7 +17,6 @@ Entry points:
 """
 
 from .client import ServeClient, ServeError, parse_host_port
-from .portfolio import DEFAULT_PORTFOLIO, STRATEGIES, config_for, strategy_names
 from .protocol import JobOutcome, JobSpec, dedup_key
 from .server import SolverServer, build_warm_payload, run_server
 
@@ -25,10 +24,6 @@ __all__ = [
     "ServeClient",
     "ServeError",
     "parse_host_port",
-    "DEFAULT_PORTFOLIO",
-    "STRATEGIES",
-    "config_for",
-    "strategy_names",
     "JobOutcome",
     "JobSpec",
     "dedup_key",

@@ -4,7 +4,7 @@ Boots the asyncio front door plus the process worker fleet and blocks
 until a clean shutdown (SIGINT/SIGTERM or a client ``shutdown`` op), then
 exits 0 with every worker reaped.  The ready line::
 
-    repro.serve listening on 127.0.0.1:7411 (workers=4, portfolio=witness,encoding, warm=137)
+    repro.serve listening on 127.0.0.1:7411 (workers=4, warm=137)
 
 is printed (and flushed) once the socket is bound — drivers that need the
 ephemeral port of ``--port 0`` parse it from there.
@@ -17,7 +17,6 @@ import asyncio
 import os
 from typing import List, Optional
 
-from .portfolio import DEFAULT_PORTFOLIO, STRATEGIES
 from .server import SolverServer, run_server
 
 
@@ -25,7 +24,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
         description="Serve the repro string solver over TCP (JSON-lines protocol "
-        "or raw SMT-LIB scripts) with portfolio racing on a process worker fleet.",
+        "or raw SMT-LIB scripts), one job per worker of a process fleet.",
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
@@ -35,11 +34,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--workers", type=int, default=max(2, (os.cpu_count() or 2) // 2),
         help="worker processes in the fleet (default: half the cores, min 2)",
-    )
-    parser.add_argument(
-        "--portfolio", default=",".join(DEFAULT_PORTFOLIO),
-        help="comma-separated strategies raced per job "
-        f"(available: {', '.join(sorted(STRATEGIES))})",
     )
     parser.add_argument(
         "--timeout", type=float, default=30.0,
@@ -59,12 +53,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="cap on the number of automata in the warm payload",
     )
     parser.add_argument(
-        "--slots", type=int, default=None,
-        help="in-flight strategy-run cap (default: 4x workers)",
-    )
-    parser.add_argument(
         "--retries", type=int, default=1,
-        help="re-submissions of a run whose worker died (default 1)",
+        help="re-submissions of a job whose worker died (default 1)",
     )
     parser.add_argument(
         "--enable-fault-injection", action="store_true",
@@ -73,19 +63,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    portfolio = tuple(
-        name.strip() for name in args.portfolio.split(",") if name.strip()
-    )
     server = SolverServer(
         host=args.host,
         port=args.port,
         workers=args.workers,
-        portfolio=portfolio,
         default_timeout=args.timeout,
         max_steps=args.max_steps,
         warm_paths=args.warm,
         warm_limit=args.warm_limit,
-        slots=args.slots,
         retries=args.retries,
         enable_fault_injection=args.enable_fault_injection,
     )

@@ -74,7 +74,6 @@ class ServeClient:
         script: str,
         name: str = "",
         timeout: Optional[float] = None,
-        portfolio=None,
         inject: Sequence[Dict[str, Any]] = (),
     ) -> Dict[str, Any]:
         """Submit one SMT-LIB script; returns the solve response object."""
@@ -83,8 +82,6 @@ class ServeClient:
             payload["name"] = name
         if timeout is not None:
             payload["timeout"] = timeout
-        if portfolio is not None:
-            payload["portfolio"] = portfolio
         if inject:
             payload["inject"] = list(inject)
         return self.request(payload)
@@ -93,7 +90,7 @@ class ServeClient:
         return self.request({"op": "ping"})
 
     def stats(self) -> Dict[str, Any]:
-        """Server-level counters (jobs, dedup, cancellations, restarts)."""
+        """Server-level counters (jobs, dedup, abandoned jobs, restarts)."""
         return self.request({"op": "stats"})
 
     def shutdown(self) -> Dict[str, Any]:

@@ -19,15 +19,13 @@ Two layers of "wire" meet here:
 Request objects::
 
     {"op": "solve", "id": 7, "script": "(assert ...)\\n(check-sat)",
-     "timeout": 10.0, "portfolio": true}        # or a strategy-name list
+     "timeout": 10.0}
     {"op": "ping"} | {"op": "stats"} | {"op": "shutdown"}
 
 Solve responses::
 
     {"id": 7, "ok": true, "verdicts": ["sat"], "reasons": [""],
-     "output": ["sat"], "strategy": "witness", "deduped": false,
-     "portfolio": {"strategies": [...], "cancelled": 1, "completed": 1},
-     "stats": {...}, "elapsed": 0.042}
+     "output": ["sat"], "deduped": false, "stats": {...}, "elapsed": 0.042}
 
 Errors: ``{"id": 7, "ok": false, "error": "..."}``.  Every request gets
 exactly one response — the server never drops a job on the floor; a job it
@@ -39,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: requests/responses above this many bytes are rejected (a line-based
 #: protocol needs a framing guard against a client streaming garbage)
@@ -69,12 +67,12 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class JobSpec:
-    """One strategy run of one job, pickled to a worker process.
+    """One job, pickled to a worker process.
 
     ``slot``/``generation`` address the cross-process cancellation flag:
     the worker's budget hook polls ``flags[slot]`` and aborts with an
     ``interrupted`` reason the moment it equals ``generation`` (the parent
-    writes that value to cancel exactly this run — slots are reused, the
+    writes that value to abandon exactly this run — slots are reused, the
     generation makes stale writes inert).  ``deadline`` is absolute wall
     time (``time.time()``), so a spec that sat in the executor queue past
     its deadline answers immediately.  ``inject`` carries fault-injection
@@ -83,7 +81,6 @@ class JobSpec:
 
     script: str
     name: str = ""
-    strategy: str = "witness"
     slot: int = -1
     generation: int = 0
     deadline: Optional[float] = None
@@ -94,9 +91,8 @@ class JobSpec:
 
 @dataclass
 class JobOutcome:
-    """What one strategy run reports back across the worker boundary."""
+    """What one job run reports back across the worker boundary."""
 
-    strategy: str
     #: every output line the script produced (verdicts, models, cores, echo)
     output: List[str] = field(default_factory=list)
     #: the check-sat answers, in order (``sat``/``unsat``/``unknown``)
@@ -107,26 +103,12 @@ class JobOutcome:
     stats: Dict[str, int] = field(default_factory=dict)
     #: engine-internal errors observed by the runner
     internal_errors: int = 0
-    #: the run aborted because the cancellation flag was set
-    cancelled: bool = False
     #: non-empty on a parse/protocol failure (the job never solved)
     error: str = ""
     #: worker-side wall seconds spent on this run
     elapsed: float = 0.0
     #: pid of the worker that ran the job (diagnostics)
     worker_pid: int = 0
-
-    @property
-    def decided(self) -> bool:
-        """Every check-sat answered ``sat`` or ``unsat`` (a *sound* win:
-        all verdicts are model-verified / core-checked by the engine)."""
-        return not self.error and bool(self.verdicts) and all(
-            verdict in ("sat", "unsat") for verdict in self.verdicts
-        )
-
-    @property
-    def decided_count(self) -> int:
-        return sum(1 for verdict in self.verdicts if verdict in ("sat", "unsat"))
 
 
 def outcome_to_response(outcome: JobOutcome, **extra: Any) -> Dict[str, Any]:
@@ -136,7 +118,6 @@ def outcome_to_response(outcome: JobOutcome, **extra: Any) -> Dict[str, Any]:
         "verdicts": list(outcome.verdicts),
         "reasons": list(outcome.reasons),
         "output": list(outcome.output),
-        "strategy": outcome.strategy,
         "stats": dict(outcome.stats),
         "internal_errors": outcome.internal_errors,
     }
@@ -162,7 +143,7 @@ def dedup_key(script_text: str, timeout: Optional[float]) -> Optional[str]:
     scripts without model/core/echo output are eligible — for anything
     richer the observable output depends on more than the problem, so the
     responses cannot be shared.  The timeout participates in the key:
-    jobs racing under very different budgets should not alias.
+    jobs running under very different budgets should not alias.
     """
     from ..smtlib import parse_problem, parse_script, problem_to_smtlib
     from ..smtlib.parser import AssertCommand, CheckSat, DeclareConst
@@ -211,20 +192,14 @@ def count_check_sats(script_text: str) -> int:
     return sum(1 for command in script.commands if isinstance(command, CheckSat))
 
 
-def synthetic_outcome(
-    strategy: str, n_checks: int, reason: str, cancelled: bool = False
-) -> JobOutcome:
+def synthetic_outcome(n_checks: int, reason: str) -> JobOutcome:
     """An all-unknown outcome fabricated server-side (no worker answered)."""
     output: List[str] = []
     for _ in range(n_checks):
         output.append("unknown")
         output.append(f"; unknown: {reason}")
     return JobOutcome(
-        strategy=strategy,
-        output=output,
-        verdicts=["unknown"] * n_checks,
-        reasons=[reason] * n_checks,
-        cancelled=cancelled,
+        output=output, verdicts=["unknown"] * n_checks, reasons=[reason] * n_checks
     )
 
 
@@ -246,28 +221,3 @@ def pad_outcome(outcome: JobOutcome, expected: int, reason: str) -> JobOutcome:
         outcome.verdicts.append("unknown")
         outcome.reasons.append(reason)
     return outcome
-
-
-def conflicting_verdicts(outcomes: Sequence[JobOutcome]) -> Optional[Tuple[int, str, str]]:
-    """Cross-check decided verdicts of completed runs of *one* job.
-
-    Every engine verdict is independently sound (models are re-verified,
-    cores re-checked), so two strategies disagreeing ``sat`` vs ``unsat``
-    on the same check index would mean an engine soundness bug.  The
-    server refuses to pick either answer in that case — this function
-    returns ``(index, verdict_a, verdict_b)`` for the first conflict, and
-    the caller answers ``unknown(internal_error)`` and counts it.
-    """
-    agreed: Dict[int, str] = {}
-    for outcome in outcomes:
-        if outcome.error:
-            continue
-        for index, verdict in enumerate(outcome.verdicts):
-            if verdict not in ("sat", "unsat"):
-                continue
-            seen = agreed.get(index)
-            if seen is None:
-                agreed[index] = verdict
-            elif seen != verdict:
-                return (index, seen, verdict)
-    return None

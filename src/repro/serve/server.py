@@ -1,4 +1,4 @@
-"""The asyncio front door: connections, dedup, portfolio racing, retries.
+"""The asyncio front door: connections, dedup, job deadlines, retries.
 
 One :class:`SolverServer` owns
 
@@ -6,27 +6,23 @@ One :class:`SolverServer` owns
   SMT-LIB fallback) of :mod:`repro.serve.protocol`,
 * a ``ProcessPoolExecutor`` worker fleet (:mod:`repro.serve.workers`),
   warm-seeded from the parent's interned automata and wired to the shared
-  cancellation-flag array,
-* the in-flight table that dedups structurally identical jobs, and
-* the per-job portfolio coordinator: race the configured strategies,
-  answer with the first fully *decided* outcome, cancel the rest.
+  cancellation-flag array, and
+* the in-flight table that dedups structurally identical jobs.
 
 Job lifecycle (the ``solve`` op)::
 
     request line ──parse/validate──▶ dedup table ──hit──▶ share the
          │                              │                 in-flight future
          │ miss                         ▼
-         ▼                        race strategies: one JobSpec per
-    slot + generation per          strategy → executor; first decided
-    strategy (backpressure:        outcome wins → write the losers'
-    bounded slot pool)             cancel flags → respond; losers unwind
-                                   at their next checkpoint and free
-                                   their workers
+         ▼                        one JobSpec → executor; wait until
+    slot + generation              the deadline plus grace → respond
+    (backpressure: bounded
+    slot pool)
 
 Fault tolerance: a worker death breaks the whole pool
 (``BrokenProcessPool``), so the server rebuilds the executor — warm
-payload and flags are re-used — and retries the affected runs
-(``retries`` per spec, solving is pure so a retry is safe); a run that
+payload and flags are re-used — and retries the affected job
+(``retries`` per job, solving is pure so a retry is safe); a job that
 keeps dying answers a structured ``unknown``.  A *hung* worker (no
 checkpoints, so no cancellation point) is abandoned at the job deadline
 plus grace: the job answers structured ``unknown(timeout)`` verdicts and
@@ -45,15 +41,13 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .portfolio import DEFAULT_PORTFOLIO, strategy_names
 from .protocol import (
     JobOutcome,
     JobSpec,
     MAX_LINE_BYTES,
-    conflicting_verdicts,
     count_check_sats,
     dedup_key,
     decode_line,
@@ -115,65 +109,46 @@ def build_warm_payload(
     return intern_snapshot(limit=limit), contributed
 
 
-@dataclass
-class _Race:
-    """Book-keeping of one in-flight job's strategy race."""
-
-    tasks: List[asyncio.Task] = field(default_factory=list)
-    slots: Dict[asyncio.Task, Tuple[int, int]] = field(default_factory=dict)
-    strategies: Dict[asyncio.Task, str] = field(default_factory=dict)
-
-
 class SolverServer:
-    """Async portfolio solver server over a process worker fleet."""
+    """Async solver server over a process worker fleet."""
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        portfolio: Sequence[str] = DEFAULT_PORTFOLIO,
         default_timeout: float = 30.0,
         max_steps: Optional[int] = None,
         warm_paths: Sequence[str] = (),
         warm_limit: int = 1024,
-        slots: Optional[int] = None,
         retries: int = 1,
         enable_fault_injection: bool = False,
-        mp_method: str = "spawn",
     ) -> None:
         self.host = host
         self.port = port
         self.workers = max(1, workers)
-        self.portfolio = strategy_names(list(portfolio))
         self.default_timeout = default_timeout
         self.max_steps = max_steps
         self.warm_paths = tuple(warm_paths)
         self.warm_limit = warm_limit
         self.retries = max(0, retries)
         self.enable_fault_injection = enable_fault_injection
-        self.mp_method = mp_method
-        self.n_slots = slots or max(4 * self.workers, 8)
+        self.n_slots = max(4 * self.workers, 8)
 
         self.stats: Dict[str, int] = {
             "jobs_total": 0,
             "jobs_deduped": 0,
             "jobs_raw": 0,
-            "portfolio_runs": 0,
-            "portfolio_cancelled": 0,
-            "portfolio_abandoned": 0,
-            "verdict_conflicts": 0,
+            "jobs_abandoned": 0,
             "worker_restarts": 0,
             "job_retries": 0,
             "responses": 0,
             "errors": 0,
         }
-        #: per-strategy win counters (first decided outcome)
-        self.wins: Dict[str, int] = {}
         self.warm_payload: List[Dict[str, Any]] = []
         self.warm_scripts = 0
 
-        self._ctx = multiprocessing.get_context(self.mp_method)
+        self._ctx = multiprocessing.get_context("spawn")
         self._flags = None
         self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_gen = 0
@@ -228,7 +203,7 @@ class SolverServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Cancel whatever is still racing so the drain is quick: -1 is the
+        # Cancel whatever is still running so the drain is quick: -1 is the
         # universal cancel value every worker hook honours regardless of
         # its generation.
         if self._flags is not None:
@@ -294,10 +269,27 @@ class SolverServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Raw mode: the whole connection is one SMT-LIB script."""
+        """Raw mode: the whole connection is one SMT-LIB script.
+
+        The script is read up to :data:`MAX_LINE_BYTES`, the same guard a
+        JSON request line gets; a longer stream is answered with an
+        ``(error ...)`` line and never solved.
+        """
         self.stats["jobs_raw"] += 1
-        rest = await reader.read()
-        script = (first + rest).decode("utf-8", errors="replace")
+        data = bytearray(first)
+        while len(data) <= MAX_LINE_BYTES:
+            chunk = await reader.read(MAX_LINE_BYTES + 1 - len(data))
+            if not chunk:
+                break
+            data += chunk
+        if len(data) > MAX_LINE_BYTES:
+            self.stats["errors"] += 1
+            writer.write(
+                f"(error \"script over the {MAX_LINE_BYTES} byte limit\")\n".encode()
+            )
+            await writer.drain()
+            return
+        script = data.decode("utf-8", errors="replace")
         response = await self._solve(
             {"op": "solve", "script": script, "timeout": self.default_timeout}
         )
@@ -347,10 +339,8 @@ class SolverServer:
 
     def server_stats(self) -> Dict[str, Any]:
         snapshot: Dict[str, Any] = dict(self.stats)
-        snapshot["wins"] = dict(self.wins)
         snapshot["workers"] = self.workers
         snapshot["slots"] = self.n_slots
-        snapshot["portfolio"] = list(self.portfolio)
         snapshot["warm_payload"] = len(self.warm_payload)
         snapshot["warm_scripts"] = self.warm_scripts
         snapshot["executor_generation"] = self._executor_gen
@@ -364,22 +354,15 @@ class SolverServer:
         script = request.get("script")
         if not isinstance(script, str) or not script.strip():
             return {"ok": False, "error": "solve needs a non-empty 'script' string"}
-        timeout = request.get("timeout", self.default_timeout)
-        if timeout is not None:
-            # ``json.loads`` accepts ``NaN`` and ``Infinity``, and ``NaN``
-            # slips through any ``<=`` test.
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                timeout = math.nan
-            if not math.isfinite(timeout) or timeout <= 0:
-                return {"ok": False, "error": "timeout must be a finite positive number"}
+        # An explicit ``null`` would leave the job without a deadline, and
+        # ``json.loads`` accepts ``NaN`` and ``Infinity``; ``NaN`` slips
+        # through any ``<=`` test.
         try:
-            strategies = strategy_names(request.get("portfolio"))
-        except ValueError as error:
-            return {"ok": False, "error": str(error)}
-        if request.get("portfolio") is None:
-            strategies = self.portfolio
+            timeout = float(request.get("timeout", self.default_timeout))
+        except (TypeError, ValueError):
+            timeout = math.nan
+        if not math.isfinite(timeout) or timeout <= 0:
+            return {"ok": False, "error": "timeout must be a finite positive number"}
         inject = request.get("inject") or ()
         if inject and not self.enable_fault_injection:
             return {
@@ -390,183 +373,82 @@ class SolverServer:
         self.stats["jobs_total"] += 1
 
         key = dedup_key(script, timeout) if not inject else None
-        if key is not None:
-            running = self._inflight.get(key)
-            if running is not None:
-                self.stats["jobs_deduped"] += 1
-                response = dict(await asyncio.shield(running))
-                response["deduped"] = True
-                return response
-            job = asyncio.create_task(
-                self._race(script, request.get("name", ""), timeout, strategies, inject)
-            )
-            self._inflight[key] = job
-            job.add_done_callback(
-                lambda _task, key=key: self._inflight.pop(key, None)
-            )
-            response = dict(await asyncio.shield(job))
+        if key is None:
+            response = await self._job(script, request.get("name", ""), timeout, inject)
             response["deduped"] = False
             return response
-        response = await self._race(
-            script, request.get("name", ""), timeout, strategies, inject
+        running = self._inflight.get(key)
+        if running is not None:
+            self.stats["jobs_deduped"] += 1
+            response = dict(await asyncio.shield(running))
+            response["deduped"] = True
+            return response
+        job = asyncio.create_task(
+            self._job(script, request.get("name", ""), timeout, inject)
         )
+        self._inflight[key] = job
+        job.add_done_callback(lambda _task, key=key: self._inflight.pop(key, None))
+        response = dict(await asyncio.shield(job))
         response["deduped"] = False
         return response
 
-    async def _race(
+    async def _job(
         self,
         script: str,
         name: str,
-        timeout: Optional[float],
-        strategies: Sequence[str],
+        timeout: float,
         inject: Sequence[Dict[str, Any]],
     ) -> Dict[str, Any]:
-        """Race the portfolio for one job; first decided outcome wins."""
+        """Run one job on one worker; answer by the deadline plus grace."""
         started = time.time()
-        deadline = None if timeout is None else started + timeout
-        self.stats["portfolio_runs"] += 1
-        race = _Race()
-        for strategy in strategies:
-            slot = await self._slot_pool.get()
-            generation = next(self._generation)
-            spec = JobSpec(
-                script=script,
-                name=name,
-                strategy=strategy,
-                slot=slot,
-                generation=generation,
-                deadline=deadline,
-                max_steps=self.max_steps,
-                inject=tuple(dict(trigger) for trigger in inject),
-            )
-            task = asyncio.create_task(self._run_one(spec))
-            race.tasks.append(task)
-            race.slots[task] = (slot, generation)
-            race.strategies[task] = strategy
+        deadline = started + timeout
+        slot = await self._slot_pool.get()
+        spec = JobSpec(
+            script=script,
+            name=name,
+            slot=slot,
+            generation=next(self._generation),
+            deadline=deadline,
+            max_steps=self.max_steps,
+            inject=tuple(dict(trigger) for trigger in inject),
+        )
+        run = asyncio.create_task(self._run_one(spec))
 
-        completed: List[JobOutcome] = []
-        winner: Optional[JobOutcome] = None
-        cancelled_runs = 0
-        pending = set(race.tasks)
-        abandoned = 0
-        while pending and winner is None:
-            wait_budget = None
-            if deadline is not None:
-                wait_budget = max(deadline + DEADLINE_GRACE - time.time(), 0.05)
-            done, pending = await asyncio.wait(
-                pending, timeout=wait_budget, return_when=asyncio.FIRST_COMPLETED
-            )
-            if not done:
-                # Past deadline + grace with workers still silent: hung
-                # fleet.  Cancel, abandon, answer for the job ourselves.
-                abandoned = len(pending)
-                break
-            for task in done:
-                outcome = task.result()
-                self._release(race, task, outcome)
-                completed.append(outcome)
-                if outcome.cancelled:
-                    cancelled_runs += 1
-                    self.stats["portfolio_cancelled"] += 1
-                if winner is None and outcome.decided:
-                    winner = outcome
+        def reclaim(task: asyncio.Task) -> None:
+            # The slot is reclaimed when the worker returns, which for an
+            # abandoned job can be long after the response below went out;
+            # nobody else reads an abandoned run's result.
+            self._slot_pool.put_nowait(slot)
+            if not task.cancelled():
+                task.exception()
 
-        # Cancel every still-running sibling (winner found, or give-up).
-        # Each loser lands whenever its next checkpoint observes the flag;
-        # the done callback reclaims its slot then and counts the
-        # cancellation in the server stats even when it arrives after the
-        # response below has gone out.
-        def _late(finished: asyncio.Task, race: _Race = race) -> None:
-            try:
-                outcome = finished.result()
-            except Exception:
-                self._release(race, finished, None)
-                return
-            self._release(race, finished, outcome)
-            if outcome.cancelled:
-                self.stats["portfolio_cancelled"] += 1
-
-        for task in pending:
-            slot, generation = race.slots[task]
-            self._flags[slot] = generation
-            task.add_done_callback(_late)
-        if pending and winner is not None:
-            # Collect quick-cancelling losers so their cancel flag shows in
-            # the response's portfolio field; don't wait past a short grace
-            # — a loser deep in a long checkpoint interval frees its slot
-            # (and is counted) via the done callback whenever it lands.
-            done, still = await asyncio.wait(pending, timeout=0.5)
-            for task in done:
-                try:
-                    outcome = task.result()
-                except Exception:
-                    continue
-                completed.append(outcome)
-                if outcome.cancelled:
-                    cancelled_runs += 1
-            pending = still
-        if abandoned:
-            self.stats["portfolio_abandoned"] += abandoned
-
-        conflict = conflicting_verdicts(completed)
-        if conflict is not None:
-            index, a, b = conflict
-            self.stats["verdict_conflicts"] += 1
-            reason = (
-                f"internal_error@serve.portfolio [strategies disagree on "
-                f"check {index}: {a} vs {b}]"
-            )
-            outcome = synthetic_outcome("portfolio", count_check_sats(script), reason)
-            return outcome_to_response(
-                outcome,
-                elapsed=time.time() - started,
-                portfolio=self._portfolio_field(strategies, cancelled_runs, completed),
-            )
-
-        if winner is None:
-            from .portfolio import pick_winner
-
-            winner = pick_winner(completed)
-        if winner is None:
+        run.add_done_callback(reclaim)
+        done, _ = await asyncio.wait(
+            {run}, timeout=max(deadline + DEADLINE_GRACE - time.time(), 0.05)
+        )
+        n_checks = count_check_sats(script)
+        if not done:
+            # Past deadline + grace with the worker still silent: hung
+            # fleet.  Flag the run so it stops at its next checkpoint, if
+            # it ever reaches one, and answer for the job ourselves.
+            self._flags[slot] = spec.generation
+            self.stats["jobs_abandoned"] += 1
             reason = (
                 f"timeout@serve.fleet after {time.time() - started:.2f}s "
                 f"[no worker outcome within deadline+grace]"
             )
-            winner = synthetic_outcome(
-                "none", count_check_sats(script), reason
-            )
+            outcome = synthetic_outcome(n_checks, reason)
         else:
-            self.wins[winner.strategy] = self.wins.get(winner.strategy, 0) + 1
-            # A winner that unwound mid-script (interrupt, out-of-check
+            # A run that unwound mid-script (interrupt, out-of-check
             # abort) answered only a prefix; the client still gets one
             # structured answer per check-sat.
-            if winner.stats.get("serve_interrupted"):
+            outcome = run.result()
+            if outcome.stats.get("serve_interrupted"):
                 tail_reason = "interrupted@serve.worker [run aborted mid-script]"
             else:
                 tail_reason = "timeout@serve.worker [run aborted before this check]"
-            winner = pad_outcome(winner, count_check_sats(script), tail_reason)
-        return outcome_to_response(
-            winner,
-            elapsed=time.time() - started,
-            portfolio=self._portfolio_field(strategies, cancelled_runs, completed),
-        )
-
-    def _portfolio_field(
-        self,
-        strategies: Sequence[str],
-        cancelled_runs: int,
-        completed: Sequence[JobOutcome],
-    ) -> Dict[str, Any]:
-        return {
-            "strategies": list(strategies),
-            "cancelled": cancelled_runs,
-            "completed": len(completed),
-        }
-
-    def _release(self, race: _Race, task: asyncio.Task, outcome: JobOutcome) -> None:
-        entry = race.slots.pop(task, None)
-        if entry is not None:
-            self._slot_pool.put_nowait(entry[0])
+            outcome = pad_outcome(outcome, n_checks, tail_reason)
+        return outcome_to_response(outcome, elapsed=time.time() - started)
 
     async def _run_one(self, spec: JobSpec) -> JobOutcome:
         """Run one spec with broken-pool detection and bounded retries."""
@@ -575,25 +457,12 @@ class SolverServer:
             executor = self._executor
             generation = self._executor_gen
             try:
-                future = executor.submit(
-                    run_job,
-                    JobSpec(
-                        script=spec.script,
-                        name=spec.name,
-                        strategy=spec.strategy,
-                        slot=spec.slot,
-                        generation=spec.generation,
-                        deadline=spec.deadline,
-                        max_steps=spec.max_steps,
-                        attempt=attempt,
-                        inject=spec.inject,
-                    ),
-                )
+                future = executor.submit(run_job, replace(spec, attempt=attempt))
                 return await asyncio.wrap_future(future)
             except (BrokenProcessPool, RuntimeError) as error:
                 # A worker died (taking the pool with it) or the pool was
                 # torn down under us.  Rebuild once per generation, retry
-                # the run while the budget allows.
+                # the job while the budget allows.
                 if isinstance(error, RuntimeError) and not isinstance(
                     error, BrokenProcessPool
                 ):
@@ -607,9 +476,7 @@ class SolverServer:
                         pass
                     self._build_executor()
                 attempt += 1
-                expired = (
-                    spec.deadline is not None and time.time() >= spec.deadline
-                )
+                expired = time.time() >= spec.deadline
                 if attempt > self.retries or expired:
                     reason = (
                         f"internal_error@serve.worker [worker died "
@@ -621,9 +488,7 @@ class SolverServer:
                             "timeout@serve.worker [worker died and the "
                             "deadline passed before a retry]"
                         )
-                    outcome = synthetic_outcome(
-                        spec.strategy, count_check_sats(spec.script), reason
-                    )
+                    outcome = synthetic_outcome(count_check_sats(spec.script), reason)
                     outcome.stats["serve_worker_died"] = 1
                     return outcome
                 self.stats["job_retries"] += 1
@@ -645,8 +510,7 @@ async def run_server(server: SolverServer, ready_line: bool = True) -> int:
     if ready_line:
         print(
             f"repro.serve listening on {server.host}:{server.port} "
-            f"(workers={server.workers}, portfolio={','.join(server.portfolio)}, "
-            f"warm={len(server.warm_payload)})",
+            f"(workers={server.workers}, warm={len(server.warm_payload)})",
             flush=True,
         )
     await server.wait_closed()

@@ -24,9 +24,10 @@ Worker startup does two things:
   the next engine checkpoint raises
   :class:`~repro.budget.BudgetExceeded` with an ``interrupted`` reason and
   the run unwinds through the PR-6 machinery (transactional caches, no
-  corruption) within one checkpoint interval.  This is how portfolio
-  losers are cancelled across the process boundary: no signals, no pipes
-  — one shared-memory write, observed at the next cooperative checkpoint.
+  corruption) within one checkpoint interval.  This is how the server
+  stops a job it abandoned at its deadline, and every running job at
+  shutdown (the value ``-1``): no signals, no pipes — one shared-memory
+  write, observed at the next cooperative checkpoint.
 
 Fault injection (chaos tests) rides the same hook: a spec's ``inject``
 triggers build a :class:`repro.testing.faults.FaultInjector` chained in
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 from ..budget import Budget, BudgetExceeded, UnknownKind, UnknownReason
 from .protocol import JobOutcome, JobSpec
@@ -60,10 +61,7 @@ _NORMALIZATION_CACHE = None
 
 #: how often (in budget checkpoints) the cancellation flag is polled; the
 #: flag is one shared-memory integer read, so a small interval keeps the
-#: cancel latency at "a few engine checkpoints" for negligible cost (a
-#: trivial script produces only ~20 checkpoints end to end, so the
-#: interval must stay well below that for losers of short races to
-#: observe their flag at all)
+#: cancel latency at "a few engine checkpoints" for negligible cost
 _CANCEL_POLL_INTERVAL = 4
 
 
@@ -76,7 +74,7 @@ def initializer(flags, warm_payload: Sequence[Dict[str, Any]]) -> None:
     _WARM_SEEDED = intern_restore(list(warm_payload))
 
 
-def _build_hook(spec: JobSpec, state: Dict[str, bool]):
+def _build_hook(spec: JobSpec):
     """The budget hook of one run: fault triggers + cancellation polling."""
     injector = None
     if spec.inject:
@@ -84,8 +82,6 @@ def _build_hook(spec: JobSpec, state: Dict[str, bool]):
 
         specs = []
         for trigger in spec.inject:
-            if trigger.get("strategy") not in (None, spec.strategy):
-                continue
             if spec.attempt >= trigger.get("attempts", 1 << 30):
                 continue
             specs.append(
@@ -114,12 +110,9 @@ def _build_hook(spec: JobSpec, state: Dict[str, bool]):
         poll_in[0] = _CANCEL_POLL_INTERVAL
         value = flags[slot]
         if value == generation or value == -1:  # -1: server-wide shutdown
-            state["cancelled"] = True
             raise BudgetExceeded(
                 UnknownReason(
-                    UnknownKind.INTERRUPTED,
-                    stage=stage,
-                    detail="cancelled by portfolio",
+                    UnknownKind.INTERRUPTED, stage=stage, detail="cancelled by server"
                 )
             )
 
@@ -127,7 +120,7 @@ def _build_hook(spec: JobSpec, state: Dict[str, bool]):
 
 
 def run_job(spec: JobSpec) -> JobOutcome:
-    """Execute one strategy run of one job inside a worker process.
+    """Execute one job inside a worker process.
 
     Always returns a :class:`JobOutcome` — parse errors, budget
     exhaustion, cancellation and injected interrupts all land in
@@ -136,8 +129,8 @@ def run_job(spec: JobSpec) -> JobOutcome:
     hang (the server answers for the job at its deadline).
     """
     from ..smtlib import ScriptRunner, SmtLibError
+    from ..solver import SolverConfig
     from ..strings.normal_form import NormalizationCache
-    from .portfolio import config_for
 
     global _NORMALIZATION_CACHE
     if _NORMALIZATION_CACHE is None:
@@ -149,7 +142,7 @@ def run_job(spec: JobSpec) -> JobOutcome:
         _NORMALIZATION_CACHE.mark_all_warm()
 
     started = time.time()
-    outcome = JobOutcome(strategy=spec.strategy, worker_pid=os.getpid())
+    outcome = JobOutcome(worker_pid=os.getpid())
     if spec.deadline is None:
         remaining = None
     else:
@@ -157,9 +150,8 @@ def run_job(spec: JobSpec) -> JobOutcome:
         # epsilon budget, so every check answers a structured timeout
         # immediately and the response shape stays uniform.
         remaining = max(spec.deadline - started, 0.002)
-    state = {"cancelled": False}
-    budget = Budget(remaining, max_steps=spec.max_steps, hook=_build_hook(spec, state))
-    config = config_for(spec.strategy, timeout=remaining, max_steps=spec.max_steps)
+    budget = Budget(remaining, max_steps=spec.max_steps, hook=_build_hook(spec))
+    config = SolverConfig(timeout=remaining, max_steps=spec.max_steps)
     # Collect output through the runner's callback: lines survive even when
     # an injected interrupt aborts the script halfway through.
     output_lines = []
@@ -184,7 +176,6 @@ def run_job(spec: JobSpec) -> JobOutcome:
     outcome.verdicts = list(runner.verdicts)
     outcome.reasons = list(runner.reasons)
     outcome.internal_errors = runner.internal_errors
-    outcome.cancelled = state["cancelled"]
     if runner.session is not None:
         stats = runner.session.statistics()
         for key, value in stats.items():

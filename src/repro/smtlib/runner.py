@@ -88,8 +88,8 @@ class ScriptRunner:
         ``unknown`` verdicts instead of burning the deadline once per check.
         The budget's ``hook`` is also the cross-process cancellation point:
         a hook that raises :class:`~repro.budget.BudgetExceeded` (e.g. when
-        a portfolio sibling already won) aborts the in-flight check with an
-        ``interrupted`` reason.  Without a budget each check runs under the
+        the server shuts down or abandons the job) aborts the in-flight
+        check with an ``interrupted`` reason.  Without a budget each check runs under the
         session config's own timeout, as before.
         """
         # Imported lazily: repro.strings re-exports this module's package,

@@ -29,6 +29,6 @@ class SolverConfig:
     #: semantics oracle — instead of encoding the n-predicate ``A^III``
     #: system; groups whose automata lack enough short words (or whose
     #: greedy model fails verification) fall through to the encoding.
-    #: ``False`` always takes the encoding (the ``encoding`` strategy of
-    #: ``repro.serve``, which cross-checks the shortcut)
+    #: ``False`` always takes the encoding (the ``encoding`` configuration
+    #: of the differential fuzzer, which cross-checks the shortcut)
     distinct_shortcut: bool = True

@@ -47,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..benchgen.pipelines import PipelineScenario, scenario_from_seed
 from ..budget import Budget, BudgetExceeded, UnknownKind, UnknownReason
-from ..serve.portfolio import STRATEGIES
 from ..smtlib.printer import problem_to_smtlib
 from ..solver.bruteforce import brute_force_check
 from ..solver.config import SolverConfig
@@ -80,10 +79,14 @@ def _model_ok(problem: Problem, model) -> bool:
 
 
 def default_configs(timeout: Optional[float] = None) -> Dict[str, SolverConfig]:
-    """The ablations the fuzzer races: the server portfolio's strategies
-    (``witness`` / ``encoding``), so a disagreement here is a
-    disagreement the portfolio could serve to a client."""
-    return {name: factory(timeout=timeout) for name, factory in STRATEGIES.items()}
+    """The two configurations every scenario runs under: ``witness`` (the
+    default, with the distinct shortcut) and ``encoding`` (always the
+    paper's tag-automaton encoding), so each scenario cross-checks the
+    shortcut against the encoding."""
+    return {
+        "witness": SolverConfig(timeout=timeout),
+        "encoding": SolverConfig(distinct_shortcut=False, timeout=timeout),
+    }
 
 
 @dataclass

@@ -122,16 +122,14 @@ def test_adversarial_instances_return_within_twice_the_budget(name, build):
 
 
 def test_dense_simplex_pivots_return_within_twice_the_budget():
-    # Three pairwise-distinct variables through the ``encoding`` strategy
-    # (no distinct shortcut): the ``A^III`` tableaux are dense enough that
-    # one pivot costs milliseconds, so the pivot loop must checkpoint.
-    from repro.serve.portfolio import config_for
-
+    # Three pairwise-distinct variables without the distinct shortcut: the
+    # ``A^III`` tableaux are dense enough that one pivot costs
+    # milliseconds, so the pivot loop must checkpoint.
     t = 1.0
     problem = Problem(alphabet=("a", "b"), name="distinct-3")
     for a, b in (("x", "y"), ("x", "z"), ("y", "z")):
         problem.add(WordEquation(term(a), term(b), positive=False))
-    solver = PositionSolver(config_for("encoding", timeout=t))
+    solver = PositionSolver(SolverConfig(distinct_shortcut=False, timeout=t))
     started = time.monotonic()
     result = solver.check(problem)
     elapsed = time.monotonic() - started

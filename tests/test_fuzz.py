@@ -28,7 +28,7 @@ from repro.testing.fuzz import (
 )
 
 
-def test_default_configs_mirror_the_portfolio():
+def test_default_configs_cover_both_distinct_paths():
     configs = default_configs(timeout=1.0)
     assert set(configs) == {"witness", "encoding"}
     assert configs["witness"].distinct_shortcut

@@ -1,12 +1,12 @@
-"""End-to-end tests of the portfolio solver server (:mod:`repro.serve`).
+"""End-to-end tests of the solver server (:mod:`repro.serve`).
 
 One real server subprocess (spawned workers, warm caches, fault injection
 enabled) is shared by the module; each test drives it through the public
 surface — the JSON-lines protocol, the raw-script mode, the ``ServeClient``
 and the ``python -m repro.smtlib --server`` CLI — and checks the promises
 the serve layer makes: verdicts identical to in-process solving, structured
-unknowns, dedup of identical in-flight jobs, cancelled portfolio losers,
-warm-cache hits, and a clean shutdown with every worker reaped.
+unknowns, dedup of identical in-flight jobs, warm-cache hits, running jobs
+interrupted by a shutdown, and a clean shutdown with every worker reaped.
 """
 
 import glob
@@ -21,14 +21,8 @@ import time
 import pytest
 
 from helpers import ServeServerProc, process_descendants, surviving
-from repro.serve import ServeClient, ServeError, parse_host_port, strategy_names
-from repro.serve.portfolio import STRATEGIES, config_for, pick_winner
-from repro.serve.protocol import (
-    JobOutcome,
-    count_check_sats,
-    dedup_key,
-    synthetic_outcome,
-)
+from repro.serve import ServeError, parse_host_port
+from repro.serve.protocol import MAX_LINE_BYTES, count_check_sats, dedup_key
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = sorted(glob.glob(os.path.join(REPO, "benchmarks", "smtlib", "*.smt2")))
@@ -70,29 +64,6 @@ def test_parse_host_port():
         parse_host_port("host:notaport")
 
 
-def test_strategy_names_validation():
-    assert strategy_names(None) == ("witness", "encoding")
-    assert strategy_names(["encoding"]) == ("encoding",)
-    with pytest.raises(ValueError):
-        strategy_names(["nope"])
-    with pytest.raises(ValueError, match="unknown strategy 'frugal'"):
-        strategy_names(["frugal"])
-    with pytest.raises(ValueError):
-        strategy_names(3)
-    with pytest.raises(ValueError):
-        strategy_names("witness")
-    with pytest.raises(ValueError):
-        strategy_names(["witness", "witness"])
-
-
-def test_strategies_are_distinct_configs():
-    configs = {
-        name: config_for(name, timeout=10.0, max_steps=None) for name in STRATEGIES
-    }
-    # The portfolio only makes sense if the racers explore different paths.
-    assert configs["witness"].distinct_shortcut != configs["encoding"].distinct_shortcut
-
-
 def test_dedup_key_semantics():
     key = dedup_key(SAT_SCRIPT, 30.0)
     assert key is not None
@@ -105,15 +76,6 @@ def test_dedup_key_semantics():
     assert dedup_key(SAT_SCRIPT + "(get-model)", 30.0) is None
     assert dedup_key(SAT_SCRIPT + "(check-sat)", 30.0) is None
     assert dedup_key("(push 1)" + SAT_SCRIPT, 30.0) is None
-
-
-def test_pick_winner_ranking():
-    undecided = synthetic_outcome("witness", 1, "timeout@solve")
-    decided = JobOutcome(strategy="encoding", verdicts=["sat"], output=["sat"])
-    errored = JobOutcome(strategy="encoding", error="boom")
-    assert pick_winner([undecided, decided, errored]) is decided
-    assert pick_winner([errored, undecided]) is undecided
-    assert pick_winner([]) is None
     assert count_check_sats(SAT_SCRIPT + "(check-sat)") == 2
 
 
@@ -127,7 +89,7 @@ def test_ping_and_stats_shape(server):
         stats = client.stats()["stats"]
         assert stats["workers"] == 2
         assert stats["warm_payload"] > 0
-        for key in ("jobs_total", "portfolio_cancelled", "worker_restarts"):
+        for key in ("jobs_total", "jobs_abandoned", "worker_restarts"):
             assert key in stats
 
 
@@ -136,7 +98,6 @@ def test_solve_sat_and_unsat(server):
         sat = client.solve(SAT_SCRIPT, name="sat")
         assert sat["ok"] and sat["verdicts"] == ["sat"]
         assert sat["output"] == ["sat"]
-        assert sat["strategy"] in STRATEGIES
         unsat = client.solve(UNSAT_SCRIPT, name="unsat")
         assert unsat["ok"] and unsat["verdicts"] == ["unsat"]
 
@@ -165,22 +126,15 @@ def test_bad_requests_are_answered(server):
         assert client.request({"op": "nope"})["ok"] is False
         assert client.solve("")["ok"] is False
         assert client.solve(SAT_SCRIPT, timeout=-1)["ok"] is False
-        bad = client.request({"op": "solve", "script": SAT_SCRIPT, "portfolio": ["zzz"]})
-        assert bad["ok"] is False and "zzz" in bad["error"]
-        bad = client.request({"op": "solve", "script": SAT_SCRIPT, "portfolio": ["frugal"]})
-        assert bad["ok"] is False and "unknown strategy 'frugal'" in bad["error"]
         before = client.request({"op": "stats"})["stats"]
         # A timeout must be finite and positive: NaN passes a ``<= 0`` test,
-        # and ``asyncio.wait(timeout=nan)`` returns at once.
-        for timeout in ("nan", float("nan"), float("inf"), "soon"):
+        # and ``asyncio.wait(timeout=nan)`` returns at once; ``null`` would
+        # leave the job without a deadline.
+        for timeout in ("nan", float("nan"), float("inf"), "soon", None):
             bad = client.request({"op": "solve", "script": SAT_SCRIPT, "timeout": timeout})
             assert bad["ok"] is False and "timeout" in bad["error"], timeout
-        # A portfolio is a bool, null or a list of names.
-        for portfolio in (3, "witness", [1]):
-            bad = client.request({"op": "solve", "script": SAT_SCRIPT, "portfolio": portfolio})
-            assert bad["ok"] is False and "portfolio" in bad["error"], portfolio
         after = client.request({"op": "stats"})["stats"]
-        for counter in ("errors", "portfolio_abandoned", "jobs_total"):
+        for counter in ("errors", "jobs_abandoned", "jobs_total"):
             assert after[counter] == before[counter], counter
         # Malformed JSON still yields a structured error response.
         server_sock = socket.create_connection((server.host, server.port), timeout=30)
@@ -202,6 +156,27 @@ def test_raw_mode_socket(server):
         data += chunk
     raw.close()
     assert data.decode().strip() == "unsat"
+
+
+def test_raw_mode_script_over_the_size_cap(server):
+    # Raw mode reads to EOF, so it gets the same size guard as a JSON line:
+    # one byte over the cap is answered with an error line, never solved.
+    line = b"; " + b"x" * 1021 + b"\n"
+    payload = line * (MAX_LINE_BYTES // len(line)) + b" "
+    assert len(payload) == MAX_LINE_BYTES + 1
+    raw = socket.create_connection((server.host, server.port), timeout=120)
+    raw.sendall(payload)
+    raw.shutdown(socket.SHUT_WR)
+    data = b""
+    while True:
+        chunk = raw.recv(65536)
+        if not chunk:
+            break
+        data += chunk
+    raw.close()
+    assert data.decode().strip() == f'(error "script over the {MAX_LINE_BYTES} byte limit")'
+    with server.client() as client:
+        assert client.ping()["pong"]
 
 
 def test_corpus_file_verdicts_and_warm_hits(server):
@@ -246,46 +221,6 @@ def test_dedup_of_identical_inflight_jobs(server):
     assert any(results[i].get("deduped") for i in range(4))
 
 
-def test_portfolio_cancels_losers(server):
-    # Deterministically slow down one strategy: 'witness' sleeps 1.5s at its
-    # first normalize entry while 'encoding' answers normally.  The winner's
-    # response comes back immediately; the loser wakes with the cancel flag
-    # already set, observes it at its next poll, and lands as a cancelled
-    # run in the server stats.
-    with server.client() as client:
-        before = client.stats()["stats"]["portfolio_cancelled"]
-        response = client.solve(
-            UNSAT_SCRIPT,
-            name="race",
-            timeout=25,
-            inject=[{
-                "strategy": "witness",
-                "stage": "enter:normalize",
-                "at": 1,
-                "action": "delay",
-                "delay": 1.5,
-            }],
-        )
-        assert response["ok"] and response["verdicts"] == ["unsat"]
-        assert response["strategy"] == "encoding"
-        deadline = time.time() + 15
-        after = before
-        while time.time() < deadline:
-            after = client.stats()["stats"]["portfolio_cancelled"]
-            if after > before:
-                break
-            time.sleep(0.2)
-    assert after > before, "the delayed witness run never reported its cancellation"
-
-
-def test_single_strategy_portfolio_override(server):
-    with server.client() as client:
-        response = client.solve(SAT_SCRIPT, name="solo", portfolio=["encoding"])
-        assert response["ok"] and response["verdicts"] == ["sat"]
-        assert response["strategy"] == "encoding"
-        assert response["portfolio"]["strategies"] == ["encoding"]
-
-
 def test_smtlib_cli_server_mode_matches_local(server):
     sample = CORPUS[:3]
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
@@ -322,9 +257,7 @@ def test_normalization_cache_shared_across_jobs():
         '(assert (str.in_re x (re.++ (str.to_re "ab") (re.* (str.to_re "c")))))'
         "(assert (= (str.len x) 4))(check-sat)"
     )
-    # One strategy: with a portfolio, job 1's second strategy run would
-    # already score warm hits and blur the cross-job signal.
-    proc = ServeServerProc("--workers", "1", "--portfolio", "encoding")
+    proc = ServeServerProc("--workers", "1")
     try:
         with proc.client() as client:
             first = client.solve(script, name="warmup")
@@ -347,6 +280,37 @@ def test_clean_shutdown_reaps_workers():
         assert client.solve(SAT_SCRIPT)["verdicts"] == ["sat"]
     code = proc.stop()
     assert code == 0
+
+
+def test_shutdown_interrupts_a_running_job():
+    # Each of the job's first 40 decomposition checkpoints sleeps 0.25 s,
+    # so when the shutdown arrives the job is still running and polls its
+    # cancel flag between the sleeps.  The shutdown's flag write stops it:
+    # the job answers a structured interrupted unknown, and the server
+    # still exits 0.
+    proc = ServeServerProc("--workers", "1", "--enable-fault-injection")
+    stall = [
+        {"stage": "eqsolver.decompose", "at": at, "action": "delay", "delay": 0.25}
+        for at in range(1, 41)
+    ]
+    answers = {}
+
+    def submit():
+        with proc.client() as client:
+            answers["job"] = client.solve(SLOW_SCRIPT, name="stalled", inject=stall)
+
+    thread = threading.Thread(target=submit)
+    thread.start()
+    time.sleep(3.0)
+    started = time.time()
+    code = proc.stop()
+    thread.join(timeout=30)
+    assert code == 0
+    assert time.time() - started < 10.0, "shutdown waited for the stalled job"
+    response = answers["job"]
+    assert response["ok"] and response["verdicts"] == ["unknown"]
+    assert response["reasons"][0].startswith("interrupted@"), response["reasons"]
+    assert "cancelled by server" in response["reasons"][0]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads children from /proc")

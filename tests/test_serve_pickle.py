@@ -99,7 +99,6 @@ def test_job_spec_roundtrip():
     spec = JobSpec(
         script=SAT_SCRIPT,
         name="audit",
-        strategy="encoding",
         slot=3,
         generation=7,
         deadline=123.5,
@@ -112,21 +111,19 @@ def test_job_spec_roundtrip():
 
 
 def test_job_outcome_roundtrip():
-    outcome = synthetic_outcome("witness", 2, "worker died mid-job")
+    outcome = synthetic_outcome(2, "worker died mid-job")
     outcome.stats["serve_warm_seeded"] = 5
     back = _roundtrip(outcome)
-    assert back.strategy == outcome.strategy
     assert back.verdicts == outcome.verdicts
     assert back.reasons == outcome.reasons
     assert back.stats == outcome.stats
-    assert back.decided == outcome.decided
 
 
 def test_outcome_from_live_run_roundtrip():
     """A real worker-side outcome (the actual boundary payload) pickles."""
     from repro.serve.workers import run_job
 
-    spec = JobSpec(script=UNSAT_SCRIPT, name="live", strategy="witness")
+    spec = JobSpec(script=UNSAT_SCRIPT, name="live")
     outcome = run_job(spec)
     assert outcome.verdicts == ["unsat"]
     back = _roundtrip(outcome)
