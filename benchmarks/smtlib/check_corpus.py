@@ -7,9 +7,11 @@ and checks that
 * the script parses and executes,
 * it **round-trips**: parse → print → parse → print reaches a printer
   fixpoint,
-* every ``check-sat`` produces an answer, and
+* every ``check-sat`` produces an answer,
 * no answer contradicts the recorded ``(set-info :status …)`` ground truth
-  (``unknown`` statuses only require *an* answer).
+  (``unknown`` statuses only require *an* answer), and
+* for a file whose last answer is ``unsat``, the session's unsat core
+  re-checks ``unsat`` in a fresh session (deciding mode only).
 
 ``--allow-unknown`` relaxes the "must decide" requirement into the
 robustness contract of the budget layer: an ``unknown`` answer is accepted
@@ -30,12 +32,36 @@ import glob
 import os
 import sys
 import time
-from typing import List
+from typing import List, Tuple
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _SRC = os.path.join(os.path.dirname(os.path.dirname(_HERE)), "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+
+
+def _core_recheck(session, timeout: float) -> Tuple[str, str]:
+    """Compute the session's unsat core and re-check it in a fresh session.
+
+    Returns ``(summary, failure)``; ``failure`` is empty when the core
+    alone answers ``unsat``.
+    """
+    from repro import Session
+    from repro.solver import SolverConfig
+
+    core = session.unsat_core()
+    active = dict(session.assertions())
+    summary = f"core {len(core)}/{len(active)}"
+    missing = [name for name in core if name not in active]
+    if missing:
+        return summary, f"unsat core names popped assertions {missing}"
+    fresh = Session(config=SolverConfig(timeout=timeout), alphabet=session.alphabet)
+    for name in core:
+        fresh.add(active[name], name=name)
+    verdict = fresh.check().status.value
+    if verdict != "unsat":
+        return summary, f"unsat core {list(core)} re-checks {verdict}"
+    return summary, ""
 
 
 def check_corpus(
@@ -92,6 +118,15 @@ def check_corpus(
                 )
                 continue
             print(f"[corpus] {name}: {verdict} in {elapsed:.2f}s ({reason})")
+            continue
+        if verdict == "unsat" and not allow_unknown:
+            started = time.monotonic()
+            summary, failure = _core_recheck(runner.session, timeout)
+            if failure:
+                failures.append(f"{name}: {failure}")
+                continue
+            core_s = time.monotonic() - started
+            print(f"[corpus] {name}: unsat in {elapsed:.2f}s ({summary} in {core_s:.2f}s)")
             continue
         print(f"[corpus] {name}: {verdict} in {elapsed:.2f}s")
     return failures

@@ -66,11 +66,10 @@ def main():
          session.model())
 
     # 5. An impossible assumption: ``check(assumptions=…)`` cores name it.
-    #    Assumption literals in the LIA layer blame exactly the integer
-    #    atoms a refutation needed (final-conflict analysis), so the core
-    #    arrives without deletion-test re-solves — |x| = 3 cannot hold for
-    #    x in (ab)*, and the core names the assumption together with the
-    #    assertions of x's encoding component.
+    #    The core is found by deletion: each assertion whose removal keeps
+    #    the rest unsat is dropped, one re-check each on the warm pipeline.
+    #    |x| = 3 cannot hold for x in (ab)*, so the core is the assumption
+    #    and the membership of x.
     result = session.check([("odd-length", LengthConstraint(lia_eq(str_len("x"), 3)))])
     show("  ... assuming |x| = 3 (impossible over (ab)*)", result)
     if result.is_unsat:

@@ -59,12 +59,6 @@ flip search of earlier revisions):
   kept).  Theory lemmas are permanent: they encode theory facts the SAT
   engine cannot re-derive, and the assertion stack retracts the
   level-strengthened ones explicitly via :meth:`retract_clause_key`.
-* **Assumption literals** — :meth:`solve` accepts a sequence of assumption
-  literals that are decided (in order, one decision level each) before any
-  free decision.  When the problem is unsatisfiable *under the assumptions*,
-  final-conflict analysis computes the subset of assumptions that actually
-  participated (:attr:`failed_assumptions`) — the mechanism behind unsat
-  cores without deletion-test re-solves.
 * **Incremental clause database** — :meth:`add_clause` (deduplicating) may
   be called between solves; :meth:`remove_unit` retracts a root-level unit
   assertion, which is how the assertion stack of
@@ -84,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..budget import Budget
 from .intsolver import ResourceLimit
@@ -137,13 +131,6 @@ _MAX_LEARNT_START = 3000
 _MAX_LEARNT_GROWTH = 1.2
 #: node budget of one recursive clause-minimization check
 _MINIMIZE_BUDGET = 80
-#: participant sets above this size degrade to "unknown" (the caller falls
-#: back to its accumulated over-approximation) — bounds the proof-tracking
-#: overhead per conflict
-_PARTICIPANT_CAP = 512
-#: sentinel for a participant set that overflowed the cap
-_WIDE = object()
-_EMPTY: FrozenSet[int] = frozenset()
 
 
 def _luby(index: int) -> int:
@@ -210,19 +197,6 @@ class DpllSolver:
         #: worth abandoning
         self.request_restart = False
         self.stats = SatStats()
-        #: assumptions that final-conflict analysis blamed for the last
-        #: ``unsat`` answer of :meth:`solve`; empty when the clause set is
-        #: unsatisfiable without any assumption
-        self.failed_assumptions: FrozenSet[int] = frozenset()
-        #: theory-atom variables the *final* refutation transitively used
-        #: (proof-tracked through learned clauses); ``None`` when tracking
-        #: overflowed or the last solve was not ``unsat`` — callers fall
-        #: back to their own accumulated over-approximation
-        self.final_participants: Optional[FrozenSet[int]] = None
-        #: side channel for the theory layer: the participant set of the
-        #: conflict clause it is about to return (read and cleared by the
-        #: conflict handler; defaults to the clause's own atoms)
-        self.pending_conflict_participants: Optional[FrozenSet[int]] = None
         #: the lowest trail length since the theory layer last synced with
         #: the trail: :meth:`_backjump` and :meth:`_restart` lower it, the
         #: theory layer raises it to ``len(trail)`` after each sync
@@ -240,13 +214,6 @@ class DpllSolver:
         self._learnt_act: Dict[int, float] = {}
         #: learned clause index -> literal-block distance at learning time
         self._learnt_lbd: Dict[int, int] = {}
-        #: proof tracking: clause index -> theory atoms its derivation used
-        #: (frozenset, or the ``_WIDE`` overflow sentinel; absent = none)
-        self._clause_participants: Dict[int, object] = {}
-        #: proof tracking for learned/theory *unit* clauses, by literal
-        self._unit_participants: Dict[int, object] = {}
-        #: proof tracking per root-level assignment, by variable
-        self._root_participants: Dict[int, object] = {}
         #: unit literals learned by conflict analysis (as opposed to
         #: asserted or theory units) — see :meth:`_purge_derived`
         self._derived_units: Set[int] = set()
@@ -260,8 +227,8 @@ class DpllSolver:
         # Search state (index 0 unused; variables are 1-based).
         self._value_of: List[Optional[bool]] = [None]
         self._level_of: List[int] = [0]
-        #: reason clause index of a propagated literal (None for decisions,
-        #: assumptions and root units)
+        #: reason clause index of a propagated literal (None for decisions
+        #: and root units)
         self._reason_of: List[Optional[int]] = [None]
         #: last polarity each variable held (consulted by heavy-regime
         #: decisions only — see :meth:`solve`; sparse model search always
@@ -358,7 +325,6 @@ class DpllSolver:
         """Retract a root-level unit assertion added via :meth:`add_clause`."""
         self._units.discard(literal)
         self._clause_keys.pop((literal,), None)
-        self._unit_participants.pop(literal, None)
         self._derived_dirty = True
 
     def retract_clause_key(self, key: Clause) -> None:
@@ -395,7 +361,6 @@ class DpllSolver:
         self.clauses[index] = []
         self._learnt_act.pop(index, None)
         self._learnt_lbd.pop(index, None)
-        self._clause_participants.pop(index, None)
 
     def has_unit(self, literal: int) -> bool:
         return literal in self._units
@@ -411,18 +376,6 @@ class DpllSolver:
 
     def _decision_level(self) -> int:
         return len(self._trail_lim)
-
-    def _merge_participants(self, *parts: object) -> object:
-        """Union participant sets, degrading to ``_WIDE`` past the cap."""
-        total: Set[int] = set()
-        for part in parts:
-            if part is _WIDE:
-                return _WIDE
-            if part:
-                total |= part  # type: ignore[arg-type]
-                if len(total) > _PARTICIPANT_CAP:
-                    return _WIDE
-        return frozenset(total) if total else _EMPTY
 
     def _assign(self, literal: int, reason: Optional[int]) -> None:
         var = abs(literal)
@@ -442,22 +395,6 @@ class DpllSolver:
                 if not count:
                     for q in clauses[index]:
                         unsat[abs(q)] -= 1
-        if not self._trail_lim:
-            # Root-level assignment: remember what its derivation used, so
-            # final-conflict analysis can see through level-0 literals.
-            if reason is None:
-                part = self._unit_participants.get(literal, _EMPTY)
-            else:
-                part = self._merge_participants(
-                    self._clause_participants.get(reason, _EMPTY),
-                    *(
-                        self._root_participants.get(abs(q), _EMPTY)
-                        for q in self.clauses[reason]
-                        if abs(q) != var
-                    ),
-                )
-            if part is _WIDE or part:
-                self._root_participants[var] = part
 
     def _new_level(self) -> None:
         self._trail_lim.append(len(self.trail))
@@ -708,14 +645,12 @@ class DpllSolver:
     # ------------------------------------------------------------------
     # Conflict analysis (1UIP)
     # ------------------------------------------------------------------
-    def _analyze(self, conflict_index: int) -> Tuple[List[int], int, int, object]:
+    def _analyze(self, conflict_index: int) -> Tuple[List[int], int, int]:
         """Resolve a falsified clause to the first UIP.
 
-        Returns ``(learned, backjump_level, lbd, participants)`` where
-        ``learned[0]`` is the asserting (UIP) literal and ``participants``
-        are the theory atoms the derivation transitively used.  The caller
-        guarantees the conflict involves at least one literal of the
-        current decision level.
+        Returns ``(learned, backjump_level, lbd)`` where ``learned[0]`` is
+        the asserting (UIP) literal.  The caller guarantees the conflict
+        involves at least one literal of the current decision level.
         """
         current = self._decision_level()
         seen: Dict[int, bool] = {}
@@ -725,8 +660,6 @@ class DpllSolver:
         index = len(self.trail)
         reason_lits: Sequence[int] = self.clauses[conflict_index]
         self._bump_clause(conflict_index)
-        used: List[object] = [self._clause_participants.get(conflict_index, _EMPTY)]
-        root_parts = self._root_participants
         # repro: allow(checkpoint-coverage): resolution walks the trail at most once per conflict, and the search loop checkpoints lia.sat on every conflict
         while True:
             for q in reason_lits:
@@ -742,11 +675,6 @@ class DpllSolver:
                         counter += 1
                     else:
                         learned.append(q)
-                else:
-                    part = root_parts.get(var)
-                    if part is not None:
-                        seen[var] = True  # merge each root var once
-                        used.append(part)
             while True:
                 index -= 1
                 p = self.trail[index]
@@ -758,9 +686,7 @@ class DpllSolver:
             reason_index = self._reason_of[abs(p)]
             self._bump_clause(reason_index)
             reason_lits = self.clauses[reason_index]
-            used.append(self._clause_participants.get(reason_index, _EMPTY))
         learned[0] = -p
-        participants = self._merge_participants(*used)
 
         # Self-subsuming minimization: drop literals whose reason clause is
         # already covered by the learned clause (recursively).
@@ -783,7 +709,7 @@ class DpllSolver:
             learned[1], learned[best] = learned[best], learned[1]
             backjump_level = self._level_of[abs(learned[1])]
         levels = {self._level_of[abs(literal)] for literal in learned}
-        return learned, backjump_level, len(levels), participants
+        return learned, backjump_level, len(levels)
 
     def _redundant(self, literal: int, seen: Dict[int, bool]) -> bool:
         """Recursive check that ``literal`` is implied by the learned clause."""
@@ -808,7 +734,7 @@ class DpllSolver:
                 stack.append(q)
         return True
 
-    def _install_learned(self, learned: List[int], lbd: int, participants: object = _EMPTY) -> None:
+    def _install_learned(self, learned: List[int], lbd: int) -> None:
         """Store a learned clause and assert its UIP literal."""
         self.stats.learned_clauses += 1
         if len(learned) == 1:
@@ -818,8 +744,6 @@ class DpllSolver:
                 self._clause_keys[key] = -1
                 self._units.add(literal)
                 self._derived_units.add(literal)
-            if participants is _WIDE or participants:
-                self._unit_participants[literal] = participants
             if self._value(literal) is None:
                 self._assign(literal, reason=None)
                 self.stats.propagations += 1
@@ -841,8 +765,6 @@ class DpllSolver:
             self._dlis_attach(index)
             self._learnt_act[index] = self._cla_inc
             self._learnt_lbd[index] = lbd
-        if participants is _WIDE or participants:
-            self._clause_participants[index] = participants
         if self._value(learned[0]) is None:
             self._assign(learned[0], reason=index)
             self.stats.propagations += 1
@@ -896,22 +818,13 @@ class DpllSolver:
     def _handle_theory_conflict(self, clause: Clause) -> bool:
         """Install a theory conflict clause and recover from it.
 
-        Returns ``False`` when the clause set became unsatisfiable (with
-        :attr:`final_participants` set to the refutation's support).  Theory
+        Returns ``False`` when the clause set became unsatisfiable.  Theory
         clauses are permanent (see the module docstring); the recovery is
         ordinary 1UIP analysis after backjumping to the deepest level the
         clause mentions.
         """
-        pending = self.pending_conflict_participants
-        self.pending_conflict_participants = None
         literals = tuple(dict.fromkeys(clause))
-        participants: object = (
-            frozenset(pending)
-            if pending is not None
-            else frozenset(abs(literal) for literal in literals)
-        )
         if not literals:
-            self.final_participants = None if participants is _WIDE else participants
             return False
         # A clause with a true or unassigned literal is no conflict: attach
         # it (it is still a sound lemma) and resume the search.
@@ -934,13 +847,6 @@ class DpllSolver:
             self.stats.learned_clauses += 1
         else:
             self.stats.duplicate_clauses += 1
-        if participants:
-            if len(literals) == 1:
-                self._unit_participants[literals[0]] = participants
-            elif index >= 0:
-                self._clause_participants[index] = self._merge_participants(
-                    self._clause_participants.get(index, _EMPTY), participants
-                )
         for literal in literals:
             self._bump_var(abs(literal))
         self._decay_activities()
@@ -950,11 +856,6 @@ class DpllSolver:
             self._backjump(0)
             value = self._value(literal)
             if value is False:
-                self.final_participants = self._as_final(
-                    self._merge_participants(
-                        participants, self._root_participants.get(abs(literal), _EMPTY)
-                    )
-                )
                 return False
             if value is None:
                 self._assign(literal, reason=None)
@@ -979,22 +880,13 @@ class DpllSolver:
 
         deepest = max(self._level_of[abs(literal)] for literal in literals)
         if deepest == 0:
-            self.final_participants = self._as_final(
-                self._merge_participants(
-                    participants,
-                    *(
-                        self._root_participants.get(abs(literal), _EMPTY)
-                        for literal in literals
-                    ),
-                )
-            )
             return False
         if index >= 0:
             ordered = sorted(literals, key=lambda l: -self._level_of[abs(l)])
             self._rewatch(index, ordered[0], ordered[1])
         before = self._decision_level()
         self._backjump(deepest)
-        learned, backjump_level, lbd, used = self._analyze(index)
+        learned, backjump_level, lbd = self._analyze(index)
         if len(learned) == 1:
             target = 0  # learned units always commit at the root
         else:
@@ -1002,52 +894,8 @@ class DpllSolver:
         self._note_redecide(target)
         self.stats.backjump_levels += before - target
         self._backjump(target)
-        self._install_learned(learned, lbd, used)
+        self._install_learned(learned, lbd)
         return True
-
-    @staticmethod
-    def _as_final(participants: object) -> Optional[FrozenSet[int]]:
-        return None if participants is _WIDE else participants  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Assumptions
-    # ------------------------------------------------------------------
-    def _analyze_final(self, failed: int) -> FrozenSet[int]:
-        """Assumptions that imply the falsification of assumption ``failed``.
-
-        Walks the implication graph backwards from ``¬failed``; every
-        decision reached is an assumption literal (free decisions cannot be
-        on the trail while assumptions are still being placed).
-        """
-        blamed = {failed}
-        used: List[object] = [
-            self._root_participants.get(abs(failed), _EMPTY)
-        ]
-        if not self._trail_lim:
-            self.final_participants = self._as_final(self._merge_participants(*used))
-            return frozenset(blamed)
-        seen = {abs(failed)}
-        base = self._trail_lim[0]
-        for position in range(len(self.trail) - 1, base - 1, -1):
-            literal = self.trail[position]
-            var = abs(literal)
-            if var not in seen:
-                continue
-            seen.discard(var)
-            reason_index = self._reason_of[var]
-            if reason_index is None:
-                blamed.add(literal)
-                continue
-            used.append(self._clause_participants.get(reason_index, _EMPTY))
-            for q in self.clauses[reason_index]:
-                if self._level_of[abs(q)] > 0:
-                    seen.add(abs(q))
-                else:
-                    part = self._root_participants.get(abs(q))
-                    if part is not None:
-                        used.append(part)
-        self.final_participants = self._as_final(self._merge_participants(*used))
-        return frozenset(blamed)
 
     # ------------------------------------------------------------------
     # Search
@@ -1057,12 +905,6 @@ class DpllSolver:
         for literal in sorted(self._units, key=abs):
             value = self._value(literal)
             if value is False:
-                self.final_participants = self._as_final(
-                    self._merge_participants(
-                        self._unit_participants.get(literal, _EMPTY),
-                        self._root_participants.get(abs(literal), _EMPTY),
-                    )
-                )
                 return False
             if value is None:
                 self._assign(literal, reason=None)
@@ -1092,7 +934,6 @@ class DpllSolver:
             if self._clause_keys.get((literal,)) == -1:
                 del self._clause_keys[(literal,)]
             self._units.discard(literal)
-            self._unit_participants.pop(literal, None)
         self._derived_units.clear()
 
     def _restart(self) -> None:
@@ -1110,29 +951,17 @@ class DpllSolver:
         self._prop_head = 0
         self.theory_mark = 0
         self._true_atoms = set()
-        self._root_participants = {}
         self._dlis_reset()
 
-    def solve(
-        self, assumptions: Sequence[int] = (), budget: Optional[Budget] = None
-    ) -> Tuple[str, Optional[Dict[int, bool]]]:
+    def solve(self, budget: Optional[Budget] = None) -> Tuple[str, Optional[Dict[int, bool]]]:
         """Run the search; returns ``("sat", model)`` or ``("unsat", None)``.
 
         The search restarts from the root but keeps all clauses (including
-        the ones learned in earlier calls), phases and activities.
-        ``assumptions`` are literals decided before any free decision; when
-        they make the problem unsatisfiable, :attr:`failed_assumptions`
-        holds the blamed subset (empty when the clause set is unsatisfiable
-        on its own).  Raises :class:`ResourceLimit` after ``_MAX_CONFLICTS``
-        conflicts; wall-clock bounding goes through ``budget``
-        (one checkpoint per search iteration, raising
-        :class:`repro.budget.BudgetExceeded`).
+        the ones learned in earlier calls), phases and activities.  Raises
+        :class:`ResourceLimit` after ``_MAX_CONFLICTS`` conflicts;
+        wall-clock bounding goes through ``budget`` (one checkpoint per
+        search iteration, raising :class:`repro.budget.BudgetExceeded`).
         """
-        assumptions = tuple(assumptions)
-        for literal in assumptions:
-            self.ensure_vars(abs(literal))
-        self.failed_assumptions = frozenset()
-        self.final_participants = None
         conflicts_at_start = self.stats.conflicts
         self._conflicts_at_solve_start = conflicts_at_start
         self.stats.restarts += 1
@@ -1175,18 +1004,9 @@ class DpllSolver:
                 # the clause's own level.
                 deepest = max(self._level_of[abs(q)] for q in self.clauses[conflict])
                 if deepest == 0:
-                    self.final_participants = self._as_final(
-                        self._merge_participants(
-                            self._clause_participants.get(conflict, _EMPTY),
-                            *(
-                                self._root_participants.get(abs(q), _EMPTY)
-                                for q in self.clauses[conflict]
-                            ),
-                        )
-                    )
                     return "unsat", None
                 self._backjump(deepest)
-                learned, backjump_level, lbd, used = self._analyze(conflict)
+                learned, backjump_level, lbd = self._analyze(conflict)
                 if len(learned) == 1:
                     # A learned unit always commits at the root: asserting
                     # it reason-less any higher would plant a pseudo-
@@ -1197,7 +1017,7 @@ class DpllSolver:
                 self._note_redecide(target)
                 self.stats.backjump_levels += before - target
                 self._backjump(target)
-                self._install_learned(learned, lbd, used)
+                self._install_learned(learned, lbd)
                 self._decay_activities()
                 if len(self._learnt_act) > self._max_learnts:
                     self._reduce_db()
@@ -1215,7 +1035,7 @@ class DpllSolver:
             if (
                 heavy_since_conflicts
                 and self.stats.conflicts - conflicts_at_restart >= restart_limit
-                and self._decision_level() > len(assumptions)
+                and self._decision_level() > 0
             ):
                 restart_index += 1
                 restart_limit = _LUBY_UNIT * _luby(restart_index)
@@ -1235,29 +1055,6 @@ class DpllSolver:
                     if not self._handle_theory_conflict(tuple(clause)):
                         return "unsat", None
                     continue
-
-            # Place the next pending assumption (one decision level each).
-            placed = False
-            failed_now: Optional[int] = None
-            while self._decision_level() < len(assumptions):
-                literal = assumptions[self._decision_level()]
-                value = self._value(literal)
-                if value is True:
-                    self._new_level()  # dummy level, keeps the indexing
-                    continue
-                if value is False:
-                    failed_now = literal
-                    break
-                self._new_level()
-                self._assign(literal, reason=None)
-                self.stats.decisions += 1
-                placed = True
-                break
-            if failed_now is not None:
-                self.failed_assumptions = self._analyze_final(failed_now)
-                return "unsat", None
-            if placed:
-                continue
 
             branch_var = self._decide_var()
             if branch_var is None:

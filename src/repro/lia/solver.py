@@ -44,14 +44,16 @@ cores are irreducible simplex explanations, and a final-check core is a
 (possibly non-minimal) refutation.  All variables are interpreted over the
 integers.  Results are reported as :class:`LiaStatus` (``SAT`` / ``UNSAT`` /
 ``UNKNOWN``); the model accompanying a ``SAT`` verdict assigns an integer to
-every free variable of the asserted formulae.
+every free variable of the asserted formulae.  An ``UNSAT`` verdict names no
+core: conflict cores only feed learned clauses, and the string-level
+:meth:`repro.Session.unsat_core` finds cores by deletion over re-checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..budget import Budget, BudgetExceeded
 from .cnf import CnfBuilder
@@ -101,21 +103,6 @@ class LiaResult:
     reason: str = ""
     #: per-check performance counters (propagations, pivots, cache hits, ...)
     stats: Dict[str, int] = field(default_factory=dict)
-    #: variables of atoms that participated in theory conflicts during the
-    #: check (mapped back through the presolve elimination chain).  For an
-    #: ``UNSAT`` verdict this over-approximates the variables a refutation
-    #: touched; string-solver callers use it to narrow unsat cores.  Empty
-    #: when no theory conflict was recorded (e.g. a purely boolean
-    #: refutation), in which case callers must fall back to the full
-    #: assertion set.
-    conflict_vars: FrozenSet[str] = frozenset()
-    #: labels of the ``check(assumptions=…)`` entries that final-conflict
-    #: analysis blamed for an ``UNSAT`` verdict.  Unlike ``conflict_vars``
-    #: this is *exact*: an assumption outside the set is guaranteed not to
-    #: be needed for the refutation.  Empty when the asserted stack is
-    #: unsatisfiable on its own (no assumption required), and meaningless
-    #: for non-UNSAT verdicts.
-    core_labels: Tuple = ()
 
     @property
     def is_sat(self) -> bool:
@@ -134,10 +121,6 @@ class _Level:
     eliminated_mark: int = 0
     var_mark: int = 0
     false: bool = False
-    #: variables of the assertion batch that collapsed to ``false`` (the
-    #: presolve cannot attribute the collapse to one formula of the batch,
-    #: so this over-approximates at batch granularity)
-    false_vars: FrozenSet[str] = frozenset()
     unsupported: str = ""
     #: canonical keys of theory clauses strengthened with root-forced atoms
     #: of this level (retracted on pop — see ``_Context._strengthen_core``)
@@ -178,10 +161,6 @@ class _Context:
         self._budget: Optional[Budget] = None
         self._last_model: Dict[str, int] = {}
         self._int_pivots = 0
-        #: boolean atom variables that appeared in theory conflict cores of
-        #: the current ``check`` (reset per check, surfaced as
-        #: ``LiaResult.conflict_vars``)
-        self._conflict_participants: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Assertion stack
@@ -266,7 +245,6 @@ class _Context:
         elif isinstance(nnf, BoolConst):
             if not nnf.value:
                 level.false = True
-                level.false_vars = level.false_vars | frozenset(batch_vars)
         else:
             self._encoded_vars.update(combined.variables())
             if root is not None and self.sat.add_clause((root,)):
@@ -343,13 +321,11 @@ class _Context:
                 return None
             # A simplex conflict is irreducible: a row explanation becomes
             # feasible without any one of its bounds.
-            conflict_vars = {tag for tag in result.conflict if isinstance(tag, int)}
-            if not conflict_vars:
-                conflict_vars = set(true_atoms)
-            self._conflict_participants |= conflict_vars
-            self.sat.pending_conflict_participants = frozenset(conflict_vars)
-            conflict_vars = self._strengthen_core(conflict_vars)
-            return tuple(-var for var in sorted(conflict_vars))
+            conflict_atoms = {tag for tag in result.conflict if isinstance(tag, int)}
+            if not conflict_atoms:
+                conflict_atoms = set(true_atoms)
+            conflict_atoms = self._strengthen_core(conflict_atoms)
+            return tuple(-var for var in sorted(conflict_atoms))
 
         constraints = [self._atom_constraint[var] for var in sorted(true_atoms)]
         try:
@@ -376,19 +352,17 @@ class _Context:
             # take effect from the root instead of only below the current
             # decision prefix.
             self.sat.request_restart = True
-        conflict_vars = {tag for tag in (outcome.conflict or set()) if isinstance(tag, int)}
-        if not conflict_vars:
-            conflict_vars = set(true_atoms)
-        if not conflict_vars:
+        conflict_atoms = {tag for tag in (outcome.conflict or set()) if isinstance(tag, int)}
+        if not conflict_atoms:
+            conflict_atoms = set(true_atoms)
+        if not conflict_atoms:
             # No true atoms at all yet the theory failed — cannot happen,
             # but guard against an empty (always-false) clause.
             return tuple()
         # The core goes into the learned clause as it comes: a superset of a
         # refutation still refutes.
-        self._conflict_participants |= conflict_vars
-        self.sat.pending_conflict_participants = frozenset(conflict_vars)
-        conflict_vars = self._strengthen_core(conflict_vars)
-        return tuple(-var for var in sorted(conflict_vars))
+        conflict_atoms = self._strengthen_core(conflict_atoms)
+        return tuple(-var for var in sorted(conflict_atoms))
 
     def _strengthen_core(self, core: Set[int]) -> Set[int]:
         """Drop atoms from a conflict core that are forced true at the root.
@@ -440,75 +414,8 @@ class _Context:
             "duplicate_clauses": sat.duplicate_clauses + self.cnf.duplicate_clauses,
         }
 
-    def _participant_names(self) -> FrozenSet[str]:
-        """Variable names touched by this check's refutation.
-
-        Prefers the SAT engine's proof-tracked support (the theory atoms
-        the *final* conflict derivation transitively used) and falls back
-        to the per-check accumulation of every theory conflict when the
-        tracking overflowed.  The conflict atoms live in the substituted
-        (post-presolve) variable space; the elimination chain is walked
-        backwards so that an original assertion mentioning an eliminated
-        variable is reconnected to the conflicts its definition
-        participated in.
-        """
-        participants = self.sat.final_participants
-        if participants is None:
-            participants = self._conflict_participants
-        names: Set[str] = set()
-        for var in participants:
-            atom = self.cnf.atom_of_var.get(var)
-            if atom is not None:
-                names.update(atom.expr.coeffs)
-        for name, definition in reversed(self.eliminated):
-            if name in names or names.intersection(definition.coeffs):
-                names.add(name)
-                names.update(definition.coeffs)
-        return frozenset(names)
-
-    def _encode_assumptions(
-        self, assumptions: Sequence[Tuple[object, Formula]]
-    ) -> Tuple[List[int], Dict[int, List[object]], Optional[object], str]:
-        """Encode labelled assumption formulae as SAT assumption literals.
-
-        Assumption formulae are rewritten through the current elimination
-        chain but are *not* presolved (an elimination justified by a mere
-        assumption would leak into later checks).  Each formula's root
-        literal doubles as its assumption literal — asserting the root is
-        asserting the formula under Plaisted–Greenbaum — so no guard
-        variables are needed and failed-assumption analysis maps straight
-        back to the labels.  Returns ``(literals, labels-per-literal,
-        trivially-false-label, unsupported-reason)``.
-        """
-        literals: List[int] = []
-        label_of: Dict[int, List[object]] = {}
-        for label, formula in assumptions:
-            rewritten = self._apply_subst(formula)
-            try:
-                nnf = to_nnf(rewritten)
-            except TypeError as error:
-                # Silently ignoring the assumption would answer as if it
-                # were absent — a wrong SAT; report UNKNOWN like the
-                # assertion path does.
-                return [], {}, None, f"unsupported assumption formula: {error}"
-            if isinstance(nnf, BoolConst):
-                if nnf.value:
-                    continue
-                return [], {}, label, ""
-            root = self.cnf.add_formula(nnf)
-            self._sync_sat()
-            if root is None:
-                continue
-            if root not in label_of:
-                literals.append(root)
-            label_of.setdefault(root, []).append(label)
-        return literals, label_of, None, ""
-
     def check(
-        self,
-        assumptions: Sequence[Tuple[object, Formula]] = (),
-        budget: Optional[Budget] = None,
-        timeout: Optional[float] = None,
+        self, budget: Optional[Budget] = None, timeout: Optional[float] = None
     ) -> LiaResult:
         # A caller-passed budget is *shared*: exceeding it must propagate as
         # BudgetExceeded so the owner (e.g. the string pipeline) sees one
@@ -524,8 +431,6 @@ class _Context:
             status: LiaStatus,
             model: Optional[LiaModel] = None,
             reason: str = "",
-            conflict_vars: FrozenSet[str] = frozenset(),
-            core_labels: Tuple = (),
         ) -> LiaResult:
             after = self._stats_snapshot()
             stats = {key: after[key] - before[key] for key in after}
@@ -536,8 +441,6 @@ class _Context:
                 theory_checks=stats["theory_checks"],
                 reason=reason,
                 stats=stats,
-                conflict_vars=conflict_vars,
-                core_labels=core_labels,
             )
 
         # The budget governs the whole check — including the presolve in
@@ -545,7 +448,6 @@ class _Context:
         # *ambient* budget, hence the ``activate()``.  An owned budget maps
         # exhaustion anywhere in the body to an UNKNOWN result.
         self._budget = budget
-        self._conflict_participants = set()
         # The callback is bound for the check only: kept on the SAT engine,
         # the bound method would make the context and the engine a reference
         # cycle, and a finished one-shot context (clauses, simplex,
@@ -556,7 +458,7 @@ class _Context:
         self._reset_theory()
         try:
             with budget.activate():
-                return self._check_budgeted(budget, assumptions, result)
+                return self._check_budgeted(budget, result)
         except BudgetExceeded as limit:
             if not owned:
                 raise
@@ -565,30 +467,16 @@ class _Context:
             self._budget = None
             self.sat.theory_callback = None
 
-    def _check_budgeted(self, budget: Budget, assumptions, result) -> LiaResult:
+    def _check_budgeted(self, budget: Budget, result) -> LiaResult:
         self._flush()
-        false_vars: Set[str] = set()
-        for level in self.levels:
-            if level.false:
-                false_vars.update(level.false_vars)
-        if false_vars or any(level.false for level in self.levels):
-            return result(LiaStatus.UNSAT, conflict_vars=frozenset(false_vars))
+        if any(level.false for level in self.levels):
+            return result(LiaStatus.UNSAT)
         for level in self.levels:
             if level.unsupported:
                 return result(LiaStatus.UNKNOWN, reason=level.unsupported)
 
-        assumption_lits, label_of, false_label, unsupported = self._encode_assumptions(
-            assumptions
-        )
-        if unsupported:
-            return result(LiaStatus.UNKNOWN, reason=unsupported)
-        if false_label is not None:
-            return result(LiaStatus.UNSAT, core_labels=(false_label,))
-
         try:
-            verdict, _boolean_model = self.sat.solve(
-                budget=budget, assumptions=assumption_lits
-            )
+            verdict, _boolean_model = self.sat.solve(budget=budget)
         except ResourceLimit as error:
             return result(LiaStatus.UNKNOWN, reason=str(error))
 
@@ -598,18 +486,7 @@ class _Context:
                     LiaStatus.UNKNOWN,
                     reason="branch-and-bound budget exhausted on some boolean assignment",
                 )
-            failed = self.sat.failed_assumptions
-            core_labels = tuple(
-                label
-                for literal in assumption_lits
-                if literal in failed
-                for label in label_of[literal]
-            )
-            return result(
-                LiaStatus.UNSAT,
-                conflict_vars=self._participant_names(),
-                core_labels=core_labels,
-            )
+            return result(LiaStatus.UNSAT)
 
         model = LiaModel(dict(self._last_model))
         model.values = complete_model(model.values, self.eliminated)
@@ -664,35 +541,27 @@ class LiaSolver:
 
     # ------------------------------------------------------------------
     def check(
-        self,
-        formula: Optional[Formula] = None,
-        assumptions: Sequence[Tuple[object, Formula]] = (),
-        budget: Optional[Budget] = None,
+        self, formula: Optional[Formula] = None, budget: Optional[Budget] = None
     ) -> LiaResult:
         """Decide satisfiability of the assertion stack (plus ``formula``).
 
         A caller-passed ``budget`` supersedes ``timeout``, and exceeding it
         raises :class:`repro.budget.BudgetExceeded` instead of answering
         ``UNKNOWN`` (the budget's owner reports the verdict).
-        ``assumptions`` is a sequence of ``(label, formula)`` pairs that
-        hold for *this check only*: on an ``UNSAT`` answer,
-        :attr:`LiaResult.core_labels` names exactly the assumptions the
-        refutation needed (final-conflict analysis over their assumption
-        literals — no deletion-test re-solving).
         """
         if formula is not None:
-            if self._ctx is None and not assumptions:
+            if self._ctx is None:
                 context = _Context()
                 context.add_assertion(formula)
-                return context.check(budget=budget, timeout=self.timeout)
+                return context.check(budget, self.timeout)
             context = self._context()
             context.push()
             context.add_assertion(formula)
             try:
-                return context.check(assumptions, budget, self.timeout)
+                return context.check(budget, self.timeout)
             finally:
                 context.pop()
-        return self._context().check(assumptions, budget, self.timeout)
+        return self._context().check(budget, self.timeout)
 
 
 def is_satisfiable(formula: Formula, timeout: Optional[float] = None) -> bool:

@@ -1,10 +1,14 @@
-"""Result types shared by all solver frontends."""
+"""Result types shared by all solver frontends.
+
+A :class:`SolveResult` reports a verdict, not its explanation: unsat cores
+come from :meth:`repro.Session.unsat_core`, which re-checks subsets.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
 from ..budget import UnknownReason
 
@@ -94,19 +98,6 @@ class SolveResult:
     #: theory_checks, learned_clauses, restarts, pivots, cache_hits, ...);
     #: ``cache_hits`` counts the CNF encoder's structural cache hits only
     stats: Dict[str, int] = field(default_factory=dict)
-    #: for UNSAT: indices (into the checked problem's atom list) of the
-    #: atoms the refutation participants map back to — an over-approximated
-    #: unsat core seeded from the LIA conflict provenance (integer atoms are
-    #: exact, via assumption-literal final-conflict analysis).  ``None``
-    #: means the participants could not be tracked (callers must treat
-    #: every atom as a candidate).
-    core_atoms: Optional[FrozenSet[int]] = None
-    #: for UNSAT: ``core_atoms`` widened by the word equations and their
-    #: variables' atoms — the fallback candidate when branches were pruned
-    #: inside the decomposition (whose refutations implicate the equations
-    #: without reporting participants).  ``None`` when identical to
-    #: ``core_atoms``.
-    core_atoms_widened: Optional[FrozenSet[int]] = None
 
     @property
     def is_sat(self) -> bool:

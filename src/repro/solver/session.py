@@ -15,23 +15,19 @@ extends the previous one by a constraint or two.  Assertions may use the
 extended extraction atoms (:class:`~repro.strings.ast.SubstrAtom`,
 :class:`~repro.strings.ast.IndexOfAtom`,
 :class:`~repro.strings.ast.ReplaceAtom`); the pipeline compiles them away
-per check and maps cores back.  A session is *not* thread-safe; give each
-worker its own.
+per check.  A session is *not* thread-safe; give each worker its own.
 
 Unsat cores
 -----------
 
-``check`` seeds a core from the refutation participants the pipeline
-threads up from the LIA layer (``SolveResult.core_atoms``): integer atoms
-are *exact* — each travels as a labelled assumption literal and an UNSAT
-answer's final-conflict analysis names precisely the ones it needed — while
-string atoms map through the conflict-variable provenance.
-:meth:`~Session.unsat_core` verifies that the candidate set really is
-unsatisfiable on its own (one re-check, falling back to the full assertion
-set when the over-approximation turns out incomplete) and reports it in
-assertion order — every reported core is a set of assertions that was
-*checked* to be jointly unsatisfiable, and bystander assertions never
-appear in it.
+:meth:`~Session.unsat_core` shrinks the assertions of the last ``unsat``
+check by deletion: in assertion order, it drops each assertion whose
+removal leaves the rest ``unsat``, one re-check per assertion over the
+session's warm pipeline.  The re-checks run under the last check's budget
+(or a fresh one per re-check from its ``timeout``), and one that does not
+answer ``unsat`` keeps its assertion.  Every reported core was therefore
+*checked* to be jointly unsatisfiable, and when every re-check was decided
+it is minimal: dropping any one of its assertions is not ``unsat``.
 """
 
 from __future__ import annotations
@@ -74,6 +70,9 @@ class Session:
         self._last: Optional[SolveResult] = None
         #: the exact (name, atom) list the last check decided
         self._last_atoms: List[Tuple[str, Atom]] = []
+        #: the ``budget`` and ``timeout`` the last check was given, reused
+        #: by the core re-checks
+        self._last_limits: Tuple[Optional[Budget], Optional[float]] = (None, None)
         self._last_core: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------------
@@ -169,16 +168,27 @@ class Session:
         usable — caches are transactional, so a later check (e.g. with a
         larger budget) picks up exactly where a fresh solver would.
         """
-        if budget is None and timeout is not None:
-            budget = Budget(timeout, max_steps=self.config.max_steps)
         entries = list(self.assertions()) + self._named_assumptions(assumptions)
-        result = self._pipeline.check(self._problem_for(entries), budget=budget)
+        self._last_limits = (budget, timeout)
+        result = self._pipeline.check(self._problem_for(entries), budget=self._budget())
         for key, value in result.stats.items():
             self._cumulative[key] = self._cumulative.get(key, 0) + value
         self._last = result
         self._last_atoms = entries
         self._last_core = None
         return result
+
+    def _budget(self) -> Optional[Budget]:
+        """The budget of one pipeline check under the last check's limits.
+
+        A caller's ``budget`` is shared by every check it covers; a bare
+        ``timeout`` gets a fresh budget per check; without either the
+        pipeline applies the config limits.
+        """
+        budget, timeout = self._last_limits
+        if budget is None and timeout is not None:
+            budget = Budget(timeout, max_steps=self.config.max_steps)
+        return budget
 
     def model(self) -> Optional[StringModel]:
         """The model of the last ``sat`` verdict (``None`` otherwise)."""
@@ -205,42 +215,24 @@ class Session:
     def unsat_core(self) -> Tuple[str, ...]:
         """Names of assertions that are jointly unsatisfiable.
 
-        Requires the last :meth:`check` to have answered ``unsat``.  The
-        candidate set is seeded from the pipeline's refutation provenance —
-        integer atoms exactly, via the LIA layer's assumption literals and
-        final-conflict analysis; string atoms through the conflict-variable
-        mapping — and verified by one re-check when it is a proper subset.
-        Core atoms are reported **in assertion order** (deterministic across
-        runs).  The result is cached until the next ``check``.
+        Requires the last :meth:`check` to have answered ``unsat``.  Shrinks
+        its assertions by deletion (see the module docstring) and reports
+        the survivors **in assertion order** (deterministic across runs).
+        The result is cached until the next ``check``.
         """
         if self._last is None or self._last.status is not Status.UNSAT:
             raise RuntimeError("unsat_core requires the last check to be unsat")
         if self._last_core is not None:
             return self._last_core
 
-        entries = self._last_atoms
-        everything = list(range(len(entries)))
-        if self._last.core_atoms is None:
-            kept = everything
-        else:
-            # Candidates from tight to wide; the first whose verification
-            # re-check stays unsat wins, the full (already-verified)
-            # assertion set is the last resort.  Assertion-index order,
-            # never set-iteration order: cores must be stable across runs
-            # and hash seeds.
-            candidates = [sorted(self._last.core_atoms)]
-            if self._last.core_atoms_widened is not None:
-                candidates.append(sorted(self._last.core_atoms_widened))
-            kept = everything
-            for candidate in candidates:
-                if candidate == everything:
-                    break
-                verdict = self._pipeline.check(
-                    self._problem_for([entries[i] for i in candidate])
-                )
-                if verdict.status is Status.UNSAT:
-                    kept = candidate
-                    break
-
-        self._last_core = tuple(entries[i][0] for i in kept)
+        kept = list(self._last_atoms)
+        position = 0
+        while position < len(kept):
+            trial = kept[:position] + kept[position + 1 :]
+            verdict = self._pipeline.check(self._problem_for(trial), budget=self._budget())
+            if verdict.status is Status.UNSAT:
+                kept = trial
+            else:
+                position += 1
+        self._last_core = tuple(name for name, _atom in kept)
         return self._last_core

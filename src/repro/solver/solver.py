@@ -5,8 +5,8 @@ Pipeline for an input problem (a conjunction of string atoms):
 0. **Reduction** (:mod:`repro.strings.reductions`): the extended atoms
    (``str.substr`` / ``str.indexof`` / ``str.replace``) are compiled into
    core-only case conjunctions; each case runs through the stages below
-   and the verdicts are merged (first sat case wins, all-unsat merges the
-   provenance-mapped cores).
+   and the verdicts are merged (first sat case wins; the problem is unsat
+   when every case is).
 1. **Normalisation** (:mod:`repro.strings.normal_form`) into
    ``E ∧ R ∧ I ∧ P``.
 2. **Stabilization** (:mod:`repro.eqsolver.noodler`): the word equations
@@ -58,12 +58,9 @@ content of the assertion prefix it depends on:
   instantiation lemmas ride along in the level that derived them and are
   retracted exactly when a dependency of that level disappears.
 
-On ``UNSAT`` the pipeline reports *refutation participants*: the
-:class:`~repro.lia.LiaResult.conflict_vars` of each branch refutation are
-mapped through the asserted parts back to normal-form variables and then —
-via :meth:`NormalForm.atoms_touching` provenance — to input-atom indices
-(surfaced as ``SolveResult.core_atoms``).  :meth:`repro.Session.unsat_core`
-verifies this candidate set by one re-check and reports it.
+An ``UNSAT`` verdict carries no core: :meth:`repro.Session.unsat_core`
+shrinks the assertion set by deletion, re-checking subsets through this
+same warm pipeline.
 
 :class:`PositionSolver` keeps the historical one-shot interface as a thin
 wrapper over a throwaway :class:`repro.Session`.
@@ -74,7 +71,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..automata.dense import stats_snapshot as dense_stats_snapshot
 from ..automata.enumeration import is_finite, shortest_word, words_up_to
@@ -99,7 +96,6 @@ from ..lia import Eq as LiaEq
 from ..lia import Formula as LiaFormula
 from ..lia import Le as LiaLe
 from ..lia import LinExpr
-from ..lia.simplify import eliminate_equalities
 from ..budget import Budget, BudgetExceeded, UnknownKind, UnknownReason
 from ..strings.ast import Problem, RegexMembership, length_variable
 from ..strings.normal_form import NormalForm, NormalizationCache, normalize
@@ -184,14 +180,6 @@ class _Component:
     #: lazily computed, shared by every MBQI round of the branch (the base
     #: transition counters of the master encoding never change across rounds)
     master_counts: Optional[Dict[Tuple, LinExpr]] = None
-    #: lazily computed variable set of the encoding formula (for mapping
-    #: LIA conflict participants back to this component)
-    formula_vars: Optional[FrozenSet[str]] = None
-
-    def formula_variables(self) -> FrozenSet[str]:
-        if self.formula_vars is None:
-            self.formula_vars = frozenset(self.encoding.formula.variables())
-        return self.formula_vars
 
 
 @dataclass
@@ -214,11 +202,6 @@ class _BranchOutcome:
     lia_queries: int = 0
     exact: bool = True
     stats: Dict[str, int] = field(default_factory=dict)
-    #: for UNSAT: normal-form variables the refutation touched (empty set
-    #: means "unknown participants" — callers must widen to everything)
-    participant_vars: Optional[Set[str]] = None
-    #: for UNSAT: input-atom indices identified directly (integer parts)
-    participant_atoms: Set[int] = field(default_factory=set)
 
 
 def _atom_key(atom) -> Tuple:
@@ -257,11 +240,6 @@ class IncrementalPipeline:
         self._decompositions: _Lru = _Lru(32)
         self._components: _Lru = _Lru(_ENCODING_CACHE)
         self._branch_solvers: _Lru = _Lru(_BRANCH_SOLVERS)
-        #: integer conjunct -> may it travel as an assumption literal?
-        #: (defining equalities must stay asserted so the LIA presolve can
-        #: eliminate them — losing that elimination costs 3× on the
-        #: equality-linked e2e instances)
-        self._assumable: _Lru = _Lru(256)
         self.counters: Dict[str, int] = {
             "checks": 0,
             "normal_form_hits": 0,
@@ -289,8 +267,7 @@ class IncrementalPipeline:
         case conjunctions by :mod:`repro.strings.reductions`; each case
         runs through the cached conjunctive pipeline and the verdicts are
         merged (sat: first satisfiable case, with the reduction's fresh
-        variables stripped from the model; unsat: all cases refuted, cores
-        mapped back to the input atoms through the case provenance).
+        variables stripped from the model; unsat: all cases refuted).
 
         ``budget`` overrides the config-derived per-check budget (a caller
         racing several checks, or retrying after a timeout with more room).
@@ -390,9 +367,6 @@ class IncrementalPipeline:
         stats: Dict[str, int] = {}
         saw_unknown = False
         unknown_reason: Optional[UnknownReason] = None
-        participants_known = True
-        core: Set[int] = set()
-        widened: Set[int] = set()
         for case in cases:
             watch.check_now("reduce.case")
             result = self._check_core(
@@ -431,17 +405,6 @@ class IncrementalPipeline:
                 saw_unknown = True
                 if isinstance(result.reason, UnknownReason):
                     unknown_reason = result.reason
-                continue
-            # UNSAT: map the case's core through the provenance.
-            if result.core_atoms is None:
-                participants_known = False
-            else:
-                mapped = {case.provenance[i] for i in result.core_atoms}
-                core |= mapped
-                if result.core_atoms_widened is not None:
-                    widened |= {case.provenance[i] for i in result.core_atoms_widened}
-                else:
-                    widened |= mapped
         if saw_unknown:
             return SolveResult(
                 Status.UNKNOWN,
@@ -459,10 +422,6 @@ class IncrementalPipeline:
             branches_explored=branches,
             lia_queries=lia_queries,
             stats=stats,
-            core_atoms=frozenset(core) if participants_known else None,
-            core_atoms_widened=(
-                frozenset(widened) if participants_known and widened != core else None
-            ),
         )
 
     def _check_core(
@@ -488,9 +447,6 @@ class IncrementalPipeline:
         saw_unknown = False
         unknown_reason: Optional[UnknownReason] = None
         stats: Dict[str, int] = {}
-        participant_vars: Set[str] = set()
-        participant_atoms: Set[int] = set()
-        participants_known = True
 
         def merge_stats(delta: Dict[str, int]) -> None:
             for key, value in delta.items():
@@ -522,12 +478,6 @@ class IncrementalPipeline:
                     unknown_reason = outcome.reason
             if not outcome.exact:
                 all_exact = False
-            if outcome.status is Status.UNSAT:
-                if outcome.participant_vars or outcome.participant_atoms:
-                    participant_vars |= outcome.participant_vars or set()
-                    participant_atoms |= outcome.participant_atoms
-                else:
-                    participants_known = False
 
         if saw_unknown or not all_exact:
             return SolveResult(
@@ -544,34 +494,12 @@ class IncrementalPipeline:
                 stats=stats,
             )
 
-        core_atoms: Optional[FrozenSet[int]] = None
-        core_widened: Optional[FrozenSet[int]] = None
-        if participants_known:
-            # Tight candidate: exactly what the branch refutations reported
-            # (closed under the branch substitutions).
-            tight = set(participant_atoms)
-            tight.update(normal_form.atoms_touching(participant_vars))
-            core_atoms = frozenset(tight)
-            # Widened candidate: branches pruned inside the decomposition
-            # (empty refinements) implicate the equations and the atoms of
-            # their variables without reporting participants; fold the
-            # equation variables in wholesale.  Callers try the tight set
-            # first and fall back here when its verification fails.
-            widened_vars = set(participant_vars)
-            for lhs, rhs in normal_form.equations:
-                widened_vars.update(lhs)
-                widened_vars.update(rhs)
-            widened = tight | set(normal_form.atoms_touching(widened_vars))
-            if widened != tight:
-                core_widened = frozenset(widened)
         return SolveResult(
             Status.UNSAT,
             elapsed=watch.elapsed(),
             branches_explored=len(branches),
             lia_queries=lia_queries,
             stats=stats,
-            core_atoms=core_atoms,
-            core_atoms_widened=core_widened,
         )
 
     # ------------------------------------------------------------------
@@ -793,18 +721,10 @@ class IncrementalPipeline:
         referenced = set()
         for name in normal_form.integer_formula.variables():
             if name.startswith("@len."):
-                original = name[len("@len.") :]
-                expansion = (
-                    branch.expand(original)
-                    if (original in branch.automata or original in branch.substitution)
-                    else (original,)
-                )
-                referenced.update(expansion)
+                referenced.update(branch.expand(name[len("@len.") :]))
         # One singleton group per uncovered variable (sorted for stable
         # positional prefixes): lumping them into one component would fuse
-        # unrelated variables into a single encoding, smearing refutation
-        # participants across them — a length bound on x would implicate a
-        # bystander y in every unsat core.
+        # unrelated variables into a single system encoding.
         for name in sorted(referenced):
             if name in automata and not any(name in g[2] for g in groups):
                 groups.append(([], [], {name}))
@@ -816,7 +736,7 @@ class IncrementalPipeline:
 
     def _length_links(
         self, normal_form: NormalForm, branch: Branch, components: List[_Component]
-    ) -> List[Tuple[str, LiaFormula]]:
+    ) -> List[LiaFormula]:
         """Tie the reserved ``@len.x`` variables to tag counters of the encodings."""
 
         def length_of(name: str) -> Optional[LinExpr]:
@@ -830,23 +750,18 @@ class IncrementalPipeline:
             for name in normal_form.integer_formula.variables()
             if name.startswith("@len.")
         ]
-        links: List[Tuple[str, LiaFormula]] = []
+        links: List[LiaFormula] = []
         for name in referenced:
-            expansion = (
-                branch.expand(name)
-                if (name in branch.automata or name in branch.substitution)
-                else (name,)
-            )
             total = LinExpr.constant(0)
             covered = True
-            for part in expansion:
+            for part in branch.expand(name):
                 expr = length_of(part)
                 if expr is None:
                     covered = False
                     break
                 total = total + expr
             if covered:
-                links.append((name, eq(var(length_variable(name)), total)))
+                links.append(eq(var(length_variable(name)), total))
         return links
 
     # ------------------------------------------------------------------
@@ -914,25 +829,6 @@ class IncrementalPipeline:
             state.levels.append([key for key, _ in delta])
             state.copies.append([])
         return state
-
-    # ------------------------------------------------------------------
-    def _assumption_safe(self, formula: LiaFormula) -> bool:
-        """May this integer conjunct travel as an assumption literal?
-
-        Assumption formulae bypass the LIA presolve; a *defining equality*
-        (one ``eliminate_equalities`` would substitute away) must therefore
-        stay asserted — its core membership falls back to the conflict-
-        participant mapping.  Inequalities and disjunctive structure never
-        presolve, so assuming them is free.
-        """
-        safe = self._assumable.lookup(formula)
-        if safe is None:
-            # Wrap in a conjunction: the presolve only inspects And nodes,
-            # and at flush time the part sits inside the batch conjunction.
-            _, eliminated = eliminate_equalities(LiaAnd((formula,)), protected=())
-            safe = not eliminated
-            self._assumable.store(formula, safe)
-        return safe
 
     # ------------------------------------------------------------------
     # Easy-case pairwise-distinct path
@@ -1007,10 +903,7 @@ class IncrementalPipeline:
             # (finite language, window applied) and no assignment satisfies
             # the disequalities: the memberships + windows + disequalities
             # alone — a subset of the branch constraints — are infeasible.
-            return _BranchOutcome(
-                Status.UNSAT,
-                participant_vars=self._close_participants(set(edges), branch),
-            )
+            return _BranchOutcome(Status.UNSAT)
         if strings is None:
             strings = {}
             for name in sorted(edges, key=lambda n: (-len(edges[n]), n)):
@@ -1131,12 +1024,7 @@ class IncrementalPipeline:
                 (raw_name, coeff), = coeffs.items()
                 if not raw_name.startswith("@len.") or coeff == 0:
                     return True
-                original = raw_name[len("@len.") :]
-                expansion = (
-                    branch.expand(original)
-                    if (original in branch.automata or original in branch.substitution)
-                    else (original,)
-                )
+                expansion = branch.expand(raw_name[len("@len.") :])
                 if len(expansion) != 1:
                     return True
                 name = expansion[0]
@@ -1152,7 +1040,7 @@ class IncrementalPipeline:
                 return narrow(name, -(constant // coeff), None)
             return True  # disjunctive / non-length structure: no window
 
-        for formula, _index in normal_form.integer_parts:
+        for formula in normal_form.integer_parts:
             if not visit(formula):
                 return None
         return windows
@@ -1186,10 +1074,7 @@ class IncrementalPipeline:
             # copy is materialised (and ε-acceptance is part of emptiness:
             # an initial-and-final state is always useful).
             if automata[name].is_empty():
-                return _BranchOutcome(
-                    Status.UNSAT,
-                    participant_vars=self._close_participants({name}, branch),
-                )
+                return _BranchOutcome(Status.UNSAT)
 
         # A single disequality encodes cheaply (the A^II construction); the
         # witness path targets the multi-predicate groups whose A^III
@@ -1227,30 +1112,15 @@ class IncrementalPipeline:
             )
 
         # Assemble the branch conjunction as keyed parts (see the module
-        # docstring): integer conjuncts carry their source-atom index,
-        # length links their variable, encodings their component cache
-        # identity — the keys drive both the incremental assertion stack
-        # and the conflict-participant mapping.  Assumption-safe integer
-        # conjuncts travel as labelled assumptions instead: final-conflict
-        # analysis then reports the exact integer atoms of a refutation
-        # (``LiaResult.core_labels``) for free.
-        parts: List[Tuple[PartKey, LiaFormula]] = []
-        #: integer conjuncts that stay asserted — exactly the ones whose
-        #: core membership must still come from the conflict-variable
-        #: mapping (assumed conjuncts are covered by their failed labels)
-        int_parts: List[Tuple[LiaFormula, int]] = []
-        assumed: List[Tuple[int, LiaFormula]] = []
-        for formula, atom_index in normal_form.integer_parts:
-            if self._assumption_safe(formula):
-                assumed.append((atom_index, formula))
-            else:
-                parts.append((("int", formula), formula))
-                int_parts.append((formula, atom_index))
-        links = self._length_links(normal_form, branch, components)
-        for name, formula in links:
+        # docstring): integer conjuncts and length links are keyed by their
+        # formula, encodings by their component cache identity — the keys
+        # drive the incremental assertion stack.
+        parts: List[Tuple[PartKey, LiaFormula]] = [
+            (("int", formula), formula) for formula in normal_form.integer_parts
+        ]
+        for formula in self._length_links(normal_form, branch, components):
             parts.append((("link", formula), formula))
         exact = True
-        approximations: List[Tuple[LiaFormula, Set[str]]] = []
         for component in components:
             parts.append((("enc", component), component.encoding.formula))
             for predicate, encoder in component.encoders:
@@ -1260,7 +1130,6 @@ class IncrementalPipeline:
                     haystack = LinExpr.sum_of(component.encoding.length_of(n) for n in predicate.haystack)
                     formula = gt(needle, haystack)
                     parts.append((("approx", formula), formula))
-                    approximations.append((formula, set(predicate.string_variables())))
 
         # The MBQI refinement loop re-checks the same large conjunction with
         # one small lemma added per round.  The base parts live on the
@@ -1281,7 +1150,7 @@ class IncrementalPipeline:
             nonlocal queries
             while True:
                 queries += 1
-                result = state.solver.check(assumptions=assumed, budget=watch)
+                result = state.solver.check(budget=watch)
                 merge_stats(result.stats)
                 if result.status is not LiaStatus.SAT:
                     return result
@@ -1301,22 +1170,7 @@ class IncrementalPipeline:
                 watch.check_now("mbqi.round")
                 result = check_connected()
                 if result.status is LiaStatus.UNSAT:
-                    # Assumed integer atoms come exactly from the failed-
-                    # assumption labels; asserted ones (and everything else)
-                    # map through the conflict participants as before.
-                    vars_, atoms_ = self._map_participants(
-                        result.conflict_vars,
-                        int_parts,
-                        links,
-                        components,
-                        approximations,
-                        branch,
-                    )
-                    atoms_ = atoms_ | {
-                        label for label in result.core_labels if isinstance(label, int)
-                    }
-                    return _BranchOutcome(Status.UNSAT, lia_queries=queries, exact=exact, stats=stats,
-                                          participant_vars=vars_, participant_atoms=atoms_)
+                    return _BranchOutcome(Status.UNSAT, lia_queries=queries, exact=exact, stats=stats)
                 if result.status is LiaStatus.UNKNOWN:
                     watch.check_now("lia")
                     return _BranchOutcome(
@@ -1407,59 +1261,6 @@ class IncrementalPipeline:
             lia_queries=queries, exact=False, stats=stats)
 
     # ------------------------------------------------------------------
-    # Refutation participants
-    # ------------------------------------------------------------------
-    def _close_participants(self, names: Set[str], branch: Branch) -> Set[str]:
-        """Close a participant set under the branch substitution.
-
-        A refutation touching a refined noodle variable implicates the
-        eliminated variable whose split produced it.
-        """
-        closed = set(names)
-        for eliminated, _parts in branch.substitution.items():
-            if set(branch.expand(eliminated)) & closed:
-                closed.add(eliminated)
-        return closed
-
-    def _map_participants(
-        self,
-        conflict_vars: FrozenSet[str],
-        int_parts: List[Tuple[LiaFormula, int]],
-        links: List[Tuple[str, LiaFormula]],
-        components: List[_Component],
-        approximations: List[Tuple[LiaFormula, Set[str]]],
-        branch: Branch,
-    ) -> Tuple[Set[str], Set[int]]:
-        """Map LIA conflict variables back to string variables / atom indices.
-
-        Returns ``(participant_vars, participant_atoms)``; an empty variable
-        set with no atoms means the refutation's participants are unknown
-        and callers must widen to the full assertion set.
-        """
-        if not conflict_vars:
-            return set(), set()
-        participant_vars: Set[str] = set()
-        participant_atoms: Set[int] = set()
-        for name in conflict_vars:
-            if name.startswith("@len."):
-                participant_vars.add(name[len("@len.") :])
-        for formula, atom_index in int_parts:
-            if conflict_vars.intersection(formula.variables()):
-                participant_atoms.add(atom_index)
-        for name, formula in links:
-            if conflict_vars.intersection(formula.variables()):
-                participant_vars.add(name)
-        for component in components:
-            if conflict_vars & component.formula_variables():
-                participant_vars.update(component.variables)
-        for formula, names in approximations:
-            if conflict_vars.intersection(formula.variables()):
-                participant_vars.update(names)
-        if not participant_vars and not participant_atoms:
-            return set(), set()
-        return self._close_participants(participant_vars, branch), participant_atoms
-
-    # ------------------------------------------------------------------
     def _build_model(
         self,
         problem: Problem,
@@ -1471,12 +1272,7 @@ class IncrementalPipeline:
         """Assemble a full model of the original problem from branch-level data."""
         full_strings: Dict[str, str] = {}
         for name in set(normal_form.string_variables()) | set(problem.string_variables()):
-            expansion = (
-                branch.expand(name)
-                if (name in branch.automata or name in branch.substitution)
-                else (name,)
-            )
-            full_strings[name] = "".join(strings.get(part, "") for part in expansion)
+            full_strings[name] = "".join(strings.get(part, "") for part in branch.expand(name))
         integers = {name: lia_model.get(name, 0) for name in problem.integer_variables()}
         return StringModel(strings=full_strings, integers=integers)
 

@@ -15,20 +15,15 @@ The transformation follows the paper:
 5. integer constraints are collected into one LIA formula ``I`` that refers
    to string lengths through the reserved ``@len.<var>`` variables.
 
-Two facilities added for the incremental :class:`repro.Session` pipeline:
-
-* **provenance** — the normal form records, per input atom, the set of
-  normal-form variables its translation touched (``atom_variables``), and
-  keeps the integer constraints as separate per-atom conjuncts
-  (``integer_parts``).  Unsat-core extraction uses this to map refutation
-  participants back to the asserted atoms.
-* **caching** — :func:`normalize` accepts a :class:`NormalizationCache`
-  that memoizes regex compilation, complementation and the per-variable
-  membership intersections.  Besides saving the automata work on repeated
-  calls, the cache keeps the resulting :class:`~repro.automata.nfa.Nfa`
-  objects *identity-stable* across calls with a common assertion prefix,
-  which is what lets the downstream decomposition and encoding caches key
-  on object identity.
+For the incremental :class:`repro.Session` pipeline the normal form keeps
+the integer constraints as separate conjuncts (``integer_parts``), which the
+branch LIA assertion stacks assert one part each, and :func:`normalize`
+accepts a :class:`NormalizationCache` that memoizes regex compilation,
+complementation and the per-variable membership intersections.  Besides
+saving the automata work on repeated calls, the cache keeps the resulting
+:class:`~repro.automata.nfa.Nfa` objects *identity-stable* across calls with
+a common assertion prefix, which is what lets the downstream decomposition
+and encoding caches key on object identity.
 """
 
 from __future__ import annotations
@@ -55,7 +50,7 @@ from ..core.predicates import (
     StrAt,
 )
 from ..lia import Formula as LiaFormula
-from ..lia import LinExpr, TRUE, conj
+from ..lia import TRUE, conj
 from .ast import (
     Atom,
     Contains,
@@ -86,29 +81,12 @@ class NormalForm:
     alphabet: Tuple[str, ...] = ()
     #: variables introduced by the normalisation (literals, prefix/suffix/contains witnesses)
     fresh_variables: List[str] = field(default_factory=list)
-    #: the integer constraints as separate conjuncts, one entry per
-    #: contributing input atom: ``(formula, atom_index)``
-    integer_parts: List[Tuple[LiaFormula, int]] = field(default_factory=list)
-    #: per input atom (aligned with ``Problem.atoms``): the normal-form
-    #: variables (string and integer) the atom's translation touched
-    atom_variables: List[Tuple[str, ...]] = field(default_factory=list)
+    #: the integer constraints as separate conjuncts, one per
+    #: ``LengthConstraint`` atom, in atom order
+    integer_parts: List[LiaFormula] = field(default_factory=list)
 
     def string_variables(self) -> Tuple[str, ...]:
         return tuple(self.automata)
-
-    def atoms_touching(self, names) -> Tuple[int, ...]:
-        """Indices of input atoms whose translation touched any of ``names``.
-
-        This is the provenance step of unsat-core extraction: refutation
-        participants (normal-form variable names) are mapped back to the
-        asserted atoms that could have put them into play.
-        """
-        wanted = set(names)
-        hits = []
-        for index, touched in enumerate(self.atom_variables):
-            if wanted.intersection(touched):
-                hits.append(index)
-        return tuple(hits)
 
 
 class NormalizationCache:
@@ -192,25 +170,16 @@ class _Normalizer:
         self.memberships: Dict[str, List[Tuple[_MemberKey, Nfa]]] = {}
         self.equations: List[VarEquation] = []
         self.predicates: List[PositionPredicate] = []
-        self.integer_parts: List[Tuple[LiaFormula, int]] = []
-        #: provenance: normal-form variables touched per input atom
-        self.atom_variables: List[Tuple[str, ...]] = []
-        self._touched: Dict[str, None] = {}
+        self.integer_parts: List[LiaFormula] = []
 
     # -- helpers ---------------------------------------------------------
-    def touch(self, *names: str) -> None:
-        for name in names:
-            self._touched.setdefault(name, None)
-
     def fresh_var(self, hint: str = "z") -> str:
         name = f"_{hint}{self.fresh_counter}"
         self.fresh_counter += 1
         self.fresh_variables.append(name)
-        self.touch(name)
         return name
 
     def add_membership(self, variable: str, key: _MemberKey, nfa: Nfa) -> None:
-        self.touch(variable)
         self.memberships.setdefault(variable, []).append((key, nfa))
 
     def word_nfa(self, value: str) -> Nfa:
@@ -240,7 +209,6 @@ class _Normalizer:
                 if element.value == "":
                     continue
                 names.append(self.literal_var(element.value))
-        self.touch(*names)
         return tuple(names)
 
     def language_to_nfa(self, language, positive: bool) -> Tuple[_MemberKey, Nfa]:
@@ -272,19 +240,6 @@ class _Normalizer:
 
     # -- atom dispatch ----------------------------------------------------
     def visit(self, atom: Atom) -> None:
-        self._touched = {}
-        self._dispatch(atom)
-        self.atom_variables.append(tuple(self._touched))
-
-    def _touch_formula(self, formula: LiaFormula) -> None:
-        for name in formula.variables():
-            if name.startswith("@len."):
-                self.touch(name[len("@len.") :])
-            else:
-                self.touch(name)
-
-    def _dispatch(self, atom: Atom) -> None:
-        index = len(self.atom_variables)
         if isinstance(atom, RegexMembership):
             key, nfa = self.language_to_nfa(atom.language, atom.positive)
             self.add_membership(atom.var, key, nfa)
@@ -325,17 +280,12 @@ class _Normalizer:
             haystack = self.flatten_term(atom.haystack)
             if isinstance(atom.target, StringVar):
                 target = atom.target.name
-                self.touch(target)
             else:
                 target = self.literal_var(atom.target.value)
-            if isinstance(atom.index, LinExpr):
-                for name in atom.index.variables():
-                    self.touch(name)
             self.predicates.append(StrAt(target, haystack, atom.index, negated=not atom.positive))
             return
         if isinstance(atom, LengthConstraint):
-            self._touch_formula(atom.formula)
-            self.integer_parts.append((atom.formula, index))
+            self.integer_parts.append(atom.formula)
             return
         raise TypeError(f"unknown atom {atom!r}")
 
@@ -372,14 +322,11 @@ class _Normalizer:
         return NormalForm(
             equations=self.equations,
             automata=automata,
-            integer_formula=conj([part for part, _ in self.integer_parts])
-            if self.integer_parts
-            else TRUE,
+            integer_formula=conj(self.integer_parts) if self.integer_parts else TRUE,
             predicates=self.predicates,
             alphabet=self.alphabet,
             fresh_variables=self.fresh_variables,
             integer_parts=self.integer_parts,
-            atom_variables=self.atom_variables,
         )
 
     def _intersect(self, keys: List[_MemberKey], nfas: List[Nfa]) -> Nfa:

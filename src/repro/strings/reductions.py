@@ -36,10 +36,8 @@ needles keep the ``¬contains`` predicate and inherit the MBQI procedure's
 flat-language limit (beyond it the solver answers ``unknown``).  A
 syntactically empty needle collapses the case split outright.  A problem with several extended atoms
 expands into the product of their cases; :func:`reduce_problem` returns
-one :class:`ReducedCase` per member of the product, each carrying
-provenance (reduced-atom index → input-atom index) so unsat cores map back
-to the user's assertions, plus the set of fresh variables to strip from
-reported models.
+one :class:`ReducedCase` per member of the product, each carrying the set
+of fresh variables to strip from reported models.
 
 The expansion is exact: the input problem is satisfiable iff at least one
 case is, and every model of a case restricted to the input variables is a
@@ -83,8 +81,6 @@ class ReducedCase:
     """One case conjunction of the expansion, over core atoms only."""
 
     problem: Problem
-    #: per atom of ``problem``: the index of the input atom it came from
-    provenance: Tuple[int, ...]
     #: variables introduced by the reduction (strip them from models)
     fresh_variables: FrozenSet[str]
 
@@ -338,8 +334,8 @@ def reduce_problem(problem: Problem, max_cases: int = 64) -> List[ReducedCase]:
     Raises :class:`ReductionError` when the product exceeds ``max_cases``.
     """
     reducer = _Reducer(problem)
-    #: list of (atoms, provenance) pairs, one per case built so far
-    cases: List[Tuple[List[Atom], List[int]]] = [([], [])]
+    #: the atoms of each case built so far
+    cases: List[List[Atom]] = [[]]
     for index, atom in enumerate(problem.atoms):
         alternatives = [
             alternative
@@ -357,7 +353,6 @@ def reduce_problem(problem: Problem, max_cases: int = 64) -> List[ReducedCase]:
                         alphabet=problem.alphabet,
                         name=problem.name,
                     ),
-                    provenance=(index,),
                     fresh_variables=frozenset(reducer.fresh_names),
                 )
             ]
@@ -367,27 +362,20 @@ def reduce_problem(problem: Problem, max_cases: int = 64) -> List[ReducedCase]:
                 f"({len(cases)} cases before atom {index})"
             )
         if len(alternatives) == 1:
-            for atoms, provenance in cases:
+            for atoms in cases:
                 atoms.extend(alternatives[0])
-                provenance.extend([index] * len(alternatives[0]))
         else:
-            expanded: List[Tuple[List[Atom], List[int]]] = []
-            for atoms, provenance in cases:
+            expanded: List[List[Atom]] = []
+            for atoms in cases:
                 for alternative in alternatives:
                     checkpoint("reduce.cases")
-                    expanded.append(
-                        (
-                            atoms + alternative,
-                            provenance + [index] * len(alternative),
-                        )
-                    )
+                    expanded.append(atoms + alternative)
             cases = expanded
     fresh = frozenset(reducer.fresh_names)
     return [
         ReducedCase(
             problem=Problem(atoms=atoms, alphabet=problem.alphabet, name=problem.name),
-            provenance=tuple(provenance),
             fresh_variables=fresh,
         )
-        for atoms, provenance in cases
+        for atoms in cases
     ]

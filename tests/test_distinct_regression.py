@@ -174,9 +174,8 @@ def test_exact_search_never_truncates_the_candidate_window():
 
 
 def test_unsat_core_excludes_predicate_free_bystanders():
-    # Predicate-free length-referenced variables must not share an
-    # encoding component: fusing them once smeared the |x| = 3 refutation
-    # onto the unrelated |y| >= 1 bystander.
+    # A length bound on a predicate-free variable outside the refutation
+    # (|y| >= 1) is droppable, whatever encoding component y lands in.
     session = Session(config=_config(), alphabet=("a", "b"))
     session.add(RegexMembership("x", "(ab)*"), name="mem")
     session.add(LengthConstraint(ge(str_len("y"), 1)), name="bystander")
@@ -186,11 +185,9 @@ def test_unsat_core_excludes_predicate_free_bystanders():
 
 
 def test_unsat_core_keeps_asserted_integer_equalities():
-    # A defining equality over pure-Int variables is not assumption-safe
-    # (it must stay asserted so the presolve can eliminate it); its atom
-    # must still reach the core through the conflict-variable mapping —
-    # dropping it once forced a fallback to the full assertion set,
-    # dragging the string bystander in.
+    # A defining equality over pure-Int variables is eliminated by the LIA
+    # presolve; the refutation still needs it, so it stays in the core,
+    # and the string bystander does not.
     from repro.lia import eq as int_eq, var as int_var
     from repro.strings.ast import WordEquation, lit
 

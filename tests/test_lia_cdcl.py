@@ -1,6 +1,6 @@
 """CDCL invariants of the rebuilt SAT core (:mod:`repro.lia.sat`).
 
-Three invariant families, each checked against brute-force ground truth on
+Two invariant families, each checked against brute-force ground truth on
 small instances:
 
 * **learning soundness** — every clause the engine adds to its database
@@ -10,13 +10,9 @@ small instances:
   enumeration across randomized incremental scripts (which exercises
   non-chronological backjumping, restarts and DB reduction end to end: an
   unsound backjump level or a deleted reason clause shows up as a wrong
-  verdict);
-* **assumption semantics** — ``solve(assumptions=…)`` agrees with solving
-  the clauses plus assumption units, the failed-assumption set is a subset
-  of the assumptions, and re-solving under only the failed assumptions is
-  still unsatisfiable (the core really is a core).
+  verdict).
 
-A fourth family pins the decision heuristic: the DLIS counts the engine
+A third family pins the decision heuristic: the DLIS counts the engine
 keeps on deltas must pick, at every conflict-sparse decision, the variable
 a full rescan of the clause DB picks.
 """
@@ -193,63 +189,8 @@ def test_luby_restarts_fire_and_keep_clauses(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Assumptions
+# Unit retraction
 # ----------------------------------------------------------------------
-def test_assumptions_agree_with_assumption_units():
-    rng = random.Random(11)
-    saw_unsat_with_core = 0
-    for round_index in range(60):
-        num_vars = rng.randint(4, 7)
-        clauses = _random_instance(rng, num_vars, rng.randint(5, 16))
-        count = rng.randint(1, 3)
-        assumptions = tuple(
-            v if rng.random() < 0.5 else -v
-            for v in rng.sample(range(1, num_vars + 1), count)
-        )
-        solver = DpllSolver(num_vars=num_vars, clauses=clauses)
-        verdict, model = solver.solve(assumptions=assumptions)
-
-        expected = _brute_force(
-            num_vars, list(clauses) + [(a,) for a in assumptions]
-        )
-        assert (verdict == "sat") == (expected is not None), (
-            f"round {round_index}: {verdict} under {assumptions}"
-        )
-        if verdict == "sat":
-            for assumption in assumptions:
-                assert model[abs(assumption)] == (assumption > 0)
-            assert all(_satisfies(model, c) for c in clauses)
-            assert solver.failed_assumptions == frozenset()
-        else:
-            failed = solver.failed_assumptions
-            assert failed <= set(assumptions), (failed, assumptions)
-            # The failed set is a genuine core: clauses + failed alone
-            # are still unsatisfiable.
-            assert _brute_force(
-                num_vars, list(clauses) + [(a,) for a in sorted(failed)]
-            ) is None
-            if failed:
-                saw_unsat_with_core += 1
-            # And solving under only the failed assumptions reproduces
-            # the verdict on the engine itself.
-            assert solver.solve(assumptions=sorted(failed))[0] == "unsat"
-    assert saw_unsat_with_core > 0, "assumption cores were never exercised"
-
-
-def test_failed_assumptions_empty_when_unsat_without_them():
-    solver = DpllSolver(num_vars=2, clauses=[(1,), (-1,)])
-    verdict, _ = solver.solve(assumptions=(2,))
-    assert verdict == "unsat"
-    assert solver.failed_assumptions == frozenset()
-
-
-def test_single_false_assumption_is_its_own_core():
-    solver = DpllSolver(num_vars=2, clauses=[(1,)])
-    verdict, _ = solver.solve(assumptions=(-1,))
-    assert verdict == "unsat"
-    assert solver.failed_assumptions == frozenset({-1})
-
-
 def test_retracting_a_unit_purges_dependent_learned_clauses():
     # 1UIP analysis drops level-0 literals, so a clause learned while the
     # root unit (1,) is asserted may only be implied *together with* that
@@ -278,86 +219,21 @@ def test_asserting_a_derived_unit_makes_it_permanent():
 
 
 def test_unsupported_assumption_reports_unknown():
+    # A formula the CNF layer cannot take (a quantifier) makes the check
+    # unknown: dropping it silently would answer as if it were absent.
     from repro.lia import const, exists, ge, le, var as lvar
 
     solver = LiaSolver()
     solver.add_assertion(ge(lvar("x"), 0))
-    quantified = exists(("z",), le(const(1), 0))
-    result = solver.check(assumptions=[("q", quantified)])
+    solver.add_assertion(exists(("z",), le(const(1), 0)))
+    result = solver.check()
     assert result.status is LiaStatus.UNKNOWN
-    assert "assumption" in result.reason
-
-
-def test_assumptions_do_not_persist_between_solves():
-    solver = DpllSolver(num_vars=2, clauses=[(1, 2)])
-    assert solver.solve(assumptions=(-1, -2))[0] == "unsat"
-    assert solver.solve()[0] == "sat"
+    assert "unsupported formula" in result.reason
 
 
 # ----------------------------------------------------------------------
-# LiaSolver-level assumption cores
+# LiaSolver-level counters
 # ----------------------------------------------------------------------
-def test_lia_assumption_cores_are_rechecked_unsat():
-    x, y = var("x"), var("y")
-    solver = LiaSolver()
-    solver.add_assertion(ge(x, 0))
-    labelled = [
-        ("ub", le(x, 5)),
-        ("noise", ge(y, 3)),
-        ("lb", ge(x, 10)),
-    ]
-    result = solver.check(assumptions=labelled)
-    assert result.status is LiaStatus.UNSAT
-    assert set(result.core_labels) <= {"ub", "noise", "lb"}
-    assert "noise" not in result.core_labels
-    # Re-check under only the core assumptions: still unsat.
-    core = [pair for pair in labelled if pair[0] in result.core_labels]
-    assert solver.check(assumptions=core).status is LiaStatus.UNSAT
-    # And the stack alone is satisfiable again.
-    assert solver.check().status is LiaStatus.SAT
-
-
-def test_lia_core_labels_empty_when_stack_is_unsat():
-    x = var("x")
-    solver = LiaSolver()
-    solver.add_assertion(conj([ge(x, 1), le(x, 0)]))
-    result = solver.check(assumptions=[("a", ge(var("y"), 0))])
-    assert result.status is LiaStatus.UNSAT
-    assert result.core_labels == ()
-
-
-def test_lia_trivially_false_assumption_is_the_core():
-    x, y = var("x"), var("y")
-    solver = LiaSolver()
-    solver.add_assertion(ge(x, 0))
-    result = solver.check(
-        assumptions=[("fine", ge(y, 0)), ("impossible", conj([ge(y, 1), le(y, 0)]))]
-    )
-    assert result.status is LiaStatus.UNSAT
-    assert result.core_labels == ("impossible",)
-
-
-def test_lia_assumption_cores_with_disjunctions():
-    x = var("x")
-    solver = LiaSolver()
-    solver.add_assertion(conj([ge(x, 0), le(x, 10)]))
-    result = solver.check(
-        assumptions=[
-            ("split", ne(x, 0) | ge(x, 4)),
-            ("cap", le(x, 3)),
-            ("pin", conj([ge(x, 0), le(x, 0)])),
-        ]
-    )
-    assert result.status is LiaStatus.UNSAT
-    # split + pin alone conflict (x = 0 falsifies both disjuncts);
-    # whichever core comes back must re-check unsat.
-    core = [("split", ne(x, 0) | ge(x, 4)), ("cap", le(x, 3)),
-            ("pin", conj([ge(x, 0), le(x, 0)]))]
-    core = [pair for pair in core if pair[0] in result.core_labels]
-    assert core, "empty core for an assumption-driven conflict"
-    assert solver.check(assumptions=core).status is LiaStatus.UNSAT
-
-
 def test_stats_expose_cdcl_counters():
     x = var("x")
     solver = LiaSolver()
@@ -460,7 +336,10 @@ def test_dlis_counts_pick_the_rescan_choice(monkeypatch, sparse_limit):
         holder[0] = solver
         solver._max_learnts = 3  # force learned-clause DB reduction
         for _ in range(6):
-            solver.solve(assumptions=tuple(rng.sample(range(-num_vars, 0), 1)))
+            (literal,) = rng.sample(range(-num_vars, 0), 1)
+            solver.add_clause((literal,))
+            solver.solve()
+            solver.remove_unit(literal)
             roll = rng.random()
             live = [lits for lits in solver.clauses if lits]
             if roll < 0.3 and live:

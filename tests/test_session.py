@@ -7,13 +7,15 @@ The load-bearing properties:
   every prefix, and every ``sat`` model verifies against the problem;
 * **incrementality** — repeated checks actually reuse the pipeline caches
   (components, branch solvers, asserted LIA parts);
-* **unsat cores** — reported cores are jointly unsatisfiable and bystander
-  assertions never appear in them.
+* **unsat cores** — reported cores are jointly unsatisfiable, minimal
+  (deletion drops every droppable assertion), and their re-checks run under
+  the budget of the check they explain.
 """
 
 import pytest
 
 from repro import PositionSolver, Session, SolverConfig, Status
+from repro.budget import Budget, BudgetExceeded, UnknownKind, UnknownReason
 from repro.lia import eq as lia_eq, ge, le
 from repro.solver.result import StringModel
 from repro.strings.ast import (
@@ -256,6 +258,47 @@ def test_unsat_core_over_length_constraints():
     core = session.unsat_core()
     assert "noise" not in core and "noise-eq" not in core
     assert set(core) == {"mx", "lo", "hi"}
+
+
+def test_unsat_core_drops_every_droppable_assertion():
+    session = Session(config=_config(), alphabet=tuple("ab"))
+    session.add(RegexMembership("x", "a*"), name="mx")
+    session.add(WordEquation(term("y"), term("x", lit("b"))), name="y-def")
+    session.add(RegexMembership("y", "a*"), name="my")
+    session.add(LengthConstraint(ge(str_len("x"), 1)), name="xlen")
+    session.add(RegexMembership("w", "b*"), name="mw")
+    assert session.check().status is Status.UNSAT
+    core = session.unsat_core()
+    # y ends with "b" whatever x is, so y ∈ a* fails on its own.
+    assert set(core) == {"y-def", "my"}
+    atoms = dict(session.assertions())
+    for dropped in core:
+        rest = Session(config=_config(), alphabet=tuple("ab"))
+        for name in core:
+            if name != dropped:
+                rest.add(atoms[name], name=name)
+        assert rest.check().status is Status.SAT, dropped
+
+
+def test_unsat_core_rechecks_run_under_the_check_budget():
+    session = Session(config=_config(), alphabet=tuple("ab"))
+    session.add(RegexMembership("x", "(ab)*"), name="mx")
+    session.add(RegexMembership("pad", "b*"), name="pad")
+    session.add(LengthConstraint(lia_eq(str_len("x"), 3)), name="odd")
+    cancelled = []
+
+    def hook(stage, _count):
+        if cancelled:
+            cancelled.append(stage)
+            raise BudgetExceeded(UnknownReason(UnknownKind.TIMEOUT, stage=stage))
+
+    budget = Budget(30.0, hook=hook)
+    assert session.check(budget=budget).status is Status.UNSAT
+    # Cancel the job: every core re-check now stops at its first
+    # checkpoint, and an undecided re-check keeps its assertion.
+    cancelled.append("armed")
+    assert session.unsat_core() == ("mx", "pad", "odd")
+    assert len(cancelled) > 1, "the core re-checks never reached the budget hook"
 
 
 def test_unsat_core_requires_unsat():
