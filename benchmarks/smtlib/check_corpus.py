@@ -15,10 +15,11 @@ and checks that
 
 ``--allow-unknown`` relaxes the "must decide" requirement into the
 robustness contract of the budget layer: an ``unknown`` answer is accepted
-as long as it is *clean* — a structured reason, no internal errors, no
-traceback.  The CI tiny-timeout sweep runs this mode with ``--timeout
-0.05`` over the whole corpus: with essentially no budget every file must
-still answer promptly, truthfully and without corruption.
+as long as it is *clean* — a structured reason that names the stage
+which gave out (``kind@stage``), no internal errors, no traceback.  The
+CI tiny-timeout sweep runs this mode with ``--timeout 0.05`` over the
+whole corpus: with essentially no budget every file must still answer
+promptly, truthfully and without corruption.
 
 Exit status 0 on success, 1 with a per-file failure list otherwise::
 
@@ -111,6 +112,9 @@ def check_corpus(
             reason = runner.reasons[-1] if runner.reasons else ""
             if not reason:
                 failures.append(f"{name}: unknown without a structured reason")
+                continue
+            if not reason.split()[0].partition("@")[2]:
+                failures.append(f"{name}: unknown reason names no stage ({reason})")
                 continue
             if elapsed > max(2 * timeout, timeout + 1.0):
                 failures.append(

@@ -110,12 +110,10 @@ class BudgetExceeded(Exception):
 class Budget:
     """Wall-clock deadline plus cooperative step counters for one check.
 
-    The first positional argument is a relative ``timeout`` in seconds;
-    an absolute ``deadline`` (a :func:`time.monotonic` value) may be given
-    instead, e.g. when a caller subdivides its own budget.  ``max_steps``
-    caps the total checkpoint steps — a deterministic, machine-independent
-    way to bound work (useful for reproducible tests and differential
-    runs).  ``clock`` is injectable for deterministic timeout tests, and
+    The first positional argument is a relative ``timeout`` in seconds
+    (``None`` = unlimited).  ``max_steps`` caps the total checkpoint
+    steps — a deterministic, machine-independent way to bound work (useful
+    for reproducible tests and differential runs).  ``clock`` is injectable for deterministic timeout tests, and
     ``hook(stage, count)`` observes every checkpoint/stage entry (the
     fault-injection attachment point; exceptions raised by the hook
     propagate to the caller on purpose).
@@ -131,7 +129,6 @@ class Budget:
         self,
         timeout: Optional[float] = None,
         *,
-        deadline: Optional[float] = None,
         max_steps: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
         check_interval: int = 64,
@@ -149,33 +146,16 @@ class Budget:
         self._stage_steps: Dict[str, int] = {}
         self._stage_entries: Dict[str, int] = {}
         self._stage_ms: Dict[str, int] = {}
-        explicit = deadline
-        derived = None if timeout is None else self.start + timeout
-        if explicit is None:
-            self._deadline = derived
-        elif derived is None:
-            self._deadline = explicit
-        else:
-            self._deadline = min(explicit, derived)
+        self._deadline = None if timeout is None else self.start + timeout
 
     # ------------------------------------------------------------------
     # Deadline
     # ------------------------------------------------------------------
-    @property
-    def deadline(self) -> Optional[float]:
-        """Absolute :func:`time.monotonic` deadline (``None`` = unlimited)."""
-        return self._deadline
-
     def elapsed(self) -> float:
         return self._clock() - self.start
 
     def expired(self) -> bool:
         return self._deadline is not None and self._clock() > self._deadline
-
-    def remaining(self) -> Optional[float]:
-        if self._deadline is None:
-            return None
-        return self._deadline - self._clock()
 
     # ------------------------------------------------------------------
     # Cooperative cancellation
@@ -225,7 +205,12 @@ class Budget:
 
     @contextmanager
     def stage(self, name: str):
-        """Scope a coarse pipeline stage: entry hook + elapsed accounting."""
+        """Scope a coarse pipeline stage: entry hook + elapsed accounting.
+
+        The enclosing stage is restored only on a normal exit: an exception
+        escaping the body leaves ``current_stage`` naming the innermost
+        stage it escaped from, for the handler that reports it.
+        """
         previous = self.current_stage
         self.current_stage = name
         self._stage_entries[name] = self._stage_entries.get(name, 0) + 1
@@ -238,7 +223,7 @@ class Budget:
             self._stage_ms[name] = self._stage_ms.get(name, 0) + int(
                 1000 * (self._clock() - begun)
             )
-            self.current_stage = previous
+        self.current_stage = previous
 
     def stats_snapshot(self) -> Dict[str, int]:
         """Per-stage counters for ``SolveResult.stats`` (all-int values)."""

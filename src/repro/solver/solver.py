@@ -1,12 +1,12 @@
 """The main string solver (the reproduction's analogue of Z3-Noodler-pos).
 
-Pipeline for an input problem (a conjunction of string atoms):
+A problem (a conjunction of string atoms) is decided as one disjunction,
+walked by one fold (:meth:`IncrementalPipeline._decide`):
 
 0. **Reduction** (:mod:`repro.strings.reductions`): the extended atoms
    (``str.substr`` / ``str.indexof`` / ``str.replace``) are compiled into
-   core-only case conjunctions; each case runs through the stages below
-   and the verdicts are merged (first sat case wins; the problem is unsat
-   when every case is).
+   core-only case conjunctions.  Each case is one more disjunct: its
+   branches join the same fold as the branches of an unreduced problem.
 1. **Normalisation** (:mod:`repro.strings.normal_form`) into
    ``E ∧ R ∧ I ∧ P``.
 2. **Stabilization** (:mod:`repro.eqsolver.noodler`): the word equations
@@ -23,12 +23,22 @@ Pipeline for an input problem (a conjunction of string atoms):
    sat LIA model is cut until every encoding's run is connected
    (:func:`repro.core.parikh.connectivity_cuts`).
 4. **LIA solving** (:mod:`repro.lia`) and **model reconstruction**
-   (:mod:`repro.core.witness`): every SAT verdict comes with a concrete
-   string model which is verified against the original problem.
+   (:mod:`repro.core.witness`): a sat branch yields a concrete string
+   model.  :meth:`IncrementalPipeline.check` verifies it once, against
+   the caller's problem, with the reduction's fresh variables stripped.
 
-``UNSAT`` is only reported when every branch was refuted exactly (no budget
-was exceeded, no approximation was used); otherwise the solver answers
-``UNKNOWN`` — mirroring the OOR/unknown accounting of the paper's Table 1.
+The first sat branch of any case wins.  ``UNSAT`` is only reported when
+every branch of every case was refuted exactly; an undecided branch or an
+incomplete decomposition turns it into ``UNKNOWN``, and so does a branch
+refuted only under the length approximation of a non-flat ¬contains
+(``incomplete@mbqi``) — mirroring the OOR/unknown accounting of the
+paper's Table 1.
+
+Each concern has one path: ``_decide`` is the only verdict fold and
+:class:`SolveResult` the only outcome type, of a branch as of a check;
+``check`` holds the only model verification and the only internal-error
+handler (whose reason names the innermost stage the error escaped from);
+``_distinct_witness`` holds the only distinct-group search.
 
 Incremental architecture
 ------------------------
@@ -69,7 +79,7 @@ wrapper over a throwaway :class:`repro.Session`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -109,12 +119,10 @@ Encoding = Union[SingleEncoding, SystemEncoding]
 #: hashable key of one LIA part of a branch conjunction
 PartKey = Tuple
 
-#: sentinel: an exactly-enumerated disequality group has no solution
-_GROUP_UNSAT = object()
-#: candidate words per variable above which a finite-group enumeration is
-#: no longer considered complete (keeps the exact search tiny)
+#: in-window words per variable above which a finite or windowed language
+#: no longer counts as completely enumerated (keeps the group search tiny)
 _GROUP_WORD_CAP = 16
-#: node budget of the exact group search
+#: node budget of the distinct-group search
 _GROUP_SEARCH_NODES = 50000
 #: capacity of the component-encoding memo (tag-automaton encodings keyed
 #: by predicate set and automata)
@@ -194,14 +202,15 @@ class _BranchSolver:
     copies: List[List[ParikhEncoding]] = field(default_factory=list)
 
 
-@dataclass
-class _BranchOutcome:
-    status: Status
-    model: Optional[StringModel] = None
-    reason: Union[str, UnknownReason] = ""
-    lia_queries: int = 0
-    exact: bool = True
-    stats: Dict[str, int] = field(default_factory=dict)
+def _merge_stats(into: Dict[str, int], delta: Dict[str, int]) -> None:
+    for key, value in delta.items():
+        into[key] = into.get(key, 0) + value
+
+
+def _unknown(kind: UnknownKind, stage: str, detail: str, **fields) -> SolveResult:
+    return SolveResult(
+        Status.UNKNOWN, reason=UnknownReason(kind, stage=stage, detail=detail), **fields
+    )
 
 
 def _atom_key(atom) -> Tuple:
@@ -262,12 +271,10 @@ class IncrementalPipeline:
     def check(self, problem: Problem, budget: Optional[Budget] = None) -> SolveResult:
         """Decide satisfiability of ``problem`` (reusing every warm cache).
 
-        Problems containing the extended string functions (``str.substr``,
-        ``str.indexof``, ``str.replace``) are first compiled into core-only
-        case conjunctions by :mod:`repro.strings.reductions`; each case
-        runs through the cached conjunctive pipeline and the verdicts are
-        merged (sat: first satisfiable case, with the reduction's fresh
-        variables stripped from the model; unsat: all cases refuted).
+        :meth:`_decide` walks the reduction cases and decomposition
+        branches; a sat model it returns is verified here, once, against
+        ``problem`` itself (a model failing it answers
+        ``unknown(internal_error@verify)``).
 
         ``budget`` overrides the config-derived per-check budget (a caller
         racing several checks, or retrying after a timeout with more room).
@@ -279,7 +286,8 @@ class IncrementalPipeline:
         completed values, and a pinned branch LIA solver that was
         mid-mutation when the check unwound is dropped (rebuilt on demand).
         Unexpected engine exceptions likewise become
-        ``unknown(internal_error)`` verdicts — counted in ``counters`` and
+        ``unknown(internal_error)`` verdicts naming the innermost stage they
+        escaped from — counted in ``counters`` and
         ``stats``, never silently discarded; only ``KeyboardInterrupt``
         propagates (with the same no-corruption guarantee).
         """
@@ -287,26 +295,31 @@ class IncrementalPipeline:
         watch = budget if budget is not None else Budget(
             self.config.timeout, max_steps=self.config.max_steps
         )
-        # Snapshot the automata-layer counters so the per-check deltas
-        # (dense compilations, interning and normalisation-cache traffic)
-        # can be reported through ``SolveResult.stats``.
-        dense_before = dense_stats_snapshot()
-        cache_hits_before = self.normalization_cache.hits
-        cache_misses_before = self.normalization_cache.misses
-        cache_warm_before = self.normalization_cache.warm_hits
+        # The automata-layer counters are process-wide: report this check's
+        # deltas (dense compilations, interning, normalisation-cache traffic).
+        before = self._automata_counters()
         try:
             with watch.activate():
-                if needs_reduction(problem):
-                    result = self._check_extended(problem, watch)
-                else:
-                    result = self._check_core(problem, watch)
+                result = self._decide(problem, watch)
+                if result.status is Status.SAT and not eval_problem(
+                    problem, result.model.strings, result.model.integers
+                ):
+                    result = replace(
+                        result,
+                        status=Status.UNKNOWN,
+                        model=None,
+                        reason=UnknownReason(
+                            UnknownKind.INTERNAL_ERROR, stage="verify",
+                            detail="model verification failed",
+                        ),
+                    )
         except BudgetExceeded as limit:
             status = (
                 Status.TIMEOUT
                 if limit.reason.kind is UnknownKind.TIMEOUT
                 else Status.UNKNOWN
             )
-            result = SolveResult(status, elapsed=watch.elapsed(), reason=limit.reason)
+            result = SolveResult(status, reason=limit.reason)
         except Exception as failure:
             self.counters["internal_errors"] = (
                 self.counters.get("internal_errors", 0) + 1
@@ -319,186 +332,105 @@ class IncrementalPipeline:
                 elapsed=watch.elapsed(),
             )
             result = SolveResult(
-                Status.UNKNOWN,
-                elapsed=watch.elapsed(),
-                reason=reason,
-                stats={"internal_errors": 1},
+                Status.UNKNOWN, reason=reason, stats={"internal_errors": 1}
             )
-        for key, value in watch.stats_snapshot().items():
-            result.stats[key] = result.stats.get(key, 0) + value
-        for key, value in dense_stats_snapshot().items():
-            result.stats[key] = result.stats.get(key, 0) + value - dense_before[key]
-        result.stats["automata_cache_hits"] = (
-            result.stats.get("automata_cache_hits", 0)
-            + self.normalization_cache.hits
-            - cache_hits_before
-        )
-        result.stats["automata_cache_misses"] = (
-            result.stats.get("automata_cache_misses", 0)
-            + self.normalization_cache.misses
-            - cache_misses_before
-        )
-        result.stats["normalization_warm_hits"] = (
-            result.stats.get("normalization_warm_hits", 0)
-            + self.normalization_cache.warm_hits
-            - cache_warm_before
-        )
+        finally:
+            # An escaping error leaves the stage it escaped from in place
+            # (for the reason above); a shared budget's next check starts
+            # at the top level.
+            watch.current_stage = ""
+        result.elapsed = watch.elapsed()
+        _merge_stats(result.stats, watch.stats_snapshot())
+        for key, value in self._automata_counters().items():
+            result.stats[key] = result.stats.get(key, 0) + value - before[key]
         return result
 
-    def _check_extended(self, problem: Problem, watch: Budget) -> SolveResult:
-        """Case-expand the extended atoms, decide each case, merge verdicts."""
-        try:
-            with watch.stage("reduce"):
-                cases = reduce_problem(problem, max_cases=_MAX_REDUCTION_CASES)
-        except ReductionError as error:
-            return SolveResult(
-                Status.UNKNOWN,
-                elapsed=watch.elapsed(),
-                reason=UnknownReason(
-                    UnknownKind.INCOMPLETE, stage="reduce", detail=str(error)
-                ),
-            )
-        self.counters["reduction_cases"] = (
-            self.counters.get("reduction_cases", 0) + len(cases)
-        )
+    def _automata_counters(self) -> Dict[str, int]:
+        counters = dense_stats_snapshot()
+        cache = self.normalization_cache
+        counters["automata_cache_hits"] = cache.hits
+        counters["automata_cache_misses"] = cache.misses
+        counters["normalization_warm_hits"] = cache.warm_hits
+        return counters
 
-        branches = 0
-        lia_queries = 0
+    def _decide(self, problem: Problem, watch: Budget) -> SolveResult:
+        """Fold over (reduction case × decomposition branch): the verdict.
+
+        The first sat branch wins, its model stripped of the case's fresh
+        variables.  Unsat needs every branch refuted and every
+        decomposition complete; otherwise the answer is unknown, with the
+        last branch's reason or, failing one, the decomposition's.
+        """
+        cases = [(problem, frozenset())]
+        branch_budget = _MAX_BRANCHES
+        reduced = needs_reduction(problem)
+        if reduced:
+            try:
+                with watch.stage("reduce"):
+                    reduction = reduce_problem(problem, max_cases=_MAX_REDUCTION_CASES)
+            except ReductionError as error:
+                return _unknown(UnknownKind.INCOMPLETE, "reduce", str(error))
+            self.counters["reduction_cases"] += len(reduction)
+            cases = [(case.problem, case.fresh_variables) for case in reduction]
+            branch_budget = _REDUCTION_MAX_BRANCHES
+
+        explored = queries = 0
         stats: Dict[str, int] = {}
-        saw_unknown = False
-        unknown_reason: Optional[UnknownReason] = None
-        for case in cases:
-            watch.check_now("reduce.case")
-            result = self._check_core(
-                case.problem, watch, branch_budget=_REDUCTION_MAX_BRANCHES
-            )
-            branches += result.branches_explored
-            lia_queries += result.lia_queries
-            for key, value in result.stats.items():
-                stats[key] = stats.get(key, 0) + value
-            if result.status is Status.SAT:
-                model = StringModel(
-                    strings={
-                        name: word
-                        for name, word in result.model.strings.items()
-                        if name not in case.fresh_variables
-                    },
-                    integers=dict(result.model.integers),
+        reason: Optional[UnknownReason] = None
+        complete = True
+        for case, fresh in cases:
+            if reduced:
+                watch.check_now("reduce.case")
+            atoms_key = (case.alphabet,) + tuple(_atom_key(atom) for atom in case.atoms)
+            normal_form = self._normal_forms.lookup(atoms_key)
+            if normal_form is None:
+                self.counters["normal_form_misses"] += 1
+                with watch.stage("normalize"):
+                    normal_form = normalize(case, cache=self.normalization_cache)
+                self._normal_forms.store(atoms_key, normal_form)
+            else:
+                self.counters["normal_form_hits"] += 1
+
+            with watch.stage("decompose"):
+                branches, branch_fp_base, exhaustive = self._decompose(
+                    normal_form, branch_budget
                 )
-                if not eval_problem(problem, model.strings, model.integers):
-                    # The case model must satisfy the original extended
-                    # atoms by construction; a failure here means the
-                    # reduction (not the encoder) is wrong — stay sound.
-                    saw_unknown = True
-                    unknown_reason = UnknownReason(
-                        UnknownKind.INTERNAL_ERROR,
-                        stage="reduce.verify",
-                        detail="reduction case model failed verification",
+            complete = complete and exhaustive
+            for index, branch in enumerate(branches):
+                watch.check_now("solve.branch")
+                with watch.stage("solve"):
+                    outcome = self._solve_branch(
+                        case, normal_form, branch, index, (branch_fp_base, index), watch
                     )
-                    continue
-                return SolveResult(Status.SAT, model=model, elapsed=watch.elapsed(),
-                                   branches_explored=branches, lia_queries=lia_queries, stats=stats)
-            if result.status is Status.TIMEOUT:
-                return SolveResult(Status.TIMEOUT, elapsed=watch.elapsed(), reason=result.reason,
-                                   branches_explored=branches, lia_queries=lia_queries, stats=stats)
-            if result.status is Status.UNKNOWN:
-                saw_unknown = True
-                if isinstance(result.reason, UnknownReason):
-                    unknown_reason = result.reason
-        if saw_unknown:
-            return SolveResult(
-                Status.UNKNOWN,
-                elapsed=watch.elapsed(),
-                reason=unknown_reason
-                or UnknownReason(
-                    UnknownKind.INCOMPLETE,
-                    stage="reduce",
-                    detail="some reduction case could not be decided exactly",
-                ),
-                branches_explored=branches, lia_queries=lia_queries, stats=stats)
+                explored += 1
+                queries += outcome.lia_queries
+                _merge_stats(stats, outcome.stats)
+                if outcome.status is Status.SAT:
+                    model = StringModel(
+                        strings={
+                            name: word
+                            for name, word in outcome.model.strings.items()
+                            if name not in fresh
+                        },
+                        integers=outcome.model.integers,
+                    )
+                    return SolveResult(Status.SAT, model=model, branches_explored=explored,
+                                       lia_queries=queries, stats=stats)
+                if outcome.status is not Status.UNSAT:
+                    reason = outcome.reason
+
+        if reason is None and complete:
+            return SolveResult(Status.UNSAT, branches_explored=explored,
+                               lia_queries=queries, stats=stats)
         return SolveResult(
-            Status.UNSAT,
-            elapsed=watch.elapsed(),
-            branches_explored=branches,
-            lia_queries=lia_queries,
-            stats=stats,
-        )
-
-    def _check_core(
-        self, problem: Problem, watch: Budget, branch_budget: Optional[int] = None
-    ) -> SolveResult:
-        """The conjunctive-core pipeline (no extended atoms)."""
-        atoms_key = (problem.alphabet,) + tuple(_atom_key(atom) for atom in problem.atoms)
-        normal_form = self._normal_forms.lookup(atoms_key)
-        if normal_form is None:
-            self.counters["normal_form_misses"] += 1
-            with watch.stage("normalize"):
-                normal_form = normalize(problem, cache=self.normalization_cache)
-            self._normal_forms.store(atoms_key, normal_form)
-        else:
-            self.counters["normal_form_hits"] += 1
-
-        with watch.stage("decompose"):
-            branches, branch_fp_base, all_exact = self._decompose(
-                normal_form, branch_budget
-            )
-
-        lia_queries = 0
-        saw_unknown = False
-        unknown_reason: Optional[UnknownReason] = None
-        stats: Dict[str, int] = {}
-
-        def merge_stats(delta: Dict[str, int]) -> None:
-            for key, value in delta.items():
-                stats[key] = stats.get(key, 0) + value
-
-        for index, branch in enumerate(branches):
-            watch.check_now("solve.branch")
-            with watch.stage("solve"):
-                outcome = self._solve_branch(
-                    problem, normal_form, branch, index, (branch_fp_base, index), watch
-                )
-            lia_queries += outcome.lia_queries
-            merge_stats(outcome.stats)
-            if outcome.status is Status.SAT:
-                return SolveResult(
-                    Status.SAT,
-                    model=outcome.model,
-                    elapsed=watch.elapsed(),
-                    branches_explored=index + 1,
-                    lia_queries=lia_queries,
-                    stats=stats,
-                )
-            if outcome.status is Status.TIMEOUT:
-                return SolveResult(Status.TIMEOUT, elapsed=watch.elapsed(), reason=outcome.reason,
-                                   branches_explored=index + 1, lia_queries=lia_queries, stats=stats)
-            if outcome.status is Status.UNKNOWN:
-                saw_unknown = True
-                if isinstance(outcome.reason, UnknownReason):
-                    unknown_reason = outcome.reason
-            if not outcome.exact:
-                all_exact = False
-
-        if saw_unknown or not all_exact:
-            return SolveResult(
-                Status.UNKNOWN,
-                elapsed=watch.elapsed(),
-                reason=unknown_reason
-                or UnknownReason(
-                    UnknownKind.INCOMPLETE,
-                    stage="decompose",
-                    detail="decomposition incomplete (branch/noodle budget or fragment)",
-                ),
-                branches_explored=len(branches),
-                lia_queries=lia_queries,
-                stats=stats,
-            )
-
-        return SolveResult(
-            Status.UNSAT,
-            elapsed=watch.elapsed(),
-            branches_explored=len(branches),
-            lia_queries=lia_queries,
+            Status.UNKNOWN,
+            reason=reason or UnknownReason(
+                UnknownKind.INCOMPLETE,
+                stage="decompose",
+                detail="decomposition incomplete (branch/noodle budget or fragment)",
+            ),
+            branches_explored=explored,
+            lia_queries=queries,
             stats=stats,
         )
 
@@ -506,10 +438,9 @@ class IncrementalPipeline:
     # Decomposition (cached)
     # ------------------------------------------------------------------
     def _decompose(
-        self, normal_form: NormalForm, branch_budget: Optional[int] = None
+        self, normal_form: NormalForm, max_branches: int
     ) -> Tuple[List[Branch], Tuple, bool]:
         """Run (or reuse) the equation elimination for this normal form."""
-        max_branches = branch_budget or _MAX_BRANCHES
         if not normal_form.equations:
             branch = Branch(dict(normal_form.automata))
             return [branch], ("noeq", normal_form.alphabet), True
@@ -555,12 +486,10 @@ class IncrementalPipeline:
         regular: List[PositionPredicate] = []
         contains: List[NotContains] = []
         for predicate in normal_form.predicates:
-            if isinstance(predicate, Disequality):
-                regular.append(Disequality(branch.expand_term(predicate.lhs), branch.expand_term(predicate.rhs)))
-            elif isinstance(predicate, NotPrefixOf):
-                regular.append(NotPrefixOf(branch.expand_term(predicate.lhs), branch.expand_term(predicate.rhs)))
-            elif isinstance(predicate, NotSuffixOf):
-                regular.append(NotSuffixOf(branch.expand_term(predicate.lhs), branch.expand_term(predicate.rhs)))
+            if isinstance(predicate, (Disequality, NotPrefixOf, NotSuffixOf)):
+                regular.append(
+                    type(predicate)(branch.expand_term(predicate.lhs), branch.expand_term(predicate.rhs))
+                )
             elif isinstance(predicate, StrAt):
                 target = branch.expand(predicate.target)
                 if len(target) == 0:
@@ -841,25 +770,34 @@ class IncrementalPipeline:
         regular: List[PositionPredicate],
         automata: Dict[str, Nfa],
         remaining: List[str],
-    ) -> Optional[_BranchOutcome]:
-        """Model a branch of single-variable disequalities by word picking.
+    ) -> Optional[SolveResult]:
+        """Decide a branch of single-variable disequalities by word picking.
 
         ``(distinct x y z)`` over unconstrained (or weakly constrained)
         variables expands into a clique of pairwise disequalities whose
         3-predicate ``A^III`` system encoding is enormous compared to the
         problem's difficulty: any three distinct short words witness it.
         When every position predicate of the branch is a ``Disequality``
-        between two *single* variables, greedily assign each variable the
-        first word of its automaton (shortest first, restricted to any
-        simple per-variable length window the integer constraints impose)
-        not already taken by a neighbour in the disequality graph —
-        ``deg+1`` candidate words always suffice — and verify the assembled
-        model against the *original* problem with the semantics oracle.
-        Any shortfall (not enough short words, a side that is a
-        concatenation, verification failure — e.g. an integer constraint
-        beyond the window fragment) returns ``None`` and the branch flows
-        through the ordinary encoding, so this path can only ever produce
-        verified SAT answers.
+        between two *single* variables, each variable gets a candidate list
+        of words of its automaton, restricted to any simple per-variable
+        length window the integer constraints impose:
+
+        * *complete* — every in-window word, when the language is finite or
+          windowed and has at most ``_GROUP_WORD_CAP`` of them;
+        * otherwise the first ``deg+1`` short words, which always leave one
+          word free of the variable's neighbours.
+
+        A backtracking search (smallest lists first) picks pairwise distinct
+        words.  Exhausting it refutes the branch only when every list is
+        complete: the memberships, windows and disequalities alone — a
+        subset of the branch constraints — are then infeasible (the
+        pigeonhole shapes, e.g. ``(distinct x y z)`` over a two-word
+        language, that overwhelm the tag-automaton encoding).  A found
+        assignment is checked against ``problem`` with the semantics oracle
+        (the windows ignore every other integer constraint).  Any shortfall
+        (a side that is a concatenation, an inconclusive search, a failed
+        trial) returns ``None`` and the branch flows through the ordinary
+        encoding, so this path only answers verified sat or exact unsat.
         """
         edges: Dict[str, Set[str]] = {}
         for predicate in regular:
@@ -879,117 +817,74 @@ class IncrementalPipeline:
         if windows is None:
             return None  # a window is already contradictory
 
-        def in_window(name: str, word: str) -> bool:
+        def in_window(name: str, words):
             low, high = windows.get(name, (0, None))
-            return len(word) >= low and (high is None or len(word) <= high)
+            return (w for w in words if len(w) >= low and (high is None or len(w) <= high))
 
-        def pick(name: str, taken: Set[str], degree: int) -> Optional[str]:
+        def short_words(name: str, degree: int) -> List[str]:
             low, high = windows.get(name, (0, None))
             horizon = low + 3 * degree + 4
             if high is not None:
                 horizon = min(horizon, high)
-            candidates = (
-                word for word in words_up_to(automata[name], horizon)
-                if in_window(name, word)
-            )
-            for candidate in islice(candidates, degree + 1):
-                if candidate not in taken:
-                    return candidate
-            return None
+            words = in_window(name, words_up_to(automata[name], horizon))
+            return list(islice(words, degree + 1))
 
-        strings = self._exact_group_search(edges, automata, windows, in_window)
-        if strings is _GROUP_UNSAT:
-            # Every variable's candidate set was enumerated *completely*
-            # (finite language, window applied) and no assignment satisfies
-            # the disequalities: the memberships + windows + disequalities
-            # alone — a subset of the branch constraints — are infeasible.
-            return _BranchOutcome(Status.UNSAT)
-        if strings is None:
-            strings = {}
-            for name in sorted(edges, key=lambda n: (-len(edges[n]), n)):
-                taken = {strings[other] for other in edges[name] if other in strings}
-                word = pick(name, taken, len(edges[name]))
-                if word is None:
-                    return None  # not enough short witnesses: full encoding
-                strings[name] = word
-        for name in remaining:
-            if name not in strings:
-                word = pick(name, set(), 0) if name in windows else None
-                strings[name] = (
-                    word if word is not None else (shortest_word(automata[name]) or "")
-                )
-
-        model = self._build_model(problem, normal_form, branch, strings, {})
-        if not eval_problem(problem, model.strings, model.integers):
-            return None
-        self.counters["distinct_shortcuts"] += 1
-        return _BranchOutcome(Status.SAT, model=model, lia_queries=0, exact=True)
-
-    def _exact_group_search(
-        self,
-        edges: Dict[str, Set[str]],
-        automata: Dict[str, Nfa],
-        windows: Dict[str, Tuple[int, Optional[int]]],
-        in_window,
-    ):
-        """Exact decision of a small finite disequality group.
-
-        When every group variable has a *finite* language whose words (after
-        window filtering) can be enumerated completely and compactly, the
-        group is decided exactly by backtracking: a found assignment is a
-        model candidate, exhaustion is a sound UNSAT verdict for the whole
-        branch — the pigeonhole shapes (``(distinct x y z)`` over a two-word
-        language) that overwhelm the tag-automaton encoding entirely.
-        Returns an assignment dict, ``_GROUP_UNSAT``, or ``None`` when the
-        group is not exactly enumerable (caller falls back to greedy).
-        """
         candidates: Dict[str, List[str]] = {}
+        complete = True
         for name in edges:
             nfa = automata[name]
-            low, high = windows.get(name, (0, None))
-            if high is None:
-                if not is_finite(nfa):
-                    return None
-                horizon = len(nfa.states)  # longest loop-free word
-            else:
-                horizon = high
-            # Filter by the window *before* capping: capping the raw
-            # enumeration would let a truncated candidate set pass as a
-            # complete one (an unsound UNSAT on wide languages with a
-            # narrow window).
-            in_range = (w for w in words_up_to(nfa, horizon) if in_window(name, w))
-            words = list(islice(in_range, _GROUP_WORD_CAP + 1))
-            if len(words) > _GROUP_WORD_CAP:
-                return None  # too wide to call the enumeration complete
-            candidates[name] = words
+            high = windows.get(name, (0, None))[1]
+            if high is not None or is_finite(nfa):
+                horizon = len(nfa.states) if high is None else high  # longest loop-free word
+                # Filter by the window *before* capping: capping the raw
+                # enumeration would let a truncated list pass as a complete
+                # one (an unsound unsat on wide languages with a narrow window).
+                words = list(islice(
+                    in_window(name, words_up_to(nfa, horizon)), _GROUP_WORD_CAP + 1
+                ))
+                if len(words) <= _GROUP_WORD_CAP:
+                    candidates[name] = words
+                    continue
+            complete = False
+            candidates[name] = short_words(name, len(edges[name]))
+
         order = sorted(candidates, key=lambda n: (len(candidates[n]), n))
-        assignment: Dict[str, str] = {}
-        budget = [_GROUP_SEARCH_NODES]
+        strings: Dict[str, str] = {}
+        nodes = [_GROUP_SEARCH_NODES]
 
         def search(position: int) -> Optional[bool]:
             if position == len(order):
                 return True
             name = order[position]
-            taken = {assignment[o] for o in edges[name] if o in assignment}
+            taken = {strings[other] for other in edges[name] if other in strings}
             for word in candidates[name]:
                 if word in taken:
                     continue
-                budget[0] -= 1
-                if budget[0] <= 0:
+                nodes[0] -= 1
+                if nodes[0] <= 0:
                     return None  # inconclusive: give the encoding a shot
-                assignment[name] = word
-                result = search(position + 1)
-                if result:
+                strings[name] = word
+                found = search(position + 1)
+                if found:
                     return True
-                del assignment[name]
-                if result is None:
+                del strings[name]
+                if found is None:
                     return None
             return False
 
-        result = search(0)
-        if result is None:
+        found = search(0)
+        if not found:
+            return SolveResult(Status.UNSAT) if found is False and complete else None
+        for name in remaining:
+            if name not in strings:
+                words = short_words(name, 0) if name in windows else []
+                strings[name] = words[0] if words else (shortest_word(automata[name]) or "")
+
+        model = self._build_model(problem, normal_form, branch, strings, {})
+        if not eval_problem(problem, model.strings, model.integers):
             return None
-        return dict(assignment) if result else _GROUP_UNSAT
+        self.counters["distinct_shortcuts"] += 1
+        return SolveResult(Status.SAT, model=model)
 
     def _length_windows(
         self, normal_form: NormalForm, branch: Branch
@@ -1054,16 +949,11 @@ class IncrementalPipeline:
         index: int,
         fingerprint: Tuple,
         watch: Budget,
-    ) -> _BranchOutcome:
+    ) -> SolveResult:
+        """Decide one decomposition branch (the model is verified by :meth:`check`)."""
         regular, contains, automata, error = self._expand_predicates(normal_form, branch)
         if regular is None:
-            return _BranchOutcome(
-                Status.UNKNOWN,
-                reason=UnknownReason(
-                    UnknownKind.FRAGMENT, stage="expand", detail=error
-                ),
-                exact=False,
-            )
+            return _unknown(UnknownKind.FRAGMENT, "expand", error)
 
         remaining = [name for name in automata if name not in branch.substitution]
 
@@ -1074,7 +964,7 @@ class IncrementalPipeline:
             # copy is materialised (and ε-acceptance is part of emptiness:
             # an initial-and-final state is always useful).
             if automata[name].is_empty():
-                return _BranchOutcome(Status.UNSAT)
+                return SolveResult(Status.UNSAT)
 
         # A single disequality encodes cheaply (the A^II construction); the
         # witness path targets the multi-predicate groups whose A^III
@@ -1086,29 +976,9 @@ class IncrementalPipeline:
             if shortcut is not None:
                 return shortcut
 
-        try:
-            with watch.stage("encode"):
-                components = self._build_components(
-                    regular, contains, normal_form, branch, automata, index
-                )
-        except BudgetExceeded:
-            raise
-        except Exception as failure:
-            # An encoder bug must not silently discard the branch: answer
-            # unknown (sound), name the stage, and count the error so it
-            # shows up in stats and can gate CI.
-            self.counters["internal_errors"] = (
-                self.counters.get("internal_errors", 0) + 1
-            )
-            return _BranchOutcome(
-                Status.UNKNOWN,
-                reason=UnknownReason(
-                    UnknownKind.INTERNAL_ERROR,
-                    stage="encode",
-                    detail=f"{type(failure).__name__}: {failure}",
-                ),
-                exact=False,
-                stats={"internal_errors": 1},
+        with watch.stage("encode"):
+            components = self._build_components(
+                regular, contains, normal_form, branch, automata, index
             )
 
         # Assemble the branch conjunction as keyed parts (see the module
@@ -1120,12 +990,12 @@ class IncrementalPipeline:
         ]
         for formula in self._length_links(normal_form, branch, components):
             parts.append((("link", formula), formula))
-        exact = True
+        approximated = False
         for component in components:
             parts.append((("enc", component), component.encoding.formula))
             for predicate, encoder in component.encoders:
                 if encoder is None:
-                    exact = False
+                    approximated = True
                     needle = LinExpr.sum_of(component.encoding.length_of(n) for n in predicate.needle)
                     haystack = LinExpr.sum_of(component.encoding.length_of(n) for n in predicate.haystack)
                     formula = gt(needle, haystack)
@@ -1142,16 +1012,12 @@ class IncrementalPipeline:
         queries = 0
         stats: Dict[str, int] = {"connectivity_lemmas": 0}
 
-        def merge_stats(delta: Dict[str, int]) -> None:
-            for key, value in delta.items():
-                stats[key] = stats.get(key, 0) + value
-
         def check_connected():
             nonlocal queries
             while True:
                 queries += 1
                 result = state.solver.check(budget=watch)
-                merge_stats(result.stats)
+                _merge_stats(stats, result.stats)
                 if result.status is not LiaStatus.SAT:
                     return result
                 encodings = [component.encoding.parikh for component in components]
@@ -1170,33 +1036,26 @@ class IncrementalPipeline:
                 watch.check_now("mbqi.round")
                 result = check_connected()
                 if result.status is LiaStatus.UNSAT:
-                    return _BranchOutcome(Status.UNSAT, lia_queries=queries, exact=exact, stats=stats)
+                    if approximated:
+                        return _unknown(
+                            UnknownKind.INCOMPLETE, "mbqi",
+                            "refuted under the length approximation of a non-flat ¬contains",
+                            lia_queries=queries, stats=stats)
+                    return SolveResult(Status.UNSAT, lia_queries=queries, stats=stats)
                 if result.status is LiaStatus.UNKNOWN:
                     watch.check_now("lia")
-                    return _BranchOutcome(
-                        Status.UNKNOWN,
-                        reason=UnknownReason(
-                            UnknownKind.INCOMPLETE, stage="lia", detail=str(result.reason)
-                        ),
-                        lia_queries=queries, exact=exact, stats=stats)
+                    return _unknown(UnknownKind.INCOMPLETE, "lia", str(result.reason),
+                                    lia_queries=queries, stats=stats)
 
                 strings: Dict[str, str] = {}
-                reconstruction_failed = False
                 for component in components:
                     names = sorted(component.variables)
                     extracted = extract_assignment(component.encoding.parikh, result.model, names)
                     if extracted is None:
-                        reconstruction_failed = True
-                        break
+                        return _unknown(UnknownKind.INCOMPLETE, "witness",
+                                        "witness reconstruction failed",
+                                        lia_queries=queries, stats=stats)
                     strings.update(extracted)
-                if reconstruction_failed:
-                    return _BranchOutcome(
-                        Status.UNKNOWN,
-                        reason=UnknownReason(
-                            UnknownKind.INCOMPLETE, stage="witness",
-                            detail="witness reconstruction failed",
-                        ),
-                        lia_queries=queries, exact=False, stats=stats)
                 for name in remaining:
                     if name not in strings:
                         strings[name] = shortest_word(automata[name]) or ""
@@ -1210,13 +1069,9 @@ class IncrementalPipeline:
                         if offset is None:
                             continue
                         if encoder is None:
-                            return _BranchOutcome(
-                                Status.UNKNOWN,
-                                reason=UnknownReason(
-                                    UnknownKind.FRAGMENT, stage="mbqi",
-                                    detail="non-flat ¬contains counterexample",
-                                ),
-                                lia_queries=queries, exact=False, stats=stats)
+                            return _unknown(UnknownKind.FRAGMENT, "mbqi",
+                                            "non-flat ¬contains counterexample",
+                                            lia_queries=queries, stats=stats)
                         if component.master_counts is None:
                             component.master_counts = base_transition_counts(
                                 component.encoding.parikh, component.encoding.info
@@ -1234,15 +1089,7 @@ class IncrementalPipeline:
                     continue
 
                 model = self._build_model(problem, normal_form, branch, strings, result.model)
-                if not eval_problem(problem, model.strings, model.integers):
-                    return _BranchOutcome(
-                        Status.UNKNOWN,
-                        reason=UnknownReason(
-                            UnknownKind.INTERNAL_ERROR, stage="verify",
-                            detail="model verification failed",
-                        ),
-                        lia_queries=queries, exact=False, stats=stats)
-                return _BranchOutcome(Status.SAT, model=model, lia_queries=queries, exact=exact, stats=stats)
+                return SolveResult(Status.SAT, model=model, lia_queries=queries, stats=stats)
         except BaseException:
             # The unwind (budget exhaustion, fault injection, Ctrl-C, an
             # engine bug) may have interrupted the pinned stack mid-mutation
@@ -1252,13 +1099,8 @@ class IncrementalPipeline:
             self._branch_solvers.pop(fingerprint, None)
             raise
 
-        return _BranchOutcome(
-            Status.UNKNOWN,
-            reason=UnknownReason(
-                UnknownKind.INCOMPLETE, stage="mbqi",
-                detail="instantiation budget exhausted",
-            ),
-            lia_queries=queries, exact=False, stats=stats)
+        return _unknown(UnknownKind.INCOMPLETE, "mbqi", "instantiation budget exhausted",
+                        lia_queries=queries, stats=stats)
 
     # ------------------------------------------------------------------
     def _build_model(

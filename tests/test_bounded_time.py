@@ -181,9 +181,14 @@ def test_budget_timeout_surface():
     # the baseline solvers and the brute-force oracle time themselves with
     # a plain Budget(timeout)
     watch = Budget(30.0)
-    assert watch.deadline is not None
+    assert watch.timeout == 30.0
     assert not watch.expired()
     assert watch.elapsed() >= 0.0
+    assert not Budget(None).expired()
+    ticks = iter([0.0, 1.0, 6.0])
+    late = Budget(5.0, clock=lambda: next(ticks))
+    assert not late.expired()
+    assert late.expired()
 
 
 # ----------------------------------------------------------------------

@@ -144,6 +144,20 @@ def test_distinct_four_variables_over_three_words_is_unsat():
     assert session.check().status is Status.UNSAT
 
 
+def test_distinct_search_backtracks_over_a_singleton_language():
+    # l1 can only be ε, so c must avoid ε.  One search over every
+    # variable's candidate list finds that; picking c's shortest word
+    # first would decline and leave it to the A^III encoding (seconds).
+    atoms = [RegexMembership("l1", "()")]
+    atoms += [WordEquation(term("c"), term(v), positive=False) for v in ("l1", "l2", "l3")]
+    session = Session(config=_config(), alphabet=("a", "b"))
+    for atom in atoms:
+        session.add(atom)
+    result = _check_sat_verified(session, atoms)
+    assert result.lia_queries == 0
+    assert session.statistics()["distinct_shortcuts"] == 1
+
+
 def test_distinct_forced_empty_words_is_unsat():
     atoms = _distinct(["x", "y", "z"])
     atoms += [LengthConstraint(le(str_len(v), 0)) for v in ("x", "y", "z")]

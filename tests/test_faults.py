@@ -117,13 +117,17 @@ def test_injected_exception_surfaces_as_internal_error_with_stage():
     session = Session(config=_config(), alphabet=("a", "b"))
     for atom in atoms:
         session.add(atom)
-    injector = FaultInjector([FaultSpec("enter:solve", at=1, action="raise")])
-    result = session.check(budget=Budget(30.0, hook=injector))
-    assert result.status is Status.UNKNOWN
-    assert isinstance(result.reason, UnknownReason)
-    assert result.reason.kind is UnknownKind.INTERNAL_ERROR
-    assert "InjectedFault" in result.reason.detail
-    assert session.check().status is expected
+    # at the stage's entry, and deep inside its body (the LIA theory check):
+    # either way the reason names the innermost stage the error escaped
+    for site in ("enter:solve", "lia.theory"):
+        injector = FaultInjector([FaultSpec(site, at=1, action="raise")])
+        result = session.check(budget=Budget(30.0, hook=injector))
+        assert result.status is Status.UNKNOWN
+        assert isinstance(result.reason, UnknownReason)
+        assert result.reason.kind is UnknownKind.INTERNAL_ERROR
+        assert result.reason.stage == "solve", site
+        assert "InjectedFault" in result.reason.detail
+        assert session.check().status is expected
 
 
 def test_injected_exhaustion_reports_timeout_kind():

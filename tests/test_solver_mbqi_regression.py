@@ -9,7 +9,8 @@ keeps its established test id; the expected verdicts are the reference.
 import pytest
 
 from repro.benchgen import position_hard
-from repro.lia import ge
+from repro.budget import UnknownKind
+from repro.lia import ge, le
 from repro.solver import PositionSolver, SolverConfig
 from repro.solver.result import Status
 from repro.strings.ast import (
@@ -60,3 +61,18 @@ def test_incremental_uses_multiple_rounds_on_chains():
     assert result.status is Status.SAT
     assert result.lia_queries >= 4
     assert result.stats.get("restarts", 0) >= result.lia_queries - 1
+
+
+def test_length_approximation_refutation_is_unknown_at_mbqi():
+    """A refutation that needs the length approximation of a non-flat
+    ¬contains is not exact: unknown, charged to MBQI (not decomposition —
+    there is no word equation to decompose)."""
+    problem = Problem(alphabet=tuple("ab"))
+    problem.add(RegexMembership("x", "(a|b)(a|b)*"))
+    problem.add(RegexMembership("y", "(a|b)*"))
+    problem.add(Contains(term("x"), term("y"), positive=False))
+    problem.add(LengthConstraint(le(str_len("x"), str_len("y"))))
+    result = PositionSolver(SolverConfig(timeout=30.0)).check(problem)
+    assert result.status is Status.UNKNOWN
+    assert result.reason.kind is UnknownKind.INCOMPLETE
+    assert result.reason.stage == "mbqi"
