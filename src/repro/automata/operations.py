@@ -265,12 +265,18 @@ def complement(nfa, alphabet: Iterable[str]) -> Nfa:
     return dfa
 
 
-def intersection(left, right) -> Nfa:
+def intersection(left, right, trim: bool = False) -> Nfa:
     """Return the product automaton for ``L(left) ∩ L(right)``.
 
     Accepts either form on both sides.  The pair walk runs on the ε-free
     dense rows: the common-symbol lists are intersected once up front and
     successor pairs come from bitset rows instead of per-state dict probes.
+
+    With ``trim=True`` the result equals ``intersection(left, right).trim()``
+    (same states, initial and final sets, and transition order) without
+    building the untrimmed automaton or compiling it to dense form: every
+    product state is reachable by construction, so only co-reachability is
+    left, decided backwards over the predecessor masks the walk records.
     """
     left_dense = as_dense(left).eps_free()
     right_dense = as_dense(right).eps_free()
@@ -288,16 +294,25 @@ def intersection(left, right) -> Nfa:
     right_final = right_dense.final
     pair_to_state: Dict[Tuple[int, int], State] = {}
     finals: Set[State] = set()
-    delta = result._delta
-    by_symbol = result._by_symbol
+    final_mask = 0
+    #: predecessors[s] = bitset of product states with an edge into s
+    #: (recorded only when trimming)
+    predecessors: List[int] = []
+    # Untrimmed, the walk fills the result's tables directly; trimming
+    # walks into scratch tables and then copies their useful part.
+    delta: Dict[State, Dict[str, Set[State]]] = {} if trim else result._delta
+    by_symbol: Dict[str, Dict[State, Set[State]]] = {} if trim else result._by_symbol
 
     def state_for(p: int, q: int) -> State:
+        nonlocal final_mask
         state = pair_to_state.get((p, q))
         if state is None:
             state = len(pair_to_state)
             pair_to_state[(p, q)] = state
+            predecessors.append(0)
             if (left_final >> p) & 1 and (right_final >> q) & 1:
                 finals.add(state)
+                final_mask |= 1 << state
         return state
 
     work: deque = deque()
@@ -311,6 +326,7 @@ def intersection(left, right) -> Nfa:
         checkpoint("automata.intersection")
         p, q = work.popleft()
         src = state_for(p, q)
+        src_bit = 1 << src if trim else 0
         src_delta = None
         for symbol, left_row, right_row in common:
             left_mask = left_row[p]
@@ -336,13 +352,54 @@ def intersection(left, right) -> Nfa:
                     q_dst = low_right.bit_length() - 1
                     rest_right ^= low_right
                     dst_pair = (p_dst, q_dst)
-                    targets.add(state_for(p_dst, q_dst))
+                    dst = state_for(p_dst, q_dst)
+                    targets.add(dst)
+                    predecessors[dst] |= src_bit  # a no-op unless trimming
                     if dst_pair not in seen:
                         seen.add(dst_pair)
                         work.append(dst_pair)
-    result.states = set(range(len(pair_to_state)))
-    result.initial = initial
-    result.final = finals
+    if not trim:
+        result.states = set(range(len(pair_to_state)))
+        result.initial = initial
+        result.final = finals
+        result._sync_state_counter()
+        return result
+
+    # Co-reachable product states: backwards from the final pairs.
+    words = max(1, (len(pair_to_state) + 63) >> 6)
+    useful_mask = final_mask
+    frontier = final_mask
+    while frontier:
+        checkpoint("automata.coreachable", words)
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= predecessors[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & ~useful_mask
+        useful_mask |= frontier
+    useful = set(iter_bits(useful_mask))
+    result.states = useful
+    result.initial = initial & useful
+    result.final = finals & useful
+    # Emit in ``Nfa.trim()``'s order (symbol, then source, then
+    # destination, ascending): sources reach ``by_symbol`` in state order
+    # because the walk numbers pairs in the order it pops them.
+    trimmed_delta = result._delta
+    trimmed_by_symbol = result._by_symbol
+    for symbol, _, _ in common:
+        for src, targets in by_symbol.get(symbol, {}).items():
+            if not (useful_mask >> src) & 1:
+                continue
+            kept = 0
+            for dst in targets:
+                kept |= 1 << dst
+            kept &= useful_mask
+            if not kept:
+                continue
+            ordered = set(iter_bits(kept))
+            trimmed_delta.setdefault(src, {})[symbol] = ordered
+            trimmed_by_symbol.setdefault(symbol, {})[src] = ordered
     result._sync_state_counter()
     return result
 

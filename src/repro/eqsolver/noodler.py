@@ -31,7 +31,6 @@ out of resources on non-chain-free inputs (§8.2 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..automata import intersection, intersection_empty, remove_epsilon
@@ -136,34 +135,49 @@ def noodlify_assignment(
     target_states = sorted(target.states)
     initials = sorted(target.initial)
     finals = sorted(target.final)
-    boundary_choices = [initials] + [target_states] * (len(parts) - 1) + [finals]
     # Per-boundary segments are dense endpoint views: same rows (and cached
     # closures) as the target, only the initial/final masks differ — no
     # per-assignment copy of the whole target automaton.
     target_dense = target.dense()
     state_bit = {state: 1 << i for state, i in target_dense.index.items()}
+    last = len(parts) - 1
 
+    # A segment's refinement depends only on (part, start, end), so each is
+    # computed once per call (``None`` marks an empty one) and its ``Nfa``
+    # is shared by every noodle through that segment.
+    segments: Dict[Tuple[int, int, int], Optional[Nfa]] = {}
+
+    def refine(index: int, start: int, end: int) -> Optional[Nfa]:
+        key = (index, start, end)
+        if key in segments:
+            return segments[key]
+        segment = target_dense.with_endpoints(state_bit[start], state_bit[end])
+        # When start == end and ε ∈ L(part), the initial-and-final pair
+        # survives trimming, so an empty product means no common word.
+        refined = intersection(part_automata[index], segment, trim=True)
+        segments[key] = refined if refined.states else None
+        return segments[key]
+
+    # Boundary assignments in the lexicographic order of the product of
+    # ``[initials] + [target_states] * (k - 1) + [finals]``, depth first:
+    # an empty segment prunes every assignment that extends it.
     noodles: List[Dict[str, Nfa]] = []
-    for assignment in product(*boundary_choices):
-        # One budget step per boundary assignment — each costs a product
-        # construction per part, so this loop dominates noodlification.
+
+    def extend(index: int, start: int, chosen: List[Nfa]) -> None:
+        # One budget step per boundary prefix; each refinement computed
+        # below charges its own product walk.
         checkpoint("eqsolver.noodlify")
-        refinement: Dict[str, Nfa] = {}
-        feasible = True
-        for index, (name, part_nfa) in enumerate(zip(names, part_automata)):
-            segment = target_dense.with_endpoints(
-                state_bit[assignment[index]], state_bit[assignment[index + 1]]
-            )
-            refined = intersection(part_nfa, segment).trim()
-            if not refined.states:
-                if assignment[index] == assignment[index + 1] and part_nfa.accepts(""):
-                    refined = Nfa.epsilon_language()
-                else:
-                    feasible = False
-                    break
-            refinement[name] = refined
-        if feasible:
-            noodles.append(refinement)
+        for end in finals if index == last else target_states:
+            refined = refine(index, start, end)
+            if refined is None:
+                continue
+            if index == last:
+                noodles.append(dict(zip(names, chosen + [refined])))
+            else:
+                extend(index + 1, end, chosen + [refined])
+
+    for start in initials:
+        extend(0, start, [])
     return noodles
 
 
@@ -284,12 +298,11 @@ def decompose(
             continue
         if len(lhs) == 1 and len(rhs) == 1:
             x, y = lhs[0], rhs[0]
-            refined = intersection(branch.automata[x], branch.automata[y]).trim()
+            refined = intersection(branch.automata[x], branch.automata[y], trim=True)
             if not refined.states:
-                if branch.automata[x].accepts("") and branch.automata[y].accepts(""):
-                    refined = Nfa.epsilon_language()
-                else:
-                    continue  # this branch is unsatisfiable
+                # ε in both languages would have kept the initial-and-final
+                # pair: the languages share no word.
+                continue  # this branch is unsatisfiable
             new_automata = dict(branch.automata)
             new_automata[x] = refined
             new_automata[y] = refined

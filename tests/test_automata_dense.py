@@ -97,6 +97,63 @@ def test_differential_large_blocks(seed):
     assert language(ops.remove_epsilon(a), 3) == language(leg.legacy_remove_epsilon(a), 3)
 
 
+def _structure(nfa):
+    return nfa.states, nfa.initial, nfa.final, list(nfa.iter_transitions())
+
+
+def _trimmed_product_pair(seed):
+    """Seeds cycle through ε-rich, sparse (often empty) and >64-state pairs."""
+    rng = random.Random(3000 + seed)
+    if seed % 4 == 3:
+        # A word chain keeps >64 product states useful; random extra edges
+        # (ε included) and a few dead states ride on it.
+        word = "".join(rng.choice("ab") for _ in range(rng.randint(66, 80)))
+        wide = ops.union(Nfa.from_word(word), random_nfa(rng, 6))
+        states = sorted(wide.states)
+        for _ in range(20):
+            symbol = EPSILON if rng.random() < 0.2 else rng.choice("ab")
+            wide.add_transition(rng.choice(states), symbol, rng.choice(states))
+        return wide, ops.union(Nfa.universal("ab"), random_nfa(rng, 3))
+    if seed % 4 == 2:
+        return (
+            random_nfa(rng, rng.randint(2, 6), density=0.6),
+            random_nfa(rng, rng.randint(2, 6), density=0.6),
+        )
+    eps_prob = 0.4 if seed % 4 == 1 else 0.15
+    return (
+        random_nfa(rng, rng.randint(2, 10), eps_prob=eps_prob),
+        random_nfa(rng, rng.randint(2, 10), eps_prob=eps_prob),
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_trimmed_intersection_equals_trim_of_product(seed):
+    a, b = _trimmed_product_pair(seed)
+    expected = ops.intersection(a, b).trim()
+    assert _structure(ops.intersection(a, b, trim=True)) == _structure(expected)
+
+
+def test_trimmed_intersection_covers_epsilon_empty_and_wide_products():
+    found = {"epsilon": False, "empty": False, "wide": False}
+    for seed in range(40):
+        a, b = _trimmed_product_pair(seed)
+        found["epsilon"] |= a.has_epsilon() or b.has_epsilon()
+        product = ops.intersection(a, b)
+        found["empty"] |= not product.trim().states
+        found["wide"] |= len(product.trim().states) > 64
+    assert all(found.values()), found
+
+
+def test_trimmed_intersection_charges_the_coreachability_walk():
+    rng = random.Random(11)
+    a = random_nfa(rng, 80, density=2.5)
+    budget = Budget()
+    with budget.activate():
+        trimmed = ops.intersection(a, Nfa.universal("ab"), trim=True)
+    assert trimmed.states
+    assert budget.stats_snapshot()["steps.automata.coreachable"] > 0
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_differential_parikh_style_counts(seed):
     """Word counts per length (the Parikh-image proxy the oracle uses)."""

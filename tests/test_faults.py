@@ -568,3 +568,29 @@ def test_fault_in_connectivity_round_leaves_session_reusable(action):
     result = session.check()
     assert result.status is Status.SAT is _fresh_verdict(atoms)
     assert result.stats["connectivity_lemmas"] > 0
+
+
+#: the ground-truth cases whose checks noodlify a word equation
+_NOODLED_CASES = [2, 3]
+
+
+@pytest.mark.parametrize("case", _NOODLED_CASES)
+@pytest.mark.parametrize("site", ["eqsolver.noodlify", "automata.intersection"])
+@pytest.mark.parametrize("action", ["exhaust", "interrupt"])
+@pytest.mark.parametrize("at", [1, 2])
+def test_budget_fault_inside_noodlification_leaves_session_reusable(case, site, action, at):
+    # A fault between two memoised segment refinements, or inside the pair
+    # walk of one, must leave nothing behind for the next check.
+    atoms, expected = _GROUND_TRUTH[case]
+    session = Session(config=_config(), alphabet=("a", "b"))
+    for atom in atoms:
+        session.add(atom)
+    injector = FaultInjector([FaultSpec(site, at=at, action=action)])
+    try:
+        faulted = session.check(budget=Budget(30.0, hook=injector))
+    except KeyboardInterrupt:
+        faulted = None
+    assert injector.specs[0].fired == 1
+    if faulted is not None:
+        assert faulted.status in (Status.UNKNOWN, Status.TIMEOUT)
+    assert session.check().status is expected is _fresh_verdict(atoms)

@@ -191,3 +191,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["--seeds", "2", "--budget", "0.3", "--repro-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "instances=2" in out
+
+
+def test_module_cli_runs_without_runtime_warning():
+    # ``python -m repro.testing.fuzz`` must not find the fuzz module already
+    # imported by its package (that re-executes a second copy and warns).
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(repo, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.testing.fuzz",
+         "--seeds", "1", "--budget", "0.2"],
+        capture_output=True,
+        env=env,
+        cwd=repo,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "instances=1" in completed.stdout
