@@ -10,7 +10,7 @@ bypass the managed surface are therefore banned everywhere outside
 ``automata/nfa.py`` itself: assignment, augmented assignment, deletion,
 subscript stores and in-place mutator calls (``.add``/``.update``/...)
 on ``_states``/``_initial``/``_final``/``_dense``/``_delta``/
-``_by_symbol``/``_next_state`` attributes.  *Reads* stay legal — the
+``_next_state`` attributes.  *Reads* stay legal — the
 legacy oracles and the dense compiler walk ``_delta`` freely.
 
 Tests are in scope: a test mutating automaton internals directly is
@@ -29,7 +29,7 @@ from ..loader import ModuleInfo
 
 #: Nfa.__slots__ members that make up the mutable core + dense cache
 PROTECTED = frozenset(
-    {"_states", "_initial", "_final", "_dense", "_delta", "_by_symbol", "_next_state"}
+    {"_states", "_initial", "_final", "_dense", "_delta", "_next_state"}
 )
 #: method names that mutate a set/dict in place
 MUTATORS = frozenset(
@@ -64,7 +64,7 @@ def _protected_attr(node: ast.AST) -> Optional[str]:
 class CacheDiscipline(Rule):
     name = "cache-discipline"
     description = (
-        "no writes to Nfa._states/_initial/_final/_delta/_by_symbol/_dense "
+        "no writes to Nfa._states/_initial/_final/_delta/_dense "
         "outside automata/nfa.py"
     )
 

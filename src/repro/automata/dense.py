@@ -9,9 +9,10 @@ facade.  A :class:`DenseNfa` is a *frozen* compilation of an ``Nfa``:
   integers make every union/intersection/step a word-parallel bitwise op,
   one machine word for blocks of ≤64 states and chunked 30-bit limbs above
   that, with no numpy dependency,
-* transitions are stored twice: as per-symbol successor-mask rows (the form
-  subset construction and products consume) and as a flat ``array``-backed
-  edge list (the form iteration, serialisation and conversions consume).
+* transitions are stored once, as per-symbol successor-mask rows plus an
+  ε row; subset construction, products, reachability and serialisation
+  all read them, and :meth:`~repro.automata.nfa.Nfa.from_rows` turns them
+  back into an ``Nfa``.
 
 On top of the layout the module provides the lazy product walks — emptiness
 of an intersection and language inclusion decided on the fly, stopping at
@@ -30,7 +31,6 @@ dense paths — costs are a pure function of the automaton's structure.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -83,9 +83,6 @@ class DenseNfa:
         "final",
         "state_ids",
         "index",
-        "edge_src",
-        "edge_sym",
-        "edge_dst",
         "_words",
         "_closures",
         "_out_masks",
@@ -132,35 +129,9 @@ class DenseNfa:
         self._coreachable: Optional[Mask] = None
         self._eps_free: Optional["DenseNfa"] = None
         self._key: Optional[Tuple] = None
-        # Flat array-backed edge list (symbol index, -1 for ε): compact,
-        # cache-friendly iteration for conversions and serialisation.
         # Charge the matrix scan at the door so every construction site —
         # not just from_nfa — pays for the build.
         checkpoint("automata.dense", (len(symbols) + 1) * self._words)
-        srcs: array = array("l")
-        syms: array = array("l")
-        dsts: array = array("l")
-        for k, row in enumerate(rows):
-            for s in range(n):
-                mask = row[s]
-                while mask:
-                    low = mask & -mask
-                    srcs.append(s)
-                    syms.append(k)
-                    dsts.append(low.bit_length() - 1)
-                    mask ^= low
-        if eps is not None:
-            for s in range(n):
-                mask = eps[s]
-                while mask:
-                    low = mask & -mask
-                    srcs.append(s)
-                    syms.append(-1)
-                    dsts.append(low.bit_length() - 1)
-                    mask ^= low
-        self.edge_src = srcs
-        self.edge_sym = syms
-        self.edge_dst = dsts
 
     # ------------------------------------------------------------------
     # Compilation
@@ -171,31 +142,20 @@ class DenseNfa:
         order = tuple(sorted(nfa.states))
         index = {state: i for i, state in enumerate(order)}
         n = len(order)
-        symbols = tuple(sorted(nfa.alphabet))
-        rows_list: List[List[Mask]] = []
-        used_symbols: List[str] = []
-        for symbol in symbols:
-            on_symbol = nfa.transitions_on(symbol)
-            if not on_symbol:
-                continue
-            row = [0] * n
-            for src, dsts in on_symbol.items():
+        # One pass over the transition table: a successor-mask row per label.
+        by_label: Dict[Optional[str], List[Mask]] = {}
+        for src, by_state in nfa._delta.items():
+            s = index[src]
+            for symbol, dsts in by_state.items():
+                row = by_label.get(symbol)
+                if row is None:
+                    row = by_label[symbol] = [0] * n
                 mask = 0
                 for dst in dsts:
                     mask |= 1 << index[dst]
-                row[index[src]] = mask
-            used_symbols.append(symbol)
-            rows_list.append(row)
-        eps_map = nfa.transitions_on(EPSILON)
-        eps: Optional[Tuple[Mask, ...]] = None
-        if eps_map:
-            eps_row = [0] * n
-            for src, dsts in eps_map.items():
-                mask = 0
-                for dst in dsts:
-                    mask |= 1 << index[dst]
-                eps_row[index[src]] = mask
-            eps = tuple(eps_row)
+                row[s] = mask
+        eps_row = by_label.pop(EPSILON, None)
+        used_symbols = tuple(sorted(by_label))
         initial = 0
         for state in nfa.initial:
             initial |= 1 << index[state]
@@ -205,13 +165,13 @@ class DenseNfa:
         GLOBAL_STATS["automata_dense_compilations"] += 1
         # One charge per compilation, scaled by the edge count: compiling is
         # a single pass over the transition structure.
-        checkpoint("automata.dense", 1 + sum(len(r) for r in rows_list) // 64)
+        checkpoint("automata.dense", 1 + len(used_symbols) * n // 64)
         return cls(
             n,
-            symbols,
-            tuple(used_symbols),
-            tuple(tuple(row) for row in rows_list),
-            eps,
+            tuple(sorted(nfa.alphabet)),
+            used_symbols,
+            tuple(tuple(by_label[symbol]) for symbol in used_symbols),
+            tuple(eps_row) if eps_row is not None else None,
             initial,
             final,
             order,
@@ -226,45 +186,18 @@ class DenseNfa:
         return {ids[i] for i in iter_bits(mask)}
 
     def to_nfa(self) -> Nfa:
-        """Materialise a facade :class:`Nfa` with contiguous states 0..n-1.
-
-        The returned automaton carries this dense form pre-cached (when the
-        compiled ids are already contiguous), so consumers pay no second
-        compilation.
-        """
-        checkpoint("automata.dense", (len(self.symbols) + 1) * self._words)
-        nfa = Nfa(self.alphabet)
-        nfa.states = set(range(self.n))
-        nfa.initial = set(iter_bits(self.initial))
-        nfa.final = set(iter_bits(self.final))
-        nfa._sync_state_counter()
-        delta = nfa._delta
-        by_symbol = nfa._by_symbol
-        for k, symbol in enumerate(self.symbols):
-            row = self.rows[k]
-            on_symbol: Dict[State, set] = {}
-            for s in range(self.n):
-                mask = row[s]
-                if mask:
-                    targets = set(iter_bits(mask))
-                    on_symbol[s] = targets
-                    delta.setdefault(s, {})[symbol] = targets
-            if on_symbol:
-                by_symbol[symbol] = on_symbol
-        if self.eps is not None:
-            on_eps: Dict[State, set] = {}
-            for s in range(self.n):
-                mask = self.eps[s]
-                if mask:
-                    targets = set(iter_bits(mask))
-                    on_eps[s] = targets
-                    delta.setdefault(s, {})[EPSILON] = targets
-            if on_eps:
-                by_symbol[EPSILON] = on_eps
-        if self.state_ids == tuple(range(self.n)):
-            # repro: allow(cache-discipline): priming a freshly built Nfa with its own dense form — nothing stale can be cached yet
-            nfa._dense = self
-        return nfa
+        """Materialise a facade :class:`Nfa` with contiguous states 0..n-1
+        (it carries its dense form, so consumers pay no second compilation)."""
+        return Nfa.from_rows(
+            self.alphabet,
+            self.symbols,
+            self.rows,
+            self.eps,
+            self.initial,
+            self.final,
+            (1 << self.n) - 1,
+            range(self.n),
+        )
 
     # ------------------------------------------------------------------
     # Canonical key (hash-consing)
@@ -465,9 +398,6 @@ class DenseNfa:
         view._coreachable = None
         view._eps_free = None
         view._key = None
-        view.edge_src = self.edge_src
-        view.edge_sym = self.edge_sym
-        view.edge_dst = self.edge_dst
         return view
 
     def eps_free(self) -> "DenseNfa":

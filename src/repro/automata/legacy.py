@@ -136,11 +136,12 @@ def legacy_determinize(
     dfa.make_initial(start_state)
     work = deque([start])
     processed: Set[FrozenSet[State]] = {start}
+    by_symbol = {symbol: nfa.transitions_on(symbol) for symbol in sigma}
     while work:
         subset = work.popleft()
         src = state_for(subset)
         for symbol in sigma:
-            on_symbol = nfa.transitions_on(symbol)
+            on_symbol = by_symbol[symbol]
             targets: Set[State] = set()
             if on_symbol:
                 for state in subset:

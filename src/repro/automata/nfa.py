@@ -21,9 +21,12 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
+
+from ..budget import checkpoint
 
 #: Epsilon label used on transitions that do not consume a symbol.
 EPSILON: Optional[str] = None
@@ -46,8 +49,9 @@ class Nfa:
     """A nondeterministic finite automaton with optional epsilon transitions.
 
     The automaton is a tuple ``(Q, delta, I, F)`` as in Section 2 of the
-    paper.  Transitions are stored as a nested mapping
-    ``state -> symbol -> set of successor states``.
+    paper.  Transitions are stored as one nested mapping
+    ``state -> symbol -> set of successor states``; the automata algorithms
+    read the per-symbol bitset rows of the cached dense form instead.
     """
 
     __slots__ = (
@@ -55,7 +59,6 @@ class Nfa:
         "_initial",
         "_final",
         "_delta",
-        "_by_symbol",
         "_alphabet",
         "_next_state",
         "_dense",
@@ -67,12 +70,6 @@ class Nfa:
         self._initial: Set[State] = set()
         self._final: Set[State] = set()
         self._delta: Dict[State, Dict[Symbol, Set[State]]] = {}
-        #: alphabet-partitioned transition index ``symbol -> src -> dsts``;
-        #: the successor sets are shared (aliased) with ``_delta``, so both
-        #: views stay consistent at no extra per-transition cost.  Product
-        #: constructions and symbol-directed sweeps read this view instead
-        #: of scanning every state's whole symbol dict.
-        self._by_symbol: Dict[Symbol, Dict[State, Set[State]]] = {}
         self._alphabet: Set[str] = set(alphabet) if alphabet else set()
         #: next fresh state id; kept ahead of every state the mutating
         #: methods have seen so ``add_state()`` is O(1) instead of an O(n)
@@ -179,12 +176,7 @@ class Nfa:
         self._states.add(src)
         self._states.add(dst)
         self._dense = None
-        by_state = self._delta.setdefault(src, {})
-        targets = by_state.get(symbol)
-        if targets is None:
-            targets = by_state[symbol] = set()
-            self._by_symbol.setdefault(symbol, {})[src] = targets
-        targets.add(dst)
+        self._delta.setdefault(src, {}).setdefault(symbol, set()).add(dst)
 
     def add_word_path(self, src: State, word: str, dst: State) -> None:
         """Add a chain of transitions spelling ``word`` from ``src`` to ``dst``."""
@@ -213,19 +205,19 @@ class Nfa:
     def transitions_on(self, symbol: Symbol) -> Dict[State, Set[State]]:
         """The ``src -> dsts`` map of every transition labelled ``symbol``.
 
-        This is the alphabet-partitioned view: symbol-directed algorithms
-        (subset construction, products) fetch one symbol's transitions in a
-        single lookup instead of scanning each state's full symbol dict.
-        Treat the result as read-only — it aliases the internal index.
+        A view computed from the transition table in one pass; treat the
+        result as read-only — its successor sets alias the table.
         """
-        return self._by_symbol.get(symbol, {})
+        return {
+            src: by_state[symbol]
+            for src, by_state in self._delta.items()
+            if symbol in by_state
+        }
 
     def transitions_map(self, state: State) -> Dict[Symbol, Set[State]]:
         """The ``symbol -> dsts`` map of transitions leaving ``state``.
 
-        The per-state counterpart of :meth:`transitions_on`: products and
-        other symbol-directed sweeps intersect two states' key views instead
-        of scanning either side's transitions one at a time.  Treat the
+        The per-state counterpart of :meth:`transitions_on`.  Treat the
         result as read-only — it aliases the internal delta.
         """
         return self._delta.get(state, {})
@@ -302,35 +294,16 @@ class Nfa:
     def trim(self) -> "Nfa":
         """Return a copy restricted to useful (reachable and co-reachable) states."""
         compiled = self.dense()
-        useful_mask = compiled.reachable_mask() & compiled.coreachable_mask()
-        useful = compiled.ids_of(useful_mask)
-        result = Nfa(self._alphabet)
-        result.states = useful
-        result.initial = self.initial & useful
-        result.final = self.final & useful
-        delta = result._delta
-        by_symbol = result._by_symbol
-        ids = compiled.state_ids
-        symbols = compiled.symbols
-        edge_src = compiled.edge_src
-        edge_sym = compiled.edge_sym
-        edge_dst = compiled.edge_dst
-        for position in range(len(edge_src)):
-            src_index = edge_src[position]
-            dst_index = edge_dst[position]
-            if not (useful_mask >> src_index) & 1 or not (useful_mask >> dst_index) & 1:
-                continue
-            src = ids[src_index]
-            symbol_index = edge_sym[position]
-            symbol = symbols[symbol_index] if symbol_index >= 0 else EPSILON
-            by_state = delta.setdefault(src, {})
-            targets = by_state.get(symbol)
-            if targets is None:
-                targets = by_state[symbol] = set()
-                by_symbol.setdefault(symbol, {})[src] = targets
-            targets.add(ids[dst_index])
-        result._sync_state_counter()
-        return result
+        return Nfa.from_rows(
+            self._alphabet,
+            compiled.symbols,
+            compiled.rows,
+            compiled.eps,
+            compiled.initial,
+            compiled.final,
+            compiled.reachable_mask() & compiled.coreachable_mask(),
+            compiled.state_ids,
+        )
 
     # ------------------------------------------------------------------
     # Copying / renaming
@@ -342,10 +315,7 @@ class Nfa:
         result.initial = set(self.initial)
         result.final = set(self.final)
         for src, by_state in self._delta.items():
-            new_by_state = result._delta[src] = {}
-            for symbol, dsts in by_state.items():
-                targets = new_by_state[symbol] = set(dsts)
-                result._by_symbol.setdefault(symbol, {})[src] = targets
+            result._delta[src] = {symbol: set(dsts) for symbol, dsts in by_state.items()}
         result._sync_state_counter()
         # Same states, same transitions: the dense compilation (immutable)
         # is shared until either side mutates.
@@ -397,7 +367,6 @@ class Nfa:
                 targets = dest_by_state.get(symbol)
                 if targets is None:
                     dest_by_state[symbol] = new_dsts
-                    result._by_symbol.setdefault(symbol, {})[new_src] = new_dsts
                 else:
                     targets |= new_dsts
         result._alphabet |= self._alphabet
@@ -426,6 +395,98 @@ class Nfa:
     # ------------------------------------------------------------------
     # Convenience constructors
     # ------------------------------------------------------------------
+    @staticmethod
+    def from_rows(
+        alphabet: Iterable[str],
+        symbols: Sequence[str],
+        rows: Sequence[Sequence[int]],
+        eps: Optional[Sequence[int]],
+        initial: int,
+        final: int,
+        keep: int,
+        state_ids: Sequence[State],
+    ) -> "Nfa":
+        """The automaton on the ``keep`` states of per-symbol bitset rows.
+
+        Indices are dense: ``rows[k][s]`` is the bitset of successors of
+        state ``s`` on ``symbols[k]`` (ascending), ``eps[s]`` its
+        ε-successors (``eps`` may be ``None``), ``initial``/``final``/
+        ``keep`` are bitsets, and the ascending ``state_ids[s]`` names state
+        ``s`` in the result.  Every automaton the operations layer builds
+        from rows goes through here: transitions are written symbol-major
+        (ε last; sources, then destinations ascending), and the result
+        carries its dense form compacted to the kept states, so it is never
+        compiled again.
+        """
+        from .dense import DenseNfa, iter_bits
+
+        # One step for the build; the DenseNfa constructor charges the scan
+        # of the rows, which is the work of the loops below.
+        checkpoint("automata.dense")
+        if keep == (1 << len(state_ids)) - 1:
+            kept: Sequence[int] = range(len(state_ids))
+            slot = None  # every state kept: indices stay as they are
+        else:
+            kept = list(iter_bits(keep))
+            slot = {s: i for i, s in enumerate(kept)}  # old index -> compacted index
+        ids = tuple(state_ids[s] for s in kept)
+
+        def compact(mask: int) -> int:
+            mask &= keep
+            if slot is None:
+                return mask
+            packed = 0
+            for t in iter_bits(mask):
+                packed |= 1 << slot[t]
+            return packed
+
+        result = Nfa(alphabet)
+        delta = result._delta
+        labelled = list(zip(symbols, rows))
+        if eps is not None:
+            labelled.append((EPSILON, eps))
+        used: List[str] = []
+        dense_rows: List[Tuple[int, ...]] = []
+        dense_eps: Optional[Tuple[int, ...]] = None
+        for symbol, row in labelled:
+            dense_row = list(row) if slot is None else [compact(row[s]) for s in kept]
+            if not any(dense_row):
+                continue
+            for i, mask in enumerate(dense_row):
+                if not mask:
+                    continue
+                targets = set()
+                while mask:
+                    low = mask & -mask
+                    targets.add(ids[low.bit_length() - 1])
+                    mask ^= low
+                by_state = delta.get(ids[i])
+                if by_state is None:
+                    by_state = delta[ids[i]] = {}
+                by_state[symbol] = targets
+            if symbol is EPSILON:
+                dense_eps = tuple(dense_row)
+            else:
+                used.append(symbol)
+                dense_rows.append(tuple(dense_row))
+        initial = compact(initial)
+        final = compact(final)
+        result._states = set(ids)
+        result._initial = {ids[i] for i in iter_bits(initial)}
+        result._final = {ids[i] for i in iter_bits(final)}
+        result._sync_state_counter()
+        result._dense = DenseNfa(
+            len(ids),
+            tuple(sorted(result._alphabet)),
+            tuple(used),
+            tuple(dense_rows),
+            dense_eps,
+            initial,
+            final,
+            ids,
+        )
+        return result
+
     @staticmethod
     def from_word(word: str) -> "Nfa":
         """Return an NFA accepting exactly ``{word}``."""

@@ -22,7 +22,7 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..budget import checkpoint
-from .dense import DenseNfa, as_dense, dense_is_subset, iter_bits, product_is_empty
+from .dense import as_dense, dense_is_subset, iter_bits, product_is_empty
 from .nfa import EPSILON, Nfa, State
 
 
@@ -108,35 +108,22 @@ def remove_epsilon(nfa) -> Nfa:
 
     Accepts either form; the closure saturation runs on ε-closure bitsets
     (:meth:`DenseNfa.eps_free`) and the facade result keeps the input's
-    state identifiers with the ε-free dense form pre-cached.
+    state identifiers with the ε-free dense form attached.
     """
     if isinstance(nfa, Nfa) and not nfa.has_epsilon():
         return nfa.copy()
     compiled = as_dense(nfa)
     eps_free = compiled.eps_free()
-    result = Nfa(set(compiled.alphabet))
-    ids = compiled.state_ids
-    result.states = set(ids)
-    result.initial = {ids[i] for i in iter_bits(eps_free.initial)}
-    result.final = {ids[i] for i in iter_bits(eps_free.final)}
-    delta = result._delta
-    by_symbol = result._by_symbol
-    for k, symbol in enumerate(eps_free.symbols):
-        row = eps_free.rows[k]
-        on_symbol: Dict[State, Set[State]] = {}
-        for index in range(eps_free.n):
-            mask = row[index]
-            if mask:
-                targets = {ids[i] for i in iter_bits(mask)}
-                on_symbol[ids[index]] = targets
-                delta.setdefault(ids[index], {})[symbol] = targets
-        if on_symbol:
-            by_symbol[symbol] = on_symbol
-    result._sync_state_counter()
-    if ids == tuple(range(eps_free.n)):
-        # repro: allow(cache-discipline): priming the freshly materialised Nfa with the dense form it was built from — the two are the same automaton
-        result._dense = eps_free
-    return result
+    return Nfa.from_rows(
+        compiled.alphabet,
+        eps_free.symbols,
+        eps_free.rows,
+        None,
+        eps_free.initial,
+        eps_free.final,
+        (1 << eps_free.n) - 1,
+        compiled.state_ids,
+    )
 
 
 class StateBudgetExceeded(Exception):
@@ -193,14 +180,15 @@ def determinize(
                 closed.append(merged)
             closed_rows.append(closed)
 
-    dfa = Nfa(sigma)
-    delta = dfa._delta
-    by_symbol = dfa._by_symbol
     final_mask = compiled.final
     mask_to_state: Dict[int, State] = {}
-    finals: Set[State] = set()
+    dfa_final = 0
+    #: dfa_rows[position][state] = successor bitset on sigma_sorted[position];
+    #: subsets are popped in state order, so each row grows by appending
+    dfa_rows: List[List[int]] = [[] for _ in sigma_sorted]
 
     def state_for(mask: int) -> State:
+        nonlocal dfa_final
         state = mask_to_state.get(mask)
         if state is None:
             if max_states is not None and len(mask_to_state) >= max_states:
@@ -208,24 +196,19 @@ def determinize(
             state = len(mask_to_state)
             mask_to_state[mask] = state
             if mask & final_mask:
-                finals.add(state)
+                dfa_final |= 1 << state
         return state
 
     start = compiled.closure_of(compiled.initial)
     start_state = state_for(start)
-    work = deque([(start, start_state)])
+    work = deque([start])
     words = compiled._words
-    sym_maps = [by_symbol.setdefault(symbol, {}) for symbol in sigma_sorted]
     while work:
         # One budget step per explored subset (scaled by the bitset width)
         # — the unit the worst-case exponential blowup is measured in.
         checkpoint("automata.determinize", words)
-        subset, src = work.popleft()
-        # Every subset is popped exactly once, so its transition dict is
-        # built fresh here rather than probed with setdefault/get.
-        src_delta = delta[src] = {}
-        for position, symbol in enumerate(sigma_sorted):
-            row = closed_rows[position]
+        subset = work.popleft()
+        for position, row in enumerate(closed_rows):
             target = 0
             if row is not None:
                 rest = subset
@@ -236,14 +219,19 @@ def determinize(
             dst = mask_to_state.get(target)
             if dst is None:
                 dst = state_for(target)
-                work.append((target, dst))
-            targets = {dst}
-            src_delta[symbol] = targets
-            sym_maps[position][src] = targets
-    dfa.states = set(range(len(mask_to_state)))
-    dfa.initial = {start_state}
-    dfa.final = finals
-    dfa._sync_state_counter()
+                work.append(target)
+            dfa_rows[position].append(1 << dst)
+    count = len(mask_to_state)
+    dfa = Nfa.from_rows(
+        sigma,
+        sigma_sorted,
+        dfa_rows,
+        None,
+        1 << start_state,
+        dfa_final,
+        (1 << count) - 1,
+        range(count),
+    )
     if not want_subsets:
         return dfa, {}
     ids = compiled.state_ids
@@ -261,7 +249,6 @@ def complement(nfa, alphabet: Iterable[str]) -> Nfa:
     # ``determinize`` builds a fresh complete DFA, so flipping its finals in
     # place is safe (nothing else holds a reference).
     dfa.final = set(dfa.states) - set(dfa.final)
-    dfa._sync_state_counter()
     return dfa
 
 
@@ -271,16 +258,16 @@ def intersection(left, right, trim: bool = False) -> Nfa:
     Accepts either form on both sides.  The pair walk runs on the ε-free
     dense rows: the common-symbol lists are intersected once up front and
     successor pairs come from bitset rows instead of per-state dict probes.
+    The walk records the product's rows and hands them to
+    :meth:`Nfa.from_rows` once.
 
     With ``trim=True`` the result equals ``intersection(left, right).trim()``
-    (same states, initial and final sets, and transition order) without
-    building the untrimmed automaton or compiling it to dense form: every
+    (same states, initial and final sets, and transition order): every
     product state is reachable by construction, so only co-reachability is
     left, decided backwards over the predecessor masks the walk records.
     """
     left_dense = as_dense(left).eps_free()
     right_dense = as_dense(right).eps_free()
-    result = Nfa(set(left_dense.alphabet) & set(right_dense.alphabet))
     common = [
         (
             symbol,
@@ -293,15 +280,13 @@ def intersection(left, right, trim: bool = False) -> Nfa:
     left_final = left_dense.final
     right_final = right_dense.final
     pair_to_state: Dict[Tuple[int, int], State] = {}
-    finals: Set[State] = set()
     final_mask = 0
+    #: rows[k][s] = successor bitset of product state s on common[k]'s
+    #: symbol; pairs are popped in state order, so each row grows by appending
+    rows: List[List[int]] = [[] for _ in common]
     #: predecessors[s] = bitset of product states with an edge into s
     #: (recorded only when trimming)
     predecessors: List[int] = []
-    # Untrimmed, the walk fills the result's tables directly; trimming
-    # walks into scratch tables and then copies their useful part.
-    delta: Dict[State, Dict[str, Set[State]]] = {} if trim else result._delta
-    by_symbol: Dict[str, Dict[State, Set[State]]] = {} if trim else result._by_symbol
 
     def state_for(p: int, q: int) -> State:
         nonlocal final_mask
@@ -311,15 +296,14 @@ def intersection(left, right, trim: bool = False) -> Nfa:
             pair_to_state[(p, q)] = state
             predecessors.append(0)
             if (left_final >> p) & 1 and (right_final >> q) & 1:
-                finals.add(state)
                 final_mask |= 1 << state
         return state
 
     work: deque = deque()
-    initial: Set[State] = set()
+    initial = 0
     for p in iter_bits(left_dense.initial):
         for q in iter_bits(right_dense.initial):
-            initial.add(state_for(p, q))
+            initial |= 1 << state_for(p, q)
             work.append((p, q))
     seen = set(pair_to_state)
     while work:
@@ -327,81 +311,55 @@ def intersection(left, right, trim: bool = False) -> Nfa:
         p, q = work.popleft()
         src = state_for(p, q)
         src_bit = 1 << src if trim else 0
-        src_delta = None
-        for symbol, left_row, right_row in common:
+        for row, (_, left_row, right_row) in zip(rows, common):
+            successors = 0
             left_mask = left_row[p]
-            if not left_mask:
-                continue
             right_mask = right_row[q]
-            if not right_mask:
-                continue
-            if src_delta is None:
-                src_delta = delta.setdefault(src, {})
-            targets = src_delta.get(symbol)
-            if targets is None:
-                targets = src_delta[symbol] = set()
-                by_symbol.setdefault(symbol, {})[src] = targets
-            rest_left = left_mask
-            while rest_left:
-                low_left = rest_left & -rest_left
-                p_dst = low_left.bit_length() - 1
-                rest_left ^= low_left
-                rest_right = right_mask
-                while rest_right:
-                    low_right = rest_right & -rest_right
-                    q_dst = low_right.bit_length() - 1
-                    rest_right ^= low_right
-                    dst_pair = (p_dst, q_dst)
-                    dst = state_for(p_dst, q_dst)
-                    targets.add(dst)
-                    predecessors[dst] |= src_bit  # a no-op unless trimming
-                    if dst_pair not in seen:
-                        seen.add(dst_pair)
-                        work.append(dst_pair)
-    if not trim:
-        result.states = set(range(len(pair_to_state)))
-        result.initial = initial
-        result.final = finals
-        result._sync_state_counter()
-        return result
-
-    # Co-reachable product states: backwards from the final pairs.
-    words = max(1, (len(pair_to_state) + 63) >> 6)
-    useful_mask = final_mask
-    frontier = final_mask
-    while frontier:
-        checkpoint("automata.coreachable", words)
-        step = 0
+            if left_mask and right_mask:
+                rest_left = left_mask
+                while rest_left:
+                    low_left = rest_left & -rest_left
+                    p_dst = low_left.bit_length() - 1
+                    rest_left ^= low_left
+                    rest_right = right_mask
+                    while rest_right:
+                        low_right = rest_right & -rest_right
+                        q_dst = low_right.bit_length() - 1
+                        rest_right ^= low_right
+                        dst_pair = (p_dst, q_dst)
+                        dst = state_for(p_dst, q_dst)
+                        successors |= 1 << dst
+                        predecessors[dst] |= src_bit  # a no-op unless trimming
+                        if dst_pair not in seen:
+                            seen.add(dst_pair)
+                            work.append(dst_pair)
+            row.append(successors)
+    count = len(pair_to_state)
+    keep = (1 << count) - 1
+    if trim:
+        # Co-reachable product states: backwards from the final pairs.
+        words = max(1, (count + 63) >> 6)
+        keep = final_mask
+        frontier = final_mask
         while frontier:
-            low = frontier & -frontier
-            step |= predecessors[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & ~useful_mask
-        useful_mask |= frontier
-    useful = set(iter_bits(useful_mask))
-    result.states = useful
-    result.initial = initial & useful
-    result.final = finals & useful
-    # Emit in ``Nfa.trim()``'s order (symbol, then source, then
-    # destination, ascending): sources reach ``by_symbol`` in state order
-    # because the walk numbers pairs in the order it pops them.
-    trimmed_delta = result._delta
-    trimmed_by_symbol = result._by_symbol
-    for symbol, _, _ in common:
-        for src, targets in by_symbol.get(symbol, {}).items():
-            if not (useful_mask >> src) & 1:
-                continue
-            kept = 0
-            for dst in targets:
-                kept |= 1 << dst
-            kept &= useful_mask
-            if not kept:
-                continue
-            ordered = set(iter_bits(kept))
-            trimmed_delta.setdefault(src, {})[symbol] = ordered
-            trimmed_by_symbol.setdefault(symbol, {})[src] = ordered
-    result._sync_state_counter()
-    return result
+            checkpoint("automata.coreachable", words)
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= predecessors[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & ~keep
+            keep |= frontier
+    return Nfa.from_rows(
+        set(left_dense.alphabet) & set(right_dense.alphabet),
+        [symbol for symbol, _, _ in common],
+        rows,
+        None,
+        initial,
+        final_mask,
+        keep,
+        range(count),
+    )
 
 
 def intersection_empty(left, right) -> bool:

@@ -98,10 +98,8 @@ class LiaResult:
 
     status: LiaStatus
     model: Optional[LiaModel] = None
-    decisions: int = 0
-    theory_checks: int = 0
     reason: str = ""
-    #: per-check performance counters (propagations, pivots, cache hits, ...)
+    #: per-check performance counters (decisions, theory checks, pivots, ...)
     stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -434,14 +432,7 @@ class _Context:
         ) -> LiaResult:
             after = self._stats_snapshot()
             stats = {key: after[key] - before[key] for key in after}
-            return LiaResult(
-                status,
-                model=model,
-                decisions=stats["decisions"],
-                theory_checks=stats["theory_checks"],
-                reason=reason,
-                stats=stats,
-            )
+            return LiaResult(status, model=model, reason=reason, stats=stats)
 
         # The budget governs the whole check — including the presolve in
         # ``_flush``, whose substitution loop checkpoints against the

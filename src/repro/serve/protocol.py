@@ -192,17 +192,6 @@ def count_check_sats(script_text: str) -> int:
     return sum(1 for command in script.commands if isinstance(command, CheckSat))
 
 
-def synthetic_outcome(n_checks: int, reason: str) -> JobOutcome:
-    """An all-unknown outcome fabricated server-side (no worker answered)."""
-    output: List[str] = []
-    for _ in range(n_checks):
-        output.append("unknown")
-        output.append(f"; unknown: {reason}")
-    return JobOutcome(
-        output=output, verdicts=["unknown"] * n_checks, reasons=[reason] * n_checks
-    )
-
-
 def pad_outcome(outcome: JobOutcome, expected: int, reason: str) -> JobOutcome:
     """Complete an aborted run's answers up to ``expected`` check-sats.
 
@@ -211,7 +200,9 @@ def pad_outcome(outcome: JobOutcome, expected: int, reason: str) -> JobOutcome:
     serve layer still owes the client one structured answer per check.
     Appends ``unknown`` verdicts carrying ``reason`` for the missing
     tail.  No-op when the run answered everything or failed to parse
-    (``outcome.error`` — the whole response is an error then).
+    (``outcome.error`` — the whole response is an error then).  Padding an
+    empty ``JobOutcome()`` is the all-unknown answer the server gives for a
+    job no worker answered.
     """
     if outcome.error or expected <= len(outcome.verdicts):
         return outcome

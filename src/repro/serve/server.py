@@ -54,7 +54,6 @@ from .protocol import (
     encode_line,
     outcome_to_response,
     pad_outcome,
-    synthetic_outcome,
 )
 from .workers import initializer, run_job
 
@@ -371,10 +370,13 @@ class SolverServer:
                 "--enable-fault-injection)",
             }
         self.stats["jobs_total"] += 1
+        n_checks = count_check_sats(script)
 
         key = dedup_key(script, timeout) if not inject else None
         if key is None:
-            response = await self._job(script, request.get("name", ""), timeout, inject)
+            response = await self._job(
+                script, request.get("name", ""), timeout, inject, n_checks
+            )
             response["deduped"] = False
             return response
         running = self._inflight.get(key)
@@ -384,7 +386,7 @@ class SolverServer:
             response["deduped"] = True
             return response
         job = asyncio.create_task(
-            self._job(script, request.get("name", ""), timeout, inject)
+            self._job(script, request.get("name", ""), timeout, inject, n_checks)
         )
         self._inflight[key] = job
         job.add_done_callback(lambda _task, key=key: self._inflight.pop(key, None))
@@ -398,8 +400,13 @@ class SolverServer:
         name: str,
         timeout: float,
         inject: Sequence[Dict[str, Any]],
+        n_checks: int,
     ) -> Dict[str, Any]:
-        """Run one job on one worker; answer by the deadline plus grace."""
+        """Run one job on one worker; answer by the deadline plus grace.
+
+        ``n_checks`` is the script's ``check-sat`` count: the job answers
+        every one of them, with ``unknown`` where no worker did.
+        """
         started = time.time()
         deadline = started + timeout
         slot = await self._slot_pool.get()
@@ -412,7 +419,7 @@ class SolverServer:
             max_steps=self.max_steps,
             inject=tuple(dict(trigger) for trigger in inject),
         )
-        run = asyncio.create_task(self._run_one(spec))
+        run = asyncio.create_task(self._run_one(spec, n_checks))
 
         def reclaim(task: asyncio.Task) -> None:
             # The slot is reclaimed when the worker returns, which for an
@@ -426,7 +433,6 @@ class SolverServer:
         done, _ = await asyncio.wait(
             {run}, timeout=max(deadline + DEADLINE_GRACE - time.time(), 0.05)
         )
-        n_checks = count_check_sats(script)
         if not done:
             # Past deadline + grace with the worker still silent: hung
             # fleet.  Flag the run so it stops at its next checkpoint, if
@@ -437,7 +443,7 @@ class SolverServer:
                 f"timeout@serve.fleet after {time.time() - started:.2f}s "
                 f"[no worker outcome within deadline+grace]"
             )
-            outcome = synthetic_outcome(n_checks, reason)
+            outcome = pad_outcome(JobOutcome(), n_checks, reason)
         else:
             # A run that unwound mid-script (interrupt, out-of-check
             # abort) answered only a prefix; the client still gets one
@@ -450,7 +456,7 @@ class SolverServer:
             outcome = pad_outcome(outcome, n_checks, tail_reason)
         return outcome_to_response(outcome, elapsed=time.time() - started)
 
-    async def _run_one(self, spec: JobSpec) -> JobOutcome:
+    async def _run_one(self, spec: JobSpec, n_checks: int) -> JobOutcome:
         """Run one spec with broken-pool detection and bounded retries."""
         attempt = 0
         while True:
@@ -488,7 +494,7 @@ class SolverServer:
                             "timeout@serve.worker [worker died and the "
                             "deadline passed before a retry]"
                         )
-                    outcome = synthetic_outcome(count_check_sats(spec.script), reason)
+                    outcome = pad_outcome(JobOutcome(), n_checks, reason)
                     outcome.stats["serve_worker_died"] = 1
                     return outcome
                 self.stats["job_retries"] += 1

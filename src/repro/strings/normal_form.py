@@ -160,7 +160,7 @@ _MemberKey = Tuple
 
 
 class _Normalizer:
-    def __init__(self, problem: Problem, cache: Optional[NormalizationCache] = None) -> None:
+    def __init__(self, problem: Problem, cache: NormalizationCache) -> None:
         self.problem = problem
         self.cache = cache
         self.alphabet = tuple(problem.alphabet)
@@ -183,8 +183,6 @@ class _Normalizer:
         self.memberships.setdefault(variable, []).append((key, nfa))
 
     def word_nfa(self, value: str) -> Nfa:
-        if self.cache is None:
-            return Nfa.from_word(value)
         nfa = self.cache.words.get(value)
         if nfa is None:
             self.cache.misses += 1
@@ -213,20 +211,14 @@ class _Normalizer:
 
     def language_to_nfa(self, language, positive: bool) -> Tuple[_MemberKey, Nfa]:
         if isinstance(language, Nfa):
-            key: _MemberKey = (
-                "nfa",
-                self.cache.keep(language) if self.cache is not None else id(language),
-                positive,
-                self.alphabet,
-            )
+            key: _MemberKey = ("nfa", self.cache.keep(language), positive, self.alphabet)
         else:
             key = ("re", language, positive, self.alphabet)
-        if self.cache is not None:
-            cached = self.cache.languages.get(key)
-            if cached is not None:
-                self.cache.record_hit(self.cache.languages, key)
-                return key, cached
-            self.cache.misses += 1
+        cached = self.cache.languages.get(key)
+        if cached is not None:
+            self.cache.record_hit(self.cache.languages, key)
+            return key, cached
+        self.cache.misses += 1
         nfa = language if isinstance(language, Nfa) else compile_regex(language, self.alphabet)
         if not positive:
             nfa = complement(nfa, self.alphabet)
@@ -234,8 +226,7 @@ class _Normalizer:
             # Hash-cons the automata we build ourselves (compiled regexes,
             # complements); user-supplied Nfa objects keep their identity.
             nfa = intern_nfa(nfa)
-        if self.cache is not None:
-            self.cache.store(self.cache.languages, key, nfa)
+        self.cache.store(self.cache.languages, key, nfa)
         return key, nfa
 
     # -- atom dispatch ----------------------------------------------------
@@ -307,14 +298,11 @@ class _Normalizer:
         for name in variables:
             constraints = self.memberships.get(name)
             if not constraints:
-                if self.cache is not None:
-                    universal = self.cache.universal.get(self.alphabet)
-                    if universal is None:
-                        universal = intern_nfa(Nfa.universal(self.alphabet))
-                        self.cache.universal[self.alphabet] = universal
-                    automata[name] = universal
-                else:
-                    automata[name] = intern_nfa(Nfa.universal(self.alphabet))
+                universal = self.cache.universal.get(self.alphabet)
+                if universal is None:
+                    universal = intern_nfa(Nfa.universal(self.alphabet))
+                    self.cache.universal[self.alphabet] = universal
+                automata[name] = universal
                 continue
             automata[name] = self._intersect([key for key, _ in constraints],
                                              [nfa for _, nfa in constraints])
@@ -337,12 +325,11 @@ class _Normalizer:
         its memberships were asserted.
         """
         cache_key = (self.alphabet,) + tuple(sorted(map(repr, keys)))
-        if self.cache is not None:
-            cached = self.cache.intersections.get(cache_key)
-            if cached is not None:
-                self.cache.record_hit(self.cache.intersections, cache_key)
-                return cached
-            self.cache.misses += 1
+        cached = self.cache.intersections.get(cache_key)
+        if cached is not None:
+            self.cache.record_hit(self.cache.intersections, cache_key)
+            return cached
+        self.cache.misses += 1
         combined = nfas[0]
         for extra in nfas[1:]:
             # Guard pruning: decide emptiness lazily (first-accepting-pair
@@ -361,8 +348,7 @@ class _Normalizer:
             if not combined.states:
                 combined = Nfa.empty_language()
         combined = intern_nfa(combined)
-        if self.cache is not None:
-            self.cache.store(self.cache.intersections, cache_key, combined)
+        self.cache.store(self.cache.intersections, cache_key, combined)
         return combined
 
 
@@ -371,9 +357,10 @@ def normalize(problem: Problem, cache: Optional[NormalizationCache] = None) -> N
 
     ``cache`` (a :class:`NormalizationCache`) makes repeated calls cheap and
     keeps the produced automata identity-stable across calls — the contract
-    the incremental :class:`repro.Session` pipeline builds on.
+    the incremental :class:`repro.Session` pipeline builds on.  Without one,
+    the call memoises into a fresh cache of its own.
     """
-    normalizer = _Normalizer(problem, cache=cache)
+    normalizer = _Normalizer(problem, cache if cache is not None else NormalizationCache())
     for atom in problem.atoms:
         # Per-atom checkpoint; the heavy per-atom work (complementation,
         # membership intersections) checkpoints inside the automata layer.

@@ -25,7 +25,7 @@ from repro.automata.dense import (
 from repro.automata.enumeration import count_words_of_length, words_up_to
 from repro.automata.minimization import canonical_signature, minimize
 from repro.automata.nfa import EPSILON, Nfa
-from repro.automata.serialization import dense_from_dict, dense_to_dict, from_dict, to_dict
+from repro.automata.serialization import from_dict, to_dict
 from repro.budget import Budget, BudgetExceeded
 
 
@@ -154,6 +154,170 @@ def test_trimmed_intersection_charges_the_coreachability_walk():
     assert budget.stats_snapshot()["steps.automata.coreachable"] > 0
 
 
+# ----------------------------------------------------------------------
+# The row builder behind every operation result (Nfa.from_rows)
+# ----------------------------------------------------------------------
+def spread(nfa, stride=3, offset=5):
+    """``nfa`` with state ``s`` renamed to ``offset + stride * s``."""
+    result = Nfa(nfa.alphabet)
+    for state in sorted(nfa.states):
+        result.add_state(offset + stride * state)
+    for src, symbol, dst in nfa.iter_transitions():
+        result.add_transition(offset + stride * src, symbol, offset + stride * dst)
+    for state in nfa.initial:
+        result.make_initial(offset + stride * state)
+    for state in nfa.final:
+        result.make_final(offset + stride * state)
+    return result
+
+
+def _builder_input(seed):
+    """Seeds cycle through ε-rich, >64-state, non-contiguous and
+    empty-language automata."""
+    rng = random.Random(5000 + seed)
+    kind = seed % 4
+    if kind == 0:
+        return random_nfa(rng, rng.randint(2, 10), eps_prob=0.4)
+    if kind == 1:
+        word = "".join(rng.choice("ab") for _ in range(rng.randint(66, 80)))
+        wide = ops.union(Nfa.from_word(word), random_nfa(rng, 5))
+        states = sorted(wide.states)
+        for _ in range(15):
+            symbol = EPSILON if rng.random() < 0.2 else rng.choice("ab")
+            wide.add_transition(rng.choice(states), symbol, rng.choice(states))
+        return wide
+    if kind == 2:
+        return spread(random_nfa(rng, rng.randint(3, 20), eps_prob=0.3))
+    empty = spread(random_nfa(rng, rng.randint(2, 8)), stride=2)
+    empty.final = set()
+    return empty
+
+
+def _assert_dense_attached(nfa):
+    attached = nfa._dense
+    assert attached is not None
+    compiled = DenseNfa.from_nfa(nfa)
+    assert attached.canonical_key() == compiled.canonical_key()
+    assert attached.state_ids == compiled.state_ids
+
+
+def _builder_results(seed):
+    """Every builder-made result for one seed, with its legacy oracle."""
+    a = _builder_input(seed)
+    b = random_nfa(random.Random(seed), 4, eps_prob=0.2)
+    results = [
+        ("trim", a.trim(), leg.legacy_trim(a)),
+        ("to_nfa", as_dense(a).to_nfa(), None),
+        ("determinize", ops.determinize(a, "ab")[0], leg.legacy_determinize(a, "ab")[0]),
+        ("intersection", ops.intersection(a, b), leg.legacy_intersection(a, b)),
+        (
+            "trimmed intersection",
+            ops.intersection(a, b, trim=True),
+            leg.legacy_trim(leg.legacy_intersection(a, b)),
+        ),
+    ]
+    if a.has_epsilon():  # an ε-free input is copied, not rebuilt
+        results.append(
+            ("remove_epsilon", ops.remove_epsilon(a), leg.legacy_remove_epsilon(a))
+        )
+    return a, results
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_builder_results_match_legacy_oracles(seed):
+    a, results = _builder_results(seed)
+    for name, result, oracle in results:
+        # Before anything compiles it: the builder attached the dense form.
+        _assert_dense_attached(result)
+        if name == "to_nfa":
+            assert result.states == set(range(len(a.states))), name
+            assert language(result) == language(a), name
+        elif name == "trimmed intersection":
+            # Product states are numbered in discovery order; only the
+            # count of useful pairs is comparable.
+            assert len(result.states) == len(oracle.states), name
+            assert language(result) == language(oracle), name
+        else:
+            assert result.states == oracle.states, name
+            assert language(result) == language(oracle), name
+
+
+def test_builder_inputs_cover_epsilon_wide_spread_and_empty():
+    found = {"epsilon": False, "wide": False, "spread": False, "empty": False}
+    for seed in range(24):
+        a, results = _builder_results(seed)
+        found["epsilon"] |= a.has_epsilon()
+        found["wide"] |= any(len(result.states) > 64 for _, result, _ in results)
+        found["spread"] |= max(a.states) >= len(a.states)
+        found["empty"] |= a.is_empty() and bool(a.states)
+    assert all(found.values()), found
+
+
+#: small automata with the transition order ``trim``, ``remove_epsilon``,
+#: ``to_nfa`` and ``intersection(trim=True)`` produce for them, pinned:
+#: each is symbol-major (ε last), then source, then destination ascending
+GOLDEN_A = (
+    [3, 5, 7, 9, 11, 13],
+    [11, 13],
+    [5, 13],
+    [(7, "a", 13), (9, "a", 5), (3, "a", 7), (9, None, 11), (5, "b", 3),
+     (7, "b", 5), (5, None, 3), (11, None, 9), (3, "a", 3), (5, "a", 5)],
+)
+GOLDEN_B = (
+    [3, 6, 9, 12, 15],
+    [3, 9],
+    [3, 9],
+    [(6, "b", 12), (12, "b", 6), (3, "a", 9), (15, None, 9), (9, "b", 9),
+     (6, "a", 12)],
+)
+GOLDEN_C = (
+    [3, 4, 5, 6],
+    [4, 5],
+    [3, 5],
+    [(3, "a", 6), (6, "a", 3), (3, "b", 4), (5, "b", 5), (6, "b", 3),
+     (5, "a", 3), (4, "b", 5)],
+)
+
+
+def _golden(spec):
+    states, initial, final, transitions = spec
+    nfa = Nfa("ab")
+    for state in states:
+        nfa.add_state(state)
+    for transition in transitions:
+        nfa.add_transition(*transition)
+    for state in initial:
+        nfa.make_initial(state)
+    for state in final:
+        nfa.make_final(state)
+    return nfa
+
+
+def test_builder_transition_order_is_pinned():
+    a, b, c = _golden(GOLDEN_A), _golden(GOLDEN_B), _golden(GOLDEN_C)
+    assert list(a.trim().iter_transitions()) == [
+        (3, "a", 3), (3, "a", 7), (5, "a", 5), (5, "b", 3), (5, None, 3),
+        (7, "a", 13), (7, "b", 5), (9, "a", 5), (9, None, 11), (11, None, 9),
+    ]
+    assert list(ops.remove_epsilon(a).iter_transitions()) == [
+        (3, "a", 3), (3, "a", 7), (5, "a", 3), (5, "a", 5), (5, "a", 7),
+        (5, "b", 3), (7, "a", 13), (7, "b", 5), (9, "a", 5), (11, "a", 5),
+    ]
+    assert list(as_dense(b).to_nfa().iter_transitions()) == [
+        (0, "a", 2), (1, "a", 3), (1, "b", 3), (2, "b", 2), (3, "b", 1),
+        (4, None, 2),
+    ]
+    assert list(ops.intersection(a, c, trim=True).iter_transitions()) == [
+        (1, "a", 4), (4, "a", 5), (4, "a", 6), (4, "a", 7), (5, "a", 9),
+        (5, "a", 10), (6, "a", 9), (6, "a", 10), (6, "a", 4), (6, "b", 9),
+        (7, "a", 11), (7, "b", 4), (9, "a", 5), (9, "a", 7), (14, "a", 9),
+        (14, "a", 10), (10, "b", 13), (13, "b", 14),
+    ]
+    assert list(ops.intersection(b, c, trim=True).iter_transitions()) == [
+        (1, "a", 4), (2, "b", 3), (3, "b", 3), (4, "b", 2),
+    ]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_differential_parikh_style_counts(seed):
     """Word counts per length (the Parikh-image proxy the oracle uses)."""
@@ -248,24 +412,27 @@ def test_step_limit_determinism():
 # ----------------------------------------------------------------------
 # Serialization round-trips
 # ----------------------------------------------------------------------
-def test_transition_list_roundtrip_unchanged():
+def test_dense_roundtrip_keeps_language():
     rng = random.Random(11)
-    nfa = random_nfa(rng, 5)
-    back = from_dict(to_dict(nfa))
-    assert language(back) == language(nfa)
+    shapes = (
+        random_nfa(rng, 5),
+        spread(random_nfa(rng, 6, eps_prob=0.4)),  # ε edges, non-contiguous ids
+        Nfa.empty_language(),
+    )
+    for nfa in shapes:
+        assert language(from_dict(to_dict(nfa))) == language(nfa)
 
 
 def test_dense_roundtrip_is_interned():
     rng = random.Random(13)
     nfa = random_nfa(rng, 6)
-    payload = dense_to_dict(nfa)
+    payload = to_dict(nfa)
     loaded = from_dict(payload)
     assert language(loaded) == language(nfa)
     # Loading twice yields the same canonical object...
-    assert from_dict(dense_to_dict(nfa)) is loaded
+    assert from_dict(to_dict(nfa)) is loaded
     # ...which is exactly what interning the live automaton returns.
     assert intern_nfa(nfa) is loaded
-    assert dense_from_dict(payload) is loaded
 
 
 def test_dense_payload_is_json_compatible():
@@ -273,7 +440,7 @@ def test_dense_payload_is_json_compatible():
 
     rng = random.Random(17)
     nfa = random_nfa(rng, 80, density=2.0)  # multi-word masks
-    payload = dense_to_dict(nfa)
+    payload = to_dict(nfa)
     wire = json.dumps(payload)
     assert language(from_dict(json.loads(wire)), 3) == language(nfa, 3)
 

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from helpers import ServeServerProc
-from repro.serve.protocol import synthetic_outcome
+from repro.serve.protocol import JobOutcome, pad_outcome
 
 SAT_SCRIPT = '(set-logic QF_S)(declare-const x String)(assert (= x "ab"))(check-sat)'
 UNSAT_SCRIPT = (
@@ -199,6 +199,6 @@ def test_responses_never_dropped_under_chaos(server):
 
 
 def test_synthetic_outcomes_are_structured():
-    outcome = synthetic_outcome(3, "internal_error@serve.worker [died]")
+    outcome = pad_outcome(JobOutcome(), 3, "internal_error@serve.worker [died]")
     assert outcome.verdicts == ["unknown"] * 3
     assert all("internal_error" in reason for reason in outcome.reasons)

@@ -22,7 +22,7 @@ from repro import (
     lit,
     term,
 )
-from repro.serve.protocol import JobOutcome, JobSpec, synthetic_outcome
+from repro.serve.protocol import JobOutcome, JobSpec, pad_outcome
 from repro.smtlib import parse_problem
 
 SAT_SCRIPT = '(set-logic QF_S)(declare-const x String)(assert (= x "ab"))(check-sat)'
@@ -111,7 +111,7 @@ def test_job_spec_roundtrip():
 
 
 def test_job_outcome_roundtrip():
-    outcome = synthetic_outcome(2, "worker died mid-job")
+    outcome = pad_outcome(JobOutcome(), 2, "worker died mid-job")
     outcome.stats["serve_warm_seeded"] = 5
     back = _roundtrip(outcome)
     assert back.verdicts == outcome.verdicts
