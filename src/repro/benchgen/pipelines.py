@@ -6,7 +6,7 @@ This module models such pipelines *symbolically*: every stage becomes a
 definitional constraint over a fresh intermediate variable, so a whole
 pipeline compiles to exactly the deep substr/replace/concat chains with
 shared intermediates that stress the extended-function reductions, the
-session caches and the budgeted Levi splits far beyond the hand-written
+session caches and two-sided noodlification far beyond the hand-written
 ``symbex-substr__*`` corpus.
 
 The design rule of the module — the reason it doubles as a fuzzing source —
@@ -643,9 +643,10 @@ def _scenario(rng: random.Random, index: int, include_gaps: bool) -> PipelineSce
         outputs = sorted({out for _, _, out in pipeline.executions()})
         if not include_gaps:
             # Curated instances invert a *short* output: long literal
-            # outputs fed back through replace chains multiply the Levi
-            # noodles past the solver's per-split noodle budget (a decidable
-            # but budget-starved shape the fuzzer is welcome to keep).
+            # outputs fed back through replace chains multiply the noodles
+            # of their splits past the solver's noodle and branch caps (a
+            # decidable but budget-starved shape the fuzzer is welcome to
+            # keep).
             short = [out for out in outputs if len(out) <= pipeline.max_input_length]
             outputs = short or outputs
         if outputs and rng.random() < 0.7:
@@ -692,8 +693,9 @@ def gap_problems() -> List[Instance]:
     """Hand-pinned instances of the two known ``unknown`` gaps.
 
     These are the shapes the pipeline workload keeps generating at scale:
-    ≥3 structural splits of one haystack with shared variables (Levi
-    alignment blow-up), and variable-needle replace/indexof over non-flat
+    ≥3 structural splits of one haystack with shared variables (their
+    alignment repeats variables on both sides, and the stabilization loop
+    does not converge), and variable-needle replace/indexof over non-flat
     languages (the MBQI flatness limit).  The regression tests assert the
     verdicts are *structured* unknowns — never wrong — so a future fix
     flips an xfail instead of silently changing behaviour.
@@ -709,7 +711,7 @@ def gap_problems() -> List[Instance]:
     levi.add(WordEquation(term("s"), term("z", lit("aa"), "z")))
     levi.add(LengthConstraint(lia_le(str_len("s"), 8)))
     # Exhaustive check over |s| <= 8: no assignment satisfies all three
-    # splits, but the alignment space defeats the budgeted Levi pre-pass.
+    # splits, but x·"ab"·y = y·"ba"·x repeats x and y on both sides.
     instances.append(("gap-levi-3split", levi, "unsat"))
 
     absent = Problem(alphabet=_AB, name="gap-var-needle-absent")

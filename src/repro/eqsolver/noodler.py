@@ -1,41 +1,49 @@
 """A stabilization-style solver for word equations with regular constraints.
 
 Z3-Noodler handles ``E ∧ R`` by the stabilization procedure of [24]: word
-equations are eliminated by *noodlification* — aligning the automaton of one
-side with the concatenation of automata of the other side and splitting it at
-the variable boundaries — producing a disjunction of refined regular
-constraints (a monadic decomposition) plus a substitution map.
+equations are eliminated by *noodlification* — aligning the automata of one
+side with the concatenation of automata of the other side and splitting the
+alignment at the variable boundaries — producing a disjunction of refined
+regular constraints (a monadic decomposition) plus a substitution map.
 
-This module implements the fragment of that procedure that the position
-decision procedure (and our benchmark workloads) need:
+This module runs that elimination on every equation shape the normal form
+produces:
 
-* trivial equations (``x = y``, ``x = ε``, ground equations),
-* *assignment-shaped* equations ``x = y₁ · … · y_k`` where ``x`` does not
-  occur on the right-hand side (the common shape produced by symbolic
-  execution), solved exactly by noodlification,
-* *two-sided* concatenation equations ``x₁ … x_m = y₁ … y_n`` by Levi
-  splits: the head variables either coincide or one is a prefix of the
-  other (``x₁ = y₁ · f`` with a fresh ``f``), each branch reducing to an
-  assignment-shaped equation plus a strictly shorter two-sided remainder.
-  Splits are budgeted (repeated variables can make the rewriting grow), so
-  the procedure stays terminating — the shape arises from the extended
-  string functions, whose reductions put several structural splits on one
-  haystack variable (``s = p·r·q ∧ s = a·x·t·y``),
-* systems of such equations, processed to a fixpoint with a branch budget.
+* trivial equations (``x = y``, ``ε = v₁ · … · v_n``, ground equations);
+* ``x₁ … x_m = y₁ … y_n`` after cancelling common head and tail variables
+  (``u · x = v · x ⇔ u = v``).  The shorter side is cut at a chosen state at
+  every boundary of either side; the other side only where a boundary of
+  the shorter one falls inside it.  Each stretch where one variable of each
+  side overlaps is one segment, refined to the product of the two automata
+  between the chosen states.  A variable is substituted by the segments it
+  spans (a segment that is a whole variable keeps that variable's name, the
+  others get fresh ``%seg`` variables), so later equations are aligned
+  against the refined segments — the work list of [24].  On the
+  assignment shape ``x = y₁ · … · y_k`` this is the classic split of
+  ``x``'s automaton into ``k`` parts.
 
-Anything outside this fragment makes the solver report "don't know", which
-the string solver surfaces as ``UNKNOWN`` — mirroring how Z3-Noodler runs
-out of resources on non-chain-free inputs (§8.2 of the paper).
+A variable still repeated after cancellation (``x · y = y · x``) is aligned
+as one copy per occurrence, and the equations that make the copies equal
+go back on the work list: the stabilization loop of [24].  That loop need
+not converge, so a branch runs it at most once per equation of the system.
+A branch past that bound, an equation whose alignment yields more than
+``max_noodles`` noodles and a system whose branches exceed ``max_branches``
+are not decided: the result names the first limit that dropped a branch,
+and the string solver answers ``UNKNOWN`` — as Z3-Noodler runs out of
+resources on non-chain-free inputs (§8.2 of the paper).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import count
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..automata import intersection, intersection_empty, remove_epsilon
+from ..automata.dense import iter_bits
 from ..automata.minimization import minimize
-from ..automata.nfa import EPSILON, Nfa
+from ..automata.nfa import Nfa
 from ..budget import checkpoint
 
 VarEquation = Tuple[Tuple[str, ...], Tuple[str, ...]]
@@ -81,117 +89,187 @@ class DecompositionResult:
     """Outcome of the equation-elimination phase."""
 
     branches: List[Branch]
-    complete: bool  # False when the budget was exhausted or the fragment was left
+    #: the first limit that dropped a branch (the noodle cap, the branch cap
+    #: or a repeated variable); ``None`` when no branch was dropped
+    gave_up: Optional[str] = None
+
+    @property
+    def complete(self) -> bool:
+        return self.gave_up is None
+
+
+#: one alignment: ``(i, j, refined)`` for each segment where target ``i``
+#: overlaps part ``j``, in word order
+Noodle = List[Tuple[int, int, Nfa]]
 
 
 # ----------------------------------------------------------------------
-# Noodlification of x = y1 ... yk
+# Noodlification of t1 ... tm = p1 ... pn
 # ----------------------------------------------------------------------
+def noodlify(
+    targets: Sequence[Nfa], parts: Sequence[Nfa], max_noodles: int = 256
+) -> List[Noodle]:
+    """Solve ``t₁ … t_m = p₁ … p_n`` by aligning the two sides.
+
+    Returns the noodles: any choice of one word per segment of a noodle
+    solves the equation (each segment's language lies in its target's and
+    its part's between the chosen cut states), and together the noodles
+    cover every solution.  Targets are cut at a chosen state at every
+    boundary, a part only where a target ends inside it.  Raises
+    :class:`EquationTooHard` as soon as more than ``max_noodles`` noodles
+    are found.
+    """
+    targets = [_cut_ready(nfa, len(parts) - 1, max_noodles).dense() for nfa in targets]
+    parts = [remove_epsilon(nfa) if nfa.has_epsilon() else nfa for nfa in parts]
+    dense = [nfa.dense() for nfa in parts]
+    last_target, last_part = len(targets) - 1, len(parts) - 1
+
+    # A segment's refinement depends only on its endpoints, so each is
+    # computed once per call (``None`` marks an empty one) and its ``Nfa``
+    # is shared by every noodle through that segment.  Target endpoints are
+    # state indices; part endpoints are masks, the part's initial or final
+    # set where the segment starts or ends with it (a part that is not cut
+    # is refined as itself).  Endpoint views share the rows (and cached
+    # closures) of the whole automaton.
+    segments: Dict[Tuple[int, int, int, int, int, int], Optional[Nfa]] = {}
+
+    def refine(i: int, start: int, end: int, j: int, part_start: int, part_end: int):
+        key = (i, start, end, j, part_start, part_end)
+        if key not in segments:
+            # Where both sides start and end in one state, the
+            # initial-and-final pair survives trimming, so an empty product
+            # means no common word.
+            part = parts[j]
+            if (part_start, part_end) != (dense[j].initial, dense[j].final):
+                part = dense[j].with_endpoints(part_start, part_end)
+            refined = intersection(
+                part, targets[i].with_endpoints(1 << start, 1 << end), trim=True
+            )
+            segments[key] = refined if refined.states else None
+        return segments[key]
+
+    # Depth first over the cut points, each one's choices in ascending
+    # order: an empty segment prunes every alignment that extends it.
+    noodles: List[Noodle] = []
+
+    def extend(i: int, start: int, j: int, part_start: int, chosen: Noodle) -> None:
+        # One budget step per alignment prefix; each refinement computed
+        # below charges its own product walk.
+        checkpoint("eqsolver.noodlify")
+        if j < last_part or i == last_target:
+            # Part j ends inside target i (the last part with the last target).
+            ends = range(targets[i].n) if j < last_part else iter_bits(targets[i].final)
+            for end in ends:
+                refined = refine(i, start, end, j, part_start, dense[j].final)
+                if refined is None:
+                    continue
+                was_cut = bool(chosen) and chosen[-1][1] == j
+                if was_cut and j < last_part and not refined.num_transitions():
+                    # The rest of a cut part is empty: it ends where the
+                    # target that cut it ended, an alignment also found by
+                    # ending the part first and cutting the next one.
+                    continue
+                noodle = chosen + [(i, j, refined)]
+                if j < last_part:
+                    extend(i, end, j + 1, dense[j + 1].initial, noodle)
+                    continue
+                noodles.append(noodle)
+                if len(noodles) > max_noodles:
+                    raise EquationTooHard(f"noodle cap ({max_noodles})")
+        if i < last_target:
+            # Target i ends inside part j, which is cut at a chosen state.
+            for end in iter_bits(targets[i].final):
+                for cut in range(dense[j].n):
+                    refined = refine(i, start, end, j, part_start, 1 << cut)
+                    if refined is None:
+                        continue
+                    for following in iter_bits(targets[i + 1].initial):
+                        extend(i + 1, following, j, 1 << cut, chosen + [(i, j, refined)])
+
+    for start in iter_bits(targets[0].initial):
+        extend(0, start, 0, dense[0].initial, [])
+    return noodles
+
+
+def _cut_ready(target: Nfa, cuts: int, max_noodles: int) -> Nfa:
+    """``target`` without ε-moves, minimized when that shrinks its cut choices.
+
+    The choices grow exponentially with the boundaries that may fall inside
+    a target; a minimized target often collapses them (a Thompson-compiled
+    ``(a|b)+`` has 6 states where 2 suffice).  The subset construction is
+    capped, so an adversarial target whose DFA explodes costs no more than
+    the walk up to its noodle cap.
+    """
+    # One budget step per target prepared; the minimization charges its own.
+    checkpoint("eqsolver.noodlify")
+    target = remove_epsilon(target) if target.has_epsilon() else target
+
+    def choices(nfa: Nfa) -> int:
+        return len(nfa.initial) * len(nfa.states) ** cuts * len(nfa.final)
+
+    if choices(target) > max_noodles:
+        reduced = minimize(target, max_states=4 * len(target.states) + 16)
+        if choices(reduced) < choices(target):
+            return reduced
+    return target
+
+
 def noodlify_assignment(
     target: Nfa, parts: Sequence[Tuple[str, Nfa]], max_noodles: int = 256
 ) -> List[Dict[str, Nfa]]:
-    """Solve ``x = y1 … yk`` by splitting: refine each ``y_i`` against ``x``.
-
-    Returns a list of "noodles": each maps the part variables to refined
-    automata such that (i) each refined language is included in the original
-    language of the part, and (ii) any combination of words from the refined
-    languages concatenates to a word of ``L(x)``; together the noodles cover
-    every solution of the equation.  Raises :class:`EquationTooHard` when the
-    split budget is exceeded.
-    """
+    """Solve ``x = y1 … yk``: :func:`noodlify` with one target, each noodle
+    mapping the part names to their refinements."""
     names = [name for name, _ in parts]
     if len(set(names)) != len(names):
-        # A variable repeated inside the right-hand side needs the full
-        # stabilization loop of [24]; we stay in the exactly-solved fragment.
-        raise EquationTooHard("repeated variable on the right-hand side")
-    target = remove_epsilon(target) if target.has_epsilon() else target
-    part_automata = [remove_epsilon(nfa) if nfa.has_epsilon() else nfa for _, nfa in parts]
-
+        raise EquationTooHard("repeated variable")
     if not parts:
         # x = ε: the equation is satisfiable iff ε ∈ L(x).
         return [{}] if target.accepts("") else []
-
-    # The split points are assignments of target states to the k-1 internal
-    # boundaries plus an initial and a final state of the target.
-    def boundary_count(nfa: Nfa) -> int:
-        total = 1
-        for choice in [nfa.initial] + [nfa.states] * (len(parts) - 1) + [nfa.final]:
-            total *= max(len(choice), 1)
-        return total
-
-    if boundary_count(target) > max_noodles:
-        # The split count is exponential in the boundary choices; a
-        # minimized target often collapses them (a Thompson-compiled
-        # ``(a|b)+`` has 6 states where 2 suffice).  The subset
-        # construction is capped — an adversarial target whose DFA
-        # explodes must keep the instant too-hard bail-out below instead
-        # of stalling past the solver's deadline.
-        reduced = minimize(target, max_states=4 * len(target.states) + 16)
-        if boundary_count(reduced) < boundary_count(target):
-            target = reduced
-    total = boundary_count(target)
-    if total > max_noodles:
-        raise EquationTooHard(f"too many noodles ({total} > {max_noodles})")
-    target_states = sorted(target.states)
-    initials = sorted(target.initial)
-    finals = sorted(target.final)
-    # Per-boundary segments are dense endpoint views: same rows (and cached
-    # closures) as the target, only the initial/final masks differ — no
-    # per-assignment copy of the whole target automaton.
-    target_dense = target.dense()
-    state_bit = {state: 1 << i for state, i in target_dense.index.items()}
-    last = len(parts) - 1
-
-    # A segment's refinement depends only on (part, start, end), so each is
-    # computed once per call (``None`` marks an empty one) and its ``Nfa``
-    # is shared by every noodle through that segment.
-    segments: Dict[Tuple[int, int, int], Optional[Nfa]] = {}
-
-    def refine(index: int, start: int, end: int) -> Optional[Nfa]:
-        key = (index, start, end)
-        if key in segments:
-            return segments[key]
-        segment = target_dense.with_endpoints(state_bit[start], state_bit[end])
-        # When start == end and ε ∈ L(part), the initial-and-final pair
-        # survives trimming, so an empty product means no common word.
-        refined = intersection(part_automata[index], segment, trim=True)
-        segments[key] = refined if refined.states else None
-        return segments[key]
-
-    # Boundary assignments in the lexicographic order of the product of
-    # ``[initials] + [target_states] * (k - 1) + [finals]``, depth first:
-    # an empty segment prunes every assignment that extends it.
-    noodles: List[Dict[str, Nfa]] = []
-
-    def extend(index: int, start: int, chosen: List[Nfa]) -> None:
-        # One budget step per boundary prefix; each refinement computed
-        # below charges its own product walk.
-        checkpoint("eqsolver.noodlify")
-        for end in finals if index == last else target_states:
-            refined = refine(index, start, end)
-            if refined is None:
-                continue
-            if index == last:
-                noodles.append(dict(zip(names, chosen + [refined])))
-            else:
-                extend(index + 1, end, chosen + [refined])
-
-    for start in initials:
-        extend(0, start, [])
-    return noodles
+    noodles = noodlify([target], [nfa for _, nfa in parts], max_noodles)
+    return [{names[j]: refined for _, j, refined in noodle} for noodle in noodles]
 
 
 # ----------------------------------------------------------------------
 # The decomposition driver
 # ----------------------------------------------------------------------
-def _orient(equation: VarEquation) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """Orient an equation as ``x = t`` with ``x`` not occurring in ``t``."""
-    lhs, rhs = equation
-    if len(lhs) == 1 and lhs[0] not in rhs:
-        return lhs[0], rhs
-    if len(rhs) == 1 and rhs[0] not in lhs:
-        return rhs[0], lhs
-    return None
+def _cancel(lhs: Tuple[str, ...], rhs: Tuple[str, ...]) -> VarEquation:
+    """Cancel the variables both sides start or end with (``u·x = v·x ⇔ u = v``)."""
+    while lhs and rhs and lhs[0] == rhs[0]:
+        lhs, rhs = lhs[1:], rhs[1:]
+    while lhs and rhs and lhs[-1] == rhs[-1]:
+        lhs, rhs = lhs[:-1], rhs[:-1]
+    return lhs, rhs
+
+
+def _substitute(
+    branch: Branch, lhs: Sequence[str], rhs: Sequence[str], noodle: Noodle, fresh: Iterator[str]
+) -> Tuple[Branch, List[VarEquation]]:
+    """``branch`` with each variable of ``lhs = rhs`` replaced by the
+    segments of ``noodle`` it spans, and the equations that make every
+    further occurrence of a repeated variable span what its first one does.
+
+    A segment that is a whole variable occurring once keeps that variable's
+    name (the part's first), every other segment gets a fresh one.
+    """
+    sides = list(lhs) + list(rhs)
+    once = {name for name, count in Counter(sides).items() if count == 1}
+    spans = Counter(i for i, _, _ in noodle) + Counter(len(lhs) + j for _, j, _ in noodle)
+    spanned: List[List[str]] = [[] for _ in sides]
+    automata = dict(branch.automata)
+    for i, j, refined in noodle:
+        whole = [k for k in (len(lhs) + j, i) if spans[k] == 1 and sides[k] in once]
+        name = sides[whole[0]] if whole else next(fresh)
+        automata[name] = refined
+        spanned[i].append(name)
+        spanned[len(lhs) + j].append(name)
+    substitution = dict(branch.substitution)
+    equated: List[VarEquation] = []
+    for variable, names in zip(sides, spanned):
+        if variable in substitution:
+            equated.append((substitution[variable], tuple(names)))
+        elif names != [variable]:
+            substitution[variable] = tuple(names)
+    return Branch(automata, substitution), equated
 
 
 def _refuted_by_consequences(
@@ -216,13 +294,7 @@ def _refuted_by_consequences(
     for sides in by_var.values():
         for i in range(len(sides)):
             for j in range(i + 1, len(sides)):
-                left, right = list(sides[i]), list(sides[j])
-                while left and right and left[0] == right[0]:
-                    left.pop(0)
-                    right.pop(0)
-                while left and right and left[-1] == right[-1]:
-                    left.pop()
-                    right.pop()
+                left, right = _cancel(sides[i], sides[j])
                 if not left and not right:
                     continue
                 if not left or not right:
@@ -250,51 +322,49 @@ def decompose(
     automata: Dict[str, Nfa],
     max_branches: int = 128,
     max_noodles: int = 256,
-    alphabet: Optional[Tuple[str, ...]] = None,
-    max_levi_splits: int = 128,
 ) -> DecompositionResult:
     """Eliminate the given equations, producing a monadic decomposition.
 
-    The result is a list of branches (disjuncts); an empty list with
-    ``complete=True`` means the equations (with the regular constraints) are
-    unsatisfiable.  ``complete=False`` signals that some equation was outside
-    the supported fragment or a budget was exceeded.  ``alphabet`` supplies
-    the language of the fresh variables Levi splits introduce (defaults to
-    the union of the given automata's alphabets).
+    The result is a list of branches (disjuncts); no branch and no
+    ``gave_up`` reason means the equations (with the regular constraints)
+    are unsatisfiable.
     """
-    if alphabet is None:
-        sigma: Tuple[str, ...] = tuple(
-            sorted(set().union(*(nfa.alphabet for nfa in automata.values())))
-        ) if automata else ()
-    else:
-        sigma = tuple(alphabet)
-    universal = Nfa.universal(sigma)
-    levi_fresh = 0
-    levi_splits = 0
-
     if _refuted_by_consequences(equations, automata):
-        return DecompositionResult(branches=[], complete=True)
+        return DecompositionResult(branches=[])
 
-    work: List[Tuple[List[VarEquation], Branch]] = [
-        (list(equations), Branch(dict(automata)))
+    #: pending equations, the branch, and the rounds of the stabilization
+    #: loop on its path
+    work: List[Tuple[List[VarEquation], Branch, int]] = [
+        (list(equations), Branch(dict(automata)), 0)
     ]
     finished: List[Branch] = []
-    complete = True
+    gave_up: Optional[str] = None
+    fresh = (f"%seg{n}" for n in count())
 
     while work:
         checkpoint("eqsolver.decompose")
-        pending, branch = work.pop()
+        pending, branch, rounds = work.pop()
         if not pending:
             finished.append(branch)
             continue
         equation = pending[0]
         rest = pending[1:]
-        lhs = branch.expand_term(equation[0])
-        rhs = branch.expand_term(equation[1])
+        lhs, rhs = _cancel(branch.expand_term(equation[0]), branch.expand_term(equation[1]))
 
         # Trivial simplifications.
         if lhs == rhs:
-            work.append((rest, branch))
+            work.append((rest, branch, rounds))
+            continue
+        if not lhs or not rhs:
+            # ε = v₁ … v_n: every variable of the other side is ε.
+            side = lhs or rhs
+            if all(branch.automata[name].accepts("") for name in side):
+                new_automata = dict(branch.automata)
+                substitution = dict(branch.substitution)
+                for name in side:
+                    new_automata[name] = Nfa.epsilon_language()
+                    substitution[name] = ()
+                work.append((rest, Branch(new_automata, substitution), rounds))
             continue
         if len(lhs) == 1 and len(rhs) == 1:
             x, y = lhs[0], rhs[0]
@@ -308,86 +378,35 @@ def decompose(
             new_automata[y] = refined
             substitution = dict(branch.substitution)
             substitution[x] = (y,)
-            work.append((rest, Branch(new_automata, substitution)))
+            work.append((rest, Branch(new_automata, substitution), rounds))
             continue
 
-        oriented = _orient((lhs, rhs))
-        if oriented is None:
-            # Two-sided concatenation (both sides longer than one variable,
-            # or a side-with-occurrence): eliminate by a Levi split.
-            if not lhs or not rhs:
-                # ε = v₁ … v_n: every variable of the other side is ε.
-                side = rhs if not lhs else lhs
-                new_automata = dict(branch.automata)
-                substitution = dict(branch.substitution)
-                feasible = True
-                for name in side:
-                    if not branch.automata[name].accepts(""):
-                        feasible = False
-                        break
-                    new_automata[name] = Nfa.epsilon_language()
-                    substitution[name] = ()
-                if feasible:
-                    work.append((rest, Branch(new_automata, substitution)))
+        if len(set(lhs + rhs)) < len(lhs) + len(rhs):
+            # The occurrences of a repeated variable are aligned as copies
+            # and equated again afterwards: the loop of [24].  It need not
+            # converge (x·ab·y = y·ba·x comes back in its own shape, and
+            # each round multiplies the length of the other equations), so
+            # a path runs it at most once per equation of the system.
+            if rounds == len(equations):
+                gave_up = gave_up or "repeated variable"
                 continue
-            head_l, head_r = lhs[0], rhs[0]
-            if head_l == head_r:
-                # The same variable heads both sides: cancel it.
-                work.append(([(lhs[1:], rhs[1:])] + rest, branch))
-                continue
-            if levi_splits >= max_levi_splits or (
-                len(finished) + len(work) + 2 > max_branches
-            ):
-                complete = False
-                continue
-            levi_splits += 1
-            # Either |head_l| >= |head_r| (head_l = head_r · f) or the other
-            # way around; both reduce to an assignment-shaped equation plus
-            # a shorter two-sided remainder (they overlap at f = g = ε).
-            for longer, shorter, l_tail, r_tail in (
-                (head_l, head_r, lhs[1:], rhs[1:]),
-                (head_r, head_l, rhs[1:], lhs[1:]),
-            ):
-                fresh = f"%levi{levi_fresh}"
-                levi_fresh += 1
-                new_automata = dict(branch.automata)
-                new_automata[fresh] = universal
-                split: List[VarEquation] = [
-                    ((longer,), (shorter, fresh)),
-                    ((fresh,) + tuple(l_tail), tuple(r_tail)),
-                ]
-                work.append((split + rest, Branch(new_automata, dict(branch.substitution))))
-            continue
-        x, parts = oriented
-        if not parts:
-            # x = ε
-            if not branch.automata[x].accepts(""):
-                continue
-            new_automata = dict(branch.automata)
-            new_automata[x] = Nfa.epsilon_language()
-            substitution = dict(branch.substitution)
-            substitution[x] = ()
-            work.append((rest, Branch(new_automata, substitution)))
-            continue
-
+            rounds += 1
+        if len(rhs) < len(lhs):
+            lhs, rhs = rhs, lhs  # the shorter side is cut at every boundary
         try:
-            noodles = noodlify_assignment(
-                branch.automata[x], [(name, branch.automata[name]) for name in parts], max_noodles
+            noodles = noodlify(
+                [branch.automata[name] for name in lhs],
+                [branch.automata[name] for name in rhs],
+                max_noodles,
             )
-        except EquationTooHard:
-            complete = False
+        except EquationTooHard as error:
+            gave_up = gave_up or str(error)
             continue
-
         if len(finished) + len(work) + len(noodles) > max_branches:
-            complete = False
+            gave_up = gave_up or f"branch cap ({max_branches})"
             continue
-
         for noodle in noodles:
-            new_automata = dict(branch.automata)
-            for name, refined in noodle.items():
-                new_automata[name] = refined
-            substitution = dict(branch.substitution)
-            substitution[x] = tuple(parts)
-            work.append((rest, Branch(new_automata, substitution)))
+            substituted, equated = _substitute(branch, lhs, rhs, noodle, fresh)
+            work.append((equated + rest, substituted, rounds))
 
-    return DecompositionResult(branches=finished, complete=complete)
+    return DecompositionResult(branches=finished, gave_up=gave_up)

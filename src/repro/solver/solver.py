@@ -133,8 +133,10 @@ _BRANCH_SOLVERS = 16
 #: monadic-decomposition branches explored per equation system
 _MAX_BRANCHES = 128
 #: decomposition branch budget for reduced (extended-function) case
-#: problems: several structural splits of one haystack overlap through Levi
-#: alignment, which needs more room than ``_MAX_BRANCHES``
+#: problems: structural splits of one haystack, aligned against each other,
+#: need more room than ``_MAX_BRANCHES`` (in ``pipelines.generate(36,
+#: seed=12)``, ``pipe-2`` needs 155 branches and ``pipe-32`` 166; at 128
+#: both end undecided)
 _REDUCTION_MAX_BRANCHES = 512
 #: noodles per equation split
 _MAX_NOODLES = 256
@@ -359,7 +361,8 @@ class IncrementalPipeline:
         The first sat branch wins, its model stripped of the case's fresh
         variables.  Unsat needs every branch refuted and every
         decomposition complete; otherwise the answer is unknown, with the
-        last branch's reason or, failing one, the decomposition's.
+        last branch's reason or, failing one, the limit that stopped the
+        first incomplete decomposition.
         """
         cases = [(problem, frozenset())]
         branch_budget = _MAX_BRANCHES
@@ -377,7 +380,7 @@ class IncrementalPipeline:
         explored = queries = 0
         stats: Dict[str, int] = {}
         reason: Optional[UnknownReason] = None
-        complete = True
+        gave_up: Optional[str] = None
         for case, fresh in cases:
             if reduced:
                 watch.check_now("reduce.case")
@@ -392,11 +395,9 @@ class IncrementalPipeline:
                 self.counters["normal_form_hits"] += 1
 
             with watch.stage("decompose"):
-                branches, branch_fp_base, exhaustive = self._decompose(
-                    normal_form, branch_budget
-                )
-            complete = complete and exhaustive
-            for index, branch in enumerate(branches):
+                decomposition, branch_fp_base = self._decompose(normal_form, branch_budget)
+            gave_up = gave_up or decomposition.gave_up
+            for index, branch in enumerate(decomposition.branches):
                 watch.check_now("solve.branch")
                 with watch.stage("solve"):
                     outcome = self._solve_branch(
@@ -419,7 +420,7 @@ class IncrementalPipeline:
                 if outcome.status is not Status.UNSAT:
                     reason = outcome.reason
 
-        if reason is None and complete:
+        if reason is None and gave_up is None:
             return SolveResult(Status.UNSAT, branches_explored=explored,
                                lia_queries=queries, stats=stats)
         return SolveResult(
@@ -427,7 +428,7 @@ class IncrementalPipeline:
             reason=reason or UnknownReason(
                 UnknownKind.INCOMPLETE,
                 stage="decompose",
-                detail="decomposition incomplete (branch/noodle budget or fragment)",
+                detail=f"decomposition incomplete: {gave_up}",
             ),
             branches_explored=explored,
             lia_queries=queries,
@@ -439,11 +440,11 @@ class IncrementalPipeline:
     # ------------------------------------------------------------------
     def _decompose(
         self, normal_form: NormalForm, max_branches: int
-    ) -> Tuple[List[Branch], Tuple, bool]:
+    ) -> Tuple[DecompositionResult, Tuple]:
         """Run (or reuse) the equation elimination for this normal form."""
         if not normal_form.equations:
             branch = Branch(dict(normal_form.automata))
-            return [branch], ("noeq", normal_form.alphabet), True
+            return DecompositionResult([branch]), ("noeq", normal_form.alphabet)
 
         eq_vars: Dict[str, None] = {}
         for lhs, rhs in normal_form.equations:
@@ -466,13 +467,11 @@ class IncrementalPipeline:
                 eq_automata,
                 max_branches=max_branches,
                 max_noodles=_MAX_NOODLES,
-                alphabet=normal_form.alphabet,
-                max_levi_splits=2 * max_branches,
             )
             self._decompositions.store(key, decomposition)
         else:
             self.counters["decomposition_hits"] += 1
-        return decomposition.branches, ("eq", key), decomposition.complete
+        return decomposition, ("eq", key)
 
     # ------------------------------------------------------------------
     # Branch preparation

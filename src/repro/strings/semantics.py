@@ -7,6 +7,7 @@ model it produces against the original problem before reporting SAT.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Iterable, Mapping, Optional
 
 from ..automata.nfa import Nfa
@@ -74,10 +75,15 @@ def eval_term(string_term: StringTerm, strings: Mapping[str, str]) -> str:
     return "".join(parts)
 
 
+#: the oracle's own compilations of membership patterns, per (pattern,
+#: alphabet) — no solver cache is involved
+_compiled = lru_cache(maxsize=256)(compile_regex)
+
+
 def _language_accepts(language, word: str, alphabet: Iterable[str]) -> bool:
     if isinstance(language, Nfa):
         return language.accepts(word)
-    return compile_regex(language, alphabet).accepts(word)
+    return _compiled(language, tuple(alphabet)).accepts(word)
 
 
 def eval_atom(

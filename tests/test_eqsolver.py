@@ -84,63 +84,81 @@ def test_decompose_chained_equations():
         assert "x" not in branch.expand("x")
 
 
-def test_decompose_solves_two_sided_equations_by_levi_splits():
+def _remaining_words(branch, max_length):
+    """One word per remaining variable (the longest up to ``max_length``),
+    or None when some refinement is empty."""
+    words = {}
+    for name in branch.automata:
+        if name in branch.substitution:
+            continue
+        choices = list(words_up_to(branch.automata[name], max_length))
+        if not choices:
+            return None
+        words[name] = choices[-1]
+    return words
+
+
+def test_decompose_noodlifies_two_sided_equations():
     automata = {
         "x": compile_regex("(ab)*", alphabet="ab"),
         "y": compile_regex("b*", alphabet="ab"),
         "z": compile_regex("a*", alphabet="ab"),
         "w": compile_regex("(a|b)*", alphabet="ab"),
     }
-    # Both sides are proper concatenations: eliminated by Levi splits.
-    result = decompose([(("x", "y"), ("z", "w"))], automata, alphabet=("a", "b"))
+    # Both sides are proper concatenations: aligned against each other.
+    result = decompose([(("x", "y"), ("z", "w"))], automata)
     assert result.complete
     assert result.branches
     # Soundness: in every branch, picking any words for the remaining
     # variables and expanding both sides yields the same concatenation.
     for branch in result.branches:
-        remaining = {
-            name
-            for name in branch.automata
-            if name not in branch.substitution
-        }
-        words = {}
-        for name in remaining:
-            choices = list(words_up_to(branch.automata[name], 2))
-            assert choices, f"{name} has an empty refinement"
-            words[name] = choices[-1]
+        words = _remaining_words(branch, 2)
+        assert words is not None, "a segment has an empty refinement"
         lhs = "".join(words[p] for p in branch.expand_term(("x", "y")))
         rhs = "".join(words[p] for p in branch.expand_term(("z", "w")))
         assert lhs == rhs
+        for name in automata:
+            assert automata[name].accepts("".join(words[p] for p in branch.expand(name)))
 
 
-def test_decompose_levi_finds_two_sided_solutions():
+def test_decompose_noodlification_finds_two_sided_solutions():
     automata = {
         "x": compile_regex("a*", alphabet="ab"),
         "y": compile_regex("b*", alphabet="ab"),
         "z": compile_regex("aab*", alphabet="ab"),
     }
     # x . y = z has the solutions aa b^n; the decomposition must keep one.
-    result = decompose([(("x", "y"), ("z",))], automata, alphabet=("a", "b"))
-    assert result.complete or result.branches
+    result = decompose([(("x", "y"), ("z",))], automata)
+    assert result.complete
     found = False
     for branch in result.branches:
-        words = {}
-        ok = True
-        for name in branch.automata:
-            if name in branch.substitution:
-                continue
-            choices = list(words_up_to(branch.automata[name], 3))
-            if not choices:
-                ok = False
-                break
-            words[name] = choices[-1]
-        if not ok:
+        words = _remaining_words(branch, 3)
+        if words is None:
             continue
         lhs = "".join(words[p] for p in branch.expand_term(("x", "y")))
         rhs = "".join(words[p] for p in branch.expand_term(("z",)))
         if lhs == rhs and automata["z"].accepts(rhs):
             found = True
     assert found
+
+
+def test_decompose_cancels_common_head_and_tail_variables():
+    automata = {
+        "u": compile_regex("b", alphabet="ab"),
+        "v": compile_regex("bb", alphabet="ab"),
+        "x": compile_regex("(a|b)*", alphabet="ab"),
+    }
+    # u·x = v·x ⇔ u = v: refuted without aligning the repeated x.
+    result = decompose([(("u", "x"), ("v", "x"))], automata)
+    assert result.complete and result.branches == []
+    result = decompose([(("x", "u"), ("x", "x"))], automata)
+    assert result.complete and len(result.branches) == 1
+
+
+def test_decompose_names_a_repeated_variable():
+    automata = {name: compile_regex("(a|b)*", alphabet="ab") for name in "xy"}
+    result = decompose([(("x", "y"), ("y", "x"))], automata)
+    assert result.gave_up == "repeated variable" and not result.complete
 
 
 def test_noodlify_minimization_is_budgeted():
@@ -160,19 +178,6 @@ def test_noodlify_minimization_is_budgeted():
     with pytest.raises(EquationTooHard):
         noodlify_assignment(target, parts)
     assert time.monotonic() - started < 5.0
-
-
-def test_decompose_reports_incompleteness_on_levi_budget():
-    automata = {
-        "x": compile_regex("(a|b)*", alphabet="ab"),
-        "y": compile_regex("(a|b)*", alphabet="ab"),
-        "z": compile_regex("(a|b)*", alphabet="ab"),
-        "w": compile_regex("(a|b)*", alphabet="ab"),
-    }
-    result = decompose(
-        [(("x", "y"), ("z", "w"))], automata, alphabet=("a", "b"), max_levi_splits=0
-    )
-    assert not result.complete
 
 
 def test_branch_expand_is_transitive():
@@ -303,10 +308,122 @@ def test_decompose_variable_equation_keeps_the_shared_empty_word():
         "x": compile_regex("a*", alphabet="ab"),
         "y": compile_regex("b*", alphabet="ab"),
     }
-    result = decompose([(("x",), ("y",))], automata, alphabet=("a", "b"))
+    result = decompose([(("x",), ("y",))], automata)
     assert result.complete and len(result.branches) == 1
     refined = result.branches[0].automata["x"]
     assert refined is result.branches[0].automata["y"]
     assert set(words_up_to(refined, 3)) == {""}
     automata["y"] = compile_regex("b+", alphabet="ab")
-    assert decompose([(("x",), ("y",))], automata, alphabet=("a", "b")).branches == []
+    assert decompose([(("x",), ("y",))], automata).branches == []
+
+
+# ----------------------------------------------------------------------
+# Two-sided noodlification against enumeration
+# ----------------------------------------------------------------------
+def _solutions_by_enumeration(lhs, rhs, automata, bound):
+    """Every solution of ``lhs = rhs`` whose values have length ≤ bound."""
+    from itertools import product
+
+    def sides(names):
+        by_word = {}
+        for values in product(*(words_up_to(automata[n], bound) for n in names)):
+            by_word.setdefault("".join(values), []).append(values)
+        return by_word
+
+    left, right = sides(lhs), sides(rhs)
+    return {
+        l_values + r_values
+        for word in left.keys() & right.keys()
+        for l_values in left[word]
+        for r_values in right[word]
+    }
+
+
+def _solutions_of_branch(branch, variables, bound):
+    """The solutions a branch represents, with values of length ≤ bound: one
+    word per remaining variable, expanded into the equation's variables."""
+    expansions = {name: branch.expand(name) for name in variables}
+    remaining = list(dict.fromkeys(part for name in variables for part in expansions[name]))
+    found = set()
+
+    def value(name, chosen):
+        return "".join(chosen.get(part, "") for part in expansions[name])
+
+    def walk(k, chosen):
+        if k == len(remaining):
+            found.add(tuple(value(name, chosen) for name in variables))
+            return
+        for word in words_up_to(branch.automata[remaining[k]], bound):
+            chosen[remaining[k]] = word
+            if all(len(value(name, chosen)) <= bound for name in variables):
+                walk(k + 1, chosen)
+        chosen.pop(remaining[k], None)
+
+    walk(0, {})
+    return found
+
+
+def _random_equation(seed):
+    """``x₁…x_m = y₁…y_n`` (m, n ≤ 3, not both 1) over random small NFAs."""
+    rng = random.Random(seed)
+    lhs = tuple(f"x{i}" for i in range(rng.randint(1, 3)))
+    rhs = tuple(f"y{j}" for j in range(rng.randint(2 if len(lhs) == 1 else 1, 3)))
+    return lhs, rhs, {name: random_nfa(rng, rng.randint(1, 3)) for name in lhs + rhs}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_two_sided_noodles_match_enumeration(seed):
+    lhs, rhs, automata = _random_equation(seed)
+    result = decompose([(lhs, rhs)], automata, max_branches=10**6, max_noodles=10**6)
+    assert result.complete
+    represented = set()
+    for branch in result.branches:
+        represented |= _solutions_of_branch(branch, lhs + rhs, 4)
+    assert represented == _solutions_by_enumeration(lhs, rhs, automata, 4)
+
+
+def test_two_sided_enumeration_sees_solutions():
+    # The cross-check is not vacuous: many seeds have solutions on both
+    # sides of a proper two-sided equation.
+    solved = 0
+    for seed in range(40):
+        lhs, rhs, automata = _random_equation(seed)
+        if min(len(lhs), len(rhs)) >= 2 and _solutions_by_enumeration(lhs, rhs, automata, 4):
+            solved += 1
+    assert solved >= 8, solved
+
+
+def test_decompose_refutes_a_repeated_variable_by_aligning_copies():
+    automata = {
+        "x": compile_regex("a(a)*", alphabet="ab"),
+        "y": compile_regex("b(b)*", alphabet="ab"),
+    }
+    # x·y = y·x: no alignment of the copies x·y = y'·x' exists.
+    result = decompose([(("x", "y"), ("y", "x"))], automata)
+    assert result.complete and result.branches == []
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_repeated_variable_branches_are_solutions(seed):
+    from itertools import product
+
+    rng = random.Random(seed)
+    names = ("x", "y", "z")
+    lhs = rhs = ()
+    while lhs == rhs or len(set(lhs + rhs)) == len(lhs + rhs):
+        lhs = tuple(rng.choice(names) for _ in range(rng.randint(1, 3)))
+        rhs = tuple(rng.choice(names) for _ in range(rng.randint(1, 3)))
+    variables = sorted(set(lhs + rhs))
+    automata = {name: random_nfa(rng, rng.randint(1, 3)) for name in variables}
+    result = decompose([(lhs, rhs)], automata, max_branches=10**6, max_noodles=10**6)
+    represented = set()
+    for branch in result.branches:
+        represented |= _solutions_of_branch(branch, variables, 4)
+    enumerated = set()
+    for values in product(*(words_up_to(automata[name], 4) for name in variables)):
+        value = dict(zip(variables, values))
+        if "".join(value[n] for n in lhs) == "".join(value[n] for n in rhs):
+            enumerated.add(values)
+    assert represented <= enumerated
+    if result.complete:
+        assert represented == enumerated

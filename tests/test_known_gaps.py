@@ -4,7 +4,10 @@ The pipeline workload generates these shapes at scale, so they get pinned
 here as exact instances:
 
 * ``gap-levi-3split`` — three structural splits of one haystack with
-  shared variables: the budgeted Levi alignment pre-pass gives out;
+  shared variables: after substituting the haystack, ``x·ab·y = y·ba·x``
+  still repeats ``x`` and ``y`` on both sides, and the stabilization loop
+  for repeated variables does not converge on it (the decomposition gives
+  up with reason ``repeated variable``);
 * ``gap-var-needle-*`` — variable-needle ``indexof``/``replace`` over
   non-flat haystack languages: past the MBQI flatness limit.
 
@@ -68,6 +71,14 @@ def test_gap_decides_correctly_once_fixed(name):
     problem, expected, result = _check(name)
     assert result.status in (Status.SAT, Status.UNSAT), result.reason
     assert result.status.value == expected
+
+
+def test_levi_3split_gives_up_on_a_repeated_variable():
+    problem, _ = GAPS["gap-levi-3split"]
+    result = PositionSolver(SolverConfig(timeout=10.0)).check(problem)
+    assert result.status is Status.UNKNOWN
+    assert (result.reason.kind, result.reason.stage) == (UnknownKind.INCOMPLETE, "decompose")
+    assert result.reason.detail == "decomposition incomplete: repeated variable"
 
 
 def test_levi_3split_ground_truth_by_enumeration():

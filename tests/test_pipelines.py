@@ -108,6 +108,17 @@ def test_suite_instances_decide_and_match_ground_truth():
             assert eval_problem(problem, model.strings, model.integers), name
 
 
+def test_literal_target_split_decides_by_the_noodles_found():
+    """``pipe-22`` of seed 12 inverts one ``str.replace`` into the literal
+    ``baaaabb``: its 5-part split has 4096 boundary choices but almost all
+    are empty, so the walk finds few noodles and the instance decides."""
+    problem, expected = {n: (p, e) for n, p, e in P.generate(36, seed=12)}["pipe-22-inversion"]
+    assert expected == "sat"
+    result = _solver().check(problem)
+    assert result.status is Status.SAT, result.reason
+    assert eval_problem(problem, result.model.strings, result.model.integers)
+
+
 def test_ground_truth_agrees_with_brute_force_on_small_instances():
     confirmed = 0
     for seed in range(8):

@@ -147,3 +147,15 @@ def test_replace_atom_matches_function_semantics():
                 )
                 assert eval_atom(atom, {"out": expected}), (s, t, r)
                 assert not eval_atom(atom, {"out": expected + "ab"}), (s, t, r)
+
+
+def test_membership_compiles_its_pattern_once():
+    import repro.strings.semantics as semantics
+    from repro.strings.ast import RegexMembership
+
+    semantics._compiled.cache_clear()
+    atom = RegexMembership("x", "(ab)*b")
+    assert eval_atom(atom, {"x": "abb"})
+    assert not eval_atom(atom, {"x": "ab"})
+    info = semantics._compiled.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

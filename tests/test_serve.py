@@ -32,10 +32,18 @@ UNSAT_SCRIPT = (
     '(set-logic QF_S)(declare-const x String)'
     '(assert (= x "a"))(assert (= x "b"))(check-sat)'
 )
+#: an equivalence query of two concat/substr pipelines (``pipe-20`` of
+#: ``pipelines.generate(36, seed=12)``) that runs into the solver's deadline
 SLOW_SCRIPT = (
-    "(set-logic QF_S)"
-    "(declare-const x String)(declare-const y String)"
-    '(assert (= (str.++ x y) (str.++ y x "ab")))'
+    '(set-logic QF_SLIA)(set-info :alphabet "ab")'
+    "(declare-const l0 String)(declare-const l1 String)(declare-const l2 String)"
+    "(declare-const l3 String)(declare-const r1 String)(declare-const r2 String)"
+    '(assert (str.in_re l0 (re.++ (str.to_re "a") (re.* (re.union (str.to_re "a") (str.to_re "b"))))))'
+    "(assert (<= (str.len l0) 3))"
+    '(assert (= l1 (str.++ l0 "aa")))(assert (= l2 (str.substr l1 0 1)))'
+    '(assert (= l3 (str.replace l2 "b" "a")))(assert (not (str.contains l3 "b")))'
+    '(assert (= r1 (str.++ l0 "aa")))(assert (= r2 (str.substr r1 0 1)))'
+    "(assert (not (= l3 r2)))"
     "(check-sat)"
 )
 
