@@ -8,7 +8,7 @@ checked statically that new loops keep the contract.  This rule is that
 check.
 
 Scope: the engine packages where a loop can depend on problem size —
-``automata/``, ``eqsolver/``, ``lia/``, ``solver/``, ``strings/``.
+``automata/``, ``core/``, ``eqsolver/``, ``lia/``, ``solver/``, ``strings/``.
 
 What counts as *unbounded*:
 
@@ -55,7 +55,7 @@ from ..framework import Context, Finding, Rule, register
 from ..loader import ModuleInfo
 
 #: engine packages under src/repro/ whose loops must checkpoint
-ENGINE_PACKAGES = ("automata", "eqsolver", "lia", "solver", "strings")
+ENGINE_PACKAGES = ("automata", "core", "eqsolver", "lia", "solver", "strings")
 
 #: calls considered O(1) when deciding whether a while body is trivial
 TRIVIAL_CALLS = frozenset(

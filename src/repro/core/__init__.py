@@ -10,6 +10,8 @@ Layout (section numbers refer to the paper):
 * :mod:`repro.core.notcontains` — the ¬contains procedure for flat
   languages (§6.4),
 * :mod:`repro.core.witness` — model reconstruction from Parikh images,
+* :mod:`repro.core.lengths` — length sets of automata, for variables no
+  predicate mentions (a lasso formula and a word of a given length),
 * :mod:`repro.core.one_counter` — the PTime procedure for a single
   disequality (§7, App. B).
 """

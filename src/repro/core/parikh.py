@@ -258,6 +258,7 @@ class _Support:
             seen.add(root)
             stack, members = [root], []
             while stack:
+                checkpoint("parikh.components")
                 state = stack.pop()
                 members.append(state)
                 for other in self.neighbours[state]:
@@ -276,6 +277,7 @@ class _Support:
         stack: List[Tuple[int, Optional[int]]] = [(start, None)]
         trail: List[int] = []
         while stack:
+            checkpoint("parikh.walk")
             state, _ = stack[-1]
             chosen = None
             for index in self.outgoing.get(state, ()):

@@ -17,7 +17,10 @@ walked by one fold (:meth:`IncrementalPipeline._decide`):
    predicates sharing variables; each component is encoded into one LIA
    formula over the Parikh image of a tag automaton — the single-predicate
    construction ``A^II`` (§5.2) when the component has one predicate, the
-   system construction ``A^III`` (§5.3/§6.5) otherwise.  ¬contains
+   system construction ``A^III`` (§5.3/§6.5) otherwise.  A component with
+   no predicate at all (a variable only the integer part mentions) is
+   encoded as the length set of its automaton
+   (:mod:`repro.core.lengths`).  ¬contains
    predicates over flat languages are handled by model-based quantifier
    instantiation (§6.4).  Parikh connectivity is enforced on demand: each
    sat LIA model is cut until every encoding's run is connected
@@ -86,6 +89,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from ..automata.dense import stats_snapshot as dense_stats_snapshot
 from ..automata.enumeration import is_finite, shortest_word, words_up_to
 from ..automata.nfa import Nfa
+from ..core.lengths import LengthEncoding, encode_length, length_lasso
 from ..core.notcontains import NotContainsEncoder, base_transition_counts, find_failing_offset
 from ..core.parikh import ParikhEncoding, connectivity_cuts
 from ..core.predicates import (
@@ -100,7 +104,7 @@ from ..core.single import SingleEncoding, encode_single
 from ..core.system import SystemEncoding, encode_system
 from ..core.witness import extract_assignment
 from ..eqsolver import Branch, DecompositionResult, decompose
-from ..lia import LiaSolver, LiaStatus, eq, gt, var
+from ..lia import LiaSolver, LiaStatus, conj, eq, ge, gt, var
 from ..lia import And as LiaAnd
 from ..lia import Eq as LiaEq
 from ..lia import Formula as LiaFormula
@@ -114,7 +118,7 @@ from ..strings.semantics import eval_problem
 from .config import SolverConfig
 from .result import SolveResult, Status, StringModel
 
-Encoding = Union[SingleEncoding, SystemEncoding]
+Encoding = Union[SingleEncoding, SystemEncoding, LengthEncoding]
 
 #: hashable key of one LIA part of a branch conjunction
 PartKey = Tuple
@@ -360,9 +364,10 @@ class IncrementalPipeline:
 
         The first sat branch wins, its model stripped of the case's fresh
         variables.  Unsat needs every branch refuted and every
-        decomposition complete; otherwise the answer is unknown, with the
-        last branch's reason or, failing one, the limit that stopped the
-        first incomplete decomposition.
+        decomposition complete, or the case of an incomplete one refuted
+        by lengths (:meth:`_lengths_refute`); otherwise the answer is
+        unknown, with the last branch's reason or, failing one, the limit
+        that stopped the first incomplete decomposition.
         """
         cases = [(problem, frozenset())]
         branch_budget = _MAX_BRANCHES
@@ -396,6 +401,8 @@ class IncrementalPipeline:
 
             with watch.stage("decompose"):
                 decomposition, branch_fp_base = self._decompose(normal_form, branch_budget)
+                if decomposition.gave_up and self._lengths_refute(normal_form, watch):
+                    continue  # then every branch of the case is unsat too
             gave_up = gave_up or decomposition.gave_up
             for index, branch in enumerate(decomposition.branches):
                 watch.check_now("solve.branch")
@@ -472,6 +479,32 @@ class IncrementalPipeline:
         else:
             self.counters["decomposition_hits"] += 1
         return decomposition, ("eq", key)
+
+    def _lengths_refute(self, normal_form: NormalForm, watch: Budget) -> bool:
+        """Whether lengths alone refute a case (tried when its decomposition gave up).
+
+        The case's integer parts, ``Σ|lhs| = Σ|rhs|`` per equation and the
+        length set of each equation variable's language are implied by the
+        case, so an unsat conjunction refutes the case exactly.
+        """
+
+        def length(name: str) -> LinExpr:
+            return var(length_variable(name))
+
+        parts = list(normal_form.integer_parts)
+        names: Dict[str, None] = {}
+        for lhs, rhs in normal_form.equations:
+            parts.append(eq(LinExpr.sum_of(map(length, lhs)), LinExpr.sum_of(map(length, rhs))))
+            names.update(dict.fromkeys(lhs + rhs))
+        for name in names:
+            lasso = length_lasso(normal_form.automata[name])
+            if lasso is None:
+                parts.append(ge(length(name), 0))
+            else:
+                parts.append(lasso.formula(length(name), f"@lenk.{name}"))
+        solver = LiaSolver()
+        solver.add_assertion(conj(parts))
+        return solver.check(budget=watch).status is LiaStatus.UNSAT
 
     # ------------------------------------------------------------------
     # Branch preparation
@@ -590,15 +623,21 @@ class IncrementalPipeline:
         component = _Component(
             predicates=list(predicates), contains=list(contains), variables=set(variables)
         )
-        if len(component.predicates) == 1 and not component.contains:
-            component.encoding = encode_single(
-                component.predicates[0], automata, prefix=prefix,
-                extra_variables=[v for v in names if v not in component.predicates[0].string_variables()],
-            )
-        else:
-            component.encoding = encode_system(
-                component.predicates, automata, prefix=prefix, extra_variables=names
-            )
+        if not component.predicates and not component.contains:
+            # One length-referenced variable: its length set is all the
+            # integer part can see (None past the lasso's size bound).
+            (name,) = names
+            component.encoding = encode_length(name, automata[name], prefix=prefix)
+        if component.encoding is None:
+            if len(component.predicates) == 1 and not component.contains:
+                component.encoding = encode_single(
+                    component.predicates[0], automata, prefix=prefix,
+                    extra_variables=[v for v in names if v not in component.predicates[0].string_variables()],
+                )
+            else:
+                component.encoding = encode_system(
+                    component.predicates, automata, prefix=prefix, extra_variables=names
+                )
         for nc_index, predicate in enumerate(component.contains):
             encoder = NotContainsEncoder(predicate, automata, index=nc_index)
             component.encoders.append((predicate, encoder if encoder.languages_are_flat() else None))
@@ -1019,7 +1058,11 @@ class IncrementalPipeline:
                 _merge_stats(stats, result.stats)
                 if result.status is not LiaStatus.SAT:
                     return result
-                encodings = [component.encoding.parikh for component in components]
+                # Length-only components have no run graph to connect.
+                encodings = [
+                    component.encoding.parikh for component in components
+                    if not isinstance(component.encoding, LengthEncoding)
+                ]
                 encodings += [enc for level in state.copies for enc in level]
                 cuts = [cut for enc in encodings for cut in connectivity_cuts(enc, result.model)]
                 if not cuts:
@@ -1048,8 +1091,11 @@ class IncrementalPipeline:
 
                 strings: Dict[str, str] = {}
                 for component in components:
-                    names = sorted(component.variables)
-                    extracted = extract_assignment(component.encoding.parikh, result.model, names)
+                    if isinstance(component.encoding, LengthEncoding):
+                        extracted = component.encoding.assignment(result.model)
+                    else:
+                        names = sorted(component.variables)
+                        extracted = extract_assignment(component.encoding.parikh, result.model, names)
                     if extracted is None:
                         return _unknown(UnknownKind.INCOMPLETE, "witness",
                                         "witness reconstruction failed",

@@ -29,10 +29,15 @@ reproduces.  The minimal scenario is emitted as a replayable SMT-LIB
 repro file whose header records the seed, configuration and
 classification — ``python -m repro.smtlib <repro>`` replays it.
 
-Determinism: everything is driven by ``random.Random(seed)`` inside the
-generator and by the solver's own step budgets here — this module reads
-no clocks and no global randomness, so a seed list reproduces bit-for-bit
-(the static analyzer's determinism rule holds it to that).
+Determinism: the scenarios are driven by ``random.Random(seed)`` inside
+the generator, and this module reads no clocks and no global randomness
+(the static analyzer's determinism rule holds it to that), so a seed list
+always yields the same instances.  The verdicts are not bit-for-bit
+reproducible: ``--budget`` is a wall-clock limit in seconds per check
+(``_solve`` passes it as the check's ``timeout``), so a seed whose checks
+decide close to it can change status between runs on the same code (at
+``--budget 0.5``, seed 38 answers ``sat`` in 0.45–0.50 s under both
+configurations).
 
 Run the CI sweep locally::
 

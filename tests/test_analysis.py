@@ -171,6 +171,41 @@ def test_checkpoint_scope_is_engine_packages_only():
     assert not violations(report, "checkpoint-coverage")
 
 
+EULER_WALK = """
+def walk(outgoing, remaining, start):
+    stack, trail = [(start, None)], []
+    while stack:
+        state, _ = stack[-1]
+        chosen = None
+        for index in outgoing.get(state, ()):
+            if remaining[index] > 0:
+                chosen = index
+                break
+        if chosen is None:
+            trail.append(stack.pop()[1])
+        else:
+            remaining[chosen] -= 1
+            stack.append((chosen, chosen))
+    return trail
+"""
+
+
+def test_checkpoint_covers_core_package():
+    # A model-sized walk in the Parikh layer (the Hierholzer trail of
+    # ``core/parikh.py`` once had none) must checkpoint like any engine loop.
+    report = run_rules(EULER_WALK, relpath="src/repro/core/fixture.py",
+                       rules=["checkpoint-coverage"])
+    found = violations(report, "checkpoint-coverage")
+    assert [finding.line for finding in found] == [4]  # the while statement
+    checked = EULER_WALK.replace(
+        "        state, _ = stack[-1]\n",
+        "        checkpoint('parikh.walk')\n        state, _ = stack[-1]\n",
+    )
+    report = run_rules("from ..budget import checkpoint\n" + checked,
+                       relpath="src/repro/core/fixture.py", rules=["checkpoint-coverage"])
+    assert not violations(report, "checkpoint-coverage")
+
+
 def test_reintroducing_unchecked_intsolver_loop_trips_analyzer():
     # The acceptance regression: strip the real elimination loop's
     # checkpoints and the analyzer must fail on the modified module.  The

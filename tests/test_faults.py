@@ -594,3 +594,47 @@ def test_budget_fault_inside_noodlification_leaves_session_reusable(case, site, 
     if faulted is not None:
         assert faulted.status in (Status.UNKNOWN, Status.TIMEOUT)
     assert session.check().status is expected is _fresh_verdict(atoms)
+
+
+#: length-only checks: (atoms, expected, the lengths.* sites they reach)
+_LENGTH_CASES = [
+    # x's length set is its whole encoding; the sat model's word is picked
+    # back from the lasso's layers
+    (
+        [
+            RegexMembership("x", "(ab)*a", positive=True),
+            LengthConstraint(ge(str_len("x"), 7)),
+        ],
+        Status.SAT,
+        ("lengths.lasso", "lengths.word"),
+    ),
+    # the decomposition gives up on the repeated variables; the length sets
+    # of x, y and "ab" refute the case
+    (
+        [WordEquation(term("x", "y"), term("y", "x", lit("ab")))],
+        Status.UNSAT,
+        ("lengths.lasso",),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case, site",
+    [(case, site) for case, (_, _, sites) in enumerate(_LENGTH_CASES) for site in sites],
+)
+@pytest.mark.parametrize("action", ["exhaust", "interrupt"])
+@pytest.mark.parametrize("at", [1, 2])
+def test_budget_fault_inside_length_set_loops_leaves_session_reusable(case, site, action, at):
+    atoms, expected, _ = _LENGTH_CASES[case]
+    session = Session(config=_config(), alphabet=("a", "b"))
+    for atom in atoms:
+        session.add(atom)
+    injector = FaultInjector([FaultSpec(site, at=at, action=action)])
+    try:
+        faulted = session.check(budget=Budget(30.0, hook=injector))
+    except KeyboardInterrupt:
+        faulted = None
+    assert injector.specs[0].fired == 1
+    if faulted is not None:
+        assert faulted.status in (Status.UNKNOWN, Status.TIMEOUT)
+    assert session.check().status is expected is _fresh_verdict(atoms)

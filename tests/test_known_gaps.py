@@ -81,6 +81,17 @@ def test_levi_3split_gives_up_on_a_repeated_variable():
     assert result.reason.detail == "decomposition incomplete: repeated variable"
 
 
+def test_lengths_refute_a_repeated_variable_give_up():
+    # x·y = y·x·ab repeats both variables, so its decomposition gives up;
+    # |x|+|y| = |y|+|x|+2 has no solution, so the case is unsat anyway.
+    # gap-levi-3split (above) has consistent lengths and still gives up.
+    from repro import Session, WordEquation, lit, term
+
+    session = Session(config=SolverConfig(timeout=10.0), alphabet=("a", "b"))
+    session.add(WordEquation(term("x", "y"), term("y", "x", lit("ab"))))
+    assert session.check().status is Status.UNSAT
+
+
 def test_levi_3split_ground_truth_by_enumeration():
     """Independent evidence for the recorded ground truth: exhaustively
     refute `s = x·ab·y ∧ s = y·ba·x ∧ s = z·aa·z` for every |s| ≤ 8."""
