@@ -81,7 +81,9 @@ class Context:
         from .callgraph import CallGraph
 
         self.modules = list(modules)
-        self.callgraph = CallGraph(self.modules)
+        # Test helpers must not lend their names to engine calls: a test's
+        # local ``add`` reaching a checkpoint would cover every ``set.add``.
+        self.callgraph = CallGraph([module for module in self.modules if not module.is_test])
 
 
 _REGISTRY: List[Rule] = []

@@ -27,6 +27,7 @@ from .operations import StateBudgetExceeded
 def legacy_accepts(nfa: Nfa, word: str) -> bool:
     """Membership by explicit ε-closure subset simulation."""
     current = nfa.epsilon_closure(nfa.initial)
+    # repro: allow(checkpoint-coverage): legacy differential oracle, budget-free by design (see the module docstring)
     for ch in word:
         nxt: Set[State] = set()
         for state in current:
@@ -41,6 +42,7 @@ def legacy_reachable_states(nfa: Nfa) -> Set[State]:
     """Forward reachability with an explicit set-based worklist."""
     seen: Set[State] = set(nfa.initial)
     work = deque(nfa.initial)
+    # repro: allow(checkpoint-coverage): legacy differential oracle, budget-free by design (see the module docstring)
     while work:
         state = work.popleft()
         for _, dst in nfa.transitions_from(state):
@@ -57,6 +59,7 @@ def legacy_coreachable_states(nfa: Nfa) -> Set[State]:
         predecessors.setdefault(dst, set()).add(src)
     seen: Set[State] = set(nfa.final)
     work = deque(nfa.final)
+    # repro: allow(checkpoint-coverage): legacy differential oracle, budget-free by design (see the module docstring)
     while work:
         state = work.popleft()
         for src in predecessors.get(state, set()):
@@ -137,6 +140,7 @@ def legacy_determinize(
     work = deque([start])
     processed: Set[FrozenSet[State]] = {start}
     by_symbol = {symbol: nfa.transitions_on(symbol) for symbol in sigma}
+    # repro: allow(checkpoint-coverage): legacy differential oracle, budget-free by design (see the module docstring)
     while work:
         subset = work.popleft()
         src = state_for(subset)
@@ -181,6 +185,7 @@ def legacy_intersection(left: Nfa, right: Nfa) -> Nfa:
         return pair_to_state[pair]
 
     work: deque = deque()
+    # repro: allow(checkpoint-coverage): legacy differential oracle, budget-free by design (see the module docstring)
     for p in left_nf.initial:
         for q in right_nf.initial:
             state = state_for((p, q))
@@ -189,6 +194,7 @@ def legacy_intersection(left: Nfa, right: Nfa) -> Nfa:
     seen: Set[Tuple[State, State]] = set(
         (p, q) for p in left_nf.initial for q in right_nf.initial
     )
+    # repro: allow(checkpoint-coverage): legacy differential oracle, budget-free by design (see the module docstring)
     while work:
         p, q = work.popleft()
         src = state_for((p, q))

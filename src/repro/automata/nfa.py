@@ -253,6 +253,7 @@ class Nfa:
         """Return the epsilon closure of the given set of states."""
         closure = set(states)
         work = deque(closure)
+        # repro: allow(checkpoint-coverage): only the budget-free legacy oracles call this; solver paths use the dense form's precomputed closures
         while work:
             state = work.popleft()
             for dst in self._delta.get(state, {}).get(EPSILON, set()):

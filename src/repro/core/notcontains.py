@@ -18,9 +18,10 @@ This module provides:
 
 * :class:`NotContainsEncoder` — builds the A^II automaton of the predicate,
   the ``EqualWords`` linking constraints against a *master* encoding (the
-  system encoding of the remaining constraints, which contains all the
+  encoding of the remaining constraints, which contains all the
   variables), the instantiation lemmas, and the fully quantified φ^NC for
-  reference,
+  reference.  The body φ_sym ∧ φ_mis(κ) is A^II's own mismatch condition
+  (:func:`repro.core.single.mismatch`) with the needle shifted by κ,
 * :func:`find_failing_offset` — the model-based counterexample search used
   by the MBQI loop in :mod:`repro.solver.solver`.
 """
@@ -28,24 +29,15 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..automata.flatness import is_flat
 from ..automata.nfa import Nfa
 from ..lia import Formula, LinExpr, conj, disj, eq, exists, forall, gt, lt, var
 from . import parikh
 from .predicates import NotContains
-from .single import (
-    _alphabet_of,
-    _mismatch_count,
-    _occurrence_prefix,
-    _order_index,
-    _side_length,
-    _symbols_differ,
-    build_mismatch_automaton,
-)
-from .tag_automaton import ConcatInfo, TagAutomaton
-from .tags import length_tag, position_tag
+from .single import _alphabet_of, build_mismatch_automaton, mismatch
+from .tag_automaton import ConcatInfo
 
 #: LIA variable name used for the universally quantified offset in φ^NC.
 OFFSET_VARIABLE = "@kappa"
@@ -100,47 +92,24 @@ class NotContainsEncoder:
         needle = LinExpr.sum_of(length_of(name) for name in self.predicate.needle)
         return haystack - needle
 
-    def _mismatch_for_offset(self, enc: parikh.ParikhEncoding, offset) -> Formula:
-        """φ_sym ∧ φ_mis(offset) over the inner encoding ``enc``.
-
-        ``offset`` is added to the needle-side global position (the needle is
-        shifted to the right by the alignment offset, §6.4).
-        """
-        needle, haystack = self.predicate.needle, self.predicate.haystack
-        options: List[Formula] = []
-        for i in range(1, len(needle) + 1):
-            for j in range(1, len(haystack) + 1):
-                x, y = needle[i - 1], haystack[j - 1]
-                lhs_prefix = _occurrence_prefix(enc, needle, i)
-                rhs_prefix = _occurrence_prefix(enc, haystack, j)
-                p1x = enc.tag_count(position_tag(x, 1))
-                p2x = enc.tag_count(position_tag(x, 2))
-                p1y = enc.tag_count(position_tag(y, 1))
-                p2y = enc.tag_count(position_tag(y, 2))
-                if x != y:
-                    if _order_index(self.info, x) < _order_index(self.info, y):
-                        position = eq(offset + p1x + lhs_prefix, p2y + rhs_prefix)
-                    else:
-                        position = eq(offset + p2x + lhs_prefix, p1y + rhs_prefix)
-                else:
-                    position = disj(
-                        [
-                            eq(offset + p1x + lhs_prefix, p1x + p2x + rhs_prefix),
-                            eq(offset + p1x + p2x + lhs_prefix, p1x + rhs_prefix),
-                        ]
-                    )
-                if x == y or _order_index(self.info, x) <= _order_index(self.info, y):
-                    first, second = x, y
-                else:
-                    first, second = y, x
-                existence = conj(
-                    [
-                        gt(_mismatch_count(enc, first, 1, self.alphabet), 0),
-                        gt(_mismatch_count(enc, second, 2, self.alphabet), 0),
-                    ]
-                )
-                options.append(conj([position, existence]))
-        return conj([_symbols_differ(enc, self.variables, self.alphabet), disj(options)])
+    def _linked_copy(
+        self, prefix: str, offset: LinExpr, master_counts: Mapping[Tuple, LinExpr], connectivity: bool
+    ) -> Tuple[parikh.ParikhEncoding, Formula, Formula]:
+        """A fresh copy ``#2`` of the Parikh variables of ``A^II``, the
+        ``EqualWords(#1, #2)`` links to the master counts, and φ_sym ∧
+        φ_mis(κ) over the copy with the needle shifted right by ``offset``."""
+        inner = parikh.encode(self.automaton, prefix=prefix, connectivity=connectivity)
+        inner_counts = base_transition_counts(inner, self.info)
+        links = [
+            eq(inner_counts[key], master_counts[key])
+            for key in inner_counts
+            if key in master_counts
+        ]
+        shifted = mismatch(
+            inner, self.info, self.variables, self.alphabet,
+            self.predicate.needle, self.predicate.haystack, shift=offset,
+        )
+        return inner, conj(links), shifted
 
     # ------------------------------------------------------------------
     def instantiation_lemma(
@@ -157,17 +126,12 @@ class NotContainsEncoder:
         must cut its models (:func:`parikh.connectivity_cuts`) like those
         of any other encoding.
         """
-        prefix = self._fresh_prefix()
-        inner = parikh.encode(self.automaton, prefix=prefix)
-        inner_counts = base_transition_counts(inner, self.info)
-        links = [
-            eq(inner_counts[key], master_counts[key])
-            for key in inner_counts
-            if key in master_counts
-        ]
-        mismatch = self._mismatch_for_offset(inner, LinExpr.constant(offset_value))
-        overflow = gt(LinExpr.constant(offset_value), self.length_difference(length_of))
-        return conj([inner.formula, conj(links), disj([mismatch, overflow])]), inner
+        offset = LinExpr.constant(offset_value)
+        inner, links, shifted = self._linked_copy(
+            self._fresh_prefix(), offset, master_counts, connectivity=False
+        )
+        overflow = gt(offset, self.length_difference(length_of))
+        return conj([inner.formula, links, disj([shifted, overflow])]), inner
 
     def quantified_formula(self, master_counts: Mapping[Tuple, LinExpr], length_of) -> Formula:
         """The full φ^NC (eq. 32) with an explicit ∀κ ∃#2 prefix.
@@ -178,16 +142,12 @@ class NotContainsEncoder:
         the flat languages this procedure requires.
         """
         kappa = var(OFFSET_VARIABLE)
-        inner = parikh.encode(self.automaton, prefix=f"nc{self.index}.q.", connectivity=True)
-        inner_counts = base_transition_counts(inner, self.info)
-        links = [
-            eq(inner_counts[key], master_counts[key])
-            for key in inner_counts
-            if key in master_counts
-        ]
+        inner, links, shifted = self._linked_copy(
+            f"nc{self.index}.q.", kappa, master_counts, connectivity=True
+        )
         body = disj(
             [
-                conj([inner.formula, conj(links), self._mismatch_for_offset(inner, kappa)]),
+                conj([inner.formula, links, shifted]),
                 lt(kappa, 0),
                 gt(kappa, self.length_difference(length_of)),
             ]

@@ -8,15 +8,22 @@ transition from copy 1 to copy 2 samples the first mismatch symbol (tag
 its transitions were taken in each copy; length tags ⟨L, x⟩ count them in
 total.
 
-From the Parikh tag formula of ``A^II`` the functions below assemble the
-per-predicate LIA formulae:
+Every mismatch condition of the paper is written once, here:
 
-* :func:`encode_disequality` — eq. (15) (and the §5.1 special case),
-* :func:`encode_not_prefixof` / :func:`encode_not_suffixof` — §6.2,
-* :func:`encode_str_at` — §6.3 (both the positive and the negated form).
+* :data:`MISMATCH_KINDS` — the length escape and the alignment direction of
+  ``≠`` (eq. 15; §5.1 is the two-variable case), ``¬prefixof`` (eq. 22) and
+  ``¬suffixof`` (eqs. 23–24),
+* :func:`mismatch` — φ_sym ∧ φ_mis (eqs. 8–14), optionally with the left
+  side shifted by an offset, which is the body of φ^NC (§6.4,
+  :mod:`repro.core.notcontains`),
+* :func:`str_at_condition` — the length-and-bounds case split of
+  ``str.at``/``¬str.at`` (§6.3, eqs. 27–28) around a sampled-character
+  condition, shared with the ``A^III`` system encoding
+  (:mod:`repro.core.system`), which reads the same table.
 
-Two deliberate deviations from the paper's presentation are documented in
-the code below (they fix what we believe are typos):
+:func:`encode_single` assembles them over ``A^II``.  Two deliberate
+deviations from the paper's presentation are documented in the code below
+(they fix what we believe are typos):
 
 1. the ¬suffixof position condition uses *suffix* sums of the preceding
    occurrences (distance to the end of the respective side), and
@@ -27,35 +34,42 @@ the code below (they fix what we believe are typos):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..automata.nfa import Nfa
-from ..lia import Formula, LinExpr, conj, disj, eq, ge, gt, le, lt, ne
+from ..lia import Formula, LinExpr, conj, disj, eq, ge, gt, lt, ne
 from . import parikh
 from .predicates import Disequality, NotPrefixOf, NotSuffixOf, StrAt
 from .tag_automaton import ConcatInfo, TagAutomaton, concat_for_variables
-from .tags import Tag, length_tag, mismatch_tag, position_tag, symbol_tag
+from .tags import length_tag, mismatch_tag, position_tag, symbol_tag
 
 
 @dataclass
-class SingleEncoding:
-    """Result of encoding one position predicate.
+class TagEncoding:
+    """Position predicates encoded over a tag automaton (``A^II`` or ``A^III``).
 
     ``formula`` is equisatisfiable (together with the surrounding integer
-    constraints) to the predicate under the regular membership constraints;
-    ``parikh`` gives access to the tag counters (e.g. for adding length
-    constraints), and ``variable_order`` is the order ≼ of the concatenation.
+    constraints) to the predicates under the regular membership
+    constraints; ``parikh`` gives access to the tag counters, and
+    ``info.order`` is the order ≼ of the concatenation.
     """
 
     formula: Formula
     parikh: parikh.ParikhEncoding
-    automaton: TagAutomaton
     info: ConcatInfo
-    variable_order: Tuple[str, ...]
 
     def length_of(self, variable: str) -> LinExpr:
         """LIA expression for ``len(variable)`` (the ⟨L, x⟩ counter)."""
         return self.parikh.tag_count(length_tag(variable))
+
+
+#: Per predicate type: the escape through lengths, applied to (|lhs|, |rhs|),
+#: and whether the mismatch is aligned from the end of both sides.
+MISMATCH_KINDS: Dict[type, Tuple[Callable[[LinExpr, LinExpr], Formula], bool]] = {
+    Disequality: (ne, False),
+    NotPrefixOf: (gt, False),
+    NotSuffixOf: (gt, True),
+}
 
 
 # ----------------------------------------------------------------------
@@ -172,25 +186,16 @@ def _mismatch_count(enc: parikh.ParikhEncoding, variable: str, order: int, alpha
     return LinExpr.sum_of(enc.tag_count(mismatch_tag(variable, order, a)) for a in alphabet)
 
 
-def _symbols_differ(enc: parikh.ParikhEncoding, variables: Sequence[str], alphabet: Sequence[str]) -> Formula:
-    """φ_sym (eq. 8): the two sampled symbols are different."""
+def _sampled_symbols(
+    enc: parikh.ParikhEncoding, variables: Sequence[str], alphabet: Sequence[str], same: bool
+) -> Formula:
+    """φ_sym (eq. 8; the two sampled symbols differ) or φ'_sym (§6.3; they are equal)."""
     parts = []
     for a in alphabet:
         total = LinExpr.sum_of(
             enc.tag_count(mismatch_tag(x, order, a)) for x in variables for order in (1, 2)
         )
-        parts.append(lt(total, 2))
-    return conj(parts)
-
-
-def _symbols_equal(enc: parikh.ParikhEncoding, variables: Sequence[str], alphabet: Sequence[str]) -> Formula:
-    """φ'_sym (§6.3): the two sampled symbols are the same."""
-    parts = []
-    for a in alphabet:
-        total = LinExpr.sum_of(
-            enc.tag_count(mismatch_tag(x, order, a)) for x in variables for order in (1, 2)
-        )
-        parts.append(ne(total, 1))
+        parts.append(ne(total, 1) if same else lt(total, 2))
     return conj(parts)
 
 
@@ -205,9 +210,15 @@ def _position_formula_prefix(
     rhs: Sequence[str],
     i: int,
     j: int,
+    shift: Optional[LinExpr] = None,
 ) -> Formula:
-    """φ_pos(i, j) (eqs. 9–11): equal global mismatch positions from the start."""
+    """φ_pos(i, j) (eqs. 9–11): equal global mismatch positions from the start.
+
+    ``shift`` moves the left side to the right (the needle's offset κ in
+    φ^NC, §6.4).
+    """
     x, y = lhs[i - 1], rhs[j - 1]
+    start = LinExpr() if shift is None else shift
     lhs_prefix = _occurrence_prefix(enc, lhs, i)
     rhs_prefix = _occurrence_prefix(enc, rhs, j)
     p1x = enc.tag_count(position_tag(x, 1))
@@ -216,13 +227,13 @@ def _position_formula_prefix(
     p2y = enc.tag_count(position_tag(y, 2))
     if x != y:
         if _order_index(info, x) < _order_index(info, y):
-            return eq(p1x + lhs_prefix, p2y + rhs_prefix)
-        return eq(p2x + lhs_prefix, p1y + rhs_prefix)
+            return eq(start + p1x + lhs_prefix, p2y + rhs_prefix)
+        return eq(start + p2x + lhs_prefix, p1y + rhs_prefix)
     # Occurrences of the same variable: either side may hold the first mismatch.
     return disj(
         [
-            eq(p1x + lhs_prefix, p1x + p2x + rhs_prefix),
-            eq(p1x + p2x + lhs_prefix, p1x + rhs_prefix),
+            eq(start + p1x + lhs_prefix, p1x + p2x + rhs_prefix),
+            eq(start + p1x + p2x + lhs_prefix, p1x + rhs_prefix),
         ]
     )
 
@@ -281,120 +292,73 @@ def _mismatch_exists(
     )
 
 
-def _mismatch_disjunction(
+def mismatch(
     enc: parikh.ParikhEncoding,
     info: ConcatInfo,
+    variables: Sequence[str],
+    alphabet: Sequence[str],
     lhs: Sequence[str],
     rhs: Sequence[str],
-    alphabet: Sequence[str],
-    from_end: bool,
+    from_end: bool = False,
+    shift: Optional[LinExpr] = None,
 ) -> Formula:
-    """φ_mis (eq. 14): some pair of occurrences holds the mismatch."""
-    position_formula = _position_formula_suffix if from_end else _position_formula_prefix
+    """φ_sym ∧ φ_mis (eqs. 8, 14): some pair of occurrences holds a mismatch.
+
+    Positions are aligned from the start of both sides, with ``lhs`` moved
+    right by ``shift``, or from their end (``from_end``, §6.2).
+    """
     options: List[Formula] = []
     for i in range(1, len(lhs) + 1):
         for j in range(1, len(rhs) + 1):
+            if from_end:
+                position = _position_formula_suffix(enc, info, lhs, rhs, i, j)
+            else:
+                position = _position_formula_prefix(enc, info, lhs, rhs, i, j, shift)
             options.append(
-                conj(
-                    [
-                        position_formula(enc, info, lhs, rhs, i, j),
-                        _mismatch_exists(enc, info, lhs[i - 1], rhs[j - 1], alphabet),
-                    ]
-                )
+                conj([position, _mismatch_exists(enc, info, lhs[i - 1], rhs[j - 1], alphabet)])
             )
-    return disj(options)
+    return conj([_sampled_symbols(enc, variables, alphabet, same=False), disj(options)])
 
 
-# ----------------------------------------------------------------------
-# Public encoders
-# ----------------------------------------------------------------------
-def _prepare(
-    automata: Dict[str, Nfa], variables: Sequence[str], prefix: str
-) -> Tuple[TagAutomaton, ConcatInfo, parikh.ParikhEncoding]:
-    automaton, info = build_mismatch_automaton(automata, variables)
-    enc = parikh.encode(automaton, prefix=prefix, connectivity=True)
-    return automaton, info, enc
+def str_at_condition(enc: parikh.ParikhEncoding, predicate: StrAt, sampled: Formula) -> Formula:
+    """The case split of ``x_s = str.at(y_1…y_m, t_i)`` or its negation (§6.3).
 
-
-def encode_disequality(
-    predicate: Disequality, automata: Dict[str, Nfa], prefix: str = "",
-    extra_variables: Sequence[str] = (),
-) -> SingleEncoding:
-    """Encode ``lhs ≠ rhs`` (eq. 15; §5.1 is the special case of two variables)."""
-    variables = _with_extras(predicate.string_variables(), extra_variables)
-    automaton, info, enc = _prepare(automata, variables, prefix)
-    alphabet = _alphabet_of(automata, variables)
-
-    length_differs = ne(_side_length(enc, predicate.lhs), _side_length(enc, predicate.rhs))
-    mismatch = conj(
-        [
-            _symbols_differ(enc, variables, alphabet),
-            _mismatch_disjunction(enc, info, predicate.lhs, predicate.rhs, alphabet, from_end=False),
-        ]
-    )
-    formula = conj([enc.formula, disj([length_differs, mismatch])])
-    return SingleEncoding(formula, enc, automaton, info, info.order)
-
-
-def encode_not_prefixof(
-    predicate: NotPrefixOf, automata: Dict[str, Nfa], prefix: str = "",
-    extra_variables: Sequence[str] = (),
-) -> SingleEncoding:
-    """Encode ``¬prefixof(lhs, rhs)`` (§6.2, eq. 22)."""
-    variables = _with_extras(predicate.string_variables(), extra_variables)
-    automaton, info, enc = _prepare(automata, variables, prefix)
-    alphabet = _alphabet_of(automata, variables)
-
-    longer = gt(_side_length(enc, predicate.lhs), _side_length(enc, predicate.rhs))
-    mismatch = conj(
-        [
-            _symbols_differ(enc, variables, alphabet),
-            _mismatch_disjunction(enc, info, predicate.lhs, predicate.rhs, alphabet, from_end=False),
-        ]
-    )
-    formula = conj([enc.formula, disj([longer, mismatch])])
-    return SingleEncoding(formula, enc, automaton, info, info.order)
-
-
-def encode_not_suffixof(
-    predicate: NotSuffixOf, automata: Dict[str, Nfa], prefix: str = "",
-    extra_variables: Sequence[str] = (),
-) -> SingleEncoding:
-    """Encode ``¬suffixof(lhs, rhs)`` (§6.2, eqs. 23–24 with corrected sums)."""
-    variables = _with_extras(predicate.string_variables(), extra_variables)
-    automaton, info, enc = _prepare(automata, variables, prefix)
-    alphabet = _alphabet_of(automata, variables)
-
-    longer = gt(_side_length(enc, predicate.lhs), _side_length(enc, predicate.rhs))
-    mismatch = conj(
-        [
-            _symbols_differ(enc, variables, alphabet),
-            _mismatch_disjunction(enc, info, predicate.lhs, predicate.rhs, alphabet, from_end=True),
-        ]
-    )
-    formula = conj([enc.formula, disj([longer, mismatch])])
-    return SingleEncoding(formula, enc, automaton, info, info.order)
-
-
-def encode_str_at(
-    predicate: StrAt, automata: Dict[str, Nfa], prefix: str = "",
-    extra_variables: Sequence[str] = (),
-) -> SingleEncoding:
-    """Encode ``x_s = str.at(y_1...y_m, t_i)`` or its negation (§6.3, eqs. 27–28)."""
-    variables = _with_extras(predicate.string_variables(), extra_variables)
-    automaton, info, enc = _prepare(automata, variables, prefix)
-    alphabet = _alphabet_of(automata, variables)
-
-    target = predicate.target
-    haystack = predicate.haystack
+    ``sampled`` says that the sampled haystack character at index ``t_i``
+    equals (differs from, when negated) the sampled character of ``x_s``.
+    """
+    target_length = enc.tag_count(length_tag(predicate.target))
+    haystack_length = _side_length(enc, predicate.haystack)
     index = predicate.index
-
-    target_length = enc.tag_count(length_tag(target))
-    haystack_length = _side_length(enc, haystack)
     in_bounds = conj([ge(index, 0), lt(index, haystack_length)])
     out_of_bounds = disj([lt(index, 0), ge(index, haystack_length)])
+    if predicate.negated:
+        # Deviation from eq. (27): the paper misses the case of an empty
+        # target with an in-bounds index (ε never equals a 1-character word).
+        return disj(
+            [
+                conj([gt(target_length, 0), out_of_bounds]),
+                gt(target_length, 1),
+                conj([eq(target_length, 0), in_bounds]),
+                conj([eq(target_length, 1), in_bounds, sampled]),
+            ]
+        )
+    return disj(
+        [
+            conj([eq(target_length, 0), out_of_bounds]),
+            conj([eq(target_length, 1), in_bounds, sampled]),
+        ]
+    )
 
-    # The position/existence disjunction over occurrences of the haystack.
+
+def _str_at_sampled(
+    enc: parikh.ParikhEncoding,
+    info: ConcatInfo,
+    variables: Sequence[str],
+    alphabet: Sequence[str],
+    predicate: StrAt,
+) -> Formula:
+    """The sampled-character condition of ``str.at`` over ``A^II`` (eq. 28)."""
+    target, haystack, index = predicate.target, predicate.haystack, predicate.index
     options: List[Formula] = []
     for j in range(1, len(haystack) + 1):
         y = haystack[j - 1]
@@ -412,57 +376,41 @@ def encode_str_at(
             options.append(conj([eq(index, p1y + rhs_prefix), existence]))
         else:
             options.append(conj([eq(index, p2y + rhs_prefix), existence]))
-    sampled_position = disj(options)
-
-    if predicate.negated:
-        # Deviation from eq. (27): the paper misses the case of an empty
-        # target with an in-bounds index (ε never equals a 1-character word).
-        formula_body = disj(
-            [
-                conj([gt(target_length, 0), out_of_bounds]),
-                gt(target_length, 1),
-                conj([eq(target_length, 0), in_bounds]),
-                conj(
-                    [
-                        eq(target_length, 1),
-                        in_bounds,
-                        _symbols_differ(enc, variables, alphabet),
-                        sampled_position,
-                    ]
-                ),
-            ]
-        )
-    else:
-        formula_body = disj(
-            [
-                conj([eq(target_length, 0), out_of_bounds]),
-                conj(
-                    [
-                        eq(target_length, 1),
-                        in_bounds,
-                        _symbols_equal(enc, variables, alphabet),
-                        sampled_position,
-                    ]
-                ),
-            ]
-        )
-    formula = conj([enc.formula, formula_body])
-    return SingleEncoding(formula, enc, automaton, info, info.order)
+    return conj(
+        [_sampled_symbols(enc, variables, alphabet, same=not predicate.negated), disj(options)]
+    )
 
 
+# ----------------------------------------------------------------------
+# The encoder
+# ----------------------------------------------------------------------
 def encode_single(
     predicate, automata: Dict[str, Nfa], prefix: str = "", extra_variables: Sequence[str] = ()
-) -> SingleEncoding:
-    """Dispatch on the predicate type (all single existential predicates)."""
-    if isinstance(predicate, Disequality):
-        return encode_disequality(predicate, automata, prefix, extra_variables)
-    if isinstance(predicate, NotPrefixOf):
-        return encode_not_prefixof(predicate, automata, prefix, extra_variables)
-    if isinstance(predicate, NotSuffixOf):
-        return encode_not_suffixof(predicate, automata, prefix, extra_variables)
+) -> TagEncoding:
+    """Encode one ``≠``, ``¬prefixof``, ``¬suffixof``, ``str.at`` or ``¬str.at`` over ``A^II``.
+
+    ``extra_variables`` forces additional variables into the ε-concatenation
+    (so that their ⟨L, x⟩ counters exist for surrounding length constraints).
+    """
+    if not isinstance(predicate, StrAt) and type(predicate) not in MISMATCH_KINDS:
+        raise TypeError(f"encode_single does not handle {predicate!r}")
+    variables = _with_extras(predicate.string_variables(), extra_variables)
+    automaton, info = build_mismatch_automaton(automata, variables)
+    enc = parikh.encode(automaton, prefix=prefix, connectivity=True)
+    alphabet = _alphabet_of(automata, variables)
     if isinstance(predicate, StrAt):
-        return encode_str_at(predicate, automata, prefix, extra_variables)
-    raise TypeError(f"encode_single does not handle {predicate!r}")
+        sampled = _str_at_sampled(enc, info, variables, alphabet, predicate)
+        body = str_at_condition(enc, predicate, sampled)
+    else:
+        escape, from_end = MISMATCH_KINDS[type(predicate)]
+        lhs, rhs = predicate.lhs, predicate.rhs
+        body = disj(
+            [
+                escape(_side_length(enc, lhs), _side_length(enc, rhs)),
+                mismatch(enc, info, variables, alphabet, lhs, rhs, from_end),
+            ]
+        )
+    return TagEncoding(conj([enc.formula, body]), enc, info)
 
 
 def _with_extras(variables: Sequence[str], extras: Sequence[str]) -> Tuple[str, ...]:

@@ -10,7 +10,13 @@ a predicate/side *shares* the symbol sampled at the previous level (copy tag
 ``m_{D,s}`` (sampled symbol, as an integer code), ``c_i`` (symbol sampled at
 level ``i``) and ``p_{D,s}`` (local position of the sample inside its
 variable) connect the Parikh counters with the per-predicate satisfaction
-conditions.
+conditions φ^k_Sat.  These are the single-predicate conditions of
+:mod:`repro.core.single`, read over ``m``/``p``: the length escape and
+alignment direction come from :data:`~repro.core.single.MISMATCH_KINDS`,
+and ``str.at``/``¬str.at`` use
+:func:`~repro.core.single.str_at_condition` with a sampled-character
+condition over ``m``/``p``.  The result is a
+:class:`~repro.core.single.TagEncoding`, like that of ``A^II``.
 
 Length equalities (§6.1) ride along on the same automaton — they only read
 the ⟨L, x⟩ counters and need no mismatch machinery.
@@ -27,19 +33,21 @@ the brute-force oracle in the test-suite):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..automata.nfa import Nfa
-from ..lia import Formula, LinExpr, conj, disj, eq, ge, gt, implies, le, lt, ne, var
+from ..lia import Formula, LinExpr, conj, disj, eq, ge, implies, le, ne, var
 from . import parikh
-from .predicates import (
-    Disequality,
-    LengthEquality,
-    NotPrefixOf,
-    NotSuffixOf,
-    PositionPredicate,
-    StrAt,
+from .predicates import LengthEquality, PositionPredicate, StrAt, predicate_variables
+from .single import (
+    MISMATCH_KINDS,
+    TagEncoding,
+    _alphabet_of,
+    _occurrence_prefix,
+    _occurrence_suffix,
+    _side_length,
+    _with_extras,
+    str_at_condition,
 )
 from .tag_automaton import ConcatInfo, TagAutomaton, concat_for_variables
 from .tags import (
@@ -51,23 +59,6 @@ from .tags import (
 )
 
 SIDES = ("L", "R")
-
-
-@dataclass
-class SystemEncoding:
-    """Result of encoding a system of position predicates."""
-
-    formula: Formula
-    parikh: parikh.ParikhEncoding
-    automaton: TagAutomaton
-    info: ConcatInfo
-    variable_order: Tuple[str, ...]
-    num_mismatch_predicates: int
-    symbol_codes: Dict[str, int]
-
-    def length_of(self, variable: str) -> LinExpr:
-        """LIA expression for ``len(variable)``."""
-        return self.parikh.tag_count(length_tag(variable))
 
 
 # ----------------------------------------------------------------------
@@ -189,15 +180,6 @@ class _SystemContext:
     # -- tag counters -----------------------------------------------------
     def length(self, variable: str) -> LinExpr:
         return self.enc.tag_count(length_tag(variable))
-
-    def side_length(self, side: Sequence[str]) -> LinExpr:
-        return LinExpr.sum_of(self.length(name) for name in side)
-
-    def occurrence_prefix(self, side: Sequence[str], index: int) -> LinExpr:
-        return LinExpr.sum_of(self.length(side[u]) for u in range(index - 1))
-
-    def occurrence_suffix(self, side: Sequence[str], index: int) -> LinExpr:
-        return LinExpr.sum_of(self.length(side[u]) for u in range(index, len(side)))
 
     def mismatch_count(self, level: int, variable: str, predicate: int, side: str) -> LinExpr:
         return LinExpr.sum_of(
@@ -350,8 +332,8 @@ class _SystemContext:
     ) -> Formula:
         """φ_Align (eq. 43): equal global positions measured from the start."""
         return eq(
-            self.occurrence_prefix(lhs, i) + self.mismatch_position(predicate, "L"),
-            self.occurrence_prefix(rhs, j) + self.mismatch_position(predicate, "R"),
+            _occurrence_prefix(self.enc, lhs, i) + self.mismatch_position(predicate, "L"),
+            _occurrence_prefix(self.enc, rhs, j) + self.mismatch_position(predicate, "R"),
         )
 
     def align_from_end(
@@ -360,28 +342,28 @@ class _SystemContext:
         """¬suffixof alignment: equal distances measured from the end."""
         lhs_var, rhs_var = lhs[i - 1], rhs[j - 1]
         lhs_distance = (
-            self.occurrence_suffix(lhs, i) + self.length(lhs_var) - self.mismatch_position(predicate, "L")
+            _occurrence_suffix(self.enc, lhs, i)
+            + self.length(lhs_var)
+            - self.mismatch_position(predicate, "L")
         )
         rhs_distance = (
-            self.occurrence_suffix(rhs, j) + self.length(rhs_var) - self.mismatch_position(predicate, "R")
+            _occurrence_suffix(self.enc, rhs, j)
+            + self.length(rhs_var)
+            - self.mismatch_position(predicate, "R")
         )
         return eq(lhs_distance, rhs_distance)
 
+    def sampled_symbols(self, predicate: int, same: bool) -> Formula:
+        """m_{D,L} = m_{D,R} (``same``) or m_{D,L} ≠ m_{D,R}."""
+        relation = eq if same else ne
+        return relation(self.mismatch_symbol(predicate, "L"), self.mismatch_symbol(predicate, "R"))
+
     def mismatch_disjunct(
-        self,
-        predicate: int,
-        lhs: Sequence[str],
-        rhs: Sequence[str],
-        from_end: bool,
-        symbols_equal: bool,
+        self, predicate: int, lhs: Sequence[str], rhs: Sequence[str], from_end: bool
     ) -> Formula:
         """∨_{i,j} of per-occurrence mismatch conditions (eq. 45)."""
         align = self.align_from_end if from_end else self.align_from_start
-        symbol_condition = (
-            eq(self.mismatch_symbol(predicate, "L"), self.mismatch_symbol(predicate, "R"))
-            if symbols_equal
-            else ne(self.mismatch_symbol(predicate, "L"), self.mismatch_symbol(predicate, "R"))
-        )
+        symbol_condition = self.sampled_symbols(predicate, same=False)
         options: List[Formula] = []
         for i in range(1, len(lhs) + 1):
             for j in range(1, len(rhs) + 1):
@@ -402,78 +384,40 @@ class _SystemContext:
 
 def _predicate_satisfaction(ctx: _SystemContext, predicate_index: int, predicate) -> Formula:
     """φ^k_Sat: the per-predicate satisfaction condition (§6.5)."""
-    if isinstance(predicate, Disequality):
-        length_differs = ne(ctx.side_length(predicate.lhs), ctx.side_length(predicate.rhs))
-        return disj(
-            [
-                length_differs,
-                ctx.mismatch_disjunct(predicate_index, predicate.lhs, predicate.rhs, False, False),
-            ]
-        )
-    if isinstance(predicate, NotPrefixOf):
-        longer = gt(ctx.side_length(predicate.lhs), ctx.side_length(predicate.rhs))
-        return disj(
-            [
-                longer,
-                ctx.mismatch_disjunct(predicate_index, predicate.lhs, predicate.rhs, False, False),
-            ]
-        )
-    if isinstance(predicate, NotSuffixOf):
-        longer = gt(ctx.side_length(predicate.lhs), ctx.side_length(predicate.rhs))
-        return disj(
-            [
-                longer,
-                ctx.mismatch_disjunct(predicate_index, predicate.lhs, predicate.rhs, True, False),
-            ]
-        )
     if isinstance(predicate, StrAt):
-        return _str_at_satisfaction(ctx, predicate_index, predicate)
-    raise TypeError(f"unsupported predicate in system encoding: {predicate!r}")
+        return str_at_condition(ctx.enc, predicate, _str_at_sampled(ctx, predicate_index, predicate))
+    kind = MISMATCH_KINDS.get(type(predicate))
+    if kind is None:
+        raise TypeError(f"unsupported predicate in system encoding: {predicate!r}")
+    escape, from_end = kind
+    lhs, rhs = predicate.lhs, predicate.rhs
+    return disj(
+        [
+            escape(_side_length(ctx.enc, lhs), _side_length(ctx.enc, rhs)),
+            ctx.mismatch_disjunct(predicate_index, lhs, rhs, from_end),
+        ]
+    )
 
 
-def _str_at_satisfaction(ctx: _SystemContext, predicate_index: int, predicate: StrAt) -> Formula:
-    """str.at / ¬str.at within a system (§6.3 adapted to the m_{D,s} variables)."""
-    target_length = ctx.length(predicate.target)
-    haystack_length = ctx.side_length(predicate.haystack)
-    index = predicate.index
-    in_bounds = conj([ge(index, 0), lt(index, haystack_length)])
-    out_of_bounds = disj([lt(index, 0), ge(index, haystack_length)])
-
+def _str_at_sampled(ctx: _SystemContext, predicate_index: int, predicate: StrAt) -> Formula:
+    """The sampled-character condition of str.at / ¬str.at over the m_{D,s} variables."""
+    haystack = predicate.haystack
     options: List[Formula] = []
-    for j in range(1, len(predicate.haystack) + 1):
-        y = predicate.haystack[j - 1]
+    for j in range(1, len(haystack) + 1):
+        y = haystack[j - 1]
+        position = _occurrence_prefix(ctx.enc, haystack, j) + ctx.mismatch_position(predicate_index, "R")
         options.append(
             conj(
                 [
                     ctx.position_definition(predicate_index, "R", y),
                     ctx.sample_exists(predicate_index, "L", predicate.target),
                     ctx.sample_exists(predicate_index, "R", y),
-                    eq(index, ctx.occurrence_prefix(predicate.haystack, j) + ctx.mismatch_position(predicate_index, "R")),
-                    (
-                        ne(ctx.mismatch_symbol(predicate_index, "L"), ctx.mismatch_symbol(predicate_index, "R"))
-                        if predicate.negated
-                        else eq(ctx.mismatch_symbol(predicate_index, "L"), ctx.mismatch_symbol(predicate_index, "R"))
-                    ),
+                    eq(predicate.index, position),
+                    ctx.sampled_symbols(predicate_index, same=not predicate.negated),
                 ]
             )
         )
-    sampled = disj(options)
-
-    if predicate.negated:
-        return disj(
-            [
-                conj([gt(target_length, 0), out_of_bounds]),
-                gt(target_length, 1),
-                conj([eq(target_length, 0), in_bounds]),
-                conj([eq(target_length, 1), in_bounds, sampled]),
-            ]
-        )
-    return disj(
-        [
-            conj([eq(target_length, 0), out_of_bounds]),
-            conj([eq(target_length, 1), in_bounds, sampled]),
-        ]
-    )
+    return disj(options)
 
 
 def encode_system(
@@ -481,7 +425,7 @@ def encode_system(
     automata: Dict[str, Nfa],
     prefix: str = "",
     extra_variables: Sequence[str] = (),
-) -> SystemEncoding:
+) -> TagEncoding:
     """Encode a conjunction of position predicates over shared variables.
 
     ``predicates`` may mix disequalities, ¬prefixof, ¬suffixof, str.at,
@@ -493,21 +437,13 @@ def encode_system(
     mismatch_predicates = [p for p in predicates if not isinstance(p, LengthEquality)]
     length_predicates = [p for p in predicates if isinstance(p, LengthEquality)]
 
-    variables: List[str] = []
-    for predicate in predicates:
-        for name in predicate.string_variables():
-            if name not in variables:
-                variables.append(name)
-    for name in extra_variables:
-        if name not in variables:
-            variables.append(name)
+    variables = _with_extras(predicate_variables(predicates), extra_variables)
 
     num_predicates = len(mismatch_predicates)
     automaton, info = build_system_automaton(automata, variables, num_predicates)
     enc = parikh.encode(automaton, prefix=prefix, connectivity=True)
 
-    alphabet = sorted({symbol for name in variables for symbol in automata[name].alphabet})
-    ctx = _SystemContext(enc, info, alphabet, num_predicates, prefix)
+    ctx = _SystemContext(enc, info, _alphabet_of(automata, variables), num_predicates, prefix)
 
     parts: List[Formula] = [enc.formula]
     if num_predicates:
@@ -519,12 +455,4 @@ def encode_system(
     for predicate in length_predicates:
         parts.append(eq(var(predicate.int_var), LinExpr.sum_of(ctx.length(p) for p in predicate.parts)))
 
-    return SystemEncoding(
-        formula=conj(parts),
-        parikh=enc,
-        automaton=automaton,
-        info=info,
-        variable_order=info.order,
-        num_mismatch_predicates=num_predicates,
-        symbol_codes=ctx.symbol_codes,
-    )
+    return TagEncoding(conj(parts), enc, info)

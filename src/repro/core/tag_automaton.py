@@ -145,6 +145,7 @@ def eps_concat(parts: Sequence[Tuple[str, TagAutomaton]]) -> Tuple[TagAutomaton,
     offset = 0
     previous_finals: List[State] = []
     base_counter = 0
+    # repro: allow(checkpoint-coverage): adds |F|·|I| ε-connectors, each a transition of the automaton that parikh.encode then walks under its per-state checkpoint
     for index, (name, part) in enumerate(parts):
         mapping = {state: offset + position for position, state in enumerate(sorted(part.states))}
         offset += len(part.states)

@@ -384,6 +384,7 @@ class Simplex:
         self._basic.add(nonbasic)
         # Substitute into the remaining rows that mention ``nonbasic``: each
         # is rewritten as a fresh primitive row stored with its denominator.
+        # repro: allow(checkpoint-coverage): hot pivot row loop: Simplex.check charges lia.simplex one step per row this pivot rewrites before it pivots
         for other in list(cols.get(nonbasic, ())):
             other_row = rows[other]
             a = other_row[nonbasic]
@@ -626,6 +627,7 @@ class Simplex:
         exactly the original constraints the cut descended from.
         """
         cuts: List[Constraint] = []
+        # repro: allow(checkpoint-coverage): one pass over the tableau rows per cut round, and the branch-and-cut loop checkpoints lia.intsolver every round
         for basic in sorted(self._basic, key=self._order.__getitem__):
             if len(cuts) >= max_cuts:
                 break

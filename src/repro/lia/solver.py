@@ -252,6 +252,7 @@ class _Context:
         """Hand new clauses and atoms over to the SAT engine and the theory."""
         self.sat.ensure_vars(self.cnf.num_vars)
         clauses = self.cnf.clauses
+        # repro: allow(checkpoint-coverage): hands over the clauses the flush's CNF encoding just made, one pass linear in them; the flush's presolve checkpoints per rewritten row
         while self._clause_watermark < len(clauses):
             self.sat.add_clause(clauses[self._clause_watermark])
             self._clause_watermark += 1

@@ -23,12 +23,14 @@ class SolverConfig:
     #: noodles, SAT iterations, ...) independently of the clock — a
     #: deterministic, machine-independent bound.  ``None`` = unlimited
     max_steps: Optional[int] = None
-    #: answer pairwise-distinct groups (conjunctions of single-variable
-    #: disequalities) by greedily picking distinct short words from the
-    #: variables' automata — verified against the original problem by the
-    #: semantics oracle — instead of encoding the n-predicate ``A^III``
-    #: system; groups whose automata lack enough short words (or whose
-    #: greedy model fails verification) fall through to the encoding.
-    #: ``False`` always takes the encoding (the ``encoding`` configuration
-    #: of the differential fuzzer, which cross-checks the shortcut)
+    #: decide pairwise-distinct groups (conjunctions of single-variable
+    #: disequalities) by a backtracking search for distinct words of the
+    #: variables' automata — a found model is verified against the original
+    #: problem by the semantics oracle — instead of encoding the
+    #: n-predicate ``A^III`` system.  An exhausted search refutes the group
+    #: when every variable's candidate list is complete; otherwise (or when
+    #: the model fails verification) the group falls through to the
+    #: encoding.  ``False`` always takes the encoding (the ``encoding``
+    #: configuration of the differential fuzzer, which cross-checks the
+    #: shortcut)
     distinct_shortcut: bool = True

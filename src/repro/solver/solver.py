@@ -100,8 +100,8 @@ from ..core.predicates import (
     PositionPredicate,
     StrAt,
 )
-from ..core.single import SingleEncoding, encode_single
-from ..core.system import SystemEncoding, encode_system
+from ..core.single import TagEncoding, encode_single
+from ..core.system import encode_system
 from ..core.witness import extract_assignment
 from ..eqsolver import Branch, DecompositionResult, decompose
 from ..lia import LiaSolver, LiaStatus, conj, eq, ge, gt, var
@@ -118,7 +118,7 @@ from ..strings.semantics import eval_problem
 from .config import SolverConfig
 from .result import SolveResult, Status, StringModel
 
-Encoding = Union[SingleEncoding, SystemEncoding, LengthEncoding]
+Encoding = Union[TagEncoding, LengthEncoding]
 
 #: hashable key of one LIA part of a branch conjunction
 PartKey = Tuple
@@ -525,7 +525,10 @@ class IncrementalPipeline:
             elif isinstance(predicate, StrAt):
                 target = branch.expand(predicate.target)
                 if len(target) == 0:
-                    fresh = f"_eps{len(automata)}"
+                    count = len(automata)
+                    while f"_eps{count}" in automata:
+                        count += 1
+                    fresh = f"_eps{count}"
                     automata[fresh] = Nfa.epsilon_language()
                     target = (fresh,)
                 if len(target) != 1:
@@ -918,7 +921,7 @@ class IncrementalPipeline:
                 words = short_words(name, 0) if name in windows else []
                 strings[name] = words[0] if words else (shortest_word(automata[name]) or "")
 
-        model = self._build_model(problem, normal_form, branch, strings, {})
+        model = self._build_model(problem, branch, strings, {})
         if not eval_problem(problem, model.strings, model.integers):
             return None
         self.counters["distinct_shortcuts"] += 1
@@ -1133,7 +1136,7 @@ class IncrementalPipeline:
                 if refinement_added:
                     continue
 
-                model = self._build_model(problem, normal_form, branch, strings, result.model)
+                model = self._build_model(problem, branch, strings, result.model)
                 return SolveResult(Status.SAT, model=model, lia_queries=queries, stats=stats)
         except BaseException:
             # The unwind (budget exhaustion, fault injection, Ctrl-C, an
@@ -1151,15 +1154,16 @@ class IncrementalPipeline:
     def _build_model(
         self,
         problem: Problem,
-        normal_form: NormalForm,
         branch: Branch,
         strings: Dict[str, str],
         lia_model,
     ) -> StringModel:
-        """Assemble a full model of the original problem from branch-level data."""
-        full_strings: Dict[str, str] = {}
-        for name in set(normal_form.string_variables()) | set(problem.string_variables()):
-            full_strings[name] = "".join(strings.get(part, "") for part in branch.expand(name))
+        """Assemble a model of ``problem``'s variables from branch-level data
+        (the variables normalisation introduced are left out)."""
+        full_strings = {
+            name: "".join(strings.get(part, "") for part in branch.expand(name))
+            for name in problem.string_variables()
+        }
         integers = {name: lia_model.get(name, 0) for name in problem.integer_variables()}
         return StringModel(strings=full_strings, integers=integers)
 

@@ -166,6 +166,7 @@ class _Normalizer:
         self.alphabet = tuple(problem.alphabet)
         self.fresh_counter = 0
         self.fresh_variables: List[str] = []
+        self._used = set(problem.string_variables())
         #: per variable: list of (content key, automaton) membership pairs
         self.memberships: Dict[str, List[Tuple[_MemberKey, Nfa]]] = {}
         self.equations: List[VarEquation] = []
@@ -174,8 +175,12 @@ class _Normalizer:
 
     # -- helpers ---------------------------------------------------------
     def fresh_var(self, hint: str = "z") -> str:
-        name = f"_{hint}{self.fresh_counter}"
-        self.fresh_counter += 1
+        """A fresh string variable (skipping names the problem uses)."""
+        while True:
+            name = f"_{hint}{self.fresh_counter}"
+            self.fresh_counter += 1
+            if name not in self._used:
+                break
         self.fresh_variables.append(name)
         return name
 

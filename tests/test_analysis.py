@@ -206,6 +206,44 @@ def test_checkpoint_covers_core_package():
     assert not violations(report, "checkpoint-coverage")
 
 
+SET_GROWING_WALK = """
+def reachable(edges, start):
+    seen = {start}
+    work = [start]
+    while work:
+        state = work.pop()
+        for dst in edges[state]:
+            if dst not in seen:
+                seen.add(dst)
+                work.append(dst)
+    return seen
+"""
+
+TEST_HELPER_NAMED_ADD = """
+def add(session, atom):
+    session.add_atom(atom)
+    return session.check()
+
+
+def check():
+    checkpoint("session.check")
+"""
+
+
+def test_checkpoint_call_graph_ignores_test_modules():
+    # A test helper named ``add`` that reaches a checkpoint must not make
+    # every ``set.add`` in the engine count as checkpointed.
+    report = run_rules(SET_GROWING_WALK, relpath="src/repro/core/fixture.py",
+                       rules=["checkpoint-coverage"],
+                       extra=[("tests/test_fixture.py", TEST_HELPER_NAMED_ADD)])
+    assert [finding.line for finding in violations(report, "checkpoint-coverage")] == [5]
+    # The same helper under ``src/`` is engine code, and does cover the call.
+    report = run_rules(SET_GROWING_WALK, relpath="src/repro/core/fixture.py",
+                       rules=["checkpoint-coverage"],
+                       extra=[("src/repro/solver/helper.py", TEST_HELPER_NAMED_ADD)])
+    assert not violations(report, "checkpoint-coverage")
+
+
 def test_reintroducing_unchecked_intsolver_loop_trips_analyzer():
     # The acceptance regression: strip the real elimination loop's
     # checkpoints and the analyzer must fail on the modified module.  The

@@ -18,7 +18,7 @@ from repro.automata import operations as ops
 from repro.automata.enumeration import words_up_to
 from repro.automata.nfa import EPSILON, Nfa
 from repro.core.lengths import LengthEncoding, encode_length, length_lasso
-from repro.core.system import SystemEncoding
+from repro.core.single import TagEncoding
 from repro.lia import eq, evaluate
 from repro.solver import solver as solver_module
 from repro.solver.solver import IncrementalPipeline
@@ -150,7 +150,7 @@ def test_lasso_past_the_bound_keeps_the_parikh_encoding(monkeypatch):
     nfa = _coprime_cycles()
     assert length_lasso(nfa) is None
     component = IncrementalPipeline()._prepare_component(0, 0, [], [], {"x"}, {"x": nfa})
-    assert isinstance(component.encoding, SystemEncoding)
+    assert isinstance(component.encoding, TagEncoding)
 
     calls = []
     real = solver_module.encode_system

@@ -10,11 +10,14 @@ path off the common benchmarks.
 import pytest
 
 from repro.automata import compile_regex
-from repro.core.predicates import Disequality, LengthEquality, NotPrefixOf
+from repro.core.predicates import Disequality, LengthEquality, NotPrefixOf, NotSuffixOf, StrAt
 from repro.core.system import build_system_automaton, encode_system
 from repro.core.single import encode_single
+from repro.core.witness import extract_assignment
 from repro.lia import formula_size, var, eq, conj
 from repro.lia.terms import And
+
+from helpers import brute_force_predicates, solve_parikh
 
 
 def small_automata():
@@ -68,7 +71,6 @@ def test_encode_system_formula_polynomial_size():
 def test_encode_system_with_zero_mismatch_predicates_lengths_only():
     automata = {"x": compile_regex("(ab)*", alphabet="ab")}
     encoding = encode_system([LengthEquality("n", ("x",))], automata)
-    from helpers import solve_parikh
     from repro.lia import ge
 
     result = solve_parikh(conj([encoding.formula, ge(var("n"), 4)]), [encoding.parikh])
@@ -85,8 +87,6 @@ def test_encode_system_exposes_lengths():
 @pytest.mark.skip(reason="A^III end-to-end solving needs several minutes on the pure-Python LIA backend; run manually")
 def test_system_end_to_end_shared_variable():
     """A tiny shared-variable system solved through the A^III encoding."""
-    from helpers import solve_parikh
-
     automata = small_automata()
     predicates = [Disequality(("x",), ("y",)), Disequality(("x",), ("z",))]
     encoding = encode_system(predicates, automata)
@@ -106,6 +106,37 @@ def test_single_and_system_agree_on_one_predicate_formula_semantics():
     assert isinstance(single.formula, And)
     assert isinstance(system.formula, And)
     # x and y are forced to "a": the single construction refutes the predicate.
-    from helpers import solve_parikh
-
     assert solve_parikh(single.formula, [single.parikh]).is_unsat
+
+
+#: (predicate, finite languages, satisfiable?) covering every predicate kind
+FINITE_CASES = [
+    (Disequality(("x",), ("y",)), {"x": "a|ab", "y": "ab"}, True),
+    (Disequality(("x",), ("y",)), {"x": "ab", "y": "ab"}, False),
+    (Disequality(("x", "y"), ("y", "x")), {"x": "a|b", "y": "ab"}, True),
+    (NotPrefixOf(("x",), ("y",)), {"x": "ab", "y": "abb|ba"}, True),
+    (NotPrefixOf(("x",), ("y",)), {"x": "ab", "y": "abb|ab"}, False),
+    (NotSuffixOf(("x",), ("y",)), {"x": "b", "y": "ab|ba"}, True),
+    (NotSuffixOf(("x",), ("y",)), {"x": "b", "y": "ab|bb"}, False),
+    (NotSuffixOf(("x",), ("y", "x")), {"x": "a|ab", "y": "b"}, False),
+    (StrAt("x", ("y",), 1), {"x": "b", "y": "ab|aa"}, True),
+    (StrAt("x", ("y",), 0), {"x": "b", "y": "ab|aa"}, False),
+    (StrAt("x", ("y", "z"), 2), {"x": "a|b", "y": "ab", "z": "b"}, True),
+    (StrAt("x", ("y",), 0, negated=True), {"x": "a", "y": "ab|ba"}, True),
+    (StrAt("x", ("y",), 0, negated=True), {"x": "a", "y": "ab|aa"}, False),
+    (StrAt("x", ("y", "z"), 1, negated=True), {"x": "b", "y": "a", "z": "b|bb"}, False),
+]
+
+
+@pytest.mark.parametrize("predicate, languages, satisfiable", FINITE_CASES)
+def test_single_and_system_encodings_agree_with_brute_force(predicate, languages, satisfiable):
+    """``A^II`` and ``A^III`` both give the brute-force verdict, with a real witness."""
+    automata = {name: compile_regex(regex, alphabet="ab") for name, regex in languages.items()}
+    assert (brute_force_predicates([predicate], automata, max_length=3) is not None) == satisfiable
+    for encoding in (encode_single(predicate, automata), encode_system([predicate], automata)):
+        result = solve_parikh(encoding.formula, [encoding.parikh])
+        assert result.is_sat == satisfiable
+        if satisfiable:
+            strings = extract_assignment(encoding.parikh, result.model, sorted(automata))
+            assert all(automata[name].accepts(word) for name, word in strings.items())
+            assert predicate.holds(strings, {})

@@ -254,3 +254,46 @@ def test_random_problem_agrees_with_oracle(rx, ry, kind):
         assert eval_problem(problem, result.model.strings, result.model.integers)
     if oracle.status is Status.UNSAT:
         assert result.status is Status.UNSAT
+
+
+# ----------------------------------------------------------------------
+# Names the solver makes up never capture a user variable
+# ----------------------------------------------------------------------
+def test_user_variable_named_like_a_literal_variable():
+    """Normalisation names literal variables ``_lit<n>``; a user variable of
+    that name keeps its own constraints (it used to share ``"a"``'s)."""
+    from repro.smtlib import run_script
+
+    script = """
+        (declare-const x String)
+        (declare-const {name} String)
+        (assert (str.in_re {name} (re.+ (str.to_re "b"))))
+        (assert (= x (str.++ "a" {name})))
+        (check-sat)
+        (get-model)
+    """
+    for name in ("_lit0", "y"):
+        outputs = run_script(script.format(name=name), config=SolverConfig(timeout=30.0))
+        assert outputs[0] == "sat", name
+        assert '(define-fun x () String "ab")' in outputs[1]
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_user_variable_named_like_an_empty_str_at_target(index):
+    """An empty ``str.at`` target becomes a fresh ``_eps<n>`` variable; a
+    user variable of that name is skipped, not overwritten with ε."""
+    name = f"_eps{index}"
+    problem = Problem(alphabet=tuple("ab"))
+    problem.add(WordEquation(term("x"), ()))
+    problem.add(RegexMembership(name, "b+"))
+    problem.add(StrAtAtom(StringVar("x"), term(name), LinExpr.constant(0), positive=False))
+    assert_verified_sat(problem, solve(problem))
+
+
+def test_model_lists_exactly_the_problem_variables():
+    problem = Problem(alphabet=tuple("ab"))
+    problem.add(WordEquation(term("x"), term(lit("a"), "y")))
+    problem.add(PrefixOf(term(lit("b")), term("z"), positive=True))
+    result = solve(problem)
+    assert_verified_sat(problem, result)
+    assert set(result.model.strings) == set(problem.string_variables()) == {"x", "y", "z"}
