@@ -1,7 +1,7 @@
 """Latency-under-load benchmark + verdict-identity gate for ``repro.serve``.
 
-Two phases against one real server subprocess (spawned workers, warm
-automata caches seeded from the corpus):
+Two phases against one real server subprocess (spawned workers, each
+warming its normalisation cache on the corpus scripts):
 
 * **identity** — every corpus script is solved in-process (the
   ``python -m repro.smtlib`` path, same timeout) and through the server at

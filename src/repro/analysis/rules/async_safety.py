@@ -3,7 +3,7 @@
 ``repro.serve`` runs one asyncio event loop in the parent process; every
 coroutine that blocks stalls *all* connections, the job deadlines and
 the hung-fleet watchdog at once.  The codebase's idiom for unavoidable
-blocking work is ``await asyncio.to_thread(...)`` (warm payload builds,
+blocking work is ``await asyncio.to_thread(...)`` (reading the warm scripts,
 executor shutdown) — this rule catches the direct calls that bypass it:
 
 * ``time.sleep`` (use ``await asyncio.sleep``),

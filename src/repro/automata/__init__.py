@@ -29,7 +29,6 @@ from .operations import (
     star,
     union,
 )
-from .serialization import from_dict, intern_restore, intern_snapshot, to_dict
 from .regex import DEFAULT_ALPHABET, RegexError, compile_regex, parse
 from .flatness import is_flat, strongly_connected_components
 from .enumeration import count_words_of_length, is_finite, shortest_word, words_up_to
@@ -43,10 +42,6 @@ __all__ = [
     "as_nfa",
     "intern_nfa",
     "intersection_empty",
-    "to_dict",
-    "from_dict",
-    "intern_snapshot",
-    "intern_restore",
     "union",
     "concat",
     "star",

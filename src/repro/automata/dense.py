@@ -10,8 +10,7 @@ facade.  A :class:`DenseNfa` is a *frozen* compilation of an ``Nfa``:
   one machine word for blocks of ≤64 states and chunked 30-bit limbs above
   that, with no numpy dependency,
 * transitions are stored once, as per-symbol successor-mask rows plus an
-  ε row; subset construction, products, reachability and serialisation
-  all read them, and :meth:`~repro.automata.nfa.Nfa.from_rows` turns them
+  ε row; subset construction, products and reachability all read them, and :meth:`~repro.automata.nfa.Nfa.from_rows` turns them
   back into an ``Nfa``.
 
 On top of the layout the module provides the lazy product walks — emptiness
@@ -45,10 +44,6 @@ GLOBAL_STATS: Dict[str, int] = {
     "automata_dense_compilations": 0,
     "automata_interning_hits": 0,
     "automata_interning_misses": 0,
-    # Hits on entries seeded by a warm-start payload (the server's worker
-    # fleet re-interns the parent's hot automata at startup; this counter
-    # is the proof that cross-worker sharing actually engages).
-    "automata_interning_warm_hits": 0,
 }
 
 
@@ -612,20 +607,9 @@ class InternTable:
     def __init__(self, capacity: int = 4096) -> None:
         self.capacity = capacity
         self._table: Dict[Tuple, Nfa] = {}
-        #: keys seeded from a warm-start payload (hits on these bump the
-        #: ``automata_interning_warm_hits`` counter)
-        self._warm: set = set()
 
     def __len__(self) -> int:
         return len(self._table)
-
-    def mark_all_warm(self) -> None:
-        """Flag every current entry as warm-seeded (worker-fleet startup)."""
-        self._warm.update(self._table.keys())
-
-    def entries(self) -> List[Nfa]:
-        """The canonical automata currently interned (insertion order)."""
-        return list(self._table.values())
 
     def intern(self, automaton) -> Nfa:
         dense = as_dense(automaton)
@@ -633,8 +617,6 @@ class InternTable:
         hit = self._table.get(key)
         if hit is not None:
             GLOBAL_STATS["automata_interning_hits"] += 1
-            if key in self._warm:
-                GLOBAL_STATS["automata_interning_warm_hits"] += 1
             return hit
         GLOBAL_STATS["automata_interning_misses"] += 1
         if isinstance(automaton, Nfa) and dense.state_ids == tuple(range(dense.n)):
@@ -646,9 +628,7 @@ class InternTable:
             canonical = dense.to_nfa()
         self._table[key] = canonical
         while len(self._table) > self.capacity:
-            evicted = next(iter(self._table))
-            self._table.pop(evicted)
-            self._warm.discard(evicted)
+            self._table.pop(next(iter(self._table)))
         return canonical
 
 
@@ -661,22 +641,3 @@ _GLOBAL_INTERN = InternTable()
 def intern_nfa(automaton) -> Nfa:
     """Intern ``automaton`` in the process-wide table (see :class:`InternTable`)."""
     return _GLOBAL_INTERN.intern(automaton)
-
-
-def intern_table_entries() -> List[Nfa]:
-    """The canonical automata of the process-wide table (insertion order).
-
-    The server layer serialises these (``serialization.intern_snapshot``)
-    into the warm-start payload its worker fleet re-interns at startup.
-    """
-    return _GLOBAL_INTERN.entries()
-
-
-def intern_mark_warm() -> None:
-    """Flag every currently interned automaton as warm-seeded.
-
-    Subsequent interning hits on the flagged entries count into
-    ``GLOBAL_STATS["automata_interning_warm_hits"]`` — the counter worker
-    processes report to prove the cross-worker sharing engaged.
-    """
-    _GLOBAL_INTERN.mark_all_warm()

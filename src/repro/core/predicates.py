@@ -151,9 +151,6 @@ class LengthEquality:
 #: Union type of all position predicates.
 PositionPredicate = Union[Disequality, NotPrefixOf, NotSuffixOf, StrAt, NotContains, LengthEquality]
 
-#: Predicates that require mismatch sampling in the tag automaton.
-MISMATCH_PREDICATES = (Disequality, NotPrefixOf, NotSuffixOf, StrAt, NotContains)
-
 
 def predicate_variables(predicates) -> Tuple[str, ...]:
     """All string variables occurring in a collection of predicates (stable order)."""

@@ -556,18 +556,6 @@ class LiaSolver:
         return self._context().check(budget, self.timeout)
 
 
-def is_satisfiable(formula: Formula, timeout: Optional[float] = None) -> bool:
-    """Convenience helper: ``True`` iff ``formula`` is satisfiable.
-
-    Raises :class:`RuntimeError` when the solver cannot decide the formula
-    within its budget (so callers never mistake ``UNKNOWN`` for a verdict).
-    """
-    result = LiaSolver(timeout).check(formula)
-    if result.status is LiaStatus.UNKNOWN:
-        raise RuntimeError(f"LIA solver returned unknown: {result.reason}")
-    return result.is_sat
-
-
 def check_model(formula: Formula, model: LiaModel) -> bool:
     """Evaluate ``formula`` under ``model`` (missing variables default to 0)."""
     assignment = {name: model.get(name, 0) for name in formula.variables()}

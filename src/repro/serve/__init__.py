@@ -18,7 +18,7 @@ Entry points:
 
 from .client import ServeClient, ServeError, parse_host_port
 from .protocol import JobOutcome, JobSpec, dedup_key
-from .server import SolverServer, build_warm_payload, run_server
+from .server import SolverServer, run_server
 
 __all__ = [
     "ServeClient",
@@ -28,6 +28,5 @@ __all__ = [
     "JobSpec",
     "dedup_key",
     "SolverServer",
-    "build_warm_payload",
     "run_server",
 ]

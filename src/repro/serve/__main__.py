@@ -4,10 +4,11 @@ Boots the asyncio front door plus the process worker fleet and blocks
 until a clean shutdown (SIGINT/SIGTERM or a client ``shutdown`` op), then
 exits 0 with every worker reaped.  The ready line::
 
-    repro.serve listening on 127.0.0.1:7411 (workers=4, warm=137)
+    repro.serve listening on 127.0.0.1:7411 (workers=4, warm=81)
 
 is printed (and flushed) once the socket is bound — drivers that need the
-ephemeral port of ``--port 0`` parse it from there.
+ephemeral port of ``--port 0`` parse it from there.  ``warm`` is the number
+of ``--warm`` scripts read; each worker normalises them when it starts.
 """
 
 from __future__ import annotations
@@ -45,12 +46,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--warm", nargs="*", default=(), metavar="PATH",
-        help=".smt2 files/globs normalised at startup; their automata are "
-        "shipped to every worker as the warm intern payload",
-    )
-    parser.add_argument(
-        "--warm-limit", type=int, default=1024,
-        help="cap on the number of automata in the warm payload",
+        help=".smt2 files/globs each worker normalises when it starts, "
+        "filling the normalisation cache its jobs share",
     )
     parser.add_argument(
         "--retries", type=int, default=1,
@@ -70,7 +67,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default_timeout=args.timeout,
         max_steps=args.max_steps,
         warm_paths=args.warm,
-        warm_limit=args.warm_limit,
         retries=args.retries,
         enable_fault_injection=args.enable_fault_injection,
     )

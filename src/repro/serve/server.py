@@ -5,8 +5,8 @@ One :class:`SolverServer` owns
 * an ``asyncio`` TCP server speaking the JSON-lines protocol (plus the raw
   SMT-LIB fallback) of :mod:`repro.serve.protocol`,
 * a ``ProcessPoolExecutor`` worker fleet (:mod:`repro.serve.workers`),
-  warm-seeded from the parent's interned automata and wired to the shared
-  cancellation-flag array, and
+  handed the texts of the ``--warm`` scripts (each worker normalises them
+  into its own cache) and wired to the shared cancellation-flag array, and
 * the in-flight table that dedups structurally identical jobs.
 
 Job lifecycle (the ``solve`` op)::
@@ -21,7 +21,7 @@ Job lifecycle (the ``solve`` op)::
 
 Fault tolerance: a worker death breaks the whole pool
 (``BrokenProcessPool``), so the server rebuilds the executor — warm
-payload and flags are re-used — and retries the affected job
+scripts and flags are re-used — and retries the affected job
 (``retries`` per job, solving is pure so a retry is safe); a job that
 keeps dying answers a structured ``unknown``.  A *hung* worker (no
 checkpoints, so no cancellation point) is abandoned at the job deadline
@@ -42,7 +42,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .protocol import (
     JobOutcome,
@@ -79,33 +79,21 @@ def _ensure_child_import_path() -> None:
         os.environ["PYTHONPATH"] = os.pathsep.join([src] + parts)
 
 
-def build_warm_payload(
-    paths: Sequence[str], limit: int = 1024
-) -> Tuple[List[Dict[str, Any]], int]:
-    """Normalise warmup scripts in-process and snapshot the intern table.
+def _read_warm_scripts(paths: Sequence[str]) -> List[str]:
+    """The texts of the warm-up scripts in ``paths`` (globs allowed).
 
-    Every readable ``.smt2`` file in ``paths`` (globs allowed) is parsed
-    and run through the *normalisation* layer only — no solving — which
-    interns exactly the automata (word/regex/intersection forms) the
-    workers would otherwise rebuild per job.  Returns the serialised
-    payload and the number of scripts that contributed.
+    A path that matches nothing is tried as a file name; one that cannot
+    be read is skipped (warm-up is best-effort).
     """
-    from ..smtlib import parse_problem
-    from ..strings.normal_form import normalize
-    from ..automata.serialization import intern_snapshot
-
-    contributed = 0
+    texts = []
     for pattern in paths:
-        matches = sorted(globlib.glob(pattern)) or [pattern]
-        for path in matches:
+        for path in sorted(globlib.glob(pattern)) or [pattern]:
             try:
                 with open(path) as handle:
-                    text = handle.read()
-                normalize(parse_problem(text))
-                contributed += 1
-            except Exception:
-                continue  # warmup is best-effort; a bad file costs nothing
-    return intern_snapshot(limit=limit), contributed
+                    texts.append(handle.read())
+            except OSError:
+                continue
+    return texts
 
 
 class SolverServer:
@@ -119,7 +107,6 @@ class SolverServer:
         default_timeout: float = 30.0,
         max_steps: Optional[int] = None,
         warm_paths: Sequence[str] = (),
-        warm_limit: int = 1024,
         retries: int = 1,
         enable_fault_injection: bool = False,
     ) -> None:
@@ -129,7 +116,6 @@ class SolverServer:
         self.default_timeout = default_timeout
         self.max_steps = max_steps
         self.warm_paths = tuple(warm_paths)
-        self.warm_limit = warm_limit
         self.retries = max(0, retries)
         self.enable_fault_injection = enable_fault_injection
         self.n_slots = max(4 * self.workers, 8)
@@ -144,8 +130,7 @@ class SolverServer:
             "responses": 0,
             "errors": 0,
         }
-        self.warm_payload: List[Dict[str, Any]] = []
-        self.warm_scripts = 0
+        self.warm_texts: List[str] = []
 
         self._ctx = multiprocessing.get_context("spawn")
         self._flags = None
@@ -164,10 +149,7 @@ class SolverServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         _ensure_child_import_path()
-        if self.warm_paths:
-            self.warm_payload, self.warm_scripts = await asyncio.to_thread(
-                build_warm_payload, self.warm_paths, self.warm_limit
-            )
+        self.warm_texts = await asyncio.to_thread(_read_warm_scripts, self.warm_paths)
         self._flags = self._ctx.Array("l", self.n_slots, lock=False)
         self._slot_pool = asyncio.Queue()
         for slot in range(self.n_slots):
@@ -184,7 +166,7 @@ class SolverServer:
             max_workers=self.workers,
             mp_context=self._ctx,
             initializer=initializer,
-            initargs=(self._flags, self.warm_payload),
+            initargs=(self._flags, self.warm_texts),
         )
 
     async def wait_closed(self) -> None:
@@ -340,8 +322,7 @@ class SolverServer:
         snapshot: Dict[str, Any] = dict(self.stats)
         snapshot["workers"] = self.workers
         snapshot["slots"] = self.n_slots
-        snapshot["warm_payload"] = len(self.warm_payload)
-        snapshot["warm_scripts"] = self.warm_scripts
+        snapshot["warm_scripts"] = len(self.warm_texts)
         snapshot["executor_generation"] = self._executor_gen
         snapshot["uptime"] = time.time() - self._started
         return snapshot
@@ -516,7 +497,7 @@ async def run_server(server: SolverServer, ready_line: bool = True) -> int:
     if ready_line:
         print(
             f"repro.serve listening on {server.host}:{server.port} "
-            f"(workers={server.workers}, warm={len(server.warm_payload)})",
+            f"(workers={server.workers}, warm={len(server.warm_texts)})",
             flush=True,
         )
     await server.wait_closed()

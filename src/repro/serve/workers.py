@@ -8,14 +8,15 @@ initialised once through :func:`initializer` and then run one
 
 Worker startup does two things:
 
-* **Warm-cache seeding** — the parent serialises its hot interned automata
-  (:func:`repro.automata.serialization.intern_snapshot`, the dense wire
-  format of PR 7) and every worker re-interns the payload on start
-  (:func:`~repro.automata.serialization.intern_restore`).  From then on
-  the normalisation layer's ``intern_nfa`` calls *hit* the shared
-  canonical automata instead of rebuilding them; the
-  ``automata_interning_warm_hits`` counter that flows through
-  ``SolveResult.stats`` into ``Session.statistics()`` proves it per job.
+* **Warm-cache seeding** — the parent hands every worker the texts of the
+  ``--warm`` scripts.  The worker parses each one and normalises every
+  reduction case of it, as the solver's pipeline does for a check, into
+  :data:`NORMALIZATION_CACHE`, the one cache all its jobs share.  Before
+  each job :func:`run_job` marks the cache's entries warm, so the job's
+  ``normalization_warm_hits`` (in ``SolveResult.stats`` and
+  ``Session.statistics()``) counts the compiled regexes, word automata and
+  membership intersections it took from the warm-up or from earlier jobs
+  instead of rebuilding them.
 
 * **Cancellation wiring** — the fleet shares one lock-free
   ``multiprocessing.Array`` of per-slot generation flags, inherited
@@ -39,25 +40,23 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Sequence
+from typing import Sequence
 
 from ..budget import Budget, BudgetExceeded, UnknownKind, UnknownReason
+from ..strings.normal_form import NormalizationCache, normalize
+from ..strings.reductions import reduce_problem
 from .protocol import JobOutcome, JobSpec
 
 #: the shared cancellation flags (``multiprocessing.Array('l', slots)``),
 #: installed by :func:`initializer` in every worker
 _FLAGS = None
 
-#: number of automata the warm payload seeded into this worker's interner
+#: number of ``--warm`` scripts this worker normalised at startup
 _WARM_SEEDED = 0
 
-#: one NormalizationCache per worker process, shared by every job it runs:
-#: the second job solving a related script hits the first job's compiled
-#: regexes, word automata and membership intersections instead of
-#: rebuilding them.  ``run_job`` marks all entries warm before each job,
-#: so cross-job reuse surfaces as ``normalization_warm_hits`` in the job's
-#: statistics (the same pattern as ``automata_interning_warm_hits``).
-_NORMALIZATION_CACHE = None
+#: the worker's one normalisation cache, filled by the warm-up and shared
+#: by every job it runs
+NORMALIZATION_CACHE = NormalizationCache()
 
 #: how often (in budget checkpoints) the cancellation flag is polled; the
 #: flag is one shared-memory integer read, so a small interval keeps the
@@ -65,13 +64,25 @@ _NORMALIZATION_CACHE = None
 _CANCEL_POLL_INTERVAL = 4
 
 
-def initializer(flags, warm_payload: Sequence[Dict[str, Any]]) -> None:
-    """Pool initializer: install the cancel flags, seed the warm caches."""
+def initializer(flags, warm_scripts: Sequence[str]) -> None:
+    """Pool initializer: install the cancel flags, normalise the warm
+    scripts into :data:`NORMALIZATION_CACHE`.
+
+    Warm-up is best-effort: a script that fails is skipped and left out of
+    ``serve_warm_seeded``.  The catch is broad on purpose, since an
+    initializer that raises breaks the whole pool and every later job.
+    """
     global _FLAGS, _WARM_SEEDED
     _FLAGS = flags
-    from ..automata.serialization import intern_restore
+    from ..smtlib import parse_problem
 
-    _WARM_SEEDED = intern_restore(list(warm_payload))
+    for text in warm_scripts:
+        try:
+            for case in reduce_problem(parse_problem(text)):
+                normalize(case.problem, cache=NORMALIZATION_CACHE)
+        except Exception:
+            continue
+        _WARM_SEEDED += 1
 
 
 def _build_hook(spec: JobSpec):
@@ -130,16 +141,8 @@ def run_job(spec: JobSpec) -> JobOutcome:
     """
     from ..smtlib import ScriptRunner, SmtLibError
     from ..solver import SolverConfig
-    from ..strings.normal_form import NormalizationCache
 
-    global _NORMALIZATION_CACHE
-    if _NORMALIZATION_CACHE is None:
-        _NORMALIZATION_CACHE = NormalizationCache()
-    else:
-        # Everything cached by earlier jobs is "warm" for this one; hits on
-        # those entries flow through Session.statistics() as
-        # normalization_warm_hits.
-        _NORMALIZATION_CACHE.mark_all_warm()
+    NORMALIZATION_CACHE.mark_all_warm()
 
     started = time.time()
     outcome = JobOutcome(worker_pid=os.getpid())
@@ -158,7 +161,7 @@ def run_job(spec: JobSpec) -> JobOutcome:
     runner = ScriptRunner(
         config=config,
         out=output_lines.append,
-        normalization_cache=_NORMALIZATION_CACHE,
+        normalization_cache=NORMALIZATION_CACHE,
     )
     try:
         runner.run(spec.script, name=spec.name, budget=budget)

@@ -52,9 +52,11 @@ problems — the access pattern of :class:`repro.Session`, whose clients
 a growing/shrinking assertion stack.  Every stage is cached, keyed by the
 content of the assertion prefix it depends on:
 
-* **normalisation** — :class:`NormalForm` per atom-tuple, with a shared
-  :class:`~repro.strings.normal_form.NormalizationCache` keeping the
-  per-variable automata identity-stable across calls;
+* **normalisation** — each check re-normalises its cases over the shared
+  :class:`~repro.strings.normal_form.NormalizationCache`, which returns
+  the same compiled automata for the same content, so they stay
+  identity-stable across calls (a serve worker pre-fills it from its
+  ``--warm`` scripts);
 * **decomposition** — :func:`repro.eqsolver.decompose` memoized on the
   equations plus the (identity-stable) automata of the equation variables,
   so the produced :class:`Branch` objects are reused verbatim;
@@ -111,7 +113,7 @@ from ..lia import Formula as LiaFormula
 from ..lia import Le as LiaLe
 from ..lia import LinExpr
 from ..budget import Budget, BudgetExceeded, UnknownKind, UnknownReason
-from ..strings.ast import Problem, RegexMembership, length_variable
+from ..strings.ast import Problem, length_variable
 from ..strings.normal_form import NormalForm, NormalizationCache, normalize
 from ..strings.reductions import ReductionError, needs_reduction, reduce_problem
 from ..strings.semantics import eval_problem
@@ -219,20 +221,6 @@ def _unknown(kind: UnknownKind, stage: str, detail: str, **fields) -> SolveResul
     )
 
 
-def _atom_key(atom) -> Tuple:
-    """A hashable content key for one input atom.
-
-    Atoms are frozen dataclasses and hash by value, except that
-    ``RegexMembership`` may carry an ``Nfa``; the automaton itself goes
-    into the key (identity hash — ``Nfa`` defines no ``__eq__``), which
-    also keeps it alive for as long as any cache entry is keyed by it, so
-    the identity can never be recycled while the key is live.
-    """
-    if isinstance(atom, RegexMembership) and isinstance(atom.language, Nfa):
-        return ("re-nfa", atom.var, atom.language, atom.positive)
-    return ("atom", atom)
-
-
 class IncrementalPipeline:
     """The cached, incremental solving pipeline behind :class:`repro.Session`.
 
@@ -251,14 +239,11 @@ class IncrementalPipeline:
         # An externally supplied cache outlives this pipeline: the serve
         # workers share one per process so jobs warm each other up.
         self.normalization_cache = normalization_cache or NormalizationCache()
-        self._normal_forms: _Lru = _Lru(64)
         self._decompositions: _Lru = _Lru(32)
         self._components: _Lru = _Lru(_ENCODING_CACHE)
         self._branch_solvers: _Lru = _Lru(_BRANCH_SOLVERS)
         self.counters: Dict[str, int] = {
             "checks": 0,
-            "normal_form_hits": 0,
-            "normal_form_misses": 0,
             "decomposition_hits": 0,
             "decomposition_misses": 0,
             "component_hits": 0,
@@ -389,15 +374,8 @@ class IncrementalPipeline:
         for case, fresh in cases:
             if reduced:
                 watch.check_now("reduce.case")
-            atoms_key = (case.alphabet,) + tuple(_atom_key(atom) for atom in case.atoms)
-            normal_form = self._normal_forms.lookup(atoms_key)
-            if normal_form is None:
-                self.counters["normal_form_misses"] += 1
-                with watch.stage("normalize"):
-                    normal_form = normalize(case, cache=self.normalization_cache)
-                self._normal_forms.store(atoms_key, normal_form)
-            else:
-                self.counters["normal_form_hits"] += 1
+            with watch.stage("normalize"):
+                normal_form = normalize(case, cache=self.normalization_cache)
 
             with watch.stage("decompose"):
                 decomposition, branch_fp_base = self._decompose(normal_form, branch_budget)

@@ -179,6 +179,11 @@ class StrAtAtom:
     index: LinExpr
     positive: bool = True
 
+    def __post_init__(self) -> None:
+        # A plain ``int`` index is accepted, as by ``core.predicates.StrAt``.
+        if not isinstance(self.index, LinExpr):
+            object.__setattr__(self, "index", LinExpr.constant(int(self.index)))
+
     def __str__(self) -> str:
         op = "=" if self.positive else "≠"
         return f"{self.target} {op} str.at({term_to_str(self.haystack)}, {self.index})"

@@ -140,8 +140,9 @@ class NormalizationCache:
 
     def mark_all_warm(self) -> None:
         """Stamp every current entry as *warm* (carried over from earlier
-        work).  A serve worker calls this between jobs so subsequent hits on
-        carried-over entries surface as ``normalization_warm_hits``."""
+        work).  A serve worker calls this before each job, so hits on what
+        its ``--warm`` scripts and its earlier jobs cached surface as
+        ``normalization_warm_hits``."""
         self._warm = {
             (id(table), key) for table in self.tables() for key in table
         }

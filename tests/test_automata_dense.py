@@ -4,8 +4,7 @@ Randomized NFAs (with ε-loops, dead states, and >64-state blocks that force
 multi-word bitsets) are run through both the dense implementations in
 ``repro.automata.operations``/``repro.automata.dense`` and the pre-rewrite
 set-based oracles kept in ``repro.automata.legacy``; languages and verdicts
-must coincide.  Serialization round-trips and the interning-identity
-contract are covered at the end.
+must coincide.  The interning-identity contract is covered at the end.
 """
 
 import random
@@ -25,7 +24,6 @@ from repro.automata.dense import (
 from repro.automata.enumeration import count_words_of_length, words_up_to
 from repro.automata.minimization import canonical_signature, minimize
 from repro.automata.nfa import EPSILON, Nfa
-from repro.automata.serialization import from_dict, to_dict
 from repro.budget import Budget, BudgetExceeded
 
 
@@ -407,42 +405,6 @@ def test_step_limit_determinism():
 
     assert steps_at_failure(7) == steps_at_failure(7)
     assert steps_at_failure(50) == steps_at_failure(50)
-
-
-# ----------------------------------------------------------------------
-# Serialization round-trips
-# ----------------------------------------------------------------------
-def test_dense_roundtrip_keeps_language():
-    rng = random.Random(11)
-    shapes = (
-        random_nfa(rng, 5),
-        spread(random_nfa(rng, 6, eps_prob=0.4)),  # ε edges, non-contiguous ids
-        Nfa.empty_language(),
-    )
-    for nfa in shapes:
-        assert language(from_dict(to_dict(nfa))) == language(nfa)
-
-
-def test_dense_roundtrip_is_interned():
-    rng = random.Random(13)
-    nfa = random_nfa(rng, 6)
-    payload = to_dict(nfa)
-    loaded = from_dict(payload)
-    assert language(loaded) == language(nfa)
-    # Loading twice yields the same canonical object...
-    assert from_dict(to_dict(nfa)) is loaded
-    # ...which is exactly what interning the live automaton returns.
-    assert intern_nfa(nfa) is loaded
-
-
-def test_dense_payload_is_json_compatible():
-    import json
-
-    rng = random.Random(17)
-    nfa = random_nfa(rng, 80, density=2.0)  # multi-word masks
-    payload = to_dict(nfa)
-    wire = json.dumps(payload)
-    assert language(from_dict(json.loads(wire)), 3) == language(nfa, 3)
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,6 @@ def server():
     proc = ServeServerProc(
         "--workers", "2",
         "--warm", os.path.join(REPO, "benchmarks", "smtlib", "*.smt2"),
-        "--warm-limit", "256",
         "--enable-fault-injection",
         "--timeout", "30",
     )
@@ -96,7 +95,7 @@ def test_ping_and_stats_shape(server):
         assert pong["ok"] and pong["pong"]
         stats = client.stats()["stats"]
         assert stats["workers"] == 2
-        assert stats["warm_payload"] > 0
+        assert stats["warm_scripts"] == len(CORPUS)
         for key in ("jobs_total", "jobs_abandoned", "worker_restarts"):
             assert key in stats
 
@@ -199,10 +198,10 @@ def test_corpus_file_verdicts_and_warm_hits(server):
         response = client.solve(text, name=CORPUS[0])
     assert response["ok"]
     assert response["output"] == local.stdout.splitlines()
-    # The warm payload seeded this worker: normalisation re-used interned
-    # automata instead of rebuilding them.
-    assert response["stats"]["serve_warm_seeded"] > 0
-    assert response["stats"]["automata_interning_warm_hits"] > 0
+    # The worker normalised the corpus when it started: this job re-used
+    # those automata instead of rebuilding them.
+    assert response["stats"]["serve_warm_seeded"] == len(CORPUS)
+    assert response["stats"]["normalization_warm_hits"] > 0
 
 
 def test_dedup_of_identical_inflight_jobs(server):
@@ -275,6 +274,31 @@ def test_normalization_cache_shared_across_jobs():
         assert first["ok"] and second["ok"]
         assert first["stats"].get("normalization_warm_hits", 0) == 0
         assert second["stats"]["normalization_warm_hits"] > 0
+    finally:
+        proc.kill()
+
+
+def test_warm_scripts_with_extended_atoms_warm_the_first_job(tmp_path):
+    # str.substr and str.replace are reduced before normalisation, so a
+    # warm script using them fills the worker's cache like any other.
+    script = (
+        '(set-logic QF_SLIA)(set-info :alphabet "abc")'
+        "(declare-const x String)(declare-const y String)(declare-const z String)"
+        '(assert (str.in_re x (re.+ (re.union (str.to_re "ab") (str.to_re "c")))))'
+        "(assert (= y (str.substr x 1 2)))"
+        '(assert (= z (str.replace y "b" "cc")))'
+        '(assert (str.in_re z (re.* (str.to_re "c"))))(check-sat)'
+    )
+    warm = tmp_path / "extended.smt2"
+    warm.write_text(script)
+    proc = ServeServerProc("--workers", "1", "--warm", str(warm))
+    try:
+        with proc.client() as client:
+            assert client.stats()["stats"]["warm_scripts"] == 1
+            first = client.solve(script, name="extended")
+        assert first["ok"] and first["verdicts"] == ["sat"]
+        assert first["stats"]["serve_warm_seeded"] == 1
+        assert first["stats"]["normalization_warm_hits"] > 0
     finally:
         proc.kill()
 

@@ -121,6 +121,17 @@ def test_str_at_with_index_constraint():
     assert result.model.integers["i"] == 1
 
 
+@pytest.mark.parametrize("positive, expected", [(True, "b"), (False, "a")])
+def test_str_at_with_a_plain_int_index(positive, expected):
+    problem = Problem(alphabet=tuple("ab"))
+    problem.add(RegexMembership("y", "ab"))
+    problem.add(RegexMembership("x", "a|b"))
+    problem.add(StrAtAtom(StringVar("x"), term("y"), 1, positive=positive))
+    result = solve(problem)
+    assert_verified_sat(problem, result)
+    assert result.model.strings["x"] == expected
+
+
 def test_independent_predicates_are_split_into_components():
     problem = Problem(alphabet=tuple("ab"))
     for name, regex in [("x", "(ab)*"), ("y", "(ab)*"), ("u", "a*"), ("v", "b*")]:
