@@ -5,6 +5,13 @@ is then enforced by a genuine **branch-and-cut** search, mirroring Z3's
 "Simplex extended with a branch-and-cut strategy" mentioned in §8 of the
 paper.  The pipeline per :func:`check_integer_feasibility` call:
 
+0. **Integral root**: a fresh simplex over the constraints as given.  An
+   infeasible root is refuted by its conflict; a vertex integral on every
+   original (non-slack) variable is the model, since an integral point
+   satisfying every constraint is an integer solution.  Only a fractional
+   root goes on.  The tableau is fresh on purpose: the vertex a from-zero
+   basis reaches is the model the string side reads; a model taken from
+   the warm DPLL(T) tableau instead led to about twice the LIA checks.
 1. **Presolve** (:func:`_reduce_over_z`): equality elimination over ℤ by
    the presolve's own loop (:func:`repro.lia.simplify.eliminate`: gcd
    normalisation, unit pivots, provenance tags), gcd tightening of the
@@ -22,8 +29,9 @@ paper.  The pipeline per :func:`check_integer_feasibility` call:
    (their derivation may use branch bounds).
 
 Budgets: ``max_nodes`` (default 4000; the LIA solver's theory hook keeps
-the default) bounds branch-and-bound nodes, and ``_CUT_ROUNDS`` /
-``_MAX_CUTS`` bound the cuts per node and per check.  The search raises
+the default) bounds branch-and-bound nodes (the root check of step 0 is
+not one), and ``_CUT_ROUNDS`` / ``_MAX_CUTS`` bound the cuts per node and
+per check.  The search raises
 :class:`ResourceLimit` when a node or depth budget is exhausted — callers
 then report ``UNKNOWN`` rather than an unsound verdict.
 
@@ -92,7 +100,8 @@ def _implied_equalities(constraints: Sequence[Constraint]) -> Tuple[Optional[Lis
     what makes divisibility conflicts visible to the elimination (e.g. a
     γ-variable forced to 1 by two inequalities, turning
     ``3x − 3y + 2γ = 0`` into a mod-3 conflict).  Returns ``None`` when the
-    bounds themselves are contradictory.
+    bounds themselves are contradictory.  Tags are unioned as frozensets
+    (:func:`_tagset`): a union of raw ``int`` tags would be a bitwise OR.
     """
     lower: Dict[str, Tuple[int, frozenset]] = {}
     upper: Dict[str, Tuple[int, frozenset]] = {}
@@ -112,14 +121,14 @@ def _implied_equalities(constraints: Sequence[Constraint]) -> Tuple[Optional[Lis
                 bound = (-expr.const) // coeff
                 current = upper.get(name)
                 if current is None or bound < current[0]:
-                    upper[name] = (bound, constraint.tag)
+                    upper[name] = (bound, _tagset(constraint.tag))
             else:
                 # -m·name + const <= 0  =>  name >= ceil(const / m)
                 magnitude = -coeff
                 bound = -((-expr.const) // magnitude)
                 current = lower.get(name)
                 if current is None or bound > current[0]:
-                    lower[name] = (bound, constraint.tag)
+                    lower[name] = (bound, _tagset(constraint.tag))
 
     for name in sorted(set(lower) & set(upper)):
         low, low_tags = lower[name]
@@ -138,7 +147,7 @@ def _implied_equalities(constraints: Sequence[Constraint]) -> Tuple[Optional[Lis
         negated_key = tuple(sorted(negated.coeffs.items())) + (negated.const,)
         if negated_key in seen_forms and repr(key) < repr(negated_key):
             other = seen_forms[negated_key]
-            implied.append(Constraint(expr, "==", constraint.tag | other.tag))
+            implied.append(Constraint(expr, "==", _tagset(constraint.tag) | _tagset(other.tag)))
 
     return implied, set()
 
@@ -234,6 +243,11 @@ def _fractional_variable(model: Dict[str, Fraction]) -> Optional[str]:
     return best_name
 
 
+def _integral_model(model: Dict[str, Fraction]) -> Dict[str, int]:
+    """The original (non-slack) variables of an integral simplex vertex."""
+    return {name: int(value) for name, value in model.items() if not name.startswith("__s")}
+
+
 def check_integer_feasibility(
     constraints: Sequence[Constraint],
     max_nodes: int = 4000,
@@ -250,8 +264,29 @@ def check_integer_feasibility(
     per-pivot checkpoints against the ambient budget), raising
     :class:`repro.budget.BudgetExceeded` — deliberately distinct from
     ``ResourceLimit``, which callers treat as a recoverable per-assignment
-    event.
+    event.  Only a fractional root vertex reaches the presolve and the
+    search (:func:`_presolve_and_search`); the root's pivots count in
+    :attr:`IntResult.pivots`.
     """
+    root = Simplex()
+    for constraint in constraints:
+        root.add_constraint(constraint)
+    relaxation = root.check()
+    if not relaxation.feasible:
+        result = IntResult(False, conflict=_flatten_tags(relaxation.conflict))
+    elif _fractional_variable(relaxation.model) is None:
+        result = IntResult(True, model=_integral_model(relaxation.model))
+    else:
+        result = _presolve_and_search(constraints, max_nodes, budget)
+    result.pivots += root.pivots
+    return result
+
+
+def _presolve_and_search(
+    constraints: Sequence[Constraint], max_nodes: int, budget: Optional[Budget]
+) -> IntResult:
+    """Steps 1 and 2 of the module docstring: :func:`_reduce_over_z`, then
+    branch-and-cut over the reduced system."""
     reduced, eliminated, conflict_tags = _reduce_over_z(constraints)
     if reduced is None:
         tags = _flatten_tags(conflict_tags)
@@ -308,12 +343,7 @@ def check_integer_feasibility(
                 budget.checkpoint("lia.intsolver")
 
         if branch_var is None:
-            model = {
-                name: int(value)
-                for name, value in relaxation.model.items()
-                if not name.startswith("__s")
-            }
-            return IntResult(True, model=complete_model(model, eliminated))
+            return IntResult(True, model=complete_model(_integral_model(relaxation.model), eliminated))
 
         value = relaxation.model[branch_var]
         floor_value = value.__floor__()

@@ -5,8 +5,13 @@ general simplex of Dutertre and de Moura ("A Fast Linear-Arithmetic Solver
 for DPLL(T)", CAV 2006): every input constraint ``Σ c_i·x_i ⋈ b`` is turned
 into a *slack variable* ``s = Σ c_i·x_i`` with a bound on ``s``; the tableau
 keeps basic variables expressed as linear combinations of non-basic ones and
-the ``check`` procedure repairs bound violations by pivoting (Bland's rule
-guarantees termination).
+the ``check`` procedure repairs bound violations by pivoting.  The leaving
+variable is Bland's (the violating basic variable of smallest index); the
+entering one is the candidate with the fewest column entries, since a pivot
+rewrites every row of the entering column and the tag-counter sums of the
+Parikh encodings make some columns wide.  After ``_SPARSE_PIVOTS`` pivots in
+one check the entering choice falls back to Bland's smallest index too, so
+the check ends by Bland's termination argument.
 
 The solver is *incremental* in the DPLL(T) discipline of the paper: bound
 assertions are backtrackable via :meth:`Simplex.push` / :meth:`Simplex.pop`
@@ -26,7 +31,7 @@ All arithmetic is exact.  The tableau is fraction-free: each row holds
 (``_den``), kept primitive, so pivoting and row substitution never touch
 :class:`fractions.Fraction` (an ``int`` multiply-add is tens of times
 cheaper).  A positive denominator leaves every coefficient's sign as it is,
-so Bland's choices and the pivot sequence are those of a rational tableau.
+so the pivot choices and the pivot sequence are those of a rational tableau.
 Bounds and assignments are kept as plain ``int`` for as long as every
 division is exact and are promoted to ``Fraction`` only on the first
 non-integral one (see :func:`_div`); the assignment updates divide by the
@@ -47,6 +52,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..budget import checkpoint
 from .terms import LinExpr
+
+
+#: pivots per check that take the sparsest entering column before the
+#: entering choice falls back to Bland's rule (which guarantees termination)
+_SPARSE_PIVOTS = 200
 
 
 def _norm(value):
@@ -487,11 +497,15 @@ class Simplex:
 
         The check works on deltas.  A violation needs a tightened bound or a
         moved basic value, so the fixed-bound test, the non-basic repair and
-        Bland's choice scan only the two candidate sets (``_tightened``,
-        ``_moved``).  They are supersets of the violations, so the minimum
-        index over them is the global one and the pivots are those of a full
-        scan.  An entry leaves its set only once its work is done, so a check
+        the choice of the leaving variable scan only the two candidate sets
+        (``_tightened``, ``_moved``).  They are supersets of the violations,
+        so the minimum index over them is the global one and the pivots are
+        those of a full scan.  An entry leaves its set only once its work is done, so a check
         interrupted halfway loses no violation.
+
+        The entering variable is the candidate of fewest column entries
+        (ties by index) for the first ``_SPARSE_PIVOTS`` pivots of the check,
+        then the candidate of smallest index (Bland).
         """
         self._maybe_reset_basis()
         contradiction = self._check_fixed_bounds()
@@ -513,10 +527,12 @@ class Simplex:
                 self._update_nonbasic(name, up)
         self._tightened.clear()
 
-        def var_index(name: str) -> int:
-            return self._order[name]
+        order, cols = self._order, self._cols
 
-        for _ in range(max_pivots):
+        def sparsest(name: str) -> Tuple[int, int]:
+            return len(cols[name]), order[name]
+
+        for step in range(max_pivots):
             # Bland's rule: repair the violating basic variable of smallest
             # index (a single min-scan over the candidates; the settled ones
             # leave the set).
@@ -560,7 +576,7 @@ class Simplex:
                 ]
             if not candidates:
                 return SimplexResult(False, conflict=self._conflict_for(violating, lower=lower))
-            pivot_var = min(candidates, key=var_index)
+            pivot_var = min(candidates, key=sparsest if step < _SPARSE_PIVOTS else order.__getitem__)
             # One step for the pivot plus one per other row it rewrites (the
             # pivot column holds ``violating`` and those rows): a pivot on a
             # dense tableau can cost milliseconds.

@@ -140,6 +140,8 @@ class SolverServer:
         self._generation = itertools.count(1)
         self._inflight: Dict[str, asyncio.Task] = {}
         self._jobs: set = set()
+        #: connection handler task -> its writer, while the client is open
+        self._clients: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._server: Optional[asyncio.base_events.Server] = None
         self._closing = asyncio.Event()
         self._started = time.time()
@@ -197,6 +199,13 @@ class SolverServer:
         # joins the children; a broken pool already reaped its own).
         if self._executor is not None:
             await asyncio.to_thread(self._executor.shutdown, True)
+        # Close the connections clients left open: each handler reads EOF
+        # and ends here, not cancelled mid-read when the loop is torn down.
+        handlers = list(self._clients)
+        for writer in self._clients.values():
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers, timeout=DEADLINE_GRACE + 1.0)
         self._closing.set()
 
     # ------------------------------------------------------------------
@@ -207,6 +216,8 @@ class SolverServer:
     ) -> None:
         write_lock = asyncio.Lock()
         tasks: List[asyncio.Task] = []
+        handler = asyncio.current_task()
+        self._clients[handler] = writer
         try:
             first = await reader.readline()
             if not first:
@@ -235,6 +246,7 @@ class SolverServer:
         ):
             pass
         finally:
+            del self._clients[handler]
             for task in tasks:
                 if not task.done():
                     task.cancel()

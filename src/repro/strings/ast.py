@@ -86,6 +86,14 @@ def term_to_str(string_term: StringTerm) -> str:
     return " . ".join(str(e) for e in string_term) if string_term else '""'
 
 
+def _coerce_integers(atom: object, *fields: str) -> None:
+    """Turn plain ``int`` fields of a frozen atom into constant ``LinExpr``."""
+    for name in fields:
+        value = getattr(atom, name)
+        if not isinstance(value, LinExpr):
+            object.__setattr__(atom, name, LinExpr.constant(int(value)))
+
+
 def str_len(name: str) -> LinExpr:
     """The LIA expression standing for ``len(name)`` in integer constraints."""
     return LinExpr.var(length_variable(name))
@@ -181,8 +189,7 @@ class StrAtAtom:
 
     def __post_init__(self) -> None:
         # A plain ``int`` index is accepted, as by ``core.predicates.StrAt``.
-        if not isinstance(self.index, LinExpr):
-            object.__setattr__(self, "index", LinExpr.constant(int(self.index)))
+        _coerce_integers(self, "index")
 
     def __str__(self) -> str:
         op = "=" if self.positive else "≠"
@@ -206,6 +213,9 @@ class SubstrAtom:
     offset: LinExpr
     length: LinExpr
     positive: bool = True
+
+    def __post_init__(self) -> None:
+        _coerce_integers(self, "offset", "length")
 
     def __str__(self) -> str:
         op = "=" if self.positive else "≠"
@@ -232,6 +242,9 @@ class IndexOfAtom:
     needle: StringTerm
     offset: LinExpr
     positive: bool = True
+
+    def __post_init__(self) -> None:
+        _coerce_integers(self, "result", "offset")
 
     def __str__(self) -> str:
         op = "=" if self.positive else "≠"

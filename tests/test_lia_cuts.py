@@ -15,8 +15,14 @@ import itertools
 import random
 
 from repro.lia import LinExpr
-from repro.lia.intsolver import ResourceLimit, check_integer_feasibility
-from repro.lia.simplex import Constraint, Simplex
+from repro.lia.intsolver import (
+    ResourceLimit,
+    _fractional_variable,
+    _implied_equalities,
+    _presolve_and_search,
+    check_integer_feasibility,
+)
+from repro.lia.simplex import Constraint, Simplex, check_constraints
 
 
 def expr(coeffs, const=0):
@@ -238,6 +244,17 @@ def _bruteforce_input_sets():
     yield 3, [_random_system(rng, radius=3) for _ in range(120)]
 
 
+def _assert_answer(outcome, constraints, points):
+    """A sat model satisfies ``constraints``; an unsat core has no point."""
+    if outcome.feasible:
+        assert all(_holds(c, outcome.model) for c in constraints)
+        return
+    core = [c for c in constraints if c.tag in outcome.conflict]
+    assert not any(all(_holds(c, point) for c in core) for point in points), (
+        f"core {sorted(outcome.conflict)} is satisfiable"
+    )
+
+
 def test_integer_feasibility_matches_bruteforce_on_random_systems():
     # Every sat model must satisfy the input, and every unsat core must
     # itself be infeasible.
@@ -251,13 +268,51 @@ def test_integer_feasibility_matches_bruteforce_on_random_systems():
             points = list(_integer_points(variables, radius))
             has_solution = any(all(_holds(c, point) for c in constraints) for point in points)
             assert outcome.feasible == has_solution
-            if outcome.feasible:
-                sat += 1
-                assert all(_holds(c, outcome.model) for c in constraints)
-                continue
-            unsat += 1
-            core = [c for c in constraints if c.tag in outcome.conflict]
-            assert not any(all(_holds(c, point) for c in core) for point in points), (
-                f"core {sorted(outcome.conflict)} is satisfiable"
-            )
+            _assert_answer(outcome, constraints, points)
+            sat += outcome.feasible
+            unsat += not outcome.feasible
         assert unsat >= 10 and sat >= 3, (radius, sat, unsat)
+
+
+def test_integral_root_agrees_with_presolve_path_and_bruteforce():
+    # Whether the root vertex answers a system (integral or infeasible) or
+    # hands it on (fractional), the verdict is that of the presolve and
+    # search alone and of enumeration.
+    root_answers = handed_on = 0
+    for radius, systems in _bruteforce_input_sets():
+        for variables, constraints in systems:
+            try:
+                outcome = check_integer_feasibility(constraints, max_nodes=2000)
+                reference = _presolve_and_search(constraints, 2000, None)
+            except ResourceLimit:
+                continue
+            points = list(_integer_points(variables, radius))
+            has_solution = any(all(_holds(c, point) for c in constraints) for point in points)
+            assert outcome.feasible == reference.feasible == has_solution
+            _assert_answer(outcome, constraints, points)
+            root = check_constraints(constraints)
+            if not root.feasible or _fractional_variable(root.model) is None:
+                root_answers += 1
+            else:
+                handed_on += 1
+    assert root_answers >= 20 and handed_on >= 20, (root_answers, handed_on)
+
+
+def test_implied_equalities_union_int_tags_as_sets():
+    # Raw int tags: 1 | 2 would be the unrelated tag 3, 4 | 8 would be 12.
+    constraints = [
+        Constraint(expr({"x": 1, "y": 1}, -3), "<=", tag=1),
+        Constraint(expr({"x": -1, "y": -1}, 3), "<=", tag=2),
+        Constraint(expr({"z": 1}, -2), "<=", tag=4),
+        Constraint(expr({"z": -1}, 2), "<=", tag=8),
+    ]
+    implied, conflict = _implied_equalities(constraints)
+    assert not conflict
+    assert sorted(sorted(c.tag) for c in implied) == [[1, 2], [4, 8]]
+    assert all(c.relation == "==" for c in implied)
+    crossed = [
+        Constraint(expr({"z": 1}, -1), "<=", tag=1),
+        Constraint(expr({"z": -1}, 2), "<=", tag=2),
+    ]
+    implied, conflict = _implied_equalities(crossed)
+    assert implied is None and conflict == {1, 2}

@@ -314,6 +314,27 @@ def test_clean_shutdown_reaps_workers():
     assert code == 0
 
 
+def test_shutdown_over_a_connection_left_open_exits_cleanly():
+    # The client sends the shutdown and keeps its connection open: the
+    # server closes it (the client reads EOF) instead of leaving its
+    # handler to be cancelled at loop teardown, which logged a
+    # CancelledError traceback.
+    proc = ServeServerProc("--workers", "2")
+    with proc.client() as client:
+        assert client.solve(SAT_SCRIPT)["verdicts"] == ["sat"]
+    children = process_descendants(proc.proc.pid)
+    with socket.create_connection((proc.host, proc.port), timeout=30) as sock:
+        sock.sendall(b'{"op": "shutdown", "id": 1}\n')
+        stream = sock.makefile("rb")
+        assert json.loads(stream.readline())["shutting_down"]
+        _, stderr = proc.proc.communicate(timeout=30)
+        assert stream.readline() == b""
+    code = proc.proc.returncode
+    assert code == 0, stderr
+    assert "CancelledError" not in stderr and "Exception in callback" not in stderr, stderr
+    assert surviving(children, timeout=5) == []
+
+
 def test_shutdown_interrupts_a_running_job():
     # Each of the job's first 40 decomposition checkpoints sleeps 0.25 s,
     # so when the shutdown arrives the job is still running and polls its

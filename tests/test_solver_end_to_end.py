@@ -7,6 +7,7 @@ from repro import (
     Contains,
     EagerReductionSolver,
     EnumerativeSolver,
+    IndexOfAtom,
     LengthConstraint,
     PositionSolver,
     PrefixOf,
@@ -16,6 +17,7 @@ from repro import (
     Status,
     StrAtAtom,
     StringVar,
+    SubstrAtom,
     SuffixOf,
     WordEquation,
     brute_force_check,
@@ -130,6 +132,31 @@ def test_str_at_with_a_plain_int_index(positive, expected):
     result = solve(problem)
     assert_verified_sat(problem, result)
     assert result.model.strings["x"] == expected
+
+
+@pytest.mark.parametrize("positive, expected", [(True, "b"), (False, "a")])
+def test_substr_with_plain_int_offset_and_length(positive, expected):
+    problem = Problem(alphabet=tuple("ab"))
+    problem.add(RegexMembership("y", "ab"))
+    problem.add(RegexMembership("x", "a|b"))
+    problem.add(SubstrAtom(term("x"), term("y"), 1, 1, positive=positive))
+    result = solve(problem)
+    assert_verified_sat(problem, result)
+    assert result.model.strings["x"] == expected
+
+
+@pytest.mark.parametrize(
+    "result_expr, status",
+    [(LinExpr.var("i"), Status.SAT), (1, Status.SAT), (0, Status.UNSAT)],
+)
+def test_indexof_with_plain_int_result_and_offset(result_expr, status):
+    problem = Problem(alphabet=tuple("ab"))
+    problem.add(RegexMembership("y", "ab"))
+    problem.add(IndexOfAtom(result_expr, term("y"), term(lit("b")), 0))
+    result = solve(problem)
+    assert result.status is status
+    if status is Status.SAT:
+        assert_verified_sat(problem, result)
 
 
 def test_independent_predicates_are_split_into_components():
