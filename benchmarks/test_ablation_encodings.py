@@ -14,6 +14,7 @@ from repro.automata import compile_regex
 from repro.core.predicates import Disequality
 from repro.core.single import encode_single
 from repro.core.system import encode_system
+from repro.budget import Budget
 from repro.lia import LiaSolver, formula_size
 
 
@@ -32,7 +33,7 @@ def test_single_construction_solving(benchmark):
 
     def solve():
         encoding = encode_single(PREDICATE, automata)
-        return LiaSolver(timeout=60).check(encoding.formula).status.value
+        return LiaSolver().check(encoding.formula, budget=Budget(60)).status.value
 
     result = benchmark(solve)
     assert result == "sat"
@@ -83,6 +84,6 @@ def test_parikh_lia_pipeline(benchmark):
     encoding = encode_single(Disequality(("x",), ("y",)), automata)
 
     def solve():
-        return LiaSolver(timeout=60).check(encoding.formula).status.value
+        return LiaSolver().check(encoding.formula, budget=Budget(60)).status.value
 
     assert benchmark(solve) == "sat"

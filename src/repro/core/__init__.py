@@ -18,7 +18,6 @@ Layout (section numbers refer to the paper):
 
 from .predicates import (
     Disequality,
-    LengthEquality,
     NotContains,
     NotPrefixOf,
     NotSuffixOf,
@@ -38,7 +37,6 @@ __all__ = [
     "NotSuffixOf",
     "StrAt",
     "NotContains",
-    "LengthEquality",
     "PositionPredicate",
     "predicate_variables",
     "evaluate_all",

@@ -130,26 +130,8 @@ class NotContains:
         return _concat(self.needle, strings) not in _concat(self.haystack, strings)
 
 
-@dataclass(frozen=True)
-class LengthEquality:
-    """``x_i = len(y_1 ... y_m)`` linking an integer variable to string lengths (§6.1)."""
-
-    int_var: str
-    parts: Tuple[str, ...]
-
-    def string_variables(self) -> Tuple[str, ...]:
-        return tuple(dict.fromkeys(self.parts))
-
-    def integer_variables(self) -> Tuple[str, ...]:
-        return (self.int_var,)
-
-    def holds(self, strings: Mapping[str, str], integers: Mapping[str, int] = None) -> bool:
-        integers = integers or {}
-        return integers.get(self.int_var, 0) == len(_concat(self.parts, strings))
-
-
 #: Union type of all position predicates.
-PositionPredicate = Union[Disequality, NotPrefixOf, NotSuffixOf, StrAt, NotContains, LengthEquality]
+PositionPredicate = Union[Disequality, NotPrefixOf, NotSuffixOf, StrAt, NotContains]
 
 
 def predicate_variables(predicates) -> Tuple[str, ...]:

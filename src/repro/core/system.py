@@ -18,8 +18,9 @@ and ``str.at``/``¬str.at`` use
 condition over ``m``/``p``.  The result is a
 :class:`~repro.core.single.TagEncoding`, like that of ``A^II``.
 
-Length equalities (§6.1) ride along on the same automaton — they only read
-the ⟨L, x⟩ counters and need no mismatch machinery.
+Length constraints (§6.1) read the ⟨L, x⟩ counters (``TagEncoding.length_of``)
+and need no mismatch machinery; ``extra_variables`` puts a variable's
+counter into the encoding even when no predicate mentions it.
 
 Two documented deviations from the paper (believed typos, validated against
 the brute-force oracle in the test-suite):
@@ -38,7 +39,7 @@ from typing import Dict, List, Sequence, Tuple
 from ..automata.nfa import Nfa
 from ..lia import Formula, LinExpr, conj, disj, eq, ge, implies, le, ne, var
 from . import parikh
-from .predicates import LengthEquality, PositionPredicate, StrAt, predicate_variables
+from .predicates import PositionPredicate, StrAt, predicate_variables
 from .single import (
     MISMATCH_KINDS,
     TagEncoding,
@@ -428,18 +429,15 @@ def encode_system(
 ) -> TagEncoding:
     """Encode a conjunction of position predicates over shared variables.
 
-    ``predicates`` may mix disequalities, ¬prefixof, ¬suffixof, str.at,
-    ¬str.at and length equalities; ¬contains is handled separately
+    ``predicates`` may mix disequalities, ¬prefixof, ¬suffixof, str.at and
+    ¬str.at; ¬contains is handled separately
     (:mod:`repro.core.notcontains`).  ``extra_variables`` forces additional
     variables into the underlying ε-concatenation (so that their ⟨L, x⟩
     counters exist for surrounding length constraints).
     """
-    mismatch_predicates = [p for p in predicates if not isinstance(p, LengthEquality)]
-    length_predicates = [p for p in predicates if isinstance(p, LengthEquality)]
-
     variables = _with_extras(predicate_variables(predicates), extra_variables)
 
-    num_predicates = len(mismatch_predicates)
+    num_predicates = len(predicates)
     automaton, info = build_system_automaton(automata, variables, num_predicates)
     enc = parikh.encode(automaton, prefix=prefix, connectivity=True)
 
@@ -450,9 +448,7 @@ def encode_system(
         parts.append(ctx.fairness())
         parts.append(ctx.consistency())
         parts.append(ctx.copy_wellformedness())
-    for index, predicate in enumerate(mismatch_predicates, start=1):
+    for index, predicate in enumerate(predicates, start=1):
         parts.append(_predicate_satisfaction(ctx, index, predicate))
-    for predicate in length_predicates:
-        parts.append(eq(var(predicate.int_var), LinExpr.sum_of(ctx.length(p) for p in predicate.parts)))
 
     return TagEncoding(conj(parts), enc, info)

@@ -16,9 +16,9 @@ the check ends by Bland's termination argument.
 The solver is *incremental* in the DPLL(T) discipline of the paper: bound
 assertions are backtrackable via :meth:`Simplex.push` / :meth:`Simplex.pop`
 while the tableau rows, the slack-variable cache and the current (last
-feasible) basis survive — asserting and retracting bounds never rebuilds the
-tableau, and a re-``check`` after small bound changes starts from the warm
-basis.  :meth:`Simplex.prepare` registers a constraint's linear form (row
+feasible) basis survive — nothing ever rebuilds the tableau, so a
+re-``check`` after small bound changes starts from the warm basis however
+many pivots came before.  :meth:`Simplex.prepare` registers a constraint's linear form (row
 creation only) and returns a bound handle that can be asserted cheaply with
 :meth:`Simplex.assert_bound` on every theory check.  :meth:`Simplex.check`
 works on deltas too: it keeps the variables whose bound tightened and the
@@ -184,10 +184,6 @@ class Simplex:
         self._undo: List[Tuple[str, str, Optional[Fraction], object]] = []
         #: number of pivot operations performed (benchmark statistic)
         self.pivots = 0
-        #: non-zero tableau entries (fill-in tracking; see _maybe_reset_basis)
-        self._nnz = 0
-        #: non-zeros right after the last basis reset (the "fresh" density)
-        self._nnz_fresh = 0
 
     # ------------------------------------------------------------------
     # Backtrackable scopes
@@ -302,8 +298,6 @@ class Simplex:
             for name in resolved:
                 self._cols.setdefault(name, set()).add(slack)
             self._basic.add(slack)
-            self._nnz += len(resolved)
-            self._nnz_fresh += len(key)
             self._assignment[slack] = _div(
                 sum(
                     coeff * self._assignment[name]
@@ -374,7 +368,6 @@ class Simplex:
         rows, dens, cols = self._rows, self._den, self._cols
         row = rows.pop(basic)
         den = dens.pop(basic)
-        self._nnz -= len(row)
         for name in row:
             cols[name].discard(basic)
         self._basic.discard(basic)
@@ -388,7 +381,6 @@ class Simplex:
                 new_row[name] = -sign * a
         new_den = sign * coeff
         rows[nonbasic], dens[nonbasic] = new_row, new_den
-        self._nnz += len(new_row)
         for name in new_row:
             cols.setdefault(name, set()).add(nonbasic)
         self._basic.add(nonbasic)
@@ -418,7 +410,6 @@ class Simplex:
             for name in other_row:
                 if name not in updated:
                     cols[name].discard(other)
-            self._nnz += len(updated) - len(other_row)
 
     def _pivot_and_update(self, basic: str, nonbasic: str, target: Fraction) -> None:
         assignment, rows, dens = self._assignment, self._rows, self._den
@@ -436,36 +427,6 @@ class Simplex:
         self._moved.update(column)
         self._moved.add(nonbasic)
         self._pivot(basic, nonbasic)
-
-    def _maybe_reset_basis(self) -> None:
-        """Rebuild the tableau from the original slack definitions on fill-in.
-
-        A long-lived basis accumulates dense rows (every pivot substitutes
-        one row into many); once the tableau holds several times the
-        non-zeros of the original constraint rows, pivoting costs more than
-        the warm basis saves.  Resetting makes every slack basic again with
-        its original (sparse) defining row — the constraint system is
-        unchanged, only the feasible-point search restarts from zero.
-        """
-        if self._nnz <= max(2000, 4 * self._nnz_fresh):
-            return
-        self._rows = {}
-        self._den = {}
-        self._cols = {}
-        self._basic = set()
-        for name in self._assignment:
-            self._assignment[name] = 0
-        for key, slack in self._slack_cache.items():
-            row, den = _integer_row(key)
-            self._rows[slack], self._den[slack] = row, den
-            for name in row:
-                self._cols.setdefault(name, set()).add(slack)
-            self._basic.add(slack)
-        self._nnz = sum(len(row) for row in self._rows.values())
-        self._nnz_fresh = self._nnz
-        # Every assignment moved to zero: every variable is a candidate (the
-        # repair step hands the basic ones on to Bland's scan).
-        self._tightened = set(self._order)
 
     def _check_fixed_bounds(self) -> Optional[SimplexResult]:
         """Detect immediately contradictory bounds ``lower > upper``.
@@ -507,7 +468,6 @@ class Simplex:
         (ties by index) for the first ``_SPARSE_PIVOTS`` pivots of the check,
         then the candidate of smallest index (Bland).
         """
-        self._maybe_reset_basis()
         contradiction = self._check_fixed_bounds()
         if contradiction is not None:
             return contradiction

@@ -20,7 +20,7 @@ calls on the same assertion stack):
   rows are registered once per atom and whose bounds follow the SAT trail
   (the Dutertre–de Moura DPLL(T) discipline): a partial check asserts only
   the atoms the trail gained since the last one, in a scope that a backjump
-  pops again (see ``_Context._sync_theory``),
+  pops again (see ``LiaSolver._sync_theory``),
 * the presolve substitution: defining equalities are eliminated when first
   asserted and the substitution chain is applied to every later assertion,
   so lemmas mentioning eliminated variables are rewritten instead of
@@ -31,8 +31,11 @@ root-level unit assertions, the substitutions and the trivial-verdict flags
 of the popped level while keeping atom definitions and learned theory
 clauses (which are level-independent consequences of the atom semantics).
 
-The classic one-shot ``check(formula)`` entry point is preserved and runs a
-fresh context per call, so existing callers keep their exact semantics.
+``check(formula)`` is the one-shot form: it checks ``formula`` together with
+the current stack inside an implicit ``push``/``pop``.  A check is bounded
+only by the caller's :class:`repro.budget.Budget`; one that runs out raises
+:class:`repro.budget.BudgetExceeded`, and without a budget a check runs
+unbounded.
 
 Pipeline per assertion: :func:`repro.lia.simplify.eliminate_equalities`
 (presolve) → :func:`repro.lia.nnf.to_nnf` → :class:`CnfBuilder` →
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..budget import Budget, BudgetExceeded
+from ..budget import Budget
 from .cnf import CnfBuilder
 from .intsolver import (
     ResourceLimit,
@@ -113,7 +116,7 @@ class LiaResult:
 
 @dataclass
 class _Level:
-    """One assertion-stack frame of the incremental context."""
+    """One assertion-stack frame of a :class:`LiaSolver`."""
 
     units: List[int] = field(default_factory=list)
     eliminated_mark: int = 0
@@ -121,12 +124,19 @@ class _Level:
     false: bool = False
     unsupported: str = ""
     #: canonical keys of theory clauses strengthened with root-forced atoms
-    #: of this level (retracted on pop — see ``_Context._strengthen_core``)
+    #: of this level (retracted on pop — see ``LiaSolver._strengthen_core``)
     strengthened: List[Tuple[int, ...]] = field(default_factory=list)
 
 
-class _Context:
-    """The persistent state behind one assertion stack."""
+class LiaSolver:
+    """Decides quantifier-free LIA formulae over integer variables.
+
+    ``add_assertion`` / ``push`` / ``pop`` maintain an assertion stack, and
+    ``check()`` decides the conjunction of every active assertion while
+    keeping the encoder, SAT engine and theory state warm across calls
+    (see the module docstring).  ``check(formula)`` decides ``formula``
+    together with the stack inside an implicit ``push``/``pop``.
+    """
 
     def __init__(self) -> None:
         self.cnf = CnfBuilder()
@@ -152,7 +162,7 @@ class _Context:
 
         self._gave_up = False
         #: branch-and-bound give-ups (``ResourceLimit`` on a complete
-        #: assignment) over the context's lifetime
+        #: assignment) over the solver's lifetime
         self._give_ups = 0
         #: active resource budget for the current ``check`` (shared with the
         #: SAT search and the integer core; ``None`` outside a check)
@@ -164,12 +174,14 @@ class _Context:
     # Assertion stack
     # ------------------------------------------------------------------
     def push(self) -> None:
+        """Open a new assertion-stack level."""
         self._flush()
         self.levels.append(
             _Level(eliminated_mark=len(self.eliminated), var_mark=len(self._var_list))
         )
 
     def pop(self) -> None:
+        """Drop the most recent assertion-stack level."""
         if len(self.levels) == 1:
             raise IndexError("pop from the base assertion level")
         level = self.levels.pop()
@@ -184,6 +196,7 @@ class _Context:
         del self._var_list[level.var_mark :]
 
     def add_assertion(self, formula: Formula) -> None:
+        """Assert ``formula`` at the current level (encoded lazily on check)."""
         self.pending.append(formula)
 
     # ------------------------------------------------------------------
@@ -414,16 +427,27 @@ class _Context:
         }
 
     def check(
-        self, budget: Optional[Budget] = None, timeout: Optional[float] = None
+        self, formula: Optional[Formula] = None, budget: Optional[Budget] = None
     ) -> LiaResult:
-        # A caller-passed budget is *shared*: exceeding it must propagate as
-        # BudgetExceeded so the owner (e.g. the string pipeline) sees one
-        # consistent verdict.  An owned budget (built here from ``timeout``)
-        # keeps the historical contract: running out of time is an UNKNOWN
-        # result, not an exception.
-        owned = budget is None
-        if owned:
-            budget = Budget(timeout)
+        """Decide satisfiability of the assertion stack (plus ``formula``).
+
+        ``budget`` bounds the whole check and is shared with its caller:
+        running out raises :class:`repro.budget.BudgetExceeded`, and the
+        budget's owner reports the verdict.  Without one the check runs
+        unbounded.
+        """
+        if budget is None:
+            budget = Budget()
+        if formula is None:
+            return self._check(budget)
+        self.push()
+        self.add_assertion(formula)
+        try:
+            return self._check(budget)
+        finally:
+            self.pop()
+
+    def _check(self, budget: Budget) -> LiaResult:
         before = self._stats_snapshot()
 
         def result(
@@ -437,29 +461,24 @@ class _Context:
 
         # The budget governs the whole check — including the presolve in
         # ``_flush``, whose substitution loop checkpoints against the
-        # *ambient* budget, hence the ``activate()``.  An owned budget maps
-        # exhaustion anywhere in the body to an UNKNOWN result.
+        # *ambient* budget, hence the ``activate()``.
         self._budget = budget
         # The callback is bound for the check only: kept on the SAT engine,
-        # the bound method would make the context and the engine a reference
-        # cycle, and a finished one-shot context (clauses, simplex,
-        # constraints) would wait for the cyclic collector.
+        # the bound method would make the solver and the engine a reference
+        # cycle, and a dropped solver (clauses, simplex, constraints) would
+        # wait for the cyclic collector.
         self.sat.theory_callback = self._theory_callback
         # A check cut short (budget, interrupt) may have stopped mid-sync;
         # the search restarts from the root anyway.
         self._reset_theory()
         try:
             with budget.activate():
-                return self._check_budgeted(budget, result)
-        except BudgetExceeded as limit:
-            if not owned:
-                raise
-            return result(LiaStatus.UNKNOWN, reason=str(limit.reason))
+                return self._search(budget, result)
         finally:
             self._budget = None
             self.sat.theory_callback = None
 
-    def _check_budgeted(self, budget: Budget, result) -> LiaResult:
+    def _search(self, budget: Budget, result) -> LiaResult:
         self._flush()
         if any(level.false for level in self.levels):
             return result(LiaStatus.UNSAT)
@@ -485,75 +504,6 @@ class _Context:
         for name in self._var_set:
             model.values.setdefault(name, 0)
         return result(LiaStatus.SAT, model=model)
-
-
-class LiaSolver:
-    """Facade deciding quantifier-free LIA formulae over integer variables.
-
-    Two usage styles are supported:
-
-    * **one-shot** — ``LiaSolver().check(formula)`` decides a single formula
-      (a fresh context per call, the historical behaviour), and
-    * **incremental** — ``add_assertion`` / ``push`` / ``pop`` maintain an
-      assertion stack; ``check()`` decides the conjunction of every active
-      assertion while keeping the encoder, SAT engine and theory state warm
-      across calls (see the module docstring).
-
-    ``check(formula)`` on a solver that already holds assertions is a scoped
-    convenience: the formula is checked together with the current stack
-    inside an implicit ``push``/``pop``.
-    """
-
-    def __init__(self, timeout: Optional[float] = None) -> None:
-        #: wall-clock limit in seconds of each check without a caller budget
-        self.timeout = timeout
-        self._ctx: Optional[_Context] = None
-
-    # ------------------------------------------------------------------
-    def _context(self) -> _Context:
-        if self._ctx is None:
-            self._ctx = _Context()
-        return self._ctx
-
-    def push(self) -> None:
-        """Open a new assertion-stack level."""
-        self._context().push()
-
-    def pop(self) -> None:
-        """Drop the most recent assertion-stack level."""
-        self._context().pop()
-
-    def add_assertion(self, formula: Formula) -> None:
-        """Assert ``formula`` at the current level (encoded lazily on check)."""
-        self._context().add_assertion(formula)
-
-    def reset(self) -> None:
-        """Drop the whole assertion stack and every cached solver state."""
-        self._ctx = None
-
-    # ------------------------------------------------------------------
-    def check(
-        self, formula: Optional[Formula] = None, budget: Optional[Budget] = None
-    ) -> LiaResult:
-        """Decide satisfiability of the assertion stack (plus ``formula``).
-
-        A caller-passed ``budget`` supersedes ``timeout``, and exceeding it
-        raises :class:`repro.budget.BudgetExceeded` instead of answering
-        ``UNKNOWN`` (the budget's owner reports the verdict).
-        """
-        if formula is not None:
-            if self._ctx is None:
-                context = _Context()
-                context.add_assertion(formula)
-                return context.check(budget, self.timeout)
-            context = self._context()
-            context.push()
-            context.add_assertion(formula)
-            try:
-                return context.check(budget, self.timeout)
-            finally:
-                context.pop()
-        return self._context().check(budget, self.timeout)
 
 
 def check_model(formula: Formula, model: LiaModel) -> bool:

@@ -4,9 +4,10 @@ The one-request-one-session architecture of :class:`repro.Session` scales
 to concurrent traffic here: an asyncio front door accepts SMT-LIB jobs
 over a JSON-lines TCP protocol (or as raw scripts), runs each job under
 one :class:`repro.SolverConfig` on one worker of a process fleet with warm
-per-worker automata caches, answers every job by its deadline (a hung
-worker is abandoned and cancelled across the process boundary through the
-budget hook) and dedups structurally identical in-flight jobs.
+per-worker automata caches, answers every job by its deadline (each job
+runs under one budget built from that deadline, and a hung worker is
+abandoned at the deadline plus grace) and dedups structurally identical
+in-flight jobs.
 
 Entry points:
 

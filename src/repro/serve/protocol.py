@@ -69,20 +69,15 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 class JobSpec:
     """One job, pickled to a worker process.
 
-    ``slot``/``generation`` address the cross-process cancellation flag:
-    the worker's budget hook polls ``flags[slot]`` and aborts with an
-    ``interrupted`` reason the moment it equals ``generation`` (the parent
-    writes that value to abandon exactly this run — slots are reused, the
-    generation makes stale writes inert).  ``deadline`` is absolute wall
-    time (``time.time()``), so a spec that sat in the executor queue past
-    its deadline answers immediately.  ``inject`` carries fault-injection
-    triggers (test/chaos mode only; see :mod:`repro.serve.workers`).
+    ``deadline`` is absolute wall time (``time.time()``) and becomes the
+    deadline of the job's one :class:`~repro.budget.Budget`, so a spec that
+    sat in the executor queue past its deadline answers immediately.
+    ``inject`` carries fault-injection triggers (test/chaos mode only; see
+    :mod:`repro.serve.workers`).
     """
 
     script: str
     name: str = ""
-    slot: int = -1
-    generation: int = 0
     deadline: Optional[float] = None
     max_steps: Optional[int] = None
     attempt: int = 0

@@ -6,35 +6,36 @@ One :class:`SolverServer` owns
   SMT-LIB fallback) of :mod:`repro.serve.protocol`,
 * a ``ProcessPoolExecutor`` worker fleet (:mod:`repro.serve.workers`),
   handed the texts of the ``--warm`` scripts (each worker normalises them
-  into its own cache) and wired to the shared cancellation-flag array, and
+  into its own cache) and the fleet-wide stop flag, and
 * the in-flight table that dedups structurally identical jobs.
 
 Job lifecycle (the ``solve`` op)::
 
     request line ──parse/validate──▶ dedup table ──hit──▶ share the
-         │                              │                 in-flight future
-         │ miss                         ▼
-         ▼                        one JobSpec → executor; wait until
-    slot + generation              the deadline plus grace → respond
-    (backpressure: bounded
-    slot pool)
+                                        │ miss            in-flight future
+                                        ▼
+                                  one JobSpec → executor; wait until
+                                  the deadline plus grace → respond
+
+A job's one limit is the :class:`~repro.budget.Budget` its worker builds
+from ``JobSpec.deadline``.  Shutdown sets the fleet-wide stop flag, which
+every running job's budget hook polls.
 
 Fault tolerance: a worker death breaks the whole pool
 (``BrokenProcessPool``), so the server rebuilds the executor — warm
-scripts and flags are re-used — and retries the affected job
+scripts and the stop flag are re-used — and retries the affected job
 (``retries`` per job, solving is pure so a retry is safe); a job that
 keeps dying answers a structured ``unknown``.  A *hung* worker (no
-checkpoints, so no cancellation point) is abandoned at the job deadline
-plus grace: the job answers structured ``unknown(timeout)`` verdicts and
-the slot is reclaimed only when the worker eventually returns — the fleet
-degrades instead of wedging, and the response is never dropped.
+checkpoints) is abandoned at the job deadline plus grace: the job answers
+structured ``unknown(timeout)`` verdicts, and the run stops at its
+budget's deadline if it ever reaches a checkpoint — the fleet degrades
+instead of wedging, and the response is never dropped.
 """
 
 from __future__ import annotations
 
 import asyncio
 import glob as globlib
-import itertools
 import math
 import multiprocessing
 import os
@@ -79,6 +80,11 @@ def _ensure_child_import_path() -> None:
         os.environ["PYTHONPATH"] = os.pathsep.join([src] + parts)
 
 
+def _retrieve_exception(task: asyncio.Task) -> None:
+    if not task.cancelled():
+        task.exception()
+
+
 def _read_warm_scripts(paths: Sequence[str]) -> List[str]:
     """The texts of the warm-up scripts in ``paths`` (globs allowed).
 
@@ -118,7 +124,6 @@ class SolverServer:
         self.warm_paths = tuple(warm_paths)
         self.retries = max(0, retries)
         self.enable_fault_injection = enable_fault_injection
-        self.n_slots = max(4 * self.workers, 8)
 
         self.stats: Dict[str, int] = {
             "jobs_total": 0,
@@ -133,11 +138,10 @@ class SolverServer:
         self.warm_texts: List[str] = []
 
         self._ctx = multiprocessing.get_context("spawn")
-        self._flags = None
+        #: the fleet-wide stop flag every job's budget hook polls
+        self._stop = None
         self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_gen = 0
-        self._slot_pool: Optional[asyncio.Queue] = None
-        self._generation = itertools.count(1)
         self._inflight: Dict[str, asyncio.Task] = {}
         self._jobs: set = set()
         #: connection handler task -> its writer, while the client is open
@@ -152,10 +156,7 @@ class SolverServer:
     async def start(self) -> None:
         _ensure_child_import_path()
         self.warm_texts = await asyncio.to_thread(_read_warm_scripts, self.warm_paths)
-        self._flags = self._ctx.Array("l", self.n_slots, lock=False)
-        self._slot_pool = asyncio.Queue()
-        for slot in range(self.n_slots):
-            self._slot_pool.put_nowait(slot)
+        self._stop = self._ctx.Value("b", 0, lock=False)
         self._build_executor()
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
@@ -168,7 +169,7 @@ class SolverServer:
             max_workers=self.workers,
             mp_context=self._ctx,
             initializer=initializer,
-            initargs=(self._flags, self.warm_texts),
+            initargs=(self._stop, self.warm_texts),
         )
 
     async def wait_closed(self) -> None:
@@ -186,12 +187,9 @@ class SolverServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Cancel whatever is still running so the drain is quick: -1 is the
-        # universal cancel value every worker hook honours regardless of
-        # its generation.
-        if self._flags is not None:
-            for slot in range(self.n_slots):
-                self._flags[slot] = -1
+        # Stop whatever is still running so the drain is quick.
+        if self._stop is not None:
+            self._stop.value = 1
         pending = [task for task in self._jobs if not task.done()]
         if pending:
             await asyncio.wait(pending, timeout=DEADLINE_GRACE + 1.0)
@@ -333,7 +331,6 @@ class SolverServer:
     def server_stats(self) -> Dict[str, Any]:
         snapshot: Dict[str, Any] = dict(self.stats)
         snapshot["workers"] = self.workers
-        snapshot["slots"] = self.n_slots
         snapshot["warm_scripts"] = len(self.warm_texts)
         snapshot["executor_generation"] = self._executor_gen
         snapshot["uptime"] = time.time() - self._started
@@ -402,35 +399,24 @@ class SolverServer:
         """
         started = time.time()
         deadline = started + timeout
-        slot = await self._slot_pool.get()
         spec = JobSpec(
             script=script,
             name=name,
-            slot=slot,
-            generation=next(self._generation),
             deadline=deadline,
             max_steps=self.max_steps,
             inject=tuple(dict(trigger) for trigger in inject),
         )
         run = asyncio.create_task(self._run_one(spec, n_checks))
-
-        def reclaim(task: asyncio.Task) -> None:
-            # The slot is reclaimed when the worker returns, which for an
-            # abandoned job can be long after the response below went out;
-            # nobody else reads an abandoned run's result.
-            self._slot_pool.put_nowait(slot)
-            if not task.cancelled():
-                task.exception()
-
-        run.add_done_callback(reclaim)
+        # Nobody reads an abandoned run's result; its exception is
+        # retrieved when the worker returns.
+        run.add_done_callback(_retrieve_exception)
         done, _ = await asyncio.wait(
             {run}, timeout=max(deadline + DEADLINE_GRACE - time.time(), 0.05)
         )
         if not done:
             # Past deadline + grace with the worker still silent: hung
-            # fleet.  Flag the run so it stops at its next checkpoint, if
-            # it ever reaches one, and answer for the job ourselves.
-            self._flags[slot] = spec.generation
+            # fleet.  The run stops at its budget's deadline if it ever
+            # reaches a checkpoint; answer for the job ourselves.
             self.stats["jobs_abandoned"] += 1
             reason = (
                 f"timeout@serve.fleet after {time.time() - started:.2f}s "

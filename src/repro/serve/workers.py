@@ -18,21 +18,18 @@ Worker startup does two things:
   membership intersections it took from the warm-up or from earlier jobs
   instead of rebuilding them.
 
-* **Cancellation wiring** — the fleet shares one lock-free
-  ``multiprocessing.Array`` of per-slot generation flags, inherited
-  through the pool's ``initargs``.  Every job's budget ``hook`` polls its
-  slot: the moment the parent writes the job's generation number there,
-  the next engine checkpoint raises
-  :class:`~repro.budget.BudgetExceeded` with an ``interrupted`` reason and
-  the run unwinds through the PR-6 machinery (transactional caches, no
-  corruption) within one checkpoint interval.  This is how the server
-  stops a job it abandoned at its deadline, and every running job at
-  shutdown (the value ``-1``): no signals, no pipes — one shared-memory
-  write, observed at the next cooperative checkpoint.
+* **The stop flag** — every job runs under one
+  :class:`~repro.budget.Budget` whose deadline is the spec's
+  ``deadline``; that budget is the only limit on the job.  Its ``hook``
+  also polls one fleet-wide shared flag, inherited through the pool's
+  ``initargs``, which the server sets at shutdown: the next engine
+  checkpoint then raises :class:`~repro.budget.BudgetExceeded` with an
+  ``interrupted`` reason, and the run unwinds like any other exhausted
+  budget (transactional caches, no corruption).
 
 Fault injection (chaos tests) rides the same hook: a spec's ``inject``
 triggers build a :class:`repro.testing.faults.FaultInjector` chained in
-front of the cancellation poll, including the ``kill`` action
+front of the stop-flag poll, including the ``kill`` action
 (``os._exit``) that simulates a worker dying mid-job.
 """
 
@@ -47,9 +44,9 @@ from ..strings.normal_form import NormalizationCache, normalize
 from ..strings.reductions import reduce_problem
 from .protocol import JobOutcome, JobSpec
 
-#: the shared cancellation flags (``multiprocessing.Array('l', slots)``),
-#: installed by :func:`initializer` in every worker
-_FLAGS = None
+#: the fleet-wide stop flag (a shared ``multiprocessing`` byte), installed
+#: by :func:`initializer` in every worker; non-zero once the server shuts down
+_STOP = None
 
 #: number of ``--warm`` scripts this worker normalised at startup
 _WARM_SEEDED = 0
@@ -58,22 +55,22 @@ _WARM_SEEDED = 0
 #: by every job it runs
 NORMALIZATION_CACHE = NormalizationCache()
 
-#: how often (in budget checkpoints) the cancellation flag is polled; the
-#: flag is one shared-memory integer read, so a small interval keeps the
-#: cancel latency at "a few engine checkpoints" for negligible cost
-_CANCEL_POLL_INTERVAL = 4
+#: how often (in budget checkpoints) the stop flag is polled; the flag is
+#: one shared-memory read, so a small interval keeps the stop latency at
+#: "a few engine checkpoints" for negligible cost
+_STOP_POLL_INTERVAL = 4
 
 
-def initializer(flags, warm_scripts: Sequence[str]) -> None:
-    """Pool initializer: install the cancel flags, normalise the warm
+def initializer(stop, warm_scripts: Sequence[str]) -> None:
+    """Pool initializer: install the stop flag, normalise the warm
     scripts into :data:`NORMALIZATION_CACHE`.
 
     Warm-up is best-effort: a script that fails is skipped and left out of
     ``serve_warm_seeded``.  The catch is broad on purpose, since an
     initializer that raises breaks the whole pool and every later job.
     """
-    global _FLAGS, _WARM_SEEDED
-    _FLAGS = flags
+    global _STOP, _WARM_SEEDED
+    _STOP = stop
     from ..smtlib import parse_problem
 
     for text in warm_scripts:
@@ -86,7 +83,7 @@ def initializer(flags, warm_scripts: Sequence[str]) -> None:
 
 
 def _build_hook(spec: JobSpec):
-    """The budget hook of one run: fault triggers + cancellation polling."""
+    """The budget hook of one run: fault triggers + stop-flag polling."""
     injector = None
     if spec.inject:
         from ..testing.faults import FaultInjector, FaultSpec
@@ -107,20 +104,19 @@ def _build_hook(spec: JobSpec):
         if specs:
             injector = FaultInjector(specs)
 
-    flags, slot, generation = _FLAGS, spec.slot, spec.generation
-    poll_in = [_CANCEL_POLL_INTERVAL]
+    stop = _STOP
+    poll_in = [_STOP_POLL_INTERVAL]
 
     def hook(stage: str, count: int) -> None:
         if injector is not None:
             injector(stage, count)
-        if flags is None or slot < 0:
+        if stop is None:
             return
         poll_in[0] -= 1
         if poll_in[0] > 0:
             return
-        poll_in[0] = _CANCEL_POLL_INTERVAL
-        value = flags[slot]
-        if value == generation or value == -1:  # -1: server-wide shutdown
+        poll_in[0] = _STOP_POLL_INTERVAL
+        if stop.value:
             raise BudgetExceeded(
                 UnknownReason(
                     UnknownKind.INTERRUPTED, stage=stage, detail="cancelled by server"
@@ -134,10 +130,11 @@ def run_job(spec: JobSpec) -> JobOutcome:
     """Execute one job inside a worker process.
 
     Always returns a :class:`JobOutcome` — parse errors, budget
-    exhaustion, cancellation and injected interrupts all land in
-    structured fields; the only ways no outcome comes back are a dead
-    worker (the server detects the broken pool and retries) and a hard
-    hang (the server answers for the job at its deadline).
+    exhaustion, shutdown and injected interrupts all land in structured
+    fields; the only ways no outcome comes back are a dead worker (the
+    server detects the broken pool and retries) and a hard hang (the
+    server answers for the job at its deadline plus grace, and the run
+    stops at its budget's deadline if it ever reaches a checkpoint).
     """
     from ..smtlib import ScriptRunner, SmtLibError
     from ..solver import SolverConfig

@@ -86,11 +86,11 @@ class ScriptRunner:
         passes one budget covering a whole job, so a script that exhausts it
         mid-run answers its remaining checks immediately with structured
         ``unknown`` verdicts instead of burning the deadline once per check.
-        The budget's ``hook`` is also the cross-process cancellation point:
-        a hook that raises :class:`~repro.budget.BudgetExceeded` (e.g. when
-        the server shuts down or abandons the job) aborts the in-flight
-        check with an ``interrupted`` reason.  Without a budget each check runs under the
-        session config's own timeout, as before.
+        The budget's ``hook`` is also where the server stops a job: a hook
+        that raises :class:`~repro.budget.BudgetExceeded` (the serve
+        workers' does when the server shuts down) aborts the in-flight
+        check with an ``interrupted`` reason.  Without a budget each check
+        runs under the session config's own timeout.
         """
         # Imported lazily: repro.strings re-exports this module's package,
         # and repro.solver imports repro.strings — a module-level import

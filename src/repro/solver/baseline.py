@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import List, Optional, Tuple
 
-from ..budget import Budget, checkpoint
+from ..budget import Budget, UnknownKind, UnknownReason, checkpoint
 from ..lia import ne as lia_ne
 from ..lia import gt as lia_gt
 from ..strings.ast import (
@@ -149,6 +149,12 @@ class EagerReductionSolver:
     def check(self, problem: Problem) -> SolveResult:
         """Decide satisfiability by eager reduction + the equation pipeline."""
         watch = Budget(self.config.timeout)
+
+        def undecided(kind: UnknownKind, detail: str = "") -> SolveResult:
+            status = Status.TIMEOUT if kind is UnknownKind.TIMEOUT else Status.UNKNOWN
+            reason = UnknownReason(kind, "solver.baseline", detail, elapsed=watch.elapsed())
+            return SolveResult(status, elapsed=watch.elapsed(), reason=reason)
+
         base_atoms = []
         alternative_sets: List[List[List]] = []
         for atom in problem.atoms:
@@ -158,8 +164,9 @@ class EagerReductionSolver:
             elif isinstance(atom, StrAtAtom) and atom.positive:
                 alternative_sets.append(self._reduce_atom(atom, problem.alphabet))
             elif isinstance(atom, (Contains, StrAtAtom)) and not atom.positive:
-                return SolveResult(Status.UNKNOWN, elapsed=watch.elapsed(),
-                                   reason="eager baseline cannot reduce this predicate")
+                return undecided(
+                    UnknownKind.FRAGMENT, "eager baseline cannot reduce this predicate"
+                )
             else:
                 base_atoms.append(atom)
 
@@ -173,7 +180,7 @@ class EagerReductionSolver:
         def explore(index: int, atoms: List) -> Optional[SolveResult]:
             nonlocal saw_unknown, explored
             if watch.expired():
-                return SolveResult(Status.TIMEOUT, elapsed=watch.elapsed(), reason="timeout")
+                return undecided(UnknownKind.TIMEOUT)
             if index == len(alternative_sets):
                 explored += 1
                 candidate = Problem(list(atoms), alphabet=problem.alphabet)
@@ -192,14 +199,13 @@ class EagerReductionSolver:
             return None
 
         result = explore(0, list(base_atoms))
-        if result is not None:
-            result.branches_explored = explored
-            return result
-        if watch.expired():
-            return SolveResult(Status.TIMEOUT, elapsed=watch.elapsed(), reason="timeout",
-                               branches_explored=explored)
-        if saw_unknown:
-            return SolveResult(Status.UNKNOWN, elapsed=watch.elapsed(),
-                               reason="some reduced system could not be decided",
-                               branches_explored=explored)
-        return SolveResult(Status.UNSAT, elapsed=watch.elapsed(), branches_explored=explored)
+        if result is None and watch.expired():
+            result = undecided(UnknownKind.TIMEOUT)
+        elif result is None and saw_unknown:
+            result = undecided(
+                UnknownKind.INCOMPLETE, "some reduced system could not be decided"
+            )
+        elif result is None:
+            result = SolveResult(Status.UNSAT, elapsed=watch.elapsed())
+        result.branches_explored = explored
+        return result

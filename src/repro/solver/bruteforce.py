@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..automata.enumeration import has_word_longer_than, words_up_to
 from ..automata.nfa import Nfa
-from ..budget import Budget
+from ..budget import Budget, UnknownKind, UnknownReason
 from ..strings.ast import EXTENDED_ATOMS, Problem
 from ..strings.normal_form import normalize
 from ..strings.semantics import eval_problem
@@ -67,7 +67,8 @@ def brute_force_check(
     names = sorted(candidate_words)
     for choice in product(*(candidate_words[name] for name in names)):
         if watch.expired():
-            return SolveResult(Status.TIMEOUT, elapsed=watch.elapsed())
+            reason = UnknownReason(UnknownKind.TIMEOUT, "bruteforce", elapsed=watch.elapsed())
+            return SolveResult(Status.TIMEOUT, elapsed=watch.elapsed(), reason=reason)
         strings = dict(zip(names, choice))
         for values in product(integer_domain, repeat=len(integer_variables)):
             integers = dict(zip(integer_variables, values))
@@ -80,4 +81,5 @@ def brute_force_check(
 
     if exhaustive and not integer_variables:
         return SolveResult(Status.UNSAT, elapsed=watch.elapsed())
-    return SolveResult(Status.UNKNOWN, elapsed=watch.elapsed(), reason="bounded search exhausted")
+    reason = UnknownReason(UnknownKind.INCOMPLETE, "bruteforce", "bounded search exhausted")
+    return SolveResult(Status.UNKNOWN, elapsed=watch.elapsed(), reason=reason)

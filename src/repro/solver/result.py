@@ -85,11 +85,9 @@ class SolveResult:
     status: Status
     model: Optional[StringModel] = None
     elapsed: float = 0.0
-    #: why the verdict is not sat/unsat: a typed :class:`UnknownReason`
-    #: for unknown/timeout results from the main pipeline ("" otherwise).
-    #: Legacy frontends may still fill in a free-text string; ``str(reason)``
-    #: is always the displayable form.
-    reason: Union[str, UnknownReason] = ""
+    #: why the verdict is not sat/unsat: a typed :class:`UnknownReason` on
+    #: every unknown/timeout result (``None`` on sat/unsat)
+    reason: Optional[UnknownReason] = None
     #: number of decomposition branches explored
     branches_explored: int = 0
     #: number of LIA queries issued

@@ -743,7 +743,7 @@ class IncrementalPipeline:
             # Retracting a *component encoding* would leave its (large)
             # Tseitin clause set and theory atoms behind as dead weight the
             # SAT search still has to assign — reuse would then cost more
-            # than it saves.  Rebuild the context instead; retracted small
+            # than it saves.  Rebuild the solver instead; retracted small
             # parts (integer conjuncts, length links) pop cheaply.
             dropped_encoding = any(
                 key[0] == "enc"

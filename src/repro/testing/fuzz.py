@@ -32,16 +32,17 @@ classification — ``python -m repro.smtlib <repro>`` replays it.
 Determinism: the scenarios are driven by ``random.Random(seed)`` inside
 the generator, and this module reads no clocks and no global randomness
 (the static analyzer's determinism rule holds it to that), so a seed list
-always yields the same instances.  The verdicts are not bit-for-bit
-reproducible: ``--budget`` is a wall-clock limit in seconds per check
-(``_solve`` passes it as the check's ``timeout``), so a seed whose checks
-decide close to it can change status between runs on the same code (at
-``--budget 0.5``, seed 38 answers ``sat`` in 0.45–0.50 s under both
-configurations).
+always yields the same instances.  Every engine check, each core re-check
+included, runs under its own step budget of :data:`CHECK_STEPS` checkpoint
+steps and no wall-clock limit (the :func:`default_configs`), so a seed's
+statuses do not move with the speed of the machine.  Only the brute-force
+oracle runs on the wall clock (:data:`BRUTE_TIMEOUT`): just its definite
+answers take part in the differential, and one that runs out of time is
+left out.
 
 Run the CI sweep locally::
 
-    PYTHONPATH=src python -m repro.testing.fuzz --seeds 40 --budget 0.5
+    PYTHONPATH=src python -m repro.testing.fuzz --seeds 40
 """
 
 from __future__ import annotations
@@ -73,6 +74,11 @@ UNKNOWN_MISMATCH = "structured-unknown-mismatch"
 BRUTE_MAX_LENGTH = 3
 BRUTE_TIMEOUT = 0.25
 
+#: checkpoint steps per engine check.  Measured on seeds 0–39 under both
+#: configurations: every check that decides needs at most 32016 steps, and
+#: no seed left undecided decides within 38000
+CHECK_STEPS = 35_000
+
 
 def _model_ok(problem: Problem, model) -> bool:
     """Semantics-oracle verification; a model missing an assignment for
@@ -83,14 +89,15 @@ def _model_ok(problem: Problem, model) -> bool:
         return False
 
 
-def default_configs(timeout: Optional[float] = None) -> Dict[str, SolverConfig]:
+def default_configs() -> Dict[str, SolverConfig]:
     """The two configurations every scenario runs under: ``witness`` (the
     default, with the distinct shortcut) and ``encoding`` (always the
     paper's tag-automaton encoding), so each scenario cross-checks the
-    shortcut against the encoding."""
+    shortcut against the encoding.  Each check gets :data:`CHECK_STEPS`
+    checkpoint steps and no time limit."""
     return {
-        "witness": SolverConfig(timeout=timeout),
-        "encoding": SolverConfig(distinct_shortcut=False, timeout=timeout),
+        "witness": SolverConfig(timeout=None, max_steps=CHECK_STEPS),
+        "encoding": SolverConfig(distinct_shortcut=False, timeout=None, max_steps=CHECK_STEPS),
     }
 
 
@@ -177,18 +184,19 @@ class DifferentialFuzzer:
         self.include_gaps = include_gaps
 
     # -- one check ------------------------------------------------------
-    def _solve(self, problem: Problem, config: SolverConfig, budget: float) -> SolveResult:
-        """One engine check; injector faults surface as results, and
-        injected budget exhaustion / interrupts become structured unknowns
-        (that is the session contract the chaos suite pins)."""
+    def _solve(self, problem: Problem, config: SolverConfig) -> SolveResult:
+        """One engine check under ``config``'s limits; injector faults
+        surface as results, and injected budget exhaustion / interrupts
+        become structured unknowns (that is the session contract the chaos
+        suite pins)."""
         session = Session(config=config, alphabet=problem.alphabet, name=problem.name)
         for index, atom in enumerate(problem.atoms):
             session.add(atom, name=f"a{index}")
         if self.injector is None:
-            result = session.check(timeout=budget)
+            result = session.check()
         else:
             self.injector.reset()
-            owned = Budget(budget, hook=self.injector)
+            owned = Budget(config.timeout, max_steps=config.max_steps, hook=self.injector)
             try:
                 result = session.check(budget=owned)
             except BudgetExceeded:
@@ -200,14 +208,12 @@ class DifferentialFuzzer:
         self._last_session = session
         return result
 
-    def _classify(
-        self, scenario: PipelineScenario, config_name: str, expected: str, budget: float
-    ) -> _Outcome:
+    def _classify(self, scenario: PipelineScenario, config_name: str, expected: str) -> _Outcome:
         problem = scenario.problem()
         config = self.configs[config_name]
         self._last_session = None
         try:
-            result = self._solve(problem, config, budget)
+            result = self._solve(problem, config)
         except Exception as error:  # engine exceptions are fuzz findings
             return _Outcome("unknown", CRASH, f"engine raised {type(error).__name__}: {error}")
         internal = int(result.stats.get("internal_errors", 0)) if result.stats else 0
@@ -229,7 +235,7 @@ class DifferentialFuzzer:
         if result.status is Status.UNSAT:
             if expected == "sat":
                 return _Outcome("unsat", WRONG_VERDICT, "unsat but ground truth is sat")
-            return self._check_core(problem, config, budget)
+            return self._check_core(problem, config)
         # UNKNOWN / TIMEOUT: the reason must be a typed UnknownReason
         if not isinstance(result.reason, UnknownReason):
             return _Outcome(
@@ -237,9 +243,11 @@ class DifferentialFuzzer:
             )
         return _Outcome("unknown")
 
-    def _check_core(self, problem: Problem, config: SolverConfig, budget: float) -> _Outcome:
+    def _check_core(self, problem: Problem, config: SolverConfig) -> _Outcome:
         """Re-solve the named unsat core as a standalone problem: a core
-        whose sub-problem is satisfiable blamed bystander assertions."""
+        whose sub-problem is satisfiable blamed bystander assertions.  The
+        core's re-checks and the re-solve each run under ``config``'s
+        limits."""
         session = self._last_session
         if session is None:  # injector path: core auditing is skipped
             return _Outcome("unsat")
@@ -255,7 +263,7 @@ class DifferentialFuzzer:
             check = Session(config=config, alphabet=problem.alphabet)
             for atom in sub.atoms:
                 check.add(atom)
-            sub_result = check.check(timeout=budget)
+            sub_result = check.check()
         except Exception as error:
             return _Outcome("unsat", CRASH, f"core re-solve raised {type(error).__name__}: {error}")
         if sub_result.status is Status.SAT:
@@ -269,7 +277,7 @@ class DifferentialFuzzer:
         return _Outcome("unsat")
 
     # -- the sweep ------------------------------------------------------
-    def run(self, seeds: Sequence[int], budget: float = 0.5) -> FuzzReport:
+    def run(self, seeds: Sequence[int]) -> FuzzReport:
         """Solve every seeded scenario under all ablations + the brute
         oracle; classify, shrink and report."""
         report = FuzzReport()
@@ -279,7 +287,7 @@ class DifferentialFuzzer:
             report.instances += 1
             statuses: Dict[str, str] = {}
             for config_name in self.configs:
-                outcome = self._classify(scenario, config_name, expected, budget)
+                outcome = self._classify(scenario, config_name, expected)
                 report.checks += 1
                 statuses[config_name] = outcome.status
                 if outcome.status == "unknown" and outcome.kind is None:
@@ -287,7 +295,7 @@ class DifferentialFuzzer:
                 report.verdicts[outcome.status] = report.verdicts.get(outcome.status, 0) + 1
                 if outcome.kind is not None:
                     report.failures.append(
-                        self._shrink(seed, scenario, config_name, expected, outcome, budget)
+                        self._shrink(seed, scenario, config_name, expected, outcome)
                     )
             # cross-ablation differential (belt to the ground-truth braces)
             if "sat" in statuses.values() and "unsat" in statuses.values():
@@ -295,7 +303,7 @@ class DifferentialFuzzer:
                 outcome = _Outcome("unknown", WRONG_VERDICT, detail)
                 sat_config = sorted(k for k, v in statuses.items() if v == "sat")[0]
                 report.failures.append(
-                    self._shrink(seed, scenario, sat_config, expected, outcome, budget)
+                    self._shrink(seed, scenario, sat_config, expected, outcome)
                 )
             # brute-force oracle: definite answers must agree with the
             # enumerated ground truth (this cross-checks the *generator*)
@@ -313,14 +321,12 @@ class DifferentialFuzzer:
                         f"brute-force says {verdict}, ground truth {expected}",
                     )
                     report.failures.append(
-                        self._shrink(seed, scenario, "brute", expected, outcome, budget)
+                        self._shrink(seed, scenario, "brute", expected, outcome)
                     )
         return report
 
     # -- shrinking ------------------------------------------------------
-    def _reproduces(
-        self, scenario: PipelineScenario, config_name: str, budget: float, kind: str
-    ) -> bool:
+    def _reproduces(self, scenario: PipelineScenario, config_name: str, kind: str) -> bool:
         expected = scenario.ground_truth()
         if config_name == "brute":
             brute = brute_force_check(
@@ -330,7 +336,7 @@ class DifferentialFuzzer:
                 return False
             verdict = "sat" if brute.status is Status.SAT else "unsat"
             return verdict != expected
-        outcome = self._classify(scenario, config_name, expected, budget)
+        outcome = self._classify(scenario, config_name, expected)
         return outcome.kind == kind
 
     def _shrink(
@@ -340,7 +346,6 @@ class DifferentialFuzzer:
         config_name: str,
         expected: str,
         outcome: _Outcome,
-        budget: float,
     ) -> FuzzFailure:
         """Greedy descent through strictly-smaller scenarios that keep the
         failure kind alive; deterministic order, bounded re-checks."""
@@ -357,7 +362,7 @@ class DifferentialFuzzer:
                 checks += 1
                 if checks >= self.max_shrink_checks:
                     break
-                if self._reproduces(candidate, config_name, budget, kind):
+                if self._reproduces(candidate, config_name, kind):
                     current = candidate
                     steps += 1
                     improved = True
@@ -405,7 +410,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument("--seeds", type=int, default=40, help="number of seeds (0..N-1)")
     parser.add_argument("--start", type=int, default=0, help="first seed")
-    parser.add_argument("--budget", type=float, default=0.5, help="seconds per check")
     parser.add_argument(
         "--repro-dir", default=None, help="directory for shrunk repro .smt2 files"
     )
@@ -418,7 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     fuzzer = DifferentialFuzzer(
         repro_dir=options.repro_dir, include_gaps=not options.no_gaps
     )
-    report = fuzzer.run(range(options.start, options.start + options.seeds), budget=options.budget)
+    report = fuzzer.run(range(options.start, options.start + options.seeds))
     print(report.summary())
     return 0 if report.ok else 1
 

@@ -6,6 +6,7 @@ from itertools import product
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.automata import Nfa, words_up_to
+from repro.budget import Budget
 from repro.core.parikh import connectivity_cuts, run_from_model
 from repro.core.predicates import evaluate_all
 from repro.lia import LiaSolver, LiaStatus
@@ -52,13 +53,13 @@ def solve_parikh(formula, encodings, timeout: float = 30.0, lemmas: Optional[lis
 
     Every sat model is cut (``connectivity_cuts``) until each encoding in
     ``encodings`` encodes a connected run, so a sat answer always carries
-    real runs; fails the test on UNKNOWN.  The cuts are appended to
-    ``lemmas`` when given.
+    real runs; fails the test on UNKNOWN.  Each check runs under a fresh
+    ``Budget(timeout)``.  The cuts are appended to ``lemmas`` when given.
     """
-    solver = LiaSolver(timeout=timeout)
+    solver = LiaSolver()
     solver.add_assertion(formula)
     while True:
-        result = solver.check()
+        result = solver.check(budget=Budget(timeout))
         assert result.status is not LiaStatus.UNKNOWN, f"LIA solver gave up: {result.reason}"
         if not result.is_sat:
             return result

@@ -10,7 +10,7 @@ path off the common benchmarks.
 import pytest
 
 from repro.automata import compile_regex
-from repro.core.predicates import Disequality, LengthEquality, NotPrefixOf, NotSuffixOf, StrAt
+from repro.core.predicates import Disequality, NotPrefixOf, NotSuffixOf, StrAt
 from repro.core.system import build_system_automaton, encode_system
 from repro.core.single import encode_single
 from repro.core.witness import extract_assignment
@@ -70,10 +70,11 @@ def test_encode_system_formula_polynomial_size():
 
 def test_encode_system_with_zero_mismatch_predicates_lengths_only():
     automata = {"x": compile_regex("(ab)*", alphabet="ab")}
-    encoding = encode_system([LengthEquality("n", ("x",))], automata)
-    from repro.lia import ge
+    encoding = encode_system([], automata, extra_variables=["x"])
+    from repro.lia import eq, ge
 
-    result = solve_parikh(conj([encoding.formula, ge(var("n"), 4)]), [encoding.parikh])
+    length = eq(var("n"), encoding.length_of("x"))
+    result = solve_parikh(conj([encoding.formula, length, ge(var("n"), 4)]), [encoding.parikh])
     assert result.is_sat
     assert result.model["n"] % 2 == 0
 

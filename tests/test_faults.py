@@ -340,7 +340,7 @@ def _faulted_lia_rechecks(run_faulted):
     run_faulted(solver)
     # From here on every partial check must see exactly the bounds of the
     # current true atoms (the trail-sync invariant).
-    audit = _SyncAudit(solver._ctx)
+    audit = _SyncAudit(solver)
     solver.pop()
     assert solver.check().status is popped
     solver.push()
@@ -417,7 +417,7 @@ def test_interrupt_mid_bound_sync_leaves_lia_solver_reusable(at, monkeypatch):
     fired = []
 
     def run_faulted(solver):
-        theory = solver._ctx.theory
+        theory = solver.theory
 
         def assert_bound(self, *args):
             if self is theory:

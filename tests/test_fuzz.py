@@ -22,6 +22,7 @@ from repro.testing.fuzz import (
     UNKNOWN_MISMATCH,
     UNVERIFIED_MODEL,
     WRONG_VERDICT,
+    CHECK_STEPS,
     DifferentialFuzzer,
     default_configs,
     main,
@@ -29,15 +30,17 @@ from repro.testing.fuzz import (
 
 
 def test_default_configs_cover_both_distinct_paths():
-    configs = default_configs(timeout=1.0)
+    configs = default_configs()
     assert set(configs) == {"witness", "encoding"}
+    for config in configs.values():
+        assert (config.timeout, config.max_steps) == (None, CHECK_STEPS)
     assert configs["witness"].distinct_shortcut
     assert not configs["encoding"].distinct_shortcut
 
 
 def test_clean_sweep_has_no_failures(tmp_path):
     fuzzer = DifferentialFuzzer(repro_dir=str(tmp_path))
-    report = fuzzer.run(range(6), budget=0.5)
+    report = fuzzer.run(range(6))
     assert report.instances == 6
     assert report.checks == 12  # witness and encoding per instance
     assert report.ok, report.summary()
@@ -50,7 +53,7 @@ def test_unknowns_in_clean_sweeps_are_structured():
     instead of failing, because every unknown passed the typed-reason
     check (an untyped one would have been a structured-unknown-mismatch)."""
     fuzzer = DifferentialFuzzer()
-    report = fuzzer.run(range(10, 16), budget=0.3)
+    report = fuzzer.run(range(10, 16))
     assert report.ok, report.summary()
     assert report.verdicts.get("unknown", 0) == report.unknowns
 
@@ -66,7 +69,7 @@ class _ForgingFuzzer(DifferentialFuzzer):
         super().__init__(**kwargs)
         self.forged_result = forged_result
 
-    def _solve(self, problem, config, budget):
+    def _solve(self, problem, config):
         self._last_session = None
         return self.forged_result
 
@@ -87,7 +90,7 @@ def test_wrong_verdict_is_caught_and_shrunk(tmp_path):
     fuzzer = _ForgingFuzzer(
         forged, configs={"witness": SolverConfig(timeout=1.0)}, repro_dir=str(tmp_path)
     )
-    report = fuzzer.run([seed], budget=0.2)
+    report = fuzzer.run([seed])
     kinds = {f.kind for f in report.failures}
     assert WRONG_VERDICT in kinds, report.summary()
     failure = next(f for f in report.failures if f.kind == WRONG_VERDICT)
@@ -104,14 +107,14 @@ def test_unverified_model_is_caught():
     seed = _sat_seed()
     forged = SolveResult(status=Status.SAT, model=StringModel(strings={}, integers={}))
     fuzzer = _ForgingFuzzer(forged, configs={"witness": SolverConfig(timeout=1.0)})
-    report = fuzzer.run([seed], budget=0.2)
+    report = fuzzer.run([seed])
     assert any(f.kind == UNVERIFIED_MODEL for f in report.failures), report.summary()
 
 
 def test_untyped_unknown_is_a_structured_unknown_mismatch():
     forged = SolveResult(status=Status.UNKNOWN, reason="gave up")
     fuzzer = _ForgingFuzzer(forged, configs={"witness": SolverConfig(timeout=1.0)})
-    report = fuzzer.run([0], budget=0.2)
+    report = fuzzer.run([0])
     assert any(f.kind == UNKNOWN_MISMATCH for f in report.failures), report.summary()
 
 
@@ -123,7 +126,7 @@ def test_typed_unknown_is_clean():
         reason=UnknownReason(UnknownKind.INCOMPLETE, "decompose", "budget"),
     )
     fuzzer = _ForgingFuzzer(forged, configs={"witness": SolverConfig(timeout=1.0)})
-    report = fuzzer.run([0], budget=0.2)
+    report = fuzzer.run([0])
     assert report.ok, report.summary()
     assert report.unknowns == 1
 
@@ -131,7 +134,7 @@ def test_typed_unknown_is_clean():
 def test_internal_error_counter_classifies_as_crash():
     forged = SolveResult(status=Status.UNKNOWN, stats={"internal_errors": 1})
     fuzzer = _ForgingFuzzer(forged, configs={"witness": SolverConfig(timeout=1.0)})
-    report = fuzzer.run([0], budget=0.2)
+    report = fuzzer.run([0])
     assert any(f.kind == CRASH for f in report.failures), report.summary()
 
 
@@ -147,7 +150,7 @@ def test_injected_fault_is_caught_shrunk_and_reproduced(tmp_path):
         repro_dir=str(tmp_path),
         injector=injector,
     )
-    report = fuzzer.run([1], budget=0.5)
+    report = fuzzer.run([1])
     crashes = [f for f in report.failures if f.kind == CRASH]
     assert crashes, report.summary()
     failure = crashes[0]
@@ -179,7 +182,7 @@ def test_injected_exhaustion_becomes_a_structured_unknown():
     fuzzer = DifferentialFuzzer(
         configs={"witness": SolverConfig(timeout=2.0)}, injector=injector
     )
-    report = fuzzer.run([0, 1], budget=0.5)
+    report = fuzzer.run([0, 1])
     assert report.ok, report.summary()
     assert report.unknowns == report.checks
 
@@ -188,7 +191,7 @@ def test_injected_exhaustion_becomes_a_structured_unknown():
 # CLI
 # ----------------------------------------------------------------------
 def test_cli_exit_codes(tmp_path, capsys):
-    assert main(["--seeds", "2", "--budget", "0.3", "--repro-dir", str(tmp_path)]) == 0
+    assert main(["--seeds", "2", "--repro-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "instances=2" in out
 
@@ -206,7 +209,7 @@ def test_module_cli_runs_without_runtime_warning():
     )
     completed = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.testing.fuzz",
-         "--seeds", "1", "--budget", "0.2"],
+         "--seeds", "1"],
         capture_output=True,
         env=env,
         cwd=repo,

@@ -282,7 +282,7 @@ def test_check_reports_per_check_stats():
 class _SyncAudit:
     """Checks the trail-synced theory state at every partial check.
 
-    Wraps a context's theory callback.  After each partial check, the
+    Wraps a solver's theory callback.  After each partial check, the
     persistent simplex must hold exactly the bound values of a fresh
     ``Simplex`` asserted with the current true atoms, its verdict must be
     that of ``check_rational_feasibility`` over them, and every conflict
@@ -290,15 +290,15 @@ class _SyncAudit:
     simplex, and irreducible (partial checks are rational only).
     """
 
-    def __init__(self, context):
-        self.context = context
+    def __init__(self, solver):
+        self.solver = solver
         self.partial_checks = 0
         self.conflicts = 0
         #: partial checks after an integer-infeasible complete assignment
         #: flipped the decision phase
         self.negative_phase_checks = 0
         self.last = None
-        callback, theory_check = context._theory_callback, context.theory.check
+        callback, theory_check = solver._theory_callback, solver.theory.check
 
         def recording_check(*args, **kwargs):
             self.last = theory_check(*args, **kwargs)
@@ -312,21 +312,21 @@ class _SyncAudit:
                 self._audit(atoms, clause)
             return clause
 
-        context.theory.check = recording_check
-        context._theory_callback = audited
+        solver.theory.check = recording_check
+        solver._theory_callback = audited
 
     def _audit(self, atoms, clause):
         from repro.lia.intsolver import check_rational_feasibility
 
-        context, theory = self.context, self.context.theory
+        solver, theory = self.solver, self.solver.theory
         self.partial_checks += 1
-        self.negative_phase_checks += context.sat.negative_atom_phase
+        self.negative_phase_checks += solver.sat.negative_atom_phase
         fresh = Simplex()
         fresh_name = {}
         for atom in sorted(atoms):
-            constraint = context._atom_constraint[atom]
+            constraint = solver._atom_constraint[atom]
             fresh.add_constraint(constraint)
-            fresh_name[context._atom_handle[atom][0]] = fresh.prepare(constraint)[0]
+            fresh_name[solver._atom_handle[atom][0]] = fresh.prepare(constraint)[0]
         for name in theory._order:
             got = (theory._lower[name], theory._upper[name])
             if name in fresh_name:
@@ -334,13 +334,13 @@ class _SyncAudit:
                 assert got == (fresh._lower[other], fresh._upper[other]), name
             else:
                 assert got == (None, None), name
-        constraints = [context._atom_constraint[atom] for atom in sorted(atoms)]
+        constraints = [solver._atom_constraint[atom] for atom in sorted(atoms)]
         assert self.last.feasible == check_rational_feasibility(constraints).feasible
         if clause is None:
             return
         self.conflicts += 1
         core = self.last.conflict
-        core_constraints = [context._atom_constraint[atom] for atom in sorted(core)]
+        core_constraints = [solver._atom_constraint[atom] for atom in sorted(core)]
         # The simplex conflict goes into the clause (less its root-forced
         # atoms), and is irreducible: infeasible, yet feasible without any
         # one atom.
@@ -348,7 +348,7 @@ class _SyncAudit:
         assert {-lit for lit in clause} <= set(core)
         assert not check_rational_feasibility(core_constraints).feasible
         for dropped in core:
-            rest = [context._atom_constraint[atom] for atom in sorted(core) if atom != dropped]
+            rest = [solver._atom_constraint[atom] for atom in sorted(core) if atom != dropped]
             assert check_rational_feasibility(rest).feasible, (sorted(core), dropped)
 
 
@@ -363,7 +363,7 @@ def _random_formula(rng, names, clauses):
 
 
 def _audited(solver):
-    return _SyncAudit(solver._context())
+    return _SyncAudit(solver)
 
 
 def test_trail_sync_matches_fresh_theory_one_shot():

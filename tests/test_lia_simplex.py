@@ -239,7 +239,6 @@ class _FullScanSimplex(Simplex):
     """
 
     def check(self, max_pivots=100000, want_model=True):
-        self._maybe_reset_basis()
         for name in self._order:
             low, up = self._lower[name], self._upper[name]
             if low is not None and up is not None and low > up:
@@ -285,15 +284,14 @@ class _FullScanSimplex(Simplex):
 
 
 class _Recorded:
-    """Logs every pivot (leaving, entering, target) and every basis reset;
-    raises ``KeyboardInterrupt`` at an armed pivot, before it happens."""
+    """Logs every pivot (leaving, entering, target); raises
+    ``KeyboardInterrupt`` at an armed pivot, before it happens."""
 
     def __init__(self, simplex):
         self.simplex = simplex
         self.pivots = []
-        self.resets = 0
         self.interrupt_at = None
-        pivot, reset = simplex._pivot_and_update, simplex._maybe_reset_basis
+        pivot = simplex._pivot_and_update
 
         def pivot_and_update(basic, nonbasic, target):
             if self.interrupt_at is not None and len(self.pivots) == self.interrupt_at:
@@ -302,13 +300,7 @@ class _Recorded:
             self.pivots.append((basic, nonbasic, target))
             pivot(basic, nonbasic, target)
 
-        def maybe_reset_basis():
-            if simplex._nnz > max(2000, 4 * simplex._nnz_fresh):
-                self.resets += 1
-            reset()
-
         simplex._pivot_and_update = pivot_and_update
-        simplex._maybe_reset_basis = maybe_reset_basis
 
 
 def _random_pool(rng, num_vars, size, max_terms):
@@ -323,9 +315,7 @@ def _random_pool(rng, num_vars, size, max_terms):
 
 
 def _replay_against_full_scan(seed, num_vars, size, max_terms, steps, interrupts=False):
-    """Apply one seeded op sequence to both simplexes and compare every check.
-
-    Returns the number of basis resets the sequence triggered."""
+    """Apply one seeded op sequence to both simplexes and compare every check."""
     import random
 
     rng = random.Random(seed)
@@ -379,8 +369,6 @@ def _replay_against_full_scan(seed, num_vars, size, max_terms, steps, interrupts
             assert got.feasible == expected.feasible
             assert got.conflict == expected.conflict
             assert got.model == expected.model
-    assert delta.resets == full.resets
-    return delta.resets
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -395,15 +383,11 @@ def test_delta_check_matches_full_scan_across_interrupts(seed):
     _replay_against_full_scan(seed, num_vars=8, size=20, max_terms=4, steps=150, interrupts=True)
 
 
-def test_delta_check_matches_full_scan_across_basis_resets():
-    # Dense rows over many variables fill the tableau in until the basis
-    # resets; the reset makes every variable a candidate again.  Sparse
-    # entering columns keep seed 2 below the reset threshold; seed 6 is not.
-    resets = sum(
+def test_delta_check_matches_full_scan_on_dense_rows():
+    # Dense rows over many variables fill the tableau in: every pivot
+    # rewrites many wide rows.
+    for seed in (2, 6):
         _replay_against_full_scan(seed, num_vars=40, size=100, max_terms=15, steps=300)
-        for seed in (2, 6)
-    )
-    assert resets > 0
 
 
 @pytest.mark.parametrize("limit", [0, 1])
@@ -561,8 +545,6 @@ class _RationalRowSimplex(Simplex):
             for name in resolved:
                 self._cols.setdefault(name, set()).add(slack)
             self._basic.add(slack)
-            self._nnz += len(resolved)
-            self._nnz_fresh += len(key)
             self._assignment[slack] = sum(
                 coeff * self._assignment[name] for name, coeff in resolved.items()
             )
@@ -574,7 +556,6 @@ class _RationalRowSimplex(Simplex):
         self.pivots += 1
         row = self._rows.pop(basic)
         del self._den[basic]
-        self._nnz -= len(row)
         for name in row:
             self._cols[name].discard(basic)
         self._basic.discard(basic)
@@ -584,7 +565,6 @@ class _RationalRowSimplex(Simplex):
             if name != nonbasic:
                 new_row[name] = _div(-a, coeff)
         self._rows[nonbasic], self._den[nonbasic] = new_row, 1
-        self._nnz += len(new_row)
         for name in new_row:
             self._cols.setdefault(name, set()).add(nonbasic)
         self._basic.add(nonbasic)
@@ -592,52 +572,30 @@ class _RationalRowSimplex(Simplex):
             other_row = self._rows[other]
             a = other_row.pop(nonbasic)
             self._cols[nonbasic].discard(other)
-            self._nnz -= 1
             for name, b in new_row.items():
                 updated = other_row.get(name, 0) + a * b
                 if updated:
                     if name not in other_row:
                         self._cols.setdefault(name, set()).add(other)
-                        self._nnz += 1
                     other_row[name] = updated
                 elif name in other_row:
                     del other_row[name]
                     self._cols[name].discard(other)
-                    self._nnz -= 1
-
-    def _maybe_reset_basis(self):
-        if self._nnz <= max(2000, 4 * self._nnz_fresh):
-            return
-        self._rows, self._den, self._cols, self._basic = {}, {}, {}, set()
-        for name in self._assignment:
-            self._assignment[name] = 0
-        for key, slack in self._slack_cache.items():
-            self._rows[slack], self._den[slack] = dict(key), 1
-            for name, _coeff in key:
-                self._cols.setdefault(name, set()).add(slack)
-            self._basic.add(slack)
-        self._nnz = self._nnz_fresh = sum(len(row) for row in self._rows.values())
-        self._tightened = set(self._order)
 
 
 class _PivotLog:
-    """Logs the ``(basic, nonbasic)`` pair of every pivot and each reset."""
+    """Logs the ``(basic, nonbasic)`` pair of every pivot."""
 
     def __init__(self, simplex):
         self.simplex = simplex
         self.pivots = []
-        self.resets = 0
-        pivot, reset = simplex._pivot, simplex._maybe_reset_basis
+        pivot = simplex._pivot
 
         def logged_pivot(basic, nonbasic):
             self.pivots.append((basic, nonbasic))
             pivot(basic, nonbasic)
 
-        def logged_reset():
-            self.resets += simplex._nnz > max(2000, 4 * simplex._nnz_fresh)
-            reset()
-
-        simplex._pivot, simplex._maybe_reset_basis = logged_pivot, logged_reset
+        simplex._pivot = logged_pivot
 
 
 def _assert_same_tableau(got, reference):
@@ -653,7 +611,6 @@ def _assert_same_tableau(got, reference):
     assert {n: c for n, c in got._cols.items() if c} == {
         n: c for n, c in reference._cols.items() if c
     }
-    assert got._nnz == reference._nnz
     assert got._assignment == reference._assignment
 
 
@@ -739,14 +696,10 @@ def test_integer_tableau_matches_rational_rows_across_gomory_cuts():
     assert cuts > 0
 
 
-def test_integer_tableau_matches_rational_rows_across_basis_resets():
-    # As above, seed 2 alone no longer fills the tableau in to a reset.
-    resets = []
+def test_integer_tableau_matches_rational_rows_on_dense_rows():
     for seed in (2, 6):
         pair = _replay_against_rational_rows(seed, num_vars=40, size=100, max_terms=15, steps=300)
-        assert pair.got.resets == pair.reference.resets
-        resets.append(pair.got.resets)
-    assert sum(resets) > 0
+        assert pair.got.pivots
 
 
 def test_integer_tableau_matches_rational_rows_on_surviving_crossed_bounds():

@@ -1,7 +1,9 @@
 """Tests for the DPLL(T) LIA solver facade."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.budget import Budget, BudgetExceeded, UnknownKind
 from repro.lia import (
     LiaSolver,
     LiaStatus,
@@ -127,8 +129,22 @@ def test_cnf_counts_atoms_once():
 def test_timeout_returns_unknown_or_finishes(tmp_path):
     x = var("x")
     clauses = [disj([eq(x, i), ne(x, i)]) for i in range(5)]
-    result = LiaSolver(timeout=10.0).check(conj(clauses))
+    result = LiaSolver().check(conj(clauses), budget=Budget(10.0))
     assert result.status in (LiaStatus.SAT, LiaStatus.UNKNOWN)
+
+
+def test_an_exhausted_one_shot_check_raises_and_pops():
+    # check(formula) scopes the formula in an implicit push/pop: a caller's
+    # budget that runs out raises, and the pop still restores the stack.
+    x, y = var("x"), var("y")
+    formula = conj([disj([eq(x + y, i), eq(x - y, i)]) for i in range(6)])
+    solver = LiaSolver()
+    solver.add_assertion(ge(x, 0))
+    with pytest.raises(BudgetExceeded) as caught:
+        solver.check(formula, budget=Budget(None, max_steps=1))
+    assert caught.value.reason.kind is UnknownKind.STEP_LIMIT
+    assert solver.check().is_sat
+    assert solver.check(formula).is_unsat
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,10 +190,9 @@ def test_solver_agrees_with_grid_oracle(rows):
 
 
 def test_finished_check_frees_its_lia_context(monkeypatch):
-    # A one-shot check's LIA context (clauses, simplex, constraints) must be
-    # freed by reference counting when the check returns, not left for the
-    # cyclic collector: the SAT engine holds the theory callback only while
-    # the context is checking.
+    # A dropped LIA solver (clauses, simplex, constraints) must be freed by
+    # reference counting, not left for the cyclic collector: the SAT engine
+    # holds the theory callback only while the solver is checking.
     import gc
     import weakref
 
@@ -187,13 +202,13 @@ def test_finished_check_frees_its_lia_context(monkeypatch):
     from repro.strings.ast import Problem
 
     contexts = []
-    original_init = solver_module._Context.__init__
+    original_init = solver_module.LiaSolver.__init__
 
     def recording_init(self):
         original_init(self)
         contexts.append(weakref.ref(self))
 
-    monkeypatch.setattr(solver_module._Context, "__init__", recording_init)
+    monkeypatch.setattr(solver_module.LiaSolver, "__init__", recording_init)
     problem = Problem(alphabet=("a", "b", "c"))
     for name in ("x0", "x1", "x2"):
         problem.add(RegexMembership(name, "a*"))

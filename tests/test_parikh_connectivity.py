@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import parikh
 from repro.core.tag_automaton import TagAutomaton
 from repro.core.tags import symbol_tag
+from repro.budget import Budget
 from repro.lia import LiaSolver, conj, eq, evaluate, ge, var
 
 from helpers import solve_parikh
@@ -56,7 +57,7 @@ def test_cut_loop_excludes_a_disconnected_cycle():
     # Using cycle B without ever taking x: no real run does that, but the
     # SCC entry constraint is met by entering the SCC at 1.
     query = conj([enc.formula, ge(_count(enc, "b"), 2), eq(_count(enc, "x"), 0)])
-    relaxed = LiaSolver(timeout=30.0).check(query)
+    relaxed = LiaSolver().check(query, budget=Budget(30.0))
     assert relaxed.is_sat
     assert parikh.run_from_model(enc, relaxed.model) is None
     lemmas = parikh.connectivity_cuts(enc, relaxed.model)
@@ -81,11 +82,11 @@ def test_relaxed_encoding_needs_cuts_even_for_a_simple_cycle():
     automaton = _automaton([(0, "a", 1), (0, "x", 2), (2, "b", 2), (2, "y", 1)], initial=[0], final=[1])
     enc = parikh.encode(automaton, prefix="r.")
     query = conj([enc.formula, ge(_count(enc, "b"), 1), eq(_count(enc, "x"), 0)])
-    assert LiaSolver(timeout=30.0).check(query).is_sat
+    assert LiaSolver().check(query, budget=Budget(30.0)).is_sat
     assert solve_parikh(query, [enc]).is_unsat
     master = parikh.encode(automaton, prefix="m.", connectivity=True)
     query = conj([master.formula, ge(_count(master, "b"), 1), eq(_count(master, "x"), 0)])
-    assert LiaSolver(timeout=30.0).check(query).is_unsat
+    assert LiaSolver().check(query, budget=Budget(30.0)).is_unsat
 
 
 # ----------------------------------------------------------------------

@@ -99,8 +99,6 @@ def test_job_spec_roundtrip():
     spec = JobSpec(
         script=SAT_SCRIPT,
         name="audit",
-        slot=3,
-        generation=7,
         deadline=123.5,
         max_steps=1000,
         attempt=1,

@@ -238,6 +238,34 @@ def test_enumerative_does_not_refute_a_language_beyond_its_bound():
     assert EnumerativeSolver(SolverConfig(timeout=5)).check(problem).status is Status.UNKNOWN
 
 
+def test_baseline_unknowns_carry_typed_reasons(monkeypatch):
+    from repro.budget import UnknownKind, UnknownReason
+    from repro.solver.result import SolveResult
+
+    def assert_typed(result, kind):
+        timeout = kind is UnknownKind.TIMEOUT
+        assert result.status is (Status.TIMEOUT if timeout else Status.UNKNOWN)
+        assert isinstance(result.reason, UnknownReason), result.reason
+        assert result.reason.kind is kind and result.reason.stage, result.reason
+
+    commuting = Problem(alphabet=tuple("ab"))
+    commuting.add(RegexMembership("x", "(ab)*"))
+    commuting.add(RegexMembership("y", "(ab)*"))
+    commuting.add(WordEquation(term("x", "y"), term("y", "x"), positive=False))
+    assert_typed(EnumerativeSolver(SolverConfig(timeout=30)).check(commuting), UnknownKind.INCOMPLETE)
+    assert_typed(brute_force_check(commuting, timeout=1e-9), UnknownKind.TIMEOUT)
+
+    not_contains = Problem(alphabet=tuple("ab"))
+    not_contains.add(RegexMembership("x", "a*"))
+    not_contains.add(Contains(term("x"), term("y"), positive=False))
+    eager = EagerReductionSolver(SolverConfig(timeout=30))
+    assert_typed(eager.check(not_contains), UnknownKind.FRAGMENT)
+    assert_typed(EagerReductionSolver(SolverConfig(timeout=1e-9)).check(commuting), UnknownKind.TIMEOUT)
+    undecided = SolveResult(Status.UNKNOWN, reason=UnknownReason(UnknownKind.INCOMPLETE, "mbqi"))
+    monkeypatch.setattr(PositionSolver, "check", lambda self, problem: undecided)
+    assert_typed(eager.check(commuting), UnknownKind.INCOMPLETE)
+
+
 def test_brute_force_unsat_needs_every_word_within_the_bound():
     problem = Problem(alphabet=tuple("ab"))
     problem.add(RegexMembership("x", "aaaaa"))
