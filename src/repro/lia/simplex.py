@@ -3,13 +3,19 @@
 This is the theory core of the reproduction's LIA solver and follows the
 general simplex of Dutertre and de Moura ("A Fast Linear-Arithmetic Solver
 for DPLL(T)", CAV 2006): every input constraint ``Σ c_i·x_i ⋈ b`` is turned
-into a *slack variable* ``s = Σ c_i·x_i`` with a bound on ``s``; the tableau
-keeps basic variables expressed as linear combinations of non-basic ones and
-the ``check`` procedure repairs bound violations by pivoting.  The leaving
-variable is Bland's (the violating basic variable of smallest index); the
-entering one is the candidate with the fewest column entries, since a pivot
-rewrites every row of the entering column and the tag-counter sums of the
-Parikh encodings make some columns wide.  After ``_SPARSE_PIVOTS`` pivots in
+into a *slack variable* ``s = Σ c_i·x_i`` with a bound on ``s``.  There is
+one slack per linear form up to an integer scale and sign (see
+:func:`normal_form`): ``x − y ≤ −1`` and ``y − x ≤ −1`` are the bounds
+``s ≤ −1`` and ``s ≥ 1`` on one ``s = x − y``, and ``2x + 2y ≤ 3`` is
+``x + y ≤ 3/2``.  So the two sides of a disequality are two bounds on one
+variable, and the DPLL(T) layer states that they cross as a bound axiom
+(:mod:`repro.lia.solver`).  The tableau keeps basic variables expressed
+as linear combinations of non-basic ones and the ``check`` procedure
+repairs bound violations by pivoting.  The leaving variable is Bland's
+(the violating basic variable of smallest index); the entering one is the
+candidate with the fewest column entries, since a pivot rewrites every row
+of the entering column and the tag-counter sums of the Parikh encodings
+make some columns wide.  After ``_SPARSE_PIVOTS`` pivots in
 one check the entering choice falls back to Bland's smallest index too, so
 the check ends by Bland's termination argument.
 
@@ -132,6 +138,40 @@ class SimplexResult:
         return self.feasible
 
 
+def normal_form(constraint: Constraint) -> Tuple[Tuple, str, Fraction]:
+    """``(key, relation, bound)`` with ``Σ key ⋈ bound`` equivalent to
+    ``constraint``: the registration form that :meth:`Simplex.prepare` keys
+    its slack variables on.
+
+    ``key`` is the sorted ``(name, coefficient)`` tuple of the linear form
+    divided by a scale: the coefficient itself for one variable, else the
+    gcd of integer coefficients, negated when the first coefficient is
+    negative, so that ``x − y``, ``2y − 2x`` and ``−x + y`` share one
+    slack.  The bound is divided exactly (a :class:`Fraction` when the
+    division is inexact: no rounding, the simplex works over Q) and a
+    negative scale flips ``<=``/``>=``.  A multi-variable form with a
+    non-integral coefficient keeps its coefficients.
+    """
+    expr = constraint.expr
+    key = tuple(sorted((name, _norm(coeff)) for name, coeff in expr.coeffs.items()))
+    bound = _norm(-expr.const)
+    relation = constraint.relation
+    if len(key) == 1:
+        scale = key[0][1]
+    elif key and all(isinstance(coeff, int) for _name, coeff in key):
+        scale = gcd(*(coeff for _name, coeff in key))
+        if key[0][1] < 0:
+            scale = -scale
+    else:
+        scale = 1
+    if scale != 1:
+        key = tuple((name, _div(coeff, scale)) for name, coeff in key)
+        bound = _div(bound, scale)
+        if scale < 0 and relation != "==":
+            relation = ">=" if relation == "<=" else "<="
+    return key, relation, bound
+
+
 _NEG_INF = None  # represented by None in lower bounds
 _POS_INF = None  # represented by None in upper bounds
 
@@ -248,24 +288,13 @@ class Simplex:
         return handle
 
     def _register(self, constraint: Constraint) -> Tuple[str, str, Fraction]:
-        expr = constraint.expr
-        linear = LinExpr(expr.coeffs, 0)
-        bound = _norm(-expr.const)
-
-        for name in linear.coeffs:
+        key, relation, bound = normal_form(constraint)
+        for name in constraint.expr.coeffs:
             self._ensure_var(name)
-
-        if len(linear.coeffs) == 1:
+        if len(key) == 1:
             # Simple bound on a single variable: avoid creating a slack.
-            ((name, coeff),) = linear.coeffs.items()
-            coeff = _norm(coeff)
-            value = _div(bound, coeff)
-            relation = constraint.relation
-            if coeff < 0 and relation in ("<=", ">="):
-                relation = ">=" if relation == "<=" else "<="
-            return name, relation, value
+            return key[0][0], relation, bound
 
-        key = tuple(sorted((name, _norm(coeff)) for name, coeff in linear.coeffs.items()))
         slack = self._slack_cache.get(key)
         if slack is None:
             slack = self._fresh_slack()
@@ -306,7 +335,7 @@ class Simplex:
                 ),
                 den,
             )
-        return slack, constraint.relation, bound
+        return slack, relation, bound
 
     def add_constraint(self, constraint: Constraint) -> None:
         """Register a constraint and assert its bound; then call :meth:`check`."""

@@ -21,6 +21,11 @@ calls on the same assertion stack):
   (the Dutertre–de Moura DPLL(T) discipline): a partial check asserts only
   the atoms the trail gained since the last one, in a scope that a backjump
   pops again (see ``LiaSolver._sync_theory``),
+* the *bound axioms* (Dutertre–de Moura): when an atom is registered, every
+  earlier atom on the same simplex variable whose bound crosses its own
+  (``t ≤ 0`` and ``t ≥ 1``, or the two sides of a disequality, which share
+  one slack) gets the permanent clause ``¬a ∨ ¬b``, so unit propagation,
+  not a theory conflict, keeps the search off such a pair,
 * the presolve substitution: defining equalities are eliminated when first
   asserted and the substitution chain is applied to every later assertion,
   so lemmas mentioning eliminated variables are rewritten instead of
@@ -72,6 +77,12 @@ from .sat import DpllSolver
 from .simplify import complete_model, eliminate_equalities
 from .simplex import Constraint, Simplex
 from .terms import BoolConst, Formula, Le, LinExpr, conj, evaluate, substitute
+
+
+def _crossed(upper_relation: str, upper, lower_relation: str, lower) -> bool:
+    """Do an upper bound ``<= upper`` and a lower bound ``>= lower`` on one
+    variable exclude each other (each ``==`` gives both)?"""
+    return upper_relation != ">=" and lower_relation != "<=" and lower > upper
 
 
 class LiaStatus(Enum):
@@ -151,6 +162,8 @@ class LiaSolver:
         self._atom_handle: Dict[int, Tuple[str, str, object]] = {}
         #: atom boolean variable -> reusable Constraint (for integer checks)
         self._atom_constraint: Dict[int, Constraint] = {}
+        #: simplex variable -> the atoms whose handles bound it
+        self._atoms_on: Dict[str, List[int]] = {}
         self._clause_watermark = 0
 
         self.levels: List[_Level] = [_Level()]
@@ -262,7 +275,11 @@ class LiaSolver:
                 level.units.append(root)
 
     def _sync_sat(self) -> None:
-        """Hand new clauses and atoms over to the SAT engine and the theory."""
+        """Hand new clauses and atoms over to the SAT engine and the theory.
+
+        Each new atom also gets its bound axioms (see
+        :meth:`_add_bound_axioms`).
+        """
         self.sat.ensure_vars(self.cnf.num_vars)
         clauses = self.cnf.clauses
         # repro: allow(checkpoint-coverage): hands over the clauses the flush's CNF encoding just made, one pass linear in them; the flush's presolve checkpoints per rewritten row
@@ -275,8 +292,33 @@ class LiaSolver:
             relation = "<=" if isinstance(atom, Le) else "=="
             constraint = Constraint(atom.expr, relation, tag=var)
             self._atom_constraint[var] = constraint
-            self._atom_handle[var] = self.theory.prepare(constraint)
+            self._atom_handle[var] = handle = self.theory.prepare(constraint)
             self.theory_atoms.add(var)
+            self._add_bound_axioms(var, handle)
+
+    def _add_bound_axioms(self, atom: int, handle: Tuple[str, str, object]) -> None:
+        """Add ``¬atom ∨ ¬other`` for every earlier atom ``other`` on the same
+        simplex variable whose bound crosses ``atom``'s (``==`` counts as
+        both bounds).
+
+        Such a pair, like the support literals ``#t ≤ 0`` / ``#t ≥ 1`` or
+        the two sides ``e ≤ −1`` / ``−e ≤ −1`` of a disequality (one slack,
+        see :func:`repro.lia.simplex.normal_form`), is refuted by the bounds
+        alone; the clause lets unit propagation keep the search from
+        asserting it instead of a theory check, a conflict and a backjump
+        per visit.  These are the bound axioms of Dutertre and de Moura: a
+        theory tautology, so the clause is permanent and ``pop`` never
+        retracts it.
+        """
+        name, relation, value = handle
+        others = self._atoms_on.setdefault(name, [])
+        for other in others:
+            _name, other_relation, other_value = self._atom_handle[other]
+            if _crossed(relation, value, other_relation, other_value) or _crossed(
+                other_relation, other_value, relation, value
+            ):
+                self.sat.add_clause((-other, -atom))
+        others.append(atom)
 
     # ------------------------------------------------------------------
     # Theory hook

@@ -85,6 +85,19 @@ def _retrieve_exception(task: asyncio.Task) -> None:
         task.exception()
 
 
+def _end_children(timeout: float = 5.0) -> None:
+    """Terminate every live child process and join it (killed when a
+    terminated child does not exit within ``timeout`` seconds)."""
+    children = multiprocessing.active_children()
+    for child in children:
+        child.terminate()
+    for child in children:
+        child.join(timeout)
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
 def _read_warm_scripts(paths: Sequence[str]) -> List[str]:
     """The texts of the warm-up scripts in ``paths`` (globs allowed).
 
@@ -181,7 +194,12 @@ class SolverServer:
             asyncio.get_running_loop().create_task(self.shutdown())
 
     async def shutdown(self) -> None:
-        """Stop accepting, drain in-flight jobs, reap the fleet."""
+        """Stop accepting, drain in-flight jobs, reap the fleet.
+
+        Bounded: every child process of this process that is still alive
+        after the drain and the fleet's join (each waited on for at most
+        the grace) is terminated and joined.
+        """
         if self._closing.is_set():
             return
         if self._server is not None:
@@ -193,10 +211,19 @@ class SolverServer:
         pending = [task for task in self._jobs if not task.done()]
         if pending:
             await asyncio.wait(pending, timeout=DEADLINE_GRACE + 1.0)
-        # Then join every worker process (a clean reap: shutdown(wait=True)
-        # joins the children; a broken pool already reaped its own).
+        # Then join every worker process: shutdown(wait=True) joins the
+        # children, and a worker still busy after the grace is terminated.
+        # A pool abandoned as broken can leave a worker that it never
+        # terminated, blocked on the pool's call queue; the pool's manager
+        # thread joins that worker and interpreter exit joins the thread, so
+        # every child still alive is terminated too.
+        joins = []
         if self._executor is not None:
-            await asyncio.to_thread(self._executor.shutdown, True)
+            join = asyncio.to_thread(self._executor.shutdown, True)
+            joins.append(asyncio.ensure_future(join))
+            await asyncio.wait(joins, timeout=DEADLINE_GRACE)
+        await asyncio.to_thread(_end_children)
+        await asyncio.gather(*joins)
         # Close the connections clients left open: each handler reads EOF
         # and ends here, not cancelled mid-read when the loop is torn down.
         handlers = list(self._clients)

@@ -74,6 +74,17 @@ _GROUND_TRUTH = [
         ],
         Status.SAT,
     ),
+    # Its ¬contains lemmas give the LIA search a few dozen partial checks,
+    # so the session fault coordinates below reach the theory.
+    (
+        [
+            RegexMembership("x", "(a|b)*", positive=True),
+            RegexMembership("y", "ab", positive=True),
+            Contains(term("x"), term("y"), positive=False),
+            LengthConstraint(ge(str_len("x"), 3)),
+        ],
+        Status.SAT,
+    ),
 ]
 
 
@@ -279,13 +290,18 @@ def test_repeat_caps_firings_and_reset_rearms():
 # ----------------------------------------------------------------------
 def _lia_stack():
     """A small LIA stack: a sat base and an unsat pushed lemma, each with
-    over 30 partial checks."""
+    over 30 partial checks.
+
+    The ``k`` range reaches below 0, where ``x + y = k`` contradicts the
+    bounds: the search still asserts those atoms and refutes them in
+    partial checks, which keeps every fault coordinate below live.
+    """
     from repro.lia import conj, disj, eq, var
 
     x, y, z = var("x"), var("y"), var("z")
     base = conj(
         [ge(x, 0), le(x, 9), ge(y, 0), le(y, 9), ge(z, 0), le(z, 9)]
-        + [disj([eq(x + y, k), eq(y - z, k - 3), ge(x - z, k)]) for k in range(1, 8)]
+        + [disj([eq(x + y, k), eq(y - z, k - 3), ge(x - z, k)]) for k in range(-8, 10)]
     )
     # Two root atoms: a sync cut off between them leaves one lemma bound.
     lemma = conj(
@@ -408,8 +424,8 @@ def test_interrupt_mid_bound_sync_leaves_lia_solver_reusable(at, monkeypatch):
     # Cut off while the theory asserts the trail's new atoms: the half-filled
     # scope must not outlive the interrupted check (at 8, the first sync
     # stops between the lemma's two root atoms).  Only the solver's own
-    # theory simplex counts; the first check makes 39 bound assertions on
-    # it, so 39 cuts off its last one.
+    # theory simplex counts; the first check makes 57 bound assertions on
+    # it, so 39 cuts one off deep in the search.
     from repro.lia.simplex import Simplex
 
     real = Simplex.assert_bound

@@ -231,6 +231,103 @@ def test_simplex_prepare_assert_bound_roundtrip():
     simplex.pop()
 
 
+def test_linear_forms_share_one_slack_up_to_scale_and_sign():
+    simplex = Simplex()
+    below = simplex.prepare(Constraint(LinExpr({"x": 1, "y": -1}, 1), "<=", tag="a"))
+    above = simplex.prepare(Constraint(LinExpr({"x": -1, "y": 1}, 1), "<=", tag="b"))
+    # x − y ≤ −1 and y − x ≤ −1, i.e. x − y ≥ 1: one slack, two sides
+    assert below[0] == above[0] and below[1:] == ("<=", -1) and above[1:] == (">=", 1)
+    doubled = simplex.prepare(Constraint(LinExpr({"x": -2, "y": 2}, 0), "==", tag="c"))
+    assert doubled == (below[0], "==", 0)
+    simplex.assert_bound(*below, "a")
+    simplex.assert_bound(*above, "b")
+    assert simplex.check().conflict == {"a", "b"}
+
+
+def test_scaled_form_registers_its_primitive_row_with_an_exact_bound():
+    simplex = Simplex()
+    name, relation, value = simplex.prepare(
+        Constraint(LinExpr({"x": 2, "y": 2}, -3), "<=", tag="c")
+    )
+    # 2x + 2y ≤ 3 is x + y ≤ 3/2: divided, not rounded
+    assert (relation, value) == ("<=", Fraction(3, 2))
+    assert simplex._slack_def[name] == (("x", 1), ("y", 1))
+    assert simplex.prepare(Constraint(LinExpr({"x": 1, "y": 1}, -1), ">=", tag="d"))[0] == name
+    # a non-integral coefficient keeps its form
+    half = simplex.prepare(Constraint(LinExpr({"x": Fraction(1, 2), "y": 1}, 0), "<=", tag="e"))
+    assert half[0] != name and half[1:] == ("<=", 0)
+
+
+def _bound_axioms(solver):
+    """The clauses of two negated theory atoms: before any check only the
+    bound axioms have that shape (a Tseitin clause has a positive
+    literal)."""
+    atoms = solver.theory_atoms
+    return {
+        tuple(sorted(clause))
+        for clause in solver.sat.clauses
+        if len(clause) == 2 and all(lit < 0 and -lit in atoms for lit in clause)
+    }
+
+
+@pytest.mark.parametrize(
+    "first,second,crossed",
+    [
+        (le(var("t"), 0), ge(var("t"), 1), True),
+        (le(var("t"), 5), ge(var("t"), 1), False),
+        (le(var("x") - var("y"), -1), le(var("y") - var("x"), -1), True),
+        (le(var("x") - var("y"), -1), le(var("y") - var("x"), 1), False),
+        (eq(var("x") + var("y"), 3), le(2 * var("x") + 2 * var("y"), 5), True),
+        (eq(var("x") + var("y"), 3), ge(var("x") + var("y"), 3), False),
+    ],
+)
+def test_crossing_bound_pair_gets_one_permanent_axiom(first, second, crossed):
+    from repro.lia.nnf import to_nnf
+
+    solver = LiaSolver()
+    solver.add_assertion(disj([first, second]))
+    solver.push()
+    a, b = (solver.cnf.atom_var(to_nnf(atom)) for atom in (first, second))
+    expected = {tuple(sorted((-a, -b)))} if crossed else set()
+    assert _bound_axioms(solver) == expected
+    # the axiom is a theory tautology: a pushed level's pop keeps it
+    solver.add_assertion(le(var("t") + var("x"), 7))
+    assert solver.check().status is LiaStatus.SAT
+    solver.pop()
+    assert expected <= {tuple(sorted(c)) for c in solver.sat.clauses}
+    assert solver.check().status is LiaStatus.SAT
+
+
+def test_support_pairs_reach_no_crossed_bound_conflict(monkeypatch):
+    # Support literals ``#t ≤ 0 ∨ #t ≥ 1`` over a flow: the bound axioms
+    # keep the search from asserting both sides of one pair, so the
+    # theory never refutes a crossed pair on its own variable.
+    ts = [var(f"t{i}") for i in range(8)]
+    solver = LiaSolver()
+    solver.add_assertion(
+        conj(
+            [disj([le(t, 0), ge(t, 1)]) for t in ts]
+            + [ge(t, 0) for t in ts]
+            + [eq(ts[i] - ts[i + 1] - ts[i + 2], 0) for i in range(0, 6, 2)]
+            + [ge(sum(ts[1:], ts[0]), 3), le(ts[0] + ts[7], 2)]
+        )
+    )
+    crossed = []
+    real = Simplex._check_fixed_bounds
+
+    def check_fixed_bounds(self):
+        outcome = real(self)
+        if self is solver.theory and outcome is not None:
+            crossed.append(outcome.conflict)
+        return outcome
+
+    monkeypatch.setattr(Simplex, "_check_fixed_bounds", check_fixed_bounds)
+    result = solver.check()
+    assert result.status is LiaStatus.SAT
+    assert solver.sat.stats.theory_checks > 0
+    assert crossed == []
+
+
 # ----------------------------------------------------------------------
 # CNF builder caching
 # ----------------------------------------------------------------------

@@ -513,20 +513,13 @@ class _RationalRowSimplex(Simplex):
     """
 
     def _register(self, constraint):
-        from repro.lia.simplex import _div, _norm
+        from repro.lia.simplex import normal_form
 
-        expr = constraint.expr
-        bound = _norm(-expr.const)
-        for name in expr.coeffs:
+        key, relation, bound = normal_form(constraint)
+        for name in constraint.expr.coeffs:
             self._ensure_var(name)
-        if len(expr.coeffs) == 1:
-            ((name, coeff),) = expr.coeffs.items()
-            coeff = _norm(coeff)
-            relation = constraint.relation
-            if coeff < 0 and relation in ("<=", ">="):
-                relation = ">=" if relation == "<=" else "<="
-            return name, relation, _div(bound, coeff)
-        key = tuple(sorted((name, _norm(coeff)) for name, coeff in expr.coeffs.items()))
+        if len(key) == 1:
+            return key[0][0], relation, bound
         slack = self._slack_cache.get(key)
         if slack is None:
             slack = self._fresh_slack()
@@ -548,7 +541,7 @@ class _RationalRowSimplex(Simplex):
             self._assignment[slack] = sum(
                 coeff * self._assignment[name] for name, coeff in resolved.items()
             )
-        return slack, constraint.relation, bound
+        return slack, relation, bound
 
     def _pivot(self, basic, nonbasic):
         from repro.lia.simplex import _div

@@ -202,3 +202,35 @@ def test_synthetic_outcomes_are_structured():
     outcome = pad_outcome(JobOutcome(), 3, "internal_error@serve.worker [died]")
     assert outcome.verdicts == ["unknown"] * 3
     assert all("internal_error" in reason for reason in outcome.reasons)
+
+
+def test_shutdown_ends_a_worker_an_abandoned_pool_never_terminated():
+    # A broken pool's manager thread terminates its workers, then joins
+    # them: a worker started after that terminate pass is joined but never
+    # terminated, waits on the pool's call queue for good, and interpreter
+    # exit joins the manager thread, so the server never exits.  The stray
+    # child and the joining thread here stand in for that worker and that
+    # thread: shutdown must end the child, which frees the thread.
+    import asyncio
+    import threading
+
+    from repro.serve.server import SolverServer
+
+    async def serve_and_shut_down():
+        server = SolverServer(workers=1)
+        await server.start()
+        stray = server._ctx.Process(target=time.sleep, args=(120.0,))
+        stray.start()
+        joiner = threading.Thread(target=stray.join, daemon=True)
+        joiner.start()
+        await asyncio.wait_for(server.shutdown(), timeout=60.0)
+        return stray, joiner
+
+    stray, joiner = asyncio.run(serve_and_shut_down())
+    try:
+        joiner.join(timeout=10.0)
+        assert not joiner.is_alive(), "shutdown left a server child running"
+    finally:
+        if stray.is_alive():
+            stray.kill()
+            stray.join(timeout=10.0)
