@@ -51,7 +51,7 @@ extension of §8); see :mod:`repro.lia.intsolver` for how they are used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -108,17 +108,22 @@ def _frac(value) -> Fraction:
     return value - (value.numerator // value.denominator)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Constraint:
     """A linear constraint ``expr ⋈ 0`` with ``⋈`` in ``{"<=", ">=", "=="}``.
 
     ``tag`` is an opaque label used to report which constraints participate
-    in an infeasibility (the conflict "core").
+    in an infeasibility (the conflict "core").  A constraint is frozen: it
+    carries its :func:`normal_form` once computed, which every simplex it
+    is registered with (the DPLL(T) tableau, the final check's root) reads.
     """
 
     expr: LinExpr
     relation: str
     tag: object = None
+    _normal: Optional[Tuple[Tuple, str, Fraction]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.relation not in ("<=", ">=", "=="):
@@ -141,7 +146,18 @@ class SimplexResult:
 def normal_form(constraint: Constraint) -> Tuple[Tuple, str, Fraction]:
     """``(key, relation, bound)`` with ``Σ key ⋈ bound`` equivalent to
     ``constraint``: the registration form that :meth:`Simplex.prepare` keys
-    its slack variables on.
+    its slack variables on.  It is computed once per constraint object
+    (:func:`_normal_form`) and kept on it.
+    """
+    normal = constraint._normal
+    if normal is None:
+        normal = _normal_form(constraint)
+        object.__setattr__(constraint, "_normal", normal)
+    return normal
+
+
+def _normal_form(constraint: Constraint) -> Tuple[Tuple, str, Fraction]:
+    """Compute :func:`normal_form`.
 
     ``key`` is the sorted ``(name, coefficient)`` tuple of the linear form
     divided by a scale: the coefficient itself for one variable, else the

@@ -9,7 +9,9 @@ variables) and is the single most important performance lever of the solver.
 One loop, :func:`eliminate`, serves both callers: the presolve
 (:func:`eliminate_equalities`, on the top-level conjuncts of each asserted
 batch) and the final integer check (:mod:`repro.lia.intsolver`, on the
-atoms of a complete boolean assignment, with provenance tags).
+atoms of a complete boolean assignment, with provenance tags).  It rewrites
+with :func:`repro.lia.terms.substitute`, which rebuilds only what mentions
+the eliminated variable, and rewrites only the conjuncts that do.
 
 The elimination is satisfiability- and model-preserving over ℤ: each
 equality is first divided by the gcd of its coefficients (with provenance
@@ -48,16 +50,24 @@ def _gcd(values: Iterable) -> int:
 def _isolate(
     expr: LinExpr, exclude: Collection[str], max_size: Optional[int] = _MAX_DEFINITION_SIZE
 ) -> Optional[Tuple[str, LinExpr]]:
-    """Find a variable with coefficient ±1 in ``expr = 0`` and solve for it."""
-    for name, coeff in expr.coeffs.items():
-        if name in exclude:
+    """Find a variable with coefficient ±1 in ``expr = 0`` and solve for it.
+
+    Every definition of ``expr`` has ``len(expr.coeffs) - 1`` variables, so
+    one longer than ``max_size`` is rejected before any is built.
+    """
+    coeffs = expr.coeffs
+    if max_size is not None and len(coeffs) - 1 > max_size:
+        return None
+    for name, coeff in coeffs.items():
+        if name in exclude or coeff not in (1, -1):
             continue
-        if coeff in (1, -1):
-            rest_coeffs = {other: c for other, c in expr.coeffs.items() if other != name}
-            rest = LinExpr(rest_coeffs, expr.const)
-            definition = rest * (-1) if coeff == 1 else rest
-            if max_size is None or len(definition.coeffs) <= max_size:
-                return name, definition
+        if coeff == 1:
+            return name, LinExpr._owning(
+                {other: -c for other, c in coeffs.items() if other != name}, -expr.const
+            )
+        return name, LinExpr._owning(
+            {other: c for other, c in coeffs.items() if other != name}, expr.const
+        )
     return None
 
 
@@ -81,7 +91,11 @@ def eliminate(
     equality is first divided by the gcd of its coefficients.  Only the
     conjuncts that mention the eliminated variable are rewritten, and only
     rewritten ones re-enter the candidate heap: one that failed to isolate
-    fails again until its expression changes.
+    fails again until its expression changes.  The first elimination
+    rewrites every conjunct, which folds constant atoms and the nested
+    connectives the construction helpers would not build; within a
+    conjunct, :func:`repro.lia.terms.substitute` keeps every subformula
+    that does not mention the variable and is already in helper form.
 
     ``protected`` variables are never eliminated and definitions longer than
     ``max_size`` are not used.  ``tags`` (one frozenset per conjunct) track
@@ -137,10 +151,11 @@ def eliminate(
         sweep = occurrences is None
         if sweep:
             # The first elimination rewrites every conjunct once, which also
-            # folds constant atoms and nested connectives, and indexes every
-            # variable; from then on a conjunct that does not mention a
-            # variable is a fixpoint of substituting it, and a rewrite can
-            # only add the definition's variables.
+            # folds constant atoms and the nested connectives the helpers
+            # would not build (``substitute`` keeps the rest as they are),
+            # and indexes every variable; from then on a conjunct that does
+            # not mention a variable is a fixpoint of substituting it, and a
+            # rewrite can only add the definition's variables.
             occurrences = defaultdict(set)
             targets: Iterable[int] = range(len(conjuncts))
         else:

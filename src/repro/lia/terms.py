@@ -57,12 +57,37 @@ class LinExpr:
         return LinExpr({}, value)
 
     @staticmethod
-    def sum_of(exprs: Iterable["LinExpr"]) -> "LinExpr":
-        """Return the sum of the given expressions."""
-        total = LinExpr()
+    def sum_of(exprs: Iterable[Union["LinExpr", Number]]) -> "LinExpr":
+        """Return the sum of the given expressions.
+
+        One dict accumulates every term.  A coefficient is deleted when it
+        reaches 0, so a name that cancels and comes back moves to the end,
+        as in the chained ``e1 + e2 + ...`` (coefficient order is part of
+        the result: :func:`repro.lia.simplify._isolate` reads it).
+        """
+        coeffs: Dict[str, Number] = {}
+        const: Number = 0
         for expr in exprs:
-            total = total + expr
-        return total
+            if not isinstance(expr, LinExpr):
+                const = const + expr
+                continue
+            for name, coeff in expr.coeffs.items():
+                total = coeffs.get(name, 0) + coeff
+                if total == 0:
+                    del coeffs[name]
+                else:
+                    coeffs[name] = total
+            const = const + expr.const
+        return LinExpr._owning(coeffs, const)
+
+    @staticmethod
+    def _owning(coeffs: Dict[str, Number], const: Number) -> "LinExpr":
+        """An expression that takes ``coeffs`` (no zero coefficient) as its own."""
+        expr = LinExpr.__new__(LinExpr)
+        expr.coeffs = coeffs
+        expr.const = const
+        expr._key = None
+        return expr
 
     # -- arithmetic -----------------------------------------------------
     def _coerce(self, other: Union["LinExpr", Number]) -> "LinExpr":
@@ -80,7 +105,11 @@ class LinExpr:
     __radd__ = __add__
 
     def __sub__(self, other: Union["LinExpr", Number]) -> "LinExpr":
-        return self + (self._coerce(other) * -1)
+        other = self._coerce(other)
+        coeffs = dict(self.coeffs)
+        for name, coeff in other.coeffs.items():
+            coeffs[name] = coeffs.get(name, 0) - coeff
+        return LinExpr(coeffs, self.const - other.const)
 
     def __rsub__(self, other: Union["LinExpr", Number]) -> "LinExpr":
         return self._coerce(other) - self
@@ -484,36 +513,104 @@ def evaluate(formula: Formula, assignment: Mapping[str, Number]) -> bool:
 
 
 def substitute(formula: Formula, mapping: Mapping[str, LinExpr]) -> Formula:
-    """Substitute variables by linear expressions throughout a formula."""
-    if isinstance(formula, BoolConst):
-        return formula
-    if isinstance(formula, Le):
-        expr = formula.expr.substitute(mapping)
-        if expr.is_constant():
-            return TRUE if expr.const <= 0 else FALSE
-        return Le(expr)
-    if isinstance(formula, Eq):
-        expr = formula.expr.substitute(mapping)
+    """Substitute variables by linear expressions throughout a formula.
+
+    The result is the one the construction helpers (``conj``, ``disj``,
+    ``neg``, ``implies``, ``iff``) would build from the rewritten parts:
+    constant atoms fold, nested conjunctions and disjunctions flatten and
+    double negations cancel.  Only the path to an atom that mentions a
+    mapped variable is rebuilt: a subformula in which nothing changes is
+    returned itself when it is already in that form — a non-constant atom,
+    an ``And``/``Or`` of two or more arguments none of which is a constant
+    or a connective of its own kind, a ``Not``, ``Implies`` or ``Iff``
+    without a constant operand and not a double negation, a quantifier —
+    and rebuilt as the helpers do otherwise.  So the result is structurally
+    the same as rebuilding everything, down to each ``LinExpr``'s
+    coefficient order, but an untouched subformula costs no allocation.
+    """
+    if isinstance(formula, (Le, Eq)):
+        expr = formula.expr
+        if expr.coeffs and mapping.keys().isdisjoint(expr.coeffs):
+            return formula
+        expr = expr.substitute(mapping)
+        if isinstance(formula, Le):
+            if expr.is_constant():
+                return TRUE if expr.const <= 0 else FALSE
+            return Le(expr)
         if expr.is_constant():
             return TRUE if expr.const == 0 else FALSE
         return Eq(expr)
+    if isinstance(formula, BoolConst):
+        return formula
     if isinstance(formula, And):
-        return conj([substitute(arg, mapping) for arg in formula.args])
+        args = _substitute_args(formula.args, mapping)
+        if args is None:
+            if _flat(formula.args, And):
+                return formula
+            args = formula.args
+        return conj(args)
     if isinstance(formula, Or):
-        return disj([substitute(arg, mapping) for arg in formula.args])
+        args = _substitute_args(formula.args, mapping)
+        if args is None:
+            if _flat(formula.args, Or):
+                return formula
+            args = formula.args
+        return disj(args)
     if isinstance(formula, Not):
-        return neg(substitute(formula.arg, mapping))
+        arg = substitute(formula.arg, mapping)
+        if arg is formula.arg and not isinstance(arg, (Not, BoolConst)):
+            return formula
+        return neg(arg)
     if isinstance(formula, Implies):
-        return implies(substitute(formula.antecedent, mapping), substitute(formula.consequent, mapping))
+        antecedent = substitute(formula.antecedent, mapping)
+        consequent = substitute(formula.consequent, mapping)
+        if _same_operands(formula.antecedent, antecedent, formula.consequent, consequent):
+            return formula
+        return implies(antecedent, consequent)
     if isinstance(formula, Iff):
-        return iff(substitute(formula.left, mapping), substitute(formula.right, mapping))
-    if isinstance(formula, Exists):
+        left = substitute(formula.left, mapping)
+        right = substitute(formula.right, mapping)
+        if _same_operands(formula.left, left, formula.right, right):
+            return formula
+        return iff(left, right)
+    if isinstance(formula, (Exists, ForAll)):
         inner = {k: v for k, v in mapping.items() if k not in formula.bound}
-        return Exists(formula.bound, substitute(formula.body, inner))
-    if isinstance(formula, ForAll):
-        inner = {k: v for k, v in mapping.items() if k not in formula.bound}
-        return ForAll(formula.bound, substitute(formula.body, inner))
+        body = substitute(formula.body, inner)
+        if body is formula.body:
+            return formula
+        return type(formula)(formula.bound, body)
     raise TypeError(f"unsupported formula {formula!r}")
+
+
+def _substitute_args(args: Sequence[Formula], mapping: Mapping[str, LinExpr]) -> Optional[List[Formula]]:
+    """``args`` rewritten by :func:`substitute`; ``None`` when each one is
+    its own rewrite (no list is built until the first change)."""
+    rewritten: Optional[List[Formula]] = None
+    for index, arg in enumerate(args):
+        new = substitute(arg, mapping)
+        if rewritten is None:
+            if new is arg:
+                continue
+            rewritten = list(args[:index])
+        rewritten.append(new)
+    return rewritten
+
+
+def _flat(args: Sequence[Formula], kind: type) -> bool:
+    """Whether ``conj``/``disj`` would keep ``args`` of a ``kind`` node as
+    they are: two or more, no constant, none of the same kind."""
+    return len(args) >= 2 and not any(isinstance(arg, (BoolConst, kind)) for arg in args)
+
+
+def _same_operands(first: Formula, new_first: Formula, second: Formula, new_second: Formula) -> bool:
+    """Whether ``implies``/``iff`` would rebuild a node from these operands
+    as it is: both unchanged, neither a constant."""
+    return (
+        new_first is first
+        and new_second is second
+        and not isinstance(first, BoolConst)
+        and not isinstance(second, BoolConst)
+    )
 
 
 def formula_size(formula: Formula) -> int:

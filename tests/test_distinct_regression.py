@@ -341,3 +341,55 @@ def test_witness_path_never_claims_an_unverified_model():
     for atom in atoms:
         session.add(atom)
     assert session.check().status is not Status.SAT
+
+
+# ----------------------------------------------------------------------
+# The shortcut against the encoding it bypasses
+# ----------------------------------------------------------------------
+def _bench_distinct_problems():
+    """``benchmarks/perf/bench_lia.py``'s distinct instances, by name."""
+    import importlib.util
+    import os
+
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "benchmarks",
+        "perf",
+        "bench_lia.py",
+    )
+    spec = importlib.util.spec_from_file_location("_bench_lia_distinct", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {name: (problem, expected) for name, problem, expected in module._distinct_problems()}
+
+
+@pytest.mark.parametrize("name", ["distinct-3", "distinct-3-bounded"])
+def test_distinct_shortcut_agrees_with_the_encoding(name, monkeypatch):
+    # A step budget and no clock, so the verdicts do not depend on the
+    # machine; the encoding needs about 19000 steps on these.
+    from repro import PositionSolver
+    from repro.solver.solver import IncrementalPipeline
+
+    problem, expected = _bench_distinct_problems()[name]
+    answered = []
+    witness = IncrementalPipeline._distinct_witness
+
+    def recording_witness(self, *args):
+        result = witness(self, *args)
+        answered.append(result is not None)
+        return result
+
+    monkeypatch.setattr(IncrementalPipeline, "_distinct_witness", recording_witness)
+    verdicts = {}
+    for shortcut in (True, False):
+        answered.clear()
+        config = SolverConfig(timeout=None, max_steps=200_000, distinct_shortcut=shortcut)
+        result = PositionSolver(config).check(problem)
+        assert result.status.value == expected, result.reason
+        assert eval_problem(problem, result.model.strings, result.model.integers)
+        verdicts[shortcut] = (result.status, result.lia_queries, any(answered))
+    assert verdicts[True][0] is verdicts[False][0]
+    # The default answers through the shortcut, without a LIA query; the
+    # encoding configuration never calls it and decides through the LIA.
+    assert verdicts[True][1:] == (0, True)
+    assert verdicts[False][1] >= 1 and not verdicts[False][2]

@@ -9,24 +9,81 @@ rewrite every conjunct — down to each ``LinExpr``'s coefficient order, which
 by its coefficients' gcd before isolating (one the gcd test refutes is kept
 as it is, for the theory to refute), and both stop with ``false`` at a
 rewrite that folds to ``false``.
+
+The reference rewrites with :func:`_reference_substitute`, a frozen copy of
+the substitution that rebuilt every node, so the live
+:func:`repro.lia.terms.substitute`, which keeps what it does not touch, is
+compared against it and not against itself.
 """
 
 import math
 import random
 
+import pytest
+
+from repro.budget import Budget
 from repro.lia.simplify import _isolate, complete_model, eliminate_equalities
 from repro.lia.terms import (
+    FALSE,
+    TRUE,
     And,
     BoolConst,
     Eq,
+    Exists,
+    ForAll,
+    Iff,
+    Implies,
     Le,
     LinExpr,
     Not,
     Or,
     conj,
+    disj,
     evaluate,
+    iff,
+    implies,
+    neg,
     substitute,
 )
+
+
+def _reference_substitute(formula, mapping):
+    """Substitution that rebuilds every node through the helpers."""
+    if isinstance(formula, BoolConst):
+        return formula
+    if isinstance(formula, Le):
+        expr = formula.expr.substitute(mapping)
+        if expr.is_constant():
+            return TRUE if expr.const <= 0 else FALSE
+        return Le(expr)
+    if isinstance(formula, Eq):
+        expr = formula.expr.substitute(mapping)
+        if expr.is_constant():
+            return TRUE if expr.const == 0 else FALSE
+        return Eq(expr)
+    if isinstance(formula, And):
+        return conj([_reference_substitute(arg, mapping) for arg in formula.args])
+    if isinstance(formula, Or):
+        return disj([_reference_substitute(arg, mapping) for arg in formula.args])
+    if isinstance(formula, Not):
+        return neg(_reference_substitute(formula.arg, mapping))
+    if isinstance(formula, Implies):
+        return implies(
+            _reference_substitute(formula.antecedent, mapping),
+            _reference_substitute(formula.consequent, mapping),
+        )
+    if isinstance(formula, Iff):
+        return iff(
+            _reference_substitute(formula.left, mapping),
+            _reference_substitute(formula.right, mapping),
+        )
+    if isinstance(formula, Exists):
+        inner = {k: v for k, v in mapping.items() if k not in formula.bound}
+        return Exists(formula.bound, _reference_substitute(formula.body, inner))
+    if isinstance(formula, ForAll):
+        inner = {k: v for k, v in mapping.items() if k not in formula.bound}
+        return ForAll(formula.bound, _reference_substitute(formula.body, inner))
+    raise TypeError(f"unsupported formula {formula!r}")
 
 
 def _normalised(expr):
@@ -68,7 +125,7 @@ def _reference_eliminate(formula, protected=None):
             for position, other in enumerate(conjuncts):
                 if position == index:
                     continue
-                replaced = substitute(other, mapping)
+                replaced = _reference_substitute(other, mapping)
                 if isinstance(replaced, BoolConst):
                     if not replaced.value:
                         return replaced, eliminated
@@ -92,6 +149,12 @@ def _shape(node):
         return ("Not", _shape(node.arg))
     if isinstance(node, BoolConst):
         return ("const", node.value)
+    if isinstance(node, Implies):
+        return ("Implies", _shape(node.antecedent), _shape(node.consequent))
+    if isinstance(node, Iff):
+        return ("Iff", _shape(node.left), _shape(node.right))
+    if isinstance(node, (Exists, ForAll)):
+        return (type(node).__name__, node.bound, _shape(node.body))
     raise TypeError(node)
 
 
@@ -204,3 +267,144 @@ def test_equalities_are_divided_by_their_gcd():
     assert _shape(reduced) == _shape(
         And((Eq(LinExpr({"z": 2, "y": 4}, -1)), Le(LinExpr({"y": -2}, -2))))
     )
+
+
+# ----------------------------------------------------------------------
+# substitute keeps what it does not touch
+# ----------------------------------------------------------------------
+def _random_formula(rng, names, depth=0):
+    """Any connective, built with and without the helpers, constants too."""
+    roll = rng.random()
+    if depth >= 3 or roll < 0.35:
+        return _random_atom(rng, names)
+    if roll < 0.4:
+        return BoolConst(rng.random() < 0.5)
+    kind = rng.choice(("and", "or", "not", "implies", "iff", "exists", "forall"))
+    arity = rng.randint(1, 3)
+    children = [_random_formula(rng, names, depth + 1) for _ in range(arity)]
+    helpers = rng.random() < 0.5
+    if kind == "and":
+        return conj(children) if helpers else And(tuple(children))
+    if kind == "or":
+        return disj(children) if helpers else Or(tuple(children))
+    if kind == "not":
+        return neg(children[0]) if helpers else Not(children[0])
+    other = _random_formula(rng, names, depth + 1)
+    if kind == "implies":
+        return implies(children[0], other) if helpers else Implies(children[0], other)
+    if kind == "iff":
+        return iff(children[0], other) if helpers else Iff(children[0], other)
+    bound = tuple(rng.sample(names, 1))
+    return (Exists if kind == "exists" else ForAll)(bound, children[0])
+
+
+def test_substitute_matches_the_rebuilding_reference():
+    rng = random.Random(33)
+    kept = 0
+    for _ in range(3000):
+        names = [f"v{i}" for i in range(rng.randint(2, 8))]
+        formula = _random_formula(rng, names)
+        mapped = rng.sample(names, rng.randint(0, 2))
+        mapping = {name: _random_expr(rng, names, allow_constant=True) for name in mapped}
+        got = substitute(formula, mapping)
+        assert _shape(got) == _shape(_reference_substitute(formula, mapping))
+        kept += got is formula and not isinstance(formula, BoolConst)
+    # Both paths are taken: some formulas are kept, most are rebuilt.
+    assert 100 < kept < 2900
+
+
+def test_substitute_keeps_an_untouched_helper_built_subformula():
+    x, y, z = (LinExpr.var(name) for name in "xyz")
+    untouched = disj([Le(y - 1), conj([Eq(y + z), neg(Le(z))])])
+    touched = Le(x + y)
+    formula = conj([touched, untouched, implies(Le(z), Eq(y - z))])
+    result = substitute(formula, {"x": z + 1})
+    assert result is not formula
+    assert result.args[1] is untouched
+    assert result.args[2] is formula.args[2]
+    assert _shape(result.args[0]) == _shape(Le(LinExpr({"z": 1, "y": 1}, 1)))
+    assert substitute(formula, {"w": x}) is formula
+    quantified = Exists(("y",), untouched)
+    assert substitute(quantified, {"y": x}) is quantified
+
+
+@pytest.mark.parametrize(
+    "formula, expected",
+    [
+        (Not(Not(Le(LinExpr({"y": 1}, -1)))), Le(LinExpr({"y": 1}, -1))),
+        (And((Le(LinExpr({"y": 1}, -1)),)), Le(LinExpr({"y": 1}, -1))),
+        (Or((Eq(LinExpr({"y": 1}, 0)),)), Eq(LinExpr({"y": 1}, 0))),
+        (And((Le(LinExpr({"y": 1}, 0)), TRUE)), Le(LinExpr({"y": 1}, 0))),
+        (
+            Or((Le(LinExpr({"y": 1}, 0)), Or((Eq(LinExpr({"z": 1}, 0)), Le(LinExpr({"z": 1}, 1)))))),
+            Or((Le(LinExpr({"y": 1}, 0)), Eq(LinExpr({"z": 1}, 0)), Le(LinExpr({"z": 1}, 1)))),
+        ),
+        (Le(LinExpr({}, -1)), TRUE),
+        (Eq(LinExpr({}, 2)), FALSE),
+        (Implies(FALSE, Le(LinExpr({"y": 1}, 0))), TRUE),
+        (Iff(Le(LinExpr({"y": 1}, 0)), FALSE), Not(Le(LinExpr({"y": 1}, 0)))),
+        (Not(TRUE), FALSE),
+    ],
+)
+def test_substitute_still_folds_constructor_built_nodes(formula, expected):
+    # Nothing is mapped, so only the folding rewrites these.
+    assert _shape(substitute(formula, {"x": LinExpr.var("w")})) == _shape(expected)
+
+
+# ----------------------------------------------------------------------
+# Checkpoint charges (``lia.presolve.steps`` and ``budget.steps`` read them)
+# ----------------------------------------------------------------------
+def _defining_chain(n):
+    conjuncts = [
+        Eq(LinExpr({f"x{i}": 1, f"x{i + 1}": -1}, -1)) for i in reversed(range(n))
+    ]
+    conjuncts.append(Le(LinExpr({"x0": 1}, -10 * n)))
+    conjuncts.append(Le(LinExpr({f"x{n}": -1}, 0)))
+    return And(tuple(conjuncts))
+
+
+def _nested(rng, names, depth=0):
+    roll = rng.random()
+    if depth >= 2 or roll < 0.4:
+        return _random_atom(rng, names)
+    if roll < 0.7:
+        return Or(tuple(_nested(rng, names, depth + 1) for _ in range(rng.randint(2, 3))))
+    if roll < 0.85:
+        return And(tuple(_nested(rng, names, depth + 1) for _ in range(2)))
+    return Not(_nested(rng, names, depth + 1))
+
+
+def _nested_or_conjunction(seed):
+    """Acyclic defining equalities among disjunctions of nested connectives."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(14)]
+    defined = rng.sample(range(len(names) - 1), 8)
+    conjuncts = []
+    for _ in range(40):
+        if defined and rng.random() < 0.25:
+            i = defined.pop()
+            j = rng.randint(i + 1, len(names) - 1)
+            conjuncts.append(Eq(LinExpr({names[i]: 1, names[j]: -1}, rng.randint(-2, 2))))
+        else:
+            conjuncts.append(Or(tuple(_nested(rng, names) for _ in range(rng.randint(2, 4)))))
+    return And(tuple(conjuncts))
+
+
+@pytest.mark.parametrize(
+    "formula, protected, steps, eliminations",
+    [
+        (_defining_chain(150), None, 300, 150),
+        (_defining_chain(150), {"x75"}, 300, 150),
+        (_nested_or_conjunction(33), None, 186, 8),
+    ],
+    ids=["chain", "chain-protected", "nested-or"],
+)
+def test_elimination_checkpoint_charges(formula, protected, steps, eliminations):
+    # One step per candidate equality and per rewritten conjunct, as before
+    # untouched subformulas were kept: the counts are those of the
+    # rebuilding substitution.
+    _assert_same(formula, protected)
+    budget = Budget()
+    with budget.activate():
+        _reduced, defs = eliminate_equalities(formula, protected)
+    assert (budget.steps, len(defs)) == (steps, eliminations)

@@ -1,5 +1,6 @@
 """Tests for the exact rational simplex and the integer layer."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -643,10 +644,13 @@ def _replay_against_rational_rows(seed, num_vars, size, max_terms, steps):
     rng = random.Random(seed)
     pool = _random_pool(rng, num_vars, size, max_terms)
     # Fractional coefficients give rows a denominator from the start.
-    for constraint in pool[::3]:
+    for index in range(0, len(pool), 3):
+        constraint = pool[index]
         name = next(iter(constraint.expr.coeffs))
         coeffs = dict(constraint.expr.coeffs, **{name: Fraction(rng.choice([-3, -1, 1, 5]), 2)})
-        constraint.expr = expr(coeffs, Fraction(rng.randint(-6, 6), 3))
+        pool[index] = Constraint(
+            expr(coeffs, Fraction(rng.randint(-6, 6), 3)), constraint.relation, constraint.tag
+        )
     pair = _ReferencePair()
     handles = []
     depth = 0
@@ -708,3 +712,43 @@ def test_integer_tableau_matches_rational_rows_on_surviving_crossed_bounds():
     pair.apply("pop")
     assert pair.check(cuts=True).feasible
     assert pair.got.pivots
+
+
+def test_normal_form_is_computed_once_per_constraint(monkeypatch):
+    from repro.lia import LiaSolver, LiaStatus, conj, disj, ge, le, ne, var
+
+    computed, looked_up = [], []
+    compute, look_up = simplex_module._normal_form, simplex_module.normal_form
+
+    def counting_compute(constraint):
+        computed.append(constraint)
+        return compute(constraint)
+
+    def counting_look_up(constraint):
+        looked_up.append(constraint)
+        return look_up(constraint)
+
+    monkeypatch.setattr(simplex_module, "_normal_form", counting_compute)
+    monkeypatch.setattr(simplex_module, "normal_form", counting_look_up)
+    x, y, z = var("x"), var("y"), var("z")
+    formula = conj(
+        [
+            ne(x, y),
+            ne(y, z),
+            ne(x + y, z),
+            disj([le(x, 2), ge(y, 5)]),
+            le(x + y + z, 9),
+            ge(x, 0),
+            ge(y, 0),
+            ge(z, 0),
+        ]
+    )
+    assert LiaSolver().check(formula).status is LiaStatus.SAT
+    # The DPLL(T) tableau registers each atom's constraint and the final
+    # check's root simplex registers the same objects again: looked up
+    # twice, computed once.
+    assert len({id(c) for c in computed}) == len(computed)
+    assert len(looked_up) > len(computed) > 0
+    # Frozen: the kept normal form cannot go stale.
+    with pytest.raises(FrozenInstanceError):
+        computed[0].expr = LinExpr.var("w")

@@ -1,5 +1,7 @@
 """Unit tests for LIA terms and formula constructors."""
 
+from fractions import Fraction
+
 from repro.lia import (
     FALSE,
     TRUE,
@@ -95,3 +97,47 @@ def test_formula_size_counts_nodes():
     x = var("x")
     formula = conj([le(x, 1), disj([eq(x, 0), eq(x, 1)])])
     assert formula_size(formula) == 5
+
+
+def _chained_sum(exprs):
+    total = LinExpr()
+    for expr in exprs:
+        total = total + expr
+    return total
+
+
+def _order(expr):
+    """Coefficients in insertion order (``==`` on LinExpr ignores it)."""
+    return list(expr.coeffs.items()), expr.const
+
+
+def test_sum_of_matches_the_chained_sum_in_coefficient_order():
+    x, y, z = var("x"), var("y"), var("z")
+    cases = [
+        [],
+        [x],
+        [x, y, x * -1, x],  # x + y - x + x: x cancels, comes back last
+        [2 * x + y, 3, z - y, y * 4, -2 * x],
+        [x + y + z, -(x + y + z)],
+        [LinExpr({"x": Fraction(1, 2)}), LinExpr({"x": Fraction(1, 2)}, Fraction(1, 3)), y],
+    ]
+    for terms in cases:
+        summed = LinExpr.sum_of(terms)
+        assert _order(summed) == _order(_chained_sum(terms))
+        assert summed == _chained_sum(terms)
+    assert _order(LinExpr.sum_of([x, y, x * -1, x])) == ([("y", 1), ("x", 1)], 0)
+
+
+def test_subtraction_matches_adding_the_negation_in_coefficient_order():
+    x, y, z = var("x"), var("y"), var("z")
+    pairs = [
+        (x + y, x),
+        (x + y - x + x, y),
+        (2 * x + y + 3, z - 2 * x),
+        (x, x + y + z),
+        (LinExpr({"x": Fraction(3, 2)}, Fraction(1, 2)), LinExpr({"x": Fraction(1, 2), "y": 1})),
+    ]
+    for left, right in pairs:
+        assert _order(left - right) == _order(left + right * -1)
+        assert _order(left - 2) == _order(left + LinExpr.constant(-2))
+    assert _order(x + y - x + x) == ([("y", 1), ("x", 1)], 0)
