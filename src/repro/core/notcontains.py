@@ -16,12 +16,12 @@ body at concrete offsets κ₀ at which a candidate model fails.
 
 This module provides:
 
-* :class:`NotContainsEncoder` — builds the A^II automaton of the predicate,
-  the ``EqualWords`` linking constraints against a *master* encoding (the
-  encoding of the remaining constraints, which contains all the
-  variables), the instantiation lemmas, and the fully quantified φ^NC for
-  reference.  The body φ_sym ∧ φ_mis(κ) is A^II's own mismatch condition
-  (:func:`repro.core.single.mismatch`) with the needle shifted by κ,
+* :class:`NotContainsEncoder` — builds the A^II automaton of the predicate
+  and the instantiation lemmas: instances of φ^NC's body at one offset κ₀,
+  with the ``EqualWords`` linking constraints against a *master* encoding
+  (the encoding of the remaining constraints, which contains all the
+  variables).  The body φ_sym ∧ φ_mis(κ₀) is A^II's own mismatch condition
+  (:func:`repro.core.single.mismatch`) with the needle shifted by κ₀,
 * :func:`find_failing_offset` — the model-based counterexample search used
   by the MBQI loop in :mod:`repro.solver.solver`.
 """
@@ -33,14 +33,11 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..automata.flatness import is_flat
 from ..automata.nfa import Nfa
-from ..lia import Formula, LinExpr, conj, disj, eq, exists, forall, gt, lt, var
+from ..lia import Formula, LinExpr, conj, disj, eq, gt, var
 from . import parikh
 from .predicates import NotContains
 from .single import _alphabet_of, build_mismatch_automaton, mismatch
 from .tag_automaton import ConcatInfo
-
-#: LIA variable name used for the universally quantified offset in φ^NC.
-OFFSET_VARIABLE = "@kappa"
 
 
 def base_transition_counts(enc: parikh.ParikhEncoding, info: ConcatInfo) -> Dict[Tuple, LinExpr]:
@@ -92,25 +89,6 @@ class NotContainsEncoder:
         needle = LinExpr.sum_of(length_of(name) for name in self.predicate.needle)
         return haystack - needle
 
-    def _linked_copy(
-        self, prefix: str, offset: LinExpr, master_counts: Mapping[Tuple, LinExpr], connectivity: bool
-    ) -> Tuple[parikh.ParikhEncoding, Formula, Formula]:
-        """A fresh copy ``#2`` of the Parikh variables of ``A^II``, the
-        ``EqualWords(#1, #2)`` links to the master counts, and φ_sym ∧
-        φ_mis(κ) over the copy with the needle shifted right by ``offset``."""
-        inner = parikh.encode(self.automaton, prefix=prefix, connectivity=connectivity)
-        inner_counts = base_transition_counts(inner, self.info)
-        links = [
-            eq(inner_counts[key], master_counts[key])
-            for key in inner_counts
-            if key in master_counts
-        ]
-        shifted = mismatch(
-            inner, self.info, self.variables, self.alphabet,
-            self.predicate.needle, self.predicate.haystack, shift=offset,
-        )
-        return inner, conj(links), shifted
-
     # ------------------------------------------------------------------
     def instantiation_lemma(
         self, offset_value: int, master_counts: Mapping[Tuple, LinExpr], length_of
@@ -127,33 +105,19 @@ class NotContainsEncoder:
         of any other encoding.
         """
         offset = LinExpr.constant(offset_value)
-        inner, links, shifted = self._linked_copy(
-            self._fresh_prefix(), offset, master_counts, connectivity=False
+        inner = parikh.encode(self.automaton, prefix=self._fresh_prefix())
+        inner_counts = base_transition_counts(inner, self.info)
+        links = [
+            eq(inner_counts[key], master_counts[key])
+            for key in inner_counts
+            if key in master_counts
+        ]
+        shifted = mismatch(
+            inner, self.info, self.variables, self.alphabet,
+            self.predicate.needle, self.predicate.haystack, shift=offset,
         )
         overflow = gt(offset, self.length_difference(length_of))
-        return conj([inner.formula, links, disj([shifted, overflow])]), inner
-
-    def quantified_formula(self, master_counts: Mapping[Tuple, LinExpr], length_of) -> Formula:
-        """The full φ^NC (eq. 32) with an explicit ∀κ ∃#2 prefix.
-
-        This formula is provided for reference and for the bounded-expansion
-        tests; the production path uses MBQI instead of solving it directly.
-        The inner copy carries the SCC entry constraints, which are exact on
-        the flat languages this procedure requires.
-        """
-        kappa = var(OFFSET_VARIABLE)
-        inner, links, shifted = self._linked_copy(
-            f"nc{self.index}.q.", kappa, master_counts, connectivity=True
-        )
-        body = disj(
-            [
-                conj([inner.formula, links, shifted]),
-                lt(kappa, 0),
-                gt(kappa, self.length_difference(length_of)),
-            ]
-        )
-        inner_variables = sorted(set(body.variables()) - {OFFSET_VARIABLE})
-        return forall([OFFSET_VARIABLE], exists(inner_variables, body))
+        return conj([inner.formula, conj(links), disj([shifted, overflow])]), inner
 
 
 def find_failing_offset(predicate: NotContains, strings: Mapping[str, str]) -> Optional[int]:

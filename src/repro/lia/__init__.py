@@ -17,8 +17,6 @@ from .terms import (
     And,
     BoolConst,
     Eq,
-    Exists,
-    ForAll,
     Formula,
     Iff,
     Implies,
@@ -31,8 +29,6 @@ from .terms import (
     disj,
     eq,
     evaluate,
-    exists,
-    forall,
     formula_size,
     ge,
     gt,
@@ -59,8 +55,6 @@ __all__ = [
     "Not",
     "Implies",
     "Iff",
-    "Exists",
-    "ForAll",
     "TRUE",
     "FALSE",
     "var",
@@ -76,8 +70,6 @@ __all__ = [
     "neg",
     "implies",
     "iff",
-    "exists",
-    "forall",
     "evaluate",
     "substitute",
     "formula_size",

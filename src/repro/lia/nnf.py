@@ -32,7 +32,6 @@ def to_nnf(formula: Formula, negate: bool = False) -> Formula:
     """Return an equivalent formula in negation normal form.
 
     ``negate=True`` computes the NNF of the negation of ``formula``.
-    Quantifiers are not supported here; strip them beforehand.
     """
     if isinstance(formula, BoolConst):
         value = formula.value != negate
@@ -76,4 +75,4 @@ def to_nnf(formula: Formula, negate: bool = False) -> Formula:
         mixed_b = conj([to_nnf(left, True), to_nnf(right, False)])
         return disj([mixed_a, mixed_b])
 
-    raise TypeError(f"to_nnf does not handle quantified formula {formula!r}")
+    raise TypeError(f"unsupported formula {formula!r}")

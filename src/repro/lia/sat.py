@@ -52,18 +52,16 @@ flip search of earlier revisions):
   activities) on the classic Luby sequence, counting from the regime
   switch; sparse solves never restart, where a restart would merely replay
   the deterministic DLIS trail at full re-decision cost.
-* **Learned-clause DB reduction by LBD** — conflict clauses carry their
-  literal-block distance (number of distinct decision levels); when the
-  learned database outgrows its budget, the highest-LBD half is dropped
-  (glue clauses, binary clauses and clauses currently locked as reasons are
-  kept).  Theory lemmas are permanent: they encode theory facts the SAT
-  engine cannot re-derive, and the assertion stack retracts the
-  level-strengthened ones explicitly via :meth:`retract_clause_key`.
 * **Incremental clause database** — :meth:`add_clause` (deduplicating) may
   be called between solves; :meth:`remove_unit` retracts a root-level unit
   assertion, which is how the assertion stack of
   :class:`repro.lia.solver.LiaSolver` implements ``pop`` (Tseitin
-  definitions are implications and stay).
+  definitions are implications and stay).  Theory lemmas are permanent:
+  they are facts of the theory the SAT engine cannot re-derive.  Conflict
+  clauses are not: a retraction drops them all before the next solve
+  (:meth:`_purge_derived`).  The learned set needs no other bound: a
+  conflict learns at most one clause and a solve stops after
+  :data:`_MAX_CONFLICTS` conflicts.
 
 The theory callback receives the set of atom variables currently assigned
 *true* and returns either ``None`` (consistent as far as it can tell) or a
@@ -93,9 +91,6 @@ _MAX_CONFLICTS = 100000
 _ACTIVITY_DECAY = 0.95
 #: rescale threshold guarding against float overflow
 _ACTIVITY_RESCALE = 1e100
-#: clause-activity decay (slower than the variable decay, as in MiniSat)
-_CLAUSE_DECAY = 0.999
-_CLAUSE_RESCALE = 1e20
 #: conflicts per solve after which decisions switch from DLIS to pure VSIDS
 #: activity ordering: model search on satisfiable encodings is
 #: propagation-dense and conflict-sparse (DLIS aims decisions at still-
@@ -126,9 +121,6 @@ def _chrono_target(before: int, backjump_level: int, sparse: bool) -> int:
 #: conflicts per Luby restart unit (restarts only fire in the
 #: conflict-heavy regime, counting from the regime switch)
 _LUBY_UNIT = 512
-#: learned-clause budget before the first DB reduction, and its growth
-_MAX_LEARNT_START = 3000
-_MAX_LEARNT_GROWTH = 1.2
 #: node budget of one recursive clause-minimization check
 _MINIMIZE_BUDGET = 80
 
@@ -160,8 +152,6 @@ class SatStats:
     #: total decision levels skipped by non-chronological backjumps (the
     #: chronological baseline would undo exactly one level per conflict)
     backjump_levels: int = 0
-    #: learned clauses dropped by LBD-based DB reduction
-    deleted_clauses: int = 0
     #: literals removed from learned clauses by self-subsuming minimization
     minimized_literals: int = 0
 
@@ -209,20 +199,16 @@ class DpllSolver:
         self._clause_keys: Dict[Clause, int] = {}
         #: root-level unit assertions (asserted at the start of every solve)
         self._units: Set[int] = set()
-        #: learned (reducible) clause index -> activity; permanent clauses
-        #: (problem clauses and theory lemmas) never appear here
-        self._learnt_act: Dict[int, float] = {}
-        #: learned clause index -> literal-block distance at learning time
-        self._learnt_lbd: Dict[int, int] = {}
+        #: indices of the clauses learned by conflict analysis; permanent
+        #: clauses (problem clauses and theory lemmas) never appear here
+        self._learnt: Set[int] = set()
         #: unit literals learned by conflict analysis (as opposed to
         #: asserted or theory units) — see :meth:`_purge_derived`
         self._derived_units: Set[int] = set()
-        #: a root unit (or a strengthened theory clause) was retracted:
-        #: every analysis-derived clause may have resolved through it and
-        #: must be dropped before the next solve
+        #: a root unit was retracted: every analysis-derived clause may
+        #: have resolved through it and must be dropped before the next
+        #: solve
         self._derived_dirty = False
-        self._max_learnts = _MAX_LEARNT_START
-        self._cla_inc = 1.0
 
         # Search state (index 0 unused; variables are 1-based).
         self._value_of: List[Optional[bool]] = [None]
@@ -303,8 +289,7 @@ class DpllSolver:
             if existing == -1:  # unit slot: key is the 1-tuple itself
                 self._derived_units.discard(key[0])
             else:
-                self._learnt_act.pop(existing, None)
-                self._learnt_lbd.pop(existing, None)
+                self._learnt.discard(existing)
             self.stats.duplicate_clauses += 1
             return False
         for literal in literals:
@@ -327,28 +312,9 @@ class DpllSolver:
         self._clause_keys.pop((literal,), None)
         self._derived_dirty = True
 
-    def retract_clause_key(self, key: Clause) -> None:
-        """Retract the clause with canonical (sorted) key ``key``, if present.
-
-        Used by the assertion stack to withdraw theory clauses that were
-        strengthened with level-local information.  The clause slot is
-        emptied in place (an empty slot is inert for propagation) so the
-        remaining indices stay stable.
-        """
-        if not key:
-            return
-        index = self._clause_keys.pop(key, None)
-        if index is None:
-            return
-        if index == -1:
-            self._units.discard(key[0])
-            self._derived_dirty = True
-            return
-        self._drop_clause(index)
-        self._derived_dirty = True
-
     def _drop_clause(self, index: int) -> None:
-        """Empty one clause slot and detach its watches."""
+        """Empty one clause slot and detach its watches (an empty slot is
+        inert for propagation, so the other indices stay stable)."""
         lits = self.clauses[index]
         for literal in set(lits[:2]):
             watch_list = self._watches.get(literal)
@@ -359,8 +325,7 @@ class DpllSolver:
             for literal in lits:
                 unsat[abs(literal)] -= 1
         self.clauses[index] = []
-        self._learnt_act.pop(index, None)
-        self._learnt_lbd.pop(index, None)
+        self._learnt.discard(index)
 
     def has_unit(self, literal: int) -> bool:
         return literal in self._units
@@ -432,16 +397,6 @@ class DpllSolver:
         if mark < self.theory_mark:
             self.theory_mark = mark
 
-    def root_literals(self) -> Tuple[int, ...]:
-        """The literals currently forced at decision level 0.
-
-        The theory layer uses this to strengthen conflict cores: an atom
-        forced at the root contributes nothing to the pruning power of a
-        learned clause.
-        """
-        end = self._trail_lim[0] if self._trail_lim else len(self.trail)
-        return tuple(self.trail[:end])
-
     # Compatibility view used by tests and debugging tools.
     @property
     def assignment(self) -> Dict[int, bool]:
@@ -466,20 +421,8 @@ class DpllSolver:
             self._activity[var] *= 1e-100
         self._var_inc *= 1e-100
 
-    def _bump_clause(self, index: int) -> None:
-        activity = self._learnt_act.get(index)
-        if activity is None:
-            return
-        activity += self._cla_inc
-        self._learnt_act[index] = activity
-        if activity > _CLAUSE_RESCALE:
-            for learnt in self._learnt_act:
-                self._learnt_act[learnt] *= 1.0 / _CLAUSE_RESCALE
-            self._cla_inc *= 1.0 / _CLAUSE_RESCALE
-
     def _decay_activities(self) -> None:
         self._var_inc /= _ACTIVITY_DECAY
-        self._cla_inc /= _CLAUSE_DECAY
 
     def _sparse(self) -> bool:
         """Still in the conflict-sparse (model search) regime of this solve?"""
@@ -613,7 +556,7 @@ class DpllSolver:
                 index = watch_list[position]
                 position += 1
                 lits = self.clauses[index]
-                if not lits:  # retracted / reduced slot
+                if not lits:  # purged slot
                     continue
                 # Normalise: the falsified watch sits at position 1.
                 if lits[0] == false_literal:
@@ -645,10 +588,10 @@ class DpllSolver:
     # ------------------------------------------------------------------
     # Conflict analysis (1UIP)
     # ------------------------------------------------------------------
-    def _analyze(self, conflict_index: int) -> Tuple[List[int], int, int]:
+    def _analyze(self, conflict_index: int) -> Tuple[List[int], int]:
         """Resolve a falsified clause to the first UIP.
 
-        Returns ``(learned, backjump_level, lbd)`` where ``learned[0]`` is
+        Returns ``(learned, backjump_level)`` where ``learned[0]`` is
         the asserting (UIP) literal.  The caller guarantees the conflict
         involves at least one literal of the current decision level.
         """
@@ -659,7 +602,6 @@ class DpllSolver:
         p: Optional[int] = None
         index = len(self.trail)
         reason_lits: Sequence[int] = self.clauses[conflict_index]
-        self._bump_clause(conflict_index)
         # repro: allow(checkpoint-coverage): resolution walks the trail at most once per conflict, and the search loop checkpoints lia.sat on every conflict
         while True:
             for q in reason_lits:
@@ -683,9 +625,7 @@ class DpllSolver:
             counter -= 1
             if counter == 0:
                 break
-            reason_index = self._reason_of[abs(p)]
-            self._bump_clause(reason_index)
-            reason_lits = self.clauses[reason_index]
+            reason_lits = self.clauses[self._reason_of[abs(p)]]
         learned[0] = -p
 
         # Self-subsuming minimization: drop literals whose reason clause is
@@ -708,8 +648,7 @@ class DpllSolver:
                     best = position
             learned[1], learned[best] = learned[best], learned[1]
             backjump_level = self._level_of[abs(learned[1])]
-        levels = {self._level_of[abs(literal)] for literal in learned}
-        return learned, backjump_level, len(levels)
+        return learned, backjump_level
 
     def _redundant(self, literal: int, seen: Dict[int, bool]) -> bool:
         """Recursive check that ``literal`` is implied by the learned clause."""
@@ -734,7 +673,7 @@ class DpllSolver:
                 stack.append(q)
         return True
 
-    def _install_learned(self, learned: List[int], lbd: int) -> None:
+    def _install_learned(self, learned: List[int]) -> None:
         """Store a learned clause and assert its UIP literal."""
         self.stats.learned_clauses += 1
         if len(learned) == 1:
@@ -751,8 +690,8 @@ class DpllSolver:
         key = tuple(sorted(dict.fromkeys(learned)))
         existing = self._clause_keys.get(key)
         if existing is not None and existing >= 0 and self.clauses[existing]:
-            # Re-learned an existing clause (possible after DB reduction
-            # races with theory lemmas): reuse it as the reason.
+            # Re-learned a clause the DB already holds: reuse it as the
+            # reason.
             self.stats.duplicate_clauses += 1
             self._rewatch(existing, learned[0], learned[1])
             index = existing
@@ -763,8 +702,7 @@ class DpllSolver:
             self._watches.setdefault(learned[0], []).append(index)
             self._watches.setdefault(learned[1], []).append(index)
             self._dlis_attach(index)
-            self._learnt_act[index] = self._cla_inc
-            self._learnt_lbd[index] = lbd
+            self._learnt.add(index)
         if self._value(learned[0]) is None:
             self._assign(learned[0], reason=index)
             self.stats.propagations += 1
@@ -780,37 +718,6 @@ class DpllSolver:
         self.clauses[index] = [first, second] + rest
         self._watches.setdefault(first, []).append(index)
         self._watches.setdefault(second, []).append(index)
-
-    # ------------------------------------------------------------------
-    # Learned-clause DB reduction
-    # ------------------------------------------------------------------
-    def _locked(self, index: int) -> bool:
-        lits = self.clauses[index]
-        if not lits:
-            return False
-        head = lits[0]
-        return self._value(head) is True and self._reason_of[abs(head)] == index
-
-    def _reduce_db(self) -> None:
-        """Drop the worst half of the learned clauses (by LBD, then activity)."""
-        candidates = [
-            index
-            for index in self._learnt_act
-            if len(self.clauses[index]) > 2
-            and self._learnt_lbd[index] > 2
-            and not self._locked(index)
-        ]
-        if not candidates:
-            self._max_learnts = int(self._max_learnts * _MAX_LEARNT_GROWTH)
-            return
-        candidates.sort(key=lambda i: (-self._learnt_lbd[i], self._learnt_act[i]))
-        for index in candidates[: len(candidates) // 2]:
-            key = tuple(sorted(dict.fromkeys(self.clauses[index])))
-            if self._clause_keys.get(key) == index:
-                del self._clause_keys[key]
-            self._drop_clause(index)
-            self.stats.deleted_clauses += 1
-        self._max_learnts = int(self._max_learnts * _MAX_LEARNT_GROWTH)
 
     # ------------------------------------------------------------------
     # Theory conflicts
@@ -886,7 +793,7 @@ class DpllSolver:
             self._rewatch(index, ordered[0], ordered[1])
         before = self._decision_level()
         self._backjump(deepest)
-        learned, backjump_level, lbd = self._analyze(index)
+        learned, backjump_level = self._analyze(index)
         if len(learned) == 1:
             target = 0  # learned units always commit at the root
         else:
@@ -894,7 +801,7 @@ class DpllSolver:
         self._note_redecide(target)
         self.stats.backjump_levels += before - target
         self._backjump(target)
-        self._install_learned(learned, lbd)
+        self._install_learned(learned)
         return True
 
     # ------------------------------------------------------------------
@@ -915,14 +822,12 @@ class DpllSolver:
 
         A 1UIP resolvent implicitly resolves through the root units whose
         literals it dropped at level 0, so it is only implied while those
-        units (and any strengthened theory clause used as a reason) stay
-        asserted.  Rather than tracking the exact dependencies, a
-        retraction invalidates the whole derived set — theory lemmas are
-        consequences of the atom semantics alone and survive, which is
-        exactly the retention the pre-CDCL engine had.
+        units stay asserted.  Rather than tracking the exact dependencies,
+        a retraction invalidates the whole derived set — theory lemmas are
+        consequences of the atom semantics alone and survive.
         """
         self._derived_dirty = False
-        for index in list(self._learnt_act):
+        for index in list(self._learnt):
             lits = self.clauses[index]
             if not lits:
                 continue
@@ -1006,7 +911,7 @@ class DpllSolver:
                 if deepest == 0:
                     return "unsat", None
                 self._backjump(deepest)
-                learned, backjump_level, lbd = self._analyze(conflict)
+                learned, backjump_level = self._analyze(conflict)
                 if len(learned) == 1:
                     # A learned unit always commits at the root: asserting
                     # it reason-less any higher would plant a pseudo-
@@ -1017,10 +922,8 @@ class DpllSolver:
                 self._note_redecide(target)
                 self.stats.backjump_levels += before - target
                 self._backjump(target)
-                self._install_learned(learned, lbd)
+                self._install_learned(learned)
                 self._decay_activities()
-                if len(self._learnt_act) > self._max_learnts:
-                    self._reduce_db()
                 continue
 
             # Luby restarts pair with VSIDS + saved phases: activity

@@ -32,9 +32,11 @@ calls on the same assertion stack):
   re-introducing them.
 
 ``push()`` / ``pop()`` manage assertion-stack levels: ``pop`` retracts the
-root-level unit assertions, the substitutions and the trivial-verdict flags
+root-level unit assertions, the substitutions and the trivial-verdict flag
 of the popped level while keeping atom definitions and learned theory
-clauses (which are level-independent consequences of the atom semantics).
+clauses.  A theory clause is the negation of a conflict core of the atoms
+as given, so it is a fact of LIA alone, true on every level: nothing else
+needs retracting.
 
 ``check(formula)`` is the one-shot form: it checks ``formula`` together with
 the current stack inside an implicit ``push``/``pop``.  A check is bounded
@@ -49,7 +51,9 @@ Pipeline per assertion: :func:`repro.lia.simplify.eliminate_equalities`
 eliminate equalities with one loop, :func:`repro.lia.simplify.eliminate`.
 Theory conflict cores go into learned clauses as they come: partial-check
 cores are irreducible simplex explanations, and a final-check core is a
-(possibly non-minimal) refutation.  All variables are interpreted over the
+(possibly non-minimal) refutation.  Neither drops the atoms that the
+current level's units force at the root: a clause so strengthened would
+hold only while those units do.  All variables are interpreted over the
 integers.  Results are reported as :class:`LiaStatus` (``SAT`` / ``UNSAT`` /
 ``UNKNOWN``); the model accompanying a ``SAT`` verdict assigns an integer to
 every free variable of the asserted formulae.  An ``UNSAT`` verdict names no
@@ -133,10 +137,6 @@ class _Level:
     eliminated_mark: int = 0
     var_mark: int = 0
     false: bool = False
-    unsupported: str = ""
-    #: canonical keys of theory clauses strengthened with root-forced atoms
-    #: of this level (retracted on pop — see ``LiaSolver._strengthen_core``)
-    strengthened: List[Tuple[int, ...]] = field(default_factory=list)
 
 
 class LiaSolver:
@@ -201,8 +201,6 @@ class LiaSolver:
         self.pending.clear()
         for literal in level.units:
             self.sat.remove_unit(literal)
-        for key in level.strengthened:
-            self.sat.retract_clause_key(key)
         del self.eliminated[level.eliminated_mark :]
         for name in self._var_list[level.var_mark :]:
             self._var_set.discard(name)
@@ -248,13 +246,8 @@ class LiaSolver:
             combined, eliminated = eliminate_equalities(
                 combined, protected=self._encoded_vars
             )
-        nnf, unsupported, root = combined, "", None
-        if not isinstance(combined, BoolConst):
-            try:
-                nnf = to_nnf(combined)
-            except TypeError as error:
-                unsupported = f"unsupported formula: {error}"
-        if not unsupported and not isinstance(nnf, BoolConst):
+        nnf, root = to_nnf(combined), None
+        if not isinstance(nnf, BoolConst):
             root = self.cnf.add_formula(nnf)
             self._sync_sat()
 
@@ -264,9 +257,7 @@ class LiaSolver:
             if name not in self._var_set:
                 self._var_set.add(name)
                 self._var_list.append(name)
-        if unsupported:
-            level.unsupported = unsupported
-        elif isinstance(nnf, BoolConst):
+        if isinstance(nnf, BoolConst):
             if not nnf.value:
                 level.false = True
         else:
@@ -378,7 +369,6 @@ class LiaSolver:
             conflict_atoms = {tag for tag in result.conflict if isinstance(tag, int)}
             if not conflict_atoms:
                 conflict_atoms = set(true_atoms)
-            conflict_atoms = self._strengthen_core(conflict_atoms)
             return tuple(-var for var in sorted(conflict_atoms))
 
         constraints = [self._atom_constraint[var] for var in sorted(true_atoms)]
@@ -415,37 +405,7 @@ class LiaSolver:
             return tuple()
         # The core goes into the learned clause as it comes: a superset of a
         # refutation still refutes.
-        conflict_atoms = self._strengthen_core(conflict_atoms)
         return tuple(-var for var in sorted(conflict_atoms))
-
-    def _strengthen_core(self, core: Set[int]) -> Set[int]:
-        """Drop atoms from a conflict core that are forced true at the root.
-
-        Tag-automaton encodings force a large share of their atoms (Kirchhoff
-        flow equalities, fixed counters) through unit propagation alone, and
-        such atoms bloat every theory conflict: a learned clause
-        ``¬a ∨ ¬b`` with ``a`` root-forced is equivalent to ``¬b`` under the
-        current assertions, but prunes exponentially less of the boolean
-        search space.  The strengthened clause is only valid while the units
-        that force those atoms are asserted, so when the current level is not
-        the base level its canonical key is recorded for retraction on
-        ``pop``.  An empty result means the root-forced atoms themselves are
-        theory-inconsistent: the callback then returns the empty clause and
-        the check correctly reports UNSAT for the current stack.
-        """
-        if not core:
-            return core
-        forced: Set[int] = set()
-        for literal in self.sat.root_literals():
-            if literal > 0 and literal in core:
-                forced.add(literal)
-        if not forced:
-            return core
-        strengthened = core - forced
-        if len(self.levels) > 1:
-            key = tuple(sorted(-var for var in strengthened))
-            self.levels[-1].strengthened.append(key)
-        return strengthened
 
     # ------------------------------------------------------------------
     # Checking
@@ -460,7 +420,6 @@ class LiaSolver:
             "learned_clauses": sat.learned_clauses,
             "restarts": sat.restarts,
             "backjump_levels": sat.backjump_levels,
-            "deleted_clauses": sat.deleted_clauses,
             "minimized_literals": sat.minimized_literals,
             "pivots": self.theory.pivots + self._int_pivots,
             "bb_give_ups": self._give_ups,
@@ -524,9 +483,6 @@ class LiaSolver:
         self._flush()
         if any(level.false for level in self.levels):
             return result(LiaStatus.UNSAT)
-        for level in self.levels:
-            if level.unsupported:
-                return result(LiaStatus.UNKNOWN, reason=level.unsupported)
 
         try:
             verdict, _boolean_model = self.sat.solve(budget=budget)

@@ -1,17 +1,16 @@
 """Linear integer arithmetic (LIA) terms and formulae.
 
-The decision procedure of the paper reduces position constraints to LIA
-formulae over Parikh variables.  This module provides the formula
-representation consumed by :mod:`repro.lia.solver`:
+The decision procedure of the paper reduces position constraints to
+quantifier-free LIA formulae over Parikh variables (the ∀κ of ¬contains,
+§6.4, is instantiated lazily by the MBQI loop and never built).  This module
+provides the formula representation consumed by :mod:`repro.lia.solver`:
 
 * :class:`LinExpr` — a linear expression ``c0 + c1*x1 + ... + cn*xn`` with
   integer coefficients, represented as a mapping from variable names to
   coefficients plus a constant,
 * atoms — ``expr <= 0`` (:class:`Le`) and ``expr = 0`` (:class:`Eq`),
 * boolean structure — :class:`And`, :class:`Or`, :class:`Not`,
-  :class:`Implies`, :class:`Iff`, :class:`BoolConst`,
-* quantifiers — :class:`Exists` and :class:`ForAll` (used by the ¬contains
-  reduction of §6.4).
+  :class:`Implies`, :class:`Iff`, :class:`BoolConst`.
 
 Construction helpers (``le``, ``lt``, ``eq_expr``, ``ne``, ``conj``, ...) are
 provided at the bottom of the module; they perform light-weight
@@ -322,34 +321,6 @@ class Iff(Formula):
         return f"(= {self.left!r} {self.right!r})"
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    """Existential quantification over integer variables."""
-
-    bound: Tuple[str, ...]
-    body: Formula
-
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self.body.variables()) - set(self.bound)))
-
-    def __repr__(self) -> str:
-        return f"(exists ({' '.join(self.bound)}) {self.body!r})"
-
-
-@dataclass(frozen=True)
-class ForAll(Formula):
-    """Universal quantification over integer variables."""
-
-    bound: Tuple[str, ...]
-    body: Formula
-
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self.body.variables()) - set(self.bound)))
-
-    def __repr__(self) -> str:
-        return f"(forall ({' '.join(self.bound)}) {self.body!r})"
-
-
 # ----------------------------------------------------------------------
 # Construction helpers
 # ----------------------------------------------------------------------
@@ -475,24 +446,8 @@ def iff(left: Formula, right: Formula) -> Formula:
     return Iff(left, right)
 
 
-def exists(names: Sequence[str], body: Formula) -> Formula:
-    """Existential quantification (skipped when no variable is bound)."""
-    names = tuple(names)
-    if not names:
-        return body
-    return Exists(names, body)
-
-
-def forall(names: Sequence[str], body: Formula) -> Formula:
-    """Universal quantification (skipped when no variable is bound)."""
-    names = tuple(names)
-    if not names:
-        return body
-    return ForAll(names, body)
-
-
 def evaluate(formula: Formula, assignment: Mapping[str, Number]) -> bool:
-    """Evaluate a quantifier-free formula under a total assignment."""
+    """Evaluate a formula under a total assignment."""
     if isinstance(formula, BoolConst):
         return formula.value
     if isinstance(formula, Le):
@@ -509,7 +464,7 @@ def evaluate(formula: Formula, assignment: Mapping[str, Number]) -> bool:
         return (not evaluate(formula.antecedent, assignment)) or evaluate(formula.consequent, assignment)
     if isinstance(formula, Iff):
         return evaluate(formula.left, assignment) == evaluate(formula.right, assignment)
-    raise TypeError(f"cannot evaluate quantified formula {formula!r}")
+    raise TypeError(f"unsupported formula {formula!r}")
 
 
 def substitute(formula: Formula, mapping: Mapping[str, LinExpr]) -> Formula:
@@ -523,8 +478,8 @@ def substitute(formula: Formula, mapping: Mapping[str, LinExpr]) -> Formula:
     returned itself when it is already in that form — a non-constant atom,
     an ``And``/``Or`` of two or more arguments none of which is a constant
     or a connective of its own kind, a ``Not``, ``Implies`` or ``Iff``
-    without a constant operand and not a double negation, a quantifier —
-    and rebuilt as the helpers do otherwise.  So the result is structurally
+    without a constant operand and not a double negation — and rebuilt as
+    the helpers do otherwise.  So the result is structurally
     the same as rebuilding everything, down to each ``LinExpr``'s
     coefficient order, but an untouched subformula costs no allocation.
     """
@@ -573,12 +528,6 @@ def substitute(formula: Formula, mapping: Mapping[str, LinExpr]) -> Formula:
         if _same_operands(formula.left, left, formula.right, right):
             return formula
         return iff(left, right)
-    if isinstance(formula, (Exists, ForAll)):
-        inner = {k: v for k, v in mapping.items() if k not in formula.bound}
-        body = substitute(formula.body, inner)
-        if body is formula.body:
-            return formula
-        return type(formula)(formula.bound, body)
     raise TypeError(f"unsupported formula {formula!r}")
 
 
@@ -625,6 +574,4 @@ def formula_size(formula: Formula) -> int:
         return 1 + formula_size(formula.antecedent) + formula_size(formula.consequent)
     if isinstance(formula, Iff):
         return 1 + formula_size(formula.left) + formula_size(formula.right)
-    if isinstance(formula, (Exists, ForAll)):
-        return 1 + formula_size(formula.body)
     raise TypeError(f"unsupported formula {formula!r}")

@@ -3,9 +3,10 @@
 :class:`DifferentialFuzzer` closes the loop the benchgen pipeline model
 opens: every :mod:`repro.benchgen.pipelines` scenario carries an exact
 ground truth (exhaustive concrete execution of the pipe program), so each
-seed becomes a *differential* test case — the instance is solved under
-2–3 :class:`~repro.solver.config.SolverConfig` ablations plus the
-brute-force oracle, and every disagreement is classified:
+seed becomes a *differential* test case — the instance is solved under the
+default :class:`~repro.solver.config.SolverConfig` (or under every
+configuration a caller passes) plus the brute-force oracle, and every
+disagreement is classified:
 
 * ``wrong-verdict`` — a definite ``sat``/``unsat`` contradicting the
   ground truth (or one ablation contradicting another);
@@ -74,9 +75,9 @@ UNKNOWN_MISMATCH = "structured-unknown-mismatch"
 BRUTE_MAX_LENGTH = 3
 BRUTE_TIMEOUT = 0.25
 
-#: checkpoint steps per engine check.  Measured on seeds 0–39 under both
-#: configurations: every check that decides needs at most 32016 steps, and
-#: no seed left undecided decides within 38000
+#: checkpoint steps per engine check.  Measured on seeds 0–39 under the
+#: default configuration: every check that decides needs at most 32016
+#: steps, and no seed left undecided decides within 38000
 CHECK_STEPS = 35_000
 
 
@@ -90,15 +91,13 @@ def _model_ok(problem: Problem, model) -> bool:
 
 
 def default_configs() -> Dict[str, SolverConfig]:
-    """The two configurations every scenario runs under: ``witness`` (the
-    default, with the distinct shortcut) and ``encoding`` (always the
-    paper's tag-automaton encoding), so each scenario cross-checks the
-    shortcut against the encoding.  Each check gets :data:`CHECK_STEPS`
-    checkpoint steps and no time limit."""
-    return {
-        "witness": SolverConfig(timeout=None, max_steps=CHECK_STEPS),
-        "encoding": SolverConfig(distinct_shortcut=False, timeout=None, max_steps=CHECK_STEPS),
-    }
+    """The one configuration every scenario runs under by default: the
+    default solver, each check with :data:`CHECK_STEPS` checkpoint steps
+    and no time limit.  (The distinct shortcut never fires on the pipeline
+    scenarios, so a ``distinct_shortcut=False`` twin would repeat the same
+    computation; ``tests/test_distinct_regression.py`` cross-checks the
+    shortcut against the encoding.)"""
+    return {"default": SolverConfig(timeout=None, max_steps=CHECK_STEPS)}
 
 
 @dataclass

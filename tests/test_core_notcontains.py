@@ -7,7 +7,6 @@ from repro.core.single import encode_single
 from repro.core.predicates import Disequality
 from repro.core.witness import extract_assignment
 from repro.lia import conj
-from repro.lia.terms import ForAll
 
 from helpers import solve_parikh
 
@@ -80,16 +79,3 @@ def test_instantiation_lemma_solves_with_connected_runs():
     strings = extract_assignment(master.parikh, result.model, ["x", "y"])
     assert strings == {"x": "a", "y": ""}
 
-
-def test_quantified_formula_shape():
-    automata = {
-        "x": compile_regex("a*", alphabet="ab"),
-        "y": compile_regex("(ab)*", alphabet="ab"),
-    }
-    predicate = NotContains(("x",), ("y",))
-    encoder = NotContainsEncoder(predicate, automata)
-    master = encode_single(Disequality(("x",), ("y",)), automata, prefix="m.")
-    master_counts = base_transition_counts(master.parikh, master.info)
-    quantified = encoder.quantified_formula(master_counts, master.length_of)
-    assert isinstance(quantified, ForAll)
-    assert quantified.bound == ("@kappa",)

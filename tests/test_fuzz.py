@@ -29,20 +29,19 @@ from repro.testing.fuzz import (
 )
 
 
-def test_default_configs_cover_both_distinct_paths():
+def test_default_configs_run_the_default_solver_on_a_step_budget():
     configs = default_configs()
-    assert set(configs) == {"witness", "encoding"}
-    for config in configs.values():
-        assert (config.timeout, config.max_steps) == (None, CHECK_STEPS)
-    assert configs["witness"].distinct_shortcut
-    assert not configs["encoding"].distinct_shortcut
+    assert set(configs) == {"default"}
+    config = configs["default"]
+    assert (config.timeout, config.max_steps) == (None, CHECK_STEPS)
+    assert config.distinct_shortcut
 
 
 def test_clean_sweep_has_no_failures(tmp_path):
     fuzzer = DifferentialFuzzer(repro_dir=str(tmp_path))
     report = fuzzer.run(range(6))
     assert report.instances == 6
-    assert report.checks == 12  # witness and encoding per instance
+    assert report.checks == 6  # one default check per instance
     assert report.ok, report.summary()
     assert not os.listdir(tmp_path)  # no failures => no repro artifacts
     assert "no disagreements" in report.summary()

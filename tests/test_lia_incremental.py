@@ -438,11 +438,10 @@ class _SyncAudit:
         self.conflicts += 1
         core = self.last.conflict
         core_constraints = [solver._atom_constraint[atom] for atom in sorted(core)]
-        # The simplex conflict goes into the clause (less its root-forced
-        # atoms), and is irreducible: infeasible, yet feasible without any
-        # one atom.
+        # The simplex conflict is the clause, and it is irreducible:
+        # infeasible, yet feasible without any one atom.
         assert not self.last.feasible
-        assert {-lit for lit in clause} <= set(core)
+        assert {-lit for lit in clause} == set(core)
         assert not check_rational_feasibility(core_constraints).feasible
         for dropped in core:
             rest = [solver._atom_constraint[atom] for atom in sorted(core) if atom != dropped]
@@ -558,3 +557,70 @@ def test_trail_sync_on_integer_sensitive_core():
     solver.pop()
     assert solver.check().status is LiaStatus.SAT
     assert audit.negative_phase_checks > 0
+
+
+# ----------------------------------------------------------------------
+# Every theory clause is a fact of LIA
+# ----------------------------------------------------------------------
+class _ClauseAudit:
+    """Checks each clause the theory callback returns on its own.
+
+    A theory clause must hold whatever the assertion stack: the atoms it
+    negates have no common integer solution.  A branch-and-bound give-up
+    clause only blocks an assignment the integer check could not decide,
+    so it is skipped.
+    """
+
+    def __init__(self, solver):
+        self.checked = 0
+        callback = solver._theory_callback
+
+        def audited(true_atoms, final):
+            give_ups = solver._give_ups
+            clause = callback(true_atoms, final)
+            if clause is not None and solver._give_ups == give_ups:
+                from repro.lia.intsolver import check_integer_feasibility
+
+                atoms = [solver._atom_constraint[-literal] for literal in clause]
+                assert not check_integer_feasibility(atoms).feasible, clause
+                self.checked += 1
+            return clause
+
+        solver._theory_callback = audited
+
+
+def test_every_theory_clause_is_a_theory_fact():
+    # Top-level atoms become root units, so the search forces them at the
+    # root; a conflict core that left them out would hold only while their
+    # level stays on the stack.
+    import random
+
+    audits = []
+    for seed in range(8):
+        rng = random.Random(300 + seed)
+        names = ["x", "y", "z"]
+        solver = LiaSolver()
+        audits.append(_ClauseAudit(solver))
+        stack = [[]]
+        for _ in range(10):
+            step = rng.choice(["push", "pop", "unit", "unit", "assert"])
+            if step == "push":
+                solver.push()
+                stack.append([])
+            elif step == "pop":
+                if len(stack) > 1:
+                    solver.pop()
+                    stack.pop()
+            else:
+                if step == "unit":
+                    a, b = rng.sample(names, 2)
+                    lhs = rng.choice([-2, -1, 1, 2]) * var(a) + rng.choice([-1, 1]) * var(b)
+                    formula = rng.choice([le, ge])(lhs, rng.randint(-4, 4))
+                else:
+                    formula = _random_formula(rng, names, clauses=3)
+                solver.add_assertion(formula)
+                stack[-1].append(formula)
+            result = solver.check()
+            active = conj([formula for frame in stack for formula in frame])
+            assert result.status == LiaSolver().check(active).status
+    assert sum(audit.checked for audit in audits) > 20

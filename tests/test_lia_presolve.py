@@ -29,8 +29,6 @@ from repro.lia.terms import (
     And,
     BoolConst,
     Eq,
-    Exists,
-    ForAll,
     Iff,
     Implies,
     Le,
@@ -77,12 +75,6 @@ def _reference_substitute(formula, mapping):
             _reference_substitute(formula.left, mapping),
             _reference_substitute(formula.right, mapping),
         )
-    if isinstance(formula, Exists):
-        inner = {k: v for k, v in mapping.items() if k not in formula.bound}
-        return Exists(formula.bound, _reference_substitute(formula.body, inner))
-    if isinstance(formula, ForAll):
-        inner = {k: v for k, v in mapping.items() if k not in formula.bound}
-        return ForAll(formula.bound, _reference_substitute(formula.body, inner))
     raise TypeError(f"unsupported formula {formula!r}")
 
 
@@ -153,8 +145,6 @@ def _shape(node):
         return ("Implies", _shape(node.antecedent), _shape(node.consequent))
     if isinstance(node, Iff):
         return ("Iff", _shape(node.left), _shape(node.right))
-    if isinstance(node, (Exists, ForAll)):
-        return (type(node).__name__, node.bound, _shape(node.body))
     raise TypeError(node)
 
 
@@ -279,7 +269,7 @@ def _random_formula(rng, names, depth=0):
         return _random_atom(rng, names)
     if roll < 0.4:
         return BoolConst(rng.random() < 0.5)
-    kind = rng.choice(("and", "or", "not", "implies", "iff", "exists", "forall"))
+    kind = rng.choice(("and", "or", "not", "implies", "iff"))
     arity = rng.randint(1, 3)
     children = [_random_formula(rng, names, depth + 1) for _ in range(arity)]
     helpers = rng.random() < 0.5
@@ -292,10 +282,7 @@ def _random_formula(rng, names, depth=0):
     other = _random_formula(rng, names, depth + 1)
     if kind == "implies":
         return implies(children[0], other) if helpers else Implies(children[0], other)
-    if kind == "iff":
-        return iff(children[0], other) if helpers else Iff(children[0], other)
-    bound = tuple(rng.sample(names, 1))
-    return (Exists if kind == "exists" else ForAll)(bound, children[0])
+    return iff(children[0], other) if helpers else Iff(children[0], other)
 
 
 def test_substitute_matches_the_rebuilding_reference():
@@ -324,8 +311,6 @@ def test_substitute_keeps_an_untouched_helper_built_subformula():
     assert result.args[2] is formula.args[2]
     assert _shape(result.args[0]) == _shape(Le(LinExpr({"z": 1, "y": 1}, 1)))
     assert substitute(formula, {"w": x}) is formula
-    quantified = Exists(("y",), untouched)
-    assert substitute(quantified, {"y": x}) is quantified
 
 
 @pytest.mark.parametrize(
