@@ -11,33 +11,17 @@ the atom ↔ boolean-variable map, a structural cache of already-encoded
 ``And``/``Or`` sub-formulae and a clause-deduplication set alive across
 :meth:`CnfBuilder.add_formula` calls.  Parikh encodings reuse the same atoms
 and sub-formulae across prefixes and MBQI rounds, so later additions (e.g.
-instantiation lemmas) only emit the genuinely new clauses.  The one-shot
-:func:`to_cnf` helper wraps a fresh builder.
+instantiation lemmas) only emit the genuinely new clauses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .terms import And, BoolConst, Eq, Formula, Le, Or
 
 Atom = Union[Le, Eq]
 Clause = Tuple[int, ...]
-
-
-@dataclass
-class CnfResult:
-    """Result of a one-shot CNF conversion."""
-
-    clauses: List[Clause] = field(default_factory=list)
-    #: boolean variable index -> theory atom (only for atom variables)
-    atom_of_var: Dict[int, Atom] = field(default_factory=dict)
-    #: canonical atom key -> boolean variable index
-    var_of_atom: Dict[Tuple, int] = field(default_factory=dict)
-    num_vars: int = 0
-    trivially_false: bool = False
-    trivially_true: bool = False
 
 
 def _atom_key(atom: Atom) -> Tuple:
@@ -132,25 +116,4 @@ class CnfBuilder:
             self._emit(tuple([-aux] + literals))
             self._aux_of_node[node] = aux
             return aux
-        raise TypeError(f"to_cnf expects NNF input, got {node!r}")
-
-
-def to_cnf(formula: Formula) -> CnfResult:
-    """One-shot CNF conversion (wraps a fresh :class:`CnfBuilder`)."""
-    result = CnfResult()
-
-    if isinstance(formula, BoolConst):
-        if formula.value:
-            result.trivially_true = True
-        else:
-            result.trivially_false = True
-        return result
-
-    builder = CnfBuilder()
-    root = builder.add_formula(formula)
-    builder._emit((root,))
-    result.clauses = builder.clauses
-    result.atom_of_var = builder.atom_of_var
-    result.var_of_atom = builder.var_of_atom
-    result.num_vars = builder.num_vars
-    return result
+        raise TypeError(f"CnfBuilder expects NNF input, got {node!r}")

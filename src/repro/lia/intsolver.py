@@ -33,7 +33,10 @@ the default) bounds branch-and-bound nodes (the root check of step 0 is
 not one), and ``_CUT_ROUNDS`` / ``_MAX_CUTS`` bound the cuts per node and
 per check.  The search raises
 :class:`ResourceLimit` when a node or depth budget is exhausted — callers
-then report ``UNKNOWN`` rather than an unsound verdict.
+then report ``UNKNOWN`` rather than an unsound verdict.  Wall clock and
+steps are bounded only by the ambient :class:`repro.budget.Budget`: every
+branch-and-bound node and cut round checkpoints stage ``lia.intsolver``
+(:func:`repro.budget.checkpoint`), and the simplex checkpoints each pivot.
 
 Every derived fact carries provenance: cut tags are frozenset unions of the
 tags of the bounds used in their derivation, and substitution descendants
@@ -48,8 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..budget import Budget
-from .simplex import Constraint, Simplex, SimplexResult
+from ..budget import checkpoint
+from .simplex import Constraint, Simplex, SimplexResult, _flatten_tags
 from .simplify import _gcd, complete_model, eliminate
 from .terms import Eq, Formula, Le, LinExpr
 
@@ -79,17 +82,6 @@ def _tagset(tag) -> frozenset:
     if isinstance(tag, frozenset):
         return tag
     return frozenset() if tag is None else frozenset((tag,))
-
-
-def _flatten_tags(tags) -> Set[object]:
-    """Expand frozenset provenance tags back into the original caller tags."""
-    out: Set[object] = set()
-    for tag in tags or ():
-        if isinstance(tag, frozenset):
-            out |= tag
-        elif tag is not None:
-            out.add(tag)
-    return out
 
 
 def _implied_equalities(constraints: Sequence[Constraint]) -> Tuple[Optional[List[Constraint]], Set[object]]:
@@ -249,9 +241,7 @@ def _integral_model(model: Dict[str, Fraction]) -> Dict[str, int]:
 
 
 def check_integer_feasibility(
-    constraints: Sequence[Constraint],
-    max_nodes: int = 4000,
-    budget: Optional[Budget] = None,
+    constraints: Sequence[Constraint], max_nodes: int = 4000
 ) -> IntResult:
     """Decide whether ``constraints`` have an integer solution.
 
@@ -259,9 +249,8 @@ def check_integer_feasibility(
     rounds per node and ``_MAX_CUTS`` cuts per call (see the module
     docstring).  The function either returns a definitive
     :class:`IntResult` or raises :class:`ResourceLimit` on the node/depth
-    budgets.  Wall-clock bounding goes through ``budget`` (one
-    checkpoint per branch-and-bound node and cut round, plus the simplex's
-    per-pivot checkpoints against the ambient budget), raising
+    budgets.  The ambient budget (one checkpoint per branch-and-bound node
+    and cut round, plus the simplex's per-pivot checkpoints) raises
     :class:`repro.budget.BudgetExceeded` — deliberately distinct from
     ``ResourceLimit``, which callers treat as a recoverable per-assignment
     event.  Only a fractional root vertex reaches the presolve and the
@@ -277,14 +266,12 @@ def check_integer_feasibility(
     elif _fractional_variable(relaxation.model) is None:
         result = IntResult(True, model=_integral_model(relaxation.model))
     else:
-        result = _presolve_and_search(constraints, max_nodes, budget)
+        result = _presolve_and_search(constraints, max_nodes)
     result.pivots += root.pivots
     return result
 
 
-def _presolve_and_search(
-    constraints: Sequence[Constraint], max_nodes: int, budget: Optional[Budget]
-) -> IntResult:
+def _presolve_and_search(constraints: Sequence[Constraint], max_nodes: int) -> IntResult:
     """Steps 1 and 2 of the module docstring: :func:`_reduce_over_z`, then
     branch-and-cut over the reduced system."""
     reduced, eliminated, conflict_tags = _reduce_over_z(constraints)
@@ -314,8 +301,7 @@ def _presolve_and_search(
             raise ResourceLimit(f"branch-and-bound exceeded {max_nodes} nodes")
         if depth > max_depth:
             raise ResourceLimit(f"branch-and-bound exceeded depth {max_depth}")
-        if budget is not None:
-            budget.checkpoint("lia.intsolver")
+        checkpoint("lia.intsolver")
 
         relaxation: SimplexResult = simplex.check()
         if not relaxation.feasible:
@@ -339,8 +325,7 @@ def _presolve_and_search(
             if not relaxation.feasible:
                 return IntResult(False, conflict=relaxation.conflict)
             branch_var = _fractional_variable(relaxation.model)
-            if budget is not None:
-                budget.checkpoint("lia.intsolver")
+            checkpoint("lia.intsolver")
 
         if branch_var is None:
             return IntResult(True, model=complete_model(_integral_model(relaxation.model), eliminated))
@@ -378,21 +363,10 @@ def _presolve_and_search(
     return result
 
 
-def check_rational_feasibility(
-    constraints: Sequence[Constraint], simplex: Optional[Simplex] = None
-) -> SimplexResult:
-    """Check the rational relaxation only (used for fast pruning in DPLL(T)).
-
-    ``simplex`` is an optional scratch tableau: the check runs inside a
-    push/pop scope on it, so a caller testing many subsets of one
-    constraint pool prepares each row once and keeps the basis warm.
-    """
-    if simplex is None:
-        simplex = Simplex()
-    simplex.push()
-    try:
-        for constraint in constraints:
-            simplex.add_constraint(constraint)
-        return simplex.check()
-    finally:
-        simplex.pop()
+def check_rational_feasibility(constraints: Sequence[Constraint]) -> SimplexResult:
+    """Decide ``constraints`` over Q on a fresh tableau (the rational
+    relaxation only, with a model or a conflict core)."""
+    simplex = Simplex()
+    for constraint in constraints:
+        simplex.add_constraint(constraint)
+    return simplex.check()

@@ -66,10 +66,14 @@ flip search of earlier revisions):
 The theory callback receives the set of atom variables currently assigned
 *true* and returns either ``None`` (consistent as far as it can tell) or a
 conflict clause (a tuple of literals, all currently false) that is added to
-the clause database and then resolved by the regular 1UIP analysis.  A
-theory layer that keeps its state in step with the trail reads
-:attr:`DpllSolver.theory_mark`: the lowest trail length since it last
-synced, so only the trail from there on is new to it.
+the clause database and then resolved by the regular 1UIP analysis: a
+boolean and a theory conflict are learned by the one routine
+:meth:`DpllSolver._learn`, and every clause of two or more literals enters
+the database through :meth:`DpllSolver._attach`.  The search reaches the
+caller's budget only as the ambient one (:func:`repro.budget.checkpoint`,
+stage ``lia.sat``).  A theory layer that keeps its state in step with the
+trail reads :attr:`DpllSolver.theory_mark`: the lowest trail length since
+it last synced, so only the trail from there on is new to it.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..budget import Budget
+from ..budget import checkpoint
 from .intsolver import ResourceLimit
 
 Clause = Tuple[int, ...]
@@ -216,9 +220,9 @@ class DpllSolver:
         #: reason clause index of a propagated literal (None for decisions
         #: and root units)
         self._reason_of: List[Optional[int]] = [None]
-        #: last polarity each variable held (consulted by heavy-regime
-        #: decisions only — see :meth:`solve`; sparse model search always
-        #: decides positively)
+        #: last polarity each variable held: the saved phase
+        #: :meth:`_decision_literal` reads in both regimes (initially
+        #: positive)
         self._phase: List[bool] = [True]
         #: assignment trail: just the literals, in assignment order
         self.trail: List[int] = []
@@ -227,7 +231,8 @@ class DpllSolver:
         self._prop_head = 0
         self._true_atoms: Set[int] = set()
         #: conflict count when the current solve began (drives the DLIS →
-        #: activity decision switch-over, see :meth:`_decide_var`)
+        #: activity decision switch-over, see :meth:`_decide_var`, and the
+        #: :data:`_MAX_CONFLICTS` limit)
         self._conflicts_at_solve_start = 0
         #: decision variable displaced by a chronological backtrack; the
         #: next decision re-picks it without a DLIS rescan (the old flip
@@ -276,7 +281,7 @@ class DpllSolver:
         """Add a clause (deduplicating); returns ``False`` for duplicates.
 
         Safe to call between solves; clauses arriving from the theory
-        callback during the search take the dedicated conflict path inside
+        callback during the search take the conflict path inside
         :meth:`solve` instead.
         """
         literals = list(dict.fromkeys(clause))
@@ -297,14 +302,20 @@ class DpllSolver:
         if len(literals) == 1:
             self._clause_keys[key] = -1
             self._units.add(literals[0])
-            return True
+        else:
+            self._attach(literals, key)
+        return True
+
+    def _attach(self, literals: List[int], key: Clause) -> int:
+        """Append a clause of two or more literals under ``key``, watching
+        its first two literals; returns its index."""
         index = len(self.clauses)
         self._clause_keys[key] = index
         self.clauses.append(literals)
         self._watches.setdefault(literals[0], []).append(index)
         self._watches.setdefault(literals[1], []).append(index)
         self._dlis_attach(index)
-        return True
+        return index
 
     def remove_unit(self, literal: int) -> None:
         """Retract a root-level unit assertion added via :meth:`add_clause`."""
@@ -368,7 +379,11 @@ class DpllSolver:
         """Undo the trail down to (and keeping) decision level ``level``."""
         if len(self._trail_lim) <= level:
             return
-        mark = self._trail_lim[level]
+        self._unassign(self._trail_lim[level])
+        del self._trail_lim[level:]
+
+    def _unassign(self, mark: int) -> None:
+        """Unassign the trail from position ``mark`` on, saving phases."""
         order = self._order
         activity = self._activity
         live = self._dlis_live
@@ -392,7 +407,6 @@ class DpllSolver:
                         for q in clauses[index]:
                             unsat[abs(q)] += 1
         del self.trail[mark:]
-        del self._trail_lim[level:]
         self._prop_head = len(self.trail)
         if mark < self.theory_mark:
             self.theory_mark = mark
@@ -673,6 +687,30 @@ class DpllSolver:
                 stack.append(q)
         return True
 
+    def _learn(self, index: int, deepest: int) -> None:
+        """Learn from the falsified clause ``clauses[index]``, whose deepest
+        literal sits on level ``deepest``.
+
+        After a chronological backtrack the clause may live entirely below
+        the current decision level (its asserting literal was re-propagated
+        out of order); 1UIP analysis needs the conflict at the top, so the
+        search first drops to the clause's own level.  A learned unit
+        always commits at the root: asserting it reason-less any higher
+        would plant a pseudo-decision later analyses cannot resolve
+        through.
+        """
+        before = self._decision_level()
+        self._backjump(deepest)
+        learned, backjump_level = self._analyze(index)
+        if len(learned) == 1:
+            target = 0
+        else:
+            target = _chrono_target(deepest, backjump_level, self._sparse())
+        self._note_redecide(target)
+        self.stats.backjump_levels += before - target
+        self._backjump(target)
+        self._install_learned(learned)
+
     def _install_learned(self, learned: List[int]) -> None:
         """Store a learned clause and assert its UIP literal."""
         self.stats.learned_clauses += 1
@@ -687,7 +725,7 @@ class DpllSolver:
                 self._assign(literal, reason=None)
                 self.stats.propagations += 1
             return
-        key = tuple(sorted(dict.fromkeys(learned)))
+        key = tuple(sorted(learned))
         existing = self._clause_keys.get(key)
         if existing is not None and existing >= 0 and self.clauses[existing]:
             # Re-learned a clause the DB already holds: reuse it as the
@@ -696,12 +734,7 @@ class DpllSolver:
             self._rewatch(existing, learned[0], learned[1])
             index = existing
         else:
-            index = len(self.clauses)
-            self._clause_keys[key] = index
-            self.clauses.append(list(learned))
-            self._watches.setdefault(learned[0], []).append(index)
-            self._watches.setdefault(learned[1], []).append(index)
-            self._dlis_attach(index)
+            index = self._attach(learned, key)
             self._learnt.add(index)
         if self._value(learned[0]) is None:
             self._assign(learned[0], reason=index)
@@ -727,10 +760,9 @@ class DpllSolver:
 
         Returns ``False`` when the clause set became unsatisfiable.  Theory
         clauses are permanent (see the module docstring); the recovery is
-        ordinary 1UIP analysis after backjumping to the deepest level the
-        clause mentions.
+        :meth:`_learn` on the clause.
         """
-        literals = tuple(dict.fromkeys(clause))
+        literals = list(dict.fromkeys(clause))
         if not literals:
             return False
         # A clause with a true or unassigned literal is no conflict: attach
@@ -743,14 +775,8 @@ class DpllSolver:
             if len(literals) == 1:
                 self._clause_keys[key] = -1
                 self._units.add(literals[0])
-                index = -1
             else:
-                index = len(self.clauses)
-                self._clause_keys[key] = index
-                self.clauses.append(list(literals))
-                self._watches.setdefault(literals[0], []).append(index)
-                self._watches.setdefault(literals[1], []).append(index)
-                self._dlis_attach(index)
+                index = self._attach(literals, key)
             self.stats.learned_clauses += 1
         else:
             self.stats.duplicate_clauses += 1
@@ -769,39 +795,27 @@ class DpllSolver:
                 self.stats.propagations += 1
             return True
 
+        # Keep the watch invariant: watch two non-false literals, or the
+        # most recently falsified ones.
         if not falsified:
-            if index >= 0:
-                # Keep the watch invariant: watch two non-false literals
-                # (or the most recently falsified ones).
-                free = [l for l in literals if self._value(l) is not False]
-                if len(free) >= 2:
-                    self._rewatch(index, free[0], free[1])
-                elif len(free) == 1:
-                    others = [l for l in literals if l != free[0]]
-                    others.sort(key=lambda l: -self._level_of[abs(l)])
-                    self._rewatch(index, free[0], others[0])
-                    if self._value(free[0]) is None:
-                        self._assign(free[0], reason=index)
-                        self.stats.propagations += 1
+            free = [l for l in literals if self._value(l) is not False]
+            if len(free) >= 2:
+                self._rewatch(index, free[0], free[1])
+            elif len(free) == 1:
+                others = [l for l in literals if l != free[0]]
+                others.sort(key=lambda l: -self._level_of[abs(l)])
+                self._rewatch(index, free[0], others[0])
+                if self._value(free[0]) is None:
+                    self._assign(free[0], reason=index)
+                    self.stats.propagations += 1
             return True
 
         deepest = max(self._level_of[abs(literal)] for literal in literals)
         if deepest == 0:
             return False
-        if index >= 0:
-            ordered = sorted(literals, key=lambda l: -self._level_of[abs(l)])
-            self._rewatch(index, ordered[0], ordered[1])
-        before = self._decision_level()
-        self._backjump(deepest)
-        learned, backjump_level = self._analyze(index)
-        if len(learned) == 1:
-            target = 0  # learned units always commit at the root
-        else:
-            target = _chrono_target(deepest, backjump_level, self._sparse())
-        self._note_redecide(target)
-        self.stats.backjump_levels += before - target
-        self._backjump(target)
-        self._install_learned(learned)
+        ordered = sorted(literals, key=lambda l: -self._level_of[abs(l)])
+        self._rewatch(index, ordered[0], ordered[1])
+        self._learn(index, deepest)
         return True
 
     # ------------------------------------------------------------------
@@ -842,33 +856,34 @@ class DpllSolver:
         self._derived_units.clear()
 
     def _restart(self) -> None:
-        """Clear the whole search state; clauses and activities stay."""
-        order = self._order
-        activity = self._activity
-        for literal in self.trail:
-            var = abs(literal)
-            self._phase[var] = literal > 0
-            self._value_of[var] = None
-            self._reason_of[var] = None
-            heappush(order, (-activity[var], var))
-        self.trail = []
-        self._trail_lim = []
-        self._prop_head = 0
-        self.theory_mark = 0
-        self._true_atoms = set()
+        """Clear the whole search state; clauses and activities stay.
+
+        The DLIS counts are recounted from scratch afterwards, so the trail
+        is unassigned without keeping them in step.
+        """
+        self._dlis_live = False
+        self._unassign(0)
+        del self._trail_lim[:]
         self._dlis_reset()
 
-    def solve(self, budget: Optional[Budget] = None) -> Tuple[str, Optional[Dict[int, bool]]]:
+    def _count_conflict(self) -> None:
+        """Count a conflict; past :data:`_MAX_CONFLICTS` in this solve,
+        give up with :class:`ResourceLimit`."""
+        self.stats.conflicts += 1
+        if self.stats.conflicts - self._conflicts_at_solve_start > _MAX_CONFLICTS:
+            raise ResourceLimit("SAT search exceeded the conflict budget")
+
+    def solve(self) -> Tuple[str, Optional[Dict[int, bool]]]:
         """Run the search; returns ``("sat", model)`` or ``("unsat", None)``.
 
         The search restarts from the root but keeps all clauses (including
         the ones learned in earlier calls), phases and activities.  Raises
-        :class:`ResourceLimit` after ``_MAX_CONFLICTS`` conflicts;
-        wall-clock bounding goes through ``budget`` (one checkpoint per
-        search iteration, raising :class:`repro.budget.BudgetExceeded`).
+        :class:`ResourceLimit` after ``_MAX_CONFLICTS`` conflicts.  Every
+        search iteration checkpoints stage ``lia.sat`` against the ambient
+        budget (:func:`repro.budget.checkpoint`), which raises
+        :class:`repro.budget.BudgetExceeded` when it runs out.
         """
-        conflicts_at_start = self.stats.conflicts
-        self._conflicts_at_solve_start = conflicts_at_start
+        self._conflicts_at_solve_start = self.stats.conflicts
         self.stats.restarts += 1
         self._restart()
         if self._derived_dirty:
@@ -878,15 +893,22 @@ class DpllSolver:
 
         restart_index = 0
         restart_limit = _LUBY_UNIT * _luby(restart_index)
-        conflicts_at_restart = conflicts_at_start
+        conflicts_at_restart = self.stats.conflicts
         heavy_since_conflicts = False
 
-        def over_budget() -> bool:
-            return self.stats.conflicts - conflicts_at_start > _MAX_CONFLICTS
+        def theory_conflict(final: bool) -> Optional[bool]:
+            """One partial or final theory check of the true atoms:
+            ``None`` when they are consistent, else whether the search
+            survives the conflict clause."""
+            self.stats.theory_checks += 1
+            clause = self.theory_callback(set(self._true_atoms), final)
+            if clause is None:
+                return None
+            self._count_conflict()
+            return self._handle_theory_conflict(clause)
 
         while True:
-            if budget is not None:
-                budget.checkpoint("lia.sat")
+            checkpoint("lia.sat")
 
             if self.request_restart:
                 self.request_restart = False
@@ -898,31 +920,11 @@ class DpllSolver:
 
             conflict = self._propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
-                if over_budget():
-                    raise ResourceLimit("SAT search exceeded the conflict budget")
-                before = self._decision_level()
-                # After a chronological backtrack the conflicting clause may
-                # live entirely below the current decision level (its
-                # asserting literal was re-propagated out of order); 1UIP
-                # analysis needs the conflict at the top, so first drop to
-                # the clause's own level.
+                self._count_conflict()
                 deepest = max(self._level_of[abs(q)] for q in self.clauses[conflict])
                 if deepest == 0:
                     return "unsat", None
-                self._backjump(deepest)
-                learned, backjump_level = self._analyze(conflict)
-                if len(learned) == 1:
-                    # A learned unit always commits at the root: asserting
-                    # it reason-less any higher would plant a pseudo-
-                    # decision later analyses cannot resolve through.
-                    target = 0
-                else:
-                    target = _chrono_target(deepest, backjump_level, self._sparse())
-                self._note_redecide(target)
-                self.stats.backjump_levels += before - target
-                self._backjump(target)
-                self._install_learned(learned)
+                self._learn(conflict, deepest)
                 self._decay_activities()
                 continue
 
@@ -949,28 +951,20 @@ class DpllSolver:
 
             # Theory consistency of the currently-true atoms (cheap check).
             if self.theory_callback is not None and self.theory_atoms:
-                self.stats.theory_checks += 1
-                clause = self.theory_callback(set(self._true_atoms), False)
-                if clause is not None:
-                    self.stats.conflicts += 1
-                    if over_budget():
-                        raise ResourceLimit("SAT search exceeded the conflict budget")
-                    if not self._handle_theory_conflict(tuple(clause)):
-                        return "unsat", None
+                resumed = theory_conflict(False)
+                if resumed is False:
+                    return "unsat", None
+                if resumed:
                     continue
 
             branch_var = self._decide_var()
             if branch_var is None:
                 # Complete assignment: run the full (integer) theory check.
                 if self.theory_callback is not None:
-                    self.stats.theory_checks += 1
-                    clause = self.theory_callback(set(self._true_atoms), True)
-                    if clause is not None:
-                        self.stats.conflicts += 1
-                        if over_budget():
-                            raise ResourceLimit("SAT search exceeded the conflict budget")
-                        if not self._handle_theory_conflict(tuple(clause)):
-                            return "unsat", None
+                    resumed = theory_conflict(True)
+                    if resumed is False:
+                        return "unsat", None
+                    if resumed:
                         continue
                 return "sat", dict(self.assignment)
 

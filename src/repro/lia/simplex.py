@@ -24,13 +24,14 @@ assertions are backtrackable via :meth:`Simplex.push` / :meth:`Simplex.pop`
 while the tableau rows, the slack-variable cache and the current (last
 feasible) basis survive — nothing ever rebuilds the tableau, so a
 re-``check`` after small bound changes starts from the warm basis however
-many pivots came before.  :meth:`Simplex.prepare` registers a constraint's linear form (row
-creation only) and returns a bound handle that can be asserted cheaply with
-:meth:`Simplex.assert_bound` on every theory check.  :meth:`Simplex.check`
-works on deltas too: it keeps the variables whose bound tightened and the
-basic variables whose value moved since the last check, and scans only
-those for violations, so a check after one new bound costs little more
-than that bound's repair.
+many pivots came before.  :meth:`Simplex.prepare` registers a constraint's
+linear form (row creation only) and returns a bound handle that can be
+asserted cheaply with :meth:`Simplex.assert_bound` on every theory check;
+preparing a constraint again finds its slack in the slack cache.
+:meth:`Simplex.check` works on deltas too: it keeps the variables whose
+bound tightened and the basic variables whose value moved since the last
+check, and scans only those for violations, so a check after one new bound
+costs little more than that bound's repair.
 
 All arithmetic is exact.  The tableau is fraction-free: each row holds
 :class:`int` numerators over one positive :class:`int` row denominator
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..budget import checkpoint
 from .terms import LinExpr
@@ -63,6 +64,11 @@ from .terms import LinExpr
 #: pivots per check that take the sparsest entering column before the
 #: entering choice falls back to Bland's rule (which guarantees termination)
 _SPARSE_PIVOTS = 200
+#: pivots per check before :meth:`Simplex.check` gives up (a guard: Bland's
+#: rule terminates, and the ambient budget bounds the work far earlier)
+_MAX_PIVOTS = 100000
+#: Gomory cuts with a larger integer coefficient are dropped
+_MAX_CUT_COEFFICIENT = 10**12
 
 
 def _norm(value):
@@ -99,6 +105,17 @@ def _integer_row(coeffs) -> Tuple[Dict[str, int], int]:
     if den == 1:
         return dict(coeffs), 1
     return {name: int(coeff * den) for name, coeff in coeffs}, den
+
+
+def _flatten_tags(tags) -> Set[object]:
+    """Expand frozenset provenance tags back into the original caller tags."""
+    out: Set[object] = set()
+    for tag in tags or ():
+        if isinstance(tag, frozenset):
+            out |= tag
+        elif tag is not None:
+            out.add(tag)
+    return out
 
 
 def _frac(value) -> Fraction:
@@ -227,9 +244,6 @@ class Simplex:
         #: slack variable -> its defining linear form over original variables
         #: (needed to translate Gomory cuts back into constraint space)
         self._slack_def: Dict[str, Tuple] = {}
-        #: id(constraint) -> (constraint, handle) of every prepared
-        #: constraint (the constraint is kept so that its id stays unique)
-        self._handles: Dict[int, Tuple[Constraint, Tuple[str, str, Fraction]]] = {}
         #: check candidates: variables whose bound tightened, and basic
         #: variables whose value moved, since the last check settled them —
         #: every bound violation is among them (see :meth:`check`)
@@ -293,15 +307,9 @@ class Simplex:
         that can be asserted later — and repeatedly — with
         :meth:`assert_bound`.  This is the row-registration half of the
         DPLL(T) simplex discipline: the theory solver registers every atom
-        once and then only toggles bounds per SAT-search state.  Handles are
-        remembered per constraint object, so preparing it again is a lookup.
+        once and then only toggles bounds per SAT-search state.
         """
-        known = self._handles.get(id(constraint))
-        if known is not None and known[0] is constraint:
-            return known[1]
-        handle = self._register(constraint)
-        self._handles[id(constraint)] = (constraint, handle)
-        return handle
+        return self._register(constraint)
 
     def _register(self, constraint: Constraint) -> Tuple[str, str, Fraction]:
         key, relation, bound = normal_form(constraint)
@@ -360,9 +368,6 @@ class Simplex:
 
     def assert_bound(self, name: str, relation: str, value: Fraction, tag: object) -> None:
         """Assert a (prepared) bound; retractable when inside a scope."""
-        self._assert_bound(name, relation, value, tag)
-
-    def _assert_bound(self, name: str, relation: str, value: Fraction, tag: object) -> None:
         value = _norm(value)
         record = bool(self._scopes)
         if relation in ("<=", "=="):
@@ -490,7 +495,7 @@ class Simplex:
         conflict = {self._lower_tag.get(worst), self._upper_tag.get(worst)}
         return SimplexResult(False, conflict={tag for tag in conflict if tag is not None})
 
-    def check(self, max_pivots: int = 100000, want_model: bool = True) -> SimplexResult:
+    def check(self, want_model: bool = True) -> SimplexResult:
         """Decide feasibility over the rationals.
 
         Returns a :class:`SimplexResult`; when infeasible, ``conflict``
@@ -511,7 +516,8 @@ class Simplex:
 
         The entering variable is the candidate of fewest column entries
         (ties by index) for the first ``_SPARSE_PIVOTS`` pivots of the check,
-        then the candidate of smallest index (Bland).
+        then the candidate of smallest index (Bland).  A check that reaches
+        ``_MAX_PIVOTS`` pivots raises :class:`RuntimeError`.
         """
         contradiction = self._check_fixed_bounds()
         if contradiction is not None:
@@ -537,7 +543,7 @@ class Simplex:
         def sparsest(name: str) -> Tuple[int, int]:
             return len(cols[name]), order[name]
 
-        for step in range(max_pivots):
+        for step in range(_MAX_PIVOTS):
             # Bland's rule: repair the violating basic variable of smallest
             # index (a single min-scan over the candidates; the settled ones
             # leave the set).
@@ -619,9 +625,7 @@ class Simplex:
         definition = self._slack_def.get(name)
         return definition is None or not any(_frac(coeff) for _var, coeff in definition)
 
-    def gomory_cuts(
-        self, max_cuts: int = 8, max_coefficient: int = 10**12
-    ) -> List[Constraint]:
+    def gomory_cuts(self, max_cuts: int = 8) -> List[Constraint]:
         """Derive Gomory mixed-integer cuts from fractional basic rows.
 
         Must be called directly after a *feasible* :meth:`check` (the cuts
@@ -645,7 +649,8 @@ class Simplex:
         The ``tag`` of a cut is the frozenset union of the tags of every
         bound actually used in the derivation — the provenance needed for
         sound conflict cores: any later conflict involving the cut reports
-        exactly the original constraints the cut descended from.
+        exactly the original constraints the cut descended from.  A cut with
+        a coefficient above ``_MAX_CUT_COEFFICIENT`` is dropped.
         """
         cuts: List[Constraint] = []
         # repro: allow(checkpoint-coverage): one pass over the tableau rows per cut round, and the branch-and-cut loop checkpoints lia.intsolver every round
@@ -718,23 +723,8 @@ class Simplex:
                 d = value.denominator if isinstance(value, Fraction) else 1
                 denominator = denominator * d // gcd(denominator, d)
             scaled = {name: _norm(coeff * denominator) for name, coeff in expanded.items()}
-            if max(abs(coeff) for coeff in scaled.values()) > max_coefficient:
+            if max(abs(coeff) for coeff in scaled.values()) > _MAX_CUT_COEFFICIENT:
                 continue
-            flat: Set[object] = set()
-            for tag in tags:
-                if isinstance(tag, frozenset):
-                    flat |= tag
-                else:
-                    flat.add(tag)
-            cuts.append(
-                Constraint(LinExpr(scaled, _norm(const * denominator)), ">=", frozenset(flat))
-            )
+            tag = frozenset(_flatten_tags(tags))
+            cuts.append(Constraint(LinExpr(scaled, _norm(const * denominator)), ">=", tag))
         return cuts
-
-
-def check_constraints(constraints: Sequence[Constraint]) -> SimplexResult:
-    """Convenience wrapper: check feasibility of ``constraints`` over Q."""
-    simplex = Simplex()
-    for constraint in constraints:
-        simplex.add_constraint(constraint)
-    return simplex.check()

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..budget import Budget
+from ..budget import Budget, checkpoint
 from .cnf import CnfBuilder
 from .intsolver import (
     ResourceLimit,
@@ -177,9 +177,6 @@ class LiaSolver:
         #: branch-and-bound give-ups (``ResourceLimit`` on a complete
         #: assignment) over the solver's lifetime
         self._give_ups = 0
-        #: active resource budget for the current ``check`` (shared with the
-        #: SAT search and the integer core; ``None`` outside a check)
-        self._budget: Optional[Budget] = None
         self._last_model: Dict[str, int] = {}
         self._int_pivots = 0
 
@@ -355,8 +352,7 @@ class LiaSolver:
         self._synced_end = 0
 
     def _theory_callback(self, true_atoms: Set[int], final: bool):
-        if self._budget is not None:
-            self._budget.checkpoint("lia.theory")
+        checkpoint("lia.theory")
         if not final:
             if not true_atoms:
                 return None
@@ -373,7 +369,7 @@ class LiaSolver:
 
         constraints = [self._atom_constraint[var] for var in sorted(true_atoms)]
         try:
-            outcome = check_integer_feasibility(constraints, budget=self._budget)
+            outcome = check_integer_feasibility(constraints)
         except ResourceLimit:
             # Branch-and-bound could not decide this boolean assignment.
             # Block it and remember that an UNSAT verdict is no longer
@@ -460,10 +456,6 @@ class LiaSolver:
             stats = {key: after[key] - before[key] for key in after}
             return LiaResult(status, model=model, reason=reason, stats=stats)
 
-        # The budget governs the whole check — including the presolve in
-        # ``_flush``, whose substitution loop checkpoints against the
-        # *ambient* budget, hence the ``activate()``.
-        self._budget = budget
         # The callback is bound for the check only: kept on the SAT engine,
         # the bound method would make the solver and the engine a reference
         # cycle, and a dropped solver (clauses, simplex, constraints) would
@@ -473,19 +465,21 @@ class LiaSolver:
         # the search restarts from the root anyway.
         self._reset_theory()
         try:
+            # The budget reaches the check only as the ambient one: the
+            # presolve in ``_flush``, the SAT search, the theory callback,
+            # the simplex and branch-and-cut all checkpoint against it.
             with budget.activate():
-                return self._search(budget, result)
+                return self._search(result)
         finally:
-            self._budget = None
             self.sat.theory_callback = None
 
-    def _search(self, budget: Budget, result) -> LiaResult:
+    def _search(self, result) -> LiaResult:
         self._flush()
         if any(level.false for level in self.levels):
             return result(LiaStatus.UNSAT)
 
         try:
-            verdict, _boolean_model = self.sat.solve(budget=budget)
+            verdict, _boolean_model = self.sat.solve()
         except ResourceLimit as error:
             return result(LiaStatus.UNKNOWN, reason=str(error))
 

@@ -18,7 +18,7 @@ Entry points:
 """
 
 from .client import ServeClient, ServeError, parse_host_port
-from .protocol import JobOutcome, JobSpec, dedup_key
+from .protocol import JobOutcome, JobSpec, script_shape
 from .server import SolverServer, run_server
 
 __all__ = [
@@ -27,7 +27,7 @@ __all__ = [
     "parse_host_port",
     "JobOutcome",
     "JobSpec",
-    "dedup_key",
+    "script_shape",
     "SolverServer",
     "run_server",
 ]

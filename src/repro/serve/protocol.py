@@ -125,66 +125,55 @@ def outcome_to_response(outcome: JobOutcome, **extra: Any) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # Structural dedup keys
 # ----------------------------------------------------------------------
-def dedup_key(script_text: str, timeout: Optional[float]) -> Optional[str]:
-    """A structural identity key for batch dedup, or ``None`` if exempt.
+def script_shape(script_text: str, timeout: Optional[float]) -> Tuple[int, Optional[str]]:
+    """``(check-sat count, dedup key)`` of a job's script, from one parse.
 
-    Two in-flight jobs with the same key are the *same subproblem*: the
-    server solves once and fans the response out.  The key is the printer
-    fixpoint of the parsed problem — parse → print canonicalises naming,
-    literal syntax and atom order the same way the PR-7 dense canonical
-    forms canonicalise automata (the printer is the problem-level
-    counterpart; its regex/atom structure is what the normalisation layer
-    interns by canonical dense key downstream).  Only single-``check-sat``
-    scripts without model/core/echo output are eligible — for anything
-    richer the observable output depends on more than the problem, so the
-    responses cannot be shared.  The timeout participates in the key:
-    jobs running under very different budgets should not alias.
+    The count lets the server synthesise a full set of structured
+    ``unknown`` answers when no worker outcome survives (hung fleet past
+    the deadline) — every ``check-sat`` still gets its answer line; a job
+    is never dropped.  A script that does not parse has no ``check-sat``
+    and no key: the worker reports the parse error.
+
+    The key is a structural identity for batch dedup, or ``None`` if the
+    job is exempt.  Two in-flight jobs with the same key are the *same
+    subproblem*: the server solves once and fans the response out.  The
+    key is the printer fixpoint of the parsed problem — parse → print
+    canonicalises naming, literal syntax and atom order the same way the
+    dense canonical forms of the automata layer canonicalise automata (the
+    printer is the problem-level counterpart; its regex/atom structure is
+    what the normalisation layer interns by canonical dense key
+    downstream).  Only
+    single-``check-sat`` scripts without push/pop or model/core/echo output
+    are eligible — for anything richer the observable output depends on
+    more than the problem, so the responses cannot be shared.  The timeout
+    participates in the key: jobs running under very different budgets
+    should not alias.
     """
-    from ..smtlib import parse_problem, parse_script, problem_to_smtlib
+    from ..smtlib import parse_script, problem_to_smtlib
     from ..smtlib.parser import AssertCommand, CheckSat, DeclareConst
-    from ..smtlib.parser import PopCommand, PushCommand, SetInfo, SetLogic, SetOption
+    from ..smtlib.parser import SetInfo, SetLogic, SetOption
+    from ..strings.ast import Problem
 
     try:
         script = parse_script(script_text)
     except Exception:
-        return None
-    checks = 0
+        return 0, None
+    checks = sum(1 for command in script.commands if isinstance(command, CheckSat))
+    shareable = (AssertCommand, CheckSat, DeclareConst, SetInfo, SetLogic, SetOption)
+    if checks != 1 or not all(isinstance(command, shareable) for command in script.commands):
+        return checks, None
+    # Without push/pop the problem is every assertion of the script.
+    problem = Problem(alphabet=script.alphabet, name=str(script.info.get(":source", "") or ""))
     for command in script.commands:
-        if isinstance(command, CheckSat):
-            checks += 1
-        elif isinstance(command, (PushCommand, PopCommand)):
-            return None
-        elif not isinstance(
-            command, (AssertCommand, DeclareConst, SetInfo, SetLogic, SetOption)
-        ):
-            # get-model / get-unsat-core / echo / exit: output is richer
-            # than the verdict — not shareable.
-            return None
-    if checks != 1:
-        return None
+        if isinstance(command, AssertCommand):
+            for atom in command.atoms:
+                problem.add(atom)
     try:
-        printed = problem_to_smtlib(parse_problem(script_text))
+        printed = problem_to_smtlib(problem)
     except Exception:
-        return None
+        return checks, None
     bucket = "inf" if timeout is None else f"{timeout:.3f}"
-    return f"{bucket}\n{printed}"
-
-
-def count_check_sats(script_text: str) -> int:
-    """How many ``check-sat`` commands a script issues (0 on parse failure).
-
-    Used to synthesise a full set of structured ``unknown`` answers when no
-    worker outcome survives (hung fleet past the deadline) — every
-    ``check-sat`` still gets its answer line; a job is never dropped.
-    """
-    from ..smtlib import parse_script
-    from ..smtlib.parser import CheckSat
-
-    try:
-        script = parse_script(script_text)
-    except Exception:
-        return 0
-    return sum(1 for command in script.commands if isinstance(command, CheckSat))
+    return checks, f"{bucket}\n{printed}"
 
 
 def pad_outcome(outcome: JobOutcome, expected: int, reason: str) -> JobOutcome:

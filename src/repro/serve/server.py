@@ -49,12 +49,11 @@ from .protocol import (
     JobOutcome,
     JobSpec,
     MAX_LINE_BYTES,
-    count_check_sats,
-    dedup_key,
     decode_line,
     encode_line,
     outcome_to_response,
     pad_outcome,
+    script_shape,
 )
 from .workers import initializer, run_job
 
@@ -387,9 +386,9 @@ class SolverServer:
                 "--enable-fault-injection)",
             }
         self.stats["jobs_total"] += 1
-        n_checks = count_check_sats(script)
-
-        key = dedup_key(script, timeout) if not inject else None
+        n_checks, key = script_shape(script, timeout)
+        if inject:
+            key = None
         if key is None:
             response = await self._job(
                 script, request.get("name", ""), timeout, inject, n_checks

@@ -10,7 +10,7 @@ from importlib import import_module
 
 from .faults import FaultInjector, FaultSpec, InjectedFault, seeded_faults
 
-_FUZZ_NAMES = ("DifferentialFuzzer", "FuzzFailure", "FuzzReport", "default_configs")
+_FUZZ_NAMES = ("DifferentialFuzzer", "FuzzFailure", "FuzzReport")
 
 __all__ = [
     "FaultInjector",

@@ -3,13 +3,13 @@
 :class:`DifferentialFuzzer` closes the loop the benchgen pipeline model
 opens: every :mod:`repro.benchgen.pipelines` scenario carries an exact
 ground truth (exhaustive concrete execution of the pipe program), so each
-seed becomes a *differential* test case — the instance is solved under the
-default :class:`~repro.solver.config.SolverConfig` (or under every
-configuration a caller passes) plus the brute-force oracle, and every
-disagreement is classified:
+seed becomes a *differential* test case — the instance is solved by the
+engine under one :class:`~repro.solver.config.SolverConfig` (the default
+solver on a step budget unless the caller passes another) and by the
+brute-force oracle, and every disagreement is classified:
 
 * ``wrong-verdict`` — a definite ``sat``/``unsat`` contradicting the
-  ground truth (or one ablation contradicting another);
+  ground truth;
 * ``unverified-model`` — a ``sat`` whose model is missing or fails the
   semantics oracle (:func:`repro.strings.semantics.eval_problem`);
 * ``core-bystander`` — an ``unsat`` whose named core, re-solved as a
@@ -25,9 +25,10 @@ disagreement is classified:
 Failing scenarios are **shrunk** before reporting: the fuzzer walks
 :meth:`PipelineScenario.shrink_candidates` (stage deletion first, then
 constant narrowing — each candidate strictly smaller), re-runs only the
-failing configuration, and greedily descends while the failure kind
-reproduces.  The minimal scenario is emitted as a replayable SMT-LIB
-repro file whose header records the seed, configuration and
+failing source (the engine or the brute-force oracle), and greedily
+descends while the failure kind reproduces, for at most
+:data:`MAX_SHRINK_CHECKS` re-checks.  The minimal scenario is emitted as a
+replayable SMT-LIB repro file whose header records the seed, source and
 classification — ``python -m repro.smtlib <repro>`` replays it.
 
 Determinism: the scenarios are driven by ``random.Random(seed)`` inside
@@ -35,11 +36,12 @@ the generator, and this module reads no clocks and no global randomness
 (the static analyzer's determinism rule holds it to that), so a seed list
 always yields the same instances.  Every engine check, each core re-check
 included, runs under its own step budget of :data:`CHECK_STEPS` checkpoint
-steps and no wall-clock limit (the :func:`default_configs`), so a seed's
-statuses do not move with the speed of the machine.  Only the brute-force
-oracle runs on the wall clock (:data:`BRUTE_TIMEOUT`): just its definite
-answers take part in the differential, and one that runs out of time is
-left out.
+steps and no wall-clock limit (the default configuration), so a seed's
+statuses do not move with the speed of the machine.  Every sweep includes
+the generator's gap shapes (``scenario_from_seed``'s default).  Only the
+brute-force oracle runs on the wall clock (:data:`BRUTE_TIMEOUT`): just its
+definite answers take part in the differential, and one that runs out of
+time is left out.
 
 Run the CI sweep locally::
 
@@ -49,8 +51,8 @@ Run the CI sweep locally::
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 from ..benchgen.pipelines import PipelineScenario, scenario_from_seed
 from ..budget import Budget, BudgetExceeded, UnknownKind, UnknownReason
@@ -80,6 +82,13 @@ BRUTE_TIMEOUT = 0.25
 #: steps, and no seed left undecided decides within 38000
 CHECK_STEPS = 35_000
 
+#: re-checks one failure's shrink may spend
+MAX_SHRINK_CHECKS = 200
+
+#: the two sources a failure can come from
+ENGINE = "engine"
+BRUTE = "brute"
+
 
 def _model_ok(problem: Problem, model) -> bool:
     """Semantics-oracle verification; a model missing an assignment for
@@ -90,23 +99,14 @@ def _model_ok(problem: Problem, model) -> bool:
         return False
 
 
-def default_configs() -> Dict[str, SolverConfig]:
-    """The one configuration every scenario runs under by default: the
-    default solver, each check with :data:`CHECK_STEPS` checkpoint steps
-    and no time limit.  (The distinct shortcut never fires on the pipeline
-    scenarios, so a ``distinct_shortcut=False`` twin would repeat the same
-    computation; ``tests/test_distinct_regression.py`` cross-checks the
-    shortcut against the encoding.)"""
-    return {"default": SolverConfig(timeout=None, max_steps=CHECK_STEPS)}
-
-
 @dataclass
 class FuzzFailure:
     """One classified disagreement, after shrinking."""
 
     seed: int
     name: str
-    config: str
+    #: :data:`ENGINE` or :data:`BRUTE`
+    source: str
     kind: str
     detail: str
     expected: str
@@ -139,7 +139,7 @@ class FuzzReport:
         for failure in self.failures:
             lines.append(
                 f"FAIL {failure.kind} seed={failure.seed} name={failure.name} "
-                f"config={failure.config} shrink_steps={failure.shrink_steps} "
+                f"source={failure.source} shrink_steps={failure.shrink_steps} "
                 f"repro={failure.repro_path or '-'} :: {failure.detail}"
             )
         if not self.failures:
@@ -149,7 +149,7 @@ class FuzzReport:
 
 @dataclass
 class _Outcome:
-    """The classification of one (scenario, config) check."""
+    """The classification of one engine check of a scenario."""
 
     status: str  # "sat" | "unsat" | "unknown"
     kind: Optional[str] = None  # failure kind, None when clean
@@ -157,7 +157,14 @@ class _Outcome:
 
 
 class DifferentialFuzzer:
-    """Generate → solve under ablations → cross-check → shrink.
+    """Generate → solve → cross-check → shrink.
+
+    ``config`` is the engine's one configuration; by default the default
+    solver with :data:`CHECK_STEPS` checkpoint steps per check and no time
+    limit.  (The distinct shortcut never fires on the pipeline scenarios,
+    so a ``distinct_shortcut=False`` twin would repeat the same
+    computation; ``tests/test_distinct_regression.py`` cross-checks the
+    shortcut against the encoding.)
 
     ``injector`` (a :class:`repro.testing.faults.FaultInjector`) rides on
     a caller-owned :class:`Budget` hook, firing deterministic faults at
@@ -168,19 +175,15 @@ class DifferentialFuzzer:
 
     def __init__(
         self,
-        configs: Optional[Dict[str, SolverConfig]] = None,
-        brute_max_length: int = BRUTE_MAX_LENGTH,
+        config: Optional[SolverConfig] = None,
         repro_dir: Optional[str] = None,
         injector=None,
-        max_shrink_checks: int = 200,
-        include_gaps: bool = True,
     ) -> None:
-        self.configs = configs if configs is not None else default_configs()
-        self.brute_max_length = brute_max_length
+        if config is None:
+            config = SolverConfig(timeout=None, max_steps=CHECK_STEPS)
+        self.config = config
         self.repro_dir = repro_dir
         self.injector = injector
-        self.max_shrink_checks = max_shrink_checks
-        self.include_gaps = include_gaps
 
     # -- one check ------------------------------------------------------
     def _solve(self, problem: Problem, config: SolverConfig) -> SolveResult:
@@ -207,12 +210,11 @@ class DifferentialFuzzer:
         self._last_session = session
         return result
 
-    def _classify(self, scenario: PipelineScenario, config_name: str, expected: str) -> _Outcome:
+    def _classify(self, scenario: PipelineScenario, expected: str) -> _Outcome:
         problem = scenario.problem()
-        config = self.configs[config_name]
         self._last_session = None
         try:
-            result = self._solve(problem, config)
+            result = self._solve(problem, self.config)
         except Exception as error:  # engine exceptions are fuzz findings
             return _Outcome("unknown", CRASH, f"engine raised {type(error).__name__}: {error}")
         internal = int(result.stats.get("internal_errors", 0)) if result.stats else 0
@@ -234,7 +236,7 @@ class DifferentialFuzzer:
         if result.status is Status.UNSAT:
             if expected == "sat":
                 return _Outcome("unsat", WRONG_VERDICT, "unsat but ground truth is sat")
-            return self._check_core(problem, config)
+            return self._check_core(problem, self.config)
         # UNKNOWN / TIMEOUT: the reason must be a typed UnknownReason
         if not isinstance(result.reason, UnknownReason):
             return _Outcome(
@@ -277,37 +279,24 @@ class DifferentialFuzzer:
 
     # -- the sweep ------------------------------------------------------
     def run(self, seeds: Sequence[int]) -> FuzzReport:
-        """Solve every seeded scenario under all ablations + the brute
-        oracle; classify, shrink and report."""
+        """Solve every seeded scenario by the engine and the brute oracle;
+        classify, shrink and report."""
         report = FuzzReport()
         for seed in seeds:
-            scenario = scenario_from_seed(seed, include_gaps=self.include_gaps)
+            scenario = scenario_from_seed(seed)
             expected = scenario.ground_truth()
             report.instances += 1
-            statuses: Dict[str, str] = {}
-            for config_name in self.configs:
-                outcome = self._classify(scenario, config_name, expected)
-                report.checks += 1
-                statuses[config_name] = outcome.status
-                if outcome.status == "unknown" and outcome.kind is None:
-                    report.unknowns += 1
-                report.verdicts[outcome.status] = report.verdicts.get(outcome.status, 0) + 1
-                if outcome.kind is not None:
-                    report.failures.append(
-                        self._shrink(seed, scenario, config_name, expected, outcome)
-                    )
-            # cross-ablation differential (belt to the ground-truth braces)
-            if "sat" in statuses.values() and "unsat" in statuses.values():
-                detail = f"ablation disagreement: {statuses}"
-                outcome = _Outcome("unknown", WRONG_VERDICT, detail)
-                sat_config = sorted(k for k, v in statuses.items() if v == "sat")[0]
-                report.failures.append(
-                    self._shrink(seed, scenario, sat_config, expected, outcome)
-                )
+            outcome = self._classify(scenario, expected)
+            report.checks += 1
+            if outcome.status == "unknown" and outcome.kind is None:
+                report.unknowns += 1
+            report.verdicts[outcome.status] = report.verdicts.get(outcome.status, 0) + 1
+            if outcome.kind is not None:
+                report.failures.append(self._shrink(seed, scenario, ENGINE, expected, outcome))
             # brute-force oracle: definite answers must agree with the
             # enumerated ground truth (this cross-checks the *generator*)
             brute = brute_force_check(
-                scenario.problem(), max_length=self.brute_max_length, timeout=BRUTE_TIMEOUT
+                scenario.problem(), max_length=BRUTE_MAX_LENGTH, timeout=BRUTE_TIMEOUT
             )
             if brute.status in (Status.SAT, Status.UNSAT):
                 verdict = "sat" if brute.status is Status.SAT else "unsat"
@@ -320,29 +309,29 @@ class DifferentialFuzzer:
                         f"brute-force says {verdict}, ground truth {expected}",
                     )
                     report.failures.append(
-                        self._shrink(seed, scenario, "brute", expected, outcome)
+                        self._shrink(seed, scenario, BRUTE, expected, outcome)
                     )
         return report
 
     # -- shrinking ------------------------------------------------------
-    def _reproduces(self, scenario: PipelineScenario, config_name: str, kind: str) -> bool:
+    def _reproduces(self, scenario: PipelineScenario, source: str, kind: str) -> bool:
         expected = scenario.ground_truth()
-        if config_name == "brute":
+        if source == BRUTE:
             brute = brute_force_check(
-                scenario.problem(), max_length=self.brute_max_length, timeout=BRUTE_TIMEOUT
+                scenario.problem(), max_length=BRUTE_MAX_LENGTH, timeout=BRUTE_TIMEOUT
             )
             if brute.status not in (Status.SAT, Status.UNSAT):
                 return False
             verdict = "sat" if brute.status is Status.SAT else "unsat"
             return verdict != expected
-        outcome = self._classify(scenario, config_name, expected)
+        outcome = self._classify(scenario, expected)
         return outcome.kind == kind
 
     def _shrink(
         self,
         seed: int,
         scenario: PipelineScenario,
-        config_name: str,
+        source: str,
         expected: str,
         outcome: _Outcome,
     ) -> FuzzFailure:
@@ -353,15 +342,15 @@ class DifferentialFuzzer:
         checks = 0
         current = scenario
         improved = True
-        while improved and checks < self.max_shrink_checks:
+        while improved and checks < MAX_SHRINK_CHECKS:
             improved = False
             for candidate in current.shrink_candidates():
                 if candidate.size() >= current.size():
                     continue
                 checks += 1
-                if checks >= self.max_shrink_checks:
+                if checks >= MAX_SHRINK_CHECKS:
                     break
-                if self._reproduces(candidate, config_name, kind):
+                if self._reproduces(candidate, source, kind):
                     current = candidate
                     steps += 1
                     improved = True
@@ -369,7 +358,7 @@ class DifferentialFuzzer:
         failure = FuzzFailure(
             seed=seed,
             name=scenario.name,
-            config=config_name,
+            source=source,
             kind=kind,
             detail=outcome.detail,
             expected=expected,
@@ -388,12 +377,12 @@ class DifferentialFuzzer:
         script = problem_to_smtlib(scenario.problem(), status=expected)
         header = (
             f"; fuzz repro: seed={failure.seed} kind={failure.kind}\n"
-            f"; config={failure.config} shrink_steps={failure.shrink_steps}\n"
+            f"; source={failure.source} shrink_steps={failure.shrink_steps}\n"
             f"; detail: {failure.detail}\n"
             f"; replay: PYTHONPATH=src python -m repro.smtlib <this file>\n"
         )
         path = os.path.join(
-            self.repro_dir, f"fuzz__{failure.seed}__{failure.config}__{failure.kind}.smt2"
+            self.repro_dir, f"fuzz__{failure.seed}__{failure.source}__{failure.kind}.smt2"
         )
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(header + script)
@@ -412,15 +401,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--repro-dir", default=None, help="directory for shrunk repro .smt2 files"
     )
-    parser.add_argument(
-        "--no-gaps",
-        action="store_true",
-        help="generate only curated (decidable-biased) scenarios",
-    )
     options = parser.parse_args(argv)
-    fuzzer = DifferentialFuzzer(
-        repro_dir=options.repro_dir, include_gaps=not options.no_gaps
-    )
+    fuzzer = DifferentialFuzzer(repro_dir=options.repro_dir)
     report = fuzzer.run(range(options.start, options.start + options.seeds))
     print(report.summary())
     return 0 if report.ok else 1

@@ -24,15 +24,12 @@ from repro.testing.fuzz import (
     WRONG_VERDICT,
     CHECK_STEPS,
     DifferentialFuzzer,
-    default_configs,
     main,
 )
 
 
-def test_default_configs_run_the_default_solver_on_a_step_budget():
-    configs = default_configs()
-    assert set(configs) == {"default"}
-    config = configs["default"]
+def test_the_fuzzer_runs_the_default_solver_on_a_step_budget():
+    config = DifferentialFuzzer().config
     assert (config.timeout, config.max_steps) == (None, CHECK_STEPS)
     assert config.distinct_shortcut
 
@@ -87,7 +84,7 @@ def test_wrong_verdict_is_caught_and_shrunk(tmp_path):
     seed = _sat_seed()
     forged = SolveResult(status=Status.UNSAT)
     fuzzer = _ForgingFuzzer(
-        forged, configs={"witness": SolverConfig(timeout=1.0)}, repro_dir=str(tmp_path)
+        forged, config=SolverConfig(timeout=1.0), repro_dir=str(tmp_path)
     )
     report = fuzzer.run([seed])
     kinds = {f.kind for f in report.failures}
@@ -105,14 +102,14 @@ def test_wrong_verdict_is_caught_and_shrunk(tmp_path):
 def test_unverified_model_is_caught():
     seed = _sat_seed()
     forged = SolveResult(status=Status.SAT, model=StringModel(strings={}, integers={}))
-    fuzzer = _ForgingFuzzer(forged, configs={"witness": SolverConfig(timeout=1.0)})
+    fuzzer = _ForgingFuzzer(forged, config=SolverConfig(timeout=1.0))
     report = fuzzer.run([seed])
     assert any(f.kind == UNVERIFIED_MODEL for f in report.failures), report.summary()
 
 
 def test_untyped_unknown_is_a_structured_unknown_mismatch():
     forged = SolveResult(status=Status.UNKNOWN, reason="gave up")
-    fuzzer = _ForgingFuzzer(forged, configs={"witness": SolverConfig(timeout=1.0)})
+    fuzzer = _ForgingFuzzer(forged, config=SolverConfig(timeout=1.0))
     report = fuzzer.run([0])
     assert any(f.kind == UNKNOWN_MISMATCH for f in report.failures), report.summary()
 
@@ -124,7 +121,7 @@ def test_typed_unknown_is_clean():
         status=Status.UNKNOWN,
         reason=UnknownReason(UnknownKind.INCOMPLETE, "decompose", "budget"),
     )
-    fuzzer = _ForgingFuzzer(forged, configs={"witness": SolverConfig(timeout=1.0)})
+    fuzzer = _ForgingFuzzer(forged, config=SolverConfig(timeout=1.0))
     report = fuzzer.run([0])
     assert report.ok, report.summary()
     assert report.unknowns == 1
@@ -132,7 +129,7 @@ def test_typed_unknown_is_clean():
 
 def test_internal_error_counter_classifies_as_crash():
     forged = SolveResult(status=Status.UNKNOWN, stats={"internal_errors": 1})
-    fuzzer = _ForgingFuzzer(forged, configs={"witness": SolverConfig(timeout=1.0)})
+    fuzzer = _ForgingFuzzer(forged, config=SolverConfig(timeout=1.0))
     report = fuzzer.run([0])
     assert any(f.kind == CRASH for f in report.failures), report.summary()
 
@@ -145,7 +142,7 @@ def test_injected_fault_is_caught_shrunk_and_reproduced(tmp_path):
     # re-fires on every check, including every shrink re-run
     injector = FaultInjector([FaultSpec("enter:solve", at=1, action="raise")])
     fuzzer = DifferentialFuzzer(
-        configs={"witness": SolverConfig(timeout=2.0)},
+        config=SolverConfig(timeout=2.0),
         repro_dir=str(tmp_path),
         injector=injector,
     )
@@ -168,6 +165,7 @@ def test_injected_fault_is_caught_shrunk_and_reproduced(tmp_path):
     ), failure.scenario
     # the repro artifact replays through the SMT-LIB frontend
     assert failure.repro_path is not None and os.path.exists(failure.repro_path)
+    assert os.path.basename(failure.repro_path) == "fuzz__1__engine__crash.smt2"
     with open(failure.repro_path) as handle:
         text = handle.read()
     assert text.startswith("; fuzz repro: seed=1 kind=crash")
@@ -178,9 +176,7 @@ def test_injected_fault_is_caught_shrunk_and_reproduced(tmp_path):
 
 def test_injected_exhaustion_becomes_a_structured_unknown():
     injector = FaultInjector([FaultSpec("*", at=3, action="exhaust")])
-    fuzzer = DifferentialFuzzer(
-        configs={"witness": SolverConfig(timeout=2.0)}, injector=injector
-    )
+    fuzzer = DifferentialFuzzer(config=SolverConfig(timeout=2.0), injector=injector)
     report = fuzzer.run([0, 1])
     assert report.ok, report.summary()
     assert report.unknowns == report.checks

@@ -21,8 +21,9 @@ from repro.lia.intsolver import (
     _implied_equalities,
     _presolve_and_search,
     check_integer_feasibility,
+    check_rational_feasibility,
 )
-from repro.lia.simplex import Constraint, Simplex, check_constraints
+from repro.lia.simplex import Constraint, Simplex
 
 
 def expr(coeffs, const=0):
@@ -283,14 +284,14 @@ def test_integral_root_agrees_with_presolve_path_and_bruteforce():
         for variables, constraints in systems:
             try:
                 outcome = check_integer_feasibility(constraints, max_nodes=2000)
-                reference = _presolve_and_search(constraints, 2000, None)
+                reference = _presolve_and_search(constraints, 2000)
             except ResourceLimit:
                 continue
             points = list(_integer_points(variables, radius))
             has_solution = any(all(_holds(c, point) for c in constraints) for point in points)
             assert outcome.feasible == reference.feasible == has_solution
             _assert_answer(outcome, constraints, points)
-            root = check_constraints(constraints)
+            root = check_rational_feasibility(constraints)
             if not root.feasible or _fractional_variable(root.model) is None:
                 root_answers += 1
             else:

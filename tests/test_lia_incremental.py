@@ -24,7 +24,7 @@ from repro.lia import (
     var,
 )
 from repro.lia.sat import DpllSolver
-from repro.lia.cnf import CnfBuilder, to_cnf
+from repro.lia.cnf import CnfBuilder
 from repro.lia.simplex import Constraint, Simplex
 from repro.lia.terms import LinExpr
 
@@ -350,10 +350,11 @@ def test_cnf_duplicate_clauses_are_dropped():
     x = var("x")
     atom = le(x, 3)
     formula = conj([disj([atom, eq(x, 9)]), disj([atom, eq(x, 9)])])
-    cnf = to_cnf(formula)
-    assert len(cnf.atom_of_var) == 2
-    keys = {tuple(sorted(clause)) for clause in cnf.clauses}
-    assert len(keys) == len(cnf.clauses)
+    builder = CnfBuilder()
+    builder.add_formula(formula)
+    assert len(builder.atom_of_var) == 2
+    keys = {tuple(sorted(clause)) for clause in builder.clauses}
+    assert len(keys) == len(builder.clauses)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lia import LinExpr
 from repro.lia import simplex as simplex_module
-from repro.lia.intsolver import ResourceLimit, check_integer_feasibility
-from repro.lia.simplex import Constraint, Simplex, SimplexResult, check_constraints
+from repro.lia.intsolver import (
+    ResourceLimit,
+    check_integer_feasibility,
+    check_rational_feasibility,
+)
+from repro.lia.simplex import Constraint, Simplex, SimplexResult
 
 
 def expr(coeffs, const=0):
@@ -18,7 +22,7 @@ def expr(coeffs, const=0):
 
 def test_simple_feasible_system():
     # x + y <= 4, x >= 1, y >= 2
-    result = check_constraints(
+    result = check_rational_feasibility(
         [
             Constraint(expr({"x": 1, "y": 1}, -4), "<="),
             Constraint(expr({"x": 1}, -1), ">="),
@@ -34,7 +38,7 @@ def test_simple_feasible_system():
 
 def test_simple_infeasible_system():
     # x >= 3 and x <= 1
-    result = check_constraints(
+    result = check_rational_feasibility(
         [
             Constraint(expr({"x": 1}, -3), ">=", tag="lo"),
             Constraint(expr({"x": 1}, -1), "<=", tag="hi"),
@@ -46,7 +50,7 @@ def test_simple_infeasible_system():
 
 def test_equalities():
     # x + y == 5, x - y == 1 -> x=3, y=2
-    result = check_constraints(
+    result = check_rational_feasibility(
         [
             Constraint(expr({"x": 1, "y": 1}, -5), "=="),
             Constraint(expr({"x": 1, "y": -1}, -1), "=="),
@@ -59,7 +63,7 @@ def test_equalities():
 
 def test_infeasible_combination_of_rows():
     # x + y <= 1, x >= 1, y >= 1 is infeasible
-    result = check_constraints(
+    result = check_rational_feasibility(
         [
             Constraint(expr({"x": 1, "y": 1}, -1), "<=", tag=1),
             Constraint(expr({"x": 1}, -1), ">=", tag=2),
@@ -71,14 +75,14 @@ def test_infeasible_combination_of_rows():
 
 
 def test_negative_values_allowed():
-    result = check_constraints([Constraint(expr({"x": 1}, 5), "<=")])  # x <= -5
+    result = check_rational_feasibility([Constraint(expr({"x": 1}, 5), "<=")])  # x <= -5
     assert result.feasible
     assert result.model["x"] <= -5
 
 
 def test_rational_vertex():
     # 2x <= 1, 2x >= 1 -> x = 1/2 over Q
-    result = check_constraints(
+    result = check_rational_feasibility(
         [
             Constraint(expr({"x": 2}, -1), "<="),
             Constraint(expr({"x": 2}, -1), ">="),
@@ -193,7 +197,7 @@ def test_simplex_agrees_with_small_grid_search(rows):
     ]
     if not constraints:
         return
-    result = check_constraints(constraints)
+    result = check_rational_feasibility(constraints)
 
     def holds(x, y):
         for a, b, c, rel in rows:
@@ -239,7 +243,7 @@ class _FullScanSimplex(Simplex):
     the smallest index.
     """
 
-    def check(self, max_pivots=100000, want_model=True):
+    def check(self, want_model=True):
         for name in self._order:
             low, up = self._lower[name], self._upper[name]
             if low is not None and up is not None and low > up:
@@ -254,7 +258,7 @@ class _FullScanSimplex(Simplex):
                 self._update_nonbasic(name, low)
             elif up is not None and value > up:
                 self._update_nonbasic(name, up)
-        for step in range(max_pivots):
+        for step in range(simplex_module._MAX_PIVOTS):
             violating = None
             for name in self._basic:
                 if self._violates_lower(name) or self._violates_upper(name):
@@ -416,7 +420,7 @@ def test_pure_bland_fallback_gives_the_same_verdicts(monkeypatch):
 
     def verdicts():
         return [
-            (check_constraints(constraints).feasible, check_integer_feasibility(constraints).feasible)
+            (check_rational_feasibility(constraints).feasible, check_integer_feasibility(constraints).feasible)
             for constraints in systems
         ]
 
@@ -455,10 +459,10 @@ def _assert_irreducible(conflict, constraint_of):
     simplex, and feasible with any one of them left out."""
     tags = sorted(conflict)
     assert tags, "an infeasible check must name its constraints"
-    assert not check_constraints([constraint_of[tag] for tag in tags]).feasible
+    assert not check_rational_feasibility([constraint_of[tag] for tag in tags]).feasible
     for dropped in tags:
         rest = [constraint_of[tag] for tag in tags if tag != dropped]
-        assert check_constraints(rest).feasible, (tags, dropped)
+        assert check_rational_feasibility(rest).feasible, (tags, dropped)
 
 
 def _irreducibility_replay(seed):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.budget import Budget, BudgetExceeded, UnknownKind
 from repro.lia import (
+    LinExpr,
     LiaSolver,
     LiaStatus,
     check_model,
@@ -21,8 +22,11 @@ from repro.lia import (
     neg,
     var,
 )
+from repro.lia.cnf import CnfBuilder
+from repro.lia.intsolver import check_integer_feasibility
 from repro.lia.nnf import to_nnf
-from repro.lia.cnf import to_cnf
+from repro.lia.sat import DpllSolver
+from repro.lia.simplex import Constraint
 
 
 def solve(formula):
@@ -122,8 +126,9 @@ def test_nnf_eliminates_negations():
 def test_cnf_counts_atoms_once():
     x = var("x")
     atom = le(x, 3)
-    cnf = to_cnf(conj([disj([atom, eq(x, 9)]), atom]))
-    assert len(cnf.atom_of_var) == 2
+    builder = CnfBuilder()
+    builder.add_formula(conj([disj([atom, eq(x, 9)]), atom]))
+    assert len(builder.atom_of_var) == 2
 
 
 def test_timeout_returns_unknown_or_finishes(tmp_path):
@@ -145,6 +150,29 @@ def test_an_exhausted_one_shot_check_raises_and_pops():
     assert caught.value.reason.kind is UnknownKind.STEP_LIMIT
     assert solver.check().is_sat
     assert solver.check(formula).is_unsat
+
+
+def test_the_ambient_budget_reaches_the_sat_search():
+    # No budget is handed to the search: it checkpoints the ambient one.
+    chain = DpllSolver(num_vars=30, clauses=[(i, i + 1) for i in range(1, 30)])
+    with pytest.raises(BudgetExceeded) as caught:
+        with Budget(None, max_steps=3).activate():
+            chain.solve()
+    assert caught.value.reason.stage == "lia.sat"
+
+
+def test_the_ambient_budget_reaches_branch_and_cut():
+    # 1 <= 2x <= 5: the root vertex x = 1/2 is fractional, and the
+    # presolve finds no equality, so the first checkpoint is the search's.
+    constraints = [
+        Constraint(LinExpr({"x": 2}, -1), ">="),
+        Constraint(LinExpr({"x": 2}, -5), "<="),
+    ]
+    assert check_integer_feasibility(constraints).feasible
+    with pytest.raises(BudgetExceeded) as caught:
+        with Budget(None, max_steps=0).activate():
+            check_integer_feasibility(constraints)
+    assert caught.value.reason.stage in ("lia.intsolver", "lia.simplex")
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,7 +22,7 @@ import pytest
 
 from helpers import ServeServerProc, process_descendants, surviving
 from repro.serve import ServeError, parse_host_port
-from repro.serve.protocol import MAX_LINE_BYTES, count_check_sats, dedup_key
+from repro.serve.protocol import MAX_LINE_BYTES, script_shape
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = sorted(glob.glob(os.path.join(REPO, "benchmarks", "smtlib", "*.smt2")))
@@ -72,18 +72,24 @@ def test_parse_host_port():
 
 
 def test_dedup_key_semantics():
-    key = dedup_key(SAT_SCRIPT, 30.0)
-    assert key is not None
+    checks, key = script_shape(SAT_SCRIPT, 30.0)
+    assert checks == 1 and key is not None
     # Whitespace/comment differences collapse to the same canonical key.
     spaced = SAT_SCRIPT.replace(")(", ")\n ; noise\n(")
-    assert dedup_key(spaced, 30.0) == key
+    assert script_shape(spaced, 30.0) == (1, key)
     # A different timeout is a different job.
-    assert dedup_key(SAT_SCRIPT, 5.0) != key
-    # Model-producing and multi-check scripts never share responses.
-    assert dedup_key(SAT_SCRIPT + "(get-model)", 30.0) is None
-    assert dedup_key(SAT_SCRIPT + "(check-sat)", 30.0) is None
-    assert dedup_key("(push 1)" + SAT_SCRIPT, 30.0) is None
-    assert count_check_sats(SAT_SCRIPT + "(check-sat)") == 2
+    assert script_shape(SAT_SCRIPT, 5.0)[1] != key
+    # Model-producing, multi-check and push/pop scripts never share
+    # responses; their check-sats are still counted.
+    assert script_shape(SAT_SCRIPT + "(get-model)", 30.0) == (1, None)
+    assert script_shape(SAT_SCRIPT + "(check-sat)", 30.0) == (2, None)
+    assert script_shape("(push 1)" + SAT_SCRIPT, 30.0) == (1, None)
+    # A script that does not parse: no check-sat, no key.
+    assert script_shape("(check-sat", 30.0) == (0, None)
+    # The key prints the problem parse_problem reads.
+    from repro.smtlib import parse_problem, problem_to_smtlib
+
+    assert key == "30.000\n" + problem_to_smtlib(parse_problem(SAT_SCRIPT))
 
 
 # ----------------------------------------------------------------------
