@@ -4,7 +4,8 @@ Selected with ``pytest -m bench`` (optionally ``--quick``); in a regular
 test run the module skips itself so the tier-1 suite stays fast.  In quick
 mode the measured times (each the median of ``GATED_RUNS`` runs, as in the
 committed record) are gated against the committed ``BENCH_lia.json``:
-the job fails when the quick workload regresses by more than 25 % — and,
+the job fails when the quick workload regresses by more than 25 % or the
+record's per-instance stats keys differ from a fresh run's — and,
 independently of timing, whenever any workload (the automata core, the
 commuting-disequality cuts instances, the distinct family or the e2e
 suite) produces a wrong verdict or a distinct instance times out, the
@@ -23,6 +24,21 @@ from bench_lia import AUTOMATA_SPEEDUP_FLOOR, DEFAULT_OUTPUT_PATH, run
 
 #: tolerated slowdown against the committed baseline before the gate fails
 REGRESSION_FACTOR = 1.25
+
+
+#: the report sections that record a ``stats`` dict per instance
+STATS_SECTIONS = ("mbqi", "cuts", "distinct", "pipelines", "e2e")
+
+
+def _stats_keys(report):
+    """``{"section/instance": stats keys}`` of every decided instance (an
+    undecided one may stop at a different stage from run to run)."""
+    return {
+        f"{section}/{name}": set(entry["stats"])
+        for section in STATS_SECTIONS
+        for name, entry in report[section]["instances"].items()
+        if entry["status"] in ("sat", "unsat")
+    }
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +134,21 @@ def test_bench_lia(bench_selected, tmp_path_factory):
         pytest.skip("no committed BENCH_lia.json to gate against")
     with open(DEFAULT_OUTPUT_PATH) as fh:
         committed = json.load(fh)
+
+    # The committed record must describe what the program reports today: a
+    # stats key added or removed since it was written means it is stale.
+    fresh, recorded = _stats_keys(report), _stats_keys(committed)
+    shared = fresh.keys() & recorded.keys()
+    assert shared, "no decided instance shared with the committed BENCH_lia.json"
+    stale = {
+        name: sorted(fresh[name] ^ recorded[name])
+        for name in sorted(shared)
+        if fresh[name] != recorded[name]
+    }
+    assert not stale, (
+        "BENCH_lia.json records other stats keys than a fresh run reports; "
+        f"regenerate it with the full `pytest -m bench benchmarks/perf`: {stale}"
+    )
 
     chain4_now = report["mbqi"]["instances"]["nc-chain-4"]["incremental_seconds"]
     chain4_ref = committed["mbqi"]["instances"]["nc-chain-4"]["incremental_seconds"]

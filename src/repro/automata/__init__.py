@@ -13,6 +13,7 @@ Public surface:
 from .nfa import EPSILON, Nfa
 from .dense import DenseNfa, as_dense, as_nfa, intern_nfa
 from .operations import (
+    ProductWalk,
     complement,
     concat,
     determinize,
@@ -52,6 +53,7 @@ __all__ = [
     "determinize",
     "complement",
     "intersection",
+    "ProductWalk",
     "difference",
     "reverse",
     "is_subset",

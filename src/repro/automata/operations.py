@@ -253,14 +253,163 @@ def complement(nfa, alphabet: Iterable[str]) -> Nfa:
     return dfa
 
 
+class ProductWalk:
+    """The pair walk of ``L(left) ∩ L(right)`` from the initial pairs.
+
+    Every product state is reachable by construction, and the walk does not
+    depend on either final set: :meth:`final_mask` derives the final states
+    of any choice of finals from the per-component masks, :meth:`coreachable`
+    trims to what reaches them and :meth:`to_nfa` materialises the result.
+    Noodlification finishes many segments from one walk; :func:`intersection`
+    is one walk and one finish.
+    """
+
+    __slots__ = (
+        "alphabet",
+        "symbols",
+        "rows",
+        "predecessors",
+        "by_left",
+        "by_right",
+        "initial",
+        "count",
+    )
+
+    def __init__(self, left, right) -> None:
+        """Walk the pairs of the ε-free dense forms of ``left`` and ``right``.
+
+        The common-symbol lists are intersected once up front and successor
+        pairs come from bitset rows instead of per-state dict probes.
+        """
+        left_dense = as_dense(left).eps_free()
+        right_dense = as_dense(right).eps_free()
+        common = [
+            (
+                symbol,
+                left_dense.rows[left_dense.symbol_index[symbol]],
+                right_dense.rows[right_dense.symbol_index[symbol]],
+            )
+            for symbol in left_dense.symbols
+            if symbol in right_dense.symbol_index
+        ]
+        self.alphabet = set(left_dense.alphabet) & set(right_dense.alphabet)
+        #: the common symbols, ascending
+        self.symbols = [symbol for symbol, _, _ in common]
+        #: pairs[s] = the (left, right) state pair of product state s
+        pairs: List[Tuple[int, int]] = []
+        pair_to_state: Dict[Tuple[int, int], State] = {}
+        #: rows[k][s] = successor bitset of product state s on symbols[k];
+        #: states are expanded in the order they are found, so each row
+        #: grows by appending
+        rows: List[List[int]] = [[] for _ in common]
+        #: predecessors[s] = bitset of product states with an edge into s
+        predecessors: List[int] = []
+        #: by_left[p] / by_right[q] = bitset of the product states on left
+        #: state p / right state q
+        by_left = [0] * left_dense.n
+        by_right = [0] * right_dense.n
+
+        def state_for(p: int, q: int) -> State:
+            state = pair_to_state.get((p, q))
+            if state is None:
+                state = len(pairs)
+                pair_to_state[(p, q)] = state
+                pairs.append((p, q))
+                predecessors.append(0)
+                by_left[p] |= 1 << state
+                by_right[q] |= 1 << state
+            return state
+
+        initial = 0
+        for p in iter_bits(left_dense.initial):
+            for q in iter_bits(right_dense.initial):
+                initial |= 1 << state_for(p, q)
+        src = 0
+        while src < len(pairs):
+            checkpoint("automata.intersection")
+            p, q = pairs[src]
+            src_bit = 1 << src
+            for row, (_, left_row, right_row) in zip(rows, common):
+                successors = 0
+                left_mask = left_row[p]
+                right_mask = right_row[q]
+                if left_mask and right_mask:
+                    rest_left = left_mask
+                    while rest_left:
+                        low_left = rest_left & -rest_left
+                        p_dst = low_left.bit_length() - 1
+                        rest_left ^= low_left
+                        rest_right = right_mask
+                        while rest_right:
+                            low_right = rest_right & -rest_right
+                            rest_right ^= low_right
+                            dst = state_for(p_dst, low_right.bit_length() - 1)
+                            successors |= 1 << dst
+                            predecessors[dst] |= src_bit
+                row.append(successors)
+            src += 1
+        self.rows = rows
+        self.predecessors = predecessors
+        self.by_left = by_left
+        self.by_right = by_right
+        self.initial = initial
+        self.count = len(pairs)
+
+    def final_mask(self, left_final: int, right_final: int) -> int:
+        """The product states whose left and right states are both final.
+
+        One budget step per finish: a walk serves many of them.
+        """
+        checkpoint("automata.intersection")
+        on_left = 0
+        for p in iter_bits(left_final):
+            on_left |= self.by_left[p]
+        on_right = 0
+        for q in iter_bits(right_final):
+            on_right |= self.by_right[q]
+        return on_left & on_right
+
+    def coreachable(self, final: int) -> int:
+        """The product states that reach ``final``: a backward walk over the
+        predecessor masks (0 exactly when ``final`` is)."""
+        words = max(1, (self.count + 63) >> 6)
+        keep = final
+        frontier = final
+        while frontier:
+            checkpoint("automata.coreachable", words)
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= self.predecessors[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & ~keep
+            keep |= frontier
+        return keep
+
+    def has_edge(self, keep: int) -> bool:
+        """Does some transition run between two of the ``keep`` states?"""
+        return any(self.predecessors[s] & keep for s in iter_bits(keep))
+
+    def to_nfa(self, final: int, keep: int) -> Nfa:
+        """The product on the ``keep`` states with final set ``final``."""
+        return Nfa.from_rows(
+            self.alphabet,
+            self.symbols,
+            self.rows,
+            None,
+            self.initial,
+            final,
+            keep,
+            range(self.count),
+        )
+
+
 def intersection(left, right, trim: bool = False) -> Nfa:
     """Return the product automaton for ``L(left) ∩ L(right)``.
 
-    Accepts either form on both sides.  The pair walk runs on the ε-free
-    dense rows: the common-symbol lists are intersected once up front and
-    successor pairs come from bitset rows instead of per-state dict probes.
-    The walk records the product's rows and hands them to
-    :meth:`Nfa.from_rows` once.
+    Accepts either form on both sides: one :class:`ProductWalk` over the
+    ε-free dense rows, finished with both automata's final sets and handed
+    to :meth:`Nfa.from_rows` once.
 
     With ``trim=True`` the result equals ``intersection(left, right).trim()``
     (same states, initial and final sets, and transition order): every
@@ -269,98 +418,10 @@ def intersection(left, right, trim: bool = False) -> Nfa:
     """
     left_dense = as_dense(left).eps_free()
     right_dense = as_dense(right).eps_free()
-    common = [
-        (
-            symbol,
-            left_dense.rows[left_dense.symbol_index[symbol]],
-            right_dense.rows[right_dense.symbol_index[symbol]],
-        )
-        for symbol in left_dense.symbols
-        if symbol in right_dense.symbol_index
-    ]
-    left_final = left_dense.final
-    right_final = right_dense.final
-    pair_to_state: Dict[Tuple[int, int], State] = {}
-    final_mask = 0
-    #: rows[k][s] = successor bitset of product state s on common[k]'s
-    #: symbol; pairs are popped in state order, so each row grows by appending
-    rows: List[List[int]] = [[] for _ in common]
-    #: predecessors[s] = bitset of product states with an edge into s
-    #: (recorded only when trimming)
-    predecessors: List[int] = []
-
-    def state_for(p: int, q: int) -> State:
-        nonlocal final_mask
-        state = pair_to_state.get((p, q))
-        if state is None:
-            state = len(pair_to_state)
-            pair_to_state[(p, q)] = state
-            predecessors.append(0)
-            if (left_final >> p) & 1 and (right_final >> q) & 1:
-                final_mask |= 1 << state
-        return state
-
-    work: deque = deque()
-    initial = 0
-    for p in iter_bits(left_dense.initial):
-        for q in iter_bits(right_dense.initial):
-            initial |= 1 << state_for(p, q)
-            work.append((p, q))
-    seen = set(pair_to_state)
-    while work:
-        checkpoint("automata.intersection")
-        p, q = work.popleft()
-        src = state_for(p, q)
-        src_bit = 1 << src if trim else 0
-        for row, (_, left_row, right_row) in zip(rows, common):
-            successors = 0
-            left_mask = left_row[p]
-            right_mask = right_row[q]
-            if left_mask and right_mask:
-                rest_left = left_mask
-                while rest_left:
-                    low_left = rest_left & -rest_left
-                    p_dst = low_left.bit_length() - 1
-                    rest_left ^= low_left
-                    rest_right = right_mask
-                    while rest_right:
-                        low_right = rest_right & -rest_right
-                        q_dst = low_right.bit_length() - 1
-                        rest_right ^= low_right
-                        dst_pair = (p_dst, q_dst)
-                        dst = state_for(p_dst, q_dst)
-                        successors |= 1 << dst
-                        predecessors[dst] |= src_bit  # a no-op unless trimming
-                        if dst_pair not in seen:
-                            seen.add(dst_pair)
-                            work.append(dst_pair)
-            row.append(successors)
-    count = len(pair_to_state)
-    keep = (1 << count) - 1
-    if trim:
-        # Co-reachable product states: backwards from the final pairs.
-        words = max(1, (count + 63) >> 6)
-        keep = final_mask
-        frontier = final_mask
-        while frontier:
-            checkpoint("automata.coreachable", words)
-            step = 0
-            while frontier:
-                low = frontier & -frontier
-                step |= predecessors[low.bit_length() - 1]
-                frontier ^= low
-            frontier = step & ~keep
-            keep |= frontier
-    return Nfa.from_rows(
-        set(left_dense.alphabet) & set(right_dense.alphabet),
-        [symbol for symbol, _, _ in common],
-        rows,
-        None,
-        initial,
-        final_mask,
-        keep,
-        range(count),
-    )
+    walk = ProductWalk(left_dense, right_dense)
+    final = walk.final_mask(left_dense.final, right_dense.final)
+    keep = walk.coreachable(final) if trim else (1 << walk.count) - 1
+    return walk.to_nfa(final, keep)
 
 
 def intersection_empty(left, right) -> bool:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..automata import intersection, intersection_empty, remove_epsilon
+from ..automata import ProductWalk, intersection, intersection_empty, remove_epsilon
 from ..automata.dense import iter_bits
 from ..automata.minimization import minimize
 from ..automata.nfa import Nfa
@@ -102,6 +102,11 @@ class DecompositionResult:
 #: overlaps part ``j``, in word order
 Noodle = List[Tuple[int, int, Nfa]]
 
+#: a segment's endpoints: ``(i, start, end, j, part_start, part_end)`` for
+#: target ``i`` between state indices ``start`` and ``end`` and part ``j``
+#: between the state masks ``part_start`` and ``part_end``
+SegmentKey = Tuple[int, int, int, int, int, int]
+
 
 # ----------------------------------------------------------------------
 # Noodlification of t1 ... tm = p1 ... pn
@@ -118,77 +123,100 @@ def noodlify(
     boundary, a part only where a target ends inside it.  Raises
     :class:`EquationTooHard` as soon as more than ``max_noodles`` noodles
     are found.
+
+    Each segment is the product of its part and its target between the
+    chosen states.  The pair walk of a product depends only on where it
+    starts, so one :class:`ProductWalk` per ``(target, start state, part,
+    part start)`` serves every segment from there: a segment is its final
+    mask and the states that reach it, empty exactly when that mask is 0.
+    Only the segments of the returned noodles are materialised, each once.
     """
     targets = [_cut_ready(nfa, len(parts) - 1, max_noodles).dense() for nfa in targets]
     parts = [remove_epsilon(nfa) if nfa.has_epsilon() else nfa for nfa in parts]
     dense = [nfa.dense() for nfa in parts]
     last_target, last_part = len(targets) - 1, len(parts) - 1
 
-    # A segment's refinement depends only on its endpoints, so each is
-    # computed once per call (``None`` marks an empty one) and its ``Nfa``
-    # is shared by every noodle through that segment.  Target endpoints are
-    # state indices; part endpoints are masks, the part's initial or final
-    # set where the segment starts or ends with it (a part that is not cut
-    # is refined as itself).  Endpoint views share the rows (and cached
-    # closures) of the whole automaton.
-    segments: Dict[Tuple[int, int, int, int, int, int], Optional[Nfa]] = {}
+    # Target endpoints are state indices; part endpoints are masks, the
+    # part's initial or final set where the segment starts or ends with it.
+    # Endpoint views share the rows of the whole automaton.
+    walks: Dict[Tuple[int, int, int, int], ProductWalk] = {}
+    #: each segment's walk, final mask and co-reachable states (``None``
+    #: marks an empty one), computed once per call
+    segments: Dict[SegmentKey, Optional[Tuple[ProductWalk, int, int]]] = {}
 
-    def refine(i: int, start: int, end: int, j: int, part_start: int, part_end: int):
-        key = (i, start, end, j, part_start, part_end)
+    def refine(key: SegmentKey) -> Optional[Tuple[ProductWalk, int, int]]:
         if key not in segments:
-            # Where both sides start and end in one state, the
-            # initial-and-final pair survives trimming, so an empty product
-            # means no common word.
-            part = parts[j]
-            if (part_start, part_end) != (dense[j].initial, dense[j].final):
-                part = dense[j].with_endpoints(part_start, part_end)
-            refined = intersection(
-                part, targets[i].with_endpoints(1 << start, 1 << end), trim=True
-            )
-            segments[key] = refined if refined.states else None
+            i, start, end, j, part_start, part_end = key
+            walk = walks.get((i, start, j, part_start))
+            if walk is None:
+                # The walk reads only the initial states of its operands.
+                part = parts[j]
+                if part_start != dense[j].initial:
+                    part = dense[j].with_endpoints(part_start, dense[j].final)
+                target = targets[i].with_endpoints(1 << start, targets[i].final)
+                walk = walks[i, start, j, part_start] = ProductWalk(part, target)
+            # Every product state is reachable and the finals survive
+            # trimming, so a segment is empty exactly when no pair is final.
+            final = walk.final_mask(part_end, 1 << end)
+            segments[key] = (walk, final, walk.coreachable(final)) if final else None
         return segments[key]
 
     # Depth first over the cut points, each one's choices in ascending
     # order: an empty segment prunes every alignment that extends it.
-    noodles: List[Noodle] = []
+    #: the alignments found, each a noodle with segment keys for automata
+    found: List[List[Tuple[int, int, SegmentKey]]] = []
 
-    def extend(i: int, start: int, j: int, part_start: int, chosen: Noodle) -> None:
-        # One budget step per alignment prefix; each refinement computed
-        # below charges its own product walk.
+    def extend(
+        i: int, start: int, j: int, part_start: int, chosen: List[Tuple[int, int, SegmentKey]]
+    ) -> None:
+        # One budget step per alignment prefix; each walk, finish and
+        # co-reachability computed below charges its own.
         checkpoint("eqsolver.noodlify")
         if j < last_part or i == last_target:
             # Part j ends inside target i (the last part with the last target).
             ends = range(targets[i].n) if j < last_part else iter_bits(targets[i].final)
             for end in ends:
-                refined = refine(i, start, end, j, part_start, dense[j].final)
-                if refined is None:
+                key = (i, start, end, j, part_start, dense[j].final)
+                segment = refine(key)
+                if segment is None:
                     continue
+                walk, _, keep = segment
                 was_cut = bool(chosen) and chosen[-1][1] == j
-                if was_cut and j < last_part and not refined.num_transitions():
+                if was_cut and j < last_part and not walk.has_edge(keep):
                     # The rest of a cut part is empty: it ends where the
                     # target that cut it ended, an alignment also found by
                     # ending the part first and cutting the next one.
                     continue
-                noodle = chosen + [(i, j, refined)]
+                noodle = chosen + [(i, j, key)]
                 if j < last_part:
                     extend(i, end, j + 1, dense[j + 1].initial, noodle)
                     continue
-                noodles.append(noodle)
-                if len(noodles) > max_noodles:
+                found.append(noodle)
+                if len(found) > max_noodles:
                     raise EquationTooHard(f"noodle cap ({max_noodles})")
         if i < last_target:
             # Target i ends inside part j, which is cut at a chosen state.
             for end in iter_bits(targets[i].final):
                 for cut in range(dense[j].n):
-                    refined = refine(i, start, end, j, part_start, 1 << cut)
-                    if refined is None:
+                    key = (i, start, end, j, part_start, 1 << cut)
+                    if refine(key) is None:
                         continue
                     for following in iter_bits(targets[i + 1].initial):
-                        extend(i + 1, following, j, 1 << cut, chosen + [(i, j, refined)])
+                        extend(i + 1, following, j, 1 << cut, chosen + [(i, j, key)])
 
     for start in iter_bits(targets[0].initial):
         extend(0, start, 0, dense[0].initial, [])
-    return noodles
+
+    # A segment's Nfa is shared by every returned noodle through it.
+    built: Dict[SegmentKey, Nfa] = {}
+
+    def build(key: SegmentKey) -> Nfa:
+        if key not in built:
+            walk, final, keep = segments[key]
+            built[key] = walk.to_nfa(final, keep)
+        return built[key]
+
+    return [[(i, j, build(key)) for i, j, key in noodle] for noodle in found]
 
 
 def _cut_ready(target: Nfa, cuts: int, max_noodles: int) -> Nfa:
@@ -212,21 +240,6 @@ def _cut_ready(target: Nfa, cuts: int, max_noodles: int) -> Nfa:
         if choices(reduced) < choices(target):
             return reduced
     return target
-
-
-def noodlify_assignment(
-    target: Nfa, parts: Sequence[Tuple[str, Nfa]], max_noodles: int = 256
-) -> List[Dict[str, Nfa]]:
-    """Solve ``x = y1 … yk``: :func:`noodlify` with one target, each noodle
-    mapping the part names to their refinements."""
-    names = [name for name, _ in parts]
-    if len(set(names)) != len(names):
-        raise EquationTooHard("repeated variable")
-    if not parts:
-        # x = ε: the equation is satisfiable iff ε ∈ L(x).
-        return [{}] if target.accepts("") else []
-    noodles = noodlify([target], [nfa for _, nfa in parts], max_noodles)
-    return [{names[j]: refined for _, j, refined in noodle} for noodle in noodles]
 
 
 # ----------------------------------------------------------------------

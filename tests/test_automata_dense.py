@@ -142,6 +142,27 @@ def test_trimmed_intersection_covers_epsilon_empty_and_wide_products():
     assert all(found.values()), found
 
 
+@pytest.mark.parametrize("seed", [seed for seed in range(40) if seed % 4 != 3])
+def test_one_walk_finishes_every_pair_of_finals(seed):
+    # One walk from the initial pairs serves every choice of final states:
+    # finishing it is the trimmed product of the two endpoint views.
+    a, b = _trimmed_product_pair(seed)
+    left, right = as_dense(a).eps_free(), as_dense(b).eps_free()
+    walk = ops.ProductWalk(left, right)
+    for p in range(left.n):
+        for q in range(right.n):
+            expected = ops.intersection(
+                left.with_endpoints(left.initial, 1 << p),
+                right.with_endpoints(right.initial, 1 << q),
+                trim=True,
+            )
+            final = walk.final_mask(1 << p, 1 << q)
+            keep = walk.coreachable(final)
+            assert (final == 0) == (not expected.states)
+            assert walk.has_edge(keep) == bool(expected.num_transitions())
+            assert _structure(walk.to_nfa(final, keep)) == _structure(expected)
+
+
 def test_trimmed_intersection_charges_the_coreachability_walk():
     rng = random.Random(11)
     a = random_nfa(rng, 80, density=2.5)

@@ -3,17 +3,25 @@
 import random
 
 from repro.automata import Nfa, compile_regex, words_up_to
-from repro.eqsolver import Branch, decompose, noodlify_assignment, EquationTooHard
+from repro.eqsolver import Branch, decompose, EquationTooHard
+from repro.eqsolver.noodler import noodlify
 from test_automata_dense import random_nfa
 
 import pytest
+
+
+def _named_noodles(target, parts):
+    """``x = y₁ … y_k`` through :func:`noodlify`: each noodle maps the part
+    names to their refinements."""
+    noodles = noodlify([target], [nfa for _, nfa in parts])
+    return [{parts[j][0]: refined for _, j, refined in noodle} for noodle in noodles]
 
 
 def test_noodlify_simple_split():
     # x = y z with x in (ab)*, y in a*, z in (a|b)*
     target = compile_regex("(ab)*", alphabet="ab")
     parts = [("y", compile_regex("a*", alphabet="ab")), ("z", compile_regex("(a|b)*", alphabet="ab"))]
-    noodles = noodlify_assignment(target, parts)
+    noodles = _named_noodles(target, parts)
     assert noodles
     # Every noodle must refine the parts so the concatenation stays in (ab)*.
     for noodle in noodles:
@@ -25,14 +33,8 @@ def test_noodlify_simple_split():
 def test_noodlify_empty_when_incompatible():
     target = compile_regex("aa", alphabet="ab")
     parts = [("y", compile_regex("b", alphabet="ab")), ("z", compile_regex("a*", alphabet="ab"))]
-    noodles = noodlify_assignment(target, parts)
+    noodles = _named_noodles(target, parts)
     assert noodles == []
-
-
-def test_noodlify_rejects_repeated_variables():
-    target = compile_regex("(ab)*", alphabet="ab")
-    with pytest.raises(EquationTooHard):
-        noodlify_assignment(target, [("y", Nfa.universal("ab")), ("y", Nfa.universal("ab"))])
 
 
 def test_decompose_assignment_equation():
@@ -176,7 +178,7 @@ def test_noodlify_minimization_is_budgeted():
     ]
     started = time.monotonic()
     with pytest.raises(EquationTooHard):
-        noodlify_assignment(target, parts)
+        _named_noodles(target, parts)
     assert time.monotonic() - started < 5.0
 
 
@@ -234,7 +236,7 @@ def _assert_same_noodles(target, parts):
     boundaries *= len(prepared.states) ** (len(parts) - 1)
     # Below the split cap the target is used as given (no minimisation).
     assert boundaries <= 256
-    noodles = noodlify_assignment(target, parts)
+    noodles = _named_noodles(target, parts)
     expected = _reference_noodlify(target, parts)
     assert [list(noodle) for noodle in noodles] == [list(noodle) for noodle in expected]
     for noodle, reference in zip(noodles, expected):
@@ -261,7 +263,7 @@ def test_noodlify_covers_nonempty_random_splits():
     produced = {2: 0, 3: 0}
     for seed in range(30):
         target, parts = _random_split(seed)
-        produced[len(parts)] += len(noodlify_assignment(target, parts))
+        produced[len(parts)] += len(_named_noodles(target, parts))
     assert produced[2] > 0 and produced[3] > 0, produced
 
 
@@ -276,14 +278,14 @@ def test_noodlify_empty_first_segment_prunes_the_rest(monkeypatch):
     assert _assert_same_noodles(target, parts) == []
 
     refined_parts = []
-    real = noodler.intersection
+    real = noodler.ProductWalk
 
-    def counting(part, segment, trim=False):
+    def counting(part, segment):
         refined_parts.append(part)
-        return real(part, segment, trim=trim)
+        return real(part, segment)
 
-    monkeypatch.setattr(noodler, "intersection", counting)
-    noodlify_assignment(target, parts)
+    monkeypatch.setattr(noodler, "ProductWalk", counting)
+    _named_noodles(target, parts)
     # Only first-part segments were refined: every one is empty, so no
     # boundary assignment reaches the second part.
     assert refined_parts and all(part is first for part in refined_parts)
@@ -301,6 +303,126 @@ def test_noodlify_epsilon_segment_matches_the_product_loop():
     noodles = _assert_same_noodles(target, parts)
     assert any(noodle["y"].accepts("") for noodle in noodles)
     assert any(noodle["w"].accepts("") for noodle in noodles)
+
+
+# ----------------------------------------------------------------------
+# Shared product walks against one product per segment
+# ----------------------------------------------------------------------
+def _segmentwise_noodlify(targets, parts, max_noodles=256):
+    """The noodlification that built one trimmed product per segment."""
+    from repro.automata import intersection, remove_epsilon
+    from repro.automata.dense import iter_bits
+    from repro.eqsolver.noodler import _cut_ready
+
+    targets = [_cut_ready(nfa, len(parts) - 1, max_noodles).dense() for nfa in targets]
+    parts = [remove_epsilon(nfa) if nfa.has_epsilon() else nfa for nfa in parts]
+    dense = [nfa.dense() for nfa in parts]
+    last_target, last_part = len(targets) - 1, len(parts) - 1
+    segments = {}
+
+    def refine(i, start, end, j, part_start, part_end):
+        key = (i, start, end, j, part_start, part_end)
+        if key not in segments:
+            part = parts[j]
+            if (part_start, part_end) != (dense[j].initial, dense[j].final):
+                part = dense[j].with_endpoints(part_start, part_end)
+            refined = intersection(
+                part, targets[i].with_endpoints(1 << start, 1 << end), trim=True
+            )
+            segments[key] = refined if refined.states else None
+        return segments[key]
+
+    noodles = []
+
+    def extend(i, start, j, part_start, chosen):
+        if j < last_part or i == last_target:
+            ends = range(targets[i].n) if j < last_part else iter_bits(targets[i].final)
+            for end in ends:
+                refined = refine(i, start, end, j, part_start, dense[j].final)
+                if refined is None:
+                    continue
+                was_cut = bool(chosen) and chosen[-1][1] == j
+                if was_cut and j < last_part and not refined.num_transitions():
+                    continue
+                noodle = chosen + [(i, j, refined)]
+                if j < last_part:
+                    extend(i, end, j + 1, dense[j + 1].initial, noodle)
+                    continue
+                noodles.append(noodle)
+                if len(noodles) > max_noodles:
+                    raise EquationTooHard(f"noodle cap ({max_noodles})")
+        if i < last_target:
+            for end in iter_bits(targets[i].final):
+                for cut in range(dense[j].n):
+                    refined = refine(i, start, end, j, part_start, 1 << cut)
+                    if refined is None:
+                        continue
+                    for following in iter_bits(targets[i + 1].initial):
+                        extend(i + 1, following, j, 1 << cut, chosen + [(i, j, refined)])
+
+    for start in iter_bits(targets[0].initial):
+        extend(0, start, 0, dense[0].initial, [])
+    return noodles
+
+
+def _random_sides(seed):
+    """``t₁…t_m = p₁…p_n`` with m, n ∈ {2, 3} over random NFAs, about half
+    of them carrying ε-moves."""
+    rng = random.Random(seed)
+
+    def automaton():
+        return random_nfa(rng, rng.randint(1, 4), eps_prob=rng.choice((0.0, 0.3)))
+
+    targets = [automaton() for _ in range(rng.randint(2, 3))]
+    parts = [automaton() for _ in range(rng.randint(2, 3))]
+    return targets, parts
+
+
+def _outcome(noodlification, targets, parts, max_noodles):
+    try:
+        noodles = noodlification(targets, parts, max_noodles)
+    except EquationTooHard as error:
+        return str(error)
+    return [[(i, j, _structure(refined)) for i, j, refined in noodle] for noodle in noodles]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_shared_walks_match_one_product_per_segment(seed):
+    targets, parts = _random_sides(seed)
+    for max_noodles in (2, 256):
+        expected = _outcome(_segmentwise_noodlify, targets, parts, max_noodles)
+        assert _outcome(noodlify, targets, parts, max_noodles) == expected
+
+
+def test_shared_walk_differential_is_not_vacuous():
+    outcomes = [_outcome(noodlify, *_random_sides(seed), 2) for seed in range(40)]
+    assert sum(isinstance(outcome, str) for outcome in outcomes) >= 4
+    assert sum(bool(outcome) and not isinstance(outcome, str) for outcome in outcomes) >= 4
+    assert sum(outcome == [] for outcome in outcomes) >= 4
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_noodlify_walks_once_per_segment_start(monkeypatch, seed):
+    from collections import Counter
+
+    import repro.eqsolver.noodler as noodler
+    from repro.automata import as_dense
+
+    starts = Counter()
+    real = noodler.ProductWalk
+
+    def counting(part, segment):
+        part_dense, target_dense = as_dense(part), as_dense(segment)
+        starts[id(target_dense.rows), target_dense.initial, id(part_dense.rows), part_dense.initial] += 1
+        return real(part, segment)
+
+    monkeypatch.setattr(noodler, "ProductWalk", counting)
+    targets, parts = _random_sides(seed)
+    try:
+        noodlify(targets, parts)
+    except EquationTooHard:
+        pass
+    assert starts and max(starts.values()) == 1
 
 
 def test_decompose_variable_equation_keeps_the_shared_empty_word():
