@@ -4,7 +4,9 @@ Four workloads are timed:
 
 * **mbqi** — ¬contains chains (one instantiation lemma per predicate, so a
   ``k``-chain drives ``k+1`` LIA queries through the solve–refine loop).
-  Each time is the median of ``GATED_RUNS`` runs.
+  Each time is the median of ``GATED_RUNS`` runs, and so is each cost
+  (the run's time in units of perfbench's reference loop, sampled next to
+  it, which is what the quick gate compares).
 * **cuts** — commuting-disequality instances whose ``unsat`` verdicts need
   the Gomory cutting planes of the integer core (sound
   branch-and-bound alone diverges).  Any verdict disagreeing with the
@@ -25,9 +27,9 @@ Four workloads are timed:
 * **e2e** — the scaled-down end-to-end benchmark suite
   (:func:`repro.benchgen.suite.benchmark_sets`, scale 1) under the position
   solver with a 20 s per-instance timeout.  The quick subset
-  (``QUICK_E2E_SETS``) records the median of ``GATED_RUNS`` runs per
-  instance, in full and quick mode alike, so the committed reference and
-  the quick sample it gates are measured the same way.
+  (``QUICK_E2E_SETS``) records the median time and cost of ``GATED_RUNS``
+  runs per instance, in full and quick mode alike, so the committed
+  reference and the quick sample it gates are measured the same way.
 * **pipelines** — the string-pipeline workload
   (:mod:`repro.benchgen.pipelines`): symbolic pipe programs compiled to
   deep substr/replace/concat chains, each carrying an exact ground truth
@@ -70,9 +72,15 @@ import time
 from typing import Dict, Optional
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
-_SRC = os.path.join(os.path.dirname(os.path.dirname(_HERE)), "src")
+_ROOT = os.path.dirname(os.path.dirname(_HERE))
+_SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
+_PERFBENCH = os.path.join(_ROOT, "perfbench")
+if _PERFBENCH not in sys.path:
+    sys.path.append(_PERFBENCH)
+
+from base import reference_ms  # noqa: E402  (perfbench's reference loop)
 
 SEED_BASELINE_PATH = os.path.join(_HERE, "seed_baseline.json")
 DEFAULT_OUTPUT_PATH = os.path.join(_HERE, "BENCH_lia.json")
@@ -150,12 +158,22 @@ def _solve(problem, timeout: float):
 
 
 def _solve_median(problem, timeout: float, runs: int = GATED_RUNS):
-    """:func:`_solve` ``runs`` times: the last result and the median time."""
-    times = []
+    """:func:`_solve` ``runs`` times: the last result, the median time and
+    the median cost.
+
+    A run's cost is its wall time divided by the mean of perfbench's
+    reference loop sampled just before and just after it (unit ``ref``):
+    the host's speed drifts within minutes, and the cost drifts with it far
+    less than the seconds do.
+    """
+    times, costs = [], []
     for _ in range(runs):
+        before = reference_ms()
         result, elapsed = _solve(problem, timeout)
+        after = reference_ms()
         times.append(elapsed)
-    return result, statistics.median(times)
+        costs.append(elapsed * 1000.0 / ((before + after) / 2))
+    return result, statistics.median(times), statistics.median(costs)
 
 
 def run_mbqi(baseline: Dict, quick: bool) -> Dict:
@@ -164,12 +182,13 @@ def run_mbqi(baseline: Dict, quick: bool) -> Dict:
     for k in chains:
         name = f"nc-chain-{k}"
         problem = _chain_problem(k)
-        result, seconds = _solve_median(problem, MBQI_TIMEOUT)
+        result, seconds, cost = _solve_median(problem, MBQI_TIMEOUT)
         seed = baseline["mbqi"].get(name, {})
         entry = {
             "status": result.status.value,
             "lia_queries": result.lia_queries,
             "incremental_seconds": round(seconds, 3),
+            "incremental_cost": round(cost, 2),
             "stats": result.stats,
         }
         if seed:
@@ -404,7 +423,7 @@ def run_e2e(baseline: Dict, quick: bool) -> Dict:
         runs = GATED_RUNS if set_name in QUICK_E2E_SETS else 1
         for instance_name, problem, expected in items:
             key = f"{set_name}/{instance_name}"
-            result, elapsed = _solve_median(problem, E2E_TIMEOUT, runs=runs)
+            result, elapsed, cost = _solve_median(problem, E2E_TIMEOUT, runs=runs)
             status = result.status.value
             model_verified = False
             if result.is_sat and result.model is not None:
@@ -417,6 +436,7 @@ def run_e2e(baseline: Dict, quick: bool) -> Dict:
             entry = {
                 "status": status,
                 "seconds": round(elapsed, 3),
+                "cost": round(cost, 2),
                 "expected": expected,
                 "stats": result.stats,
             }

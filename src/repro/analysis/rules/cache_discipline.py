@@ -10,8 +10,10 @@ bypass the managed surface are therefore banned everywhere outside
 ``automata/nfa.py`` itself: assignment, augmented assignment, deletion,
 subscript stores and in-place mutator calls (``.add``/``.update``/...)
 on ``_states``/``_initial``/``_final``/``_dense``/``_delta``/
-``_next_state`` attributes.  *Reads* stay legal — the
-legacy oracles and the dense compiler walk ``_delta`` freely.
+``_next_state`` attributes.  *Reads* stay legal, but the transition
+table of an automaton built from rows exists only once it is read, so
+the legacy oracles and the dense compiler read it through
+``Nfa.transition_table()``.
 
 Tests are in scope: a test mutating automaton internals directly is
 exactly how a stale-cache bug sneaks past the suite that exists to catch

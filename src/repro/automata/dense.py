@@ -139,7 +139,7 @@ class DenseNfa:
         n = len(order)
         # One pass over the transition table: a successor-mask row per label.
         by_label: Dict[Optional[str], List[Mask]] = {}
-        for src, by_state in nfa._delta.items():
+        for src, by_state in nfa.transition_table().items():
             s = index[src]
             for symbol, dsts in by_state.items():
                 row = by_label.get(symbol)

@@ -27,11 +27,12 @@ from .operations import StateBudgetExceeded
 def legacy_accepts(nfa: Nfa, word: str) -> bool:
     """Membership by explicit ε-closure subset simulation."""
     current = nfa.epsilon_closure(nfa.initial)
+    delta = nfa.transition_table()
     # repro: allow(checkpoint-coverage): legacy differential oracle, budget-free by design (see the module docstring)
     for ch in word:
         nxt: Set[State] = set()
         for state in current:
-            nxt |= nfa._delta.get(state, {}).get(ch, set())
+            nxt |= delta.get(state, {}).get(ch, set())
         if not nxt:
             return False
         current = nfa.epsilon_closure(nxt)

@@ -51,7 +51,11 @@ class Nfa:
     The automaton is a tuple ``(Q, delta, I, F)`` as in Section 2 of the
     paper.  Transitions are stored as one nested mapping
     ``state -> symbol -> set of successor states``; the automata algorithms
-    read the per-symbol bitset rows of the cached dense form instead.
+    read the per-symbol bitset rows of the cached dense form instead.  An
+    automaton built by :meth:`from_rows` carries only its dense form: the
+    table is built from it on the first set-based read
+    (:meth:`transition_table`), and before any mutation drops the dense
+    form, so at least one of the two is always present.
     """
 
     __slots__ = (
@@ -69,7 +73,7 @@ class Nfa:
         self._states: Set[State] = set()
         self._initial: Set[State] = set()
         self._final: Set[State] = set()
-        self._delta: Dict[State, Dict[Symbol, Set[State]]] = {}
+        self._delta: Optional[Dict[State, Dict[Symbol, Set[State]]]] = {}
         self._alphabet: Set[str] = set(alphabet) if alphabet else set()
         #: next fresh state id; kept ahead of every state the mutating
         #: methods have seen so ``add_state()`` is O(1) instead of an O(n)
@@ -91,8 +95,8 @@ class Nfa:
 
     @states.setter
     def states(self, value: Set[State]) -> None:
+        self._invalidate()
         self._states = value
-        self._dense = None
 
     @property
     def initial(self) -> Set[State]:
@@ -100,8 +104,8 @@ class Nfa:
 
     @initial.setter
     def initial(self, value: Set[State]) -> None:
+        self._invalidate()
         self._initial = value
-        self._dense = None
 
     @property
     def final(self) -> Set[State]:
@@ -109,8 +113,8 @@ class Nfa:
 
     @final.setter
     def final(self, value: Set[State]) -> None:
+        self._invalidate()
         self._final = value
-        self._dense = None
 
     def _note_state(self, state: State) -> None:
         if state >= self._next_state:
@@ -119,7 +123,43 @@ class Nfa:
     def _sync_state_counter(self) -> None:
         """Re-derive the fresh-id counter after a bulk ``states`` assignment."""
         self._next_state = max(self.states, default=-1) + 1
+        self._invalidate()
+
+    def _invalidate(self) -> None:
+        """Drop the dense form, building the transition table from it first."""
+        self.transition_table()
         self._dense = None
+
+    def transition_table(self) -> Dict[State, Dict[Symbol, Set[State]]]:
+        """The ``state -> symbol -> successors`` table (read-only).
+
+        An automaton built from rows builds it from its dense form on the
+        first read, as :meth:`from_rows` once wrote it: symbol-major (ε
+        last), then sources and destinations ascending.
+        """
+        if self._delta is not None:
+            return self._delta
+        dense = self._dense
+        ids = dense.state_ids
+        delta: Dict[State, Dict[Symbol, Set[State]]] = {}
+        labelled = list(zip(dense.symbols, dense.rows))
+        if dense.eps is not None:
+            labelled.append((EPSILON, dense.eps))
+        for symbol, row in labelled:
+            for i, mask in enumerate(row):
+                if not mask:
+                    continue
+                targets = set()
+                while mask:
+                    low = mask & -mask
+                    targets.add(ids[low.bit_length() - 1])
+                    mask ^= low
+                by_state = delta.get(ids[i])
+                if by_state is None:
+                    by_state = delta[ids[i]] = {}
+                by_state[symbol] = targets
+        self._delta = delta
+        return delta
 
     def dense(self):
         """The cached integer-dense compilation of this automaton.
@@ -140,9 +180,9 @@ class Nfa:
         """Add a state (allocating a fresh identifier when none is given)."""
         if state is None:
             state = self._next_state
+        self._invalidate()
         self._note_state(state)
         self.states.add(state)
-        self._dense = None
         return state
 
     def add_states(self, count: int) -> List[State]:
@@ -150,16 +190,16 @@ class Nfa:
         return [self.add_state() for _ in range(count)]
 
     def make_initial(self, state: State) -> None:
+        self._invalidate()
         self._note_state(state)
         self.states.add(state)
         self.initial.add(state)
-        self._dense = None
 
     def make_final(self, state: State) -> None:
+        self._invalidate()
         self._note_state(state)
         self.states.add(state)
         self.final.add(state)
-        self._dense = None
 
     def add_transition(self, src: State, symbol: Symbol, dst: State) -> None:
         """Add the transition ``src --symbol--> dst``.
@@ -171,11 +211,11 @@ class Nfa:
             if not isinstance(symbol, str) or len(symbol) != 1:
                 raise ValueError(f"symbols must be single characters, got {symbol!r}")
             self._alphabet.add(symbol)
+        self._invalidate()
         self._note_state(src)
         self._note_state(dst)
         self._states.add(src)
         self._states.add(dst)
-        self._dense = None
         self._delta.setdefault(src, {}).setdefault(symbol, set()).add(dst)
 
     def add_word_path(self, src: State, word: str, dst: State) -> None:
@@ -200,7 +240,7 @@ class Nfa:
 
     def successors(self, state: State, symbol: Symbol) -> Set[State]:
         """Return the states reachable from ``state`` via ``symbol``."""
-        return set(self._delta.get(state, {}).get(symbol, set()))
+        return set(self.transition_table().get(state, {}).get(symbol, set()))
 
     def transitions_on(self, symbol: Symbol) -> Dict[State, Set[State]]:
         """The ``src -> dsts`` map of every transition labelled ``symbol``.
@@ -210,7 +250,7 @@ class Nfa:
         """
         return {
             src: by_state[symbol]
-            for src, by_state in self._delta.items()
+            for src, by_state in self.transition_table().items()
             if symbol in by_state
         }
 
@@ -220,17 +260,17 @@ class Nfa:
         The per-state counterpart of :meth:`transitions_on`.  Treat the
         result as read-only — it aliases the internal delta.
         """
-        return self._delta.get(state, {})
+        return self.transition_table().get(state, {})
 
     def transitions_from(self, state: State) -> Iterator[Tuple[Symbol, State]]:
         """Iterate over ``(symbol, dst)`` pairs leaving ``state``."""
-        for symbol, dsts in self._delta.get(state, {}).items():
+        for symbol, dsts in self.transition_table().get(state, {}).items():
             for dst in dsts:
                 yield symbol, dst
 
     def iter_transitions(self) -> Iterator[Transition]:
         """Iterate over all transitions as ``(src, symbol, dst)`` triples."""
-        for src, by_symbol in self._delta.items():
+        for src, by_symbol in self.transition_table().items():
             for symbol, dsts in by_symbol.items():
                 for dst in dsts:
                     yield src, symbol, dst
@@ -244,6 +284,8 @@ class Nfa:
 
     def has_epsilon(self) -> bool:
         """Return ``True`` when the automaton contains an epsilon transition."""
+        if self._delta is None:
+            return self._dense.eps is not None
         return any(symbol is None for _, symbol, _ in self.iter_transitions())
 
     # ------------------------------------------------------------------
@@ -253,10 +295,11 @@ class Nfa:
         """Return the epsilon closure of the given set of states."""
         closure = set(states)
         work = deque(closure)
+        delta = self.transition_table()
         # repro: allow(checkpoint-coverage): only the budget-free legacy oracles call this; solver paths use the dense form's precomputed closures
         while work:
             state = work.popleft()
-            for dst in self._delta.get(state, {}).get(EPSILON, set()):
+            for dst in delta.get(state, {}).get(EPSILON, set()):
                 if dst not in closure:
                     closure.add(dst)
                     work.append(dst)
@@ -312,12 +355,17 @@ class Nfa:
     def copy(self) -> "Nfa":
         """Return a structural copy of the automaton."""
         result = Nfa(self._alphabet)
-        result.states = set(self.states)
-        result.initial = set(self.initial)
-        result.final = set(self.final)
-        for src, by_state in self._delta.items():
-            result._delta[src] = {symbol: set(dsts) for symbol, dsts in by_state.items()}
-        result._sync_state_counter()
+        result._states = set(self._states)
+        result._initial = set(self._initial)
+        result._final = set(self._final)
+        result._next_state = max(self._states, default=-1) + 1
+        if self._delta is None:
+            result._delta = None  # built from the shared dense form on demand
+        else:
+            result._delta = {
+                src: {symbol: set(dsts) for symbol, dsts in by_state.items()}
+                for src, by_state in self._delta.items()
+            }
         # Same states, same transitions: the dense compilation (immutable)
         # is shared until either side mutates.
         result._dense = self._dense
@@ -340,6 +388,7 @@ class Nfa:
         only materialised when ``want_mapping`` is set (contiguous automata
         renumber by plain offset addition, so most callers skip it).
         """
+        result._invalidate()
         if offset is None:
             offset = result._next_state
         count = len(self.states)
@@ -357,7 +406,7 @@ class Nfa:
             # Contiguous ids 0..n-1: renaming is a plain shift.
             rename = offset.__add__
             result.states.update(range(offset, offset + count))
-        for src, by_state in self._delta.items():
+        for src, by_state in self.transition_table().items():
             new_src = rename(src)
             dest_by_state = result._delta.setdefault(new_src, {})
             for symbol, dsts in by_state.items():
@@ -373,7 +422,6 @@ class Nfa:
         result._alphabet |= self._alphabet
         if result._next_state < offset + count:
             result._next_state = offset + count
-        result._dense = None
         return CopiedPart(
             initial={rename(s) for s in self.initial},
             final={rename(s) for s in self.final},
@@ -414,15 +462,15 @@ class Nfa:
         ε-successors (``eps`` may be ``None``), ``initial``/``final``/
         ``keep`` are bitsets, and the ascending ``state_ids[s]`` names state
         ``s`` in the result.  Every automaton the operations layer builds
-        from rows goes through here: transitions are written symbol-major
-        (ε last; sources, then destinations ascending), and the result
-        carries its dense form compacted to the kept states, so it is never
-        compiled again.
+        from rows goes through here.  The result carries only its dense
+        form, compacted to the kept states, so it is never compiled again;
+        its transition table is built on the first set-based read
+        (symbol-major, ε last; sources, then destinations ascending).
         """
         from .dense import DenseNfa, iter_bits
 
         # One step for the build; the DenseNfa constructor charges the scan
-        # of the rows, which is the work of the loops below.
+        # of the rows, which is the work of the compaction below.
         checkpoint("automata.dense")
         if keep == (1 << len(state_ids)) - 1:
             kept: Sequence[int] = range(len(state_ids))
@@ -441,8 +489,6 @@ class Nfa:
                 packed |= 1 << slot[t]
             return packed
 
-        result = Nfa(alphabet)
-        delta = result._delta
         labelled = list(zip(symbols, rows))
         if eps is not None:
             labelled.append((EPSILON, eps))
@@ -450,32 +496,22 @@ class Nfa:
         dense_rows: List[Tuple[int, ...]] = []
         dense_eps: Optional[Tuple[int, ...]] = None
         for symbol, row in labelled:
-            dense_row = list(row) if slot is None else [compact(row[s]) for s in kept]
+            dense_row = tuple(row) if slot is None else tuple(compact(row[s]) for s in kept)
             if not any(dense_row):
                 continue
-            for i, mask in enumerate(dense_row):
-                if not mask:
-                    continue
-                targets = set()
-                while mask:
-                    low = mask & -mask
-                    targets.add(ids[low.bit_length() - 1])
-                    mask ^= low
-                by_state = delta.get(ids[i])
-                if by_state is None:
-                    by_state = delta[ids[i]] = {}
-                by_state[symbol] = targets
             if symbol is EPSILON:
-                dense_eps = tuple(dense_row)
+                dense_eps = dense_row
             else:
                 used.append(symbol)
-                dense_rows.append(tuple(dense_row))
+                dense_rows.append(dense_row)
         initial = compact(initial)
         final = compact(final)
+        result = Nfa(alphabet)
+        result._delta = None  # built from the dense form on the first read
         result._states = set(ids)
         result._initial = {ids[i] for i in iter_bits(initial)}
         result._final = {ids[i] for i in iter_bits(final)}
-        result._sync_state_counter()
+        result._next_state = ids[-1] + 1 if ids else 0
         result._dense = DenseNfa(
             len(ids),
             tuple(sorted(result._alphabet)),

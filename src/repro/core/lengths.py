@@ -75,6 +75,14 @@ class Lasso:
             options.append(conj([ge(k, 0), loop]))
         return disj(options)
 
+    def single_length(self) -> Optional[int]:
+        """The only length of the set, or ``None`` if it has none or several."""
+        final = self.automaton.final
+        accepted = [i for i, mask in enumerate(self.masks) if mask & final]
+        if len(accepted) == 1 and accepted[0] < self.tail:
+            return accepted[0]
+        return None
+
     def word(self, length: int) -> Optional[str]:
         """An accepted word of ``length`` symbols, or ``None`` if there is none."""
         dense = self.automaton

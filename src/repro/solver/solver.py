@@ -9,10 +9,14 @@ walked by one fold (:meth:`IncrementalPipeline._decide`):
    branches join the same fold as the branches of an unreduced problem.
 1. **Normalisation** (:mod:`repro.strings.normal_form`) into
    ``E ∧ R ∧ I ∧ P``.
-2. **Stabilization** (:mod:`repro.eqsolver.noodler`): the word equations
+2. **Length check** (:meth:`IncrementalPipeline._lengths_refute`): a case
+   with word equations is refuted without decomposing it when its integer
+   parts, the length sums of ``E`` and the length sets of its equation
+   variables' languages have no common integer solution.
+3. **Stabilization** (:mod:`repro.eqsolver.noodler`): the word equations
    ``E`` are eliminated, producing a disjunction of monadic decompositions
    (refined regular constraints plus a substitution map).
-3. **Position procedure** (:mod:`repro.core`): for every branch the
+4. **Position procedure** (:mod:`repro.core`): for every branch the
    remaining position constraints are partitioned into components of
    predicates sharing variables; each component is encoded into one LIA
    formula over the Parikh image of a tag automaton — the single-predicate
@@ -25,13 +29,14 @@ walked by one fold (:meth:`IncrementalPipeline._decide`):
    instantiation (§6.4).  Parikh connectivity is enforced on demand: each
    sat LIA model is cut until every encoding's run is connected
    (:func:`repro.core.parikh.connectivity_cuts`).
-4. **LIA solving** (:mod:`repro.lia`) and **model reconstruction**
+5. **LIA solving** (:mod:`repro.lia`) and **model reconstruction**
    (:mod:`repro.core.witness`): a sat branch yields a concrete string
    model.  :meth:`IncrementalPipeline.check` verifies it once, against
    the caller's problem, with the reduction's fresh variables stripped.
 
 The first sat branch of any case wins.  ``UNSAT`` is only reported when
-every branch of every case was refuted exactly; an undecided branch or an
+every case was refuted by its lengths or had every branch refuted
+exactly; an undecided branch or an
 incomplete decomposition turns it into ``UNKNOWN``, and so does a branch
 refuted only under the length approximation of a non-flat ¬contains
 (``incomplete@mbqi``) — mirroring the OOR/unknown accounting of the
@@ -256,6 +261,7 @@ class IncrementalPipeline:
             "distinct_shortcuts": 0,
             "reduction_cases": 0,
             "ncontains_vacuous": 0,
+            "length_refutations": 0,
         }
 
     # ------------------------------------------------------------------
@@ -347,12 +353,14 @@ class IncrementalPipeline:
     def _decide(self, problem: Problem, watch: Budget) -> SolveResult:
         """Fold over (reduction case × decomposition branch): the verdict.
 
-        The first sat branch wins, its model stripped of the case's fresh
-        variables.  Unsat needs every branch refuted and every
-        decomposition complete, or the case of an incomplete one refuted
-        by lengths (:meth:`_lengths_refute`); otherwise the answer is
-        unknown, with the last branch's reason or, failing one, the limit
-        that stopped the first incomplete decomposition.
+        Each case is reduced, normalised, checked by its lengths
+        (:meth:`_lengths_refute`, a case with word equations only; a
+        refuted case is skipped undecomposed), decomposed, and its branches
+        solved.  The first sat branch wins, its model stripped of the
+        case's fresh variables.  Unsat needs every remaining branch refuted
+        and every decomposition complete; otherwise the answer is unknown,
+        with the last branch's reason or, failing one, the limit that
+        stopped the first incomplete decomposition.
         """
         cases = [(problem, frozenset())]
         branch_budget = _MAX_BRANCHES
@@ -378,9 +386,10 @@ class IncrementalPipeline:
                 normal_form = normalize(case, cache=self.normalization_cache)
 
             with watch.stage("decompose"):
-                decomposition, branch_fp_base = self._decompose(normal_form, branch_budget)
-                if decomposition.gave_up and self._lengths_refute(normal_form, watch):
+                if normal_form.equations and self._lengths_refute(normal_form, watch):
+                    self.counters["length_refutations"] += 1
                     continue  # then every branch of the case is unsat too
+                decomposition, branch_fp_base = self._decompose(normal_form, branch_budget)
             gave_up = gave_up or decomposition.gave_up
             for index, branch in enumerate(decomposition.branches):
                 watch.check_now("solve.branch")
@@ -459,27 +468,35 @@ class IncrementalPipeline:
         return decomposition, ("eq", key)
 
     def _lengths_refute(self, normal_form: NormalForm, watch: Budget) -> bool:
-        """Whether lengths alone refute a case (tried when its decomposition gave up).
+        """Whether lengths alone refute a case (checked before it is decomposed).
 
         The case's integer parts, ``Σ|lhs| = Σ|rhs|`` per equation and the
         length set of each equation variable's language are implied by the
-        case, so an unsat conjunction refutes the case exactly.
+        case, so an unsat conjunction refutes the case exactly.  A variable
+        whose language has one length (a literal) enters the sums as that
+        constant; its own constraint is kept only when the integer parts
+        read its length.
         """
-
-        def length(name: str) -> LinExpr:
-            return var(length_variable(name))
-
         parts = list(normal_form.integer_parts)
-        names: Dict[str, None] = {}
+        read = {name for formula in parts for name in formula.variables()}
+        lengths: Dict[str, LinExpr] = {}
         for lhs, rhs in normal_form.equations:
-            parts.append(eq(LinExpr.sum_of(map(length, lhs)), LinExpr.sum_of(map(length, rhs))))
-            names.update(dict.fromkeys(lhs + rhs))
-        for name in names:
+            lengths.update(dict.fromkeys(lhs + rhs))
+        for name in lengths:
+            length = lengths[name] = var(length_variable(name))
             lasso = length_lasso(normal_form.automata[name])
             if lasso is None:
-                parts.append(ge(length(name), 0))
-            else:
-                parts.append(lasso.formula(length(name), f"@lenk.{name}"))
+                parts.append(ge(length, 0))
+                continue
+            single = lasso.single_length()
+            if single is not None:
+                lengths[name] = LinExpr.constant(single)
+                if length_variable(name) not in read:
+                    continue
+            parts.append(lasso.formula(length, f"@lenk.{name}"))
+        for lhs, rhs in normal_form.equations:
+            parts.append(eq(LinExpr.sum_of(map(lengths.__getitem__, lhs)),
+                            LinExpr.sum_of(map(lengths.__getitem__, rhs))))
         solver = LiaSolver()
         solver.add_assertion(conj(parts))
         return solver.check(budget=watch).status is LiaStatus.UNSAT

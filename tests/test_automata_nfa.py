@@ -2,7 +2,7 @@
 
 import random
 
-from repro.automata import EPSILON, Nfa
+from repro.automata import EPSILON, Nfa, remove_epsilon
 
 
 def test_from_word_accepts_exactly_that_word():
@@ -169,3 +169,136 @@ def test_transitions_map_lists_outgoing_transitions():
     nfa.add_transition(a, EPSILON, b)
     assert nfa.transitions_map(a) == {"a": {b}, EPSILON: {b}}
     assert nfa.transitions_map(b) == {}
+
+
+# ----------------------------------------------------------------------
+# Automata built from rows carry their transition table lazily
+# ----------------------------------------------------------------------
+def _eager_build(args):
+    """The states, initial, final and transitions ``Nfa.from_rows`` wrote
+    eagerly before its table became lazy (the reference of the lazy one)."""
+    _alphabet, symbols, rows, eps, initial, final, keep, state_ids = args
+    kept = [s for s in range(len(state_ids)) if keep >> s & 1]
+    ids = [state_ids[s] for s in kept]
+    labelled = list(zip(symbols, rows))
+    if eps is not None:
+        labelled.append((EPSILON, eps))
+    delta = {}
+    for symbol, row in labelled:
+        for i, s in enumerate(kept):
+            targets = {ids[j] for j, t in enumerate(kept) if row[s] >> t & 1}
+            if targets:
+                delta.setdefault(ids[i], {})[symbol] = targets
+    transitions = [
+        (src, symbol, dst)
+        for src, by_symbol in delta.items()
+        for symbol, dsts in by_symbol.items()
+        for dst in dsts
+    ]
+    return (
+        set(ids),
+        {ids[i] for i, s in enumerate(kept) if initial >> s & 1},
+        {ids[i] for i, s in enumerate(kept) if final >> s & 1},
+        transitions,
+    )
+
+
+def _pipelines_inputs():
+    """The first 21 inversion scenarios of at most two stages of the seed-11
+    pipeline stream (the benchmark's ``pipelines`` inputs)."""
+    from repro.benchgen import pipelines
+
+    rng = random.Random(11)
+    for index in range(96 * 8):
+        scenario = pipelines._scenario(rng, index, False)
+        if scenario.kind == "inversion" and len(scenario.left.stages) <= 2:
+            yield scenario.instance()[1]
+
+
+def test_automata_built_from_rows_read_as_an_eager_build(monkeypatch):
+    from itertools import islice
+
+    from repro.solver import PositionSolver, SolverConfig
+
+    built = []
+    from_rows = Nfa.from_rows
+
+    def recording(*args):
+        result = from_rows(*args)
+        # A lazy copy, read after the run: callers may mutate the result.
+        built.append((args, result.copy()))
+        return result
+
+    monkeypatch.setattr(Nfa, "from_rows", staticmethod(recording))
+    for problem in islice(_pipelines_inputs(), 21):
+        PositionSolver(SolverConfig(timeout=30.0)).check(problem)
+    rng = random.Random(5)
+    for _ in range(20):  # trimming keeps ε rows and compacts states
+        nfa = Nfa("ab")
+        for _ in range(12):
+            symbol = rng.choice(("a", "b", EPSILON))
+            nfa.add_transition(rng.randrange(8), symbol, rng.randrange(8))
+        nfa.make_initial(0)
+        nfa.make_final(rng.randrange(8))
+        nfa.trim()
+    assert len(built) > 100
+    assert any(args[3] is not None for args, _ in built)
+    for args, nfa in built:
+        assert nfa._delta is None
+        states, initial, final, transitions = _eager_build(args)
+        assert list(nfa.iter_transitions()) == transitions
+        assert (nfa.states, nfa.initial, nfa.final) == (states, initial, final)
+
+
+def _lazy_automaton():
+    """``ab*`` through ε edges, trimmed of a dead state: built from rows,
+    its table not yet read."""
+    nfa = Nfa("ab")
+    nfa.add_transition(0, "a", 1)
+    nfa.add_transition(1, "b", 1)
+    nfa.add_transition(1, EPSILON, 2)
+    nfa.add_transition(1, "b", 3)
+    nfa.add_transition(3, EPSILON, 2)
+    nfa.add_transition(0, "b", 4)  # 4 is dead
+    nfa.make_initial(0)
+    nfa.make_final(2)
+    nfa = nfa.trim()
+    assert nfa._delta is None
+    return nfa
+
+
+def _transitions(nfa):
+    return sorted(nfa.iter_transitions(), key=repr)
+
+
+def test_lazy_automata_keep_every_transition_through_mutation():
+    reference = _transitions(_lazy_automaton())
+    assert reference
+    assert _lazy_automaton().has_epsilon()
+    eps_free = remove_epsilon(_lazy_automaton())
+    assert eps_free._delta is None and not eps_free.has_epsilon()
+
+    nfa = _lazy_automaton()
+    state = max(nfa.states) + 1
+    nfa.add_transition(min(nfa.states), "b", state)
+    assert _transitions(nfa) == sorted(reference + [(min(nfa.states), "b", state)], key=repr)
+
+    for setter in ("states", "initial", "final"):
+        nfa = _lazy_automaton()
+        setattr(nfa, setter, set(getattr(nfa, setter)))
+        assert _transitions(nfa) == reference, setter
+        assert nfa.dense().accepts("abb") and not nfa.dense().accepts("b")
+
+    nfa = _lazy_automaton()
+    copy = nfa.copy()
+    copy.make_final(min(copy.states))
+    assert _transitions(copy) == reference
+    assert _transitions(nfa) == reference
+
+    nfa = _lazy_automaton()
+    target = Nfa.from_rows("ab", ("a",), ((0b1,),), None, 0b1, 0b1, 0b1, (0,))
+    part = nfa.copy_into(target, want_mapping=True)
+    spliced = {
+        (part.mapping[src], symbol, part.mapping[dst]) for src, symbol, dst in reference
+    }
+    assert set(target.iter_transitions()) == spliced | {(0, "a", 0)}

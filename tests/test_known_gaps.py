@@ -90,6 +90,25 @@ def test_lengths_refute_a_repeated_variable_give_up():
     session = Session(config=SolverConfig(timeout=10.0), alphabet=("a", "b"))
     session.add(WordEquation(term("x", "y"), term("y", "x", lit("ab"))))
     assert session.check().status is Status.UNSAT
+    # Refuted before the walk that gives up is ever started.
+    assert session.statistics()["decomposition_misses"] == 0
+
+
+def test_lengths_refute_keeps_a_one_length_variable_the_integer_part_reads():
+    # |x| = 2 is the only length of x ∈ ab, which enters x = y·z as the
+    # constant 2; |x| ≥ 3 reads it, so its constraint stays and refutes.
+    from repro import LengthConstraint, RegexMembership, Session, WordEquation, term
+    from repro.lia import ge
+    from repro.strings.ast import str_len
+
+    session = Session(config=SolverConfig(timeout=10.0), alphabet=("a", "b"))
+    session.add(RegexMembership("x", "ab"))
+    session.add(WordEquation(term("x"), term("y", "z")))
+    session.add(LengthConstraint(ge(str_len("x"), 3)))
+    assert session.check().status is Status.UNSAT
+    statistics = session.statistics()
+    assert statistics["length_refutations"] == 1
+    assert statistics["decomposition_misses"] == 0
 
 
 def test_levi_3split_ground_truth_by_enumeration():

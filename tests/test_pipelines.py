@@ -3,7 +3,9 @@ decidability, and the shrink lattice (see ``src/repro/benchgen/pipelines.py``)."
 
 import pytest
 
+from repro import Session
 from repro.benchgen import pipelines as P
+from repro.smtlib import parse_problem
 from repro.smtlib.printer import problem_to_smtlib
 from repro.solver import PositionSolver, SolverConfig
 from repro.solver.bruteforce import brute_force_check
@@ -15,6 +17,14 @@ SUITE_SEED = 11  # what benchmark_sets(scale=1, seed=7) passes to generate()
 
 def _solver(timeout=30.0):
     return PositionSolver(SolverConfig(timeout=timeout))
+
+
+def _session(problem, timeout=30.0):
+    """A session holding ``problem``'s atoms (its counters outlive the check)."""
+    session = Session(config=SolverConfig(timeout=timeout), alphabet=problem.alphabet)
+    for atom in problem.atoms:
+        session.add(atom)
+    return session
 
 
 # ----------------------------------------------------------------------
@@ -93,9 +103,10 @@ def test_suite_instances_decide_and_match_ground_truth():
     """The curated suite seed: every instance decided, verdicts match the
     enumerated ground truth, every sat model verified (this is exactly
     what the committed corpus and the perf bench gate on)."""
-    solver = _solver()
+    refuted_by_lengths = 0
     for name, problem, expected in P.generate(12, seed=SUITE_SEED):
-        result = solver.check(problem)
+        session = _session(problem)
+        result = session.check()
         assert result.status in (Status.SAT, Status.UNSAT), (
             name,
             result.status,
@@ -106,6 +117,35 @@ def test_suite_instances_decide_and_match_ground_truth():
             model = result.model
             assert model is not None, name
             assert eval_problem(problem, model.strings, model.integers), name
+        refuted_by_lengths += session.statistics()["length_refutations"] > 0
+    # Some case of the suite is refuted by its lengths before decomposition.
+    assert refuted_by_lengths >= 1
+
+
+PIPE_25 = """
+(set-logic QF_SLIA)
+(set-info :alphabet "ab")
+(declare-const l0 String)
+(declare-const l1 String)
+(declare-const l2 String)
+(assert (str.in_re l0 (re.* (re.union (re.++ (str.to_re "a") (str.to_re "a")) (str.to_re "b")))))
+(assert (<= (+ (str.len l0) (- 4)) 0))
+(assert (= l1 (str.replace l0 "a" "aa")))
+(assert (= l2 (str.substr l1 1 1)))
+(assert (= l2 "bba"))
+(check-sat)
+"""
+
+
+def test_length_check_refutes_each_case_before_decomposing_it():
+    """``pipe-25-inversion`` asks a one-character window to equal ``bba``:
+    the lengths of every reduction case with equations contradict, so no
+    case is decomposed."""
+    session = _session(parse_problem(PIPE_25))
+    assert session.check().status is Status.UNSAT
+    statistics = session.statistics()
+    assert statistics["decomposition_misses"] == 0
+    assert statistics["length_refutations"] == 2
 
 
 def test_literal_target_split_decides_by_the_noodles_found():
