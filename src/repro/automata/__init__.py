@@ -17,23 +17,19 @@ from .operations import (
     complement,
     concat,
     determinize,
-    difference,
-    equivalent,
     intersection,
     intersection_empty,
     is_subset,
     optional,
-    plus,
     remove_epsilon,
     repeat,
-    reverse,
     star,
     union,
 )
 from .regex import DEFAULT_ALPHABET, RegexError, compile_regex, parse
 from .flatness import is_flat, strongly_connected_components
 from .enumeration import count_words_of_length, is_finite, shortest_word, words_up_to
-from .minimization import canonical_signature, minimize
+from .minimization import minimize
 
 __all__ = [
     "EPSILON",
@@ -46,7 +42,6 @@ __all__ = [
     "union",
     "concat",
     "star",
-    "plus",
     "optional",
     "repeat",
     "remove_epsilon",
@@ -54,10 +49,7 @@ __all__ = [
     "complement",
     "intersection",
     "ProductWalk",
-    "difference",
-    "reverse",
     "is_subset",
-    "equivalent",
     "compile_regex",
     "parse",
     "RegexError",
@@ -69,5 +61,4 @@ __all__ = [
     "count_words_of_length",
     "is_finite",
     "minimize",
-    "canonical_signature",
 ]

@@ -13,13 +13,13 @@ facade.  A :class:`DenseNfa` is a *frozen* compilation of an ``Nfa``:
   ε row; subset construction, products and reachability all read them, and :meth:`~repro.automata.nfa.Nfa.from_rows` turns them
   back into an ``Nfa``.
 
-On top of the layout the module provides the lazy product walks — emptiness
-of an intersection and language inclusion decided on the fly, stopping at
-the first accepting pair instead of materialising the product — and the
-**hash-consed interning** table: structurally identical automata (modulo
-state renaming) are collapsed onto one canonical ``Nfa``/``DenseNfa`` pair,
-which is what lets :class:`~repro.strings.normal_form.NormalizationCache`
-share automata across atoms *and across sessions*.
+On top of the layout the module provides the **hash-consed interning**
+table: structurally identical automata (modulo state renaming) are
+collapsed onto one canonical ``Nfa``/``DenseNfa`` pair, which is what lets
+:class:`~repro.strings.normal_form.NormalizationCache` share automata
+across atoms *and across sessions*.  The lazy emptiness and inclusion
+walks over these rows are :func:`repro.automata.operations.intersection_empty`
+and :func:`repro.automata.operations.is_subset`.
 
 Budget accounting: every loop whose trip count depends on the input charges
 :func:`repro.budget.checkpoint` with a cost scaled by the number of 64-bit
@@ -30,7 +30,6 @@ dense paths — costs are a pure function of the automaton's structure.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..budget import checkpoint
@@ -175,11 +174,6 @@ class DenseNfa:
     # ------------------------------------------------------------------
     # Conversions
     # ------------------------------------------------------------------
-    def ids_of(self, mask: Mask) -> set:
-        """The original state ids of the dense states set in ``mask``."""
-        ids = self.state_ids
-        return {ids[i] for i in iter_bits(mask)}
-
     def to_nfa(self) -> Nfa:
         """Materialise a facade :class:`Nfa` with contiguous states 0..n-1
         (it carries its dense form, so consumers pay no second compilation)."""
@@ -455,139 +449,6 @@ def as_nfa(automaton) -> Nfa:
     if isinstance(automaton, DenseNfa):
         return automaton.to_nfa()
     return automaton
-
-
-# ----------------------------------------------------------------------
-# Lazy product walks
-# ----------------------------------------------------------------------
-def product_is_empty(left, right) -> bool:
-    """Decide ``L(left) ∩ L(right) = ∅`` without materialising the product.
-
-    Walks the reachable pairs of the (ε-eliminated) product, keeping for
-    every left state the bitset of right states it is paired with — the
-    right side advances word-parallel — and stops at the first accepting
-    pair.  Sound and complete; cost is bounded by the materialised product
-    but typically far below it (satisfiable products exit at the first
-    witness, refuted ones never allocate result states).
-    """
-    l = as_dense(left).eps_free()
-    r = as_dense(right).eps_free()
-    if not l.initial or not r.initial or not l.final or not r.final:
-        return True
-    common = [
-        (l.rows[l.symbol_index[symbol]], r.rows[r.symbol_index[symbol]])
-        for symbol in l.symbols
-        if symbol in r.symbol_index
-    ]
-    # reach[p] = mask of right states paired with left state p
-    reach: List[Mask] = [0] * l.n
-    work: deque = deque()
-    for p in iter_bits(l.initial):
-        reach[p] = r.initial
-        work.append(p)
-        if (1 << p) & l.final and r.initial & r.final:
-            return False
-    lfinal = l.final
-    rfinal = r.final
-    in_queue = l.initial
-    while work:
-        p = work.popleft()
-        in_queue &= ~(1 << p)
-        mask = reach[p]
-        checkpoint("automata.empty", r._words)
-        for lrow, rrow in common:
-            succ_l = lrow[p]
-            if not succ_l:
-                continue
-            succ_r = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                succ_r |= rrow[low.bit_length() - 1]
-                rest ^= low
-            if not succ_r:
-                continue
-            targets = succ_l
-            while targets:
-                low = targets & -targets
-                q = low.bit_length() - 1
-                targets ^= low
-                grown = succ_r & ~reach[q]
-                if grown:
-                    reach[q] |= grown
-                    if (1 << q) & lfinal and reach[q] & rfinal:
-                        return False
-                    if not ((1 << q) & in_queue):
-                        in_queue |= 1 << q
-                        work.append(q)
-    return True
-
-
-def dense_is_subset(left, right, alphabet=None) -> bool:
-    """Decide ``L(left) ⊆ L(right)`` lazily over ``alphabet``.
-
-    On-the-fly inclusion: pairs a left state with the determinised subset
-    mask of the right automaton and stops at the first counterexample pair
-    (left accepting, right subset missing every final state).  Neither the
-    complement nor the difference automaton is ever materialised.
-
-    Matching the eager construction's semantics, only symbols of ``left``
-    that lie in ``alphabet`` can extend a counterexample word.
-    """
-    l = as_dense(left).eps_free()
-    r = as_dense(right).eps_free()
-    if alphabet is None:
-        sigma = set(l.alphabet) | set(r.alphabet)
-    else:
-        sigma = set(alphabet)
-    rows = [
-        (
-            l.rows[l.symbol_index[symbol]],
-            r.rows[r.symbol_index[symbol]] if symbol in r.symbol_index else None,
-        )
-        for symbol in l.symbols
-        if symbol in sigma
-    ]
-    start_r = r.initial
-    lfinal = l.final
-    rfinal = r.final
-    visited: Dict[Tuple[int, Mask], None] = {}
-    work: deque = deque()
-    for p in iter_bits(l.initial):
-        pair = (p, start_r)
-        if pair not in visited:
-            visited[pair] = None
-            work.append(pair)
-            if (1 << p) & lfinal and not (start_r & rfinal):
-                return False
-    while work:
-        p, mask = work.popleft()
-        checkpoint("automata.inclusion", r._words)
-        for lrow, rrow in rows:
-            succ_l = lrow[p]
-            if not succ_l:
-                continue
-            if rrow is None:
-                succ_r = 0
-            else:
-                succ_r = 0
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    succ_r |= rrow[low.bit_length() - 1]
-                    rest ^= low
-            targets = succ_l
-            while targets:
-                low = targets & -targets
-                q = low.bit_length() - 1
-                targets ^= low
-                pair = (q, succ_r)
-                if pair not in visited:
-                    if (1 << q) & lfinal and not (succ_r & rfinal):
-                        return False
-                    visited[pair] = None
-                    work.append(pair)
-    return True
 
 
 # ----------------------------------------------------------------------

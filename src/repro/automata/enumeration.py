@@ -2,8 +2,7 @@
 
 These functions back the brute-force oracle solver and the test suite:
 bounded enumeration of a regular language, shortest accepted word, the
-length bound of a language, counting words per length, and random sampling
-of accepted words.
+length bound of a language and counting words per length.
 
 All entry points accept either automaton form (:class:`Nfa` or
 :class:`DenseNfa`).  The breadth-first walks run on dense bitset subsets —
@@ -14,7 +13,6 @@ on (``DenseNfa.symbols`` is sorted by construction).
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -128,19 +126,3 @@ def is_finite(nfa) -> bool:
         if internal:
             return False
     return True
-
-
-def sample_word(nfa, max_length: int, rng: Optional[random.Random] = None) -> Optional[str]:
-    """Sample a random accepted word of length at most ``max_length``.
-
-    Returns ``None`` when no accepted word of that length exists.  The
-    distribution is not uniform; the function simply performs a random walk
-    biased towards states that can still reach a final state.
-    """
-    # A fixed default seed keeps sampling reproducible run-to-run; callers
-    # wanting variety pass their own Random.
-    rng = rng or random.Random(0)
-    words = list(words_up_to(nfa, max_length))
-    if not words:
-        return None
-    return rng.choice(words)

@@ -112,26 +112,3 @@ def is_flat(nfa: Nfa) -> bool:
         if any(count != 1 for count in internal_out.values()):
             return False
     return True
-
-
-def flat_witness(nfa) -> str:
-    """Return a human-readable explanation of why ``nfa`` is or is not flat."""
-    trimmed = as_nfa(nfa).trim()
-    for component in strongly_connected_components(trimmed):
-        internal = [
-            (src, symbol, dst)
-            for src, symbol, dst in trimmed.iter_transitions()
-            if src in component and dst in component
-        ]
-        if not internal:
-            continue
-        out_degree: Dict[State, int] = {state: 0 for state in component}
-        for src, _, _ in internal:
-            out_degree[src] += 1
-        offenders = [state for state, degree in out_degree.items() if degree != 1]
-        if offenders:
-            return (
-                f"not flat: component {sorted(component)} has states {sorted(offenders)} "
-                f"with internal out-degree != 1"
-            )
-    return "flat"

@@ -1,4 +1,4 @@
-"""DFA minimisation (Hopcroft's algorithm) and canonicalisation helpers.
+"""DFA minimisation (Hopcroft's algorithm).
 
 Hopcroft's partition refinement runs on bitset blocks: a block of DFA states
 is a single Python-int mask, splitting a block against a splitter's
@@ -9,7 +9,7 @@ construction numbers them in discovery order), so masks index directly.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from ..budget import checkpoint
 from . import operations as ops
@@ -133,40 +133,3 @@ def minimize(
     if not trimmed.states:
         return Nfa.empty_language()
     return trimmed
-
-
-def canonical_signature(nfa, alphabet: Optional[Iterable[str]] = None) -> Tuple:
-    """Return a hashable canonical signature of the language of ``nfa``.
-
-    Two automata have the same signature iff their languages coincide (over
-    the supplied alphabet).  Implemented by a breadth-first canonical
-    numbering of the minimal DFA.
-    """
-    source = as_nfa(nfa)
-    sigma = sorted(set(alphabet) if alphabet is not None else source.alphabet)
-    minimal = minimize(source, sigma)
-    if not minimal.states:
-        return ("empty",)
-    order: Dict[State, int] = {}
-    queue: List[State] = sorted(minimal.initial)
-    for state in queue:
-        order[state] = len(order)
-    index = 0
-    while index < len(queue):
-        checkpoint("automata.minimize", 1)
-        state = queue[index]
-        index += 1
-        for symbol in sigma:
-            for dst in sorted(minimal.successors(state, symbol)):
-                if dst not in order:
-                    order[dst] = len(order)
-                    queue.append(dst)
-    transitions = tuple(
-        sorted(
-            (order[src], symbol, order[dst])
-            for src, symbol, dst in minimal.iter_transitions()
-            if src in order and dst in order
-        )
-    )
-    finals = tuple(sorted(order[state] for state in minimal.final if state in order))
-    return (len(order), transitions, finals)

@@ -38,11 +38,10 @@ Transition = Tuple[State, Symbol, State]
 
 class CopiedPart(NamedTuple):
     """What :meth:`Nfa.copy_into` spliced in: the renumbered initial/final
-    sets, plus the full old→new state map when it was requested."""
+    sets."""
 
     initial: Set[State]
     final: Set[State]
-    mapping: Optional[Dict[State, State]]
 
 
 class Nfa:
@@ -185,10 +184,6 @@ class Nfa:
         self.states.add(state)
         return state
 
-    def add_states(self, count: int) -> List[State]:
-        """Add ``count`` fresh states and return them in order."""
-        return [self.add_state() for _ in range(count)]
-
     def make_initial(self, state: State) -> None:
         self._invalidate()
         self._note_state(state)
@@ -316,20 +311,6 @@ class Nfa:
     # ------------------------------------------------------------------
     # Reachability / emptiness
     # ------------------------------------------------------------------
-    def reachable_states(self) -> Set[State]:
-        """Return states reachable from some initial state.
-
-        Computed on the dense form: a frontier bitset advanced by per-state
-        successor masks (word-parallel), mapped back to facade state ids.
-        """
-        compiled = self.dense()
-        return compiled.ids_of(compiled.reachable_mask())
-
-    def coreachable_states(self) -> Set[State]:
-        """Return states from which some final state is reachable."""
-        compiled = self.dense()
-        return compiled.ids_of(compiled.coreachable_mask())
-
     def is_empty(self) -> bool:
         """Decide whether the language of the automaton is empty."""
         compiled = self.dense()
@@ -371,12 +352,7 @@ class Nfa:
         result._dense = self._dense
         return result
 
-    def copy_into(
-        self,
-        result: "Nfa",
-        offset: Optional[int] = None,
-        want_mapping: bool = False,
-    ) -> CopiedPart:
+    def copy_into(self, result: "Nfa", offset: Optional[int] = None) -> CopiedPart:
         """Splice a renumbered copy of this automaton into ``result``.
 
         States are renamed to ``offset, offset+1, ...`` (``offset`` defaults
@@ -384,18 +360,15 @@ class Nfa:
         all transitions, in one bulk pass over the internal tables — the
         shared helper behind ``union``/``concat``/``star``.  The caller
         decides what to do with the returned initial/final sets; nothing is
-        marked initial or final in ``result``.  The old→new state map is
-        only materialised when ``want_mapping`` is set (contiguous automata
-        renumber by plain offset addition, so most callers skip it).
+        marked initial or final in ``result``.
         """
         result._invalidate()
         if offset is None:
             offset = result._next_state
         count = len(self.states)
         mapping: Optional[Dict[State, State]] = None
-        if want_mapping or count != self._next_state:
-            # Non-contiguous state ids (or an explicit request): build the
-            # sorted-order renaming map, exactly as ``renumbered`` always did.
+        if count != self._next_state:
+            # Non-contiguous state ids: rename in sorted order.
             mapping = {
                 state: offset + index
                 for index, state in enumerate(sorted(self.states))
@@ -425,21 +398,7 @@ class Nfa:
         return CopiedPart(
             initial={rename(s) for s in self.initial},
             final={rename(s) for s in self.final},
-            mapping=mapping,
         )
-
-    def renumbered(self, offset: int = 0) -> Tuple["Nfa", Dict[State, State]]:
-        """Return a copy with states renamed to ``offset, offset+1, ...``.
-
-        Also returns the renaming map from old to new state identifiers.
-        Callers that immediately discard the map should use
-        :meth:`copy_into` instead (it skips building it).
-        """
-        result = Nfa(self._alphabet)
-        part = self.copy_into(result, offset, want_mapping=True)
-        result.initial = set(part.initial)
-        result.final = set(part.final)
-        return result, part.mapping
 
     # ------------------------------------------------------------------
     # Convenience constructors

@@ -19,10 +19,10 @@ baseline.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..budget import checkpoint
-from .dense import as_dense, dense_is_subset, iter_bits, product_is_empty
+from .dense import Mask, as_dense, iter_bits
 from .nfa import EPSILON, Nfa, State
 
 
@@ -66,11 +66,6 @@ def star(nfa: Nfa) -> Nfa:
     result.initial = {fresh}
     result.final = part.final | {fresh}
     return result
-
-
-def plus(nfa: Nfa) -> Nfa:
-    """Return an NFA for ``L(nfa)+`` (one or more repetitions)."""
-    return concat(nfa, star(nfa))
 
 
 def optional(nfa: Nfa) -> Nfa:
@@ -427,45 +422,130 @@ def intersection(left, right, trim: bool = False) -> Nfa:
 def intersection_empty(left, right) -> bool:
     """Decide ``L(left) ∩ L(right) = ∅`` without materialising the product.
 
-    The on-the-fly lazy check of :func:`repro.automata.dense.product_is_empty`:
-    stops at the first accepting pair, never allocates product states.  Used
-    by the eqsolver consequence pre-pass, the normalisation guard pruning
-    and the solver's vacuous-¬contains filter.
+    Walks the reachable pairs of the (ε-eliminated) product, keeping for
+    every left state the bitset of right states it is paired with — the
+    right side advances word-parallel — and stops at the first accepting
+    pair.  Sound and complete; cost is bounded by the materialised product
+    but typically far below it (satisfiable products exit at the first
+    witness, refuted ones never allocate result states).  Used by the
+    eqsolver consequence pre-pass, the normalisation guard pruning and the
+    solver's vacuous-¬contains filter.
     """
-    return product_is_empty(left, right)
-
-
-def difference(left, right, alphabet: Iterable[str]) -> Nfa:
-    """Return an NFA for ``L(left) \\ L(right)`` over ``alphabet``."""
-    return intersection(left, complement(right, alphabet))
-
-
-def reverse(nfa: Nfa) -> Nfa:
-    """Return an NFA for the reversed language."""
-    result = Nfa(nfa.alphabet)
-    result.states = set(nfa.states)
-    result.initial = set(nfa.final)
-    result.final = set(nfa.initial)
-    result._sync_state_counter()
-    for src, symbol, dst in nfa.iter_transitions():
-        result.add_transition(dst, symbol, src)
-    return result
+    l = as_dense(left).eps_free()
+    r = as_dense(right).eps_free()
+    if not l.initial or not r.initial or not l.final or not r.final:
+        return True
+    common = [
+        (l.rows[l.symbol_index[symbol]], r.rows[r.symbol_index[symbol]])
+        for symbol in l.symbols
+        if symbol in r.symbol_index
+    ]
+    # reach[p] = mask of right states paired with left state p
+    reach: List[Mask] = [0] * l.n
+    work: deque = deque()
+    for p in iter_bits(l.initial):
+        reach[p] = r.initial
+        work.append(p)
+        if (1 << p) & l.final and r.initial & r.final:
+            return False
+    lfinal = l.final
+    rfinal = r.final
+    in_queue = l.initial
+    while work:
+        p = work.popleft()
+        in_queue &= ~(1 << p)
+        mask = reach[p]
+        checkpoint("automata.empty", r._words)
+        for lrow, rrow in common:
+            succ_l = lrow[p]
+            if not succ_l:
+                continue
+            succ_r = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                succ_r |= rrow[low.bit_length() - 1]
+                rest ^= low
+            if not succ_r:
+                continue
+            targets = succ_l
+            while targets:
+                low = targets & -targets
+                q = low.bit_length() - 1
+                targets ^= low
+                grown = succ_r & ~reach[q]
+                if grown:
+                    reach[q] |= grown
+                    if (1 << q) & lfinal and reach[q] & rfinal:
+                        return False
+                    if not ((1 << q) & in_queue):
+                        in_queue |= 1 << q
+                        work.append(q)
+    return True
 
 
 def is_subset(left, right, alphabet: Optional[Iterable[str]] = None) -> bool:
-    """Decide language inclusion ``L(left) ⊆ L(right)``.
+    """Decide ``L(left) ⊆ L(right)`` lazily over ``alphabet``.
 
-    Decided lazily on the fly (left state × determinised right subset mask,
-    stopping at the first counterexample) — the complement and difference
-    automata of the classical construction are never built.
+    On-the-fly inclusion: pairs a left state with the determinised subset
+    mask of the right automaton and stops at the first counterexample pair
+    (left accepting, right subset missing every final state).  Neither the
+    complement nor the difference automaton is ever materialised.
+
+    Matching the eager construction's semantics, only symbols of ``left``
+    that lie in ``alphabet`` can extend a counterexample word.
     """
-    return dense_is_subset(left, right, alphabet)
-
-
-def equivalent(left, right, alphabet: Optional[Iterable[str]] = None) -> bool:
-    """Decide language equivalence of the two automata."""
+    l = as_dense(left).eps_free()
+    r = as_dense(right).eps_free()
     if alphabet is None:
-        sigma: Set[str] = set(as_dense(left).alphabet) | set(as_dense(right).alphabet)
+        sigma = set(l.alphabet) | set(r.alphabet)
     else:
         sigma = set(alphabet)
-    return is_subset(left, right, sigma) and is_subset(right, left, sigma)
+    rows = [
+        (
+            l.rows[l.symbol_index[symbol]],
+            r.rows[r.symbol_index[symbol]] if symbol in r.symbol_index else None,
+        )
+        for symbol in l.symbols
+        if symbol in sigma
+    ]
+    start_r = r.initial
+    lfinal = l.final
+    rfinal = r.final
+    visited: Dict[Tuple[int, Mask], None] = {}
+    work: deque = deque()
+    for p in iter_bits(l.initial):
+        pair = (p, start_r)
+        if pair not in visited:
+            visited[pair] = None
+            work.append(pair)
+            if (1 << p) & lfinal and not (start_r & rfinal):
+                return False
+    while work:
+        p, mask = work.popleft()
+        checkpoint("automata.inclusion", r._words)
+        for lrow, rrow in rows:
+            succ_l = lrow[p]
+            if not succ_l:
+                continue
+            if rrow is None:
+                succ_r = 0
+            else:
+                succ_r = 0
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    succ_r |= rrow[low.bit_length() - 1]
+                    rest ^= low
+            targets = succ_l
+            while targets:
+                low = targets & -targets
+                q = low.bit_length() - 1
+                targets ^= low
+                pair = (q, succ_r)
+                if pair not in visited:
+                    if (1 << q) & lfinal and not (succ_r & rfinal):
+                        return False
+                    visited[pair] = None
+                    work.append(pair)
+    return True

@@ -18,7 +18,6 @@ from .terms import (
     BoolConst,
     Eq,
     Formula,
-    Iff,
     Implies,
     Le,
     LinExpr,
@@ -32,7 +31,6 @@ from .terms import (
     formula_size,
     ge,
     gt,
-    iff,
     implies,
     le,
     lt,
@@ -54,7 +52,6 @@ __all__ = [
     "Or",
     "Not",
     "Implies",
-    "Iff",
     "TRUE",
     "FALSE",
     "var",
@@ -69,7 +66,6 @@ __all__ = [
     "disj",
     "neg",
     "implies",
-    "iff",
     "evaluate",
     "substitute",
     "formula_size",

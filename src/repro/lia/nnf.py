@@ -18,7 +18,6 @@ from .terms import (
     BoolConst,
     Eq,
     Formula,
-    Iff,
     Implies,
     Le,
     Not,
@@ -63,16 +62,5 @@ def to_nnf(formula: Formula, negate: bool = False) -> Formula:
     if isinstance(formula, Implies):
         rewritten = disj([to_nnf(formula.antecedent, True), to_nnf(formula.consequent, False)])
         return to_nnf(rewritten, negate) if negate else rewritten
-
-    if isinstance(formula, Iff):
-        left, right = formula.left, formula.right
-        both = conj([to_nnf(left, False), to_nnf(right, False)])
-        neither = conj([to_nnf(left, True), to_nnf(right, True)])
-        positive = disj([both, neither])
-        if not negate:
-            return positive
-        mixed_a = conj([to_nnf(left, False), to_nnf(right, True)])
-        mixed_b = conj([to_nnf(left, True), to_nnf(right, False)])
-        return disj([mixed_a, mixed_b])
 
     raise TypeError(f"unsupported formula {formula!r}")

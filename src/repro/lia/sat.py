@@ -338,9 +338,6 @@ class DpllSolver:
         self.clauses[index] = []
         self._learnt.discard(index)
 
-    def has_unit(self, literal: int) -> bool:
-        return literal in self._units
-
     # ------------------------------------------------------------------
     # Assignment primitives
     # ------------------------------------------------------------------

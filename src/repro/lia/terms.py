@@ -10,7 +10,7 @@ provides the formula representation consumed by :mod:`repro.lia.solver`:
   coefficients plus a constant,
 * atoms — ``expr <= 0`` (:class:`Le`) and ``expr = 0`` (:class:`Eq`),
 * boolean structure — :class:`And`, :class:`Or`, :class:`Not`,
-  :class:`Implies`, :class:`Iff`, :class:`BoolConst`.
+  :class:`Implies`, :class:`BoolConst`.
 
 Construction helpers (``le``, ``lt``, ``eq_expr``, ``ne``, ``conj``, ...) are
 provided at the bottom of the module; they perform light-weight
@@ -19,7 +19,7 @@ normalisation so that trivially true/false subformulae collapse early.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -307,20 +307,6 @@ class Implies(Formula):
         return f"(=> {self.antecedent!r} {self.consequent!r})"
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    """Bi-implication."""
-
-    left: Formula
-    right: Formula
-
-    def variables(self) -> Tuple[str, ...]:
-        return tuple(sorted(set(self.left.variables()) | set(self.right.variables())))
-
-    def __repr__(self) -> str:
-        return f"(= {self.left!r} {self.right!r})"
-
-
 # ----------------------------------------------------------------------
 # Construction helpers
 # ----------------------------------------------------------------------
@@ -437,15 +423,6 @@ def implies(antecedent: Formula, consequent: Formula) -> Formula:
     return Implies(antecedent, consequent)
 
 
-def iff(left: Formula, right: Formula) -> Formula:
-    """Bi-implication with constant folding."""
-    if isinstance(left, BoolConst):
-        return right if left.value else neg(right)
-    if isinstance(right, BoolConst):
-        return left if right.value else neg(left)
-    return Iff(left, right)
-
-
 def evaluate(formula: Formula, assignment: Mapping[str, Number]) -> bool:
     """Evaluate a formula under a total assignment."""
     if isinstance(formula, BoolConst):
@@ -462,8 +439,6 @@ def evaluate(formula: Formula, assignment: Mapping[str, Number]) -> bool:
         return not evaluate(formula.arg, assignment)
     if isinstance(formula, Implies):
         return (not evaluate(formula.antecedent, assignment)) or evaluate(formula.consequent, assignment)
-    if isinstance(formula, Iff):
-        return evaluate(formula.left, assignment) == evaluate(formula.right, assignment)
     raise TypeError(f"unsupported formula {formula!r}")
 
 
@@ -471,13 +446,13 @@ def substitute(formula: Formula, mapping: Mapping[str, LinExpr]) -> Formula:
     """Substitute variables by linear expressions throughout a formula.
 
     The result is the one the construction helpers (``conj``, ``disj``,
-    ``neg``, ``implies``, ``iff``) would build from the rewritten parts:
+    ``neg``, ``implies``) would build from the rewritten parts:
     constant atoms fold, nested conjunctions and disjunctions flatten and
     double negations cancel.  Only the path to an atom that mentions a
     mapped variable is rebuilt: a subformula in which nothing changes is
     returned itself when it is already in that form — a non-constant atom,
     an ``And``/``Or`` of two or more arguments none of which is a constant
-    or a connective of its own kind, a ``Not``, ``Implies`` or ``Iff``
+    or a connective of its own kind, a ``Not`` or ``Implies``
     without a constant operand and not a double negation — and rebuilt as
     the helpers do otherwise.  So the result is structurally
     the same as rebuilding everything, down to each ``LinExpr``'s
@@ -519,15 +494,14 @@ def substitute(formula: Formula, mapping: Mapping[str, LinExpr]) -> Formula:
     if isinstance(formula, Implies):
         antecedent = substitute(formula.antecedent, mapping)
         consequent = substitute(formula.consequent, mapping)
-        if _same_operands(formula.antecedent, antecedent, formula.consequent, consequent):
+        if (
+            antecedent is formula.antecedent
+            and consequent is formula.consequent
+            and not isinstance(antecedent, BoolConst)
+            and not isinstance(consequent, BoolConst)
+        ):
             return formula
         return implies(antecedent, consequent)
-    if isinstance(formula, Iff):
-        left = substitute(formula.left, mapping)
-        right = substitute(formula.right, mapping)
-        if _same_operands(formula.left, left, formula.right, right):
-            return formula
-        return iff(left, right)
     raise TypeError(f"unsupported formula {formula!r}")
 
 
@@ -551,17 +525,6 @@ def _flat(args: Sequence[Formula], kind: type) -> bool:
     return len(args) >= 2 and not any(isinstance(arg, (BoolConst, kind)) for arg in args)
 
 
-def _same_operands(first: Formula, new_first: Formula, second: Formula, new_second: Formula) -> bool:
-    """Whether ``implies``/``iff`` would rebuild a node from these operands
-    as it is: both unchanged, neither a constant."""
-    return (
-        new_first is first
-        and new_second is second
-        and not isinstance(first, BoolConst)
-        and not isinstance(second, BoolConst)
-    )
-
-
 def formula_size(formula: Formula) -> int:
     """Return the number of AST nodes (used for the size claims in tests)."""
     if isinstance(formula, (BoolConst, Le, Eq)):
@@ -572,6 +535,4 @@ def formula_size(formula: Formula) -> int:
         return 1 + formula_size(formula.arg)
     if isinstance(formula, Implies):
         return 1 + formula_size(formula.antecedent) + formula_size(formula.consequent)
-    if isinstance(formula, Iff):
-        return 1 + formula_size(formula.left) + formula_size(formula.right)
     raise TypeError(f"unsupported formula {formula!r}")

@@ -29,7 +29,7 @@ from ..automata.regex import (
     Repeat,
     parse as parse_pattern,
 )
-from ..lia import And, BoolConst, Eq, Formula, Iff, Implies, Le, LinExpr, Not, Or
+from ..lia import And, BoolConst, Eq, Formula, Implies, Le, LinExpr, Not, Or
 from ..strings.ast import (
     Atom,
     Contains,
@@ -40,7 +40,6 @@ from ..strings.ast import (
     RegexMembership,
     ReplaceAtom,
     StrAtAtom,
-    StringLiteral,
     StringTerm,
     StringVar,
     SubstrAtom,
@@ -111,8 +110,6 @@ def formula_to_sexpr(formula: Formula) -> str:
         return f"(not {formula_to_sexpr(formula.arg)})"
     if isinstance(formula, Implies):
         return f"(=> {formula_to_sexpr(formula.antecedent)} {formula_to_sexpr(formula.consequent)})"
-    if isinstance(formula, Iff):
-        return f"(= {formula_to_sexpr(formula.left)} {formula_to_sexpr(formula.right)})"
     raise PrintError(f"formula {formula!r} has no SMT-LIB rendering")
 
 

@@ -22,12 +22,10 @@ status.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..budget import Budget
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..solver import Session, SolverConfig
+from ..solver import Session, SolverConfig, Status, StringModel
 
 from .lexer import SmtLibError
 from .parser import (
@@ -92,11 +90,6 @@ class ScriptRunner:
         check with an ``interrupted`` reason.  Without a budget each check
         runs under the session config's own timeout.
         """
-        # Imported lazily: repro.strings re-exports this module's package,
-        # and repro.solver imports repro.strings — a module-level import
-        # here would close that cycle.
-        from ..solver import Session, Status, StringModel
-
         declarations = {
             command.name: command.sort
             for command in script.commands

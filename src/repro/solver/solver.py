@@ -141,14 +141,12 @@ _ENCODING_CACHE = 256
 #: pinned per-branch incremental LIA solvers kept warm (least-recently-used
 #: branches beyond this are rebuilt on demand)
 _BRANCH_SOLVERS = 16
-#: monadic-decomposition branches explored per equation system
-_MAX_BRANCHES = 128
-#: decomposition branch budget for reduced (extended-function) case
-#: problems: structural splits of one haystack, aligned against each other,
-#: need more room than ``_MAX_BRANCHES`` (in ``pipelines.generate(36,
-#: seed=12)``, ``pipe-2`` needs 155 branches and ``pipe-32`` 166; at 128
-#: both end undecided)
-_REDUCTION_MAX_BRANCHES = 512
+#: monadic-decomposition branches explored per equation system: reduced
+#: (extended-function) cases align structural splits of one haystack against
+#: each other and need the room (in ``pipelines.generate(36, seed=12)``,
+#: ``pipe-2`` needs 155 branches and ``pipe-32`` 166; at 128 both end
+#: undecided), while unreduced systems stay far below it
+_MAX_BRANCHES = 512
 #: noodles per equation split
 _MAX_NOODLES = 256
 #: MBQI rounds for ¬contains (lemma instantiations per check)
@@ -363,7 +361,6 @@ class IncrementalPipeline:
         stopped the first incomplete decomposition.
         """
         cases = [(problem, frozenset())]
-        branch_budget = _MAX_BRANCHES
         reduced = needs_reduction(problem)
         if reduced:
             try:
@@ -373,7 +370,6 @@ class IncrementalPipeline:
                 return _unknown(UnknownKind.INCOMPLETE, "reduce", str(error))
             self.counters["reduction_cases"] += len(reduction)
             cases = [(case.problem, case.fresh_variables) for case in reduction]
-            branch_budget = _REDUCTION_MAX_BRANCHES
 
         explored = queries = 0
         stats: Dict[str, int] = {}
@@ -389,7 +385,7 @@ class IncrementalPipeline:
                 if normal_form.equations and self._lengths_refute(normal_form, watch):
                     self.counters["length_refutations"] += 1
                     continue  # then every branch of the case is unsat too
-                decomposition, branch_fp_base = self._decompose(normal_form, branch_budget)
+                decomposition, branch_fp_base = self._decompose(normal_form)
             gave_up = gave_up or decomposition.gave_up
             for index, branch in enumerate(decomposition.branches):
                 watch.check_now("solve.branch")
@@ -432,9 +428,7 @@ class IncrementalPipeline:
     # ------------------------------------------------------------------
     # Decomposition (cached)
     # ------------------------------------------------------------------
-    def _decompose(
-        self, normal_form: NormalForm, max_branches: int
-    ) -> Tuple[DecompositionResult, Tuple]:
+    def _decompose(self, normal_form: NormalForm) -> Tuple[DecompositionResult, Tuple]:
         """Run (or reuse) the equation elimination for this normal form."""
         if not normal_form.equations:
             branch = Branch(dict(normal_form.automata))
@@ -448,18 +442,14 @@ class IncrementalPipeline:
         # The automata objects go into the key directly (identity hash +
         # keepalive): an id()-based key could silently collide after the
         # object was collected and its address recycled.
-        key = (
-            tuple(normal_form.equations),
-            tuple(eq_automata.items()),
-            max_branches,
-        )
+        key = (tuple(normal_form.equations), tuple(eq_automata.items()))
         decomposition: Optional[DecompositionResult] = self._decompositions.lookup(key)
         if decomposition is None:
             self.counters["decomposition_misses"] += 1
             decomposition = decompose(
                 normal_form.equations,
                 eq_automata,
-                max_branches=max_branches,
+                max_branches=_MAX_BRANCHES,
                 max_noodles=_MAX_NOODLES,
             )
             self._decompositions.store(key, decomposition)

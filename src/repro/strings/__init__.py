@@ -1,10 +1,7 @@
-"""String-constraint frontend: AST, normal form, semantics, SMT-LIB I/O.
+"""String-constraint frontend: AST, normal form, reductions, semantics.
 
-The SMT-LIB half lives in :mod:`repro.smtlib` (lexer/parser, printer and
-the ``python -m repro.smtlib`` runner); its problem-level entry points —
-:func:`parse_problem`, :func:`parse_script`, :func:`problem_to_smtlib` and
-:func:`atom_to_sexpr` — are re-exported here lazily (the two packages
-import each other's halves, so the binding resolves on first use).
+SMT-LIB input and output live in :mod:`repro.smtlib` (lexer/parser,
+printer and the ``python -m repro.smtlib`` runner).
 """
 
 from .ast import (
@@ -33,17 +30,6 @@ from .normal_form import NormalForm, NormalizationCache, normalize
 from .reductions import ReducedCase, ReductionError, needs_reduction, reduce_problem
 from .semantics import eval_atom, eval_problem, eval_term
 
-#: SMT-LIB entry points re-exported lazily from :mod:`repro.smtlib`
-_SMTLIB_EXPORTS = ("parse_problem", "parse_script", "problem_to_smtlib", "atom_to_sexpr")
-
-
-def __getattr__(name: str):
-    if name in _SMTLIB_EXPORTS:
-        from .. import smtlib
-
-        return getattr(smtlib, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "Problem",
@@ -67,8 +53,4 @@ __all__ = [
     "eval_atom",
     "eval_problem",
     "eval_term",
-    "parse_problem",
-    "parse_script",
-    "problem_to_smtlib",
-    "atom_to_sexpr",
 ]

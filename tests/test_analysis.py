@@ -306,17 +306,6 @@ def default_rng():
         assert not violations(report, "determinism"), exempt
 
 
-def test_sample_word_default_rng_is_seeded():
-    # regression for the finding this analyzer surfaced: sample_word's
-    # fallback RNG was entropy-seeded, so reruns disagreed
-    from repro.automata.enumeration import sample_word
-    from repro.automata.nfa import Nfa
-
-    nfa = Nfa.from_word("ab")
-    words = {sample_word(nfa, 4) for _ in range(8)}
-    assert len(words) == 1  # deterministic without a caller-supplied rng
-
-
 # ----------------------------------------------------------------------
 # cache-discipline
 # ----------------------------------------------------------------------

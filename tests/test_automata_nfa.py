@@ -49,7 +49,7 @@ def test_epsilon_language():
 
 def test_epsilon_closure_follows_chains():
     nfa = Nfa()
-    a, b, c = nfa.add_states(3)
+    a, b, c = nfa.add_state(), nfa.add_state(), nfa.add_state()
     nfa.make_initial(a)
     nfa.add_transition(a, EPSILON, b)
     nfa.add_transition(b, EPSILON, c)
@@ -58,7 +58,7 @@ def test_epsilon_closure_follows_chains():
 
 def test_trim_removes_useless_states():
     nfa = Nfa()
-    a, b, c, d = nfa.add_states(4)
+    a, b, c, d = (nfa.add_state() for _ in range(4))
     nfa.make_initial(a)
     nfa.make_final(c)
     nfa.add_transition(a, "x", b)
@@ -79,14 +79,6 @@ def test_trim_keeps_epsilon_acceptance():
     assert trimmed.accepts("")
 
 
-def test_renumbered_preserves_language():
-    nfa = Nfa.from_word("ab")
-    renamed, mapping = nfa.renumbered(100)
-    assert renamed.accepts("ab")
-    assert not renamed.accepts("a")
-    assert all(new >= 100 for new in mapping.values())
-
-
 def test_size_counts_states_and_transitions():
     nfa = Nfa.from_word("ab")
     assert nfa.size() == len(nfa.states) + nfa.num_transitions()
@@ -94,7 +86,7 @@ def test_size_counts_states_and_transitions():
 
 def test_add_transition_validates_symbols():
     nfa = Nfa()
-    a, b = nfa.add_states(2)
+    a, b = nfa.add_state(), nfa.add_state()
     import pytest
 
     with pytest.raises(ValueError):
@@ -103,13 +95,14 @@ def test_add_transition_validates_symbols():
 
 def test_reachable_and_coreachable():
     nfa = Nfa()
-    a, b, c = nfa.add_states(3)
+    a, b, c = nfa.add_state(), nfa.add_state(), nfa.add_state()
     nfa.make_initial(a)
     nfa.make_final(b)
     nfa.add_transition(a, "x", b)
     nfa.add_transition(c, "y", b)
-    assert nfa.reachable_states() == {a, b}
-    assert nfa.coreachable_states() == {a, b, c}
+    dense = nfa.dense()
+    assert dense.reachable_mask() == (1 << dense.index[a]) | (1 << dense.index[b])
+    assert dense.coreachable_mask() == (1 << dense.n) - 1
 
 
 def test_fresh_state_ids_never_collide():
@@ -126,7 +119,9 @@ def test_fresh_state_ids_never_collide():
 
 def test_fresh_state_ids_after_copy_and_trim():
     nfa = Nfa.from_word("abc")
-    for derived in (nfa.copy(), nfa.trim(), nfa.renumbered(7)[0]):
+    shifted = Nfa(nfa.alphabet)
+    nfa.copy_into(shifted, 7)
+    for derived in (nfa.copy(), nfa.trim(), shifted):
         fresh = derived.add_state()
         assert fresh not in (derived.states - {fresh})
 
@@ -164,7 +159,7 @@ def test_transitions_on_matches_iter_transitions():
 
 def test_transitions_map_lists_outgoing_transitions():
     nfa = Nfa("ab")
-    a, b = nfa.add_states(2)
+    a, b = nfa.add_state(), nfa.add_state()
     nfa.add_transition(a, "a", b)
     nfa.add_transition(a, EPSILON, b)
     assert nfa.transitions_map(a) == {"a": {b}, EPSILON: {b}}
@@ -297,8 +292,7 @@ def test_lazy_automata_keep_every_transition_through_mutation():
 
     nfa = _lazy_automaton()
     target = Nfa.from_rows("ab", ("a",), ((0b1,),), None, 0b1, 0b1, 0b1, (0,))
-    part = nfa.copy_into(target, want_mapping=True)
-    spliced = {
-        (part.mapping[src], symbol, part.mapping[dst]) for src, symbol, dst in reference
-    }
+    rename = {state: 1 + index for index, state in enumerate(sorted(nfa.states))}
+    nfa.copy_into(target)
+    spliced = {(rename[src], symbol, rename[dst]) for src, symbol, dst in reference}
     assert set(target.iter_transitions()) == spliced | {(0, "a", 0)}

@@ -29,7 +29,6 @@ from repro.lia.terms import (
     And,
     BoolConst,
     Eq,
-    Iff,
     Implies,
     Le,
     LinExpr,
@@ -38,7 +37,6 @@ from repro.lia.terms import (
     conj,
     disj,
     evaluate,
-    iff,
     implies,
     neg,
     substitute,
@@ -69,11 +67,6 @@ def _reference_substitute(formula, mapping):
         return implies(
             _reference_substitute(formula.antecedent, mapping),
             _reference_substitute(formula.consequent, mapping),
-        )
-    if isinstance(formula, Iff):
-        return iff(
-            _reference_substitute(formula.left, mapping),
-            _reference_substitute(formula.right, mapping),
         )
     raise TypeError(f"unsupported formula {formula!r}")
 
@@ -143,8 +136,6 @@ def _shape(node):
         return ("const", node.value)
     if isinstance(node, Implies):
         return ("Implies", _shape(node.antecedent), _shape(node.consequent))
-    if isinstance(node, Iff):
-        return ("Iff", _shape(node.left), _shape(node.right))
     raise TypeError(node)
 
 
@@ -269,7 +260,7 @@ def _random_formula(rng, names, depth=0):
         return _random_atom(rng, names)
     if roll < 0.4:
         return BoolConst(rng.random() < 0.5)
-    kind = rng.choice(("and", "or", "not", "implies", "iff"))
+    kind = rng.choice(("and", "or", "not", "implies"))
     arity = rng.randint(1, 3)
     children = [_random_formula(rng, names, depth + 1) for _ in range(arity)]
     helpers = rng.random() < 0.5
@@ -280,9 +271,7 @@ def _random_formula(rng, names, depth=0):
     if kind == "not":
         return neg(children[0]) if helpers else Not(children[0])
     other = _random_formula(rng, names, depth + 1)
-    if kind == "implies":
-        return implies(children[0], other) if helpers else Implies(children[0], other)
-    return iff(children[0], other) if helpers else Iff(children[0], other)
+    return implies(children[0], other) if helpers else Implies(children[0], other)
 
 
 def test_substitute_matches_the_rebuilding_reference():
@@ -327,7 +316,7 @@ def test_substitute_keeps_an_untouched_helper_built_subformula():
         (Le(LinExpr({}, -1)), TRUE),
         (Eq(LinExpr({}, 2)), FALSE),
         (Implies(FALSE, Le(LinExpr({"y": 1}, 0))), TRUE),
-        (Iff(Le(LinExpr({"y": 1}, 0)), FALSE), Not(Le(LinExpr({"y": 1}, 0)))),
+        (Implies(Le(LinExpr({"y": 1}, 0)), FALSE), Not(Le(LinExpr({"y": 1}, 0)))),
         (Not(TRUE), FALSE),
     ],
 )

@@ -13,7 +13,6 @@ from repro.lia import (
     formula_size,
     ge,
     gt,
-    iff,
     implies,
     le,
     lt,
@@ -66,7 +65,6 @@ def test_connective_folding():
     assert neg(neg(atom)) == atom
     assert implies(TRUE, atom) == atom
     assert implies(atom, TRUE) is TRUE
-    assert iff(TRUE, atom) == atom
 
 
 def test_evaluate_formula():
