@@ -122,13 +122,13 @@ def parse_module(path: str, relpath: str, source: Optional[str] = None) -> Modul
     return module
 
 
-def repo_root(start: Optional[str] = None) -> str:
+def repo_root() -> str:
     """Locate the repository root (the directory holding ``src/repro``).
 
-    Walks upward from ``start`` (default: this package's location), which
-    keeps ``python -m repro.analysis`` working from any working directory.
+    Walks upward from this package's location, which keeps
+    ``python -m repro.analysis`` working from any working directory.
     """
-    here = start or os.path.dirname(os.path.abspath(__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
     probe = here
     while True:
         if os.path.isdir(os.path.join(probe, "src", "repro")):

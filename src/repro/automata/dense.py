@@ -454,6 +454,10 @@ def as_nfa(automaton) -> Nfa:
 # ----------------------------------------------------------------------
 # Hash-consed interning
 # ----------------------------------------------------------------------
+#: canonical automata the intern table keeps before evicting the oldest
+_INTERN_CAPACITY = 4096
+
+
 class InternTable:
     """Canonical-automaton table keyed by the dense structural key.
 
@@ -465,8 +469,7 @@ class InternTable:
     bounds the table like the NormalizationCache memos.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
-        self.capacity = capacity
+    def __init__(self) -> None:
         self._table: Dict[Tuple, Nfa] = {}
 
     def __len__(self) -> int:
@@ -488,7 +491,7 @@ class InternTable:
         else:
             canonical = dense.to_nfa()
         self._table[key] = canonical
-        while len(self._table) > self.capacity:
+        while len(self._table) > _INTERN_CAPACITY:
             self._table.pop(next(iter(self._table)))
         return canonical
 

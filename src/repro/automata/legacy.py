@@ -21,7 +21,6 @@ from collections import deque
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from .nfa import EPSILON, Nfa, State
-from .operations import StateBudgetExceeded
 
 
 def legacy_accepts(nfa: Nfa, word: str) -> bool:
@@ -117,9 +116,7 @@ def legacy_remove_epsilon(nfa: Nfa) -> Nfa:
 
 
 def legacy_determinize(
-    nfa: Nfa,
-    alphabet: Optional[Iterable[str]] = None,
-    max_states: Optional[int] = None,
+    nfa: Nfa, alphabet: Optional[Iterable[str]] = None
 ) -> Tuple[Nfa, Dict[FrozenSet[State], State]]:
     """Subset construction on frozensets of states."""
     sigma = set(alphabet) if alphabet is not None else set(nfa.alphabet)
@@ -128,8 +125,6 @@ def legacy_determinize(
 
     def state_for(subset: FrozenSet[State]) -> State:
         if subset not in subset_to_state:
-            if max_states is not None and len(subset_to_state) >= max_states:
-                raise StateBudgetExceeded(f"more than {max_states} DFA states")
             subset_to_state[subset] = dfa.add_state()
             if subset & nfa.final:
                 dfa.make_final(subset_to_state[subset])

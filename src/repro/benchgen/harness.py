@@ -168,10 +168,11 @@ class Campaign:
             series[solver] = times
         return series
 
-    def format_cactus(self, steps: int = 10) -> str:
-        """Render the cactus data as a small text table (solved count vs. time budget)."""
+    def format_cactus(self) -> str:
+        """Render the cactus data as a small text table (solved count at
+        each tenth of the timeout)."""
         series = self.cactus_series()
-        budgets = [self.timeout * (i + 1) / steps for i in range(steps)]
+        budgets = [self.timeout * (i + 1) / 10 for i in range(10)]
         lines = ["instances solved within a per-instance budget (cactus plot data):"]
         header = "budget[s]".ljust(12) + "".join(s.ljust(22) for s in series)
         lines.append(header)

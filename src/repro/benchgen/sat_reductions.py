@@ -31,14 +31,14 @@ def sat_brute_force(num_vars: int, clauses: Sequence[Clause]) -> Optional[Dict[i
     return None
 
 
-def three_sat_to_disequalities(num_vars: int, clauses: Sequence[Clause], name: str = "3sat-diseq") -> Problem:
+def three_sat_to_disequalities(num_vars: int, clauses: Sequence[Clause]) -> Problem:
     """Lemma 7.2: one disequality per clause.
 
     Variable ``x_i`` becomes a string variable ``v_i`` over the language
     ``{0,1}``; a clause like ``(x1 ∨ ¬x2 ∨ x3)`` becomes the disequality
     ``v1·v2·v3 ≠ "010"`` (the only forbidden assignment of the clause).
     """
-    problem = Problem(alphabet=("0", "1"), name=name)
+    problem = Problem(alphabet=("0", "1"), name="3sat-diseq")
     for index in range(1, num_vars + 1):
         problem.add(RegexMembership(f"v{index}", "0|1"))
     for clause in clauses:
@@ -48,7 +48,7 @@ def three_sat_to_disequalities(num_vars: int, clauses: Sequence[Clause], name: s
     return problem
 
 
-def three_sat_to_not_contains(num_vars: int, clauses: Sequence[Clause], name: str = "3sat-notcontains") -> Problem:
+def three_sat_to_not_contains(num_vars: int, clauses: Sequence[Clause]) -> Problem:
     """Appendix D: a single ¬contains equisatisfiable with the 3-SAT input.
 
     The haystack is built from one block per clause (forcing every clause to
@@ -56,7 +56,7 @@ def three_sat_to_not_contains(num_vars: int, clauses: Sequence[Clause], name: st
     ``s_x`` and ``s_x̄`` to take complementary values); the needle is the
     fixed word ``0000011``.
     """
-    problem = Problem(alphabet=("0", "1", "#"), name=name)
+    problem = Problem(alphabet=("0", "1", "#"), name="3sat-notcontains")
     for index in range(1, num_vars + 1):
         problem.add(RegexMembership(f"p{index}", "0|1"))  # s_x
         problem.add(RegexMembership(f"n{index}", "0|1"))  # s_¬x

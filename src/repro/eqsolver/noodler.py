@@ -48,6 +48,15 @@ from ..budget import checkpoint
 
 VarEquation = Tuple[Tuple[str, ...], Tuple[str, ...]]
 
+#: monadic-decomposition branches explored per equation system: reduced
+#: (extended-function) cases align structural splits of one haystack against
+#: each other and need the room (in ``pipelines.generate(36, seed=12)``,
+#: ``pipe-2`` needs 155 branches and ``pipe-32`` 166; at 128 both end
+#: undecided), while unreduced systems stay far below it
+_MAX_BRANCHES = 512
+#: noodles per equation split
+_MAX_NOODLES = 256
+
 
 class EquationTooHard(Exception):
     """Raised when an equation falls outside the supported fragment."""
@@ -112,7 +121,7 @@ SegmentKey = Tuple[int, int, int, int, int, int]
 # Noodlification of t1 ... tm = p1 ... pn
 # ----------------------------------------------------------------------
 def noodlify(
-    targets: Sequence[Nfa], parts: Sequence[Nfa], max_noodles: int = 256
+    targets: Sequence[Nfa], parts: Sequence[Nfa], max_noodles: int = _MAX_NOODLES
 ) -> List[Noodle]:
     """Solve ``t₁ … t_m = p₁ … p_n`` by aligning the two sides.
 
@@ -333,8 +342,8 @@ def _refuted_by_consequences(
 def decompose(
     equations: Sequence[VarEquation],
     automata: Dict[str, Nfa],
-    max_branches: int = 128,
-    max_noodles: int = 256,
+    max_branches: int = _MAX_BRANCHES,
+    max_noodles: int = _MAX_NOODLES,
 ) -> DecompositionResult:
     """Eliminate the given equations, producing a monadic decomposition.
 

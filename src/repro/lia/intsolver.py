@@ -223,8 +223,6 @@ def _fractional_variable(model: Dict[str, Fraction]) -> Optional[str]:
     best_name = None
     best_distance = None
     for name, value in model.items():
-        if name.startswith("__s"):
-            continue
         if value.denominator == 1:
             continue
         fractional_part = value - value.__floor__()
@@ -236,8 +234,8 @@ def _fractional_variable(model: Dict[str, Fraction]) -> Optional[str]:
 
 
 def _integral_model(model: Dict[str, Fraction]) -> Dict[str, int]:
-    """The original (non-slack) variables of an integral simplex vertex."""
-    return {name: int(value) for name, value in model.items() if not name.startswith("__s")}
+    """An integral simplex vertex as integers."""
+    return {name: int(value) for name, value in model.items()}
 
 
 def check_integer_feasibility(

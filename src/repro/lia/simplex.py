@@ -501,10 +501,10 @@ class Simplex:
         Returns a :class:`SimplexResult`; when infeasible, ``conflict``
         contains the tags of the constraints in the conflict: a crossed
         bound pair, or a row explanation (see :meth:`_conflict_for`); both
-        are irreducible when every bound is tagged.  ``want_model=False``
-        skips building the model dictionary — callers that only need the
-        verdict (the DPLL(T) partial checks) save a full pass over the
-        variables.
+        are irreducible when every bound is tagged.  A model names the
+        original variables only.  ``want_model=False`` skips building it —
+        callers that only need the verdict (the DPLL(T) partial checks)
+        save a full pass over the variables.
 
         The check works on deltas.  A violation needs a tightened bound or a
         moved basic value, so the fixed-bound test, the non-basic repair and
@@ -564,7 +564,7 @@ class Simplex:
             if violating is None:
                 if not want_model:
                     return SimplexResult(True)
-                model = {name: self._assignment[name] for name in self._order}
+                model = {n: self._assignment[n] for n in self._order if n not in self._slack_def}
                 return SimplexResult(True, model=model)
 
             row = self._rows[violating]

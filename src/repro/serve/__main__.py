@@ -18,6 +18,7 @@ import asyncio
 import os
 from typing import List, Optional
 
+from .protocol import DEFAULT_PORT
 from .server import SolverServer, run_server
 
 
@@ -29,7 +30,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
-        "--port", type=int, default=7411,
+        "--port", type=int, default=DEFAULT_PORT,
         help="TCP port (0 picks an ephemeral port, reported on the ready line)",
     )
     parser.add_argument(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import socket
 from typing import Any, Dict, Optional, Sequence
 
-from .protocol import MAX_LINE_BYTES, decode_line, encode_line
+from .protocol import DEFAULT_PORT, MAX_LINE_BYTES, decode_line, encode_line
 
 
 class ServeError(RuntimeError):
@@ -23,7 +23,7 @@ class ServeClient:
     """One blocking connection to a running :mod:`repro.serve` server."""
 
     def __init__(
-        self, host: str = "127.0.0.1", port: int = 7411, timeout: Optional[float] = 300.0
+        self, host: str = "127.0.0.1", port: int = DEFAULT_PORT, timeout: Optional[float] = 300.0
     ) -> None:
         self.host = host
         self.port = port
@@ -98,12 +98,13 @@ class ServeClient:
         return self.request({"op": "shutdown"})
 
 
-def parse_host_port(value: str, default_port: int = 7411) -> tuple:
-    """Parse ``HOST:PORT`` (or bare ``HOST``) into a ``(host, port)`` pair."""
+def parse_host_port(value: str) -> tuple:
+    """Parse ``HOST:PORT`` (or bare ``HOST``, on :data:`DEFAULT_PORT`) into a
+    ``(host, port)`` pair."""
     if ":" in value:
         host, _, port_text = value.rpartition(":")
         try:
             return (host or "127.0.0.1", int(port_text))
         except ValueError:
             raise ServeError(f"bad port in {value!r}") from None
-    return (value or "127.0.0.1", default_port)
+    return (value or "127.0.0.1", DEFAULT_PORT)

@@ -46,6 +46,9 @@ MAX_LINE_BYTES = 8 * 1024 * 1024
 #: ops a server understands (anything else is an error response)
 OPS = ("solve", "ping", "stats", "shutdown")
 
+#: the TCP port of ``python -m repro.serve`` and of a client told no port
+DEFAULT_PORT = 7411
+
 
 def encode_line(payload: Dict[str, Any]) -> bytes:
     """One protocol object as one newline-terminated JSON line."""

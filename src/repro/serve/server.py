@@ -58,7 +58,8 @@ from .protocol import (
 from .workers import initializer, run_job
 
 #: extra wall seconds past a job's deadline before the server stops
-#: waiting for its workers and synthesises the response
+#: waiting for its workers and synthesises the response; also how long
+#: shutdown waits for a terminated child before killing it
 DEADLINE_GRACE = 5.0
 
 
@@ -84,14 +85,14 @@ def _retrieve_exception(task: asyncio.Task) -> None:
         task.exception()
 
 
-def _end_children(timeout: float = 5.0) -> None:
+def _end_children() -> None:
     """Terminate every live child process and join it (killed when a
-    terminated child does not exit within ``timeout`` seconds)."""
+    terminated child does not exit within :data:`DEADLINE_GRACE` seconds)."""
     children = multiprocessing.active_children()
     for child in children:
         child.terminate()
     for child in children:
-        child.join(timeout)
+        child.join(DEADLINE_GRACE)
         if child.is_alive():
             child.kill()
             child.join()
@@ -505,7 +506,7 @@ class SolverServer:
                 self.stats["job_retries"] += 1
 
 
-async def run_server(server: SolverServer, ready_line: bool = True) -> int:
+async def run_server(server: SolverServer) -> int:
     """Start ``server``, print the ready line, block until shutdown."""
     await server.start()
     # The handlers go in before the ready line: a SIGTERM sent as soon as
@@ -518,11 +519,10 @@ async def run_server(server: SolverServer, ready_line: bool = True) -> int:
         loop.add_signal_handler(signal.SIGTERM, server.request_shutdown)
     except (NotImplementedError, RuntimeError):  # pragma: no cover - non-POSIX
         pass
-    if ready_line:
-        print(
-            f"repro.serve listening on {server.host}:{server.port} "
-            f"(workers={server.workers}, warm={len(server.warm_texts)})",
-            flush=True,
-        )
+    print(
+        f"repro.serve listening on {server.host}:{server.port} "
+        f"(workers={server.workers}, warm={len(server.warm_texts)})",
+        flush=True,
+    )
     await server.wait_closed()
     return 0

@@ -45,6 +45,7 @@ from ..strings.ast import (
     SubstrAtom,
     SuffixOf,
     WordEquation,
+    string_of_length_variable,
 )
 
 
@@ -84,7 +85,8 @@ def linexpr_to_sexpr(expr: LinExpr) -> str:
     terms: List[str] = []
     for name in sorted(expr.coeffs):
         coeff = expr.coeffs[name]
-        rendered = f"(str.len {name[len('@len.'):]})" if name.startswith("@len.") else name
+        string = string_of_length_variable(name)
+        rendered = name if string is None else f"(str.len {string})"
         if coeff != 1:
             rendered = f"(* {_int_literal(coeff)} {rendered})"
         terms.append(rendered)
@@ -223,26 +225,19 @@ def atom_to_sexpr(atom: Atom) -> str:
 # ----------------------------------------------------------------------
 # Whole problems
 # ----------------------------------------------------------------------
-def problem_to_smtlib(
-    problem: Problem,
-    status: Optional[str] = None,
-    logic: Optional[str] = None,
-    named: bool = True,
-    check_sat: bool = True,
-) -> str:
+def problem_to_smtlib(problem: Problem, status: Optional[str] = None) -> str:
     """Render a problem as a self-contained SMT-LIB script.
 
-    ``status`` becomes ``(set-info :status …)``; the logic defaults to
-    ``QF_SLIA`` when integer constraints occur and ``QF_S`` otherwise.  With
-    ``named`` every assert is annotated ``(! … :named aN)`` so that
-    ``get-unsat-core`` output is meaningful.
+    ``status`` becomes ``(set-info :status …)``; the logic is ``QF_SLIA``
+    when integer constraints occur and ``QF_S`` otherwise.  Every assert is
+    annotated ``(! … :named aN)`` so that ``get-unsat-core`` output is
+    meaningful.
     """
-    if logic is None:
-        has_ints = any(
-            isinstance(atom, (LengthConstraint, StrAtAtom, SubstrAtom, IndexOfAtom))
-            for atom in problem.atoms
-        )
-        logic = "QF_SLIA" if has_ints else "QF_S"
+    has_ints = any(
+        isinstance(atom, (LengthConstraint, StrAtAtom, SubstrAtom, IndexOfAtom))
+        for atom in problem.atoms
+    )
+    logic = "QF_SLIA" if has_ints else "QF_S"
     lines: List[str] = [f"(set-logic {logic})"]
     if problem.name:
         lines.append(f"(set-info :source {_string_literal(problem.name)})")
@@ -257,10 +252,6 @@ def problem_to_smtlib(
         lines.append(f"(declare-const {name} Int)")
 
     for index, atom in enumerate(problem.atoms):
-        rendered = atom_to_sexpr(atom)
-        if named:
-            rendered = f"(! {rendered} :named a{index})"
-        lines.append(f"(assert {rendered})")
-    if check_sat:
-        lines.append("(check-sat)")
+        lines.append(f"(assert (! {atom_to_sexpr(atom)} :named a{index}))")
+    lines.append("(check-sat)")
     return "\n".join(lines) + "\n"

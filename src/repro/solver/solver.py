@@ -42,6 +42,10 @@ refuted only under the length approximation of a non-flat ¬contains
 (``incomplete@mbqi``) — mirroring the OOR/unknown accounting of the
 paper's Table 1.
 
+Each stage owns its caps: the reduction's case cap and the decomposition's
+branch and noodle caps are the defaults of ``reduce_problem`` and
+``decompose``; the constants below size only this module's own work.
+
 Each concern has one path: ``_decide`` is the only verdict fold and
 :class:`SolveResult` the only outcome type, of a branch as of a check;
 ``check`` holds the only model verification and the only internal-error
@@ -118,7 +122,7 @@ from ..lia import Formula as LiaFormula
 from ..lia import Le as LiaLe
 from ..lia import LinExpr
 from ..budget import Budget, BudgetExceeded, UnknownKind, UnknownReason
-from ..strings.ast import Problem, length_variable
+from ..strings.ast import Problem, length_referenced, length_variable, string_of_length_variable
 from ..strings.normal_form import NormalForm, NormalizationCache, normalize
 from ..strings.reductions import ReductionError, needs_reduction, reduce_problem
 from ..strings.semantics import eval_problem
@@ -135,27 +139,21 @@ PartKey = Tuple
 _GROUP_WORD_CAP = 16
 #: node budget of the distinct-group search
 _GROUP_SEARCH_NODES = 50000
+#: capacity of the decomposition memo (one entry per case equation system;
+#: a session's checks revisit the cases of its recent assertion prefixes)
+_DECOMPOSITION_CACHE = 32
 #: capacity of the component-encoding memo (tag-automaton encodings keyed
 #: by predicate set and automata)
 _ENCODING_CACHE = 256
 #: pinned per-branch incremental LIA solvers kept warm (least-recently-used
 #: branches beyond this are rebuilt on demand)
 _BRANCH_SOLVERS = 16
-#: monadic-decomposition branches explored per equation system: reduced
-#: (extended-function) cases align structural splits of one haystack against
-#: each other and need the room (in ``pipelines.generate(36, seed=12)``,
-#: ``pipe-2`` needs 155 branches and ``pipe-32`` 166; at 128 both end
-#: undecided), while unreduced systems stay far below it
-_MAX_BRANCHES = 512
-#: noodles per equation split
-_MAX_NOODLES = 256
 #: MBQI rounds for ¬contains (lemma instantiations per check)
 _MAX_INSTANTIATION_ROUNDS = 40
-#: cap on the case product of the extended-function reduction
-#: (``str.substr`` expands into 1 case, ``str.indexof`` into 4,
-#: ``str.replace`` into 3 — see :mod:`repro.strings.reductions`); a problem
-#: whose product exceeds the cap answers ``unknown``
-_MAX_REDUCTION_CASES = 64
+#: per-side state cap of the ¬contains vacuity pre-pass; beyond it the
+#: concatenations (and the lazy product walk over them) stop being
+#: obviously cheaper than just encoding the predicate
+_NCONTAINS_VACUITY_LIMIT = 64
 
 
 class _Lru(OrderedDict):
@@ -242,7 +240,7 @@ class IncrementalPipeline:
         # An externally supplied cache outlives this pipeline: the serve
         # workers share one per process so jobs warm each other up.
         self.normalization_cache = normalization_cache or NormalizationCache()
-        self._decompositions: _Lru = _Lru(32)
+        self._decompositions: _Lru = _Lru(_DECOMPOSITION_CACHE)
         self._components: _Lru = _Lru(_ENCODING_CACHE)
         self._branch_solvers: _Lru = _Lru(_BRANCH_SOLVERS)
         self.counters: Dict[str, int] = {
@@ -365,7 +363,7 @@ class IncrementalPipeline:
         if reduced:
             try:
                 with watch.stage("reduce"):
-                    reduction = reduce_problem(problem, max_cases=_MAX_REDUCTION_CASES)
+                    reduction = reduce_problem(problem)
             except ReductionError as error:
                 return _unknown(UnknownKind.INCOMPLETE, "reduce", str(error))
             self.counters["reduction_cases"] += len(reduction)
@@ -446,12 +444,7 @@ class IncrementalPipeline:
         decomposition: Optional[DecompositionResult] = self._decompositions.lookup(key)
         if decomposition is None:
             self.counters["decomposition_misses"] += 1
-            decomposition = decompose(
-                normal_form.equations,
-                eq_automata,
-                max_branches=_MAX_BRANCHES,
-                max_noodles=_MAX_NOODLES,
-            )
+            decomposition = decompose(normal_form.equations, eq_automata)
             self._decompositions.store(key, decomposition)
         else:
             self.counters["decomposition_hits"] += 1
@@ -533,11 +526,6 @@ class IncrementalPipeline:
                 return None, None, automata, f"unsupported predicate {predicate!r}"
         return regular, contains, automata, ""
 
-    #: per-side state cap for the vacuity pre-pass below; beyond it the
-    #: concatenations (and the lazy product walk over them) stop being
-    #: obviously cheaper than just encoding the predicate
-    _NCONTAINS_VACUITY_LIMIT = 64
-
     def _ncontains_vacuous(
         self,
         predicate: NotContains,
@@ -564,7 +552,7 @@ class IncrementalPipeline:
             if nfa is None:
                 return False
             total += len(nfa.states)
-            if total > self._NCONTAINS_VACUITY_LIMIT:
+            if total > _NCONTAINS_VACUITY_LIMIT:
                 return False
         haystack = Nfa.epsilon_language()
         for name in predicate.haystack:
@@ -674,9 +662,8 @@ class IncrementalPipeline:
         # that belong to no predicate need a (predicate-free) encoding so that
         # their ⟨L, x⟩ counters exist.
         referenced = set()
-        for name in normal_form.integer_formula.variables():
-            if name.startswith("@len."):
-                referenced.update(branch.expand(name[len("@len.") :]))
+        for name in length_referenced(normal_form.integer_formula):
+            referenced.update(branch.expand(name))
         # One singleton group per uncovered variable (sorted for stable
         # positional prefixes): lumping them into one component would fuse
         # unrelated variables into a single system encoding.
@@ -700,13 +687,8 @@ class IncrementalPipeline:
                     return component.encoding.length_of(name)
             return None
 
-        referenced = [
-            name[len("@len.") :]
-            for name in normal_form.integer_formula.variables()
-            if name.startswith("@len.")
-        ]
         links: List[LiaFormula] = []
-        for name in referenced:
+        for name in length_referenced(normal_form.integer_formula):
             total = LinExpr.constant(0)
             covered = True
             for part in branch.expand(name):
@@ -943,9 +925,10 @@ class IncrementalPipeline:
                 if len(coeffs) != 1:
                     return True
                 (raw_name, coeff), = coeffs.items()
-                if not raw_name.startswith("@len.") or coeff == 0:
+                string = string_of_length_variable(raw_name)
+                if string is None or coeff == 0:
                     return True
-                expansion = branch.expand(raw_name[len("@len.") :])
+                expansion = branch.expand(string)
                 if len(expansion) != 1:
                     return True
                 name = expansion[0]

@@ -23,6 +23,7 @@ from .ast import (
     length_variable,
     lit,
     str_len,
+    string_of_length_variable,
     term,
     term_length,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "lit",
     "str_len",
     "length_variable",
+    "string_of_length_variable",
     "NormalForm",
     "NormalizationCache",
     "normalize",

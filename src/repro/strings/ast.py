@@ -99,9 +99,20 @@ def str_len(name: str) -> LinExpr:
     return LinExpr.var(length_variable(name))
 
 
+#: prefix of the reserved LIA variables carrying string lengths
+_LENGTH_PREFIX = "@len."
+
+
 def length_variable(name: str) -> str:
     """The reserved LIA variable name carrying the length of string variable ``name``."""
-    return f"@len.{name}"
+    return _LENGTH_PREFIX + name
+
+
+def string_of_length_variable(name: str) -> Optional[str]:
+    """The string variable whose length the LIA variable ``name`` carries
+    (the inverse of :func:`length_variable`), or ``None`` for any other
+    LIA variable."""
+    return name[len(_LENGTH_PREFIX) :] if name.startswith(_LENGTH_PREFIX) else None
 
 
 # ----------------------------------------------------------------------
@@ -356,11 +367,15 @@ class Problem:
         return " ∧ ".join(str(atom) for atom in self.atoms)
 
 
-def _length_referenced(expr: LinExpr) -> Tuple[str, ...]:
-    """String variables an integer expression refers to via ``@len.``."""
-    return tuple(
-        name[len("@len.") :] for name in expr.variables() if name.startswith("@len.")
-    )
+def length_referenced(expr: Union[LinExpr, LiaFormula]) -> Tuple[str, ...]:
+    """String variables whose length variables ``expr`` mentions."""
+    strings = map(string_of_length_variable, expr.variables())
+    return tuple(name for name in strings if name is not None)
+
+
+def _integer_only(names: Sequence[str]) -> Tuple[str, ...]:
+    """``names`` without the length variables, each once, in order."""
+    return tuple(dict.fromkeys(v for v in names if string_of_length_variable(v) is None))
 
 
 def atom_string_variables(atom: Atom) -> Tuple[str, ...]:
@@ -378,11 +393,11 @@ def atom_string_variables(atom: Atom) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(target + term_variables(atom.haystack)))
     if isinstance(atom, SubstrAtom):
         names = term_variables(atom.target) + term_variables(atom.haystack)
-        names += _length_referenced(atom.offset) + _length_referenced(atom.length)
+        names += length_referenced(atom.offset) + length_referenced(atom.length)
         return tuple(dict.fromkeys(names))
     if isinstance(atom, IndexOfAtom):
         names = term_variables(atom.haystack) + term_variables(atom.needle)
-        names += _length_referenced(atom.result) + _length_referenced(atom.offset)
+        names += length_referenced(atom.result) + length_referenced(atom.offset)
         return tuple(dict.fromkeys(names))
     if isinstance(atom, ReplaceAtom):
         return tuple(
@@ -394,11 +409,7 @@ def atom_string_variables(atom: Atom) -> Tuple[str, ...]:
             )
         )
     if isinstance(atom, LengthConstraint):
-        names = []
-        for variable in atom.formula.variables():
-            if variable.startswith("@len."):
-                names.append(variable[len("@len.") :])
-        return tuple(dict.fromkeys(names))
+        return length_referenced(atom.formula)
     raise TypeError(f"unknown atom {atom!r}")
 
 
@@ -407,13 +418,9 @@ def atom_integer_variables(atom: Atom) -> Tuple[str, ...]:
     if isinstance(atom, StrAtAtom):
         return atom.index.variables()
     if isinstance(atom, SubstrAtom):
-        names = atom.offset.variables() + atom.length.variables()
-        return tuple(dict.fromkeys(v for v in names if not v.startswith("@len.")))
+        return _integer_only(atom.offset.variables() + atom.length.variables())
     if isinstance(atom, IndexOfAtom):
-        names = atom.result.variables() + atom.offset.variables()
-        return tuple(dict.fromkeys(v for v in names if not v.startswith("@len.")))
-    if isinstance(atom, ReplaceAtom):
-        return ()
+        return _integer_only(atom.result.variables() + atom.offset.variables())
     if isinstance(atom, LengthConstraint):
-        return tuple(v for v in atom.formula.variables() if not v.startswith("@len."))
+        return _integer_only(atom.formula.variables())
     return ()

@@ -72,8 +72,14 @@ from .ast import (
 )
 
 
+#: cap on the case product (``str.substr`` expands into 1 case,
+#: ``str.indexof`` into 4, ``str.replace`` into 3); the solver answers
+#: ``unknown`` for a problem whose product exceeds it
+_MAX_CASES = 64
+
+
 class ReductionError(ValueError):
-    """Raised when a problem's case expansion exceeds the configured cap."""
+    """Raised when a problem's case expansion exceeds the case cap."""
 
 
 @dataclass
@@ -326,7 +332,7 @@ def _statically_false(atom: Atom) -> bool:
     )
 
 
-def reduce_problem(problem: Problem, max_cases: int = 64) -> List[ReducedCase]:
+def reduce_problem(problem: Problem, max_cases: int = _MAX_CASES) -> List[ReducedCase]:
     """Expand a problem with extended atoms into core-only case problems.
 
     Returns one :class:`ReducedCase` per member of the case product (a

@@ -29,19 +29,23 @@ from .ast import (
     SubstrAtom,
     SuffixOf,
     WordEquation,
-    length_variable,
+    string_of_length_variable,
 )
 
 
-def _eval_int(expr, integers: Mapping[str, int], strings: Mapping[str, str]) -> int:
-    """Evaluate a LIA expression, resolving ``@len.x`` through the strings."""
+def _assignment(names: Iterable[str], integers: Mapping[str, int], strings: Mapping[str, str]):
+    """Values of LIA variables: a length variable is its string's length,
+    any other variable its integer (0 when unassigned)."""
     assignment: Dict[str, int] = {}
-    for name in expr.variables():
-        if name.startswith("@len."):
-            assignment[name] = len(strings[name[len("@len.") :]])
-        else:
-            assignment[name] = integers.get(name, 0)
-    return int(expr.evaluate(assignment))
+    for name in names:
+        string = string_of_length_variable(name)
+        assignment[name] = integers.get(name, 0) if string is None else len(strings[string])
+    return assignment
+
+
+def _eval_int(expr, integers: Mapping[str, int], strings: Mapping[str, str]) -> int:
+    """Evaluate a LIA expression, resolving length variables through the strings."""
+    return int(expr.evaluate(_assignment(expr.variables(), integers, strings)))
 
 
 def str_substr(word: str, offset: int, length: int) -> str:
@@ -147,13 +151,7 @@ def eval_atom(
         result = eval_term(atom.target, strings) == value
         return result if atom.positive else not result
     if isinstance(atom, LengthConstraint):
-        assignment: Dict[str, int] = {}
-        for name in atom.formula.variables():
-            if name.startswith("@len."):
-                assignment[name] = len(strings[name[len("@len.") :]])
-            else:
-                assignment[name] = integers.get(name, 0)
-        return lia_evaluate(atom.formula, assignment)
+        return lia_evaluate(atom.formula, _assignment(atom.formula.variables(), integers, strings))
     raise TypeError(f"unknown atom {atom!r}")
 
 

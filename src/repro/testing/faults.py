@@ -147,26 +147,20 @@ _FAULT_SITES = (
 _ACTIONS = ("raise", "raise", "exhaust", "interrupt")
 
 
-def seeded_faults(
-    seed: int,
-    count: int = 1,
-    actions: Sequence[str] = _ACTIONS,
-    sites: Sequence[str] = _FAULT_SITES,
-    max_at: int = 50,
-) -> FaultInjector:
+def seeded_faults(seed: int, count: int = 1) -> FaultInjector:
     """A reproducible random fault schedule: same seed → same chaos.
 
-    Draws ``count`` specs over ``sites`` with trigger ordinals in
-    ``[1, max_at]``.  ``actions`` is sampled with replacement (the default
-    weights plain raises double, as unexpected exceptions are the richest
-    source of cleanup bugs).
+    Draws ``count`` specs over the fault sites with trigger ordinals in
+    ``[1, 50]``.  Actions are sampled with replacement (plain raises weigh
+    double, as unexpected exceptions are the richest source of cleanup
+    bugs).
     """
     rng = random.Random(seed)
     specs = [
         FaultSpec(
-            stage=rng.choice(list(sites)),
-            at=rng.randint(1, max_at),
-            action=rng.choice(list(actions)),
+            stage=rng.choice(_FAULT_SITES),
+            at=rng.randint(1, 50),
+            action=rng.choice(_ACTIONS),
         )
         for _ in range(count)
     ]

@@ -425,6 +425,28 @@ def test_noodlify_walks_once_per_segment_start(monkeypatch, seed):
     assert starts and max(starts.values()) == 1
 
 
+def test_decompose_defaults_fit_two_structural_splits_of_one_haystack():
+    # Two str.substr reductions of one haystack, as the reduction emits them:
+    # l0 = p·r·q twice, each middle part tied to its own result.  Aligning
+    # the two splits against each other needs more than 128 branches; the
+    # default branch cap is the one the solver relies on, so it decides the
+    # system without any cap argument.
+    sigma = compile_regex("(a|b)*", alphabet="ab")
+    automata = {"l0": compile_regex("(ab)*", alphabet="ab")}
+    for name in ("l1", "r1", "p0", "m0", "q0", "p1", "m1", "q1"):
+        automata[name] = sigma
+    equations = [
+        (("l0",), ("p0", "m0", "q0")),
+        (("l1",), ("m0",)),
+        (("l0",), ("p1", "m1", "q1")),
+        (("r1",), ("m1",)),
+    ]
+    assert not decompose(equations, automata, max_branches=128).complete
+    result = decompose(equations, automata)
+    assert result.complete
+    assert 128 < len(result.branches) <= 512
+
+
 def test_decompose_variable_equation_keeps_the_shared_empty_word():
     automata = {
         "x": compile_regex("a*", alphabet="ab"),

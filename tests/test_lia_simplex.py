@@ -267,7 +267,8 @@ class _FullScanSimplex(Simplex):
             if violating is None:
                 if not want_model:
                     return SimplexResult(True)
-                return SimplexResult(True, model={n: self._assignment[n] for n in self._order})
+                model = {n: self._assignment[n] for n in self._order if n not in self._slack_def}
+                return SimplexResult(True, model=model)
             row = self._rows[violating]
             lower = self._violates_lower(violating)
             target = self._lower[violating] if lower else self._upper[violating]

@@ -298,6 +298,23 @@ def test_reduce_problem_case_counts():
         reduce_problem(problem, max_cases=8)
 
 
+def test_case_cap_is_the_reduction_default():
+    # Four str.indexof atoms expand into 4^4 = 256 cases, over the 64-case
+    # cap: the bare reduction refuses, and the solver answers unknown at
+    # the reduce stage.
+    problem = Problem(alphabet=tuple("ab"))
+    for index in range(4):
+        problem.add(IndexOfAtom(LinExpr.var(f"k{index}"), term("x"), term(f"n{index}"), const(0)))
+    with pytest.raises(ReductionError):
+        reduce_problem(problem)
+    session = Session(config=CONFIG, alphabet=tuple("ab"))
+    for atom in problem.atoms:
+        session.add(atom)
+    result = session.check()
+    assert result.status is Status.UNKNOWN
+    assert result.reason.stage == "reduce"
+
+
 def test_models_do_not_leak_reduction_variables():
     problem = Problem(alphabet=tuple("ab"))
     problem.add(RegexMembership("x", "(ab)*"))
